@@ -8,11 +8,11 @@ scoring each by the image error of a rigidly mounted downward camera.
 
 from .angles import angle_diff, wrap_pi
 from .config import ScenarioConfig, load_aircraft, load_config, load_plan
-from .control import ControlCommand
 from .dynamics import (
     AircraftParams,
     AircraftState,
     AirData,
+    ControlCommand,
     Environment,
     GustModel,
     air_data,
@@ -25,6 +25,7 @@ from .errors import (
     AirDataError,
     ConfigError,
     DomainError,
+    DynamicsFaultError,
     InsufficientDataError,
     IntegrationFaultError,
     SimulatorError,
@@ -56,6 +57,7 @@ __all__ = [
     "ConfigError",
     "ControlCommand",
     "DomainError",
+    "DynamicsFaultError",
     "Environment",
     "ErrorStats",
     "FlightController",

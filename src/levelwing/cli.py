@@ -17,31 +17,23 @@ import math
 import sys
 
 from .config import load_config
-from .control import (
-    aotc_gain_synthesis,
-    lon_gain_synthesis,
-    ratc_gain_synthesis,
-    roll_gain_synthesis,
-)
-from .dynamics import (
-    AirData,
-    Environment,
-    combined_yaw_coeffs,
-    gamma_terms,
-    trim,
-)
+from .dynamics import AirData, Environment, gamma_terms, trim
 from .errors import (
     ConfigError,
-    IntegrationFaultError,
+    DynamicsFaultError,
     SimulatorError,
-    SingularityError,
     TrimFailureError,
     UncontrollablePlantError,
 )
-from .scenario import compare_controllers, export_csv, run_scenario, write_comparison
+from .scenario import (
+    compare_controllers,
+    export_csv,
+    run_scenario,
+    schedule_gains,
+    write_comparison,
+)
 
-_FAULT_ERRORS = (SingularityError, IntegrationFaultError,
-                 UncontrollablePlantError)
+_FAULT_ERRORS = (DynamicsFaultError, UncontrollablePlantError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -149,16 +141,10 @@ def _cmd_gains(args: argparse.Namespace) -> int:
 
     airdata = AirData(va=va, vg=va, alpha=trim_state.theta, beta=0.0,
                       gamma_climb=0.0, chi=0.0)
-    coeffs = combined_yaw_coeffs(cfg.params, gammas, airdata)
-    yaw = ratc_gain_synthesis(coeffs, c.wn_psi, c.zeta_psi)
-    roll = roll_gain_synthesis(cfg.params, gammas, va, c.wn_roll,
-                               c.zeta_roll, ki=c.ki_roll)
-    aotc = aotc_gain_synthesis(cfg.params, gammas, va, va, c.wn_roll,
-                               c.zeta_roll, c.course_separation,
-                               c.zeta_course)
-    lon = lon_gain_synthesis(cfg.params, va, c.wn_pitch, c.zeta_pitch,
-                             c.wn_alt, c.zeta_alt, c.kp_airspeed,
-                             c.ki_airspeed, c.pitch_limit)
+    ratc = schedule_gains("ratc", cfg, gammas, airdata, p=0.0, delta_a=0.0)
+    aotc = schedule_gains("aotc", cfg, gammas, airdata, p=0.0, delta_a=0.0)
+    coeffs, yaw, roll = ratc.heading_plant, ratc.heading, ratc.roll
+    course, lon = aotc.aotc.course, ratc.lon
 
     print(f"scenario {cfg.name}, airspeed {va:.1f} m/s")
     print(f"heading plant : a_psi1 {coeffs.a_psi1:+.4f} 1/s, "
@@ -167,8 +153,8 @@ def _cmd_gains(args: argparse.Namespace) -> int:
           f"(wn {yaw.wn_psi:.2f} rad/s, zeta {yaw.zeta_psi:.2f})")
     print(f"roll hold     : kp {roll.kp:+.4f}, kd {roll.kd:+.4f}, "
           f"ki {roll.ki:+.4f} (wn {roll.wn:.2f} rad/s)")
-    print(f"aotc course   : kp {aotc.course.kp:+.4f}, "
-          f"ki {aotc.course.ki:+.4f} (wn {aotc.course.wn:.3f} rad/s, "
+    print(f"aotc course   : kp {course.kp:+.4f}, "
+          f"ki {course.ki:+.4f} (wn {course.wn:.3f} rad/s, "
           f"separation {c.course_separation:.1f})")
     print(f"pitch hold    : kp {lon.kp_theta:+.4f}, kd {lon.kd_theta:+.4f}")
     print(f"altitude hold : kp {lon.kp_h:+.5f}, ki {lon.ki_h:+.5f}")

@@ -86,9 +86,6 @@ class _Section:
         else:
             self._section = {}
 
-    def exists(self) -> bool:
-        return not isinstance(self._section, dict) or bool(self._section)
-
     def float(self, key: str, default: float | None = None) -> float:
         raw = self._section.get(key)
         if raw is None:
@@ -337,9 +334,7 @@ class ControllerSettings:
             raise ConfigError("course_separation must be >= 1")
         if self.bank_limit > math.radians(80.0):
             raise ConfigError("bank limit above 80 deg is not supported")
-        GuidanceGains(intercept_angle=self.intercept_angle,
-                      capture_gain=self.capture_gain,
-                      orbit_gain=self.orbit_gain).validate()
+        self.guidance_gains().validate()
 
     def guidance_gains(self) -> GuidanceGains:
         return GuidanceGains(intercept_angle=self.intercept_angle,

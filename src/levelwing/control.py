@@ -26,6 +26,7 @@ from .dynamics import (
     AircraftState,
     AirData,
     CombinedYawCoeffs,
+    ControlCommand,
     GammaSet,
 )
 from .errors import ConfigError, UncontrollablePlantError
@@ -33,16 +34,6 @@ from .errors import ConfigError, UncontrollablePlantError
 # Floor applied to the airspeed used for gain scheduling, so a start-up
 # transient cannot divide by zero.
 MIN_SCHEDULING_AIRSPEED = 1.0
-
-
-@dataclass
-class ControlCommand:
-    """Actuator command: surface deflections (rad) and throttle [0, 1]."""
-
-    delta_a: float = 0.0
-    delta_e: float = 0.0
-    delta_r: float = 0.0
-    delta_t: float = 0.0
 
 
 @dataclass
@@ -107,6 +98,18 @@ class LonGains:
 
 
 @dataclass
+class ScheduledGains:
+    """Gains at one flight condition: the longitudinal holds plus either
+    the heading plant, heading PD and roll hold (ratc) or aotc's set."""
+
+    heading_plant: CombinedYawCoeffs | None
+    heading: RatcGains | None
+    roll: RollGains | None
+    aotc: AotcGains | None
+    lon: LonGains
+
+
+@dataclass
 class LoopState:
     """Mutable controller memory: integrators, previous actuator command,
     and per-step telemetry (tracked errors, saturation flags)."""
@@ -118,15 +121,6 @@ class LoopState:
     prev_command: ControlCommand | None = None
     last_errors: dict = field(default_factory=dict)
     last_saturated: dict = field(default_factory=dict)
-
-    def reset(self) -> None:
-        self.course_int = 0.0
-        self.roll_int = 0.0
-        self.alt_int = 0.0
-        self.va_int = 0.0
-        self.prev_command = None
-        self.last_errors = {}
-        self.last_saturated = {}
 
 
 def ratc_gain_synthesis(coeffs: CombinedYawCoeffs, wn: float,
@@ -235,18 +229,6 @@ def lon_gain_synthesis(params: AircraftParams, va: float, wn_pitch: float,
     return LonGains(kp_theta=kp_theta, kd_theta=kd_theta, kp_h=kp_h,
                     ki_h=ki_h, kp_va=kp_va, ki_va=ki_va,
                     theta_limit=theta_limit)
-
-
-def coordinated_turn_radius(va: float, phi: float, gamma_climb: float = 0.0,
-                            gravity: float = 9.81) -> float:
-    """Turn radius of a coordinated turn at bank phi; infinite when the
-    wings are level."""
-    if va <= 0.0:
-        raise ConfigError("coordinated turn radius needs positive airspeed")
-    t = math.tan(phi)
-    if t == 0.0:
-        return math.inf
-    return va**2 * math.cos(gamma_climb) / (gravity * t)
 
 
 def _integrate_conditionally(integrator: float, error: float, dt: float,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, TYPE_CHECKING
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,9 +27,6 @@ from .errors import (
     SingularityError,
     TrimFailureError,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import avoids a module cycle
-    from .control import ControlCommand
 
 # Rate terms divide by 2*Va; below this airspeed the aerodynamic
 # contribution is zeroed instead of blowing up.
@@ -61,18 +58,26 @@ class AircraftState:
     q: float = 0.0
     r: float = 0.0
 
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.pn, self.pe, self.pd, self.u, self.v, self.w,
-             self.phi, self.theta, self.psi, self.p, self.q, self.r]
-        )
+    def __iter__(self):
+        """The twelve values in state-vector (field) order."""
+        return iter((self.pn, self.pe, self.pd, self.u, self.v, self.w,
+                     self.phi, self.theta, self.psi, self.p, self.q, self.r))
 
-    @classmethod
-    def from_array(cls, y) -> "AircraftState":
-        return cls(*(float(x) for x in y))
+    def as_array(self) -> np.ndarray:
+        return np.array(tuple(self))
 
     def position(self) -> np.ndarray:
         return np.array([self.pn, self.pe, self.pd])
+
+
+@dataclass
+class ControlCommand:
+    """Actuator command: surface deflections (rad) and throttle [0, 1]."""
+
+    delta_a: float = 0.0
+    delta_e: float = 0.0
+    delta_r: float = 0.0
+    delta_t: float = 0.0
 
 
 @dataclass
@@ -365,37 +370,38 @@ def thrust_force(params: AircraftParams, va: float, delta_t: float) -> float:
 
 
 def aero_forces_moments(
-    state: AircraftState,
-    cmd: "ControlCommand",
-    env: Environment,
+    y: Sequence[float],
+    cmd: ControlCommand,
     params: AircraftParams,
 ) -> ForcesMoments:
     """Total body-frame forces and moments: gravity + thrust + aerodynamics.
 
-    Below MIN_AERO_AIRSPEED the aerodynamic terms are zeroed (the rate
-    terms divide by Va) and only gravity and thrust remain.
+    y is the twelve-value state in AircraftState field order. Below
+    MIN_AERO_AIRSPEED the aerodynamic terms are zeroed (the rate terms
+    divide by Va) and only gravity and thrust remain.
     """
-    sphi, cphi = math.sin(state.phi), math.cos(state.phi)
-    sth, cth = math.sin(state.theta), math.cos(state.theta)
+    _, _, _, u, v, w, phi, theta, _, p, q, r = y
+    sphi, cphi = math.sin(phi), math.cos(phi)
+    sth, cth = math.sin(theta), math.cos(theta)
     weight = params.weight
 
     fx = -weight * sth
     fy = weight * sphi * cth
     fz = weight * cphi * cth
 
-    va = math.sqrt(state.u**2 + state.v**2 + state.w**2)
+    va = math.sqrt(u**2 + v**2 + w**2)
     fx += thrust_force(params, va, cmd.delta_t)
 
     if va < MIN_AERO_AIRSPEED:
         return ForcesMoments(fx=fx, fy=fy, fz=fz, l=0.0, m=0.0, n=0.0)
 
-    alpha = math.atan2(state.w, state.u)
-    beta = math.asin(max(-1.0, min(1.0, state.v / va)))
+    alpha = math.atan2(w, u)
+    beta = math.asin(max(-1.0, min(1.0, v / va)))
     qbar_s = 0.5 * params.rho * va**2 * params.wing_area
     bw, cbar = params.wing_span, params.mean_chord
-    p_hat = bw * state.p / (2.0 * va)
-    q_hat = cbar * state.q / (2.0 * va)
-    r_hat = bw * state.r / (2.0 * va)
+    p_hat = bw * p / (2.0 * va)
+    q_hat = cbar * q / (2.0 * va)
+    r_hat = bw * r / (2.0 * va)
 
     c_lift = (
         params.c_lift_0
@@ -445,28 +451,30 @@ def aero_forces_moments(
     return ForcesMoments(fx=fx, fy=fy, fz=fz, l=l, m=m, n=n)
 
 
+def _check_pitch(theta: float, state) -> None:
+    """Abort inside the singularity margin of theta = +/-90 deg."""
+    if abs(theta) >= math.pi / 2.0 - PITCH_SINGULARITY_MARGIN:
+        raise SingularityError(
+            f"pitch {math.degrees(theta):.2f} deg too close to +/-90 deg",
+            state=state,
+        )
+
+
 def state_derivative(
-    state: AircraftState,
+    y: Sequence[float],
     fm: ForcesMoments,
     params: AircraftParams,
     env: Environment,
-    gammas: GammaSet | None = None,
+    gammas: GammaSet,
 ) -> np.ndarray:
-    """Twelve state derivatives for the rigid-body equations of motion."""
-    if abs(state.theta) >= math.pi / 2.0 - PITCH_SINGULARITY_MARGIN:
-        raise SingularityError(
-            f"pitch {math.degrees(state.theta):.2f} deg too close to +/-90 deg",
-            state=state,
-        )
-    if gammas is None:
-        gammas = gamma_terms(params)
+    """Twelve state derivatives of y for the rigid-body equations."""
+    _, _, _, u, v, w, phi, theta, psi, p, q, r = y
+    _check_pitch(theta, y)
 
-    u, v, w = state.u, state.v, state.w
-    p, q, r = state.p, state.q, state.r
-    sphi, cphi = math.sin(state.phi), math.cos(state.phi)
-    sth, cth = math.sin(state.theta), math.cos(state.theta)
+    sphi, cphi = math.sin(phi), math.cos(phi)
+    sth, cth = math.sin(theta), math.cos(theta)
     tth = sth / cth
-    spsi, cpsi = math.sin(state.psi), math.cos(state.psi)
+    spsi, cpsi = math.sin(psi), math.cos(psi)
 
     # Navigation: rotate the air-relative body velocity to NED, add wind.
     pn_dot = (cth * cpsi) * u + (sphi * sth * cpsi - cphi * spsi) * v \
@@ -505,7 +513,7 @@ def rk4_step(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def clamp_command(cmd: "ControlCommand", params: AircraftParams) -> "ControlCommand":
+def clamp_command(cmd: ControlCommand, params: AircraftParams) -> ControlCommand:
     """Clamp surface deflections to their limits and throttle to [0, 1]."""
     return replace(
         cmd,
@@ -518,40 +526,35 @@ def clamp_command(cmd: "ControlCommand", params: AircraftParams) -> "ControlComm
 
 def integrate_step(
     state: AircraftState,
-    cmd: "ControlCommand",
+    cmd: ControlCommand,
     env: Environment,
     params: AircraftParams,
     dt: float,
-    gammas: GammaSet | None = None,
+    gammas: GammaSet,
 ) -> AircraftState:
     """Advance the state one fixed RK4 step with the command held constant.
 
-    phi and psi are wrapped onto (-pi, pi] after the step; a pitch inside
-    the singularity margin or any non-finite component aborts.
+    The actuator limits are applied here, at the plant. phi and psi are
+    wrapped onto (-pi, pi] after the step; a pitch inside the singularity
+    margin or any non-finite component aborts.
     """
     if dt <= 0.0:
         raise ConfigError("integration step must be positive")
-    if gammas is None:
-        gammas = gamma_terms(params)
     cmd = clamp_command(cmd, params)
 
     def f(y: np.ndarray) -> np.ndarray:
-        s = AircraftState.from_array(y)
-        fm = aero_forces_moments(s, cmd, env, params)
-        return state_derivative(s, fm, params, env, gammas)
+        s = y.tolist()  # Python floats: faster scalar math than numpy's
+        return state_derivative(s, aero_forces_moments(s, cmd, params),
+                                params, env, gammas)
 
     y1 = rk4_step(f, state.as_array(), dt)
     if not np.all(np.isfinite(y1)):
         raise IntegrationFaultError("non-finite state after integration step",
                                     state=state)
-    out = AircraftState.from_array(y1)
+    out = AircraftState(*y1.tolist())
     out.phi = wrap_pi(out.phi)
     out.psi = wrap_pi(out.psi)
-    if abs(out.theta) >= math.pi / 2.0 - PITCH_SINGULARITY_MARGIN:
-        raise SingularityError(
-            f"pitch {math.degrees(out.theta):.2f} deg too close to +/-90 deg",
-            state=out,
-        )
+    _check_pitch(out.theta, out)
     return out
 
 
@@ -572,7 +575,7 @@ def trim(
     gamma_target: float = 0.0,
     tol: float = 1e-6,
     max_iter: int = 200,
-) -> tuple[AircraftState, "ControlCommand"]:
+) -> tuple[AircraftState, ControlCommand]:
     """Solve wings-level straight-line trim at the target airspeed and
     climb angle.
 
@@ -581,8 +584,6 @@ def trim(
     at zero, which is exact for a laterally symmetric configuration. The
     returned pair re-evaluates to a full six-axis residual below tol.
     """
-    from .control import ControlCommand
-
     params.validate()
     floor = stall_floor(params)
     if va_target <= floor:
@@ -605,7 +606,7 @@ def trim(
 
     def residual(x: np.ndarray) -> np.ndarray:
         state, cmd = build(x)
-        fm = aero_forces_moments(state, cmd, env, params)
+        fm = aero_forces_moments(state, cmd, params)
         deriv = state_derivative(state, fm, params, env, gammas)
         return np.array([deriv[3], deriv[5], deriv[10]])  # u_dot, w_dot, q_dot
 
@@ -661,7 +662,7 @@ def trim(
 
     # Full six-axis check plus achieved climb angle (theta - alpha here,
     # exact for beta = 0 and wings level).
-    fm = aero_forces_moments(state, cmd, env, params)
+    fm = aero_forces_moments(state, cmd, params)
     deriv = state_derivative(state, fm, params, env, gammas)
     full = np.abs(deriv[3:6]).tolist() + np.abs(deriv[9:12]).tolist()
     climb_err = abs((state.theta - math.atan2(state.w, state.u)) - gamma_target)

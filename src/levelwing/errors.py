@@ -23,24 +23,22 @@ class AirDataError(SimulatorError):
     category = "airdata"
 
 
-class SingularityError(SimulatorError):
+class DynamicsFaultError(SimulatorError):
+    """In-flight fault of the rigid-body integration; carries the state."""
+
+    category = "dynamics"
+
+    def __init__(self, message: str, state=None):
+        super().__init__(message)
+        self.state = state
+
+
+class SingularityError(DynamicsFaultError):
     """Pitch approached +/-90 deg where Euler kinematics blow up."""
 
-    category = "dynamics"
 
-    def __init__(self, message: str, state=None):
-        super().__init__(message)
-        self.state = state
-
-
-class IntegrationFaultError(SimulatorError):
+class IntegrationFaultError(DynamicsFaultError):
     """Non-finite state produced by the integrator."""
-
-    category = "dynamics"
-
-    def __init__(self, message: str, state=None):
-        super().__init__(message)
-        self.state = state
 
 
 class TrimFailureError(SimulatorError):

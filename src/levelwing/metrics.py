@@ -18,20 +18,6 @@ from .errors import ConfigError, DomainError, InsufficientDataError
 
 
 @dataclass
-class ImageErrorRecord:
-    """One time-stamped image-error sample at a reference altitude."""
-
-    t: float
-    e_lateral: float
-    e_roll: float
-    e_total: float
-    h_ref: float
-    phi: float
-    beta_est: float
-    segment_id: int
-
-
-@dataclass
 class ErrorStats:
     """Signed-series statistics: mean, population std, rms, sample count."""
 
@@ -50,16 +36,6 @@ def total_image_error(e_lateral: float, phi: float, h_ref: float) -> float:
             f"roll {math.degrees(phi):.1f} deg has no ground intersection"
         )
     return e_lateral + h_ref * math.tan(phi)
-
-
-def lateral_error_select(line_err: float, orbit_err: float,
-                         active_kind: str) -> float:
-    """Pick the lateral error matching the active segment kind."""
-    if active_kind == "line":
-        return line_err
-    if active_kind == "orbit":
-        return orbit_err
-    raise ConfigError(f"unknown segment kind '{active_kind}'")
 
 
 def beta_estimate(chi: float, psi: float) -> float:

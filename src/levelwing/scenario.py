@@ -11,16 +11,16 @@ differs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .angles import wrap_pi
 from .config import ScenarioConfig
 from .control import (
-    ControlCommand,
+    MIN_SCHEDULING_AIRSPEED,
     LoopState,
+    ScheduledGains,
     aotc_gain_synthesis,
     aotc_step,
     apply_rate_limits,
@@ -32,21 +32,18 @@ from .control import (
 )
 from .dynamics import (
     AircraftState,
+    AirData,
+    ControlCommand,
     Environment,
+    GammaSet,
     GustModel,
     air_data,
-    clamp_command,
     combined_yaw_coeffs,
     gamma_terms,
     integrate_step,
     trim,
 )
-from .errors import (
-    ConfigError,
-    IntegrationFaultError,
-    SimulatorError,
-    SingularityError,
-)
+from .errors import ConfigError, DynamicsFaultError
 from .guidance import PathManager
 from .metrics import (
     ErrorStats,
@@ -55,7 +52,6 @@ from .metrics import (
     render_summary_table,
     series_stats,
     summary_csv_lines,
-    total_image_error,
 )
 
 # Reference altitudes of the fixed summary-table columns. A 450 m column
@@ -78,6 +74,30 @@ _LOG_FIELDS = (
 )
 
 
+def schedule_gains(mode: str, cfg: ScenarioConfig, gammas: GammaSet,
+                   airdata: AirData, p: float,
+                   delta_a: float) -> ScheduledGains:
+    """Synthesize one lateral law's gains and the longitudinal holds at
+    airdata; p and delta_a enter only the heading plant's disturbance."""
+    params, c = cfg.params, cfg.ctrl
+    va = max(airdata.va, MIN_SCHEDULING_AIRSPEED)
+    heading_plant = heading = roll = aotc = None
+    if mode == "ratc":
+        heading_plant = combined_yaw_coeffs(params, gammas, airdata, p=p,
+                                            delta_a=delta_a)
+        heading = ratc_gain_synthesis(heading_plant, c.wn_psi, c.zeta_psi)
+        roll = roll_gain_synthesis(params, gammas, va, c.wn_roll,
+                                   c.zeta_roll, ki=c.ki_roll)
+    else:
+        aotc = aotc_gain_synthesis(params, gammas, va, airdata.vg, c.wn_roll,
+                                   c.zeta_roll, c.course_separation,
+                                   c.zeta_course)
+    lon = lon_gain_synthesis(params, va, c.wn_pitch, c.zeta_pitch, c.wn_alt,
+                             c.zeta_alt, c.kp_airspeed, c.ki_airspeed,
+                             c.pitch_limit)
+    return ScheduledGains(heading_plant, heading, roll, aotc, lon)
+
+
 class FlightController:
     """Full autopilot for one run: one lateral law plus the longitudinal
     holds, gain-scheduled on the current airspeed."""
@@ -88,8 +108,8 @@ class FlightController:
             raise ConfigError(f"controller mode must be aotc or ratc, got "
                               f"{mode!r}")
         self.mode = mode
+        self.cfg = cfg
         self.params = cfg.params
-        self.ctrl = cfg.ctrl
         self.gammas = gamma_terms(cfg.params)
         self.trim_theta = trim_state.theta
         self.trim_cmd = trim_cmd
@@ -97,41 +117,25 @@ class FlightController:
         self.va_cmd = cfg.va_cmd
         self.loop = LoopState()
 
-    def step(self, chi_cmd: float, state: AircraftState, airdata,
+    def step(self, chi_cmd: float, state: AircraftState, airdata: AirData,
              dt: float) -> ControlCommand:
-        va = max(airdata.va, 1.0)
-        c = self.ctrl
+        prev = self.loop.prev_command
+        gains = schedule_gains(self.mode, self.cfg, self.gammas, airdata,
+                               state.p, prev.delta_a if prev else 0.0)
         if self.mode == "ratc":
-            coeffs = combined_yaw_coeffs(self.params, self.gammas, airdata,
-                                         p=state.p,
-                                         delta_a=(self.loop.prev_command.delta_a
-                                                  if self.loop.prev_command
-                                                  else 0.0))
-            yaw_gains = ratc_gain_synthesis(coeffs, c.wn_psi, c.zeta_psi)
-            roll_gains = roll_gain_synthesis(self.params, self.gammas, va,
-                                             c.wn_roll, c.zeta_roll,
-                                             ki=c.ki_roll)
-            delta_a, delta_r = ratc_step(chi_cmd, state, airdata, yaw_gains,
-                                         roll_gains, self.loop, dt,
-                                         self.params)
+            delta_a, delta_r = ratc_step(chi_cmd, state, airdata,
+                                         gains.heading, gains.roll,
+                                         self.loop, dt, self.params)
         else:
-            gains = aotc_gain_synthesis(self.params, self.gammas, va,
-                                        airdata.vg, c.wn_roll, c.zeta_roll,
-                                        c.course_separation, c.zeta_course)
-            delta_a, delta_r = aotc_step(chi_cmd, state, airdata, gains,
+            delta_a, delta_r = aotc_step(chi_cmd, state, airdata, gains.aotc,
                                          self.loop, dt, self.params,
-                                         c.bank_limit)
-        lon = lon_gain_synthesis(self.params, va, c.wn_pitch, c.zeta_pitch,
-                                 c.wn_alt, c.zeta_alt, c.kp_airspeed,
-                                 c.ki_airspeed, c.pitch_limit)
+                                         self.cfg.ctrl.bank_limit)
         delta_e, delta_t = longitudinal_holds(state, airdata, self.h_cmd,
-                                              self.va_cmd, lon, self.loop, dt,
-                                              self.trim_theta, self.trim_cmd,
-                                              self.params)
-        cmd = ControlCommand(delta_a=delta_a, delta_e=delta_e,
-                             delta_r=delta_r, delta_t=delta_t)
-        cmd = apply_rate_limits(cmd, self.loop.prev_command, self.params, dt)
-        cmd = clamp_command(cmd, self.params)
+                                              self.va_cmd, gains.lon,
+                                              self.loop, dt, self.trim_theta,
+                                              self.trim_cmd, self.params)
+        cmd = apply_rate_limits(ControlCommand(delta_a, delta_e, delta_r,
+                                               delta_t), prev, self.params, dt)
         self.loop.prev_command = cmd
         return cmd
 
@@ -180,17 +184,12 @@ class RunResult:
         )
 
 
-def _initial_state(cfg: ScenarioConfig, trim_state: AircraftState,
-                   env: Environment) -> AircraftState:
-    start = cfg.plan.start_position()
-    chi0 = cfg.plan.initial_course()
-    state = AircraftState(
-        pn=float(start[0]), pe=float(start[1]), pd=float(start[2]),
-        u=trim_state.u, v=trim_state.v, w=trim_state.w,
-        phi=trim_state.phi, theta=trim_state.theta, psi=chi0,
-        p=trim_state.p, q=trim_state.q, r=trim_state.r,
-    )
-    return state
+def _initial_state(cfg: ScenarioConfig,
+                   trim_state: AircraftState) -> AircraftState:
+    """The trim state moved to the plan start, heading along its first leg."""
+    pn, pe, pd = (float(x) for x in cfg.plan.start_position())
+    return replace(trim_state, pn=pn, pe=pe, pd=pd,
+                   psi=cfg.plan.initial_course())
 
 
 def _stats_or_none(values: np.ndarray) -> ErrorStats | None:
@@ -223,7 +222,7 @@ def run_scenario(
 
     base_env = Environment(cfg.env.wind_n, cfg.env.wind_e, cfg.env.wind_d)
     trim_state, trim_cmd = trim(cfg.params, base_env, cfg.va_cmd)
-    state = _initial_state(cfg, trim_state, base_env)
+    state = _initial_state(cfg, trim_state)
 
     slew = cfg.ctrl.slew_settings()
     if slew_override is not None:
@@ -231,7 +230,7 @@ def run_scenario(
     manager = PathManager(cfg.plan, cfg.ctrl.guidance_gains(), dt, slew)
     controller = FlightController(mode, cfg, trim_state, trim_cmd)
     gust = GustModel(cfg.env.gust_intensity, cfg.env.gust_tau, dt, seed)
-    gammas = gamma_terms(cfg.params)
+    gammas = controller.gammas
 
     n_cap = int(round(duration / dt))
     log = {key: np.zeros(n_cap) for key in _LOG_FIELDS}
@@ -266,7 +265,7 @@ def run_scenario(
 
         try:
             state = integrate_step(state, cmd, env, cfg.params, dt, gammas)
-        except (SingularityError, IntegrationFaultError) as exc:
+        except DynamicsFaultError as exc:
             fault = f"{exc.category}: {exc} at t = {t:.2f} s"
             break
         if manager.complete:
@@ -330,7 +329,7 @@ def compare_controllers(
                               slew_override=slew_override,
                               seed_override=seed_override)
         if result.fault is not None:
-            raise SimulatorError(
+            raise DynamicsFaultError(
                 f"comparison aborted: {mode} run failed ({result.fault})"
             )
         results[mode] = result

@@ -126,7 +126,7 @@ def test_criterion_1_equation_identities(params):
         # The reduced heading equation reproduces the moment buildup.
         cmd = ControlCommand(delta_a=delta_a, delta_e=rng.uniform(-0.3, 0.3),
                              delta_r=delta_r, delta_t=rng.uniform(0.0, 1.0))
-        fm = aero_forces_moments(state, cmd, CALM, draw)
+        fm = aero_forces_moments(state, cmd, draw)
         lhs = g.gamma4 * fm.l + g.gamma8 * fm.n
         rhs = (-coeffs.a_psi1 * state.r + coeffs.a_psi2 * delta_r
                + coeffs.d_psi)

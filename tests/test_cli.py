@@ -2,7 +2,9 @@
 
 import pytest
 
+import levelwing.scenario
 from levelwing.cli import main
+from levelwing.errors import SingularityError
 
 
 def test_simulate_writes_csv_and_reports(tmp_path, capsys):
@@ -62,6 +64,34 @@ def test_trim_below_stall_floor_exits_2(capsys):
                  "--airspeed", "5"])
     assert code == 2
     assert "error[config]" in capsys.readouterr().err
+
+
+@pytest.fixture
+def pitch_fault(monkeypatch):
+    """Make every integration step fail with a pitch singularity."""
+
+    def faulty(state, *args):
+        raise SingularityError("pitch 89.50 deg too close to +/-90 deg",
+                               state=state)
+
+    monkeypatch.setattr(levelwing.scenario, "integrate_step", faulty)
+
+
+def test_in_flight_fault_exits_4_from_simulate(pitch_fault, capsys):
+    code = main(["simulate", "--config", "rectangle_compare.ini",
+                 "--duration", "1"])
+    assert code == 4
+    assert "fault     : dynamics: pitch" in capsys.readouterr().out
+
+
+def test_in_flight_fault_exits_4_from_compare(pitch_fault, tmp_path,
+                                              capsys):
+    code = main(["compare", "--config", "rectangle_compare.ini",
+                 "--duration", "1", "--out-dir", str(tmp_path / "report")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error[dynamics]: comparison aborted: aotc run")
+    assert not (tmp_path / "report").exists()
 
 
 def test_invalid_choice_is_a_usage_error():

@@ -15,7 +15,6 @@ from levelwing.control import (
     aotc_gain_synthesis,
     aotc_step,
     apply_rate_limits,
-    coordinated_turn_radius,
     course_gain_synthesis,
     lon_gain_synthesis,
     longitudinal_holds,
@@ -125,27 +124,6 @@ def test_pitch_plant_scales_with_dynamic_pressure(params):
     assert a2_40 / a2_20 == pytest.approx(4.0, rel=1e-12)
     assert a3_40 / a3_20 == pytest.approx(4.0, rel=1e-12)
     assert a1_40 / a1_20 == pytest.approx(2.0, rel=1e-12)
-
-
-def test_turn_radius_level_value():
-    r = coordinated_turn_radius(20.0, math.radians(45.0))
-    assert r == pytest.approx(400.0 / 9.81, rel=1e-12)
-    assert r == pytest.approx(40.774719673802243, rel=1e-12)
-
-
-def test_turn_radius_limits_and_signs():
-    assert math.isinf(coordinated_turn_radius(20.0, 0.0))
-    tight = coordinated_turn_radius(20.0, math.radians(45.0))
-    shallow = coordinated_turn_radius(20.0, math.radians(20.0))
-    assert shallow > tight
-    left = coordinated_turn_radius(20.0, math.radians(-45.0))
-    assert left == pytest.approx(-tight, rel=1e-12)
-    # A 60 deg climb halves the horizontal radius through cos(gamma).
-    climb = coordinated_turn_radius(20.0, math.radians(45.0),
-                                    gamma_climb=math.radians(60.0))
-    assert climb == pytest.approx(0.5 * tight, rel=1e-12)
-    with pytest.raises(ConfigError):
-        coordinated_turn_radius(0.0, 0.3)
 
 
 def ratc_setup(params, gammas):

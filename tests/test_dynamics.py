@@ -227,7 +227,7 @@ def test_yaw_equation_consistency_randomized(params, gammas):
             delta_r=rng.uniform(-0.3, 0.3), delta_t=rng.uniform(0.0, 1.0),
         )
         ad = air_data(state, CALM)
-        fm = aero_forces_moments(state, cmd, CALM, params)
+        fm = aero_forces_moments(state, cmd, params)
         coeffs = combined_yaw_coeffs(params, gammas, ad, p=state.p,
                                      delta_a=cmd.delta_a)
         lhs = gammas.gamma4 * fm.l + gammas.gamma8 * fm.n
@@ -239,7 +239,7 @@ def test_yaw_equation_consistency_randomized(params, gammas):
 def test_forces_at_rest_reduce_to_gravity(params):
     state = AircraftState()
     cmd = ControlCommand()
-    fm = aero_forces_moments(state, cmd, CALM, params)
+    fm = aero_forces_moments(state, cmd, params)
     assert fm.fx == pytest.approx(0.0, abs=1e-12)
     assert fm.fy == pytest.approx(0.0, abs=1e-12)
     assert fm.fz == pytest.approx(params.mass * params.gravity, rel=1e-12)
@@ -248,7 +248,7 @@ def test_forces_at_rest_reduce_to_gravity(params):
 
 def test_forces_static_thrust_adds_body_x(params):
     fm = aero_forces_moments(AircraftState(),
-                             ControlCommand(delta_t=0.6), CALM, params)
+                             ControlCommand(delta_t=0.6), params)
     assert fm.fx == pytest.approx(0.6 * params.max_thrust, rel=1e-12)
     assert thrust_force(params, 0.0, 0.6) == pytest.approx(
         0.6 * params.max_thrust, rel=1e-12)
@@ -263,7 +263,7 @@ def test_forces_golden_vector(params):
                           p=0.1, q=-0.05, r=0.08)
     cmd = ControlCommand(delta_a=0.05, delta_e=-0.1, delta_r=0.03,
                          delta_t=0.6)
-    fm = aero_forces_moments(state, cmd, CALM, params)
+    fm = aero_forces_moments(state, cmd, params)
     expected = (8.0354061951005116, 14.67972943052246, -1.2957386435356179,
                 -0.71182168543024227, -4.3655620955033353,
                 0.31880764221760884)
@@ -275,28 +275,27 @@ def test_positive_rudder_yaws_left(params, trim20):
     # The stock airframe has c_n_delta_r < 0: right pedal gives a
     # negative (nose-left) yaw moment increment.
     state, cmd = trim20
-    base = aero_forces_moments(state, cmd, CALM, params)
-    kicked = aero_forces_moments(state, replace(cmd, delta_r=0.1), CALM,
-                                 params)
+    base = aero_forces_moments(state, cmd, params)
+    kicked = aero_forces_moments(state, replace(cmd, delta_r=0.1), params)
     assert kicked.n - base.n < 0.0
     assert (kicked.l - base.l) * params.c_ell_delta_r > 0.0
 
 
-def test_state_derivative_forward_translation(params):
+def test_state_derivative_forward_translation(params, gammas):
     state = AircraftState(u=20.0)
-    fm = aero_forces_moments(AircraftState(), ControlCommand(), CALM, params)
-    deriv = state_derivative(state, fm, params, CALM)
+    fm = aero_forces_moments(AircraftState(), ControlCommand(), params)
+    deriv = state_derivative(state, fm, params, CALM, gammas)
     assert deriv[0] == pytest.approx(20.0, rel=1e-12)
     assert deriv[1] == pytest.approx(0.0, abs=1e-12)
     assert deriv[2] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_state_derivative_wind_enters_navigation_only(params):
+def test_state_derivative_wind_enters_navigation_only(params, gammas):
     state = AircraftState(u=20.0)
-    fm = aero_forces_moments(AircraftState(), ControlCommand(), CALM, params)
+    fm = aero_forces_moments(AircraftState(), ControlCommand(), params)
     windy = Environment(wind_n=3.0, wind_e=-1.0, wind_d=0.5)
-    calm_d = state_derivative(state, fm, params, CALM)
-    wind_d = state_derivative(state, fm, params, windy)
+    calm_d = state_derivative(state, fm, params, CALM, gammas)
+    wind_d = state_derivative(state, fm, params, windy, gammas)
     assert wind_d[0] - calm_d[0] == pytest.approx(3.0, rel=1e-12)
     assert wind_d[1] - calm_d[1] == pytest.approx(-1.0, rel=1e-12)
     assert wind_d[2] - calm_d[2] == pytest.approx(0.5, rel=1e-12)
@@ -304,20 +303,20 @@ def test_state_derivative_wind_enters_navigation_only(params):
     assert np.allclose(wind_d[3:], calm_d[3:], atol=1e-15)
 
 
-def test_state_derivative_euler_kinematics_level(params):
+def test_state_derivative_euler_kinematics_level(params, gammas):
     state = AircraftState(u=20.0, p=0.1)
-    fm = aero_forces_moments(AircraftState(), ControlCommand(), CALM, params)
-    deriv = state_derivative(state, fm, params, CALM)
+    fm = aero_forces_moments(AircraftState(), ControlCommand(), params)
+    deriv = state_derivative(state, fm, params, CALM, gammas)
     assert deriv[6] == pytest.approx(0.1, rel=1e-12)
     assert deriv[7] == pytest.approx(0.0, abs=1e-15)
     assert deriv[8] == pytest.approx(0.0, abs=1e-15)
 
 
-def test_state_derivative_pitch_singularity(params):
+def test_state_derivative_pitch_singularity(params, gammas):
     state = AircraftState(u=20.0, theta=math.radians(89.9))
-    fm = aero_forces_moments(AircraftState(), ControlCommand(), CALM, params)
+    fm = aero_forces_moments(AircraftState(), ControlCommand(), params)
     with pytest.raises(SingularityError):
-        state_derivative(state, fm, params, CALM)
+        state_derivative(state, fm, params, CALM, gammas)
 
 
 def test_rk4_exact_on_constant_derivative():
@@ -347,9 +346,8 @@ def test_integrate_step_matches_manual_rk4(params, gammas, trim20):
     env = Environment(wind_e=2.0)
 
     def f(y):
-        s = AircraftState.from_array(y)
-        fm = aero_forces_moments(s, cmd, env, params)
-        return state_derivative(s, fm, params, env, gammas)
+        fm = aero_forces_moments(y, cmd, params)
+        return state_derivative(y, fm, params, env, gammas)
 
     expected = rk4_step(f, state.as_array(), 0.01)
     stepped = integrate_step(state, cmd, env, params, 0.01, gammas)
@@ -379,17 +377,17 @@ def test_integrate_step_deterministic(params, gammas, trim20):
     assert np.array_equal(runs[0], runs[1])
 
 
-def test_integrate_step_rejects_nonpositive_dt(params, trim20):
+def test_integrate_step_rejects_nonpositive_dt(params, gammas, trim20):
     state, cmd = trim20
     with pytest.raises(ConfigError):
-        integrate_step(state, cmd, CALM, params, 0.0)
+        integrate_step(state, cmd, CALM, params, 0.0, gammas)
 
 
-def test_integrate_step_faults_on_nonfinite_state(params, trim20):
+def test_integrate_step_faults_on_nonfinite_state(params, gammas, trim20):
     state, cmd = trim20
     broken = replace(state, u=math.nan)
     with pytest.raises(IntegrationFaultError):
-        integrate_step(broken, cmd, CALM, params, 0.01)
+        integrate_step(broken, cmd, CALM, params, 0.01, gammas)
 
 
 def test_gust_zero_intensity_is_silent():
@@ -424,7 +422,7 @@ def test_trim_is_level_and_laterally_clean(params, gammas, trim20):
                         rel_tol=1e-9)
     ad = air_data(state, CALM)
     assert math.isclose(ad.va, 20.0, rel_tol=1e-9)
-    fm = aero_forces_moments(state, cmd, CALM, params)
+    fm = aero_forces_moments(state, cmd, params)
     deriv = state_derivative(state, fm, params, CALM, gammas)
     assert abs(deriv[2]) < 1e-6          # no climb or sink
     assert np.all(np.abs(deriv[3:]) < 1e-6)

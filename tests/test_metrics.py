@@ -10,7 +10,6 @@ from levelwing.metrics import (
     SUMMARY_COLUMNS,
     SummaryRow,
     beta_estimate,
-    lateral_error_select,
     render_summary_table,
     series_stats,
     summary_csv_lines,
@@ -51,13 +50,6 @@ def test_total_image_error_domain():
         total_image_error(0.0, math.radians(90.0), 150.0)
     with pytest.raises(DomainError):
         total_image_error(0.0, math.radians(-95.0), 150.0)
-
-
-def test_lateral_error_select():
-    assert lateral_error_select(1.5, -9.0, "line") == 1.5
-    assert lateral_error_select(1.5, -9.0, "orbit") == -9.0
-    with pytest.raises(ConfigError):
-        lateral_error_select(1.5, -9.0, "spiral")
 
 
 def test_beta_estimate_wraps_course_heading_split():

@@ -53,7 +53,7 @@ def test_straight_plan_holds_path_altitude_airspeed(make_cfg, mode):
 
 
 @pytest.mark.parametrize("mode", ["aotc", "ratc"])
-def test_capture_and_hold_from_lateral_offset(params, make_cfg, mode):
+def test_capture_and_hold_from_lateral_offset(params, gammas, make_cfg, mode):
     # Start 30 m right of a long straight leg: the aircraft must capture
     # the path within 30 s and stay inside a 2 m band afterwards.
     cfg = make_cfg(straight_plan(2000.0), duration=45.0)
@@ -68,7 +68,7 @@ def test_capture_and_hold_from_lateral_offset(params, make_cfg, mode):
         course = manager.step(state.position())
         errors[k] = manager.lateral_error(state.position())
         cmd = controller.step(course.chi_cmd, state, ad, cfg.dt)
-        state = integrate_step(state, cmd, CALM, params, cfg.dt)
+        state = integrate_step(state, cmd, CALM, params, cfg.dt, gammas)
     outside = np.nonzero(np.abs(errors) >= 2.0)[0]
     assert outside.size > 0          # starts outside the band
     settle_index = outside[-1] + 1

@@ -1,0 +1,104 @@
+"""Package structure: the intra-package import graph has no cycle.
+
+Every import counts, wherever it sits: at module level, inside a
+function, or under ``if TYPE_CHECKING:``.
+"""
+
+import ast
+from pathlib import Path
+
+import levelwing
+
+PACKAGE = "levelwing"
+SRC = Path(levelwing.__file__).parent
+
+
+def _imported_modules(node: ast.AST, modules: set[str]) -> set[str]:
+    """Package modules named by one import statement."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        if node.level == 0:
+            base = node.module or ""
+        elif node.level == 1:
+            base = f"{PACKAGE}.{node.module}" if node.module else PACKAGE
+        else:
+            return set()  # above the package
+        # "from . import x" and "from .pkg import mod" name modules too.
+        names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+    else:
+        return set()
+    found = set()
+    for name in names:
+        parts = name.split(".")
+        if parts[0] == PACKAGE and len(parts) > 1 and parts[1] in modules:
+            found.add(parts[1])
+    return found
+
+
+def import_graph() -> dict[str, set[str]]:
+    modules = {path.stem for path in SRC.glob("*.py")}
+    graph = {}
+    for stem in sorted(modules):
+        tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+        deps = set()
+        for node in ast.walk(tree):
+            deps |= _imported_modules(node, modules)
+        graph[stem] = deps - {stem}
+    return graph
+
+
+def find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """One import cycle as a closed path of module names, or None."""
+    done: set[str] = set()
+    path: list[str] = []
+
+    def visit(node: str) -> list[str] | None:
+        if node in path:
+            return path[path.index(node):] + [node]
+        if node in done:
+            return None
+        path.append(node)
+        for dep in sorted(graph[node]):
+            cycle = visit(dep)
+            if cycle:
+                return cycle
+        path.pop()
+        done.add(node)
+        return None
+
+    for node in sorted(graph):
+        cycle = visit(node)
+        if cycle:
+            return cycle
+    return None
+
+
+def test_graph_sees_nested_and_type_checking_imports():
+    tree = ast.parse(
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from .control import ControlCommand\n"
+        "def f():\n"
+        "    from levelwing.guidance import PathManager\n"
+        "    import levelwing.metrics\n"
+        "    from . import errors\n"
+    )
+    modules = {"control", "guidance", "metrics", "errors"}
+    found = set()
+    for node in ast.walk(tree):
+        found |= _imported_modules(node, modules)
+    assert found == modules
+
+
+def test_find_cycle_reports_a_closed_path():
+    assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == \
+        ["a", "b", "c", "a"]
+    assert find_cycle({"a": {"b"}, "b": set(), "c": {"a", "b"}}) is None
+
+
+def test_package_import_graph_is_acyclic():
+    graph = import_graph()
+    assert "scenario" in graph and "dynamics" in graph["scenario"]
+    cycle = find_cycle(graph)
+    assert cycle is None, "import cycle: " + " -> ".join(cycle)
