@@ -6,7 +6,7 @@ rudder-augmented heading steering (yawing while holding wings level),
 scoring each by the image error of a rigidly mounted downward camera.
 """
 
-from .angles import angle_diff, wrap_pi
+from .angles import wrap_pi
 from .config import ScenarioConfig, load_aircraft, load_config, load_plan
 from .dynamics import (
     AircraftParams,
@@ -76,7 +76,6 @@ __all__ = [
     "UncontrollablePlantError",
     "UndefinedBearingError",
     "air_data",
-    "angle_diff",
     "beta_estimate",
     "compare_controllers",
     "export_csv",

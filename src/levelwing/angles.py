@@ -15,7 +15,3 @@ def wrap_pi(angle: float) -> float:
         wrapped += math.tau
     return wrapped
 
-
-def angle_diff(a: float, b: float) -> float:
-    """Shortest signed difference a - b, wrapped onto (-pi, pi]."""
-    return wrap_pi(a - b)

@@ -110,10 +110,9 @@ def _print_run(result) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config, seed=args.seed)
+    cfg = load_config(args.config, seed=args.seed, slew=_slew_flag(args.slew))
     result = run_scenario(cfg, mode=args.controller,
-                          duration_override=args.duration,
-                          slew_override=_slew_flag(args.slew))
+                          duration_override=args.duration)
     _print_run(result)
     if args.csv:
         export_csv(result, args.csv)
@@ -122,9 +121,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config, seed=args.seed)
-    comp = compare_controllers(cfg, duration_override=args.duration,
-                               slew_override=_slew_flag(args.slew))
+    cfg = load_config(args.config, seed=args.seed, slew=_slew_flag(args.slew))
+    comp = compare_controllers(cfg, duration_override=args.duration)
     paths = write_comparison(comp, args.out_dir)
     print(comp.table_text)
     print(f"report written to {paths['summary_txt'].parent}")

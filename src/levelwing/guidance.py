@@ -90,11 +90,13 @@ class GuidanceGains:
 
 @dataclass
 class CourseCommand:
-    """Course command for one step: slewed value, raw value, active segment."""
+    """Course command for one step: slewed value, raw value, active
+    segment, and the cross-track (line) or radial (orbit) error from it."""
 
     chi_cmd: float
     chi_cmd_raw: float
     segment_id: int
+    e_lateral: float
 
 
 def line_error(p, seg: PathSegment) -> tuple[float, float, float]:
@@ -363,13 +365,6 @@ class PathManager:
     def active_segment(self) -> PathSegment:
         return self.segments[self.index].segment
 
-    def lateral_error(self, p) -> float:
-        """Cross-track (line) or radial (orbit) error of the active segment."""
-        seg = self.active_segment()
-        if seg.kind == "line":
-            return line_error(p, seg)[1]
-        return orbit_error(p, seg)
-
     def _advance(self, p2: np.ndarray) -> None:
         # A fillet with a zero-length arc can retire two half-planes in one
         # tick, hence the loop.
@@ -409,9 +404,10 @@ class PathManager:
 
         seg = self.active_segment()
         if seg.kind == "line":
-            _, e_py, _ = line_error(p, seg)
-            raw = course_command_line(e_py, seg, self.gains)
+            _, e_lateral, _ = line_error(p, seg)
+            raw = course_command_line(e_lateral, seg, self.gains)
         else:
+            e_lateral = orbit_error(p, seg)
             raw = course_command_orbit(p, seg, self.gains)
 
         if self.slew.enabled and self.prev_cmd is not None:
@@ -424,4 +420,4 @@ class PathManager:
             cmd = wrap_pi(raw)
         self.prev_cmd = cmd
         return CourseCommand(chi_cmd=cmd, chi_cmd_raw=wrap_pi(raw),
-                             segment_id=self.index)
+                             segment_id=self.index, e_lateral=e_lateral)

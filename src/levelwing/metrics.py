@@ -9,7 +9,7 @@ population standard deviation, which keeps rms^2 = mean^2 + std^2 exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -81,34 +81,24 @@ class SummaryRow:
     beta_std_deg: float
 
 
-SUMMARY_COLUMNS = (
-    "scenario", "controller", "mean_150", "std_150", "mean_450", "std_450",
-    "rms_450", "lat_mean", "lat_std", "roll_mean_deg", "roll_std_deg",
-    "beta_mean_deg", "beta_std_deg",
-)
+SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))
+
+# Every field after scenario and controller is a float statistic.
+_STATS = SUMMARY_COLUMNS[2:]
 
 
 def render_summary_table(rows: list[SummaryRow]) -> str:
-    """Fixed-width plain-text comparison table."""
-    header = [
-        f"{'scenario':<14}", f"{'controller':<10}",
-        f"{'mean_150':>9}", f"{'std_150':>9}",
-        f"{'mean_450':>9}", f"{'std_450':>9}", f"{'rms_450':>9}",
-        f"{'lat_mean':>9}", f"{'lat_std':>9}",
-        f"{'roll_mean':>10}", f"{'roll_std':>9}",
-        f"{'beta_mean':>10}", f"{'beta_std':>9}",
-    ]
+    """Fixed-width plain-text comparison table; a statistic's label drops
+    any _deg suffix and its column is at least 9 characters wide."""
+    labels = [name.removesuffix("_deg") for name in _STATS]
+    widths = [max(9, len(label) + 1) for label in labels]
+    header = [f"{'scenario':<14}", f"{'controller':<10}"]
+    header += [f"{label:>{w}}" for label, w in zip(labels, widths)]
     lines = ["  ".join(header)]
     for row in rows:
-        cells = [
-            f"{row.scenario:<14}", f"{row.controller:<10}",
-            f"{row.mean_150:>9.2f}", f"{row.std_150:>9.2f}",
-            f"{row.mean_450:>9.2f}", f"{row.std_450:>9.2f}",
-            f"{row.rms_450:>9.2f}",
-            f"{row.lat_mean:>9.2f}", f"{row.lat_std:>9.2f}",
-            f"{row.roll_mean_deg:>10.2f}", f"{row.roll_std_deg:>9.2f}",
-            f"{row.beta_mean_deg:>10.2f}", f"{row.beta_std_deg:>9.2f}",
-        ]
+        cells = [f"{row.scenario:<14}", f"{row.controller:<10}"]
+        cells += [f"{getattr(row, name):>{w}.2f}"
+                  for name, w in zip(_STATS, widths)]
         lines.append("  ".join(cells))
     return "\n".join(lines)
 
@@ -117,12 +107,6 @@ def summary_csv_lines(rows: list[SummaryRow]) -> list[str]:
     """Machine-readable form of the comparison table."""
     lines = [",".join(SUMMARY_COLUMNS)]
     for row in rows:
-        lines.append(",".join([
-            row.scenario, row.controller,
-            f"{row.mean_150:.6f}", f"{row.std_150:.6f}",
-            f"{row.mean_450:.6f}", f"{row.std_450:.6f}", f"{row.rms_450:.6f}",
-            f"{row.lat_mean:.6f}", f"{row.lat_std:.6f}",
-            f"{row.roll_mean_deg:.6f}", f"{row.roll_std_deg:.6f}",
-            f"{row.beta_mean_deg:.6f}", f"{row.beta_std_deg:.6f}",
-        ]))
+        stats = [f"{getattr(row, name):.6f}" for name in _STATS]
+        lines.append(",".join([row.scenario, row.controller, *stats]))
     return lines

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,19 +60,53 @@ from .metrics import (
 # it is recomputed from the logged series, never re-simulated.
 TABLE_H_REFS = (150.0, 450.0)
 
-CSV_COLUMNS = (
-    "t", "pn", "pe", "pd", "u", "v", "w", "phi_deg", "theta_deg", "psi_deg",
-    "p", "q", "r", "delta_a_deg", "delta_e_deg", "delta_r_deg", "delta_t",
-    "Va", "beta_est_deg", "chi_deg", "chi_cmd_deg", "chi_cmd_raw_deg",
-    "segment_id", "e_lateral_m", "e_total_150_m", "e_total_450_m",
+
+class LogColumn(NamedTuple):
+    """One per-step log field, in the order run_scenario stores a step.
+
+    in_csv False keeps the field in memory only. degrees writes a radian
+    field to the CSV in degrees, headed name + "_deg" unless csv_name
+    gives the header.
+    """
+
+    name: str
+    in_csv: bool = True
+    degrees: bool = False
+    csv_name: str | None = None
+
+
+LOG_COLUMNS = (
+    LogColumn("t"), LogColumn("pn"), LogColumn("pe"), LogColumn("pd"),
+    LogColumn("u"), LogColumn("v"), LogColumn("w"),
+    LogColumn("phi", degrees=True), LogColumn("theta", degrees=True),
+    LogColumn("psi", degrees=True),
+    LogColumn("p"), LogColumn("q"), LogColumn("r"),
+    LogColumn("delta_a", degrees=True), LogColumn("delta_e", degrees=True),
+    LogColumn("delta_r", degrees=True), LogColumn("delta_t"),
+    LogColumn("va", csv_name="Va"), LogColumn("beta_est", degrees=True),
+    LogColumn("chi", degrees=True), LogColumn("chi_cmd", degrees=True),
+    LogColumn("chi_cmd_raw", degrees=True), LogColumn("segment_id"),
+    LogColumn("e_lateral", csv_name="e_lateral_m"),
+    LogColumn("wind_n", in_csv=False), LogColumn("wind_e", in_csv=False),
+    LogColumn("wind_d", in_csv=False),
 )
 
-_LOG_FIELDS = (
-    "t", "pn", "pe", "pd", "u", "v", "w", "phi", "theta", "psi", "p", "q",
-    "r", "delta_a", "delta_e", "delta_r", "delta_t", "va", "beta_est", "chi",
-    "chi_cmd", "chi_cmd_raw", "segment_id", "e_lateral", "wind_n", "wind_e",
-    "wind_d",
-)
+# The CSV ends with the image error at each fixed table altitude.
+CSV_COLUMNS = tuple(
+    c.csv_name or (c.name + "_deg" if c.degrees else c.name)
+    for c in LOG_COLUMNS if c.in_csv
+) + tuple(f"e_total_{h:.0f}_m" for h in TABLE_H_REFS)
+
+# Rows that export_csv converts to Python floats at once. Peak memory
+# grows with the block (about 1 MB more at 512 rows on rectangle_compare),
+# while the write time is flat from 32 rows up.
+_CSV_BLOCK_ROWS = 32
+
+
+def _image_error(e_lateral: np.ndarray, tan_phi: np.ndarray,
+                 h_ref: float) -> np.ndarray:
+    """Image-error series at h_ref: e_lateral + h_ref*tan(phi)."""
+    return e_lateral + h_ref * tan_phi
 
 
 def schedule_gains(mode: str, cfg: ScenarioConfig, gammas: GammaSet,
@@ -202,8 +237,6 @@ def run_scenario(
     cfg: ScenarioConfig,
     mode: str | None = None,
     duration_override: float | None = None,
-    slew_override: bool | None = None,
-    seed_override: int | None = None,
 ) -> RunResult:
     """Run one closed-loop scenario and return its log and statistics.
 
@@ -217,24 +250,25 @@ def run_scenario(
     duration = cfg.duration if duration_override is None else duration_override
     if duration < 0.0:
         raise ConfigError("duration cap must be >= 0")
-    seed = cfg.seed if seed_override is None else seed_override
     dt = cfg.dt
 
     base_env = Environment(cfg.env.wind_n, cfg.env.wind_e, cfg.env.wind_d)
     trim_state, trim_cmd = trim(cfg.params, base_env, cfg.va_cmd)
     state = _initial_state(cfg, trim_state)
 
-    slew = cfg.ctrl.slew_settings()
-    if slew_override is not None:
-        slew.enabled = slew_override
-    manager = PathManager(cfg.plan, cfg.ctrl.guidance_gains(), dt, slew)
+    manager = PathManager(cfg.plan, cfg.ctrl.guidance_gains(), dt,
+                          cfg.ctrl.slew_settings())
     controller = FlightController(mode, cfg, trim_state, trim_cmd)
-    gust = GustModel(cfg.env.gust_intensity, cfg.env.gust_tau, dt, seed)
+    gust = GustModel(cfg.env.gust_intensity, cfg.env.gust_tau, dt, cfg.seed)
     gammas = controller.gammas
 
     n_cap = int(round(duration / dt))
-    log = {key: np.zeros(n_cap) for key in _LOG_FIELDS}
+    # One array per field: a single (fields, n_cap) buffer passes 4 MiB on
+    # long runs, where numpy asks for huge pages and the unused tail of the
+    # buffer becomes resident.
+    log = {c.name: np.zeros(n_cap) for c in LOG_COLUMNS}
     log["segment_id"] = np.zeros(n_cap, dtype=int)
+    series = tuple(log.values())
 
     steps = 0
     fault: str | None = None
@@ -247,20 +281,17 @@ def run_scenario(
         )
         airdata = air_data(state, env)
         course = manager.step(state.position())
-        e_lateral = manager.lateral_error(state.position())
         cmd = controller.step(course.chi_cmd, state, airdata, dt)
 
         t = k * dt
-        row = (
-            t, state.pn, state.pe, state.pd, state.u, state.v, state.w,
-            state.phi, state.theta, state.psi, state.p, state.q, state.r,
-            cmd.delta_a, cmd.delta_e, cmd.delta_r, cmd.delta_t, airdata.va,
-            beta_estimate(airdata.chi, state.psi), airdata.chi,
-            course.chi_cmd, course.chi_cmd_raw, course.segment_id, e_lateral,
-            env.wind_n, env.wind_e, env.wind_d,
+        row = (  # in LOG_COLUMNS order
+            t, *state, cmd.delta_a, cmd.delta_e, cmd.delta_r, cmd.delta_t,
+            airdata.va, beta_estimate(airdata.chi, state.psi), airdata.chi,
+            course.chi_cmd, course.chi_cmd_raw, course.segment_id,
+            course.e_lateral, env.wind_n, env.wind_e, env.wind_d,
         )
-        for key, value in zip(_LOG_FIELDS, row):
-            log[key][k] = value
+        for arr, value in zip(series, row):
+            arr[k] = value
         steps = k + 1
 
         try:
@@ -284,7 +315,8 @@ def run_scenario(
     if phi_w.size >= 2:
         tan_phi = np.tan(phi_w)
         for h_ref in h_refs:
-            stats_by_href[h_ref] = series_stats(lat_w + h_ref * tan_phi)
+            stats_by_href[h_ref] = series_stats(
+                _image_error(lat_w, tan_phi, h_ref))
 
     return RunResult(
         mode=mode,
@@ -319,15 +351,11 @@ class ComparisonResult:
 def compare_controllers(
     cfg: ScenarioConfig,
     duration_override: float | None = None,
-    slew_override: bool | None = None,
-    seed_override: int | None = None,
 ) -> ComparisonResult:
     """Run both lateral controllers over the identical scenario and wind."""
     results = {}
     for mode in ("aotc", "ratc"):
-        result = run_scenario(cfg, mode, duration_override=duration_override,
-                              slew_override=slew_override,
-                              seed_override=seed_override)
+        result = run_scenario(cfg, mode, duration_override=duration_override)
         if result.fault is not None:
             raise DynamicsFaultError(
                 f"comparison aborted: {mode} run failed ({result.fault})"
@@ -359,28 +387,19 @@ def compare_controllers(
 def export_csv(result: RunResult, path: str | Path) -> None:
     """Write the run log with fixed columns, degrees at the boundary."""
     log = result.log
-    tan_phi = np.tan(log["phi"]) if result.steps else np.zeros(0)
-    e150 = log["e_lateral"] + 150.0 * tan_phi
-    e450 = log["e_lateral"] + 450.0 * tan_phi
-    deg = math.degrees
+    tan_phi = np.tan(log["phi"])
+    columns = [(log[c.name], c.degrees) for c in LOG_COLUMNS if c.in_csv]
+    columns += [(_image_error(log["e_lateral"], tan_phi, h), False)
+                for h in TABLE_H_REFS]
+    row_format = ",".join("%d" if arr.dtype.kind == "i" else "%.12g"
+                          for arr, _ in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for k in range(result.steps):
-            values = (
-                log["t"][k], log["pn"][k], log["pe"][k], log["pd"][k],
-                log["u"][k], log["v"][k], log["w"][k],
-                deg(log["phi"][k]), deg(log["theta"][k]), deg(log["psi"][k]),
-                log["p"][k], log["q"][k], log["r"][k],
-                deg(log["delta_a"][k]), deg(log["delta_e"][k]),
-                deg(log["delta_r"][k]), log["delta_t"][k],
-                log["va"][k], deg(log["beta_est"][k]), deg(log["chi"][k]),
-                deg(log["chi_cmd"][k]), deg(log["chi_cmd_raw"][k]),
-            )
-            cells = [f"{v:.12g}" for v in values]
-            cells.append(str(int(log["segment_id"][k])))
-            cells += [f"{v:.12g}" for v in
-                      (log["e_lateral"][k], e150[k], e450[k])]
-            fh.write(",".join(cells) + "\n")
+        for start in range(0, result.steps, _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            cells = [(np.degrees(arr[block]) if degrees else arr[block])
+                     .tolist() for arr, degrees in columns]
+            fh.writelines(row_format % row for row in zip(*cells))
 
 
 def write_comparison(comp: ComparisonResult, out_dir: str | Path) -> dict[str, Path]:

@@ -9,6 +9,7 @@ the behavioural tests and the acceptance suite. Each timed fixture returns
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,8 @@ def corner_runs():
     """
     cfg = load_config("corner90.ini")
     t0 = time.perf_counter()
-    runs = {flag: run_scenario(cfg, slew_override=flag)
-            for flag in (False, True)}
+    runs = {}
+    for flag in (False, True):
+        variant = replace(cfg, ctrl=replace(cfg.ctrl, slew_enabled=flag))
+        runs[flag] = run_scenario(variant)
     return runs, time.perf_counter() - t0

@@ -1,0 +1,43 @@
+"""The README's examples agree with the bundled data and the real output."""
+
+import re
+from pathlib import Path
+
+from levelwing.config import load_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(opening: str) -> str:
+    """Body of the first fenced block in the README whose opening fence is
+    exactly opening."""
+    match = re.search(rf"^{re.escape(opening)}\n(.*?)^```$",
+                      README.read_text(encoding="utf-8"),
+                      re.MULTILINE | re.DOTALL)
+    assert match is not None, f"no {opening} block in README.md"
+    return match.group(1)
+
+
+def test_scenario_file_example_is_the_bundled_rectangle(tmp_path):
+    path = tmp_path / "rectangle_compare.ini"
+    path.write_text(readme_block("```ini"), encoding="utf-8")
+    assert load_config(path) == load_config("rectangle_compare.ini")
+
+
+def test_headline_matches_the_comparison_output(rect_comparison):
+    comp, _ = rect_comparison
+    headline = readme_block("```").splitlines()
+    output = comp.table_text.splitlines()
+
+    rows = [line.split() for line in headline
+            if line.startswith("rectangle_compare")]
+    assert [row[1] for row in rows] == ["aotc", "ratc"]
+    for row in rows:
+        actual = next(line.split() for line in output
+                      if line.split()[:2] == row[:2])
+        assert row[2:] == actual[2:7]
+
+    ratio_lines = [line for line in headline if " = " in line]
+    assert len(ratio_lines) == 3
+    for line in ratio_lines:
+        assert line in output

@@ -122,6 +122,30 @@ def make_row(tag):
                       roll_std_deg=2.5, beta_mean_deg=3.5, beta_std_deg=4.5)
 
 
+# Captured from the hand-written table and CSV layouts before they were
+# derived from the SummaryRow fields; widths and formats must not drift.
+PINNED_TABLE = (
+    "scenario        controller   mean_150    std_150   mean_450    std_450"
+    "    rms_450   lat_mean    lat_std   roll_mean   roll_std   beta_mean"
+    "   beta_std\n"
+    "rect            aotc             1.00       2.00       3.00       4.00"
+    "       5.00       0.50       0.25        1.50       2.50        3.50"
+    "       4.50\n"
+    "rect            ratc             1.00       2.00       3.00       4.00"
+    "       5.00       0.50       0.25        1.50       2.50        3.50"
+    "       4.50"
+)
+
+PINNED_CSV = [
+    "scenario,controller,mean_150,std_150,mean_450,std_450,rms_450,lat_mean,"
+    "lat_std,roll_mean_deg,roll_std_deg,beta_mean_deg,beta_std_deg",
+    "rect,aotc,1.000000,2.000000,3.000000,4.000000,5.000000,0.500000,"
+    "0.250000,1.500000,2.500000,3.500000,4.500000",
+    "rect,ratc,1.000000,2.000000,3.000000,4.000000,5.000000,0.500000,"
+    "0.250000,1.500000,2.500000,3.500000,4.500000",
+]
+
+
 def test_summary_table_renders_all_columns():
     text = render_summary_table([make_row("aotc"), make_row("ratc")])
     lines = text.splitlines()
@@ -130,6 +154,7 @@ def test_summary_table_renders_all_columns():
                 "lat_mean", "roll_mean", "beta_mean"):
         assert col in lines[0]
     assert "aotc" in text and "ratc" in text
+    assert text == PINNED_TABLE
 
 
 def test_summary_csv_lines_parse_back():
@@ -139,3 +164,5 @@ def test_summary_csv_lines_parse_back():
     assert cells[0] == "rect" and cells[1] == "aotc"
     assert float(cells[2]) == pytest.approx(1.0)
     assert float(cells[6]) == pytest.approx(5.0)
+    assert summary_csv_lines([make_row("aotc"), make_row("ratc")]) == \
+        PINNED_CSV

@@ -66,7 +66,7 @@ def test_capture_and_hold_from_lateral_offset(params, gammas, make_cfg, mode):
     for k in range(n):
         ad = air_data(state, CALM)
         course = manager.step(state.position())
-        errors[k] = manager.lateral_error(state.position())
+        errors[k] = course.e_lateral
         cmd = controller.step(course.chi_cmd, state, ad, cfg.dt)
         state = integrate_step(state, cmd, CALM, params, cfg.dt, gammas)
     outside = np.nonzero(np.abs(errors) >= 2.0)[0]
@@ -125,7 +125,7 @@ def test_gusty_run_is_deterministic_and_csv_identical(make_cfg, tmp_path):
 def test_gust_seed_override_changes_trajectory(make_cfg):
     cfg = gusty_cfg(make_cfg)
     base = run_scenario(cfg)
-    other = run_scenario(cfg, seed_override=6)
+    other = run_scenario(replace(cfg, seed=6))
     assert not np.array_equal(base.log["pe"], other.log["pe"])
     assert not np.array_equal(base.wind_series(), other.wind_series())
 
@@ -146,10 +146,23 @@ def test_csv_layout_and_round_trip(make_cfg, tmp_path):
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == result.steps + 1
     table = np.genfromtxt(path, delimiter=",", names=True)
-    # Angles cross the file boundary in degrees; errors reconstruct from
-    # the logged radians to within the 12 significant digits written.
-    assert np.allclose(table["phi_deg"], np.degrees(result.log["phi"]),
-                       rtol=1e-9, atol=1e-12)
+    # Every column reconstructs from the logged values to within the 12
+    # significant digits written; angles cross the boundary in degrees.
+    log = result.log
+    tan_phi = np.tan(log["phi"])
+    expected = {
+        "Va": log["va"],
+        "e_lateral_m": log["e_lateral"],
+        "e_total_150_m": log["e_lateral"] + 150.0 * tan_phi,
+        "e_total_450_m": log["e_lateral"] + 450.0 * tan_phi,
+    }
+    for name in CSV_COLUMNS:
+        if name not in expected:
+            expected[name] = (np.degrees(log[name[:-4]])
+                              if name.endswith("_deg") else log[name])
+    assert len(expected) == len(CSV_COLUMNS) == 26
+    for name, values in expected.items():
+        assert np.allclose(table[name], values, rtol=1e-9, atol=1e-12), name
     e450 = table["e_lateral_m"] + 450.0 * np.tan(np.radians(
         table["phi_deg"]))
     assert np.allclose(table["e_total_450_m"], e450, rtol=1e-6, atol=1e-6)
