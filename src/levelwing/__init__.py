@@ -24,7 +24,6 @@ from .dynamics import (
 from .errors import (
     AirDataError,
     ConfigError,
-    DomainError,
     DynamicsFaultError,
     InsufficientDataError,
     IntegrationFaultError,
@@ -56,7 +55,6 @@ __all__ = [
     "ComparisonResult",
     "ConfigError",
     "ControlCommand",
-    "DomainError",
     "DynamicsFaultError",
     "Environment",
     "ErrorStats",

@@ -139,8 +139,8 @@ def _cmd_gains(args: argparse.Namespace) -> int:
 
     airdata = AirData(va=va, vg=va, alpha=trim_state.theta, beta=0.0,
                       gamma_climb=0.0, chi=0.0)
-    ratc = schedule_gains("ratc", cfg, gammas, airdata, p=0.0, delta_a=0.0)
-    aotc = schedule_gains("aotc", cfg, gammas, airdata, p=0.0, delta_a=0.0)
+    ratc = schedule_gains("ratc", cfg, gammas, airdata)
+    aotc = schedule_gains("aotc", cfg, gammas, airdata)
     coeffs, yaw, roll = ratc.heading_plant, ratc.heading, ratc.roll
     course, lon = aotc.aotc.course, ratc.lon
 

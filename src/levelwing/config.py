@@ -95,11 +95,16 @@ class _Section:
                 )
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise ConfigError(
                 f"{self._path}: [{self._name}] {key} = {raw!r} is not a number"
             ) from exc
+        if not math.isfinite(value):
+            raise ConfigError(
+                f"{self._path}: [{self._name}] {key} = {raw!r} is not finite"
+            )
+        return value
 
     def int(self, key: str, default: int | None = None) -> int:
         raw = self._section.get(key)
@@ -248,11 +253,15 @@ def load_plan(path: str | Path, base_dir: Path | None = None) -> FlightPlan:
                 f"{resolved}: waypoint '{key}' must be 'north_m, east_m, alt_m'"
             )
         try:
-            waypoints.append(tuple(float(s) for s in parts))
+            waypoint = tuple(float(s) for s in parts)
         except ValueError as exc:
             raise ConfigError(
                 f"{resolved}: waypoint '{key}' has a non-numeric field"
             ) from exc
+        if not all(map(math.isfinite, waypoint)):
+            raise ConfigError(
+                f"{resolved}: waypoint '{key}' has a non-finite field")
+        waypoints.append(waypoint)
     plan = FlightPlan(
         name=name,
         waypoints=waypoints,
@@ -373,8 +382,12 @@ class ScenarioConfig:
             raise ConfigError("commanded airspeed must be positive")
         if self.warmup < 0.0:
             raise ConfigError("warm-up window must be >= 0")
-        if not self.h_refs or any(h <= 0.0 for h in self.h_refs):
-            raise ConfigError("reference altitudes must be positive")
+        if not self.h_refs or any(not 0.0 < h < math.inf
+                                  for h in self.h_refs):
+            raise ConfigError("reference altitudes must be positive and "
+                              "finite")
+        if self.seed < 0:
+            raise ConfigError(f"gust seed must be >= 0, got {self.seed}")
         self.env.validate()
         self.ctrl.validate()
         self.plan.validate()

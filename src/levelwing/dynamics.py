@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,10 +40,13 @@ PITCH_SINGULARITY_MARGIN = 0.01
 LINEAR_ALPHA_LIMIT = math.radians(12.0)
 
 
-@dataclass
-class AircraftState:
+class AircraftState(NamedTuple):
     """Rigid-body state: position (NED, m), body air-relative velocity
-    (m/s), Euler attitude (rad), and body rates (rad/s)."""
+    (m/s), Euler attitude (rad), and body rates (rad/s).
+
+    The named tuple is the twelve-value vector the integrator advances,
+    in field order; state[:3] is the NED position.
+    """
 
     pn: float = 0.0
     pe: float = 0.0
@@ -57,17 +60,6 @@ class AircraftState:
     p: float = 0.0
     q: float = 0.0
     r: float = 0.0
-
-    def __iter__(self):
-        """The twelve values in state-vector (field) order."""
-        return iter((self.pn, self.pe, self.pd, self.u, self.v, self.w,
-                     self.phi, self.theta, self.psi, self.p, self.q, self.r))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(tuple(self))
-
-    def position(self) -> np.ndarray:
-        return np.array([self.pn, self.pe, self.pd])
 
 
 @dataclass
@@ -275,16 +267,19 @@ def body_to_inertial(phi: float, theta: float, psi: float) -> np.ndarray:
     )
 
 
+def _airspeed_angles(u: float, v: float,
+                    w: float) -> tuple[float, float, float]:
+    """(Va, alpha, beta) of the body air-relative velocity. Below
+    MIN_AERO_AIRSPEED the flow angles are undefined and reported as 0."""
+    va = math.sqrt(u**2 + v**2 + w**2)
+    if va < MIN_AERO_AIRSPEED:
+        return va, 0.0, 0.0
+    return va, math.atan2(w, u), math.asin(max(-1.0, min(1.0, v / va)))
+
+
 def air_data(state: AircraftState, env: Environment) -> AirData:
     """Airspeed/ground-speed quantities for the current state and wind."""
-    va = math.sqrt(state.u**2 + state.v**2 + state.w**2)
-    if va < MIN_AERO_AIRSPEED:
-        alpha = 0.0
-        beta = 0.0
-    else:
-        alpha = math.atan2(state.w, state.u)
-        beta = math.asin(max(-1.0, min(1.0, state.v / va)))
-
+    va, alpha, beta = _airspeed_angles(state.u, state.v, state.w)
     rot = body_to_inertial(state.phi, state.theta, state.psi)
     ground = rot @ np.array([state.u, state.v, state.w])
     ground += np.array([env.wind_n, env.wind_e, env.wind_d])
@@ -389,14 +384,12 @@ def aero_forces_moments(
     fy = weight * sphi * cth
     fz = weight * cphi * cth
 
-    va = math.sqrt(u**2 + v**2 + w**2)
+    va, alpha, beta = _airspeed_angles(u, v, w)
     fx += thrust_force(params, va, cmd.delta_t)
 
     if va < MIN_AERO_AIRSPEED:
         return ForcesMoments(fx=fx, fy=fy, fz=fz, l=0.0, m=0.0, n=0.0)
 
-    alpha = math.atan2(w, u)
-    beta = math.asin(max(-1.0, min(1.0, v / va)))
     qbar_s = 0.5 * params.rho * va**2 * params.wing_area
     bw, cbar = params.wing_span, params.mean_chord
     p_hat = bw * p / (2.0 * va)
@@ -466,7 +459,7 @@ def state_derivative(
     params: AircraftParams,
     env: Environment,
     gammas: GammaSet,
-) -> np.ndarray:
+) -> list[float]:
     """Twelve state derivatives of y for the rigid-body equations."""
     _, _, _, u, v, w, phi, theta, psi, p, q, r = y
     _check_pitch(theta, y)
@@ -497,20 +490,22 @@ def state_derivative(
     q_dot = g.gamma5 * p * r - g.gamma6 * (p**2 - r**2) + fm.m / params.iyy
     r_dot = g.gamma7 * p * q - g.gamma1 * q * r + g.gamma4 * fm.l + g.gamma8 * fm.n
 
-    return np.array(
-        [pn_dot, pe_dot, pd_dot, u_dot, v_dot, w_dot,
-         phi_dot, theta_dot, psi_dot, p_dot, q_dot, r_dot]
-    )
+    return [pn_dot, pe_dot, pd_dot, u_dot, v_dot, w_dot,
+            phi_dot, theta_dot, psi_dot, p_dot, q_dot, r_dot]
 
 
-def rk4_step(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
-             dt: float) -> np.ndarray:
-    """One classical fourth-order Runge-Kutta step of y' = f(y)."""
+def rk4_step(f: Callable[[Sequence[float]], Sequence[float]],
+             y: Sequence[float], dt: float) -> list[float]:
+    """One classical fourth-order Runge-Kutta step of y' = f(y), on
+    plain sequences of floats."""
+    h = 0.5 * dt
     k1 = f(y)
-    k2 = f(y + 0.5 * dt * k1)
-    k3 = f(y + 0.5 * dt * k2)
-    k4 = f(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f([a + h * b for a, b in zip(y, k1)])
+    k3 = f([a + h * b for a, b in zip(y, k2)])
+    k4 = f([a + dt * b for a, b in zip(y, k3)])
+    c = dt / 6.0
+    return [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
 def clamp_command(cmd: ControlCommand, params: AircraftParams) -> ControlCommand:
@@ -542,18 +537,17 @@ def integrate_step(
         raise ConfigError("integration step must be positive")
     cmd = clamp_command(cmd, params)
 
-    def f(y: np.ndarray) -> np.ndarray:
-        s = y.tolist()  # Python floats: faster scalar math than numpy's
-        return state_derivative(s, aero_forces_moments(s, cmd, params),
+    def f(y: Sequence[float]) -> list[float]:
+        return state_derivative(y, aero_forces_moments(y, cmd, params),
                                 params, env, gammas)
 
-    y1 = rk4_step(f, state.as_array(), dt)
-    if not np.all(np.isfinite(y1)):
+    y1 = rk4_step(f, state, dt)
+    if not all(map(math.isfinite, y1)):
         raise IntegrationFaultError("non-finite state after integration step",
                                     state=state)
-    out = AircraftState(*y1.tolist())
-    out.phi = wrap_pi(out.phi)
-    out.psi = wrap_pi(out.psi)
+    y1[6] = wrap_pi(y1[6])  # phi
+    y1[8] = wrap_pi(y1[8])  # psi
+    out = AircraftState._make(y1)
     _check_pitch(out.theta, out)
     return out
 
@@ -585,6 +579,8 @@ def trim(
     returned pair re-evaluates to a full six-axis residual below tol.
     """
     params.validate()
+    if not math.isfinite(va_target):
+        raise ConfigError(f"trim airspeed must be finite, got {va_target}")
     floor = stall_floor(params)
     if va_target <= floor:
         raise ConfigError(
@@ -664,8 +660,9 @@ def trim(
     # exact for beta = 0 and wings level).
     fm = aero_forces_moments(state, cmd, params)
     deriv = state_derivative(state, fm, params, env, gammas)
-    full = np.abs(deriv[3:6]).tolist() + np.abs(deriv[9:12]).tolist()
-    climb_err = abs((state.theta - math.atan2(state.w, state.u)) - gamma_target)
+    full = [abs(d) for d in deriv[3:6] + deriv[9:12]]
+    _, alpha, _ = _airspeed_angles(state.u, state.v, state.w)
+    climb_err = abs((state.theta - alpha) - gamma_target)
     if max(full) >= tol or climb_err >= tol:
         raise TrimFailureError(
             "trim residual check failed",

@@ -67,9 +67,3 @@ class InsufficientDataError(SimulatorError):
     """Statistics requested over a series too short to be meaningful."""
 
     category = "metrics"
-
-
-class DomainError(SimulatorError):
-    """Metric evaluated outside its mathematical domain."""
-
-    category = "metrics"

@@ -8,13 +8,12 @@ population standard deviation, which keeps rms^2 = mean^2 + std^2 exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .angles import wrap_pi
-from .errors import ConfigError, DomainError, InsufficientDataError
+from .errors import InsufficientDataError
 
 
 @dataclass
@@ -27,15 +26,15 @@ class ErrorStats:
     count: int
 
 
-def total_image_error(e_lateral: float, phi: float, h_ref: float) -> float:
-    """Ground image displacement: lateral error plus h_ref*tan(phi)."""
-    if h_ref <= 0.0:
-        raise ConfigError("reference altitude must be positive")
-    if abs(phi) >= math.pi / 2.0:
-        raise DomainError(
-            f"roll {math.degrees(phi):.1f} deg has no ground intersection"
-        )
-    return e_lateral + h_ref * math.tan(phi)
+def total_image_error(e_lateral: float | np.ndarray, phi: float | np.ndarray,
+                      h_ref: float) -> float | np.ndarray:
+    """Ground image displacement: lateral error plus h_ref*tan(phi).
+
+    Takes floats or equal-length arrays. A roll past +/-90 deg has no
+    ground intersection, but departed runs are still scored, so no
+    domain check is made here.
+    """
+    return e_lateral + h_ref * np.tan(phi)
 
 
 def beta_estimate(chi: float, psi: float) -> float:

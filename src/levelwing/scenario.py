@@ -11,7 +11,7 @@ differs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -53,6 +53,7 @@ from .metrics import (
     render_summary_table,
     series_stats,
     summary_csv_lines,
+    total_image_error,
 )
 
 # Reference altitudes of the fixed summary-table columns. A 450 m column
@@ -103,23 +104,15 @@ CSV_COLUMNS = tuple(
 _CSV_BLOCK_ROWS = 32
 
 
-def _image_error(e_lateral: np.ndarray, tan_phi: np.ndarray,
-                 h_ref: float) -> np.ndarray:
-    """Image-error series at h_ref: e_lateral + h_ref*tan(phi)."""
-    return e_lateral + h_ref * tan_phi
-
-
 def schedule_gains(mode: str, cfg: ScenarioConfig, gammas: GammaSet,
-                   airdata: AirData, p: float,
-                   delta_a: float) -> ScheduledGains:
+                   airdata: AirData) -> ScheduledGains:
     """Synthesize one lateral law's gains and the longitudinal holds at
-    airdata; p and delta_a enter only the heading plant's disturbance."""
+    airdata."""
     params, c = cfg.params, cfg.ctrl
     va = max(airdata.va, MIN_SCHEDULING_AIRSPEED)
     heading_plant = heading = roll = aotc = None
     if mode == "ratc":
-        heading_plant = combined_yaw_coeffs(params, gammas, airdata, p=p,
-                                            delta_a=delta_a)
+        heading_plant = combined_yaw_coeffs(params, gammas, airdata)
         heading = ratc_gain_synthesis(heading_plant, c.wn_psi, c.zeta_psi)
         roll = roll_gain_synthesis(params, gammas, va, c.wn_roll,
                                    c.zeta_roll, ki=c.ki_roll)
@@ -155,8 +148,7 @@ class FlightController:
     def step(self, chi_cmd: float, state: AircraftState, airdata: AirData,
              dt: float) -> ControlCommand:
         prev = self.loop.prev_command
-        gains = schedule_gains(self.mode, self.cfg, self.gammas, airdata,
-                               state.p, prev.delta_a if prev else 0.0)
+        gains = schedule_gains(self.mode, self.cfg, self.gammas, airdata)
         if self.mode == "ratc":
             delta_a, delta_r = ratc_step(chi_cmd, state, airdata,
                                          gains.heading, gains.roll,
@@ -193,11 +185,6 @@ class RunResult:
     mean_abs_roll_deg: float | None
     mean_abs_beta_deg: float | None
 
-    def wind_series(self) -> np.ndarray:
-        return np.column_stack(
-            [self.log["wind_n"], self.log["wind_e"], self.log["wind_d"]]
-        )
-
     def summary_row(self) -> SummaryRow:
         def stat(s: ErrorStats | None, attr: str) -> float:
             return getattr(s, attr) if s is not None else math.nan
@@ -223,8 +210,8 @@ def _initial_state(cfg: ScenarioConfig,
                    trim_state: AircraftState) -> AircraftState:
     """The trim state moved to the plan start, heading along its first leg."""
     pn, pe, pd = (float(x) for x in cfg.plan.start_position())
-    return replace(trim_state, pn=pn, pe=pe, pd=pd,
-                   psi=cfg.plan.initial_course())
+    return trim_state._replace(pn=pn, pe=pe, pd=pd,
+                               psi=cfg.plan.initial_course())
 
 
 def _stats_or_none(values: np.ndarray) -> ErrorStats | None:
@@ -248,8 +235,9 @@ def run_scenario(
     if mode not in ("aotc", "ratc"):
         raise ConfigError(f"controller mode must be aotc or ratc, got {mode!r}")
     duration = cfg.duration if duration_override is None else duration_override
-    if duration < 0.0:
-        raise ConfigError("duration cap must be >= 0")
+    if not math.isfinite(duration) or duration < 0.0:
+        raise ConfigError(f"duration cap must be finite and >= 0, got "
+                          f"{duration}")
     dt = cfg.dt
 
     base_env = Environment(cfg.env.wind_n, cfg.env.wind_e, cfg.env.wind_d)
@@ -280,7 +268,7 @@ def run_scenario(
             base_env.wind_d + float(gust_ned[2]),
         )
         airdata = air_data(state, env)
-        course = manager.step(state.position())
+        course = manager.step(state[:3])
         cmd = controller.step(course.chi_cmd, state, airdata, dt)
 
         t = k * dt
@@ -313,10 +301,9 @@ def run_scenario(
     h_refs = tuple(sorted(set(cfg.h_refs) | set(TABLE_H_REFS)))
     stats_by_href: dict[float, ErrorStats] = {}
     if phi_w.size >= 2:
-        tan_phi = np.tan(phi_w)
         for h_ref in h_refs:
             stats_by_href[h_ref] = series_stats(
-                _image_error(lat_w, tan_phi, h_ref))
+                total_image_error(lat_w, phi_w, h_ref))
 
     return RunResult(
         mode=mode,
@@ -372,10 +359,14 @@ def compare_controllers(
         ratios["mean_abs_roll_ratc_over_aotc"] = (
             ratc.mean_abs_roll_deg / aotc.mean_abs_roll_deg
         )
-    ratios["mean_abs_roll_aotc_deg"] = aotc.mean_abs_roll_deg or math.nan
-    ratios["mean_abs_roll_ratc_deg"] = ratc.mean_abs_roll_deg or math.nan
-    ratios["mean_abs_beta_aotc_deg"] = aotc.mean_abs_beta_deg or math.nan
-    ratios["mean_abs_beta_ratc_deg"] = ratc.mean_abs_beta_deg or math.nan
+
+    def measured(value: float | None) -> float:
+        return math.nan if value is None else value
+
+    ratios["mean_abs_roll_aotc_deg"] = measured(aotc.mean_abs_roll_deg)
+    ratios["mean_abs_roll_ratc_deg"] = measured(ratc.mean_abs_roll_deg)
+    ratios["mean_abs_beta_aotc_deg"] = measured(aotc.mean_abs_beta_deg)
+    ratios["mean_abs_beta_ratc_deg"] = measured(ratc.mean_abs_beta_deg)
 
     lines = [render_summary_table(rows), ""]
     for key in sorted(ratios):
@@ -387,9 +378,8 @@ def compare_controllers(
 def export_csv(result: RunResult, path: str | Path) -> None:
     """Write the run log with fixed columns, degrees at the boundary."""
     log = result.log
-    tan_phi = np.tan(log["phi"])
     columns = [(log[c.name], c.degrees) for c in LOG_COLUMNS if c.in_csv]
-    columns += [(_image_error(log["e_lateral"], tan_phi, h), False)
+    columns += [(total_image_error(log["e_lateral"], log["phi"], h), False)
                 for h in TABLE_H_REFS]
     row_format = ",".join("%d" if arr.dtype.kind == "i" else "%.12g"
                           for arr, _ in columns) + "\n"

@@ -1,9 +1,12 @@
 """Command-line interface: subcommands, outputs, and exit codes."""
 
+import re
+
 import pytest
 
 import levelwing.scenario
 from levelwing.cli import main
+from levelwing.config import resolve_input_path
 from levelwing.errors import SingularityError
 
 
@@ -62,6 +65,30 @@ def test_missing_config_exits_2(capsys):
 def test_trim_below_stall_floor_exits_2(capsys):
     code = main(["trim", "--config", "rectangle_compare.ini",
                  "--airspeed", "5"])
+    assert code == 2
+    assert "error[config]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, ini_key, ini_value", [
+    (["simulate", "--duration", "nan"], None, None),
+    (["simulate", "--duration", "inf"], None, None),
+    (["simulate", "--seed", "-3"], None, None),
+    (["simulate"], "seed", "-1"),
+    (["simulate"], "duration_s", "nan"),
+    (["simulate"], "dt_s", "inf"),
+    (["simulate"], "h_ref_m", "nan, 450"),
+    (["trim", "--airspeed", "nan"], None, None),
+])
+def test_bad_numbers_exit_2(tmp_path, capsys, args, ini_key, ini_value):
+    config = "rectangle_compare.ini"
+    if ini_key is not None:
+        text = resolve_input_path(config, kind="scenarios").read_text()
+        text, count = re.subn(rf"^{ini_key} = .*$", f"{ini_key} = {ini_value}",
+                              text, flags=re.M)
+        assert count == 1
+        config = tmp_path / "bad.ini"
+        config.write_text(text)
+    code = main([args[0], "--config", str(config), *args[1:]])
     assert code == 2
     assert "error[config]" in capsys.readouterr().err
 

@@ -134,15 +134,16 @@ def test_seed_and_slew_overrides(tmp_path):
 
 
 def test_bad_waypoint_line_reported(tmp_path):
-    p = write(tmp_path, "short.ini", """
+    for wp01 in ("0, 0", "nan, 0, 150"):
+        p = write(tmp_path, "short.ini", f"""
 [plan]
 name = short
 [waypoints]
-wp01 = 0, 0
+wp01 = {wp01}
 wp02 = 400, 0, 150
 """)
-    with pytest.raises(ConfigError, match="wp01"):
-        load_plan(p)
+        with pytest.raises(ConfigError, match="wp01"):
+            load_plan(p)
 
 
 def test_bad_orbit_direction_reported(tmp_path):

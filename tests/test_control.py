@@ -291,7 +291,7 @@ def lon_setup(params):
 
 def test_longitudinal_holds_trim_fixed_point(params, trim20):
     state, cmd = trim20
-    at_alt = replace(state, pd=-150.0)
+    at_alt = state._replace(pd=-150.0)
     lon = lon_setup(params)
     delta_e, delta_t = longitudinal_holds(
         at_alt, air_data(at_alt, CALM), 150.0, 20.0, lon, LoopState(), 0.01,
@@ -302,7 +302,7 @@ def test_longitudinal_holds_trim_fixed_point(params, trim20):
 
 def test_longitudinal_holds_pitch_up_when_low(params, trim20):
     state, cmd = trim20
-    low = replace(state, pd=-140.0)
+    low = state._replace(pd=-140.0)
     lon = lon_setup(params)
     delta_e, _ = longitudinal_holds(
         low, air_data(low, CALM), 150.0, 20.0, lon, LoopState(), 0.01,
@@ -315,7 +315,7 @@ def test_longitudinal_holds_pitch_up_when_low(params, trim20):
 
 def test_longitudinal_holds_throttle_up_when_slow(params, trim20):
     state, cmd = trim20
-    slow = replace(state, pd=-150.0, u=state.u - 3.0)
+    slow = state._replace(pd=-150.0, u=state.u - 3.0)
     lon = lon_setup(params)
     _, delta_t = longitudinal_holds(
         slow, air_data(slow, CALM), 150.0, 20.0, lon, LoopState(), 0.01,

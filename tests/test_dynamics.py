@@ -349,9 +349,9 @@ def test_integrate_step_matches_manual_rk4(params, gammas, trim20):
         fm = aero_forces_moments(y, cmd, params)
         return state_derivative(y, fm, params, env, gammas)
 
-    expected = rk4_step(f, state.as_array(), 0.01)
+    expected = rk4_step(f, np.array(state), 0.01)
     stepped = integrate_step(state, cmd, env, params, 0.01, gammas)
-    assert np.allclose(stepped.as_array(), expected, rtol=1e-12, atol=1e-12)
+    assert np.allclose(np.array(stepped), expected, rtol=1e-12, atol=1e-12)
 
 
 def test_integrate_step_clamps_command(params, gammas, trim20):
@@ -363,7 +363,7 @@ def test_integrate_step_clamps_command(params, gammas, trim20):
     assert clamped.delta_t == pytest.approx(1.0)
     a = integrate_step(state, wild, CALM, params, 0.01, gammas)
     b = integrate_step(state, clamped, CALM, params, 0.01, gammas)
-    assert np.allclose(a.as_array(), b.as_array(), atol=1e-15)
+    assert np.allclose(np.array(a), np.array(b), atol=1e-15)
 
 
 def test_integrate_step_deterministic(params, gammas, trim20):
@@ -373,7 +373,7 @@ def test_integrate_step_deterministic(params, gammas, trim20):
         s = state
         for _ in range(100):
             s = integrate_step(s, cmd, CALM, params, 0.01, gammas)
-        runs.append(s.as_array())
+        runs.append(np.array(s))
     assert np.array_equal(runs[0], runs[1])
 
 
@@ -385,7 +385,7 @@ def test_integrate_step_rejects_nonpositive_dt(params, gammas, trim20):
 
 def test_integrate_step_faults_on_nonfinite_state(params, gammas, trim20):
     state, cmd = trim20
-    broken = replace(state, u=math.nan)
+    broken = state._replace(u=math.nan)
     with pytest.raises(IntegrationFaultError):
         integrate_step(broken, cmd, CALM, params, 0.01, gammas)
 

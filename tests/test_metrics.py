@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from levelwing.errors import ConfigError, DomainError, InsufficientDataError
+from levelwing.errors import InsufficientDataError
 from levelwing.metrics import (
     SUMMARY_COLUMNS,
     SummaryRow,
@@ -41,15 +41,6 @@ def test_total_image_error_altitude_rescaling():
     e1 = total_image_error(5.0, phi, 150.0)
     e3 = total_image_error(5.0, phi, 450.0)
     assert e3 - e1 == pytest.approx(300.0 * math.tan(phi), rel=1e-12)
-
-
-def test_total_image_error_domain():
-    with pytest.raises(ConfigError):
-        total_image_error(0.0, 0.1, 0.0)
-    with pytest.raises(DomainError):
-        total_image_error(0.0, math.radians(90.0), 150.0)
-    with pytest.raises(DomainError):
-        total_image_error(0.0, math.radians(-95.0), 150.0)
 
 
 def test_beta_estimate_wraps_course_heading_split():

@@ -58,14 +58,14 @@ def test_capture_and_hold_from_lateral_offset(params, gammas, make_cfg, mode):
     # the path within 30 s and stay inside a 2 m band afterwards.
     cfg = make_cfg(straight_plan(2000.0), duration=45.0)
     trim_state, trim_cmd = trim(params, CALM, 20.0)
-    state = replace(trim_state, pn=0.0, pe=30.0, pd=-150.0, psi=0.0)
+    state = trim_state._replace(pn=0.0, pe=30.0, pd=-150.0, psi=0.0)
     manager = PathManager(cfg.plan, cfg.ctrl.guidance_gains(), cfg.dt)
     controller = FlightController(mode, cfg, trim_state, trim_cmd)
     n = round(45.0 / cfg.dt)
     errors = np.zeros(n)
     for k in range(n):
         ad = air_data(state, CALM)
-        course = manager.step(state.position())
+        course = manager.step(state[:3])
         errors[k] = course.e_lateral
         cmd = controller.step(course.chi_cmd, state, ad, cfg.dt)
         state = integrate_step(state, cmd, CALM, params, cfg.dt, gammas)
@@ -127,12 +127,14 @@ def test_gust_seed_override_changes_trajectory(make_cfg):
     base = run_scenario(cfg)
     other = run_scenario(replace(cfg, seed=6))
     assert not np.array_equal(base.log["pe"], other.log["pe"])
-    assert not np.array_equal(base.wind_series(), other.wind_series())
+    assert not all(np.array_equal(base.log[k], other.log[k])
+                   for k in ("wind_n", "wind_e", "wind_d"))
 
 
 def test_wind_logged_in_memory_but_not_in_csv(make_cfg):
     result = run_scenario(gusty_cfg(make_cfg))
-    assert result.wind_series().shape == (result.steps, 3)
+    for key in ("wind_n", "wind_e", "wind_d"):
+        assert result.log[key].shape == (result.steps,)
     assert np.std(result.log["wind_e"]) > 0.0    # gusts actually active
     assert not any("wind" in c for c in CSV_COLUMNS)
 
@@ -214,6 +216,38 @@ def test_comparison_rows_and_table(rect_comparison):
         assert key in comp.ratios
         assert math.isfinite(comp.ratios[key])
     assert "aotc" in comp.table_text and "ratc" in comp.table_text
+
+
+def test_comparison_reports_measured_zero_not_nan(make_cfg):
+    # Calm air along a north-pointing leg: neither run rolls or slips, and
+    # an exact 0.0 is a measurement, not a missing value.
+    comp = compare_controllers(make_cfg(straight_plan(), duration=30.0))
+    for key in ("mean_abs_roll_aotc_deg", "mean_abs_roll_ratc_deg",
+                "mean_abs_beta_aotc_deg", "mean_abs_beta_ratc_deg"):
+        assert comp.ratios[key] == 0.0
+    assert "mean_abs_roll_ratc_over_aotc" not in comp.ratios
+
+
+@pytest.mark.parametrize("mode", ["aotc", "ratc"])
+def test_mirrored_rectangle_mirrors_the_run(rect_comparison, mode):
+    # Reflecting the plan and the wind across the north axis reflects the
+    # whole closed loop: the airframe is laterally symmetric.
+    comp, _ = rect_comparison
+    base = getattr(comp, mode)
+    cfg = load_config("rectangle_compare.ini")
+    plan = replace(cfg.plan,
+                   waypoints=[(n, -e, h) for n, e, h in cfg.plan.waypoints])
+    env = replace(cfg.env, wind_e=-cfg.env.wind_e)
+    mirror = run_scenario(replace(cfg, plan=plan, env=env), mode)
+    assert mirror.steps == base.steps
+    assert mirror.completed == base.completed
+    a, b = base.log, mirror.log
+    for key in ("pn", "theta"):
+        assert np.allclose(b[key], a[key], rtol=0.0, atol=1e-9), key
+    for key in ("pe", "phi", "e_lateral", "delta_a", "delta_r"):
+        assert np.allclose(b[key], -a[key], rtol=0.0, atol=1e-9), key
+    for key in ("psi", "chi_cmd"):
+        assert np.max(np.abs(wrap(b[key] + a[key]))) < 1e-9, key
 
 
 def test_comparison_report_files(tmp_path):

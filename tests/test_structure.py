@@ -1,7 +1,9 @@
-"""Package structure: the intra-package import graph has no cycle.
+"""Package structure: the intra-package import graph has no cycle, and
+every function, class and method is used inside the package.
 
 Every import counts, wherever it sits: at module level, inside a
-function, or under ``if TYPE_CHECKING:``.
+function, or under ``if TYPE_CHECKING:``. A helper that only its own
+tests call is dead code.
 """
 
 import ast
@@ -102,3 +104,66 @@ def test_package_import_graph_is_acyclic():
     assert "scenario" in graph and "dynamics" in graph["scenario"]
     cycle = find_cycle(graph)
     assert cycle is None, "import cycle: " + " -> ".join(cycle)
+
+
+# Public names kept for readers outside the package, not for its own code.
+UNREFERENCED_ALLOWED = {"ScenarioConfig.describe"}
+
+
+def definitions(tree: ast.Module) -> list[tuple[str, str, ast.AST]]:
+    """(qualified name, name, node) of each module-level function and
+    class and of each non-dunder method of those classes."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        found.append((node.name, node.name, node))
+        if isinstance(node, ast.ClassDef):
+            found += [(f"{node.name}.{item.name}", item.name, item)
+                      for item in node.body
+                      if isinstance(item, ast.FunctionDef)
+                      and not item.name.startswith("__")]
+    return found
+
+
+def unreferenced(sources: dict[str, str]) -> list[str]:
+    """Definitions that no module uses outside the definition itself.
+    Uses are names and attribute names; imports are not uses, and
+    __init__ only re-exports."""
+    trees = {stem: ast.parse(text) for stem, text in sources.items()}
+    uses: dict[str, list[tuple[str, int]]] = {}
+    for stem, tree in trees.items():
+        if stem == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                uses.setdefault(name, []).append((stem, node.lineno))
+    missing = []
+    for stem, tree in sorted(trees.items()):
+        for qualified, name, node in definitions(tree):
+            inside = range(node.lineno, node.end_lineno + 1)
+            if all(where == stem and line in inside
+                   for where, line in uses.get(name, [])):
+                missing.append(f"{stem}.{qualified}")
+    return missing
+
+
+def test_unreferenced_finds_helpers_only_their_own_body_uses():
+    sources = {
+        "a": "def used():\n    pass\n"
+             "def recursive(n):\n    return recursive(n - 1)\n"
+             "class Box:\n    def size(self):\n        return 1\n"
+             "    def __len__(self):\n        return 1\n",
+        "b": "from .a import recursive\nused()\nBox()\n",
+        "__init__": "from .a import Box\nBox.size\n",
+    }
+    assert unreferenced(sources) == ["a.recursive", "a.Box.size"]
+
+
+def test_every_definition_is_used_inside_the_package():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in SRC.glob("*.py")}
+    missing = [name for name in unreferenced(sources)
+               if name.split(".", 1)[1] not in UNREFERENCED_ALLOWED]
+    assert missing == []
