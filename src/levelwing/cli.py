@@ -17,7 +17,8 @@ import math
 import sys
 
 from .config import load_config
-from .dynamics import AirData, Environment, gamma_terms, trim
+from .control import make_gain_schedule
+from .dynamics import Environment, gamma_terms, trim
 from .errors import (
     ConfigError,
     DynamicsFaultError,
@@ -29,7 +30,6 @@ from .scenario import (
     compare_controllers,
     export_csv,
     run_scenario,
-    schedule_gains,
     write_comparison,
 )
 
@@ -137,25 +137,22 @@ def _cmd_gains(args: argparse.Namespace) -> int:
     va = cfg.va_cmd
     c = cfg.ctrl
 
-    airdata = AirData(va=va, vg=va, alpha=trim_state.theta, beta=0.0,
-                      gamma_climb=0.0, chi=0.0)
-    ratc = schedule_gains("ratc", cfg, gammas, airdata)
-    aotc = schedule_gains("aotc", cfg, gammas, airdata)
-    coeffs, yaw, roll = ratc.heading_plant, ratc.heading, ratc.roll
-    course, lon = aotc.aotc.course, ratc.lon
+    ratc = make_gain_schedule("ratc", cfg.params, gammas, c)(va, va)
+    aotc = make_gain_schedule("aotc", cfg.params, gammas, c)(va, va)
 
     print(f"scenario {cfg.name}, airspeed {va:.1f} m/s")
-    print(f"heading plant : a_psi1 {coeffs.a_psi1:+.4f} 1/s, "
-          f"a_psi2 {coeffs.a_psi2:+.4f} 1/s^2 per rad")
-    print(f"ratc heading  : kp {yaw.kp_psi:+.4f}, kd {yaw.kd_psi:+.4f} "
-          f"(wn {yaw.wn_psi:.2f} rad/s, zeta {yaw.zeta_psi:.2f})")
-    print(f"roll hold     : kp {roll.kp:+.4f}, kd {roll.kd:+.4f}, "
-          f"ki {roll.ki:+.4f} (wn {roll.wn:.2f} rad/s)")
-    print(f"aotc course   : kp {course.kp:+.4f}, "
-          f"ki {course.ki:+.4f} (wn {course.wn:.3f} rad/s, "
+    print(f"heading plant : a_psi1 {ratc.a_psi1:+.4f} 1/s, "
+          f"a_psi2 {ratc.a_psi2:+.4f} 1/s^2 per rad")
+    print(f"ratc heading  : kp {ratc.kp_psi:+.4f}, kd {ratc.kd_psi:+.4f} "
+          f"(wn {c.wn_psi:.2f} rad/s, zeta {c.zeta_psi:.2f})")
+    print(f"roll hold     : kp {ratc.kp_roll:+.4f}, kd {ratc.kd_roll:+.4f}, "
+          f"ki {ratc.ki_roll:+.4f} (wn {c.wn_roll:.2f} rad/s)")
+    print(f"aotc course   : kp {aotc.kp_course:+.4f}, "
+          f"ki {aotc.ki_course:+.4f} "
+          f"(wn {c.wn_roll / c.course_separation:.3f} rad/s, "
           f"separation {c.course_separation:.1f})")
-    print(f"pitch hold    : kp {lon.kp_theta:+.4f}, kd {lon.kd_theta:+.4f}")
-    print(f"altitude hold : kp {lon.kp_h:+.5f}, ki {lon.ki_h:+.5f}")
+    print(f"pitch hold    : kp {ratc.kp_theta:+.4f}, kd {ratc.kd_theta:+.4f}")
+    print(f"altitude hold : kp {ratc.kp_h:+.5f}, ki {ratc.ki_h:+.5f}")
     print(f"trim          : alpha {math.degrees(trim_state.theta):.3f} deg, "
           f"elevator {math.degrees(trim_cmd.delta_e):.3f} deg, "
           f"throttle {trim_cmd.delta_t:.4f}")

@@ -374,6 +374,11 @@ class ScenarioConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for key, value in (("dt", self.dt), ("duration", self.duration),
+                           ("airspeed command", self.va_cmd),
+                           ("warm-up window", self.warmup)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if self.dt <= 0.0:
             raise ConfigError("dt must be positive")
         if self.duration <= 0.0:

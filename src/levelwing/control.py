@@ -10,84 +10,59 @@ Two interchangeable lateral correctors share the guidance course command:
   heading plant, while an independent wings-level roll hold keeps the
   camera axis vertical.
 
-All gains are synthesized from the aircraft parameters at the current
-airspeed, so they reschedule automatically as flight condition changes.
-Controllers are pure step functions over an explicit LoopState value.
+All gains come from one gain schedule per controller. It folds the
+airframe coefficients and checks the design points once; each step it
+only rescales the plants to the current airspeed and places their poles,
+so the gains follow the flight condition. Controllers are pure step
+functions over an explicit LoopState value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .angles import wrap_pi
+from .config import ControllerSettings
 from .dynamics import (
     AircraftParams,
     AircraftState,
     AirData,
-    CombinedYawCoeffs,
     ControlCommand,
     GammaSet,
+    combined_yaw_coeffs,
 )
-from .errors import ConfigError, UncontrollablePlantError
+from .errors import AirDataError, ConfigError, UncontrollablePlantError
 
 # Floor applied to the airspeed used for gain scheduling, so a start-up
 # transient cannot divide by zero.
 MIN_SCHEDULING_AIRSPEED = 1.0
 
 
-@dataclass
-class RatcGains:
-    """Rudder-channel PD gains and the design point they realize."""
+class ScheduledGains(NamedTuple):
+    """Plants and gains at one flight condition.
 
+    The plants are x_ddot = -a1*x_dot - a3*x + a2*delta for heading
+    (a_psi, rudder), roll (a_phi, aileron) and pitch (a_theta, elevator;
+    a3 = 0 for the other two). The heading plant and its PD are nan under
+    aotc, the course PI is nan under ratc.
+    """
+
+    a_psi1: float
+    a_psi2: float
+    a_phi1: float
+    a_phi2: float
+    a_theta1: float
+    a_theta2: float
+    a_theta3: float
     kp_psi: float
     kd_psi: float
-    wn_psi: float
-    zeta_psi: float
-
-
-@dataclass
-class RollGains:
-    """Roll-loop gains: PD for tracking, optional integral for the
-    wings-level hold."""
-
-    kp: float
-    kd: float
-    ki: float
-    wn: float
-    zeta: float
-
-
-@dataclass
-class CourseGains:
-    """Course-loop PI gains (bank command from course error)."""
-
-    kp: float
-    ki: float
-    wn: float
-    zeta: float
-
-
-@dataclass
-class AotcGains:
-    """Aileron-only corrector gain set: inner roll PD + outer course PI."""
-
-    roll: RollGains
-    course: CourseGains
-    separation: float
-
-    def validate(self) -> None:
-        if self.course.wn > self.roll.wn / self.separation + 1e-12:
-            raise ConfigError(
-                "course-loop natural frequency must not exceed roll-loop "
-                "natural frequency divided by the separation factor"
-            )
-
-
-@dataclass
-class LonGains:
-    """Longitudinal hold gains: pitch PD, altitude PI, airspeed PI."""
-
+    kp_roll: float
+    kd_roll: float
+    ki_roll: float
+    kp_course: float
+    ki_course: float
     kp_theta: float
     kd_theta: float
     kp_h: float
@@ -95,18 +70,6 @@ class LonGains:
     kp_va: float
     ki_va: float
     theta_limit: float
-
-
-@dataclass
-class ScheduledGains:
-    """Gains at one flight condition: the longitudinal holds plus either
-    the heading plant, heading PD and roll hold (ratc) or aotc's set."""
-
-    heading_plant: CombinedYawCoeffs | None
-    heading: RatcGains | None
-    roll: RollGains | None
-    aotc: AotcGains | None
-    lon: LonGains
 
 
 @dataclass
@@ -123,112 +86,119 @@ class LoopState:
     last_saturated: dict = field(default_factory=dict)
 
 
-def ratc_gain_synthesis(coeffs: CombinedYawCoeffs, wn: float,
-                        zeta: float) -> RatcGains:
-    """PD gains placing the closed heading loop at (wn, zeta).
+def place_poles(a1: float, a2: float, a3: float, wn: float,
+                zeta: float) -> tuple[float, float]:
+    """PD gains (kp, kd) closing x_ddot = -a1*x_dot - a3*x + a2*delta
+    with delta = kp*(x_cmd - x) - kd*x_dot at s^2 + 2*zeta*wn*s + wn^2."""
+    return (wn**2 - a3) / a2, (2.0 * zeta * wn - a1) / a2
 
-    The plant is psi_ddot = -a_psi1*psi_dot + a_psi2*delta_r, so
-    kp = wn^2/a_psi2 and kd = (2*zeta*wn - a_psi1)/a_psi2 give the
-    characteristic polynomial s^2 + 2*zeta*wn*s + wn^2 exactly.
+
+def make_gain_schedule(
+    mode: str,
+    params: AircraftParams,
+    gammas: GammaSet,
+    ctrl: ControllerSettings,
+) -> Callable[[float, float], ScheduledGains]:
+    """Gain schedule of one lateral law plus the longitudinal holds.
+
+    Built once per controller: the airframe folds (combined yaw
+    coefficients, roll plant) and the design-point checks happen here.
+    The returned schedule(va, vg) scales the heading (ratc), roll and
+    pitch plants by the dynamic pressure at va and places their poles;
+    the aotc course PI follows the kinematic plant chi_dot = g/Vg*phi and
+    the altitude PI the h_dot = Va*theta approximation. va and vg are
+    floored at MIN_SCHEDULING_AIRSPEED, except in the heading plant.
     """
-    if wn <= 0.0 or zeta <= 0.0:
-        raise ConfigError("design natural frequency and damping must be positive")
-    if coeffs.a_psi2 == 0.0:
+    if mode not in ("aotc", "ratc"):
+        raise ConfigError(f"controller mode must be aotc or ratc, got "
+                          f"{mode!r}")
+    ratc = mode == "ratc"
+    if not ratc and ctrl.course_separation < 1.0:
+        raise ConfigError("bandwidth separation factor must be >= 1")
+    wn_course = ctrl.wn_roll / ctrl.course_separation
+    lateral = ((ctrl.wn_psi, ctrl.zeta_psi) if ratc
+               else (wn_course, ctrl.zeta_course))
+    for wn, zeta in ((ctrl.wn_roll, ctrl.zeta_roll), lateral):
+        if wn <= 0.0 or zeta <= 0.0:
+            raise ConfigError("design natural frequency and damping must be "
+                              "positive")
+
+    # The heading plant folds the roll equation's inertia-coupled share
+    # into the yaw buildup, the roll plant the yaw equation's share into
+    # the roll buildup.
+    yaw = combined_yaw_coeffs(params, gammas)
+    c_p_p = gammas.gamma3 * params.c_ell_p + gammas.gamma4 * params.c_n_p
+    c_p_delta_a = (gammas.gamma3 * params.c_ell_delta_a
+                   + gammas.gamma4 * params.c_n_delta_a)
+    if ratc and yaw.cr_delta_r == 0.0:
         raise UncontrollablePlantError(
             "rudder effectiveness a_psi2 is zero; heading plant uncontrollable"
         )
-    kp = wn**2 / coeffs.a_psi2
-    kd = (2.0 * zeta * wn - coeffs.a_psi1) / coeffs.a_psi2
-    return RatcGains(kp_psi=kp, kd_psi=kd, wn_psi=wn, zeta_psi=zeta)
-
-
-def roll_plant(params: AircraftParams, gammas: GammaSet,
-               va: float) -> tuple[float, float]:
-    """(a_phi1, a_phi2) of the second-order roll plant
-    phi_ddot = -a_phi1*phi_dot + a_phi2*delta_a, built by folding the yaw
-    equation's inertia-coupled share into the roll buildup."""
-    c_pp = gammas.gamma3 * params.c_ell_p + gammas.gamma4 * params.c_n_p
-    c_p_delta_a = (gammas.gamma3 * params.c_ell_delta_a
-                   + gammas.gamma4 * params.c_n_delta_a)
-    rho, sw, bw = params.rho, params.wing_area, params.wing_span
-    a_phi1 = -0.25 * rho * va * sw * bw**2 * c_pp
-    a_phi2 = 0.5 * rho * va**2 * sw * bw * c_p_delta_a
-    return a_phi1, a_phi2
-
-
-def roll_gain_synthesis(params: AircraftParams, gammas: GammaSet, va: float,
-                        wn: float, zeta: float, ki: float = 0.0) -> RollGains:
-    """Roll PD gains placing the closed loop at (wn, zeta) at airspeed va."""
-    if wn <= 0.0 or zeta <= 0.0:
-        raise ConfigError("design natural frequency and damping must be positive")
-    a_phi1, a_phi2 = roll_plant(params, gammas, va)
-    if a_phi2 == 0.0:
+    if c_p_delta_a == 0.0:
         raise UncontrollablePlantError(
             "aileron effectiveness a_phi2 is zero; roll plant uncontrollable"
         )
-    kp = wn**2 / a_phi2
-    kd = (2.0 * zeta * wn - a_phi1) / a_phi2
-    return RollGains(kp=kp, kd=kd, ki=ki, wn=wn, zeta=zeta)
-
-
-def course_gain_synthesis(vg: float, gravity: float, wn: float,
-                          zeta: float) -> CourseGains:
-    """Course PI gains for the kinematic course plant chi_dot = g/Vg * phi."""
-    if wn <= 0.0 or zeta <= 0.0:
-        raise ConfigError("design natural frequency and damping must be positive")
-    vg = max(vg, MIN_SCHEDULING_AIRSPEED)
-    kp = 2.0 * zeta * wn * vg / gravity
-    ki = wn**2 * vg / gravity
-    return CourseGains(kp=kp, ki=ki, wn=wn, zeta=zeta)
-
-
-def aotc_gain_synthesis(params: AircraftParams, gammas: GammaSet, va: float,
-                        vg: float, wn_roll: float, zeta_roll: float,
-                        separation: float, zeta_course: float) -> AotcGains:
-    """Successive-loop-closure gains with the course loop slowed by the
-    bandwidth separation factor."""
-    if separation < 1.0:
-        raise ConfigError("bandwidth separation factor must be >= 1")
-    roll = roll_gain_synthesis(params, gammas, va, wn_roll, zeta_roll)
-    course = course_gain_synthesis(vg, params.gravity, wn_roll / separation,
-                                   zeta_course)
-    gains = AotcGains(roll=roll, course=course, separation=separation)
-    gains.validate()
-    return gains
-
-
-def pitch_plant(params: AircraftParams,
-                va: float) -> tuple[float, float, float]:
-    """(a_theta1, a_theta2, a_theta3): damping, elevator effectiveness,
-    and static stiffness of the short-period pitch attitude plant."""
-    rho, sw, cbar, iyy = (params.rho, params.wing_area, params.mean_chord,
-                          params.iyy)
-    scale = 0.5 * rho * va**2 * sw * cbar / iyy
-    a_theta1 = -scale * params.c_m_q * cbar / (2.0 * va)
-    a_theta2 = scale * params.c_m_delta_e
-    a_theta3 = -scale * params.c_m_alpha
-    return a_theta1, a_theta2, a_theta3
-
-
-def lon_gain_synthesis(params: AircraftParams, va: float, wn_pitch: float,
-                       zeta_pitch: float, wn_alt: float, zeta_alt: float,
-                       kp_va: float, ki_va: float,
-                       theta_limit: float) -> LonGains:
-    """Pitch PD from the pitch plant, altitude PI from the kinematic
-    h_dot = Va*theta approximation, airspeed PI as configured."""
-    a_theta1, a_theta2, a_theta3 = pitch_plant(params, va)
-    if a_theta2 == 0.0:
+    if params.c_m_delta_e == 0.0:
         raise UncontrollablePlantError(
             "elevator effectiveness a_theta2 is zero; pitch plant uncontrollable"
         )
-    kp_theta = (wn_pitch**2 - a_theta3) / a_theta2
-    kd_theta = (2.0 * zeta_pitch * wn_pitch - a_theta1) / a_theta2
-    va = max(va, MIN_SCHEDULING_AIRSPEED)
-    kp_h = 2.0 * zeta_alt * wn_alt / va
-    ki_h = wn_alt**2 / va
-    return LonGains(kp_theta=kp_theta, kd_theta=kd_theta, kp_h=kp_h,
-                    ki_h=ki_h, kp_va=kp_va, ki_va=ki_va,
-                    theta_limit=theta_limit)
+
+    # The rate terms enter the buildup as c*b*rate/(2*Va), so the damping
+    # coefficients carry one airspeed power less than the effectiveness.
+    neg_quarter_rho, half_rho = -0.25 * params.rho, 0.5 * params.rho
+    sw, bw, cbar, iyy = (params.wing_area, params.wing_span,
+                         params.mean_chord, params.iyy)
+    bw_sq = bw**2
+    cr_r, cr_delta_r = yaw.cr_r, yaw.cr_delta_r
+    c_m_q, c_m_delta_e, c_m_alpha = (params.c_m_q, params.c_m_delta_e,
+                                     params.c_m_alpha)
+    gravity = params.gravity
+    wn_psi, zeta_psi = ctrl.wn_psi, ctrl.zeta_psi
+    wn_roll, zeta_roll, ki_roll = ctrl.wn_roll, ctrl.zeta_roll, ctrl.ki_roll
+    course_kp_per_vg = 2.0 * ctrl.zeta_course * wn_course
+    course_ki_per_vg = wn_course**2
+    wn_pitch, zeta_pitch = ctrl.wn_pitch, ctrl.zeta_pitch
+    alt_kp_va = 2.0 * ctrl.zeta_alt * ctrl.wn_alt
+    alt_ki_va = ctrl.wn_alt**2
+    kp_va, ki_va, theta_limit = (ctrl.kp_airspeed, ctrl.ki_airspeed,
+                                 ctrl.pitch_limit)
+    nan = math.nan
+
+    def schedule(va: float, vg: float) -> ScheduledGains:
+        if ratc:
+            if va <= 0.0:
+                raise AirDataError("heading plant needs positive airspeed")
+            a_psi1 = neg_quarter_rho * va * sw * bw_sq * cr_r
+            a_psi2 = half_rho * va**2 * sw * bw * cr_delta_r
+            kp_psi, kd_psi = place_poles(a_psi1, a_psi2, 0.0, wn_psi, zeta_psi)
+            kp_course = ki_course = nan
+        else:
+            a_psi1 = a_psi2 = kp_psi = kd_psi = nan
+            vg = max(vg, MIN_SCHEDULING_AIRSPEED)
+            kp_course = course_kp_per_vg * vg / gravity
+            ki_course = course_ki_per_vg * vg / gravity
+        va = max(va, MIN_SCHEDULING_AIRSPEED)
+        va_sq = va**2
+
+        a_phi1 = neg_quarter_rho * va * sw * bw_sq * c_p_p
+        a_phi2 = half_rho * va_sq * sw * bw * c_p_delta_a
+        kp_roll, kd_roll = place_poles(a_phi1, a_phi2, 0.0, wn_roll,
+                                       zeta_roll)
+
+        scale = half_rho * va_sq * sw * cbar / iyy
+        a_theta1 = -scale * c_m_q * cbar / (2.0 * va)
+        a_theta2 = scale * c_m_delta_e
+        a_theta3 = -scale * c_m_alpha
+        kp_theta, kd_theta = place_poles(a_theta1, a_theta2, a_theta3,
+                                         wn_pitch, zeta_pitch)
+        return ScheduledGains(
+            a_psi1, a_psi2, a_phi1, a_phi2, a_theta1, a_theta2, a_theta3,
+            kp_psi, kd_psi, kp_roll, kd_roll, ki_roll, kp_course, ki_course,
+            kp_theta, kd_theta, alt_kp_va / va, alt_ki_va / va, kp_va, ki_va,
+            theta_limit,
+        )
+
+    return schedule
 
 
 def _integrate_conditionally(integrator: float, error: float, dt: float,
@@ -246,8 +216,7 @@ def ratc_step(
     chi_cmd: float,
     state: AircraftState,
     airdata: AirData,
-    gains: RatcGains,
-    roll: RollGains,
+    gains: ScheduledGains,
     loop: LoopState,
     dt: float,
     params: AircraftParams,
@@ -263,14 +232,14 @@ def ratc_step(
     delta_r = max(-params.delta_r_max, min(params.delta_r_max, delta_r_raw))
 
     roll_err = -state.phi
-    delta_a_raw = roll.kp * roll_err - roll.kd * state.p + roll.ki * loop.roll_int
-    if roll.ki > 0.0:
+    kp, kd, ki = gains.kp_roll, gains.kd_roll, gains.ki_roll
+    delta_a_raw = kp * roll_err - kd * state.p + ki * loop.roll_int
+    if ki > 0.0:
         loop.roll_int = _integrate_conditionally(
             loop.roll_int, roll_err, dt, delta_a_raw, params.delta_a_max,
-            params.delta_a_max / roll.ki,
+            params.delta_a_max / ki,
         )
-        delta_a_raw = (roll.kp * roll_err - roll.kd * state.p
-                       + roll.ki * loop.roll_int)
+        delta_a_raw = kp * roll_err - kd * state.p + ki * loop.roll_int
     delta_a = max(-params.delta_a_max, min(params.delta_a_max, delta_a_raw))
 
     loop.last_errors = {"heading": psi_err}
@@ -285,7 +254,7 @@ def aotc_step(
     chi_cmd: float,
     state: AircraftState,
     airdata: AirData,
-    gains: AotcGains,
+    gains: ScheduledGains,
     loop: LoopState,
     dt: float,
     params: AircraftParams,
@@ -297,16 +266,17 @@ def aotc_step(
     outer PI, and roll error closed by the inner PD.
     """
     chi_err = wrap_pi(chi_cmd - airdata.chi)
-    phi_cmd_raw = gains.course.kp * chi_err + gains.course.ki * loop.course_int
+    kp, ki = gains.kp_course, gains.ki_course
+    phi_cmd_raw = kp * chi_err + ki * loop.course_int
     loop.course_int = _integrate_conditionally(
         loop.course_int, chi_err, dt, phi_cmd_raw, bank_limit,
-        bank_limit / max(gains.course.ki, 1e-9),
+        bank_limit / max(ki, 1e-9),
     )
-    phi_cmd_raw = gains.course.kp * chi_err + gains.course.ki * loop.course_int
+    phi_cmd_raw = kp * chi_err + ki * loop.course_int
     phi_cmd = max(-bank_limit, min(bank_limit, phi_cmd_raw))
 
     phi_err = phi_cmd - state.phi
-    delta_a_raw = gains.roll.kp * phi_err - gains.roll.kd * state.p
+    delta_a_raw = gains.kp_roll * phi_err - gains.kd_roll * state.p
     delta_a = max(-params.delta_a_max, min(params.delta_a_max, delta_a_raw))
 
     loop.last_errors = {"course": chi_err, "roll": phi_err}
@@ -322,7 +292,7 @@ def longitudinal_holds(
     airdata: AirData,
     h_cmd: float,
     va_cmd: float,
-    gains: LonGains,
+    gains: ScheduledGains,
     loop: LoopState,
     dt: float,
     trim_theta: float,
@@ -366,22 +336,23 @@ def longitudinal_holds(
     return delta_e, delta_t
 
 
+def _rate_limited(new: float, old: float, max_step: float) -> float:
+    """new, or old moved by at most max_step toward it."""
+    step = new - old
+    if abs(step) <= max_step:
+        return new
+    return old + math.copysign(max_step, step)
+
+
 def apply_rate_limits(cmd: ControlCommand, prev: ControlCommand | None,
                       params: AircraftParams, dt: float) -> ControlCommand:
     """Limit surface deflection rates against the previous command."""
     if prev is None:
         return cmd
     max_step = params.rate_limit * dt
-
-    def limited(new: float, old: float) -> float:
-        step = new - old
-        if abs(step) <= max_step:
-            return new
-        return old + math.copysign(max_step, step)
-
     return ControlCommand(
-        delta_a=limited(cmd.delta_a, prev.delta_a),
-        delta_e=limited(cmd.delta_e, prev.delta_e),
-        delta_r=limited(cmd.delta_r, prev.delta_r),
-        delta_t=cmd.delta_t,
+        _rate_limited(cmd.delta_a, prev.delta_a, max_step),
+        _rate_limited(cmd.delta_e, prev.delta_e, max_step),
+        _rate_limited(cmd.delta_r, prev.delta_r, max_step),
+        cmd.delta_t,
     )

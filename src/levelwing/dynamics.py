@@ -14,14 +14,13 @@ angular accelerations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .angles import wrap_pi
 from .errors import (
-    AirDataError,
     ConfigError,
     IntegrationFaultError,
     SingularityError,
@@ -184,11 +183,13 @@ class GammaSet:
 @dataclass
 class CombinedYawCoeffs:
     """Yaw-channel coefficients after folding the roll equation's share
-    of the inertia coupling into the yaw buildup.
+    of the inertia coupling into the yaw buildup: each is
+    gamma4*c_ell_x + gamma8*c_n_x.
 
-    a_psi1/a_psi2 are the damping and rudder-effectiveness coefficients of
-    the resulting second-order heading plant; d_psi collects the remaining
-    terms (sideslip, roll rate, aileron) as a disturbance input.
+    They depend on the airframe only; the gain schedule scales them by
+    the dynamic pressure into the heading plant
+    psi_ddot = -a_psi1*psi_dot + a_psi2*delta_r (+ the sideslip, roll-rate
+    and aileron terms as a disturbance).
     """
 
     cr_0: float
@@ -197,21 +198,6 @@ class CombinedYawCoeffs:
     cr_r: float
     cr_delta_a: float
     cr_delta_r: float
-    a_psi1: float
-    a_psi2: float
-    d_psi: float
-
-
-@dataclass
-class ForcesMoments:
-    """Total body-frame forces (N) and moments (N*m)."""
-
-    fx: float
-    fy: float
-    fz: float
-    l: float
-    m: float
-    n: float
 
 
 @dataclass
@@ -221,6 +207,12 @@ class Environment:
     wind_n: float = 0.0
     wind_e: float = 0.0
     wind_d: float = 0.0
+
+
+# Gust noise rows drawn from the generator at once. The generator fills
+# an (n, 3) draw row by row, so the stream equals one draw of 3 per step.
+_GUST_BLOCK_ROWS = 256
+_CALM = (0.0, 0.0, 0.0)
 
 
 class GustModel:
@@ -241,14 +233,23 @@ class GustModel:
         self._decay = math.exp(-dt / tau)
         self._scale = intensity * math.sqrt(max(0.0, 1.0 - self._decay**2))
         self._rng = np.random.default_rng(seed)
-        self._state = np.zeros(3)
+        self._noise = iter(())
+        self._state = _CALM
 
-    def step(self) -> np.ndarray:
+    def step(self) -> tuple[float, float, float]:
+        """The NED gust (m/s) of the next step."""
         if self.intensity == 0.0:
-            return np.zeros(3)
-        noise = self._rng.standard_normal(3)
-        self._state = self._decay * self._state + self._scale * noise
-        return self._state.copy()
+            return _CALM
+        noise = next(self._noise, None)
+        if noise is None:
+            self._noise = iter(self._rng.standard_normal(
+                (_GUST_BLOCK_ROWS, 3)).tolist())
+            noise = next(self._noise)
+        decay, scale = self._decay, self._scale
+        (gn, ge, gd), (nn, ne, nd) = self._state, noise
+        self._state = (decay * gn + scale * nn, decay * ge + scale * ne,
+                       decay * gd + scale * nd)
+        return self._state
 
 
 def body_to_inertial(phi: float, theta: float, psi: float) -> np.ndarray:
@@ -279,11 +280,11 @@ def _airspeed_angles(u: float, v: float,
 
 def air_data(state: AircraftState, env: Environment) -> AirData:
     """Airspeed/ground-speed quantities for the current state and wind."""
-    va, alpha, beta = _airspeed_angles(state.u, state.v, state.w)
-    rot = body_to_inertial(state.phi, state.theta, state.psi)
-    ground = rot @ np.array([state.u, state.v, state.w])
-    ground += np.array([env.wind_n, env.wind_e, env.wind_d])
-    vn, ve, vd = float(ground[0]), float(ground[1]), float(ground[2])
+    _, _, _, u, v, w, phi, theta, psi, _, _, _ = state
+    va, alpha, beta = _airspeed_angles(u, v, w)
+    rot = body_to_inertial(phi, theta, psi)
+    gn, ge, gd = (rot @ np.array([u, v, w])).tolist()
+    vn, ve, vd = gn + env.wind_n, ge + env.wind_e, gd + env.wind_d
     horizontal = math.hypot(vn, ve)
     vg = math.sqrt(horizontal**2 + vd**2)
     chi = math.atan2(ve, vn) if horizontal > 1e-9 else 0.0
@@ -309,139 +310,18 @@ def gamma_terms(params: AircraftParams) -> GammaSet:
     )
 
 
-def combined_yaw_coeffs(
-    params: AircraftParams,
-    gammas: GammaSet,
-    airdata: AirData,
-    p: float = 0.0,
-    delta_a: float = 0.0,
-) -> CombinedYawCoeffs:
-    """Fold roll/yaw moment coefficients into the heading-plant form.
-
-    Each combined coefficient is gamma4*c_ell_x + gamma8*c_n_x. The
-    resulting heading dynamics are psi_ddot = -a_psi1*psi_dot +
-    a_psi2*delta_r + d_psi, where d_psi collects the sideslip, roll-rate,
-    and aileron contributions evaluated at the supplied p and delta_a.
-    """
-    va = airdata.va
-    if va <= 0.0:
-        raise AirDataError("combined yaw coefficients need positive airspeed")
+def combined_yaw_coeffs(params: AircraftParams,
+                        gammas: GammaSet) -> CombinedYawCoeffs:
+    """Fold the roll/yaw moment coefficients into the heading-plant form."""
     g4, g8 = gammas.gamma4, gammas.gamma8
-    cr_0 = g4 * params.c_ell_0 + g8 * params.c_n_0
-    cr_beta = g4 * params.c_ell_beta + g8 * params.c_n_beta
-    cr_p = g4 * params.c_ell_p + g8 * params.c_n_p
-    cr_r = g4 * params.c_ell_r + g8 * params.c_n_r
-    cr_delta_a = g4 * params.c_ell_delta_a + g8 * params.c_n_delta_a
-    cr_delta_r = g4 * params.c_ell_delta_r + g8 * params.c_n_delta_r
-
-    rho, sw, bw = params.rho, params.wing_area, params.wing_span
-    # The yaw-rate term enters the buildup as cr_r * bw*r/(2*Va), so one
-    # airspeed power cancels in the damping coefficient.
-    a_psi1 = -0.25 * rho * va * sw * bw**2 * cr_r
-    a_psi2 = 0.5 * rho * va**2 * sw * bw * cr_delta_r
-    qbar_s_b = 0.5 * rho * va**2 * sw * bw
-    d_psi = qbar_s_b * (
-        cr_0
-        + cr_beta * airdata.beta
-        + cr_p * (bw * p / (2.0 * va))
-        + cr_delta_a * delta_a
-    )
     return CombinedYawCoeffs(
-        cr_0=cr_0,
-        cr_beta=cr_beta,
-        cr_p=cr_p,
-        cr_r=cr_r,
-        cr_delta_a=cr_delta_a,
-        cr_delta_r=cr_delta_r,
-        a_psi1=a_psi1,
-        a_psi2=a_psi2,
-        d_psi=d_psi,
+        cr_0=g4 * params.c_ell_0 + g8 * params.c_n_0,
+        cr_beta=g4 * params.c_ell_beta + g8 * params.c_n_beta,
+        cr_p=g4 * params.c_ell_p + g8 * params.c_n_p,
+        cr_r=g4 * params.c_ell_r + g8 * params.c_n_r,
+        cr_delta_a=g4 * params.c_ell_delta_a + g8 * params.c_n_delta_a,
+        cr_delta_r=g4 * params.c_ell_delta_r + g8 * params.c_n_delta_r,
     )
-
-
-def thrust_force(params: AircraftParams, va: float, delta_t: float) -> float:
-    """Body-x thrust: proportional to throttle with quadratic airspeed decay."""
-    return delta_t * (params.max_thrust - params.thrust_airspeed_decay * va**2)
-
-
-def aero_forces_moments(
-    y: Sequence[float],
-    cmd: ControlCommand,
-    params: AircraftParams,
-) -> ForcesMoments:
-    """Total body-frame forces and moments: gravity + thrust + aerodynamics.
-
-    y is the twelve-value state in AircraftState field order. Below
-    MIN_AERO_AIRSPEED the aerodynamic terms are zeroed (the rate terms
-    divide by Va) and only gravity and thrust remain.
-    """
-    _, _, _, u, v, w, phi, theta, _, p, q, r = y
-    sphi, cphi = math.sin(phi), math.cos(phi)
-    sth, cth = math.sin(theta), math.cos(theta)
-    weight = params.weight
-
-    fx = -weight * sth
-    fy = weight * sphi * cth
-    fz = weight * cphi * cth
-
-    va, alpha, beta = _airspeed_angles(u, v, w)
-    fx += thrust_force(params, va, cmd.delta_t)
-
-    if va < MIN_AERO_AIRSPEED:
-        return ForcesMoments(fx=fx, fy=fy, fz=fz, l=0.0, m=0.0, n=0.0)
-
-    qbar_s = 0.5 * params.rho * va**2 * params.wing_area
-    bw, cbar = params.wing_span, params.mean_chord
-    p_hat = bw * p / (2.0 * va)
-    q_hat = cbar * q / (2.0 * va)
-    r_hat = bw * r / (2.0 * va)
-
-    c_lift = (
-        params.c_lift_0
-        + params.c_lift_alpha * alpha
-        + params.c_lift_q * q_hat
-        + params.c_lift_delta_e * cmd.delta_e
-    )
-    c_drag = params.c_drag_0 + params.c_drag_alpha * alpha
-    lift = qbar_s * c_lift
-    drag = qbar_s * c_drag
-
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    fx += -drag * ca + lift * sa
-    fz += -drag * sa - lift * ca
-
-    fy += qbar_s * (
-        params.c_y_0
-        + params.c_y_beta * beta
-        + params.c_y_p * p_hat
-        + params.c_y_r * r_hat
-        + params.c_y_delta_a * cmd.delta_a
-        + params.c_y_delta_r * cmd.delta_r
-    )
-
-    l = qbar_s * bw * (
-        params.c_ell_0
-        + params.c_ell_beta * beta
-        + params.c_ell_p * p_hat
-        + params.c_ell_r * r_hat
-        + params.c_ell_delta_a * cmd.delta_a
-        + params.c_ell_delta_r * cmd.delta_r
-    )
-    m = qbar_s * cbar * (
-        params.c_m_0
-        + params.c_m_alpha * alpha
-        + params.c_m_q * q_hat
-        + params.c_m_delta_e * cmd.delta_e
-    )
-    n = qbar_s * bw * (
-        params.c_n_0
-        + params.c_n_beta * beta
-        + params.c_n_p * p_hat
-        + params.c_n_r * r_hat
-        + params.c_n_delta_a * cmd.delta_a
-        + params.c_n_delta_r * cmd.delta_r
-    )
-    return ForcesMoments(fx=fx, fy=fy, fz=fz, l=l, m=m, n=n)
 
 
 def _check_pitch(theta: float, state) -> None:
@@ -453,45 +333,135 @@ def _check_pitch(theta: float, state) -> None:
         )
 
 
-def state_derivative(
-    y: Sequence[float],
-    fm: ForcesMoments,
-    params: AircraftParams,
-    env: Environment,
-    gammas: GammaSet,
-) -> list[float]:
-    """Twelve state derivatives of y for the rigid-body equations."""
-    _, _, _, u, v, w, phi, theta, psi, p, q, r = y
-    _check_pitch(theta, y)
+class Dynamics(NamedTuple):
+    """The rigid-body model of one airframe, its constants bound.
 
-    sphi, cphi = math.sin(phi), math.cos(phi)
-    sth, cth = math.sin(theta), math.cos(theta)
-    tth = sth / cth
-    spsi, cpsi = math.sin(psi), math.cos(psi)
+    forces_moments(y, cmd) gives the body forces (N) and moments (N*m)
+    (fx, fy, fz, l, m, n) of the twelve-value state y (AircraftState
+    field order) under cmd = (delta_a, delta_e, delta_r, delta_t).
+    derivative(y, fm, wind) gives the twelve state derivatives, with fm
+    those forces and moments and wind the NED wind (m/s).
+    """
 
-    # Navigation: rotate the air-relative body velocity to NED, add wind.
-    pn_dot = (cth * cpsi) * u + (sphi * sth * cpsi - cphi * spsi) * v \
-        + (cphi * sth * cpsi + sphi * spsi) * w + env.wind_n
-    pe_dot = (cth * spsi) * u + (sphi * sth * spsi + cphi * cpsi) * v \
-        + (cphi * sth * spsi - sphi * cpsi) * w + env.wind_e
-    pd_dot = -sth * u + sphi * cth * v + cphi * cth * w + env.wind_d
+    forces_moments: Callable[[Sequence[float], Sequence[float]],
+                             tuple[float, ...]]
+    derivative: Callable[[Sequence[float], Sequence[float],
+                          Sequence[float]], list[float]]
 
+
+def make_dynamics(params: AircraftParams, gammas: GammaSet) -> Dynamics:
+    """Bind the airframe's constants once and return the stage functions
+    of the forces, the moments and the twelve equations of motion.
+
+    Forces and moments are gravity + thrust + the linear aerodynamic
+    buildup, with rate terms normalized by 2*Va; below MIN_AERO_AIRSPEED
+    the aerodynamic terms are zeroed and only gravity and thrust remain.
+    Thrust is delta_t * (max_thrust - thrust_airspeed_decay*Va^2).
+    """
+    weight = params.weight
     inv_mass = 1.0 / params.mass
-    u_dot = r * v - q * w + fm.fx * inv_mass
-    v_dot = p * w - r * u + fm.fy * inv_mass
-    w_dot = q * u - p * v + fm.fz * inv_mass
+    half_rho = 0.5 * params.rho
+    sw, bw, cbar, iyy = (params.wing_area, params.wing_span,
+                         params.mean_chord, params.iyy)
+    max_thrust, thrust_decay = params.max_thrust, params.thrust_airspeed_decay
+    c_lift_0, c_lift_alpha, c_lift_q, c_lift_delta_e = (
+        params.c_lift_0, params.c_lift_alpha, params.c_lift_q,
+        params.c_lift_delta_e)
+    c_drag_0, c_drag_alpha = params.c_drag_0, params.c_drag_alpha
+    c_y_0, c_y_beta, c_y_p, c_y_r, c_y_delta_a, c_y_delta_r = (
+        params.c_y_0, params.c_y_beta, params.c_y_p, params.c_y_r,
+        params.c_y_delta_a, params.c_y_delta_r)
+    c_ell_0, c_ell_beta, c_ell_p, c_ell_r, c_ell_delta_a, c_ell_delta_r = (
+        params.c_ell_0, params.c_ell_beta, params.c_ell_p, params.c_ell_r,
+        params.c_ell_delta_a, params.c_ell_delta_r)
+    c_m_0, c_m_alpha, c_m_q, c_m_delta_e = (
+        params.c_m_0, params.c_m_alpha, params.c_m_q, params.c_m_delta_e)
+    c_n_0, c_n_beta, c_n_p, c_n_r, c_n_delta_a, c_n_delta_r = (
+        params.c_n_0, params.c_n_beta, params.c_n_p, params.c_n_r,
+        params.c_n_delta_a, params.c_n_delta_r)
+    g1, g2, g3, g4, g5, g6, g7, g8 = (
+        gammas.gamma1, gammas.gamma2, gammas.gamma3, gammas.gamma4,
+        gammas.gamma5, gammas.gamma6, gammas.gamma7, gammas.gamma8)
 
-    phi_dot = p + tth * (q * sphi + r * cphi)
-    theta_dot = q * cphi - r * sphi
-    psi_dot = (q * sphi + r * cphi) / cth
+    def forces_moments(y: Sequence[float],
+                       cmd: Sequence[float]) -> tuple[float, ...]:
+        _, _, _, u, v, w, phi, theta, _, p, q, r = y
+        delta_a, delta_e, delta_r, delta_t = cmd
+        sphi, cphi = math.sin(phi), math.cos(phi)
+        sth, cth = math.sin(theta), math.cos(theta)
 
-    g = gammas
-    p_dot = g.gamma1 * p * q - g.gamma2 * q * r + g.gamma3 * fm.l + g.gamma4 * fm.n
-    q_dot = g.gamma5 * p * r - g.gamma6 * (p**2 - r**2) + fm.m / params.iyy
-    r_dot = g.gamma7 * p * q - g.gamma1 * q * r + g.gamma4 * fm.l + g.gamma8 * fm.n
+        fx = -weight * sth
+        fy = weight * sphi * cth
+        fz = weight * cphi * cth
 
-    return [pn_dot, pe_dot, pd_dot, u_dot, v_dot, w_dot,
-            phi_dot, theta_dot, psi_dot, p_dot, q_dot, r_dot]
+        va, alpha, beta = _airspeed_angles(u, v, w)
+        va2 = va**2
+        fx += delta_t * (max_thrust - thrust_decay * va2)
+        if va < MIN_AERO_AIRSPEED:
+            return fx, fy, fz, 0.0, 0.0, 0.0
+
+        qbar_s = half_rho * va2 * sw
+        two_va = 2.0 * va
+        p_hat = bw * p / two_va
+        q_hat = cbar * q / two_va
+        r_hat = bw * r / two_va
+
+        lift = qbar_s * (c_lift_0 + c_lift_alpha * alpha + c_lift_q * q_hat
+                         + c_lift_delta_e * delta_e)
+        drag = qbar_s * (c_drag_0 + c_drag_alpha * alpha)
+        ca, sa = math.cos(alpha), math.sin(alpha)
+        fx += -drag * ca + lift * sa
+        fz += -drag * sa - lift * ca
+
+        fy += qbar_s * (c_y_0 + c_y_beta * beta + c_y_p * p_hat
+                        + c_y_r * r_hat + c_y_delta_a * delta_a
+                        + c_y_delta_r * delta_r)
+        qbar_s_b = qbar_s * bw
+        l = qbar_s_b * (c_ell_0 + c_ell_beta * beta + c_ell_p * p_hat
+                        + c_ell_r * r_hat + c_ell_delta_a * delta_a
+                        + c_ell_delta_r * delta_r)
+        m = qbar_s * cbar * (c_m_0 + c_m_alpha * alpha + c_m_q * q_hat
+                             + c_m_delta_e * delta_e)
+        n = qbar_s_b * (c_n_0 + c_n_beta * beta + c_n_p * p_hat
+                        + c_n_r * r_hat + c_n_delta_a * delta_a
+                        + c_n_delta_r * delta_r)
+        return fx, fy, fz, l, m, n
+
+    def derivative(y: Sequence[float], fm: Sequence[float],
+                   wind: Sequence[float]) -> list[float]:
+        _, _, _, u, v, w, phi, theta, psi, p, q, r = y
+        _check_pitch(theta, y)
+        fx, fy, fz, l, m, n = fm
+        wind_n, wind_e, wind_d = wind
+
+        sphi, cphi = math.sin(phi), math.cos(phi)
+        sth, cth = math.sin(theta), math.cos(theta)
+        tth = sth / cth
+        spsi, cpsi = math.sin(psi), math.cos(psi)
+
+        # Navigation: rotate the air-relative body velocity to NED, add wind.
+        pn_dot = (cth * cpsi) * u + (sphi * sth * cpsi - cphi * spsi) * v \
+            + (cphi * sth * cpsi + sphi * spsi) * w + wind_n
+        pe_dot = (cth * spsi) * u + (sphi * sth * spsi + cphi * cpsi) * v \
+            + (cphi * sth * spsi - sphi * cpsi) * w + wind_e
+        pd_dot = -sth * u + sphi * cth * v + cphi * cth * w + wind_d
+
+        u_dot = r * v - q * w + fx * inv_mass
+        v_dot = p * w - r * u + fy * inv_mass
+        w_dot = q * u - p * v + fz * inv_mass
+
+        phi_dot = p + tth * (q * sphi + r * cphi)
+        theta_dot = q * cphi - r * sphi
+        psi_dot = (q * sphi + r * cphi) / cth
+
+        p_dot = g1 * p * q - g2 * q * r + g3 * l + g4 * n
+        q_dot = g5 * p * r - g6 * (p**2 - r**2) + m / iyy
+        r_dot = g7 * p * q - g1 * q * r + g4 * l + g8 * n
+
+        return [pn_dot, pe_dot, pd_dot, u_dot, v_dot, w_dot,
+                phi_dot, theta_dot, psi_dot, p_dot, q_dot, r_dot]
+
+    return Dynamics(forces_moments, derivative)
 
 
 def rk4_step(f: Callable[[Sequence[float]], Sequence[float]],
@@ -510,12 +480,11 @@ def rk4_step(f: Callable[[Sequence[float]], Sequence[float]],
 
 def clamp_command(cmd: ControlCommand, params: AircraftParams) -> ControlCommand:
     """Clamp surface deflections to their limits and throttle to [0, 1]."""
-    return replace(
-        cmd,
-        delta_a=max(-params.delta_a_max, min(params.delta_a_max, cmd.delta_a)),
-        delta_e=max(-params.delta_e_max, min(params.delta_e_max, cmd.delta_e)),
-        delta_r=max(-params.delta_r_max, min(params.delta_r_max, cmd.delta_r)),
-        delta_t=max(0.0, min(1.0, cmd.delta_t)),
+    return ControlCommand(
+        max(-params.delta_a_max, min(params.delta_a_max, cmd.delta_a)),
+        max(-params.delta_e_max, min(params.delta_e_max, cmd.delta_e)),
+        max(-params.delta_r_max, min(params.delta_r_max, cmd.delta_r)),
+        max(0.0, min(1.0, cmd.delta_t)),
     )
 
 
@@ -525,9 +494,10 @@ def integrate_step(
     env: Environment,
     params: AircraftParams,
     dt: float,
-    gammas: GammaSet,
+    dynamics: Dynamics,
 ) -> AircraftState:
-    """Advance the state one fixed RK4 step with the command held constant.
+    """Advance the state one fixed RK4 step of the airframe's dynamics
+    kernel (make_dynamics) with the command held constant.
 
     The actuator limits are applied here, at the plant. phi and psi are
     wrapped onto (-pi, pi] after the step; a pitch inside the singularity
@@ -536,10 +506,12 @@ def integrate_step(
     if dt <= 0.0:
         raise ConfigError("integration step must be positive")
     cmd = clamp_command(cmd, params)
+    u = (cmd.delta_a, cmd.delta_e, cmd.delta_r, cmd.delta_t)
+    wind = (env.wind_n, env.wind_e, env.wind_d)
+    forces_moments, derivative = dynamics
 
     def f(y: Sequence[float]) -> list[float]:
-        return state_derivative(y, aero_forces_moments(y, cmd, params),
-                                params, env, gammas)
+        return derivative(y, forces_moments(y, u), wind)
 
     y1 = rk4_step(f, state, dt)
     if not all(map(math.isfinite, y1)):
@@ -587,23 +559,24 @@ def trim(
             f"trim airspeed {va_target:.1f} m/s is at or below the "
             f"linear-range floor {floor:.1f} m/s"
         )
-    gammas = gamma_terms(params)
+    forces_moments, derivative = make_dynamics(params, gamma_terms(params))
+    wind = (env.wind_n, env.wind_e, env.wind_d)
 
-    def build(x: np.ndarray) -> tuple[AircraftState, ControlCommand]:
+    def build(x: np.ndarray) -> tuple[AircraftState, tuple[float, ...]]:
         alpha, delta_e, delta_t = float(x[0]), float(x[1]), float(x[2])
         state = AircraftState(
             u=va_target * math.cos(alpha),
             w=va_target * math.sin(alpha),
             theta=alpha + gamma_target,
         )
-        cmd = ControlCommand(delta_a=0.0, delta_e=delta_e, delta_r=0.0,
-                             delta_t=delta_t)
-        return state, cmd
+        return state, (0.0, delta_e, 0.0, delta_t)
+
+    def derivatives(x: np.ndarray) -> list[float]:
+        state, cmd = build(x)
+        return derivative(state, forces_moments(state, cmd), wind)
 
     def residual(x: np.ndarray) -> np.ndarray:
-        state, cmd = build(x)
-        fm = aero_forces_moments(state, cmd, params)
-        deriv = state_derivative(state, fm, params, env, gammas)
+        deriv = derivatives(x)
         return np.array([deriv[3], deriv[5], deriv[10]])  # u_dot, w_dot, q_dot
 
     x = np.array([0.05, 0.0, 0.5])
@@ -645,6 +618,7 @@ def trim(
         )
 
     state, cmd = build(x)
+    cmd = ControlCommand(*cmd)
     if not 0.0 <= cmd.delta_t <= 1.0:
         raise TrimFailureError(
             f"trim throttle {cmd.delta_t:.3f} outside [0, 1]",
@@ -658,8 +632,7 @@ def trim(
 
     # Full six-axis check plus achieved climb angle (theta - alpha here,
     # exact for beta = 0 and wings level).
-    fm = aero_forces_moments(state, cmd, params)
-    deriv = state_derivative(state, fm, params, env, gammas)
+    deriv = derivatives(x)
     full = [abs(d) for d in deriv[3:6] + deriv[9:12]]
     _, alpha, _ = _airspeed_angles(state.u, state.v, state.w)
     climb_err = abs((state.theta - alpha) - gamma_target)

@@ -27,9 +27,10 @@ COLLINEAR_TOLERANCE = 1e-6
 class PathSegment:
     """One trackable path element: an infinite line or a circular orbit.
 
-    Lines carry a 3-D origin (NED) and horizontal unit direction. Orbits
-    carry a horizontal center (n, e), radius (m), and direction flag
-    (+1 clockwise from above, -1 counterclockwise).
+    Lines carry a 3-D origin (NED) and horizontal unit direction, and
+    keep the course angle chi of that direction with its cosine and sine.
+    Orbits carry a horizontal center (n, e), radius (m), and direction
+    flag (+1 clockwise from above, -1 counterclockwise).
     """
 
     kind: str
@@ -39,6 +40,15 @@ class PathSegment:
     radius: float = 0.0
     lam: int = 1
     exit_fillet_radius: float = 0.0
+    chi: float = field(init=False, default=0.0)
+    cos_chi: float = field(init=False, default=1.0)
+    sin_chi: float = field(init=False, default=0.0)
+
+    def __post_init__(self) -> None:
+        if self.kind == "line":
+            self.chi = math.atan2(float(self.direction[1]),
+                                  float(self.direction[0]))
+            self.cos_chi, self.sin_chi = math.cos(self.chi), math.sin(self.chi)
 
     @classmethod
     def line(cls, origin, direction) -> "PathSegment":
@@ -62,10 +72,6 @@ class PathSegment:
             raise ConfigError("orbit direction flag must be +1 (cw) or -1 (ccw)")
         return cls(kind="orbit", center=np.asarray(center, dtype=float),
                    radius=float(radius), lam=int(lam))
-
-    def course(self) -> float:
-        """Course angle of a line segment's direction."""
-        return math.atan2(float(self.direction[1]), float(self.direction[0]))
 
 
 @dataclass
@@ -105,20 +111,16 @@ def line_error(p, seg: PathSegment) -> tuple[float, float, float]:
     Returns (e_px, e_py, e_pz): along-track, cross-track (positive right
     of the path direction), and down components.
     """
-    delta = np.asarray(p, dtype=float) - seg.origin
-    chi_path = seg.course()
-    c, s = math.cos(chi_path), math.sin(chi_path)
-    e_px = c * float(delta[0]) + s * float(delta[1])
-    e_py = -s * float(delta[0]) + c * float(delta[1])
-    e_pz = float(delta[2])
-    return e_px, e_py, e_pz
+    on, oe, od = seg.origin.tolist()
+    dn, de = p[0] - on, p[1] - oe
+    c, s = seg.cos_chi, seg.sin_chi
+    return c * dn + s * de, -s * dn + c * de, p[2] - od
 
 
 def orbit_error(p, seg: PathSegment) -> float:
     """Signed radial error -lam*(rd - dist) from the orbit circle."""
-    p = np.asarray(p, dtype=float)
-    dist = math.hypot(float(p[0]) - float(seg.center[0]),
-                      float(p[1]) - float(seg.center[1]))
+    cn, ce = seg.center.tolist()
+    dist = math.hypot(p[0] - cn, p[1] - ce)
     return -seg.lam * (seg.radius - dist)
 
 
@@ -132,14 +134,13 @@ def course_command_line(e_py: float, seg: PathSegment,
     correction = gains.capture_gain * e_py
     cap = gains.intercept_angle
     correction = max(-cap, min(cap, correction))
-    return wrap_pi(seg.course() - correction)
+    return wrap_pi(seg.chi - correction)
 
 
 def course_command_orbit(p, seg: PathSegment, gains: GuidanceGains) -> float:
     """Course command tangent to an orbit plus a radial capture correction."""
-    p = np.asarray(p, dtype=float)
-    dn = float(p[0]) - float(seg.center[0])
-    de = float(p[1]) - float(seg.center[1])
+    cn, ce = seg.center.tolist()
+    dn, de = p[0] - cn, p[1] - ce
     dist = math.hypot(dn, de)
     if dist < 1e-9:
         raise UndefinedBearingError(
@@ -396,8 +397,7 @@ class PathManager:
 
     def step(self, p) -> CourseCommand:
         """Advance switching logic and produce the course command at p."""
-        p = np.asarray(p, dtype=float)
-        p2 = p[:2]
+        p2 = np.asarray(p, dtype=float)[:2]
         if not self.complete:
             self._advance(p2)
         self._track_orbit_completion(p2)

@@ -19,29 +19,23 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .control import (
-    MIN_SCHEDULING_AIRSPEED,
     LoopState,
-    ScheduledGains,
-    aotc_gain_synthesis,
     aotc_step,
     apply_rate_limits,
-    lon_gain_synthesis,
     longitudinal_holds,
-    ratc_gain_synthesis,
+    make_gain_schedule,
     ratc_step,
-    roll_gain_synthesis,
 )
 from .dynamics import (
     AircraftState,
     AirData,
     ControlCommand,
     Environment,
-    GammaSet,
     GustModel,
     air_data,
-    combined_yaw_coeffs,
     gamma_terms,
     integrate_step,
+    make_dynamics,
     trim,
 )
 from .errors import ConfigError, DynamicsFaultError
@@ -104,41 +98,18 @@ CSV_COLUMNS = tuple(
 _CSV_BLOCK_ROWS = 32
 
 
-def schedule_gains(mode: str, cfg: ScenarioConfig, gammas: GammaSet,
-                   airdata: AirData) -> ScheduledGains:
-    """Synthesize one lateral law's gains and the longitudinal holds at
-    airdata."""
-    params, c = cfg.params, cfg.ctrl
-    va = max(airdata.va, MIN_SCHEDULING_AIRSPEED)
-    heading_plant = heading = roll = aotc = None
-    if mode == "ratc":
-        heading_plant = combined_yaw_coeffs(params, gammas, airdata)
-        heading = ratc_gain_synthesis(heading_plant, c.wn_psi, c.zeta_psi)
-        roll = roll_gain_synthesis(params, gammas, va, c.wn_roll,
-                                   c.zeta_roll, ki=c.ki_roll)
-    else:
-        aotc = aotc_gain_synthesis(params, gammas, va, airdata.vg, c.wn_roll,
-                                   c.zeta_roll, c.course_separation,
-                                   c.zeta_course)
-    lon = lon_gain_synthesis(params, va, c.wn_pitch, c.zeta_pitch, c.wn_alt,
-                             c.zeta_alt, c.kp_airspeed, c.ki_airspeed,
-                             c.pitch_limit)
-    return ScheduledGains(heading_plant, heading, roll, aotc, lon)
-
-
 class FlightController:
     """Full autopilot for one run: one lateral law plus the longitudinal
     holds, gain-scheduled on the current airspeed."""
 
     def __init__(self, mode: str, cfg: ScenarioConfig,
                  trim_state: AircraftState, trim_cmd: ControlCommand):
-        if mode not in ("aotc", "ratc"):
-            raise ConfigError(f"controller mode must be aotc or ratc, got "
-                              f"{mode!r}")
-        self.mode = mode
-        self.cfg = cfg
-        self.params = cfg.params
         self.gammas = gamma_terms(cfg.params)
+        self.schedule = make_gain_schedule(mode, cfg.params, self.gammas,
+                                           cfg.ctrl)
+        self.mode = mode
+        self.params = cfg.params
+        self.bank_limit = cfg.ctrl.bank_limit
         self.trim_theta = trim_state.theta
         self.trim_cmd = trim_cmd
         self.h_cmd = cfg.plan.nominal_agl
@@ -148,17 +119,16 @@ class FlightController:
     def step(self, chi_cmd: float, state: AircraftState, airdata: AirData,
              dt: float) -> ControlCommand:
         prev = self.loop.prev_command
-        gains = schedule_gains(self.mode, self.cfg, self.gammas, airdata)
+        gains = self.schedule(airdata.va, airdata.vg)
         if self.mode == "ratc":
-            delta_a, delta_r = ratc_step(chi_cmd, state, airdata,
-                                         gains.heading, gains.roll,
+            delta_a, delta_r = ratc_step(chi_cmd, state, airdata, gains,
                                          self.loop, dt, self.params)
         else:
-            delta_a, delta_r = aotc_step(chi_cmd, state, airdata, gains.aotc,
+            delta_a, delta_r = aotc_step(chi_cmd, state, airdata, gains,
                                          self.loop, dt, self.params,
-                                         self.cfg.ctrl.bank_limit)
+                                         self.bank_limit)
         delta_e, delta_t = longitudinal_holds(state, airdata, self.h_cmd,
-                                              self.va_cmd, gains.lon,
+                                              self.va_cmd, gains,
                                               self.loop, dt, self.trim_theta,
                                               self.trim_cmd, self.params)
         cmd = apply_rate_limits(ControlCommand(delta_a, delta_e, delta_r,
@@ -231,6 +201,7 @@ def run_scenario(
     incomplete. Dynamics faults (singularity, non-finite state) truncate
     the log and are reported in the fault field instead of raising.
     """
+    cfg.validate()
     mode = cfg.ctrl.mode if mode is None else mode
     if mode not in ("aotc", "ratc"):
         raise ConfigError(f"controller mode must be aotc or ratc, got {mode!r}")
@@ -248,7 +219,7 @@ def run_scenario(
                           cfg.ctrl.slew_settings())
     controller = FlightController(mode, cfg, trim_state, trim_cmd)
     gust = GustModel(cfg.env.gust_intensity, cfg.env.gust_tau, dt, cfg.seed)
-    gammas = controller.gammas
+    dynamics = make_dynamics(cfg.params, controller.gammas)
 
     n_cap = int(round(duration / dt))
     # One array per field: a single (fields, n_cap) buffer passes 4 MiB on
@@ -261,12 +232,9 @@ def run_scenario(
     steps = 0
     fault: str | None = None
     for k in range(n_cap):
-        gust_ned = gust.step()
-        env = Environment(
-            base_env.wind_n + float(gust_ned[0]),
-            base_env.wind_e + float(gust_ned[1]),
-            base_env.wind_d + float(gust_ned[2]),
-        )
+        gust_n, gust_e, gust_d = gust.step()
+        env = Environment(base_env.wind_n + gust_n, base_env.wind_e + gust_e,
+                          base_env.wind_d + gust_d)
         airdata = air_data(state, env)
         course = manager.step(state[:3])
         cmd = controller.step(course.chi_cmd, state, airdata, dt)
@@ -283,7 +251,7 @@ def run_scenario(
         steps = k + 1
 
         try:
-            state = integrate_step(state, cmd, env, cfg.params, dt, gammas)
+            state = integrate_step(state, cmd, env, cfg.params, dt, dynamics)
         except DynamicsFaultError as exc:
             fault = f"{exc.category}: {exc} at t = {t:.2f} s"
             break

@@ -22,7 +22,7 @@ from levelwing.config import (
     load_aircraft,
     load_config,
 )
-from levelwing.dynamics import Environment, gamma_terms, trim
+from levelwing.dynamics import Environment, gamma_terms, make_dynamics, trim
 from levelwing.scenario import compare_controllers, run_scenario
 
 DATA_DIR = Path(levelwing.__file__).parent / "data"
@@ -36,6 +36,12 @@ def params():
 @pytest.fixture(scope="session")
 def gammas(params):
     return gamma_terms(params)
+
+
+@pytest.fixture(scope="session")
+def dynamics(params, gammas):
+    """The stock airframe's dynamics kernel."""
+    return make_dynamics(params, gammas)
 
 
 @pytest.fixture(scope="session")

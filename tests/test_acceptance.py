@@ -8,30 +8,28 @@ session fixtures so the expensive trajectories are only flown once.
 
 import math
 import time
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 
-from levelwing.config import load_config
+from levelwing.config import ControllerSettings, load_config
 from levelwing.control import (
     ControlCommand,
     LoopState,
-    RatcGains,
-    lon_gain_synthesis,
     longitudinal_holds,
-    ratc_gain_synthesis,
+    make_gain_schedule,
+    place_poles,
     ratc_step,
-    roll_gain_synthesis,
 )
 from levelwing.dynamics import (
     AircraftState,
     Environment,
-    aero_forces_moments,
     air_data,
     clamp_command,
     combined_yaw_coeffs,
     gamma_terms,
     integrate_step,
+    make_dynamics,
     rk4_step,
     trim,
 )
@@ -108,39 +106,47 @@ def test_criterion_1_equation_identities(params):
         ad = air_data(state, CALM)
         delta_a = rng.uniform(-0.3, 0.3)
         delta_r = rng.uniform(-0.3, 0.3)
-        coeffs = combined_yaw_coeffs(draw, g, ad, p=state.p, delta_a=delta_a)
+        fold = combined_yaw_coeffs(draw, g)
+        coeffs = make_gain_schedule("ratc", draw, g, ControllerSettings())(
+            ad.va, ad.vg)
         for cr, cl, cn in (
-            (coeffs.cr_beta, draw.c_ell_beta, draw.c_n_beta),
-            (coeffs.cr_p, draw.c_ell_p, draw.c_n_p),
-            (coeffs.cr_r, draw.c_ell_r, draw.c_n_r),
-            (coeffs.cr_delta_a, draw.c_ell_delta_a, draw.c_n_delta_a),
-            (coeffs.cr_delta_r, draw.c_ell_delta_r, draw.c_n_delta_r),
+            (fold.cr_beta, draw.c_ell_beta, draw.c_n_beta),
+            (fold.cr_p, draw.c_ell_p, draw.c_n_p),
+            (fold.cr_r, draw.c_ell_r, draw.c_n_r),
+            (fold.cr_delta_a, draw.c_ell_delta_a, draw.c_n_delta_a),
+            (fold.cr_delta_r, draw.c_ell_delta_r, draw.c_n_delta_r),
         ):
             assert rel_close(cr, g.gamma4 * cl + g.gamma8 * cn)
         qs = 0.5 * draw.rho * ad.va**2 * draw.wing_area * draw.wing_span
         assert rel_close(coeffs.a_psi1,
                          -0.25 * draw.rho * ad.va * draw.wing_area
-                         * draw.wing_span**2 * coeffs.cr_r)
-        assert rel_close(coeffs.a_psi2, qs * coeffs.cr_delta_r)
+                         * draw.wing_span**2 * fold.cr_r)
+        assert rel_close(coeffs.a_psi2, qs * fold.cr_delta_r)
 
         # The reduced heading equation reproduces the moment buildup.
         cmd = ControlCommand(delta_a=delta_a, delta_e=rng.uniform(-0.3, 0.3),
                              delta_r=delta_r, delta_t=rng.uniform(0.0, 1.0))
-        fm = aero_forces_moments(state, cmd, draw)
-        lhs = g.gamma4 * fm.l + g.gamma8 * fm.n
+        _, _, _, fm_l, _, fm_n = make_dynamics(draw, g).forces_moments(
+            state, astuple(cmd))
+        # d_psi: the sideslip, roll-rate and aileron terms of the fold.
+        d_psi = qs * (fold.cr_0 + fold.cr_beta * ad.beta
+                      + fold.cr_p * (draw.wing_span * state.p / (2.0 * ad.va))
+                      + fold.cr_delta_a * delta_a)
+        lhs = g.gamma4 * fm_l + g.gamma8 * fm_n
         rhs = (-coeffs.a_psi1 * state.r + coeffs.a_psi2 * delta_r
-               + coeffs.d_psi)
+               + d_psi)
         assert rel_close(lhs, rhs)
 
         # Rudder PD synthesis realizes the design polynomial exactly.
         wn = rng.uniform(0.5, 12.0)
         zeta = rng.uniform(0.4, 1.5)
-        gains = ratc_gain_synthesis(coeffs, wn, zeta)
-        assert rel_close(coeffs.a_psi2 * gains.kp_psi, wn**2)
-        assert rel_close(coeffs.a_psi1 + coeffs.a_psi2 * gains.kd_psi,
+        kp_psi, kd_psi = place_poles(coeffs.a_psi1, coeffs.a_psi2, 0.0, wn,
+                                     zeta)
+        assert rel_close(coeffs.a_psi2 * kp_psi, wn**2)
+        assert rel_close(coeffs.a_psi1 + coeffs.a_psi2 * kd_psi,
                          2.0 * zeta * wn)
-        poles = np.roots([1.0, coeffs.a_psi1 + coeffs.a_psi2 * gains.kd_psi,
-                          coeffs.a_psi2 * gains.kp_psi])
+        poles = np.roots([1.0, coeffs.a_psi1 + coeffs.a_psi2 * kd_psi,
+                          coeffs.a_psi2 * kp_psi])
         design = np.roots([1.0, 2.0 * zeta * wn, wn**2])
         assert np.allclose(sorted(poles, key=np.real),
                            sorted(design, key=np.real), rtol=1e-9, atol=1e-9)
@@ -171,34 +177,35 @@ def test_criterion_2_heading_step_matches_analytic_plant(params):
                       c_n_delta_a=0.0, c_ell_beta=0.0, c_ell_r=0.0,
                       c_ell_delta_r=0.0, c_y_beta=-19.6)
     gammas = gamma_terms(variant)
+    dynamics = make_dynamics(variant, gammas)
     trim_state, trim_cmd = trim(variant, CALM, 20.0)
     state = trim_state._replace(pd=-150.0)
 
-    coeffs0 = combined_yaw_coeffs(variant, gammas, air_data(state, CALM))
+    # Roll hold (10 rad/s, 1, ki 2), pitch (10 rad/s, 0.9), altitude
+    # (0.8 rad/s, 1), airspeed PI (0.4, 0.15), pitch limit 20 deg.
+    schedule = make_gain_schedule("ratc", variant, gammas,
+                                  ControllerSettings())
+    ad0 = air_data(state, CALM)
+    coeffs0 = schedule(ad0.va, ad0.vg)
     a1, a2 = coeffs0.a_psi1, coeffs0.a_psi2
 
     dt = 0.01
     n = 500
     delta_r = math.radians(1.0)
-    null_heading = RatcGains(kp_psi=0.0, kd_psi=0.0, wn_psi=1.0,
-                             zeta_psi=1.0)
     loop = LoopState()
     psi_sim = np.zeros(n)
     for k in range(n):
         psi_sim[k] = state.psi
         ad = air_data(state, CALM)
-        va = max(ad.va, 1.0)
-        roll = roll_gain_synthesis(variant, gammas, va, 10.0, 1.0, ki=2.0)
-        delta_a, _ = ratc_step(0.0, state, ad, null_heading, roll, loop, dt,
-                               variant)
-        lon = lon_gain_synthesis(variant, va, 10.0, 0.9, 0.8, 1.0, 0.4,
-                                 0.15, math.radians(20.0))
-        delta_e, delta_t = longitudinal_holds(state, ad, 150.0, 20.0, lon,
+        # The rudder is held open loop: the heading PD is zeroed.
+        gains = schedule(ad.va, ad.vg)._replace(kp_psi=0.0, kd_psi=0.0)
+        delta_a, _ = ratc_step(0.0, state, ad, gains, loop, dt, variant)
+        delta_e, delta_t = longitudinal_holds(state, ad, 150.0, 20.0, gains,
                                               loop, dt, trim_state.theta,
                                               trim_cmd, variant)
         cmd = clamp_command(ControlCommand(delta_a, delta_e, delta_r,
                                            delta_t), variant)
-        state = integrate_step(state, cmd, CALM, variant, dt, gammas)
+        state = integrate_step(state, cmd, CALM, variant, dt, dynamics)
 
     t = np.arange(n) * dt
     psi_ref = a2 * delta_r * (t / a1 - (1.0 - np.exp(-a1 * t)) / a1**2)

@@ -1,4 +1,4 @@
-"""Gain synthesis, the two lateral correctors, and the longitudinal holds."""
+"""Gain schedule, the two lateral correctors, and the longitudinal holds."""
 
 import math
 from dataclasses import replace
@@ -6,196 +6,187 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from levelwing.config import ControllerSettings
 from levelwing.control import (
-    AotcGains,
     ControlCommand,
-    CourseGains,
     LoopState,
-    RollGains,
-    aotc_gain_synthesis,
     aotc_step,
     apply_rate_limits,
-    course_gain_synthesis,
-    lon_gain_synthesis,
     longitudinal_holds,
-    pitch_plant,
-    ratc_gain_synthesis,
+    make_gain_schedule,
+    place_poles,
     ratc_step,
-    roll_gain_synthesis,
-    roll_plant,
 )
 from levelwing.dynamics import AircraftState, Environment, air_data, \
-    combined_yaw_coeffs
+    gamma_terms
 from levelwing.errors import ConfigError, UncontrollablePlantError
 
 CALM = Environment()
 
 
-def heading_coeffs(params, gammas, va=20.0):
-    return combined_yaw_coeffs(params, gammas,
-                               air_data(AircraftState(u=va), CALM))
+def schedule(mode, params, gammas=None, **ctrl):
+    """The gain schedule of one law on the stock settings, with changes."""
+    gammas = gamma_terms(params) if gammas is None else gammas
+    return make_gain_schedule(mode, params, gammas,
+                              ControllerSettings(**ctrl))
 
 
-def test_ratc_gains_hand_worked(params, gammas):
-    coeffs = replace(heading_coeffs(params, gammas), a_psi1=0.7, a_psi2=2.0)
-    gains = ratc_gain_synthesis(coeffs, 2.0, 0.75)
-    assert gains.kp_psi == pytest.approx(2.0, rel=1e-12)
-    assert gains.kd_psi == pytest.approx(1.15, rel=1e-12)
+def test_ratc_gains_hand_worked():
+    kp_psi, kd_psi = place_poles(0.7, 2.0, 0.0, 2.0, 0.75)
+    assert kp_psi == pytest.approx(2.0, rel=1e-12)
+    assert kd_psi == pytest.approx(1.15, rel=1e-12)
 
 
-def test_ratc_gain_closed_loop_identity_randomized(params, gammas):
+def test_ratc_gain_closed_loop_identity_randomized():
     # The designed characteristic polynomial s^2 + 2*zeta*wn*s + wn^2 must
     # be realized exactly: a2*kp = wn^2 and a1 + a2*kd = 2*zeta*wn.
-    base = heading_coeffs(params, gammas)
     rng = np.random.default_rng(9)
     for _ in range(300):
         a1 = rng.uniform(-2.0, 2.0)
         a2 = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 30.0)
         wn = rng.uniform(0.2, 15.0)
         zeta = rng.uniform(0.3, 2.0)
-        g = ratc_gain_synthesis(replace(base, a_psi1=a1, a_psi2=a2), wn, zeta)
-        assert math.isclose(a2 * g.kp_psi, wn**2, rel_tol=1e-12)
-        assert math.isclose(a1 + a2 * g.kd_psi, 2.0 * zeta * wn,
+        kp_psi, kd_psi = place_poles(a1, a2, 0.0, wn, zeta)
+        assert math.isclose(a2 * kp_psi, wn**2, rel_tol=1e-12)
+        assert math.isclose(a1 + a2 * kd_psi, 2.0 * zeta * wn,
                             rel_tol=1e-12, abs_tol=1e-12)
-        poles = np.roots([1.0, a1 + a2 * g.kd_psi, a2 * g.kp_psi])
+        poles = np.roots([1.0, a1 + a2 * kd_psi, a2 * kp_psi])
         design = np.roots([1.0, 2.0 * zeta * wn, wn**2])
         assert np.allclose(sorted(poles, key=np.real),
                            sorted(design, key=np.real), rtol=1e-9, atol=1e-9)
 
 
 def test_ratc_gains_reject_zero_rudder_authority(params, gammas):
-    dead = replace(heading_coeffs(params, gammas), a_psi2=0.0)
+    dead = replace(params, c_ell_delta_r=0.0, c_n_delta_r=0.0)
     with pytest.raises(UncontrollablePlantError):
-        ratc_gain_synthesis(dead, 4.0, 0.9)
+        schedule("ratc", dead)
     with pytest.raises(ConfigError):
-        ratc_gain_synthesis(heading_coeffs(params, gammas), 0.0, 0.9)
+        schedule("ratc", params, gammas, wn_psi=0.0)
 
 
 def test_roll_gains_realize_design_poles(params, gammas):
-    a1, a2 = roll_plant(params, gammas, 20.0)
-    g = roll_gain_synthesis(params, gammas, 20.0, 10.0, 1.0, ki=2.0)
-    assert math.isclose(a2 * g.kp, 100.0, rel_tol=1e-12)
-    assert math.isclose(a1 + a2 * g.kd, 20.0, rel_tol=1e-12)
-    assert g.ki == 2.0
+    g = schedule("ratc", params, gammas)(20.0, 20.0)
+    a1, a2 = g.a_phi1, g.a_phi2
+    assert math.isclose(a2 * g.kp_roll, 100.0, rel_tol=1e-12)
+    assert math.isclose(a1 + a2 * g.kd_roll, 20.0, rel_tol=1e-12)
+    assert g.ki_roll == 2.0
 
 
-def test_roll_gains_reject_zero_aileron_authority(params, gammas):
-    from levelwing.dynamics import gamma_terms
+def test_roll_gains_reject_zero_aileron_authority(params):
     dead = replace(params, c_ell_delta_a=0.0, c_n_delta_a=0.0)
     with pytest.raises(UncontrollablePlantError):
-        roll_gain_synthesis(dead, gamma_terms(dead), 20.0, 10.0, 1.0)
+        schedule("ratc", dead)
 
 
-def test_course_gains_kinematic_plant():
-    g = course_gain_synthesis(20.0, 9.81, 0.625, 0.9)
-    assert g.kp == pytest.approx(2.0 * 0.9 * 0.625 * 20.0 / 9.81, rel=1e-12)
-    assert g.ki == pytest.approx(0.625**2 * 20.0 / 9.81, rel=1e-12)
+def test_course_gains_kinematic_plant(params, gammas):
+    # wn_roll 10 rad/s over the separation 16: the course loop at 0.625.
+    course = schedule("aotc", params, gammas)
+    g = course(20.0, 20.0)
+    assert g.kp_course == pytest.approx(2.0 * 0.9 * 0.625 * 20.0 / 9.81,
+                                        rel=1e-12)
+    assert g.ki_course == pytest.approx(0.625**2 * 20.0 / 9.81, rel=1e-12)
     # Ground speed is floored so a standstill cannot zero the gains.
-    slow = course_gain_synthesis(0.0, 9.81, 0.625, 0.9)
-    assert slow.kp == pytest.approx(2.0 * 0.9 * 0.625 / 9.81, rel=1e-12)
+    slow = course(20.0, 0.0)
+    assert slow.kp_course == pytest.approx(2.0 * 0.9 * 0.625 / 9.81,
+                                           rel=1e-12)
 
 
 def test_aotc_synthesis_separates_bandwidths(params, gammas):
-    gains = aotc_gain_synthesis(params, gammas, 20.0, 20.0, 10.0, 1.0,
-                                16.0, 0.9)
-    assert gains.course.wn == pytest.approx(10.0 / 16.0, rel=1e-12)
-    gains.validate()
+    gains = schedule("aotc", params, gammas)(20.0, 20.0)
+    # ki = wn^2*Vg/g, so the course loop sits at wn_roll/separation.
+    wn_course = math.sqrt(gains.ki_course * params.gravity / 20.0)
+    assert wn_course == pytest.approx(10.0 / 16.0, rel=1e-12)
     with pytest.raises(ConfigError):
-        aotc_gain_synthesis(params, gammas, 20.0, 20.0, 10.0, 1.0, 0.5, 0.9)
-
-
-def test_aotc_validate_rejects_inverted_bandwidths():
-    roll = RollGains(kp=1.0, kd=0.1, ki=0.0, wn=10.0, zeta=1.0)
-    fast_course = CourseGains(kp=1.0, ki=0.1, wn=3.0, zeta=0.9)
-    with pytest.raises(ConfigError):
-        AotcGains(roll=roll, course=fast_course, separation=5.0).validate()
+        schedule("aotc", params, gammas, course_separation=0.5)
 
 
 def test_pitch_gains_reject_zero_elevator_authority(params):
     dead = replace(params, c_m_delta_e=0.0)
     with pytest.raises(UncontrollablePlantError):
-        lon_gain_synthesis(dead, 20.0, 10.0, 0.9, 0.8, 1.0, 0.4, 0.15,
-                           math.radians(20.0))
+        schedule("ratc", dead)
 
 
-def test_pitch_plant_scales_with_dynamic_pressure(params):
-    a1_20, a2_20, a3_20 = pitch_plant(params, 20.0)
-    a1_40, a2_40, a3_40 = pitch_plant(params, 40.0)
+def test_pitch_plant_scales_with_dynamic_pressure(params, gammas):
+    lon = schedule("ratc", params, gammas)
+    g20, g40 = lon(20.0, 20.0), lon(40.0, 40.0)
+    a1_20, a2_20, a3_20 = g20.a_theta1, g20.a_theta2, g20.a_theta3
+    a1_40, a2_40, a3_40 = g40.a_theta1, g40.a_theta2, g40.a_theta3
     assert a2_40 / a2_20 == pytest.approx(4.0, rel=1e-12)
     assert a3_40 / a3_20 == pytest.approx(4.0, rel=1e-12)
     assert a1_40 / a1_20 == pytest.approx(2.0, rel=1e-12)
 
 
 def ratc_setup(params, gammas):
-    coeffs = heading_coeffs(params, gammas)
-    yaw = ratc_gain_synthesis(coeffs, 4.0, 0.9)
-    roll = roll_gain_synthesis(params, gammas, 20.0, 10.0, 1.0, ki=2.0)
-    return coeffs, yaw, roll
+    """ratc gains at 20 m/s: heading (4 rad/s, 0.9), roll (10 rad/s, 1,
+    ki 2)."""
+    return schedule("ratc", params, gammas)(20.0, 20.0)
 
 
 def test_ratc_step_zero_error_is_fixed_point(params, gammas):
-    _, yaw, roll = ratc_setup(params, gammas)
+    gains = ratc_setup(params, gammas)
     state = AircraftState(u=20.0)
     loop = LoopState()
-    delta_a, delta_r = ratc_step(0.0, state, air_data(state, CALM), yaw,
-                                 roll, loop, 0.01, params)
+    delta_a, delta_r = ratc_step(0.0, state, air_data(state, CALM), gains,
+                                 loop, 0.01, params)
     assert delta_a == pytest.approx(0.0, abs=1e-12)
     assert delta_r == pytest.approx(0.0, abs=1e-12)
     assert loop.last_errors == {"heading": pytest.approx(0.0, abs=1e-12)}
 
 
 def test_ratc_step_commands_corrective_yaw_moment(params, gammas):
-    coeffs, yaw, roll = ratc_setup(params, gammas)
+    gains = ratc_setup(params, gammas)
     state = AircraftState(u=20.0)
-    _, delta_r = ratc_step(0.3, state, air_data(state, CALM), yaw, roll,
+    _, delta_r = ratc_step(0.3, state, air_data(state, CALM), gains,
                            LoopState(), 0.01, params)
     # Rudder effectiveness is negative on this airframe, so the deflection
     # itself is negative; the produced yaw acceleration must be positive.
-    assert coeffs.a_psi2 * delta_r > 0.0
+    assert gains.a_psi2 * delta_r > 0.0
 
 
 def test_ratc_step_error_wraps_across_seam(params, gammas):
-    _, yaw, roll = ratc_setup(params, gammas)
+    gains = ratc_setup(params, gammas)
     state = AircraftState(u=20.0, psi=math.radians(175.0))
     loop = LoopState()
-    ratc_step(math.radians(-175.0), state, air_data(state, CALM), yaw, roll,
+    ratc_step(math.radians(-175.0), state, air_data(state, CALM), gains,
               loop, 0.01, params)
     assert loop.last_errors["heading"] == pytest.approx(math.radians(10.0),
                                                         rel=1e-9)
 
 
 def test_ratc_step_levels_the_wings(params, gammas):
-    _, yaw, roll = ratc_setup(params, gammas)
+    gains = ratc_setup(params, gammas)
     state = AircraftState(u=20.0, phi=0.2)
-    delta_a, _ = ratc_step(0.0, state, air_data(state, CALM), yaw, roll,
+    delta_a, _ = ratc_step(0.0, state, air_data(state, CALM), gains,
                            LoopState(), 0.01, params)
-    assert math.copysign(1.0, delta_a) == -math.copysign(1.0, roll.kp * 0.2)
+    assert math.copysign(1.0, delta_a) == -math.copysign(1.0,
+                                                         gains.kp_roll * 0.2)
     assert delta_a != 0.0
 
 
 def test_ratc_step_single_tracked_error_topology(params, gammas):
-    _, yaw, roll = ratc_setup(params, gammas)
+    gains = ratc_setup(params, gammas)
     state = AircraftState(u=20.0, phi=0.1)
     loop = LoopState()
-    ratc_step(0.5, state, air_data(state, CALM), yaw, roll, loop, 0.01,
+    ratc_step(0.5, state, air_data(state, CALM), gains, loop, 0.01,
               params)
     assert set(loop.last_errors) == {"heading"}
     assert set(loop.last_saturated) == {"delta_r", "delta_a"}
 
 
 def test_ratc_step_saturates_at_surface_limit(params, gammas):
-    _, yaw, roll = ratc_setup(params, gammas)
+    gains = ratc_setup(params, gammas)
     state = AircraftState(u=20.0)
     loop = LoopState()
-    _, delta_r = ratc_step(math.pi, state, air_data(state, CALM), yaw, roll,
+    _, delta_r = ratc_step(math.pi, state, air_data(state, CALM), gains,
                            loop, 0.01, params)
     assert abs(delta_r) == pytest.approx(params.delta_r_max)
     assert loop.last_saturated["delta_r"]
 
 
 def aotc_setup(params, gammas):
-    return aotc_gain_synthesis(params, gammas, 20.0, 20.0, 10.0, 1.0, 16.0,
-                               0.9)
+    """aotc gains at 20 m/s: roll (10 rad/s, 1), course separated by 16
+    (zeta 0.9)."""
+    return schedule("aotc", params, gammas)(20.0, 20.0)
 
 
 def test_aotc_step_zero_error_is_fixed_point(params, gammas):
@@ -245,7 +236,7 @@ def test_aotc_antiwindup_desaturates_quickly(params, gammas):
         aotc_step(1.0, state, ad, gains, loop, dt, params,
                   math.radians(45.0))
     assert loop.last_saturated["phi_cmd"]
-    bound = math.radians(45.0) / gains.course.ki
+    bound = math.radians(45.0) / gains.ki_course
     assert abs(loop.course_int) <= bound + 1e-9
     # Reverse with an error small enough that the proportional term alone
     # sits inside the bank limit: a wound-up integrator would hold the
@@ -262,7 +253,7 @@ def test_aotc_antiwindup_desaturates_quickly(params, gammas):
 
 def test_lateral_commands_respect_limits_randomized(params, gammas):
     rng = np.random.default_rng(10)
-    yaw_roll = ratc_setup(params, gammas)
+    ratc_gains = ratc_setup(params, gammas)
     aotc_gains = aotc_setup(params, gammas)
     for _ in range(200):
         state = AircraftState(
@@ -274,8 +265,8 @@ def test_lateral_commands_respect_limits_randomized(params, gammas):
         )
         ad = air_data(state, CALM)
         chi_cmd = rng.uniform(-math.pi, math.pi)
-        da, dr = ratc_step(chi_cmd, state, ad, yaw_roll[1], yaw_roll[2],
-                           LoopState(), 0.01, params)
+        da, dr = ratc_step(chi_cmd, state, ad, ratc_gains, LoopState(), 0.01,
+                           params)
         assert abs(da) <= params.delta_a_max + 1e-12
         assert abs(dr) <= params.delta_r_max + 1e-12
         da, dr = aotc_step(chi_cmd, state, ad, aotc_gains, LoopState(), 0.01,
@@ -285,8 +276,9 @@ def test_lateral_commands_respect_limits_randomized(params, gammas):
 
 
 def lon_setup(params):
-    return lon_gain_synthesis(params, 20.0, 10.0, 0.9, 0.8, 1.0, 0.4, 0.15,
-                              math.radians(20.0))
+    """Longitudinal gains at 20 m/s: pitch (10 rad/s, 0.9), altitude
+    (0.8 rad/s, 1), airspeed PI (0.4, 0.15), pitch limit 20 deg."""
+    return schedule("ratc", params)(20.0, 20.0)
 
 
 def test_longitudinal_holds_trim_fixed_point(params, trim20):

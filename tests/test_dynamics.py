@@ -2,27 +2,27 @@
 integration, and trim."""
 
 import math
-from dataclasses import replace
+from collections import namedtuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from levelwing.control import ControlCommand
+from levelwing.config import ControllerSettings
+from levelwing.control import ControlCommand, make_gain_schedule
 from levelwing.dynamics import (
     AircraftState,
     Environment,
     GustModel,
-    aero_forces_moments,
     air_data,
     body_to_inertial,
     clamp_command,
     combined_yaw_coeffs,
     gamma_terms,
     integrate_step,
+    make_dynamics,
     rk4_step,
     stall_floor,
-    state_derivative,
-    thrust_force,
     trim,
 )
 from levelwing.errors import (
@@ -33,6 +33,42 @@ from levelwing.errors import (
 )
 
 CALM = Environment()
+NO_COMMAND = (0.0, 0.0, 0.0, 0.0)
+
+NamedForces = namedtuple("NamedForces", "fx fy fz l m n")
+
+
+def forces(params, state, cmd):
+    """The kernel's body forces and moments, by name."""
+    kernel = make_dynamics(params, gamma_terms(params))
+    return NamedForces(*kernel.forces_moments(state, astuple(cmd)))
+
+
+def thrust(params, va, delta_t):
+    """Body-x thrust at airspeed va: the part of fx the throttle adds."""
+    state = AircraftState(u=va)
+    return (forces(params, state, ControlCommand(delta_t=delta_t)).fx
+            - forces(params, state, ControlCommand()).fx)
+
+
+def wind(env):
+    return (env.wind_n, env.wind_e, env.wind_d)
+
+
+def ratc_gains(params, gammas, airdata):
+    """Gains and plants of the ratc schedule at the given air data."""
+    schedule = make_gain_schedule("ratc", params, gammas, ControllerSettings())
+    return schedule(airdata.va, airdata.vg)
+
+
+def yaw_disturbance(params, coeffs, airdata, p, delta_a):
+    """The heading plant's disturbance input: the sideslip, roll-rate and
+    aileron terms of the combined yaw buildup."""
+    va, bw = airdata.va, params.wing_span
+    qbar_s_b = 0.5 * params.rho * va**2 * params.wing_area * bw
+    return qbar_s_b * (coeffs.cr_0 + coeffs.cr_beta * airdata.beta
+                       + coeffs.cr_p * (bw * p / (2.0 * va))
+                       + coeffs.cr_delta_a * delta_a)
 
 
 def test_rotation_matrix_orthonormal_randomized():
@@ -170,8 +206,7 @@ def test_combined_yaw_collapses_without_cross_inertia(params):
     # coefficients reduce to the plain yaw derivatives.
     p = replace(params, ixz=0.0, izz=1.0)
     g = gamma_terms(p)
-    state = AircraftState(u=20.0)
-    coeffs = combined_yaw_coeffs(p, g, air_data(state, CALM))
+    coeffs = combined_yaw_coeffs(p, g)
     assert math.isclose(coeffs.cr_beta, p.c_n_beta, rel_tol=1e-12)
     assert math.isclose(coeffs.cr_r, p.c_n_r, rel_tol=1e-12)
     assert math.isclose(coeffs.cr_delta_r, p.c_n_delta_r, rel_tol=1e-12)
@@ -179,35 +214,36 @@ def test_combined_yaw_collapses_without_cross_inertia(params):
 
 def test_combined_yaw_golden_heading_plant(params, gammas):
     state = AircraftState(u=20.0)
-    coeffs = combined_yaw_coeffs(params, gammas, air_data(state, CALM))
+    coeffs = combined_yaw_coeffs(params, gammas)
+    plant = ratc_gains(params, gammas, air_data(state, CALM))
     assert math.isclose(coeffs.cr_r, -0.033586801842689334, rel_tol=1e-12)
     assert math.isclose(coeffs.cr_delta_r, -0.039421646668014836,
                         rel_tol=1e-12)
-    assert math.isclose(coeffs.a_psi1, 0.9821237888846611, rel_tol=1e-12)
-    assert math.isclose(coeffs.a_psi2, -15.924058451460759, rel_tol=1e-12)
+    assert math.isclose(plant.a_psi1, 0.9821237888846611, rel_tol=1e-12)
+    assert math.isclose(plant.a_psi2, -15.924058451460759, rel_tol=1e-12)
 
 
 def test_combined_yaw_damping_scales_linearly_with_airspeed(params, gammas):
     # The yaw-rate feedback term carries one airspeed power less than the
     # control effectiveness: a_psi1 ~ Va, a_psi2 ~ Va^2.
-    c20 = combined_yaw_coeffs(params, gammas,
-                              air_data(AircraftState(u=20.0), CALM))
-    c40 = combined_yaw_coeffs(params, gammas,
-                              air_data(AircraftState(u=40.0), CALM))
+    c20 = ratc_gains(params, gammas, air_data(AircraftState(u=20.0), CALM))
+    c40 = ratc_gains(params, gammas, air_data(AircraftState(u=40.0), CALM))
     assert math.isclose(c40.a_psi1 / c20.a_psi1, 2.0, rel_tol=1e-12)
     assert math.isclose(c40.a_psi2 / c20.a_psi2, 4.0, rel_tol=1e-12)
 
 
 def test_combined_yaw_disturbance_zero_at_null_inputs(params, gammas):
     state = AircraftState(u=20.0)
-    coeffs = combined_yaw_coeffs(params, gammas, air_data(state, CALM))
-    assert coeffs.d_psi == pytest.approx(0.0, abs=1e-15)
+    coeffs = combined_yaw_coeffs(params, gammas)
+    d_psi = yaw_disturbance(params, coeffs, air_data(state, CALM), p=0.0,
+                            delta_a=0.0)
+    assert d_psi == pytest.approx(0.0, abs=1e-15)
 
 
 def test_combined_yaw_rejects_zero_airspeed(params, gammas):
     ad = air_data(AircraftState(), CALM)
     with pytest.raises(AirDataError):
-        combined_yaw_coeffs(params, gammas, ad)
+        ratc_gains(params, gammas, ad)
 
 
 def test_yaw_equation_consistency_randomized(params, gammas):
@@ -227,19 +263,20 @@ def test_yaw_equation_consistency_randomized(params, gammas):
             delta_r=rng.uniform(-0.3, 0.3), delta_t=rng.uniform(0.0, 1.0),
         )
         ad = air_data(state, CALM)
-        fm = aero_forces_moments(state, cmd, params)
-        coeffs = combined_yaw_coeffs(params, gammas, ad, p=state.p,
-                                     delta_a=cmd.delta_a)
+        fm = forces(params, state, cmd)
+        coeffs = ratc_gains(params, gammas, ad)
+        d_psi = yaw_disturbance(params, combined_yaw_coeffs(params, gammas),
+                                ad, p=state.p, delta_a=cmd.delta_a)
         lhs = gammas.gamma4 * fm.l + gammas.gamma8 * fm.n
         rhs = -coeffs.a_psi1 * state.r + coeffs.a_psi2 * cmd.delta_r \
-            + coeffs.d_psi
+            + d_psi
         assert math.isclose(lhs, rhs, rel_tol=1e-10, abs_tol=1e-12)
 
 
 def test_forces_at_rest_reduce_to_gravity(params):
     state = AircraftState()
     cmd = ControlCommand()
-    fm = aero_forces_moments(state, cmd, params)
+    fm = forces(params, state, cmd)
     assert fm.fx == pytest.approx(0.0, abs=1e-12)
     assert fm.fy == pytest.approx(0.0, abs=1e-12)
     assert fm.fz == pytest.approx(params.mass * params.gravity, rel=1e-12)
@@ -247,15 +284,14 @@ def test_forces_at_rest_reduce_to_gravity(params):
 
 
 def test_forces_static_thrust_adds_body_x(params):
-    fm = aero_forces_moments(AircraftState(),
-                             ControlCommand(delta_t=0.6), params)
+    fm = forces(params, AircraftState(), ControlCommand(delta_t=0.6))
     assert fm.fx == pytest.approx(0.6 * params.max_thrust, rel=1e-12)
-    assert thrust_force(params, 0.0, 0.6) == pytest.approx(
+    assert thrust(params, 0.0, 0.6) == pytest.approx(
         0.6 * params.max_thrust, rel=1e-12)
 
 
 def test_thrust_decays_with_airspeed(params):
-    assert thrust_force(params, 20.0, 1.0) < thrust_force(params, 0.0, 1.0)
+    assert thrust(params, 20.0, 1.0) < thrust(params, 0.0, 1.0)
 
 
 def test_forces_golden_vector(params):
@@ -263,7 +299,7 @@ def test_forces_golden_vector(params):
                           p=0.1, q=-0.05, r=0.08)
     cmd = ControlCommand(delta_a=0.05, delta_e=-0.1, delta_r=0.03,
                          delta_t=0.6)
-    fm = aero_forces_moments(state, cmd, params)
+    fm = forces(params, state, cmd)
     expected = (8.0354061951005116, 14.67972943052246, -1.2957386435356179,
                 -0.71182168543024227, -4.3655620955033353,
                 0.31880764221760884)
@@ -275,27 +311,27 @@ def test_positive_rudder_yaws_left(params, trim20):
     # The stock airframe has c_n_delta_r < 0: right pedal gives a
     # negative (nose-left) yaw moment increment.
     state, cmd = trim20
-    base = aero_forces_moments(state, cmd, params)
-    kicked = aero_forces_moments(state, replace(cmd, delta_r=0.1), params)
+    base = forces(params, state, cmd)
+    kicked = forces(params, state, replace(cmd, delta_r=0.1))
     assert kicked.n - base.n < 0.0
     assert (kicked.l - base.l) * params.c_ell_delta_r > 0.0
 
 
-def test_state_derivative_forward_translation(params, gammas):
+def test_state_derivative_forward_translation(dynamics):
     state = AircraftState(u=20.0)
-    fm = aero_forces_moments(AircraftState(), ControlCommand(), params)
-    deriv = state_derivative(state, fm, params, CALM, gammas)
+    fm = dynamics.forces_moments(AircraftState(), NO_COMMAND)
+    deriv = dynamics.derivative(state, fm, wind(CALM))
     assert deriv[0] == pytest.approx(20.0, rel=1e-12)
     assert deriv[1] == pytest.approx(0.0, abs=1e-12)
     assert deriv[2] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_state_derivative_wind_enters_navigation_only(params, gammas):
+def test_state_derivative_wind_enters_navigation_only(dynamics):
     state = AircraftState(u=20.0)
-    fm = aero_forces_moments(AircraftState(), ControlCommand(), params)
+    fm = dynamics.forces_moments(AircraftState(), NO_COMMAND)
     windy = Environment(wind_n=3.0, wind_e=-1.0, wind_d=0.5)
-    calm_d = state_derivative(state, fm, params, CALM, gammas)
-    wind_d = state_derivative(state, fm, params, windy, gammas)
+    calm_d = dynamics.derivative(state, fm, wind(CALM))
+    wind_d = dynamics.derivative(state, fm, wind(windy))
     assert wind_d[0] - calm_d[0] == pytest.approx(3.0, rel=1e-12)
     assert wind_d[1] - calm_d[1] == pytest.approx(-1.0, rel=1e-12)
     assert wind_d[2] - calm_d[2] == pytest.approx(0.5, rel=1e-12)
@@ -303,20 +339,20 @@ def test_state_derivative_wind_enters_navigation_only(params, gammas):
     assert np.allclose(wind_d[3:], calm_d[3:], atol=1e-15)
 
 
-def test_state_derivative_euler_kinematics_level(params, gammas):
+def test_state_derivative_euler_kinematics_level(dynamics):
     state = AircraftState(u=20.0, p=0.1)
-    fm = aero_forces_moments(AircraftState(), ControlCommand(), params)
-    deriv = state_derivative(state, fm, params, CALM, gammas)
+    fm = dynamics.forces_moments(AircraftState(), NO_COMMAND)
+    deriv = dynamics.derivative(state, fm, wind(CALM))
     assert deriv[6] == pytest.approx(0.1, rel=1e-12)
     assert deriv[7] == pytest.approx(0.0, abs=1e-15)
     assert deriv[8] == pytest.approx(0.0, abs=1e-15)
 
 
-def test_state_derivative_pitch_singularity(params, gammas):
+def test_state_derivative_pitch_singularity(dynamics):
     state = AircraftState(u=20.0, theta=math.radians(89.9))
-    fm = aero_forces_moments(AircraftState(), ControlCommand(), params)
+    fm = dynamics.forces_moments(AircraftState(), NO_COMMAND)
     with pytest.raises(SingularityError):
-        state_derivative(state, fm, params, CALM, gammas)
+        dynamics.derivative(state, fm, wind(CALM))
 
 
 def test_rk4_exact_on_constant_derivative():
@@ -339,55 +375,55 @@ def test_rk4_fourth_order_on_oscillator():
     assert 12.0 < e_coarse / e_fine < 20.0
 
 
-def test_integrate_step_matches_manual_rk4(params, gammas, trim20):
+def test_integrate_step_matches_manual_rk4(params, dynamics, trim20):
     # With an in-limit command and small angles, integrate_step is exactly
     # one RK4 pass over the state derivative.
     state, cmd = trim20
     env = Environment(wind_e=2.0)
 
     def f(y):
-        fm = aero_forces_moments(y, cmd, params)
-        return state_derivative(y, fm, params, env, gammas)
+        fm = dynamics.forces_moments(y, astuple(cmd))
+        return dynamics.derivative(y, fm, wind(env))
 
     expected = rk4_step(f, np.array(state), 0.01)
-    stepped = integrate_step(state, cmd, env, params, 0.01, gammas)
+    stepped = integrate_step(state, cmd, env, params, 0.01, dynamics)
     assert np.allclose(np.array(stepped), expected, rtol=1e-12, atol=1e-12)
 
 
-def test_integrate_step_clamps_command(params, gammas, trim20):
+def test_integrate_step_clamps_command(params, dynamics, trim20):
     state, _ = trim20
     wild = ControlCommand(delta_a=5.0, delta_e=-5.0, delta_r=5.0, delta_t=3.0)
     clamped = clamp_command(wild, params)
     assert clamped.delta_a == pytest.approx(params.delta_a_max)
     assert clamped.delta_e == pytest.approx(-params.delta_e_max)
     assert clamped.delta_t == pytest.approx(1.0)
-    a = integrate_step(state, wild, CALM, params, 0.01, gammas)
-    b = integrate_step(state, clamped, CALM, params, 0.01, gammas)
+    a = integrate_step(state, wild, CALM, params, 0.01, dynamics)
+    b = integrate_step(state, clamped, CALM, params, 0.01, dynamics)
     assert np.allclose(np.array(a), np.array(b), atol=1e-15)
 
 
-def test_integrate_step_deterministic(params, gammas, trim20):
+def test_integrate_step_deterministic(params, dynamics, trim20):
     state, cmd = trim20
     runs = []
     for _ in range(2):
         s = state
         for _ in range(100):
-            s = integrate_step(s, cmd, CALM, params, 0.01, gammas)
+            s = integrate_step(s, cmd, CALM, params, 0.01, dynamics)
         runs.append(np.array(s))
     assert np.array_equal(runs[0], runs[1])
 
 
-def test_integrate_step_rejects_nonpositive_dt(params, gammas, trim20):
+def test_integrate_step_rejects_nonpositive_dt(params, dynamics, trim20):
     state, cmd = trim20
     with pytest.raises(ConfigError):
-        integrate_step(state, cmd, CALM, params, 0.0, gammas)
+        integrate_step(state, cmd, CALM, params, 0.0, dynamics)
 
 
-def test_integrate_step_faults_on_nonfinite_state(params, gammas, trim20):
+def test_integrate_step_faults_on_nonfinite_state(params, dynamics, trim20):
     state, cmd = trim20
     broken = state._replace(u=math.nan)
     with pytest.raises(IntegrationFaultError):
-        integrate_step(broken, cmd, CALM, params, 0.01, gammas)
+        integrate_step(broken, cmd, CALM, params, 0.01, dynamics)
 
 
 def test_gust_zero_intensity_is_silent():
@@ -407,6 +443,23 @@ def test_gust_seeded_and_reproducible():
     assert not np.array_equal(seq_a, seq_c)
 
 
+def test_gust_matches_the_recursion_exactly():
+    # 600 steps cross the edges of the blocks the model draws its noise
+    # in; each step must equal the Ornstein-Uhlenbeck recursion on one
+    # draw of three normals, bit for bit.
+    dt, tau, intensity = 0.01, 2.0, 0.5
+    gust = GustModel(intensity, tau, dt, seed=11)
+    rng = np.random.default_rng(11)
+    decay = math.exp(-dt / tau)
+    scale = intensity * math.sqrt(1.0 - decay**2)
+    x = np.zeros(3)
+    for _ in range(600):
+        x = decay * x + scale * rng.standard_normal(3)
+        assert gust.step() == tuple(x.tolist())
+    calm = GustModel(0.0, tau, dt, seed=11)
+    assert [calm.step() for _ in range(3)] == [(0.0, 0.0, 0.0)] * 3
+
+
 def test_gust_rejects_bad_parameters():
     with pytest.raises(ConfigError):
         GustModel(0.5, 0.0, 0.01)
@@ -414,7 +467,7 @@ def test_gust_rejects_bad_parameters():
         GustModel(-0.1, 2.0, 0.01)
 
 
-def test_trim_is_level_and_laterally_clean(params, gammas, trim20):
+def test_trim_is_level_and_laterally_clean(dynamics, trim20):
     state, cmd = trim20
     assert state.phi == 0.0 and state.v == 0.0
     assert cmd.delta_a == 0.0 and cmd.delta_r == 0.0
@@ -422,8 +475,8 @@ def test_trim_is_level_and_laterally_clean(params, gammas, trim20):
                         rel_tol=1e-9)
     ad = air_data(state, CALM)
     assert math.isclose(ad.va, 20.0, rel_tol=1e-9)
-    fm = aero_forces_moments(state, cmd, params)
-    deriv = state_derivative(state, fm, params, CALM, gammas)
+    fm = dynamics.forces_moments(state, astuple(cmd))
+    deriv = dynamics.derivative(state, fm, wind(CALM))
     assert abs(deriv[2]) < 1e-6          # no climb or sink
     assert np.all(np.abs(deriv[3:]) < 1e-6)
 

@@ -53,7 +53,8 @@ def test_straight_plan_holds_path_altitude_airspeed(make_cfg, mode):
 
 
 @pytest.mark.parametrize("mode", ["aotc", "ratc"])
-def test_capture_and_hold_from_lateral_offset(params, gammas, make_cfg, mode):
+def test_capture_and_hold_from_lateral_offset(params, dynamics, make_cfg,
+                                              mode):
     # Start 30 m right of a long straight leg: the aircraft must capture
     # the path within 30 s and stay inside a 2 m band afterwards.
     cfg = make_cfg(straight_plan(2000.0), duration=45.0)
@@ -68,7 +69,7 @@ def test_capture_and_hold_from_lateral_offset(params, gammas, make_cfg, mode):
         course = manager.step(state[:3])
         errors[k] = course.e_lateral
         cmd = controller.step(course.chi_cmd, state, ad, cfg.dt)
-        state = integrate_step(state, cmd, CALM, params, cfg.dt, gammas)
+        state = integrate_step(state, cmd, CALM, params, cfg.dt, dynamics)
     outside = np.nonzero(np.abs(errors) >= 2.0)[0]
     assert outside.size > 0          # starts outside the band
     settle_index = outside[-1] + 1
@@ -96,6 +97,17 @@ def test_negative_duration_rejected(make_cfg):
 def test_unknown_mode_rejected(make_cfg):
     with pytest.raises(ConfigError):
         run_scenario(make_cfg(straight_plan()), mode="hybrid")
+
+
+@pytest.mark.parametrize("changes", [
+    {"seed": -1}, {"dt": math.inf}, {"dt": math.nan}, {"h_refs": (math.nan,)},
+], ids=["seed=-1", "dt=inf", "dt=nan", "h_refs=nan"])
+def test_run_validates_the_config(changes):
+    # A config built or edited through the API gets the same boundary
+    # checks as one loaded from a file.
+    cfg = replace(load_config("rectangle_compare.ini"), **changes)
+    with pytest.raises(ConfigError):
+        run_scenario(cfg, duration_override=1.0)
 
 
 def test_time_base_and_step_cap(make_cfg):
@@ -248,6 +260,23 @@ def test_mirrored_rectangle_mirrors_the_run(rect_comparison, mode):
         assert np.allclose(b[key], -a[key], rtol=0.0, atol=1e-9), key
     for key in ("psi", "chi_cmd"):
         assert np.max(np.abs(wrap(b[key] + a[key]))) < 1e-9, key
+
+
+def test_rectangle_comparison_converges_in_dt(rect_comparison):
+    # Closed-loop dt convergence: halving the step from 0.02 s to 0.01 s
+    # and to 0.005 s moves the headline ratio and each rms_450 less and
+    # less, and by little.
+    cfg = load_config("rectangle_compare.ini")
+    comps = {0.02: compare_controllers(replace(cfg, dt=0.02)),
+             0.01: rect_comparison[0],
+             0.005: compare_controllers(replace(cfg, dt=0.005))}
+    ratio = {dt: c.ratios["rms_450_ratc_over_aotc"] for dt, c in comps.items()}
+    assert max(ratio.values()) - min(ratio.values()) <= 1e-3
+    assert abs(ratio[0.005] - ratio[0.01]) < abs(ratio[0.01] - ratio[0.02])
+    for mode in ("aotc", "ratc"):
+        rms = [getattr(c, mode).stats_by_href[450.0].rms
+               for c in comps.values()]
+        assert max(rms) - min(rms) <= 0.005 * min(rms)
 
 
 def test_comparison_report_files(tmp_path):

@@ -1,5 +1,6 @@
-"""Package structure: the intra-package import graph has no cycle, and
-every function, class and method is used inside the package.
+"""Package structure: the intra-package import graph has no cycle,
+every function, class and method is used inside the package, and the
+benchmark tracer's hooks name what the package defines.
 
 Every import counts, wherever it sits: at module level, inside a
 function, or under ``if TYPE_CHECKING:``. A helper that only its own
@@ -7,12 +8,14 @@ tests call is dead code.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import levelwing
 
 PACKAGE = "levelwing"
 SRC = Path(levelwing.__file__).parent
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
 def _imported_modules(node: ast.AST, modules: set[str]) -> set[str]:
@@ -167,3 +170,57 @@ def test_every_definition_is_used_inside_the_package():
     missing = [name for name in unreferenced(sources)
                if name.split(".", 1)[1] not in UNREFERENCED_ALLOWED]
     assert missing == []
+
+
+def tracer_hooks(path: Path) -> list[tuple[str, str, str]]:
+    """The tracer's HOOKS table, read from its source without importing
+    it: (hook name, module, attribute path) per hook."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names: dict[str, object] = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name):
+                names[target.id] = node.value
+
+    def value(node: ast.AST) -> str:
+        if isinstance(node, ast.Name):
+            return value(names[node.id])
+        return ast.literal_eval(node)
+
+    return [tuple(value(item) for item in entry.elts)
+            for entry in names["HOOKS"].elts]
+
+
+def unresolved_hooks(hooks) -> set[str]:
+    """Hooks whose attribute path does not name a callable."""
+    missing = set()
+    for name, module, attr_path in hooks:
+        owner = importlib.import_module(module)
+        for part in attr_path.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.add(name)
+    return missing
+
+
+# Hooks the benchmark still wraps although the loop no longer calls them
+# there: the clamp moved into integrate_step, PathManager.step returns the
+# lateral error, and gain synthesis is one schedule built per controller.
+# Any other renamed function would silently read 0 in its layer.
+STALE_HOOKS = {
+    "control.clamp_command",
+    "guidance.lateral_error",
+    "control.combined_yaw_coeffs",
+    "control.ratc_gain_synthesis",
+    "control.roll_gain_synthesis",
+    "control.aotc_gain_synthesis",
+    "control.lon_gain_synthesis",
+}
+
+
+def test_tracer_hooks_resolve():
+    hooks = tracer_hooks(TRACER)
+    assert ("dynamics.integrate_step", "levelwing.scenario",
+            "integrate_step") in hooks
+    assert unresolved_hooks(hooks) == STALE_HOOKS
