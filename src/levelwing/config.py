@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from .dynamics import AircraftParams
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .guidance import FlightPlan, GuidanceGains, OrbitPlan, SlewSettings
 
 
@@ -149,7 +149,7 @@ class _Section:
 
 
 def load_aircraft(path: str | Path, base_dir: Path | None = None) -> AircraftParams:
-    """Load and validate an aircraft parameter file."""
+    """Load an aircraft parameter file."""
     resolved = resolve_input_path(path, base_dir)
     parser = _read_ini(resolved)
 
@@ -160,7 +160,7 @@ def load_aircraft(path: str | Path, base_dir: Path | None = None) -> AircraftPar
     prop = _Section(parser, resolved, "propulsion")
     act = _Section(parser, resolved, "actuators")
 
-    params = AircraftParams(
+    return AircraftParams(
         mass=mass.float("mass_kg"),
         ixx=mass.float("ixx_kgm2"),
         iyy=mass.float("iyy_kgm2"),
@@ -206,12 +206,10 @@ def load_aircraft(path: str | Path, base_dir: Path | None = None) -> AircraftPar
         delta_r_max=math.radians(act.float("rudder_limit_deg", 25.0)),
         rate_limit=math.radians(act.float("rate_limit_dps", 400.0)),
     )
-    params.validate()
-    return params
 
 
 def load_plan(path: str | Path, base_dir: Path | None = None) -> FlightPlan:
-    """Load and validate a flight-plan file (waypoints or orbit)."""
+    """Load a flight-plan file (waypoints or orbit)."""
     resolved = resolve_input_path(path, base_dir, kind="plans")
     parser = _read_ini(resolved)
     head = _Section(parser, resolved, "plan")
@@ -227,7 +225,7 @@ def load_plan(path: str | Path, base_dir: Path | None = None) -> FlightPlan:
                 f"{resolved}: orbit direction must be cw or ccw, got "
                 f"{direction!r}"
             )
-        plan = FlightPlan(
+        return FlightPlan(
             name=name,
             nominal_agl=nominal_agl,
             orbit=OrbitPlan(
@@ -239,8 +237,6 @@ def load_plan(path: str | Path, base_dir: Path | None = None) -> FlightPlan:
                 start_bearing=math.radians(orb.float("start_bearing_deg", 0.0)),
             ),
         )
-        plan.validate()
-        return plan
 
     if kind != "waypoints":
         raise ConfigError(f"{resolved}: plan kind must be waypoints or orbit")
@@ -262,17 +258,15 @@ def load_plan(path: str | Path, base_dir: Path | None = None) -> FlightPlan:
             raise ConfigError(
                 f"{resolved}: waypoint '{key}' has a non-finite field")
         waypoints.append(waypoint)
-    plan = FlightPlan(
+    return FlightPlan(
         name=name,
-        waypoints=waypoints,
+        waypoints=tuple(waypoints),
         fillet_radius=head.float("fillet_radius_m", 0.0),
         nominal_agl=nominal_agl,
     )
-    plan.validate()
-    return plan
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnvironmentSettings:
     """Steady wind plus optional seeded colored-noise gusts."""
 
@@ -282,19 +276,21 @@ class EnvironmentSettings:
     gust_intensity: float = 0.0
     gust_tau: float = 2.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        require_finite(self)
         if self.gust_intensity < 0.0:
             raise ConfigError("gust intensity must be non-negative")
         if self.gust_tau <= 0.0:
             raise ConfigError("gust correlation time must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControllerSettings:
     """Every tunable shared by the two lateral laws and the holds.
 
-    The guidance gains live here too so one section fixes them for both
-    controllers in a comparison.
+    The guidance gains and the slew limiter live here too, so one section
+    fixes them for both controllers in a comparison; guidance and slew
+    hold them in the types the guidance layer takes.
     """
 
     mode: str = "ratc"
@@ -319,8 +315,11 @@ class ControllerSettings:
     kp_airspeed: float = 0.4
     ki_airspeed: float = 0.15
     pitch_limit: float = math.radians(20.0)
+    guidance: GuidanceGains = field(init=False, repr=False, compare=False)
+    slew: SlewSettings = field(init=False, repr=False, compare=False)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        require_finite(self)
         if self.mode not in ("aotc", "ratc"):
             raise ConfigError(f"controller mode must be aotc or ratc, got "
                               f"{self.mode!r}")
@@ -331,8 +330,7 @@ class ControllerSettings:
             "wn_pitch": self.wn_pitch, "zeta_pitch": self.zeta_pitch,
             "wn_alt": self.wn_alt, "zeta_alt": self.zeta_alt,
             "kp_airspeed": self.kp_airspeed, "ki_airspeed": self.ki_airspeed,
-            "pitch_limit": self.pitch_limit, "slew_rate": self.slew_rate,
-            "slew_threshold": self.slew_threshold,
+            "pitch_limit": self.pitch_limit,
         }
         for key, value in positive.items():
             if value <= 0.0:
@@ -343,21 +341,18 @@ class ControllerSettings:
             raise ConfigError("course_separation must be >= 1")
         if self.bank_limit > math.radians(80.0):
             raise ConfigError("bank limit above 80 deg is not supported")
-        self.guidance_gains().validate()
-
-    def guidance_gains(self) -> GuidanceGains:
-        return GuidanceGains(intercept_angle=self.intercept_angle,
-                             capture_gain=self.capture_gain,
-                             orbit_gain=self.orbit_gain)
-
-    def slew_settings(self) -> SlewSettings:
-        return SlewSettings(enabled=self.slew_enabled, rate=self.slew_rate,
-                            threshold=self.slew_threshold)
+        object.__setattr__(self, "guidance", GuidanceGains(
+            intercept_angle=self.intercept_angle,
+            capture_gain=self.capture_gain, orbit_gain=self.orbit_gain))
+        object.__setattr__(self, "slew", SlewSettings(
+            enabled=self.slew_enabled, rate=self.slew_rate,
+            threshold=self.slew_threshold))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully resolved scenario: everything a run needs, defaults applied."""
+    """Fully resolved scenario: everything a run needs, defaults applied,
+    checked when it is made."""
 
     name: str
     aircraft_path: Path
@@ -373,12 +368,9 @@ class ScenarioConfig:
     warmup: float = 5.0
     seed: int = 0
 
-    def validate(self) -> None:
-        for key, value in (("dt", self.dt), ("duration", self.duration),
-                           ("airspeed command", self.va_cmd),
-                           ("warm-up window", self.warmup)):
-            if not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {value}")
+    def __post_init__(self) -> None:
+        require_finite(self)
+        object.__setattr__(self, "h_refs", tuple(self.h_refs))
         if self.dt <= 0.0:
             raise ConfigError("dt must be positive")
         if self.duration <= 0.0:
@@ -393,10 +385,6 @@ class ScenarioConfig:
                               "finite")
         if self.seed < 0:
             raise ConfigError(f"gust seed must be >= 0, got {self.seed}")
-        self.env.validate()
-        self.ctrl.validate()
-        self.plan.validate()
-        self.params.validate()
 
     def describe(self) -> str:
         """Effective settings, defaults included, one per line."""
@@ -432,9 +420,16 @@ class ScenarioConfig:
         return "\n".join(lines)
 
 
-def _controller_settings(section: _Section) -> ControllerSettings:
+def _override(value, override, kind):
+    """A file value, or the command-line override of it when one is given.
+    The file value is parsed either way, so a malformed file is an error."""
+    return value if override is None else kind(override)
+
+
+def _controller_settings(section: _Section,
+                         slew: bool | None) -> ControllerSettings:
     defaults = ControllerSettings()
-    settings = ControllerSettings(
+    return ControllerSettings(
         mode=section.str("mode", defaults.mode).lower(),
         wn_psi=section.float("wn_psi_radps", defaults.wn_psi),
         zeta_psi=section.float("zeta_psi", defaults.zeta_psi),
@@ -450,7 +445,8 @@ def _controller_settings(section: _Section) -> ControllerSettings:
         capture_gain=section.float("capture_gain_radpm",
                                    defaults.capture_gain),
         orbit_gain=section.float("orbit_capture_gain", defaults.orbit_gain),
-        slew_enabled=section.bool("slew_enabled", defaults.slew_enabled),
+        slew_enabled=_override(
+            section.bool("slew_enabled", defaults.slew_enabled), slew, bool),
         slew_rate=math.radians(section.float("slew_rate_dps", 30.0)),
         slew_threshold=math.radians(section.float("slew_threshold_dps", 30.0)),
         wn_pitch=section.float("wn_pitch_radps", defaults.wn_pitch),
@@ -461,8 +457,6 @@ def _controller_settings(section: _Section) -> ControllerSettings:
         ki_airspeed=section.float("ki_airspeed", defaults.ki_airspeed),
         pitch_limit=math.radians(section.float("pitch_limit_deg", 20.0)),
     )
-    settings.validate()
-    return settings
 
 
 def load_config(
@@ -506,26 +500,18 @@ def load_config(
         gust_intensity=env_sec.float("gust_intensity_mps", 0.0),
         gust_tau=env_sec.float("gust_tau_s", 2.0),
     )
-    ctrl = _controller_settings(ctrl_sec)
-
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         name=scen.str("name", resolved.stem),
         aircraft_path=aircraft_path,
         plan_path=plan_path,
         params=params,
         plan=plan,
         env=env,
-        ctrl=ctrl,
+        ctrl=_controller_settings(ctrl_sec, slew),
         dt=scen.float("dt_s", 0.01),
         duration=scen.float("duration_s", 120.0),
         va_cmd=scen.float("airspeed_mps", 20.0),
         h_refs=h_refs,
         warmup=scen.float("warmup_s", 5.0),
-        seed=scen.int("seed", 0),
+        seed=_override(scen.int("seed", 0), seed, int),
     )
-    if seed is not None:
-        cfg.seed = int(seed)
-    if slew is not None:
-        cfg.ctrl = replace(cfg.ctrl, slew_enabled=bool(slew))
-    cfg.validate()
-    return cfg

@@ -11,7 +11,7 @@ Two interchangeable lateral correctors share the guidance course command:
   camera axis vertical.
 
 All gains come from one gain schedule per controller. It folds the
-airframe coefficients and checks the design points once; each step it
+airframe coefficients and checks the control authority once; each step it
 only rescales the plants to the current airspeed and places their poles,
 so the gains follow the flight condition. Controllers are pure step
 functions over an explicit LoopState value.
@@ -75,14 +75,13 @@ class ScheduledGains(NamedTuple):
 @dataclass
 class LoopState:
     """Mutable controller memory: integrators, previous actuator command,
-    and per-step telemetry (tracked errors, saturation flags)."""
+    and the saturation flags of the last step."""
 
     course_int: float = 0.0
     roll_int: float = 0.0
     alt_int: float = 0.0
     va_int: float = 0.0
     prev_command: ControlCommand | None = None
-    last_errors: dict = field(default_factory=dict)
     last_saturated: dict = field(default_factory=dict)
 
 
@@ -102,7 +101,8 @@ def make_gain_schedule(
     """Gain schedule of one lateral law plus the longitudinal holds.
 
     Built once per controller: the airframe folds (combined yaw
-    coefficients, roll plant) and the design-point checks happen here.
+    coefficients, roll plant) and the control-authority checks happen
+    here; the design points were checked when ctrl was made.
     The returned schedule(va, vg) scales the heading (ratc), roll and
     pitch plants by the dynamic pressure at va and places their poles;
     the aotc course PI follows the kinematic plant chi_dot = g/Vg*phi and
@@ -113,15 +113,7 @@ def make_gain_schedule(
         raise ConfigError(f"controller mode must be aotc or ratc, got "
                           f"{mode!r}")
     ratc = mode == "ratc"
-    if not ratc and ctrl.course_separation < 1.0:
-        raise ConfigError("bandwidth separation factor must be >= 1")
     wn_course = ctrl.wn_roll / ctrl.course_separation
-    lateral = ((ctrl.wn_psi, ctrl.zeta_psi) if ratc
-               else (wn_course, ctrl.zeta_course))
-    for wn, zeta in ((ctrl.wn_roll, ctrl.zeta_roll), lateral):
-        if wn <= 0.0 or zeta <= 0.0:
-            raise ConfigError("design natural frequency and damping must be "
-                              "positive")
 
     # The heading plant folds the roll equation's inertia-coupled share
     # into the yaw buildup, the roll plant the yaw equation's share into
@@ -215,7 +207,6 @@ def _integrate_conditionally(integrator: float, error: float, dt: float,
 def ratc_step(
     chi_cmd: float,
     state: AircraftState,
-    airdata: AirData,
     gains: ScheduledGains,
     loop: LoopState,
     dt: float,
@@ -242,7 +233,6 @@ def ratc_step(
         delta_a_raw = kp * roll_err - kd * state.p + ki * loop.roll_int
     delta_a = max(-params.delta_a_max, min(params.delta_a_max, delta_a_raw))
 
-    loop.last_errors = {"heading": psi_err}
     loop.last_saturated = {
         "delta_r": delta_r != delta_r_raw,
         "delta_a": delta_a != delta_a_raw,
@@ -279,7 +269,6 @@ def aotc_step(
     delta_a_raw = gains.kp_roll * phi_err - gains.kd_roll * state.p
     delta_a = max(-params.delta_a_max, min(params.delta_a_max, delta_a_raw))
 
-    loop.last_errors = {"course": chi_err, "roll": phi_err}
     loop.last_saturated = {
         "phi_cmd": phi_cmd != phi_cmd_raw,
         "delta_a": delta_a != delta_a_raw,

@@ -25,6 +25,7 @@ from .errors import (
     IntegrationFaultError,
     SingularityError,
     TrimFailureError,
+    require_finite,
 )
 
 # Rate terms divide by 2*Va; below this airspeed the aerodynamic
@@ -37,6 +38,11 @@ PITCH_SINGULARITY_MARGIN = 0.01
 # Angle of attack (rad) still treated as inside the linear-lift range when
 # locating the slowest trimmable airspeed.
 LINEAR_ALPHA_LIMIT = math.radians(12.0)
+
+# Trim converges when the residual falls below TRIM_TOL / 10, and its
+# full six-axis check passes below TRIM_TOL.
+TRIM_TOL = 1e-6
+TRIM_MAX_ITER = 200
 
 
 class AircraftState(NamedTuple):
@@ -71,9 +77,9 @@ class ControlCommand:
     delta_t: float = 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class AircraftParams:
-    """Physical aircraft description.
+    """Physical aircraft description, checked when it is made.
 
     All aerodynamic derivatives are per radian. Actuator limits are in
     radians (surfaces) and rad/s (slew); throttle is dimensionless [0, 1].
@@ -135,7 +141,8 @@ class AircraftParams:
     def weight(self) -> float:
         return self.mass * self.gravity
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        require_finite(self)
         if self.mass <= 0.0:
             raise ConfigError("mass must be positive")
         if self.rho <= 0.0 or self.gravity <= 0.0:
@@ -162,7 +169,6 @@ class AirData:
     vg: float
     alpha: float
     beta: float
-    gamma_climb: float
     chi: float
 
 
@@ -288,14 +294,11 @@ def air_data(state: AircraftState, env: Environment) -> AirData:
     horizontal = math.hypot(vn, ve)
     vg = math.sqrt(horizontal**2 + vd**2)
     chi = math.atan2(ve, vn) if horizontal > 1e-9 else 0.0
-    gamma_climb = math.atan2(-vd, horizontal) if vg > 1e-9 else 0.0
-    return AirData(va=va, vg=vg, alpha=alpha, beta=beta,
-                   gamma_climb=gamma_climb, chi=wrap_pi(chi))
+    return AirData(va=va, vg=vg, alpha=alpha, beta=beta, chi=wrap_pi(chi))
 
 
 def gamma_terms(params: AircraftParams) -> GammaSet:
     """Reduced inertia terms from the (ixx, iyy, izz, ixz) tensor."""
-    params.validate()
     ixx, iyy, izz, ixz = params.ixx, params.iyy, params.izz, params.ixz
     det = ixx * izz - ixz**2
     return GammaSet(
@@ -539,8 +542,6 @@ def trim(
     env: Environment,
     va_target: float,
     gamma_target: float = 0.0,
-    tol: float = 1e-6,
-    max_iter: int = 200,
 ) -> tuple[AircraftState, ControlCommand]:
     """Solve wings-level straight-line trim at the target airspeed and
     climb angle.
@@ -548,9 +549,8 @@ def trim(
     Damped Newton iteration on (alpha, delta_e, delta_t) driving the
     (u_dot, w_dot, q_dot) residual to zero; lateral variables are pinned
     at zero, which is exact for a laterally symmetric configuration. The
-    returned pair re-evaluates to a full six-axis residual below tol.
+    returned pair re-evaluates to a full six-axis residual below TRIM_TOL.
     """
-    params.validate()
     if not math.isfinite(va_target):
         raise ConfigError(f"trim airspeed must be finite, got {va_target}")
     floor = stall_floor(params)
@@ -582,8 +582,8 @@ def trim(
     x = np.array([0.05, 0.0, 0.5])
     res = residual(x)
     converged = False
-    for _ in range(max_iter):
-        if float(np.max(np.abs(res))) < 0.1 * tol:
+    for _ in range(TRIM_MAX_ITER):
+        if float(np.max(np.abs(res))) < 0.1 * TRIM_TOL:
             converged = True
             break
         jac = np.zeros((3, 3))
@@ -611,9 +611,9 @@ def trim(
                 residual=float(np.max(np.abs(res))),
             )
         x, res = x_new, res_new
-    if not converged and float(np.max(np.abs(res))) >= 0.1 * tol:
+    if not converged and float(np.max(np.abs(res))) >= 0.1 * TRIM_TOL:
         raise TrimFailureError(
-            f"trim did not converge in {max_iter} iterations",
+            f"trim did not converge in {TRIM_MAX_ITER} iterations",
             residual=float(np.max(np.abs(res))),
         )
 
@@ -636,7 +636,7 @@ def trim(
     full = [abs(d) for d in deriv[3:6] + deriv[9:12]]
     _, alpha, _ = _airspeed_angles(state.u, state.v, state.w)
     climb_err = abs((state.theta - alpha) - gamma_target)
-    if max(full) >= tol or climb_err >= tol:
+    if max(full) >= TRIM_TOL or climb_err >= TRIM_TOL:
         raise TrimFailureError(
             "trim residual check failed",
             residual=max(max(full), climb_err),

@@ -4,6 +4,9 @@ Every error carries a short category string used by the CLI to pick an
 exit code, so failures stay distinguishable in scripts.
 """
 
+import dataclasses
+import math
+
 
 class SimulatorError(Exception):
     """Base class for everything raised on purpose by this package."""
@@ -67,3 +70,17 @@ class InsufficientDataError(SimulatorError):
     """Statistics requested over a series too short to be meaningful."""
 
     category = "metrics"
+
+
+def require_finite(settings) -> None:
+    """Raise ConfigError naming the first nan or inf number field of a
+    settings dataclass."""
+    for f in dataclasses.fields(settings):
+        value = getattr(settings, f.name, None)
+        try:
+            finite = math.isfinite(value)
+        except TypeError:  # not a number
+            continue
+        if not finite:
+            raise ConfigError(f"{type(settings).__name__}.{f.name} must be "
+                              f"finite, got {value}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angles import wrap_pi
-from .errors import ConfigError, UndefinedBearingError
+from .errors import ConfigError, UndefinedBearingError, require_finite
 
 # Fillet arcs are skipped when adjacent legs are within this angle (rad)
 # of collinear; the turn is degenerate there.
@@ -39,7 +39,6 @@ class PathSegment:
     center: np.ndarray | None = None
     radius: float = 0.0
     lam: int = 1
-    exit_fillet_radius: float = 0.0
     chi: float = field(init=False, default=0.0)
     cos_chi: float = field(init=False, default=1.0)
     sin_chi: float = field(init=False, default=0.0)
@@ -74,7 +73,7 @@ class PathSegment:
                    radius=float(radius), lam=int(lam))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GuidanceGains:
     """Shared cross-track shaping constants (identical for both controllers).
 
@@ -87,7 +86,8 @@ class GuidanceGains:
     capture_gain: float = 0.0125
     orbit_gain: float = 2.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        require_finite(self)
         if not 0.0 < self.intercept_angle <= math.pi / 2.0:
             raise ConfigError("intercept angle must be in (0, 90] deg")
         if self.capture_gain <= 0.0 or self.orbit_gain <= 0.0:
@@ -163,7 +163,7 @@ def slew_limit(prev: float, raw: float, max_rate: float, dt: float) -> float:
     return wrap_pi(prev + math.copysign(limit, step))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SlewSettings:
     """Course-command slew limiter configuration."""
 
@@ -171,12 +171,13 @@ class SlewSettings:
     rate: float = math.radians(30.0)
     threshold: float = math.radians(30.0)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        require_finite(self)
         if self.rate <= 0.0 or self.threshold <= 0.0:
             raise ConfigError("slew rate and threshold must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OrbitPlan:
     """Standalone orbit plan: center, radius, direction, and how many
     revolutions count as completion (0 = never complete)."""
@@ -187,6 +188,16 @@ class OrbitPlan:
     lam: int
     revolutions: float = 1.0
     start_bearing: float = 0.0
+
+    def __post_init__(self) -> None:
+        require_finite(self)
+        if self.radius <= 0.0:
+            raise ConfigError(
+                f"orbit radius must be positive, got {self.radius}")
+        if self.lam not in (1, -1):
+            raise ConfigError("orbit direction must be cw or ccw")
+        if self.revolutions < 0.0:
+            raise ConfigError("orbit revolutions must be >= 0")
 
 
 @dataclass
@@ -202,70 +213,33 @@ class ManagedSegment:
     switch_normal: np.ndarray | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlightPlan:
-    """Ordered waypoints with corner fillets, or a standalone orbit."""
+    """Ordered waypoints with corner fillets, or a standalone orbit.
+
+    The plan is checked and expanded into its managed segments once, when
+    it is made.
+    """
 
     name: str = "plan"
-    waypoints: list[tuple[float, float, float]] = field(default_factory=list)
+    waypoints: tuple[tuple[float, float, float], ...] = ()
     fillet_radius: float = 0.0
     nominal_agl: float = 150.0
     orbit: OrbitPlan | None = None
+    segments: tuple[ManagedSegment, ...] = field(init=False, repr=False,
+                                                 compare=False)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        require_finite(self)
+        waypoints = tuple(map(tuple, self.waypoints))
+        for i, waypoint in enumerate(waypoints):
+            if not all(map(math.isfinite, waypoint)):
+                raise ConfigError(f"plan '{self.name}': waypoint {i} has a "
+                                  "non-finite field")
+        object.__setattr__(self, "waypoints", waypoints)
         if self.nominal_agl <= 0.0:
             raise ConfigError(f"plan '{self.name}': nominal AGL must be positive")
-        if self.orbit is not None:
-            if self.orbit.radius <= 0.0:
-                raise ConfigError(
-                    f"plan '{self.name}': orbit radius must be positive, "
-                    f"got {self.orbit.radius}"
-                )
-            if self.orbit.lam not in (1, -1):
-                raise ConfigError(f"plan '{self.name}': orbit direction must "
-                                  "be cw or ccw")
-            if self.orbit.revolutions < 0.0:
-                raise ConfigError(f"plan '{self.name}': revolutions must be "
-                                  ">= 0")
-            return
-        if len(self.waypoints) < 2:
-            raise ConfigError(
-                f"plan '{self.name}': needs at least two waypoints"
-            )
-        if self.fillet_radius < 0.0:
-            raise ConfigError(f"plan '{self.name}': fillet radius must be "
-                              ">= 0")
-        pts = np.array([(w[0], w[1]) for w in self.waypoints])
-        legs = np.diff(pts, axis=0)
-        lengths = np.linalg.norm(legs, axis=1)
-        if np.any(lengths < 1e-6):
-            raise ConfigError(
-                f"plan '{self.name}': consecutive waypoints coincide"
-            )
-        # Every leg must be long enough for the fillet cutbacks at both ends.
-        if self.fillet_radius > 0.0:
-            consumed = np.zeros(len(legs))
-            for i in range(1, len(pts) - 1):
-                q_prev = legs[i - 1] / lengths[i - 1]
-                q_next = legs[i] / lengths[i]
-                dot = float(np.clip(np.dot(q_prev, q_next), -1.0, 1.0))
-                if dot < -1.0 + COLLINEAR_TOLERANCE:
-                    raise ConfigError(
-                        f"plan '{self.name}': waypoint {i} reverses direction"
-                    )
-                if dot > 1.0 - COLLINEAR_TOLERANCE:
-                    continue  # straight through, no fillet
-                varrho = math.acos(-dot)
-                cut = self.fillet_radius / math.tan(varrho / 2.0)
-                consumed[i - 1] += cut
-                consumed[i] += cut
-            over = consumed >= lengths - 1e-9
-            if np.any(over):
-                leg = int(np.argmax(over))
-                raise ConfigError(
-                    f"plan '{self.name}': fillet radius {self.fillet_radius} m "
-                    f"does not fit on leg {leg} ({lengths[leg]:.1f} m)"
-                )
+        object.__setattr__(self, "segments", _plan_segments(self))
 
     def initial_course(self) -> float:
         """Course at the plan start point."""
@@ -288,54 +262,81 @@ class FlightPlan:
         w0 = self.waypoints[0]
         return np.array([w0[0], w0[1], down])
 
-    def build_segments(self) -> list[ManagedSegment]:
-        """Expand the plan into managed segments with switching half-planes."""
-        self.validate()
-        down = -self.nominal_agl
-        if self.orbit is not None:
-            seg = PathSegment.orbit(
-                (self.orbit.center_n, self.orbit.center_e),
-                self.orbit.radius, self.orbit.lam,
-            )
-            return [ManagedSegment(segment=seg)]
 
-        pts = [np.array([w[0], w[1]], dtype=float) for w in self.waypoints]
-        segments: list[ManagedSegment] = []
-        n = len(pts)
-        for i in range(1, n - 1):
-            q_prev = pts[i] - pts[i - 1]
-            q_prev /= np.linalg.norm(q_prev)
-            q_next = pts[i + 1] - pts[i]
-            q_next /= np.linalg.norm(q_next)
-            dot = float(np.clip(np.dot(q_prev, q_next), -1.0, 1.0))
-            origin3 = np.array([pts[i - 1][0], pts[i - 1][1], down])
-            line = PathSegment.line(origin3, np.array([q_prev[0], q_prev[1], 0.0]))
-            if self.fillet_radius <= 0.0 or dot > 1.0 - COLLINEAR_TOLERANCE:
-                # Sharp corner (or straight through): retire the leg on the
-                # bisector half-plane at the waypoint itself.
-                normal = q_prev + q_next
-                norm = float(np.linalg.norm(normal))
-                normal = q_prev if norm < 1e-9 else normal / norm
-                segments.append(ManagedSegment(line, pts[i].copy(), normal))
-                continue
-            varrho = math.acos(-dot)
-            cut = self.fillet_radius / math.tan(varrho / 2.0)
-            z_enter = pts[i] - cut * q_prev
-            z_exit = pts[i] + cut * q_next
-            bisector = q_prev - q_next
-            bisector /= np.linalg.norm(bisector)
-            center = pts[i] - (self.fillet_radius / math.sin(varrho / 2.0)) * bisector
-            lam = 1 if (q_prev[0] * q_next[1] - q_prev[1] * q_next[0]) > 0.0 else -1
-            line.exit_fillet_radius = self.fillet_radius
-            segments.append(ManagedSegment(line, z_enter, q_prev.copy()))
-            arc = PathSegment.orbit(center, self.fillet_radius, lam)
-            segments.append(ManagedSegment(arc, z_exit, q_next.copy()))
-        q_last = pts[-1] - pts[-2]
-        q_last /= np.linalg.norm(q_last)
-        origin3 = np.array([pts[-2][0], pts[-2][1], down])
-        last = PathSegment.line(origin3, np.array([q_last[0], q_last[1], 0.0]))
-        segments.append(ManagedSegment(last, pts[-1].copy(), q_last.copy()))
-        return segments
+def _plan_segments(plan: FlightPlan) -> tuple[ManagedSegment, ...]:
+    """Check the plan's geometry and expand it into managed segments with
+    switching half-planes: the unit legs, then the fillet cutback at each
+    corner, then the fit of the cutbacks on each leg."""
+    if plan.orbit is not None:
+        o = plan.orbit
+        return (ManagedSegment(PathSegment.orbit((o.center_n, o.center_e),
+                                                 o.radius, o.lam)),)
+    if len(plan.waypoints) < 2:
+        raise ConfigError(
+            f"plan '{plan.name}': needs at least two waypoints"
+        )
+    radius = plan.fillet_radius
+    if radius < 0.0:
+        raise ConfigError(f"plan '{plan.name}': fillet radius must be "
+                          ">= 0")
+    pts = [np.array([w[0], w[1]], dtype=float) for w in plan.waypoints]
+    units, lengths = [], []
+    for start, end in zip(pts, pts[1:]):
+        q = end - start
+        length = np.linalg.norm(q)
+        if length < 1e-6:
+            raise ConfigError(
+                f"plan '{plan.name}': consecutive waypoints coincide"
+            )
+        q /= length
+        units.append(q)
+        lengths.append(float(length))
+
+    down = -plan.nominal_agl
+    segments: list[ManagedSegment] = []
+    consumed = [0.0] * len(units)
+    for i in range(1, len(pts) - 1):
+        q_prev, q_next = units[i - 1], units[i]
+        dot = float(np.clip(np.dot(q_prev, q_next), -1.0, 1.0))
+        if radius > 0.0 and dot < -1.0 + COLLINEAR_TOLERANCE:
+            raise ConfigError(
+                f"plan '{plan.name}': waypoint {i} reverses direction"
+            )
+        origin3 = np.array([pts[i - 1][0], pts[i - 1][1], down])
+        line = PathSegment.line(origin3, np.array([q_prev[0], q_prev[1], 0.0]))
+        if radius <= 0.0 or dot > 1.0 - COLLINEAR_TOLERANCE:
+            # Sharp corner (or straight through): retire the leg on the
+            # bisector half-plane at the waypoint itself.
+            normal = q_prev + q_next
+            norm = float(np.linalg.norm(normal))
+            normal = q_prev.copy() if norm < 1e-9 else normal / norm
+            segments.append(ManagedSegment(line, pts[i].copy(), normal))
+            continue
+        varrho = math.acos(-dot)
+        cut = radius / math.tan(varrho / 2.0)
+        consumed[i - 1] += cut
+        consumed[i] += cut
+        z_enter = pts[i] - cut * q_prev
+        z_exit = pts[i] + cut * q_next
+        bisector = q_prev - q_next
+        bisector /= np.linalg.norm(bisector)
+        center = pts[i] - (radius / math.sin(varrho / 2.0)) * bisector
+        lam = 1 if (q_prev[0] * q_next[1] - q_prev[1] * q_next[0]) > 0.0 else -1
+        segments.append(ManagedSegment(line, z_enter, q_prev.copy()))
+        arc = PathSegment.orbit(center, radius, lam)
+        segments.append(ManagedSegment(arc, z_exit, q_next.copy()))
+    # Every leg must be long enough for the fillet cutbacks at both ends.
+    for leg, (used, length) in enumerate(zip(consumed, lengths)):
+        if used >= length - 1e-9:
+            raise ConfigError(
+                f"plan '{plan.name}': fillet radius {radius} m "
+                f"does not fit on leg {leg} ({length:.1f} m)"
+            )
+    q_last = units[-1]
+    origin3 = np.array([pts[-2][0], pts[-2][1], down])
+    last = PathSegment.line(origin3, np.array([q_last[0], q_last[1], 0.0]))
+    segments.append(ManagedSegment(last, pts[-1].copy(), q_last.copy()))
+    return tuple(segments)
 
 
 class PathManager:
@@ -348,15 +349,13 @@ class PathManager:
 
     def __init__(self, plan: FlightPlan, gains: GuidanceGains, dt: float,
                  slew: SlewSettings | None = None):
-        gains.validate()
         if dt <= 0.0:
             raise ConfigError("path manager dt must be positive")
         self.plan = plan
         self.gains = gains
         self.dt = dt
         self.slew = slew if slew is not None else SlewSettings()
-        self.slew.validate()
-        self.segments = plan.build_segments()
+        self.segments = plan.segments
         self.index = 0
         self.complete = False
         self.prev_cmd: float | None = None

@@ -121,8 +121,8 @@ class FlightController:
         prev = self.loop.prev_command
         gains = self.schedule(airdata.va, airdata.vg)
         if self.mode == "ratc":
-            delta_a, delta_r = ratc_step(chi_cmd, state, airdata, gains,
-                                         self.loop, dt, self.params)
+            delta_a, delta_r = ratc_step(chi_cmd, state, gains, self.loop,
+                                         dt, self.params)
         else:
             delta_a, delta_r = aotc_step(chi_cmd, state, airdata, gains,
                                          self.loop, dt, self.params,
@@ -201,7 +201,6 @@ def run_scenario(
     incomplete. Dynamics faults (singularity, non-finite state) truncate
     the log and are reported in the fault field instead of raising.
     """
-    cfg.validate()
     mode = cfg.ctrl.mode if mode is None else mode
     if mode not in ("aotc", "ratc"):
         raise ConfigError(f"controller mode must be aotc or ratc, got {mode!r}")
@@ -215,8 +214,7 @@ def run_scenario(
     trim_state, trim_cmd = trim(cfg.params, base_env, cfg.va_cmd)
     state = _initial_state(cfg, trim_state)
 
-    manager = PathManager(cfg.plan, cfg.ctrl.guidance_gains(), dt,
-                          cfg.ctrl.slew_settings())
+    manager = PathManager(cfg.plan, cfg.ctrl.guidance, dt, cfg.ctrl.slew)
     controller = FlightController(mode, cfg, trim_state, trim_cmd)
     gust = GustModel(cfg.env.gust_intensity, cfg.env.gust_tau, dt, cfg.seed)
     dynamics = make_dynamics(cfg.params, controller.gammas)
@@ -261,10 +259,10 @@ def run_scenario(
     log = {key: arr[:steps] for key, arr in log.items()}
     completed = manager.complete and fault is None
 
-    warm = log["t"] >= cfg.warmup if steps else np.zeros(0, dtype=bool)
-    phi_w = log["phi"][warm] if steps else np.zeros(0)
-    lat_w = log["e_lateral"][warm] if steps else np.zeros(0)
-    beta_w = log["beta_est"][warm] if steps else np.zeros(0)
+    warm = log["t"] >= cfg.warmup
+    phi_w = log["phi"][warm]
+    lat_w = log["e_lateral"][warm]
+    beta_w = log["beta_est"][warm]
 
     h_refs = tuple(sorted(set(cfg.h_refs) | set(TABLE_H_REFS)))
     stats_by_href: dict[float, ErrorStats] = {}

@@ -22,10 +22,27 @@ from levelwing.config import (
     load_aircraft,
     load_config,
 )
-from levelwing.dynamics import Environment, gamma_terms, make_dynamics, trim
+from levelwing.dynamics import (
+    AircraftParams,
+    Environment,
+    gamma_terms,
+    make_dynamics,
+    trim,
+)
+from levelwing.guidance import (
+    FlightPlan,
+    GuidanceGains,
+    OrbitPlan,
+    SlewSettings,
+)
 from levelwing.scenario import compare_controllers, run_scenario
 
 DATA_DIR = Path(levelwing.__file__).parent / "data"
+
+# The types a run is configured with; each checks itself when it is made.
+SETTINGS_TYPES = (AircraftParams, FlightPlan, OrbitPlan, GuidanceGains,
+                  SlewSettings, EnvironmentSettings, ControllerSettings,
+                  ScenarioConfig)
 
 
 @pytest.fixture(scope="session")
@@ -56,7 +73,6 @@ def make_cfg(params):
 
     def build(plan, *, name="inline", dt=0.01, duration=60.0, va_cmd=20.0,
               seed=0, env=None, ctrl=None, warmup=5.0):
-        plan.validate()
         return ScenarioConfig(
             name=name,
             aircraft_path=DATA_DIR / "aerosonde.ini",

@@ -199,7 +199,7 @@ def test_criterion_2_heading_step_matches_analytic_plant(params):
         ad = air_data(state, CALM)
         # The rudder is held open loop: the heading PD is zeroed.
         gains = schedule(ad.va, ad.vg)._replace(kp_psi=0.0, kd_psi=0.0)
-        delta_a, _ = ratc_step(0.0, state, ad, gains, loop, dt, variant)
+        delta_a, _ = ratc_step(0.0, state, gains, loop, dt, variant)
         delta_e, delta_t = longitudinal_holds(state, ad, 150.0, 20.0, gains,
                                               loop, dt, trim_state.theta,
                                               trim_cmd, variant)

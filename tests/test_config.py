@@ -1,11 +1,11 @@
 """INI loading: defaults, unit conversion, references, and error reporting."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, SETTINGS_TYPES
 from levelwing.config import (
     bundled_data_dir,
     load_aircraft,
@@ -14,6 +14,8 @@ from levelwing.config import (
     resolve_input_path,
 )
 from levelwing.errors import ConfigError
+from levelwing.guidance import GuidanceGains, SlewSettings
+from levelwing.scenario import run_scenario
 
 MINIMAL_SCENARIO = """
 [scenario]
@@ -42,7 +44,6 @@ def test_minimal_scenario_applies_defaults(tmp_path):
     assert cfg.ctrl.mode == "ratc"
     assert cfg.ctrl.wn_psi == 4.0
     assert not cfg.ctrl.slew_enabled
-    cfg.validate()
 
 
 def test_bundled_aircraft_angles_converted_to_radians():
@@ -57,9 +58,9 @@ def test_bundled_aircraft_angles_converted_to_radians():
 
 def test_every_bundled_file_loads():
     for plan_file in sorted((DATA_DIR / "plans").glob("*.ini")):
-        load_plan(plan_file).validate()
+        load_plan(plan_file)
     for scen_file in sorted((DATA_DIR / "scenarios").glob("*.ini")):
-        load_config(scen_file).validate()
+        load_config(scen_file)
     assert bundled_data_dir() == DATA_DIR
 
 
@@ -167,11 +168,10 @@ def test_absolute_missing_path_rejected(tmp_path):
 
 def test_stored_config_validation_bounds(tmp_path):
     cfg = load_config(write(tmp_path, "v.ini", MINIMAL_SCENARIO))
-    for broken in (replace(cfg, dt=0.0), replace(cfg, duration=0.0),
-                   replace(cfg, va_cmd=-1.0), replace(cfg, warmup=-1.0),
-                   replace(cfg, h_refs=())):
+    for changes in ({"dt": 0.0}, {"duration": 0.0}, {"va_cmd": -1.0},
+                    {"warmup": -1.0}, {"h_refs": ()}):
         with pytest.raises(ConfigError):
-            broken.validate()
+            replace(cfg, **changes)
 
 
 def test_describe_echoes_effective_settings(tmp_path):
@@ -181,3 +181,47 @@ def test_describe_echoes_effective_settings(tmp_path):
     assert "ratc" in text
     assert "120" in text          # default duration
     assert "slew limiter   off" in text
+
+
+def valid_settings():
+    """One valid instance of each settings type, from the bundled files."""
+    cfg = load_config("rectangle_compare.ini")
+    instances = (cfg.params, cfg.plan, load_plan("circle.ini").orbit,
+                 GuidanceGains(), SlewSettings(), cfg.env, cfg.ctrl, cfg)
+    return {type(settings): settings for settings in instances}
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+FLOAT_FIELDS = [(cls, f.name) for cls in SETTINGS_TYPES for f in fields(cls)
+                if f.init and f.type in ("float", float)]
+
+
+@pytest.mark.parametrize(
+    "cls, name", FLOAT_FIELDS,
+    ids=[f"{cls.__name__}.{name}" for cls, name in FLOAT_FIELDS])
+def test_settings_reject_non_finite_fields(cls, name):
+    valid = valid_settings()[cls]
+    for bad in NON_FINITE:
+        with pytest.raises(ConfigError, match=name):
+            replace(valid, **{name: bad})
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_waypoint_and_h_ref_rejected(bad):
+    cfg = load_config("rectangle_compare.ini")
+    for axis in range(3):
+        waypoint = [400.0, 0.0, 150.0]
+        waypoint[axis] = bad
+        with pytest.raises(ConfigError, match="waypoint 1"):
+            replace(cfg.plan, waypoints=[(0.0, 0.0, 150.0), tuple(waypoint)])
+    with pytest.raises(ConfigError, match="reference altitudes"):
+        replace(cfg, h_refs=(150.0, bad))
+
+
+def test_nan_heading_gain_never_runs():
+    # A nan gain once passed every check, and min/max clamped it to full
+    # rudder: 20 s of ratc flew with no fault and wrong statistics.
+    cfg = load_config("rectangle_compare.ini")
+    with pytest.raises(ConfigError, match="wn_psi"):
+        run_scenario(replace(cfg, ctrl=replace(cfg.ctrl, wn_psi=math.nan)),
+                     "ratc", duration_override=20.0)

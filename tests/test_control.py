@@ -61,7 +61,7 @@ def test_ratc_gains_reject_zero_rudder_authority(params, gammas):
     with pytest.raises(UncontrollablePlantError):
         schedule("ratc", dead)
     with pytest.raises(ConfigError):
-        schedule("ratc", params, gammas, wn_psi=0.0)
+        ControllerSettings(wn_psi=0.0)
 
 
 def test_roll_gains_realize_design_poles(params, gammas):
@@ -97,7 +97,7 @@ def test_aotc_synthesis_separates_bandwidths(params, gammas):
     wn_course = math.sqrt(gains.ki_course * params.gravity / 20.0)
     assert wn_course == pytest.approx(10.0 / 16.0, rel=1e-12)
     with pytest.raises(ConfigError):
-        schedule("aotc", params, gammas, course_separation=0.5)
+        ControllerSettings(course_separation=0.5)
 
 
 def test_pitch_gains_reject_zero_elevator_authority(params):
@@ -116,6 +116,13 @@ def test_pitch_plant_scales_with_dynamic_pressure(params, gammas):
     assert a1_40 / a1_20 == pytest.approx(2.0, rel=1e-12)
 
 
+def wide_limits(params):
+    """The airframe with aileron and rudder limits far outside the tests'
+    commands, so the returned deflections show the tracked errors."""
+    return replace(params, delta_a_max=math.radians(80.0),
+                   delta_r_max=math.radians(80.0))
+
+
 def ratc_setup(params, gammas):
     """ratc gains at 20 m/s: heading (4 rad/s, 0.9), roll (10 rad/s, 1,
     ki 2)."""
@@ -126,18 +133,16 @@ def test_ratc_step_zero_error_is_fixed_point(params, gammas):
     gains = ratc_setup(params, gammas)
     state = AircraftState(u=20.0)
     loop = LoopState()
-    delta_a, delta_r = ratc_step(0.0, state, air_data(state, CALM), gains,
-                                 loop, 0.01, params)
+    delta_a, delta_r = ratc_step(0.0, state, gains, loop, 0.01, params)
     assert delta_a == pytest.approx(0.0, abs=1e-12)
+    # With r = 0 the rudder is kp_psi times the heading error.
     assert delta_r == pytest.approx(0.0, abs=1e-12)
-    assert loop.last_errors == {"heading": pytest.approx(0.0, abs=1e-12)}
 
 
 def test_ratc_step_commands_corrective_yaw_moment(params, gammas):
     gains = ratc_setup(params, gammas)
     state = AircraftState(u=20.0)
-    _, delta_r = ratc_step(0.3, state, air_data(state, CALM), gains,
-                           LoopState(), 0.01, params)
+    _, delta_r = ratc_step(0.3, state, gains, LoopState(), 0.01, params)
     # Rudder effectiveness is negative on this airframe, so the deflection
     # itself is negative; the produced yaw acceleration must be positive.
     assert gains.a_psi2 * delta_r > 0.0
@@ -146,18 +151,17 @@ def test_ratc_step_commands_corrective_yaw_moment(params, gammas):
 def test_ratc_step_error_wraps_across_seam(params, gammas):
     gains = ratc_setup(params, gammas)
     state = AircraftState(u=20.0, psi=math.radians(175.0))
-    loop = LoopState()
-    ratc_step(math.radians(-175.0), state, air_data(state, CALM), gains,
-              loop, 0.01, params)
-    assert loop.last_errors["heading"] == pytest.approx(math.radians(10.0),
-                                                        rel=1e-9)
+    _, delta_r = ratc_step(math.radians(-175.0), state, gains, LoopState(),
+                           0.01, params)
+    # The rudder is kp_psi times the wrapped heading error of +10 deg.
+    assert delta_r == pytest.approx(gains.kp_psi * math.radians(10.0),
+                                    rel=1e-9)
 
 
 def test_ratc_step_levels_the_wings(params, gammas):
     gains = ratc_setup(params, gammas)
     state = AircraftState(u=20.0, phi=0.2)
-    delta_a, _ = ratc_step(0.0, state, air_data(state, CALM), gains,
-                           LoopState(), 0.01, params)
+    delta_a, _ = ratc_step(0.0, state, gains, LoopState(), 0.01, params)
     assert math.copysign(1.0, delta_a) == -math.copysign(1.0,
                                                          gains.kp_roll * 0.2)
     assert delta_a != 0.0
@@ -166,10 +170,14 @@ def test_ratc_step_levels_the_wings(params, gammas):
 def test_ratc_step_single_tracked_error_topology(params, gammas):
     gains = ratc_setup(params, gammas)
     state = AircraftState(u=20.0, phi=0.1)
+    wide = wide_limits(params)
     loop = LoopState()
-    ratc_step(0.5, state, air_data(state, CALM), gains, loop, 0.01,
-              params)
-    assert set(loop.last_errors) == {"heading"}
+    delta_a, delta_r = ratc_step(0.5, state, gains, loop, 0.01, wide)
+    # The rudder tracks the heading error alone; the roll error drives
+    # only the ailerons, whatever the heading command.
+    assert delta_r == pytest.approx(gains.kp_psi * 0.5, rel=1e-9)
+    assert delta_a == ratc_step(0.0, state, gains, LoopState(), 0.01,
+                                wide)[0]
     assert set(loop.last_saturated) == {"delta_r", "delta_a"}
 
 
@@ -177,8 +185,7 @@ def test_ratc_step_saturates_at_surface_limit(params, gammas):
     gains = ratc_setup(params, gammas)
     state = AircraftState(u=20.0)
     loop = LoopState()
-    _, delta_r = ratc_step(math.pi, state, air_data(state, CALM), gains,
-                           loop, 0.01, params)
+    _, delta_r = ratc_step(math.pi, state, gains, loop, 0.01, params)
     assert abs(delta_r) == pytest.approx(params.delta_r_max)
     assert loop.last_saturated["delta_r"]
 
@@ -202,25 +209,29 @@ def test_aotc_step_zero_error_is_fixed_point(params, gammas):
 def test_aotc_step_banks_into_course_error(params, gammas):
     gains = aotc_setup(params, gammas)
     state = AircraftState(u=20.0)
-    loop = LoopState()
-    delta_a, delta_r = aotc_step(0.3, state, air_data(state, CALM), gains,
-                                 loop, 0.01, params, math.radians(45.0))
+    ad = air_data(state, CALM)
+    delta_a, delta_r = aotc_step(0.3, state, ad, gains, LoopState(), 0.01,
+                                 params, math.radians(45.0))
     assert delta_r == 0.0
     assert delta_a > 0.0     # right bank command, wings currently level
-    assert set(loop.last_errors) == {"course", "roll"}
-    assert loop.last_errors["course"] == pytest.approx(0.3, rel=1e-9)
+    # Through unsaturated ailerons: the bank command is the course PI of
+    # the 0.3 rad course error, integrated over one step.
+    delta_a, _ = aotc_step(0.3, state, ad, gains, LoopState(), 0.01,
+                           wide_limits(params), math.radians(45.0))
+    phi_cmd = gains.kp_course * 0.3 + gains.ki_course * 0.3 * 0.01
+    assert delta_a == pytest.approx(gains.kp_roll * phi_cmd, rel=1e-9)
 
 
 def test_aotc_step_bank_command_saturates(params, gammas):
     gains = aotc_setup(params, gammas)
     state = AircraftState(u=20.0)
     loop = LoopState()
-    aotc_step(3.0, state, air_data(state, CALM), gains, loop, 0.01, params,
-              math.radians(45.0))
+    delta_a, _ = aotc_step(3.0, state, air_data(state, CALM), gains, loop,
+                           0.01, wide_limits(params), math.radians(45.0))
     assert loop.last_saturated["phi_cmd"]
     # The roll error then tracks the clamped bank command, not the raw one.
-    assert loop.last_errors["roll"] == pytest.approx(math.radians(45.0),
-                                                     rel=1e-9)
+    assert delta_a == pytest.approx(gains.kp_roll * math.radians(45.0),
+                                    rel=1e-9)
 
 
 def test_aotc_antiwindup_desaturates_quickly(params, gammas):
@@ -265,7 +276,7 @@ def test_lateral_commands_respect_limits_randomized(params, gammas):
         )
         ad = air_data(state, CALM)
         chi_cmd = rng.uniform(-math.pi, math.pi)
-        da, dr = ratc_step(chi_cmd, state, ad, ratc_gains, LoopState(), 0.01,
+        da, dr = ratc_step(chi_cmd, state, ratc_gains, LoopState(), 0.01,
                            params)
         assert abs(da) <= params.delta_a_max + 1e-12
         assert abs(dr) <= params.delta_r_max + 1e-12

@@ -180,21 +180,21 @@ def test_slew_limit_rejects_bad_parameters():
 
 def test_plan_validation_errors():
     with pytest.raises(ConfigError, match="at least two"):
-        FlightPlan(name="p", waypoints=[(0.0, 0.0, 150.0)]).validate()
+        FlightPlan(name="p", waypoints=[(0.0, 0.0, 150.0)])
     with pytest.raises(ConfigError, match="coincide"):
         FlightPlan(name="p", waypoints=[(0.0, 0.0, 150.0),
-                                        (0.0, 0.0, 150.0)]).validate()
+                                        (0.0, 0.0, 150.0)])
     with pytest.raises(ConfigError, match="reverses"):
         FlightPlan(name="p", fillet_radius=50.0,
                    waypoints=[(0.0, 0.0, 150.0), (400.0, 0.0, 150.0),
-                              (0.0, 0.0, 150.0)]).validate()
+                              (0.0, 0.0, 150.0)])
     with pytest.raises(ConfigError, match="does not fit on leg"):
         FlightPlan(name="p", fillet_radius=100.0,
                    waypoints=[(0.0, 0.0, 150.0), (150.0, 0.0, 150.0),
                               (150.0, 150.0, 150.0),
-                              (0.0, 150.0, 150.0)]).validate()
+                              (0.0, 150.0, 150.0)])
     with pytest.raises(ConfigError, match="positive radius|radius must be"):
-        FlightPlan(name="p", orbit=OrbitPlan(0.0, 0.0, -50.0, 1)).validate()
+        FlightPlan(name="p", orbit=OrbitPlan(0.0, 0.0, -50.0, 1))
 
 
 def test_plan_start_and_initial_course():
@@ -214,7 +214,7 @@ def test_square_corner_fillet_geometry():
     plan = FlightPlan(name="L", fillet_radius=100.0,
                       waypoints=[(0.0, 0.0, 150.0), (400.0, 0.0, 150.0),
                                  (400.0, 400.0, 150.0)])
-    segs = plan.build_segments()
+    segs = plan.segments
     assert [m.segment.kind for m in segs] == ["line", "orbit", "line"]
     arc = segs[1].segment
     # 90 deg corner: tangency 100 m before the corner, center offset
@@ -230,7 +230,7 @@ def test_sharp_corner_switches_on_bisector():
     plan = FlightPlan(name="sharp", fillet_radius=0.0,
                       waypoints=[(0.0, 0.0, 150.0), (400.0, 0.0, 150.0),
                                  (400.0, 400.0, 150.0)])
-    segs = plan.build_segments()
+    segs = plan.segments
     assert [m.segment.kind for m in segs] == ["line", "line"]
     assert np.allclose(segs[0].switch_point, [400.0, 0.0])
     assert np.allclose(segs[0].switch_normal,
@@ -241,7 +241,7 @@ def test_collinear_waypoint_inserts_no_arc():
     plan = FlightPlan(name="straight", fillet_radius=100.0,
                       waypoints=[(0.0, 0.0, 150.0), (300.0, 0.0, 150.0),
                                  (600.0, 0.0, 150.0)])
-    segs = plan.build_segments()
+    segs = plan.segments
     assert [m.segment.kind for m in segs] == ["line", "line"]
 
 
@@ -249,6 +249,7 @@ def test_manager_tracks_and_completes_line_plan():
     plan = FlightPlan(name="leg", waypoints=[(0.0, 0.0, 150.0),
                                              (400.0, 0.0, 150.0)])
     mgr = PathManager(plan, GuidanceGains(), 0.01)
+    assert mgr.segments is plan.segments   # built once, with the plan
     cmd = mgr.step([10.0, 0.0, -150.0])
     assert cmd.segment_id == 0
     assert cmd.chi_cmd == pytest.approx(0.0, abs=1e-12)

@@ -60,7 +60,7 @@ def test_capture_and_hold_from_lateral_offset(params, dynamics, make_cfg,
     cfg = make_cfg(straight_plan(2000.0), duration=45.0)
     trim_state, trim_cmd = trim(params, CALM, 20.0)
     state = trim_state._replace(pn=0.0, pe=30.0, pd=-150.0, psi=0.0)
-    manager = PathManager(cfg.plan, cfg.ctrl.guidance_gains(), cfg.dt)
+    manager = PathManager(cfg.plan, cfg.ctrl.guidance, cfg.dt)
     controller = FlightController(mode, cfg, trim_state, trim_cmd)
     n = round(45.0 / cfg.dt)
     errors = np.zeros(n)
@@ -105,9 +105,9 @@ def test_unknown_mode_rejected(make_cfg):
 def test_run_validates_the_config(changes):
     # A config built or edited through the API gets the same boundary
     # checks as one loaded from a file.
-    cfg = replace(load_config("rectangle_compare.ini"), **changes)
+    cfg = load_config("rectangle_compare.ini")
     with pytest.raises(ConfigError):
-        run_scenario(cfg, duration_override=1.0)
+        run_scenario(replace(cfg, **changes), duration_override=1.0)
 
 
 def test_time_base_and_step_cap(make_cfg):
@@ -302,7 +302,7 @@ def test_figure_eight_completes_with_ordered_segments(mode):
     assert np.all(np.diff(ids) >= 0)
     # The crossover point is visited twice; the manager must still march
     # straight through to the final segment without skipping back.
-    assert ids[-1] == len(cfg.plan.build_segments()) - 1
+    assert ids[-1] == len(cfg.plan.segments) - 1
 
 
 def test_beta_estimate_matches_kinematic_sideslip_when_calm(circle_run):

@@ -1,5 +1,6 @@
 """Package structure: the intra-package import graph has no cycle,
-every function, class and method is used inside the package, and the
+every function, class and method is used inside the package, the
+settings types check themselves once, when they are made, and the
 benchmark tracer's hooks name what the package defines.
 
 Every import counts, wherever it sits: at module level, inside a
@@ -8,10 +9,12 @@ tests call is dead code.
 """
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import levelwing
+from conftest import SETTINGS_TYPES
 
 PACKAGE = "levelwing"
 SRC = Path(levelwing.__file__).parent
@@ -170,6 +173,37 @@ def test_every_definition_is_used_inside_the_package():
     missing = [name for name in unreferenced(sources)
                if name.split(".", 1)[1] not in UNREFERENCED_ALLOWED]
     assert missing == []
+
+
+def test_settings_are_frozen_and_checked_when_made():
+    for cls in SETTINGS_TYPES:
+        assert dataclasses.is_dataclass(cls), cls
+        assert cls.__dataclass_params__.frozen, cls
+        assert "__post_init__" in vars(cls), cls
+
+
+def validate_uses(tree: ast.Module) -> list[int]:
+    """Lines that define a validate function or call a .validate()."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "validate"
+                  or isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "validate")
+
+
+def test_validate_uses_finds_definitions_and_calls():
+    tree = ast.parse("def validate():\n    pass\n"
+                     "class A:\n    def validate(self):\n        pass\n"
+                     "cfg.plan.validate()\nvalidate_all(x)\n")
+    assert validate_uses(tree) == [1, 4, 6]
+
+
+def test_no_validate_left_in_the_package():
+    # A settings value is checked when it is made, so nothing re-checks it.
+    found = {path.name: validate_uses(ast.parse(path.read_text()))
+             for path in SRC.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def tracer_hooks(path: Path) -> list[tuple[str, str, str]]:
