@@ -1,25 +1,97 @@
 """Configuration file loading.
 
-Three INI-style document kinds share one parser: aircraft parameter
-files, flight-plan files, and scenario files. All angles in files are
-degrees and are converted to radians at load; aerodynamic derivatives
-are per-radian and pass through unchanged. Relative paths referenced by
-a scenario resolve against the scenario file's directory first, then
-against the bundled data directory, so `aircraft = aerosonde.ini` works
-anywhere.
+Three INI-style document kinds share one reader: aircraft parameter
+files, flight-plan files, and scenario files. One key table per settings
+type maps each INI key to a dataclass field. The reader passes on only
+the keys a file sets, so every default lives once, in its dataclass, and
+a key or section that no table lists is an error. Values are literal
+(no `%` interpolation). Keys ending in `_deg` or `_dps` are degrees
+(per second) and are converted to radians at load; aerodynamic
+derivatives are per-radian and pass through unchanged. Relative paths
+referenced by a scenario resolve against the scenario file's directory
+first, then against the bundled data directory, so
+`aircraft = aerosonde.ini` works anywhere.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from collections.abc import Collection, Mapping
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
 from .dynamics import AircraftParams
 from .errors import ConfigError, require_finite
 from .guidance import FlightPlan, GuidanceGains, OrbitPlan, SlewSettings
+
+# INI key -> AircraftParams field, for each section of an aircraft file.
+AIRCRAFT_KEYS = {
+    "mass_properties": {
+        "mass_kg": "mass", "ixx_kgm2": "ixx", "iyy_kgm2": "iyy",
+        "izz_kgm2": "izz", "ixz_kgm2": "ixz", "gravity_mps2": "gravity",
+        "air_density_kgpm3": "rho",
+    },
+    "geometry": {
+        "wing_area_m2": "wing_area", "wing_span_m": "wing_span",
+        "mean_chord_m": "mean_chord",
+    },
+    "aero_lateral": {name: name for name in (
+        "c_y_0", "c_y_beta", "c_y_p", "c_y_r", "c_y_delta_a", "c_y_delta_r",
+        "c_ell_0", "c_ell_beta", "c_ell_p", "c_ell_r", "c_ell_delta_a",
+        "c_ell_delta_r",
+        "c_n_0", "c_n_beta", "c_n_p", "c_n_r", "c_n_delta_a", "c_n_delta_r")},
+    "aero_longitudinal": {name: name for name in (
+        "c_lift_0", "c_lift_alpha", "c_lift_q", "c_lift_delta_e",
+        "c_drag_0", "c_drag_alpha", "c_m_0", "c_m_alpha", "c_m_q",
+        "c_m_delta_e")},
+    "propulsion": {
+        "max_thrust_n": "max_thrust",
+        "thrust_airspeed_decay_npmps2": "thrust_airspeed_decay",
+    },
+    "actuators": {
+        "aileron_limit_deg": "delta_a_max",
+        "elevator_limit_deg": "delta_e_max",
+        "rudder_limit_deg": "delta_r_max", "rate_limit_dps": "rate_limit",
+    },
+}
+# [plan] -> FlightPlan; name and kind are read by the loader itself.
+PLAN_KEYS = {"fillet_radius_m": "fillet_radius",
+             "nominal_agl_m": "nominal_agl"}
+# [orbit] -> OrbitPlan; direction (cw or ccw) becomes lam.
+ORBIT_KEYS = {
+    "center_n_m": "center_n", "center_e_m": "center_e", "radius_m": "radius",
+    "revolutions": "revolutions", "start_bearing_deg": "start_bearing",
+}
+# [scenario] -> ScenarioConfig; the name (default: the file stem), the two
+# file references and the h_ref_m list are read by the loader itself.
+SCENARIO_KEYS = {
+    "dt_s": "dt", "duration_s": "duration", "airspeed_mps": "va_cmd",
+    "warmup_s": "warmup", "seed": "seed",
+}
+SCENARIO_OWN_KEYS = ("name", "aircraft", "plan", "h_ref_m")
+# [environment] -> EnvironmentSettings and [controller] -> ControllerSettings;
+# a scenario may leave out either section.
+ENVIRONMENT_KEYS = {
+    "wind_n_mps": "wind_n", "wind_e_mps": "wind_e", "wind_d_mps": "wind_d",
+    "gust_intensity_mps": "gust_intensity", "gust_tau_s": "gust_tau",
+}
+CONTROLLER_KEYS = {
+    "mode": "mode",
+    "wn_psi_radps": "wn_psi", "zeta_psi": "zeta_psi",
+    "wn_roll_radps": "wn_roll", "zeta_roll": "zeta_roll", "ki_roll": "ki_roll",
+    "course_separation": "course_separation", "zeta_course": "zeta_course",
+    "bank_limit_deg": "bank_limit",
+    "intercept_angle_deg": "intercept_angle",
+    "capture_gain_radpm": "capture_gain", "orbit_capture_gain": "orbit_gain",
+    "slew_enabled": "slew_enabled", "slew_rate_dps": "slew_rate",
+    "slew_threshold_dps": "slew_threshold",
+    "wn_pitch_radps": "wn_pitch", "zeta_pitch": "zeta_pitch",
+    "wn_alt_radps": "wn_alt", "zeta_alt": "zeta_alt",
+    "kp_airspeed": "kp_airspeed", "ki_airspeed": "ki_airspeed",
+    "pitch_limit_deg": "pitch_limit",
+}
 
 
 def bundled_data_dir() -> Path:
@@ -40,209 +112,160 @@ def resolve_input_path(
     candidate, preventing a config file from resolving to itself.
     """
     p = Path(name)
-    if p.is_absolute():
-        if p.is_file():
-            return p
-        raise ConfigError(f"file not found: {p}")
-    candidates = []
-    if base_dir is not None:
-        candidates.append(base_dir / p)
-    candidates.append(Path.cwd() / p)
-    data = bundled_data_dir()
-    if kind is not None:
-        candidates.append(data / kind / p)
-    candidates += [data / p, data / "plans" / p, data / "scenarios" / p]
-    for cand in candidates:
-        if exclude is not None and cand.resolve() == exclude.resolve():
-            continue
-        if cand.is_file():
-            return cand
+    try:
+        if p.is_absolute():
+            if p.is_file():
+                return p
+            raise ConfigError(f"file not found: {p}")
+        candidates = []
+        if base_dir is not None:
+            candidates.append(base_dir / p)
+        candidates.append(Path.cwd() / p)
+        data = bundled_data_dir()
+        if kind is not None:
+            candidates.append(data / kind / p)
+        candidates += [data / p, data / "plans" / p, data / "scenarios" / p]
+        excluded = exclude.resolve() if exclude is not None else None
+        for cand in candidates:
+            if cand.is_file() and (excluded is None
+                                   or cand.resolve() != excluded):
+                return cand
+    except OSError as exc:
+        raise ConfigError(f"cannot read {name}: {exc}") from exc
     raise ConfigError(f"file not found: {name}")
 
 
 def _read_ini(path: Path) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    """Parse path with literal values; a [DEFAULT] section is an ordinary
+    section, so it is checked like any other instead of leaking keys."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None, default_section="")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     return parser
 
 
-class _Section:
-    """Typed access to one INI section with contextual error messages."""
+def _only_sections(parser: configparser.ConfigParser, path: Path,
+                   sections: Collection[str]) -> None:
+    for name in parser.sections():
+        if name not in sections:
+            raise ConfigError(f"{path}: unknown section [{name}]")
 
-    def __init__(self, parser: configparser.ConfigParser, path: Path,
-                 name: str, required: bool = True):
-        self._path = path
-        self._name = name
-        if parser.has_section(name):
-            self._section = parser[name]
-        elif required:
-            raise ConfigError(f"{path}: missing section [{name}]")
-        else:
-            self._section = {}
 
-    def float(self, key: str, default: float | None = None) -> float:
-        raw = self._section.get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(
-                    f"{self._path}: missing key '{key}' in [{self._name}]"
-                )
-            return default
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{self._path}: [{self._name}] {key} = {raw!r} is not a number"
-            ) from exc
-        if not math.isfinite(value):
-            raise ConfigError(
-                f"{self._path}: [{self._name}] {key} = {raw!r} is not finite"
-            )
-        return value
+def _section(parser: configparser.ConfigParser, path: Path,
+             name: str) -> configparser.SectionProxy:
+    if not parser.has_section(name):
+        raise ConfigError(f"{path}: missing section [{name}]")
+    return parser[name]
 
-    def int(self, key: str, default: int | None = None) -> int:
-        raw = self._section.get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(
-                    f"{self._path}: missing key '{key}' in [{self._name}]"
-                )
-            return default
+
+def _parse_value(raw: str, kind: str):
+    """raw as a value of the annotated kind; a ValueError says what it is
+    not."""
+    if kind == "str":
+        return raw
+    if kind == "bool":
+        word = raw.lower()
+        if word in ("1", "true", "yes", "on"):
+            return True
+        if word in ("0", "false", "no", "off"):
+            return False
+        raise ValueError("is not a boolean")
+    if kind == "int":
         try:
             return int(raw)
+        except ValueError:
+            raise ValueError("is not an integer") from None
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError("is not a number") from None
+    if not math.isfinite(value):
+        raise ValueError("is not finite")
+    return value
+
+
+def _read_section(parser: configparser.ConfigParser, path: Path,
+                  section: str, table: Mapping[str, str], cls: type,
+                  known: Collection[str] = (),
+                  optional: bool = False) -> dict:
+    """{field: value} for each key of [section] that table maps onto a
+    field of cls, parsed by the field's annotation.
+
+    A key that neither table nor known (the keys the caller reads itself)
+    lists is an error, and so is a missing key whose field has no default.
+    An optional section may be absent.
+    """
+    if optional and not parser.has_section(section):
+        items = {}
+    else:
+        items = _section(parser, path, section)
+    cls_fields = {f.name: f for f in fields(cls)}
+    values = {}
+    for key, raw in items.items():
+        if key in known:
+            continue
+        if key not in table:
+            raise ConfigError(f"{path}: unknown key '{key}' in [{section}]")
+        name = table[key]
+        try:
+            value = _parse_value(raw, cls_fields[name].type)
         except ValueError as exc:
             raise ConfigError(
-                f"{self._path}: [{self._name}] {key} = {raw!r} is not an integer"
-            ) from exc
-
-    def str(self, key: str, default: str | None = None) -> str:
-        raw = self._section.get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(
-                    f"{self._path}: missing key '{key}' in [{self._name}]"
-                )
-            return default
-        return raw.strip()
-
-    def bool(self, key: str, default: bool) -> bool:
-        raw = self._section.get(key)
-        if raw is None:
-            return default
-        value = raw.strip().lower()
-        if value in ("1", "true", "yes", "on"):
-            return True
-        if value in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(
-            f"{self._path}: [{self._name}] {key} = {raw!r} is not a boolean"
-        )
-
-    def items(self):
-        return self._section.items()
+                f"{path}: [{section}] {key} = {raw!r} {exc}") from None
+        values[name] = (math.radians(value) if key.endswith(("_deg", "_dps"))
+                        else value)
+    for key, name in table.items():
+        if name not in values and cls_fields[name].default is MISSING:
+            raise ConfigError(f"{path}: missing key '{key}' in [{section}]")
+    return values
 
 
 def load_aircraft(path: str | Path, base_dir: Path | None = None) -> AircraftParams:
     """Load an aircraft parameter file."""
     resolved = resolve_input_path(path, base_dir)
     parser = _read_ini(resolved)
-
-    mass = _Section(parser, resolved, "mass_properties")
-    geom = _Section(parser, resolved, "geometry")
-    lat = _Section(parser, resolved, "aero_lateral")
-    lon = _Section(parser, resolved, "aero_longitudinal")
-    prop = _Section(parser, resolved, "propulsion")
-    act = _Section(parser, resolved, "actuators")
-
-    return AircraftParams(
-        mass=mass.float("mass_kg"),
-        ixx=mass.float("ixx_kgm2"),
-        iyy=mass.float("iyy_kgm2"),
-        izz=mass.float("izz_kgm2"),
-        ixz=mass.float("ixz_kgm2", 0.0),
-        gravity=mass.float("gravity_mps2", 9.81),
-        rho=mass.float("air_density_kgpm3", 1.2682),
-        wing_area=geom.float("wing_area_m2"),
-        wing_span=geom.float("wing_span_m"),
-        mean_chord=geom.float("mean_chord_m"),
-        c_y_0=lat.float("c_y_0", 0.0),
-        c_y_beta=lat.float("c_y_beta"),
-        c_y_p=lat.float("c_y_p", 0.0),
-        c_y_r=lat.float("c_y_r", 0.0),
-        c_y_delta_a=lat.float("c_y_delta_a", 0.0),
-        c_y_delta_r=lat.float("c_y_delta_r", 0.0),
-        c_ell_0=lat.float("c_ell_0", 0.0),
-        c_ell_beta=lat.float("c_ell_beta"),
-        c_ell_p=lat.float("c_ell_p"),
-        c_ell_r=lat.float("c_ell_r"),
-        c_ell_delta_a=lat.float("c_ell_delta_a"),
-        c_ell_delta_r=lat.float("c_ell_delta_r", 0.0),
-        c_n_0=lat.float("c_n_0", 0.0),
-        c_n_beta=lat.float("c_n_beta"),
-        c_n_p=lat.float("c_n_p"),
-        c_n_r=lat.float("c_n_r"),
-        c_n_delta_a=lat.float("c_n_delta_a", 0.0),
-        c_n_delta_r=lat.float("c_n_delta_r"),
-        c_lift_0=lon.float("c_lift_0"),
-        c_lift_alpha=lon.float("c_lift_alpha"),
-        c_lift_q=lon.float("c_lift_q", 0.0),
-        c_lift_delta_e=lon.float("c_lift_delta_e", 0.0),
-        c_drag_0=lon.float("c_drag_0"),
-        c_drag_alpha=lon.float("c_drag_alpha", 0.0),
-        c_m_0=lon.float("c_m_0"),
-        c_m_alpha=lon.float("c_m_alpha"),
-        c_m_q=lon.float("c_m_q"),
-        c_m_delta_e=lon.float("c_m_delta_e"),
-        max_thrust=prop.float("max_thrust_n"),
-        thrust_airspeed_decay=prop.float("thrust_airspeed_decay_npmps2", 0.0),
-        delta_a_max=math.radians(act.float("aileron_limit_deg", 25.0)),
-        delta_e_max=math.radians(act.float("elevator_limit_deg", 25.0)),
-        delta_r_max=math.radians(act.float("rudder_limit_deg", 25.0)),
-        rate_limit=math.radians(act.float("rate_limit_dps", 400.0)),
-    )
+    _only_sections(parser, resolved, AIRCRAFT_KEYS)
+    values = {}
+    for section, table in AIRCRAFT_KEYS.items():
+        values |= _read_section(parser, resolved, section, table,
+                                AircraftParams)
+    return AircraftParams(**values)
 
 
 def load_plan(path: str | Path, base_dir: Path | None = None) -> FlightPlan:
     """Load a flight-plan file (waypoints or orbit)."""
     resolved = resolve_input_path(path, base_dir, kind="plans")
     parser = _read_ini(resolved)
-    head = _Section(parser, resolved, "plan")
-    name = head.str("name", resolved.stem)
-    kind = head.str("kind", "waypoints").lower()
-    nominal_agl = head.float("nominal_agl_m", 150.0)
+    values = _read_section(parser, resolved, "plan", PLAN_KEYS, FlightPlan,
+                           known=("name", "kind"))
+    head = parser["plan"]
+    values["name"] = head.get("name", resolved.stem)
+    kind = head.get("kind", "waypoints").lower()
+    if kind not in ("orbit", "waypoints"):
+        raise ConfigError(f"{resolved}: plan kind must be waypoints or orbit")
+    _only_sections(parser, resolved, ("plan", kind))
 
     if kind == "orbit":
-        orb = _Section(parser, resolved, "orbit")
-        direction = orb.str("direction", "cw").lower()
+        orbit = _read_section(parser, resolved, "orbit", ORBIT_KEYS,
+                              OrbitPlan, known=("direction",))
+        direction = parser["orbit"].get("direction", "cw").lower()
         if direction not in ("cw", "ccw"):
             raise ConfigError(
                 f"{resolved}: orbit direction must be cw or ccw, got "
                 f"{direction!r}"
             )
         return FlightPlan(
-            name=name,
-            nominal_agl=nominal_agl,
-            orbit=OrbitPlan(
-                center_n=orb.float("center_n_m"),
-                center_e=orb.float("center_e_m"),
-                radius=orb.float("radius_m"),
-                lam=1 if direction == "cw" else -1,
-                revolutions=orb.float("revolutions", 1.0),
-                start_bearing=math.radians(orb.float("start_bearing_deg", 0.0)),
-            ),
-        )
+            orbit=OrbitPlan(lam=1 if direction == "cw" else -1, **orbit),
+            **values)
 
-    if kind != "waypoints":
-        raise ConfigError(f"{resolved}: plan kind must be waypoints or orbit")
-    wps_section = _Section(parser, resolved, "waypoints")
     waypoints: list[tuple[float, float, float]] = []
-    for key, raw in sorted(wps_section.items()):
+    for key, raw in sorted(_section(parser, resolved, "waypoints").items()):
         parts = [s.strip() for s in raw.split(",")]
         if len(parts) != 3:
             raise ConfigError(
@@ -258,12 +281,7 @@ def load_plan(path: str | Path, base_dir: Path | None = None) -> FlightPlan:
             raise ConfigError(
                 f"{resolved}: waypoint '{key}' has a non-finite field")
         waypoints.append(waypoint)
-    return FlightPlan(
-        name=name,
-        waypoints=tuple(waypoints),
-        fillet_radius=head.float("fillet_radius_m", 0.0),
-        nominal_agl=nominal_agl,
-    )
+    return FlightPlan(waypoints=tuple(waypoints), **values)
 
 
 @dataclass(frozen=True)
@@ -386,78 +404,6 @@ class ScenarioConfig:
         if self.seed < 0:
             raise ConfigError(f"gust seed must be >= 0, got {self.seed}")
 
-    def describe(self) -> str:
-        """Effective settings, defaults included, one per line."""
-        lines = [
-            f"scenario       {self.name}",
-            f"aircraft       {self.aircraft_path}",
-            f"plan           {self.plan_path} ({self.plan.name})",
-            f"dt             {self.dt} s",
-            f"duration       {self.duration} s",
-            f"airspeed cmd   {self.va_cmd} m/s",
-            f"h_refs         {', '.join(f'{h:g}' for h in self.h_refs)} m",
-            f"warmup         {self.warmup} s",
-            f"seed           {self.seed}",
-            f"wind NED       ({self.env.wind_n:g}, {self.env.wind_e:g}, "
-            f"{self.env.wind_d:g}) m/s",
-            f"gust           intensity {self.env.gust_intensity:g} m/s, "
-            f"tau {self.env.gust_tau:g} s",
-            f"mode           {self.ctrl.mode}",
-            f"wn_psi         {self.ctrl.wn_psi:g} rad/s (zeta "
-            f"{self.ctrl.zeta_psi:g})",
-            f"wn_roll        {self.ctrl.wn_roll:g} rad/s (zeta "
-            f"{self.ctrl.zeta_roll:g}, ki {self.ctrl.ki_roll:g})",
-            f"course loop    wn_roll/{self.ctrl.course_separation:g} (zeta "
-            f"{self.ctrl.zeta_course:g})",
-            f"bank limit     {math.degrees(self.ctrl.bank_limit):g} deg",
-            f"intercept      {math.degrees(self.ctrl.intercept_angle):g} deg, "
-            f"capture gain {self.ctrl.capture_gain:g} rad/m, orbit gain "
-            f"{self.ctrl.orbit_gain:g}",
-            f"slew limiter   {'on' if self.ctrl.slew_enabled else 'off'}, "
-            f"rate {math.degrees(self.ctrl.slew_rate):g} deg/s, threshold "
-            f"{math.degrees(self.ctrl.slew_threshold):g} deg/s",
-        ]
-        return "\n".join(lines)
-
-
-def _override(value, override, kind):
-    """A file value, or the command-line override of it when one is given.
-    The file value is parsed either way, so a malformed file is an error."""
-    return value if override is None else kind(override)
-
-
-def _controller_settings(section: _Section,
-                         slew: bool | None) -> ControllerSettings:
-    defaults = ControllerSettings()
-    return ControllerSettings(
-        mode=section.str("mode", defaults.mode).lower(),
-        wn_psi=section.float("wn_psi_radps", defaults.wn_psi),
-        zeta_psi=section.float("zeta_psi", defaults.zeta_psi),
-        wn_roll=section.float("wn_roll_radps", defaults.wn_roll),
-        zeta_roll=section.float("zeta_roll", defaults.zeta_roll),
-        ki_roll=section.float("ki_roll", defaults.ki_roll),
-        course_separation=section.float("course_separation",
-                                        defaults.course_separation),
-        zeta_course=section.float("zeta_course", defaults.zeta_course),
-        bank_limit=math.radians(section.float("bank_limit_deg", 45.0)),
-        intercept_angle=math.radians(
-            section.float("intercept_angle_deg", 45.0)),
-        capture_gain=section.float("capture_gain_radpm",
-                                   defaults.capture_gain),
-        orbit_gain=section.float("orbit_capture_gain", defaults.orbit_gain),
-        slew_enabled=_override(
-            section.bool("slew_enabled", defaults.slew_enabled), slew, bool),
-        slew_rate=math.radians(section.float("slew_rate_dps", 30.0)),
-        slew_threshold=math.radians(section.float("slew_threshold_dps", 30.0)),
-        wn_pitch=section.float("wn_pitch_radps", defaults.wn_pitch),
-        zeta_pitch=section.float("zeta_pitch", defaults.zeta_pitch),
-        wn_alt=section.float("wn_alt_radps", defaults.wn_alt),
-        zeta_alt=section.float("zeta_alt", defaults.zeta_alt),
-        kp_airspeed=section.float("kp_airspeed", defaults.kp_airspeed),
-        ki_airspeed=section.float("ki_airspeed", defaults.ki_airspeed),
-        pitch_limit=math.radians(section.float("pitch_limit_deg", 20.0)),
-    )
-
 
 def load_config(
     path: str | Path,
@@ -466,52 +412,53 @@ def load_config(
 ) -> ScenarioConfig:
     """Load a scenario file with optional command-line overrides applied.
 
-    A duration-cap override is applied at run time instead (a zero-length
-    cap is a valid run request but not a valid stored configuration).
+    An override replaces the file's value after that value is parsed, so
+    a malformed file is an error either way. A duration-cap override is
+    applied at run time instead (a zero-length cap is a valid run request
+    but not a valid stored configuration).
     """
     resolved = resolve_input_path(path, kind="scenarios")
     base_dir = resolved.parent
     parser = _read_ini(resolved)
+    _only_sections(parser, resolved,
+                   ("scenario", "environment", "controller"))
+    values = _read_section(parser, resolved, "scenario", SCENARIO_KEYS,
+                           ScenarioConfig, known=SCENARIO_OWN_KEYS)
+    env = _read_section(parser, resolved, "environment", ENVIRONMENT_KEYS,
+                        EnvironmentSettings, optional=True)
+    ctrl = _read_section(parser, resolved, "controller", CONTROLLER_KEYS,
+                         ControllerSettings, optional=True)
+    if "mode" in ctrl:
+        ctrl["mode"] = ctrl["mode"].lower()
+    if seed is not None:
+        values["seed"] = int(seed)
+    if slew is not None:
+        ctrl["slew_enabled"] = bool(slew)
 
-    scen = _Section(parser, resolved, "scenario")
-    env_sec = _Section(parser, resolved, "environment", required=False)
-    ctrl_sec = _Section(parser, resolved, "controller", required=False)
-
-    aircraft_name = scen.str("aircraft")
-    plan_name = scen.str("plan")
-    aircraft_path = resolve_input_path(aircraft_name, base_dir,
+    head = parser["scenario"]
+    for key in ("aircraft", "plan"):
+        if key not in head:
+            raise ConfigError(f"{resolved}: missing key '{key}' in [scenario]")
+    aircraft_path = resolve_input_path(head["aircraft"], base_dir,
                                        exclude=resolved)
-    plan_path = resolve_input_path(plan_name, base_dir, kind="plans",
+    plan_path = resolve_input_path(head["plan"], base_dir, kind="plans",
                                    exclude=resolved)
-    params = load_aircraft(aircraft_path)
-    plan = load_plan(plan_path)
+    if "h_ref_m" in head:
+        try:
+            values["h_refs"] = tuple(float(s.strip())
+                                     for s in head["h_ref_m"].split(",")
+                                     if s.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{resolved}: h_ref_m must be a "
+                              "comma-separated list of numbers") from exc
 
-    h_raw = scen.str("h_ref_m", "150, 450")
-    try:
-        h_refs = tuple(float(s.strip()) for s in h_raw.split(",") if s.strip())
-    except ValueError as exc:
-        raise ConfigError(f"{resolved}: h_ref_m must be a comma-separated "
-                          "list of numbers") from exc
-
-    env = EnvironmentSettings(
-        wind_n=env_sec.float("wind_n_mps", 0.0),
-        wind_e=env_sec.float("wind_e_mps", 0.0),
-        wind_d=env_sec.float("wind_d_mps", 0.0),
-        gust_intensity=env_sec.float("gust_intensity_mps", 0.0),
-        gust_tau=env_sec.float("gust_tau_s", 2.0),
-    )
     return ScenarioConfig(
-        name=scen.str("name", resolved.stem),
+        name=head.get("name", resolved.stem),
         aircraft_path=aircraft_path,
         plan_path=plan_path,
-        params=params,
-        plan=plan,
-        env=env,
-        ctrl=_controller_settings(ctrl_sec, slew),
-        dt=scen.float("dt_s", 0.01),
-        duration=scen.float("duration_s", 120.0),
-        va_cmd=scen.float("airspeed_mps", 20.0),
-        h_refs=h_refs,
-        warmup=scen.float("warmup_s", 5.0),
-        seed=_override(scen.int("seed", 0), seed, int),
+        params=load_aircraft(aircraft_path),
+        plan=load_plan(plan_path),
+        env=EnvironmentSettings(**env),
+        ctrl=ControllerSettings(**ctrl),
+        **values,
     )

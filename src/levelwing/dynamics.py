@@ -77,19 +77,20 @@ class ControlCommand:
     delta_t: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class AircraftParams:
     """Physical aircraft description, checked when it is made.
 
     All aerodynamic derivatives are per radian. Actuator limits are in
     radians (surfaces) and rad/s (slew); throttle is dimensionless [0, 1].
+    A field without a default is a key every aircraft file must give.
     """
 
     mass: float
     ixx: float
     iyy: float
     izz: float
-    ixz: float
+    ixz: float = 0.0
     wing_area: float
     wing_span: float
     mean_chord: float
@@ -98,38 +99,38 @@ class AircraftParams:
 
     # Side force
     c_y_0: float = 0.0
-    c_y_beta: float = 0.0
+    c_y_beta: float
     c_y_p: float = 0.0
     c_y_r: float = 0.0
     c_y_delta_a: float = 0.0
     c_y_delta_r: float = 0.0
     # Roll moment
     c_ell_0: float = 0.0
-    c_ell_beta: float = 0.0
-    c_ell_p: float = 0.0
-    c_ell_r: float = 0.0
-    c_ell_delta_a: float = 0.0
+    c_ell_beta: float
+    c_ell_p: float
+    c_ell_r: float
+    c_ell_delta_a: float
     c_ell_delta_r: float = 0.0
     # Yaw moment
     c_n_0: float = 0.0
-    c_n_beta: float = 0.0
-    c_n_p: float = 0.0
-    c_n_r: float = 0.0
+    c_n_beta: float
+    c_n_p: float
+    c_n_r: float
     c_n_delta_a: float = 0.0
-    c_n_delta_r: float = 0.0
+    c_n_delta_r: float
     # Lift / drag / pitch moment
-    c_lift_0: float = 0.0
-    c_lift_alpha: float = 0.0
+    c_lift_0: float
+    c_lift_alpha: float
     c_lift_q: float = 0.0
     c_lift_delta_e: float = 0.0
-    c_drag_0: float = 0.0
+    c_drag_0: float
     c_drag_alpha: float = 0.0
-    c_m_0: float = 0.0
-    c_m_alpha: float = 0.0
-    c_m_q: float = 0.0
-    c_m_delta_e: float = 0.0
+    c_m_0: float
+    c_m_alpha: float
+    c_m_q: float
+    c_m_delta_e: float
     # Propulsion: thrust = delta_t * (max_thrust - thrust_airspeed_decay*Va^2)
-    max_thrust: float = 0.0
+    max_thrust: float
     thrust_airspeed_decay: float = 0.0
     # Actuator limits
     delta_a_max: float = math.radians(25.0)

@@ -69,6 +69,11 @@ def test_trim_below_stall_floor_exits_2(capsys):
     assert "error[config]" in capsys.readouterr().err
 
 
+def bundled_rectangle_text():
+    return resolve_input_path("rectangle_compare.ini",
+                              kind="scenarios").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("args, ini_key, ini_value", [
     (["simulate", "--duration", "nan"], None, None),
     (["simulate", "--duration", "inf"], None, None),
@@ -82,15 +87,53 @@ def test_trim_below_stall_floor_exits_2(capsys):
 def test_bad_numbers_exit_2(tmp_path, capsys, args, ini_key, ini_value):
     config = "rectangle_compare.ini"
     if ini_key is not None:
-        text = resolve_input_path(config, kind="scenarios").read_text()
         text, count = re.subn(rf"^{ini_key} = .*$", f"{ini_key} = {ini_value}",
-                              text, flags=re.M)
+                              bundled_rectangle_text(), flags=re.M)
         assert count == 1
         config = tmp_path / "bad.ini"
         config.write_text(text)
     code = main([args[0], "--config", str(config), *args[1:]])
     assert code == 2
     assert "error[config]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, named", [
+    ("[environment]", "[enviroment]", "unknown section [enviroment]"),
+    ("seed = 0\n", "seed = 0\nduration = 5\n",
+     "unknown key 'duration' in [scenario]"),
+    ("mode = ratc\n", "mode = ratc\nwn_psi = 6\n",
+     "unknown key 'wn_psi' in [controller]"),
+    ("[scenario]", "[DEFAULT]\ngust_intensity_mps = 1\n\n[scenario]",
+     "unknown section [DEFAULT]"),
+])
+def test_misspelt_key_or_section_exits_2(tmp_path, capsys, old, new, named):
+    # Each of these once ran without a word, in calm air or at defaults.
+    text = bundled_rectangle_text()
+    assert text.count(old) == 1
+    config = tmp_path / "typo.ini"
+    config.write_text(text.replace(old, new), encoding="utf-8")
+    code = main(["simulate", "--config", str(config), "--duration", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]") and named in err
+
+
+def test_percent_in_a_value_is_literal(tmp_path, capsys):
+    config = tmp_path / "pct.ini"
+    config.write_text(bundled_rectangle_text().replace(
+        "name = rectangle_compare", "name = survey 50%"), encoding="utf-8")
+    code = main(["simulate", "--config", str(config), "--duration", "1"])
+    assert code == 0
+    assert "scenario  : survey 50%" in capsys.readouterr().out
+
+
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    config = tmp_path / "latin1.ini"
+    config.write_bytes(bundled_rectangle_text().replace(
+        "name = rectangle_compare", "name = caf\u00e9").encode("latin-1"))
+    code = main(["simulate", "--config", str(config), "--duration", "1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error[config]: cannot read")
 
 
 @pytest.fixture

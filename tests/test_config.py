@@ -1,20 +1,36 @@
 """INI loading: defaults, unit conversion, references, and error reporting."""
 
 import math
-from dataclasses import fields, replace
+import re
+from dataclasses import MISSING, fields, replace
 
 import pytest
 
 from conftest import DATA_DIR, SETTINGS_TYPES
 from levelwing.config import (
+    AIRCRAFT_KEYS,
+    CONTROLLER_KEYS,
+    ENVIRONMENT_KEYS,
+    ORBIT_KEYS,
+    PLAN_KEYS,
+    SCENARIO_KEYS,
+    ControllerSettings,
+    EnvironmentSettings,
+    ScenarioConfig,
     bundled_data_dir,
     load_aircraft,
     load_config,
     load_plan,
     resolve_input_path,
 )
+from levelwing.dynamics import AircraftParams
 from levelwing.errors import ConfigError
-from levelwing.guidance import GuidanceGains, SlewSettings
+from levelwing.guidance import (
+    FlightPlan,
+    GuidanceGains,
+    OrbitPlan,
+    SlewSettings,
+)
 from levelwing.scenario import run_scenario
 
 MINIMAL_SCENARIO = """
@@ -33,17 +49,12 @@ def write(tmp_path, name, text):
 def test_minimal_scenario_applies_defaults(tmp_path):
     cfg = load_config(write(tmp_path, "mini.ini", MINIMAL_SCENARIO))
     assert cfg.name == "mini"
-    assert cfg.dt == 0.01
-    assert cfg.duration == 120.0
-    assert cfg.va_cmd == 20.0
+    assert cfg.env == EnvironmentSettings()
+    assert cfg.ctrl == ControllerSettings()
+    for f in fields(ScenarioConfig):
+        if f.default is not MISSING:
+            assert getattr(cfg, f.name) == f.default, f.name
     assert cfg.h_refs == (150.0, 450.0)
-    assert cfg.warmup == 5.0
-    assert cfg.seed == 0
-    assert (cfg.env.wind_n, cfg.env.wind_e, cfg.env.wind_d) == (0.0, 0.0, 0.0)
-    assert cfg.env.gust_intensity == 0.0
-    assert cfg.ctrl.mode == "ratc"
-    assert cfg.ctrl.wn_psi == 4.0
-    assert not cfg.ctrl.slew_enabled
 
 
 def test_bundled_aircraft_angles_converted_to_radians():
@@ -166,6 +177,12 @@ def test_absolute_missing_path_rejected(tmp_path):
         resolve_input_path(tmp_path / "ghost.ini")
 
 
+def test_overlong_file_name_is_a_config_error():
+    # The operating system refuses the name itself (ENAMETOOLONG).
+    with pytest.raises(ConfigError, match="cannot read"):
+        resolve_input_path("a" * 300 + ".ini")
+
+
 def test_stored_config_validation_bounds(tmp_path):
     cfg = load_config(write(tmp_path, "v.ini", MINIMAL_SCENARIO))
     for changes in ({"dt": 0.0}, {"duration": 0.0}, {"va_cmd": -1.0},
@@ -174,13 +191,108 @@ def test_stored_config_validation_bounds(tmp_path):
             replace(cfg, **changes)
 
 
-def test_describe_echoes_effective_settings(tmp_path):
-    cfg = load_config(write(tmp_path, "desc.ini", MINIMAL_SCENARIO))
-    text = cfg.describe()
-    assert "desc" in text
-    assert "ratc" in text
-    assert "120" in text          # default duration
-    assert "slew limiter   off" in text
+# Every key table, with a file that its loader reads and the settings
+# value that the table's fields land in.
+TABLE_CASES = [
+    *((section, table, AircraftParams, DATA_DIR / "aerosonde.ini",
+       load_aircraft) for section, table in AIRCRAFT_KEYS.items()),
+    ("plan", PLAN_KEYS, FlightPlan, DATA_DIR / "plans" / "rectangle.ini",
+     load_plan),
+    ("orbit", ORBIT_KEYS, OrbitPlan, DATA_DIR / "plans" / "circle.ini",
+     lambda path: load_plan(path).orbit),
+    ("scenario", SCENARIO_KEYS, ScenarioConfig, None, load_config),
+    ("environment", ENVIRONMENT_KEYS, EnvironmentSettings, None,
+     lambda path: load_config(path).env),
+    ("controller", CONTROLLER_KEYS, ControllerSettings, None,
+     lambda path: load_config(path).ctrl),
+]
+KEY_CASES = [(section, key, name, cls, base, load)
+             for section, table, cls, base, load in TABLE_CASES
+             for key, name in table.items()]
+REQUIRED_CASES = [(section, key, name, cls, base, load)
+                  for section, key, name, cls, base, load in KEY_CASES
+                  if cls.__dataclass_fields__[name].default is MISSING]
+
+
+def base_text(base):
+    return MINIMAL_SCENARIO if base is None else base.read_text(
+        encoding="utf-8")
+
+
+def set_key(text, section, key, value):
+    """text with [section] key = value, replacing the key's line or
+    adding the key, and the section if need be."""
+    text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text,
+                          flags=re.M)
+    assert count <= 1
+    if count:
+        return text
+    if f"[{section}]\n" in text:
+        return text.replace(f"[{section}]\n",
+                            f"[{section}]\n{key} = {value}\n")
+    return f"{text}\n[{section}]\n{key} = {value}\n"
+
+
+@pytest.mark.parametrize(
+    "section, key, name, cls, base, load", KEY_CASES,
+    ids=[f"{case[0]}.{case[1]}" for case in KEY_CASES])
+def test_each_key_sets_its_field(tmp_path, section, key, name, cls, base,
+                                 load):
+    path = write(tmp_path, "case.ini", base_text(base))
+    before = load(path)
+    current = getattr(before, name)
+    degrees = key.endswith(("_deg", "_dps"))
+    if isinstance(current, bool):
+        text, expected = ("off", False) if current else ("on", True)
+    elif isinstance(current, int):
+        expected = current + 3
+        text = str(expected)
+    elif isinstance(current, str):
+        text, expected = "AOTC", "aotc"
+    else:
+        value = (math.degrees(current) if degrees else current) * 1.5 + 0.25
+        text = repr(value)
+        expected = math.radians(value) if degrees else value
+    assert expected != current
+    write(tmp_path, "case.ini", set_key(base_text(base), section, key, text))
+    assert load(path) == replace(before, **{name: expected})
+
+
+@pytest.mark.parametrize(
+    "section, key, name, cls, base, load", REQUIRED_CASES,
+    ids=[f"{case[0]}.{case[1]}" for case in REQUIRED_CASES])
+def test_each_required_key_is_reported_missing(tmp_path, section, key, name,
+                                               cls, base, load):
+    text, count = re.subn(rf"^{key} = .*\n", "", base_text(base), flags=re.M)
+    assert count == 1
+    with pytest.raises(ConfigError,
+                       match=rf"missing key '{key}' in \[{section}\]"):
+        load(write(tmp_path, "case.ini", text))
+
+
+def test_required_aircraft_keys_are_the_fields_without_a_default():
+    required = {name for _, _, name, cls, _, _ in REQUIRED_CASES
+                if cls is AircraftParams}
+    assert required == {f.name for f in fields(AircraftParams)
+                        if f.default is MISSING}
+    assert len(required) == 24
+
+
+@pytest.mark.parametrize("base, load, extra, named", [
+    (DATA_DIR / "aerosonde.ini", load_aircraft, "rate_limit = 90\n",
+     r"unknown key 'rate_limit' in \[actuators\]"),
+    (DATA_DIR / "plans" / "circle.ini", load_plan, "radius = 50\n",
+     r"unknown key 'radius' in \[orbit\]"),
+], ids=["aircraft", "orbit"])
+def test_unknown_key_is_named(tmp_path, base, load, extra, named):
+    with pytest.raises(ConfigError, match=named):
+        load(write(tmp_path, "typo.ini", base_text(base) + extra))
+
+
+def test_section_of_the_other_plan_kind_is_unknown(tmp_path):
+    text = base_text(DATA_DIR / "plans" / "circle.ini") + "[waypoints]\n"
+    with pytest.raises(ConfigError, match=r"unknown section \[waypoints\]"):
+        load_plan(write(tmp_path, "both.ini", text))
 
 
 def valid_settings():

@@ -1,9 +1,16 @@
 """The README's examples agree with the bundled data and the real output."""
 
+import configparser
 import re
 from pathlib import Path
 
-from levelwing.config import load_config
+from levelwing.config import (
+    CONTROLLER_KEYS,
+    ENVIRONMENT_KEYS,
+    SCENARIO_KEYS,
+    SCENARIO_OWN_KEYS,
+    load_config,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,6 +29,17 @@ def test_scenario_file_example_is_the_bundled_rectangle(tmp_path):
     path = tmp_path / "rectangle_compare.ini"
     path.write_text(readme_block("```ini"), encoding="utf-8")
     assert load_config(path) == load_config("rectangle_compare.ini")
+
+
+def test_scenario_file_example_lists_every_key():
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",),
+                                       interpolation=None)
+    parser.read_string(readme_block("```ini"))
+    assert {name: set(parser[name]) for name in parser.sections()} == {
+        "scenario": {*SCENARIO_KEYS, *SCENARIO_OWN_KEYS},
+        "environment": set(ENVIRONMENT_KEYS),
+        "controller": set(CONTROLLER_KEYS),
+    }
 
 
 def test_headline_matches_the_comparison_output(rect_comparison):

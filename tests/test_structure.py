@@ -112,10 +112,6 @@ def test_package_import_graph_is_acyclic():
     assert cycle is None, "import cycle: " + " -> ".join(cycle)
 
 
-# Public names kept for readers outside the package, not for its own code.
-UNREFERENCED_ALLOWED = {"ScenarioConfig.describe"}
-
-
 def definitions(tree: ast.Module) -> list[tuple[str, str, ast.AST]]:
     """(qualified name, name, node) of each module-level function and
     class and of each non-dunder method of those classes."""
@@ -170,9 +166,7 @@ def test_unreferenced_finds_helpers_only_their_own_body_uses():
 def test_every_definition_is_used_inside_the_package():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in SRC.glob("*.py")}
-    missing = [name for name in unreferenced(sources)
-               if name.split(".", 1)[1] not in UNREFERENCED_ALLOWED]
-    assert missing == []
+    assert unreferenced(sources) == []
 
 
 def test_settings_are_frozen_and_checked_when_made():
