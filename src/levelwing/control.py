@@ -299,7 +299,8 @@ def longitudinal_holds(
         theta_span / max(gains.ki_h, 1e-9),
     )
     theta_cmd_raw = gains.kp_h * h_err + gains.ki_h * loop.alt_int
-    theta_cmd = trim_theta + max(-theta_span, min(theta_span, theta_cmd_raw))
+    theta_offset = max(-theta_span, min(theta_span, theta_cmd_raw))
+    theta_cmd = trim_theta + theta_offset
 
     delta_e_raw = (gains.kp_theta * (theta_cmd - state.theta)
                    - gains.kd_theta * state.q + trim_cmd.delta_e)
@@ -318,7 +319,7 @@ def longitudinal_holds(
     delta_t = max(0.0, min(1.0, delta_t_raw))
 
     loop.last_saturated.update({
-        "theta_cmd": theta_cmd_raw != theta_cmd - trim_theta,
+        "theta_cmd": theta_offset != theta_cmd_raw,
         "delta_e": delta_e != delta_e_raw,
         "delta_t": delta_t != delta_t_raw,
     })

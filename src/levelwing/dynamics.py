@@ -67,9 +67,9 @@ class AircraftState(NamedTuple):
     r: float = 0.0
 
 
-@dataclass
-class ControlCommand:
-    """Actuator command: surface deflections (rad) and throttle [0, 1]."""
+class ControlCommand(NamedTuple):
+    """Actuator command: surface deflections (rad) and throttle [0, 1],
+    in the order the dynamics kernel reads them."""
 
     delta_a: float = 0.0
     delta_e: float = 0.0
@@ -162,8 +162,7 @@ class AircraftParams:
             raise ConfigError("actuator rate limit must be positive")
 
 
-@dataclass
-class AirData:
+class AirData(NamedTuple):
     """Derived air/ground reference quantities for one state."""
 
     va: float
@@ -207,9 +206,9 @@ class CombinedYawCoeffs:
     cr_delta_r: float
 
 
-@dataclass
-class Environment:
-    """Steady wind in NED (m/s). Gusts are added per step by the caller."""
+class Environment(NamedTuple):
+    """Wind in NED (m/s), in the order the dynamics kernel reads it.
+    Gusts are added per step by the caller."""
 
     wind_n: float = 0.0
     wind_e: float = 0.0
@@ -259,20 +258,16 @@ class GustModel:
         return self._state
 
 
-def body_to_inertial(phi: float, theta: float, psi: float) -> np.ndarray:
-    """Standard ZYX Euler rotation taking body-frame vectors to NED."""
-    cphi, sphi = math.cos(phi), math.sin(phi)
-    cth, sth = math.cos(theta), math.sin(theta)
-    cpsi, spsi = math.cos(psi), math.sin(psi)
-    return np.array(
-        [
-            [cth * cpsi, sphi * sth * cpsi - cphi * spsi,
-             cphi * sth * cpsi + sphi * spsi],
-            [cth * spsi, sphi * sth * spsi + cphi * cpsi,
-             cphi * sth * spsi - sphi * cpsi],
-            [-sth, sphi * cth, cphi * cth],
-        ]
-    )
+def body_to_ned(u: float, v: float, w: float, sphi: float, cphi: float,
+                sth: float, cth: float, spsi: float,
+                cpsi: float) -> tuple[float, float, float]:
+    """The body-frame vector (u, v, w) rotated to NED by the ZYX Euler
+    rotation, given the sines and cosines of roll, pitch and yaw."""
+    return ((cth * cpsi) * u + (sphi * sth * cpsi - cphi * spsi) * v
+            + (cphi * sth * cpsi + sphi * spsi) * w,
+            (cth * spsi) * u + (sphi * sth * spsi + cphi * cpsi) * v
+            + (cphi * sth * spsi - sphi * cpsi) * w,
+            -sth * u + sphi * cth * v + cphi * cth * w)
 
 
 def _airspeed_angles(u: float, v: float,
@@ -286,16 +281,20 @@ def _airspeed_angles(u: float, v: float,
 
 
 def air_data(state: AircraftState, env: Environment) -> AirData:
-    """Airspeed/ground-speed quantities for the current state and wind."""
+    """Airspeed/ground-speed quantities for the current state and wind.
+
+    The ground velocity is the kernel's navigation rate: the same
+    body_to_ned rotation plus the wind."""
     _, _, _, u, v, w, phi, theta, psi, _, _, _ = state
     va, alpha, beta = _airspeed_angles(u, v, w)
-    rot = body_to_inertial(phi, theta, psi)
-    gn, ge, gd = (rot @ np.array([u, v, w])).tolist()
+    gn, ge, gd = body_to_ned(u, v, w, math.sin(phi), math.cos(phi),
+                             math.sin(theta), math.cos(theta),
+                             math.sin(psi), math.cos(psi))
     vn, ve, vd = gn + env.wind_n, ge + env.wind_e, gd + env.wind_d
     horizontal = math.hypot(vn, ve)
     vg = math.sqrt(horizontal**2 + vd**2)
     chi = math.atan2(ve, vn) if horizontal > 1e-9 else 0.0
-    return AirData(va=va, vg=vg, alpha=alpha, beta=beta, chi=wrap_pi(chi))
+    return AirData(va, vg, alpha, beta, wrap_pi(chi))
 
 
 def gamma_terms(params: AircraftParams) -> GammaSet:
@@ -342,9 +341,10 @@ class Dynamics(NamedTuple):
 
     forces_moments(y, cmd) gives the body forces (N) and moments (N*m)
     (fx, fy, fz, l, m, n) of the twelve-value state y (AircraftState
-    field order) under cmd = (delta_a, delta_e, delta_r, delta_t).
+    field order) under cmd, a ControlCommand or the same four floats.
     derivative(y, fm, wind) gives the twelve state derivatives, with fm
-    those forces and moments and wind the NED wind (m/s).
+    those forces and moments and wind the NED wind (m/s), an Environment
+    or the same three floats.
     """
 
     forces_moments: Callable[[Sequence[float], Sequence[float]],
@@ -444,11 +444,7 @@ def make_dynamics(params: AircraftParams, gammas: GammaSet) -> Dynamics:
         spsi, cpsi = math.sin(psi), math.cos(psi)
 
         # Navigation: rotate the air-relative body velocity to NED, add wind.
-        pn_dot = (cth * cpsi) * u + (sphi * sth * cpsi - cphi * spsi) * v \
-            + (cphi * sth * cpsi + sphi * spsi) * w + wind_n
-        pe_dot = (cth * spsi) * u + (sphi * sth * spsi + cphi * cpsi) * v \
-            + (cphi * sth * spsi - sphi * cpsi) * w + wind_e
-        pd_dot = -sth * u + sphi * cth * v + cphi * cth * w + wind_d
+        gn, ge, gd = body_to_ned(u, v, w, sphi, cphi, sth, cth, spsi, cpsi)
 
         u_dot = r * v - q * w + fx * inv_mass
         v_dot = p * w - r * u + fy * inv_mass
@@ -462,7 +458,7 @@ def make_dynamics(params: AircraftParams, gammas: GammaSet) -> Dynamics:
         q_dot = g5 * p * r - g6 * (p**2 - r**2) + m / iyy
         r_dot = g7 * p * q - g1 * q * r + g4 * l + g8 * n
 
-        return [pn_dot, pe_dot, pd_dot, u_dot, v_dot, w_dot,
+        return [gn + wind_n, ge + wind_e, gd + wind_d, u_dot, v_dot, w_dot,
                 phi_dot, theta_dot, psi_dot, p_dot, q_dot, r_dot]
 
     return Dynamics(forces_moments, derivative)
@@ -510,12 +506,10 @@ def integrate_step(
     if dt <= 0.0:
         raise ConfigError("integration step must be positive")
     cmd = clamp_command(cmd, params)
-    u = (cmd.delta_a, cmd.delta_e, cmd.delta_r, cmd.delta_t)
-    wind = (env.wind_n, env.wind_e, env.wind_d)
     forces_moments, derivative = dynamics
 
     def f(y: Sequence[float]) -> list[float]:
-        return derivative(y, forces_moments(y, u), wind)
+        return derivative(y, forces_moments(y, cmd), env)
 
     y1 = rk4_step(f, state, dt)
     if not all(map(math.isfinite, y1)):
@@ -561,20 +555,19 @@ def trim(
             f"linear-range floor {floor:.1f} m/s"
         )
     forces_moments, derivative = make_dynamics(params, gamma_terms(params))
-    wind = (env.wind_n, env.wind_e, env.wind_d)
 
-    def build(x: np.ndarray) -> tuple[AircraftState, tuple[float, ...]]:
+    def build(x: np.ndarray) -> tuple[AircraftState, ControlCommand]:
         alpha, delta_e, delta_t = float(x[0]), float(x[1]), float(x[2])
         state = AircraftState(
             u=va_target * math.cos(alpha),
             w=va_target * math.sin(alpha),
             theta=alpha + gamma_target,
         )
-        return state, (0.0, delta_e, 0.0, delta_t)
+        return state, ControlCommand(0.0, delta_e, 0.0, delta_t)
 
     def derivatives(x: np.ndarray) -> list[float]:
         state, cmd = build(x)
-        return derivative(state, forces_moments(state, cmd), wind)
+        return derivative(state, forces_moments(state, cmd), env)
 
     def residual(x: np.ndarray) -> np.ndarray:
         deriv = derivatives(x)
@@ -619,7 +612,6 @@ def trim(
         )
 
     state, cmd = build(x)
-    cmd = ControlCommand(*cmd)
     if not 0.0 <= cmd.delta_t <= 1.0:
         raise TrimFailureError(
             f"trim throttle {cmd.delta_t:.3f} outside [0, 1]",

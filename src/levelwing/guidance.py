@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,13 +31,14 @@ class PathSegment:
     Lines carry a 3-D origin (NED) and horizontal unit direction, and
     keep the course angle chi of that direction with its cosine and sine.
     Orbits carry a horizontal center (n, e), radius (m), and direction
-    flag (+1 clockwise from above, -1 counterclockwise).
+    flag (+1 clockwise from above, -1 counterclockwise). Points and
+    directions are tuples of floats.
     """
 
     kind: str
-    origin: np.ndarray | None = None
-    direction: np.ndarray | None = None
-    center: np.ndarray | None = None
+    origin: tuple[float, float, float] | None = None
+    direction: tuple[float, float, float] | None = None
+    center: tuple[float, float] | None = None
     radius: float = 0.0
     lam: int = 1
     chi: float = field(init=False, default=0.0)
@@ -45,8 +47,7 @@ class PathSegment:
 
     def __post_init__(self) -> None:
         if self.kind == "line":
-            self.chi = math.atan2(float(self.direction[1]),
-                                  float(self.direction[0]))
+            self.chi = math.atan2(self.direction[1], self.direction[0])
             self.cos_chi, self.sin_chi = math.cos(self.chi), math.sin(self.chi)
 
     @classmethod
@@ -58,7 +59,8 @@ class PathSegment:
             raise ConfigError("line segment direction must be non-zero")
         if abs(norm - 1.0) > 1e-9:
             direction = direction / norm
-        return cls(kind="line", origin=origin, direction=direction)
+        return cls(kind="line", origin=tuple(origin.tolist()),
+                   direction=tuple(direction.tolist()))
 
     @classmethod
     def orbit(cls, center, radius: float, lam: int) -> "PathSegment":
@@ -69,7 +71,7 @@ class PathSegment:
             )
         if lam not in (1, -1):
             raise ConfigError("orbit direction flag must be +1 (cw) or -1 (ccw)")
-        return cls(kind="orbit", center=np.asarray(center, dtype=float),
+        return cls(kind="orbit", center=tuple(map(float, center)),
                    radius=float(radius), lam=int(lam))
 
 
@@ -94,8 +96,7 @@ class GuidanceGains:
             raise ConfigError("guidance gains must be positive")
 
 
-@dataclass
-class CourseCommand:
+class CourseCommand(NamedTuple):
     """Course command for one step: slewed value, raw value, active
     segment, and the cross-track (line) or radial (orbit) error from it."""
 
@@ -111,17 +112,24 @@ def line_error(p, seg: PathSegment) -> tuple[float, float, float]:
     Returns (e_px, e_py, e_pz): along-track, cross-track (positive right
     of the path direction), and down components.
     """
-    on, oe, od = seg.origin.tolist()
+    on, oe, od = seg.origin
     dn, de = p[0] - on, p[1] - oe
     c, s = seg.cos_chi, seg.sin_chi
     return c * dn + s * de, -s * dn + c * de, p[2] - od
 
 
-def orbit_error(p, seg: PathSegment) -> float:
-    """Signed radial error -lam*(rd - dist) from the orbit circle."""
-    cn, ce = seg.center.tolist()
-    dist = math.hypot(p[0] - cn, p[1] - ce)
-    return -seg.lam * (seg.radius - dist)
+def orbit_error(p, seg: PathSegment) -> tuple[float, float]:
+    """Orbit-frame position error: the signed radial error
+    -lam*(rd - dist) from the orbit circle and the bearing (rad) of p
+    from the center, which is undefined at the center itself."""
+    cn, ce = seg.center
+    dn, de = p[0] - cn, p[1] - ce
+    dist = math.hypot(dn, de)
+    if dist < 1e-9:
+        raise UndefinedBearingError(
+            "bearing from orbit center undefined at the center itself"
+        )
+    return -seg.lam * (seg.radius - dist), math.atan2(de, dn)
 
 
 def course_command_line(e_py: float, seg: PathSegment,
@@ -137,17 +145,13 @@ def course_command_line(e_py: float, seg: PathSegment,
     return wrap_pi(seg.chi - correction)
 
 
-def course_command_orbit(p, seg: PathSegment, gains: GuidanceGains) -> float:
-    """Course command tangent to an orbit plus a radial capture correction."""
-    cn, ce = seg.center.tolist()
-    dn, de = p[0] - cn, p[1] - ce
-    dist = math.hypot(dn, de)
-    if dist < 1e-9:
-        raise UndefinedBearingError(
-            "bearing from orbit center undefined at the center itself"
-        )
-    bearing = math.atan2(de, dn)
-    correction = math.atan(gains.orbit_gain * (dist - seg.radius) / seg.radius)
+def course_command_orbit(e_radial: float, bearing: float, seg: PathSegment,
+                         gains: GuidanceGains) -> float:
+    """Course command tangent to an orbit plus a radial capture correction,
+    from the orbit-frame error (orbit_error)."""
+    # lam * e_radial is dist - rd, the distance outside the circle.
+    correction = math.atan(gains.orbit_gain * (seg.lam * e_radial)
+                           / seg.radius)
     return wrap_pi(bearing + seg.lam * (math.pi / 2.0 + correction))
 
 
@@ -209,8 +213,8 @@ class ManagedSegment:
     """
 
     segment: PathSegment
-    switch_point: np.ndarray | None = None
-    switch_normal: np.ndarray | None = None
+    switch_point: tuple[float, float] | None = None
+    switch_normal: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -246,21 +250,18 @@ class FlightPlan:
         if self.orbit is not None:
             return wrap_pi(self.orbit.start_bearing
                            + self.orbit.lam * math.pi / 2.0)
-        d = np.subtract(self.waypoints[1][:2], self.waypoints[0][:2])
-        return math.atan2(float(d[1]), float(d[0]))
+        w0, w1 = self.waypoints[:2]
+        return math.atan2(w1[1] - w0[1], w1[0] - w0[0])
 
-    def start_position(self) -> np.ndarray:
+    def start_position(self) -> tuple[float, float, float]:
         """NED start point of the plan."""
         down = -self.nominal_agl
         if self.orbit is not None:
             o = self.orbit
-            return np.array(
-                [o.center_n + o.radius * math.cos(o.start_bearing),
-                 o.center_e + o.radius * math.sin(o.start_bearing),
-                 down]
-            )
+            return (o.center_n + o.radius * math.cos(o.start_bearing),
+                    o.center_e + o.radius * math.sin(o.start_bearing), down)
         w0 = self.waypoints[0]
-        return np.array([w0[0], w0[1], down])
+        return float(w0[0]), float(w0[1]), down
 
 
 def _plan_segments(plan: FlightPlan) -> tuple[ManagedSegment, ...]:
@@ -309,8 +310,9 @@ def _plan_segments(plan: FlightPlan) -> tuple[ManagedSegment, ...]:
             # bisector half-plane at the waypoint itself.
             normal = q_prev + q_next
             norm = float(np.linalg.norm(normal))
-            normal = q_prev.copy() if norm < 1e-9 else normal / norm
-            segments.append(ManagedSegment(line, pts[i].copy(), normal))
+            normal = q_prev if norm < 1e-9 else normal / norm
+            segments.append(ManagedSegment(line, tuple(pts[i].tolist()),
+                                           tuple(normal.tolist())))
             continue
         varrho = math.acos(-dot)
         cut = radius / math.tan(varrho / 2.0)
@@ -322,9 +324,11 @@ def _plan_segments(plan: FlightPlan) -> tuple[ManagedSegment, ...]:
         bisector /= np.linalg.norm(bisector)
         center = pts[i] - (radius / math.sin(varrho / 2.0)) * bisector
         lam = 1 if (q_prev[0] * q_next[1] - q_prev[1] * q_next[0]) > 0.0 else -1
-        segments.append(ManagedSegment(line, z_enter, q_prev.copy()))
+        segments.append(ManagedSegment(line, tuple(z_enter.tolist()),
+                                       tuple(q_prev.tolist())))
         arc = PathSegment.orbit(center, radius, lam)
-        segments.append(ManagedSegment(arc, z_exit, q_next.copy()))
+        segments.append(ManagedSegment(arc, tuple(z_exit.tolist()),
+                                       tuple(q_next.tolist())))
     # Every leg must be long enough for the fillet cutbacks at both ends.
     for leg, (used, length) in enumerate(zip(consumed, lengths)):
         if used >= length - 1e-9:
@@ -335,7 +339,8 @@ def _plan_segments(plan: FlightPlan) -> tuple[ManagedSegment, ...]:
     q_last = units[-1]
     origin3 = np.array([pts[-2][0], pts[-2][1], down])
     last = PathSegment.line(origin3, np.array([q_last[0], q_last[1], 0.0]))
-    segments.append(ManagedSegment(last, pts[-1].copy(), q_last.copy()))
+    segments.append(ManagedSegment(last, tuple(pts[-1].tolist()),
+                                   tuple(q_last.tolist())))
     return tuple(segments)
 
 
@@ -365,29 +370,27 @@ class PathManager:
     def active_segment(self) -> PathSegment:
         return self.segments[self.index].segment
 
-    def _advance(self, p2: np.ndarray) -> None:
+    def _advance(self, pn: float, pe: float) -> None:
         # A fillet with a zero-length arc can retire two half-planes in one
         # tick, hence the loop.
         while True:
             ms = self.segments[self.index]
             if ms.switch_normal is None:
                 return
-            if float(np.dot(p2 - ms.switch_point, ms.switch_normal)) < 0.0:
+            (sn, se), (nn, ne) = ms.switch_point, ms.switch_normal
+            if (pn - sn) * nn + (pe - se) * ne < 0.0:
                 return
             if self.index == len(self.segments) - 1:
                 self.complete = True
                 return
             self.index += 1
 
-    def _track_orbit_completion(self, p2: np.ndarray) -> None:
+    def _track_orbit_completion(self, bearing: float) -> None:
         plan_orbit = self.plan.orbit
         if plan_orbit is None or self.complete:
             return
         if plan_orbit.revolutions <= 0.0:
             return
-        seg = self.active_segment()
-        bearing = math.atan2(float(p2[1]) - float(seg.center[1]),
-                             float(p2[0]) - float(seg.center[0]))
         if self._prev_bearing is not None:
             self._orbit_accum += wrap_pi(bearing - self._prev_bearing)
         self._prev_bearing = bearing
@@ -396,18 +399,17 @@ class PathManager:
 
     def step(self, p) -> CourseCommand:
         """Advance switching logic and produce the course command at p."""
-        p2 = np.asarray(p, dtype=float)[:2]
         if not self.complete:
-            self._advance(p2)
-        self._track_orbit_completion(p2)
+            self._advance(p[0], p[1])
 
         seg = self.active_segment()
         if seg.kind == "line":
             _, e_lateral, _ = line_error(p, seg)
             raw = course_command_line(e_lateral, seg, self.gains)
         else:
-            e_lateral = orbit_error(p, seg)
-            raw = course_command_orbit(p, seg, self.gains)
+            e_lateral, bearing = orbit_error(p, seg)
+            self._track_orbit_completion(bearing)
+            raw = course_command_orbit(e_lateral, bearing, seg, self.gains)
 
         if self.slew.enabled and self.prev_cmd is not None:
             step_size = abs(wrap_pi(raw - self.prev_cmd))

@@ -179,7 +179,7 @@ class RunResult:
 def _initial_state(cfg: ScenarioConfig,
                    trim_state: AircraftState) -> AircraftState:
     """The trim state moved to the plan start, heading along its first leg."""
-    pn, pe, pd = (float(x) for x in cfg.plan.start_position())
+    pn, pe, pd = cfg.plan.start_position()
     return trim_state._replace(pn=pn, pe=pe, pd=pd,
                                psi=cfg.plan.initial_course())
 

@@ -8,7 +8,7 @@ session fixtures so the expensive trajectories are only flown once.
 
 import math
 import time
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -127,7 +127,7 @@ def test_criterion_1_equation_identities(params):
         cmd = ControlCommand(delta_a=delta_a, delta_e=rng.uniform(-0.3, 0.3),
                              delta_r=delta_r, delta_t=rng.uniform(0.0, 1.0))
         _, _, _, fm_l, _, fm_n = make_dynamics(draw, g).forces_moments(
-            state, astuple(cmd))
+            state, cmd)
         # d_psi: the sideslip, roll-rate and aileron terms of the fold.
         d_psi = qs * (fold.cr_0 + fold.cr_beta * ad.beta
                       + fold.cr_p * (draw.wing_span * state.p / (2.0 * ad.va))

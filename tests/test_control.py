@@ -326,6 +326,20 @@ def test_longitudinal_holds_throttle_up_when_slow(params, trim20):
     assert delta_t > cmd.delta_t
 
 
+def test_longitudinal_holds_pitch_flag_clear_inside_limit(params, trim20):
+    # Pitch commands up to 0.32 rad above a 0.1 rad trim pitch are inside
+    # the 20 deg limit, so the flag stays clear whatever rounding adding
+    # the trim pitch brings.
+    state, cmd = trim20
+    lon = lon_setup(params)
+    for h_err in (-4.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0):
+        off = state._replace(pd=-150.0 + h_err)
+        loop = LoopState()
+        longitudinal_holds(off, air_data(off, CALM), 150.0, 20.0, lon, loop,
+                           0.01, 0.1, cmd, params)
+        assert loop.last_saturated["theta_cmd"] is False, h_err
+
+
 def test_rate_limit_clamps_surface_steps(params):
     prev = ControlCommand(delta_a=0.0, delta_e=0.0, delta_r=0.0, delta_t=0.2)
     want = ControlCommand(delta_a=0.4, delta_e=-0.4, delta_r=0.4, delta_t=0.9)

@@ -3,11 +3,12 @@ integration, and trim."""
 
 import math
 from collections import namedtuple
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from levelwing.angles import wrap_pi
 from levelwing.config import ControllerSettings
 from levelwing.control import ControlCommand, make_gain_schedule
 from levelwing.dynamics import (
@@ -15,7 +16,7 @@ from levelwing.dynamics import (
     Environment,
     GustModel,
     air_data,
-    body_to_inertial,
+    body_to_ned,
     clamp_command,
     combined_yaw_coeffs,
     gamma_terms,
@@ -41,7 +42,7 @@ NamedForces = namedtuple("NamedForces", "fx fy fz l m n")
 def forces(params, state, cmd):
     """The kernel's body forces and moments, by name."""
     kernel = make_dynamics(params, gamma_terms(params))
-    return NamedForces(*kernel.forces_moments(state, astuple(cmd)))
+    return NamedForces(*kernel.forces_moments(state, cmd))
 
 
 def thrust(params, va, delta_t):
@@ -49,10 +50,6 @@ def thrust(params, va, delta_t):
     state = AircraftState(u=va)
     return (forces(params, state, ControlCommand(delta_t=delta_t)).fx
             - forces(params, state, ControlCommand()).fx)
-
-
-def wind(env):
-    return (env.wind_n, env.wind_e, env.wind_d)
 
 
 def ratc_gains(params, gammas, airdata):
@@ -71,28 +68,62 @@ def yaw_disturbance(params, coeffs, airdata, p, delta_a):
                        + coeffs.cr_delta_a * delta_a)
 
 
+def to_ned(vector, phi, theta, psi):
+    """body_to_ned of a body vector at the Euler attitude (phi, theta, psi)."""
+    return body_to_ned(*vector, math.sin(phi), math.cos(phi), math.sin(theta),
+                       math.cos(theta), math.sin(psi), math.cos(psi))
+
+
 def test_rotation_matrix_orthonormal_randomized():
+    # The images of the body axes are the columns of the rotation matrix.
     rng = np.random.default_rng(1)
     for _ in range(1000):
-        phi, theta, psi = rng.uniform(-math.pi, math.pi, 3)
-        r = body_to_inertial(phi, theta, psi)
+        attitude = rng.uniform(-math.pi, math.pi, 3)
+        r = np.column_stack([to_ned(axis, *attitude) for axis in np.eye(3)])
         assert np.allclose(r @ r.T, np.eye(3), atol=1e-9)
         assert math.isclose(np.linalg.det(r), 1.0, abs_tol=1e-9)
 
 
 def test_rotation_identity_at_zero_attitude():
-    assert np.allclose(body_to_inertial(0.0, 0.0, 0.0), np.eye(3), atol=1e-15)
+    assert to_ned((19.0, -1.2, 2.1), 0.0, 0.0, 0.0) == (19.0, -1.2, 2.1)
+
+
+def test_rotation_known_quarter_turns():
+    # Yaw right turns the nose east, pitch up turns it up (-down), and
+    # roll right turns the right wing down.
+    quarter = math.pi / 2.0
+    assert to_ned((1.0, 0.0, 0.0), 0.0, 0.0, quarter) == pytest.approx(
+        (0.0, 1.0, 0.0), abs=1e-15)
+    assert to_ned((1.0, 0.0, 0.0), 0.0, quarter, 0.0) == pytest.approx(
+        (0.0, 0.0, -1.0), abs=1e-15)
+    assert to_ned((0.0, 1.0, 0.0), quarter, 0.0, 0.0) == pytest.approx(
+        (0.0, 0.0, 1.0), abs=1e-15)
 
 
 def test_rotation_preserves_speed_randomized():
     # Zero wind: the inertial velocity norm equals the body-frame norm.
     rng = np.random.default_rng(2)
     for _ in range(200):
-        phi, theta, psi = rng.uniform(-math.pi, math.pi, 3)
+        attitude = rng.uniform(-math.pi, math.pi, 3)
         vel = rng.uniform(-30.0, 30.0, 3)
-        rotated = body_to_inertial(phi, theta, psi) @ vel
-        assert math.isclose(np.linalg.norm(rotated), np.linalg.norm(vel),
+        rotated = to_ned(vel, *attitude)
+        assert math.isclose(math.hypot(*rotated), math.hypot(*vel),
                             rel_tol=1e-10)
+
+
+def test_air_data_shares_the_kernel_rotation(dynamics):
+    # Ground speed and course come from exactly the kernel's NED velocity.
+    rng = np.random.default_rng(4)
+    for _ in range(500):
+        position, velocity, attitude, rates = rng.uniform(
+            (-1.0, -30.0, -1.5, -1.0), (1.0, 30.0, 1.5, 1.0), (3, 4)).T
+        state = AircraftState(*np.concatenate(
+            [position, velocity, attitude, rates]).tolist())
+        env = Environment(*rng.uniform(-10.0, 10.0, 3).tolist())
+        vn, ve, vd = dynamics.derivative(state, (0.0,) * 6, env)[:3]
+        ad = air_data(state, env)
+        assert ad.vg == math.sqrt(math.hypot(vn, ve)**2 + vd**2)
+        assert ad.chi == wrap_pi(math.atan2(ve, vn))
 
 
 def test_air_data_zero_wind_matches_body_norm():
@@ -115,9 +146,7 @@ def test_air_data_angle_definitions():
     va = math.sqrt(19.0**2 + 1.2**2 + 2.1**2)
     assert math.isclose(ad.alpha, math.atan2(2.1, 19.0), rel_tol=1e-12)
     assert math.isclose(ad.beta, math.asin(1.2 / va), rel_tol=1e-12)
-    vel_ned = body_to_inertial(0.0, 0.0, 0.0) @ [19.0, 1.2, 2.1]
-    assert math.isclose(ad.chi, math.atan2(vel_ned[1], vel_ned[0]),
-                        rel_tol=1e-12)
+    assert math.isclose(ad.chi, math.atan2(1.2, 19.0), rel_tol=1e-12)
 
 
 def test_air_data_wind_shifts_course_not_airspeed():
@@ -308,7 +337,7 @@ def test_positive_rudder_yaws_left(params, trim20):
     # negative (nose-left) yaw moment increment.
     state, cmd = trim20
     base = forces(params, state, cmd)
-    kicked = forces(params, state, replace(cmd, delta_r=0.1))
+    kicked = forces(params, state, cmd._replace(delta_r=0.1))
     assert kicked.n - base.n < 0.0
     assert (kicked.l - base.l) * params.c_ell_delta_r > 0.0
 
@@ -316,7 +345,7 @@ def test_positive_rudder_yaws_left(params, trim20):
 def test_state_derivative_forward_translation(dynamics):
     state = AircraftState(u=20.0)
     fm = dynamics.forces_moments(AircraftState(), NO_COMMAND)
-    deriv = dynamics.derivative(state, fm, wind(CALM))
+    deriv = dynamics.derivative(state, fm, CALM)
     assert deriv[0] == pytest.approx(20.0, rel=1e-12)
     assert deriv[1] == pytest.approx(0.0, abs=1e-12)
     assert deriv[2] == pytest.approx(0.0, abs=1e-12)
@@ -326,8 +355,8 @@ def test_state_derivative_wind_enters_navigation_only(dynamics):
     state = AircraftState(u=20.0)
     fm = dynamics.forces_moments(AircraftState(), NO_COMMAND)
     windy = Environment(wind_n=3.0, wind_e=-1.0, wind_d=0.5)
-    calm_d = dynamics.derivative(state, fm, wind(CALM))
-    wind_d = dynamics.derivative(state, fm, wind(windy))
+    calm_d = dynamics.derivative(state, fm, CALM)
+    wind_d = dynamics.derivative(state, fm, windy)
     assert wind_d[0] - calm_d[0] == pytest.approx(3.0, rel=1e-12)
     assert wind_d[1] - calm_d[1] == pytest.approx(-1.0, rel=1e-12)
     assert wind_d[2] - calm_d[2] == pytest.approx(0.5, rel=1e-12)
@@ -338,7 +367,7 @@ def test_state_derivative_wind_enters_navigation_only(dynamics):
 def test_state_derivative_euler_kinematics_level(dynamics):
     state = AircraftState(u=20.0, p=0.1)
     fm = dynamics.forces_moments(AircraftState(), NO_COMMAND)
-    deriv = dynamics.derivative(state, fm, wind(CALM))
+    deriv = dynamics.derivative(state, fm, CALM)
     assert deriv[6] == pytest.approx(0.1, rel=1e-12)
     assert deriv[7] == pytest.approx(0.0, abs=1e-15)
     assert deriv[8] == pytest.approx(0.0, abs=1e-15)
@@ -348,7 +377,7 @@ def test_state_derivative_pitch_singularity(dynamics):
     state = AircraftState(u=20.0, theta=math.radians(89.9))
     fm = dynamics.forces_moments(AircraftState(), NO_COMMAND)
     with pytest.raises(SingularityError):
-        dynamics.derivative(state, fm, wind(CALM))
+        dynamics.derivative(state, fm, CALM)
 
 
 def test_rk4_exact_on_constant_derivative():
@@ -378,8 +407,8 @@ def test_integrate_step_matches_manual_rk4(params, dynamics, trim20):
     env = Environment(wind_e=2.0)
 
     def f(y):
-        fm = dynamics.forces_moments(y, astuple(cmd))
-        return dynamics.derivative(y, fm, wind(env))
+        fm = dynamics.forces_moments(y, cmd)
+        return dynamics.derivative(y, fm, env)
 
     expected = rk4_step(f, np.array(state), 0.01)
     stepped = integrate_step(state, cmd, env, params, 0.01, dynamics)
@@ -471,8 +500,8 @@ def test_trim_is_level_and_laterally_clean(dynamics, trim20):
                         rel_tol=1e-9)
     ad = air_data(state, CALM)
     assert math.isclose(ad.va, 20.0, rel_tol=1e-9)
-    fm = dynamics.forces_moments(state, astuple(cmd))
-    deriv = dynamics.derivative(state, fm, wind(CALM))
+    fm = dynamics.forces_moments(state, cmd)
+    deriv = dynamics.derivative(state, fm, CALM)
     assert abs(deriv[2]) < 1e-6          # no climb or sink
     assert np.all(np.abs(deriv[3:]) < 1e-6)
 

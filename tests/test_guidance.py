@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from levelwing.errors import ConfigError, UndefinedBearingError
 from levelwing.guidance import (
@@ -25,6 +27,11 @@ GAINS = GuidanceGains()
 
 def north_line():
     return PathSegment.line([0.0, 0.0, -150.0], [1.0, 0.0, 0.0])
+
+
+def orbit_course(p, seg):
+    """The course command toward an orbit at position p."""
+    return course_command_orbit(*orbit_error(p, seg), seg, GAINS)
 
 
 def test_line_error_zero_on_path():
@@ -57,7 +64,7 @@ def test_line_error_translation_invariant_randomized():
             continue
         seg = PathSegment.line(origin, np.append(d, 0.0))
         p = np.append(rng.uniform(-500.0, 500.0, 2), -150.0)
-        shift = seg.direction * rng.uniform(-100.0, 100.0)
+        shift = np.multiply(seg.direction, rng.uniform(-100.0, 100.0))
         base = line_error(p, seg)
         moved = line_error(p + shift, seg)
         # Moving along the path changes only the along-track component.
@@ -72,12 +79,12 @@ def test_line_rejects_zero_direction():
 
 def test_orbit_error_examples():
     seg = PathSegment.orbit([0.0, 0.0], 100.0, 1)
-    assert orbit_error([100.0, 0.0, -150.0], seg) == pytest.approx(0.0,
-                                                                   abs=1e-12)
-    assert orbit_error([105.0, 0.0, -150.0], seg) == pytest.approx(5.0,
-                                                                   rel=1e-12)
-    assert orbit_error([95.0, 0.0, -150.0], seg) == pytest.approx(-5.0,
-                                                                  rel=1e-12)
+    assert orbit_error([100.0, 0.0, -150.0], seg) == pytest.approx(
+        (0.0, 0.0), abs=1e-12)
+    assert orbit_error([105.0, 0.0, -150.0], seg) == pytest.approx(
+        (5.0, 0.0), rel=1e-12)
+    assert orbit_error([0.0, -95.0, -150.0], seg) == pytest.approx(
+        (-5.0, -math.pi / 2.0), rel=1e-12)
 
 
 def test_orbit_error_flips_with_direction():
@@ -85,8 +92,8 @@ def test_orbit_error_flips_with_direction():
     cw = PathSegment.orbit([0.0, 0.0], 100.0, 1)
     ccw = PathSegment.orbit([0.0, 0.0], 100.0, -1)
     p = [0.0, 120.0, -150.0]
-    assert orbit_error(p, cw) == pytest.approx(20.0, rel=1e-12)
-    assert orbit_error(p, ccw) == pytest.approx(-20.0, rel=1e-12)
+    assert orbit_error(p, cw)[0] == pytest.approx(20.0, rel=1e-12)
+    assert orbit_error(p, ccw)[0] == pytest.approx(-20.0, rel=1e-12)
 
 
 def test_orbit_rejects_bad_construction():
@@ -118,15 +125,15 @@ def test_course_command_orbit_tangent_on_circle():
     cw = PathSegment.orbit([0.0, 0.0], 100.0, 1)
     ccw = PathSegment.orbit([0.0, 0.0], 100.0, -1)
     north_point = [100.0, 0.0, -150.0]
-    assert course_command_orbit(north_point, cw, GAINS) == pytest.approx(
-        math.pi / 2.0, rel=1e-12)
-    assert course_command_orbit(north_point, ccw, GAINS) == pytest.approx(
-        -math.pi / 2.0, rel=1e-12)
+    assert orbit_course(north_point, cw) == pytest.approx(math.pi / 2.0,
+                                                          rel=1e-12)
+    assert orbit_course(north_point, ccw) == pytest.approx(-math.pi / 2.0,
+                                                           rel=1e-12)
 
 
 def test_course_command_orbit_capture_correction():
     seg = PathSegment.orbit([0.0, 0.0], 100.0, 1)
-    chi = course_command_orbit([200.0, 0.0, -150.0], seg, GAINS)
+    chi = orbit_course([200.0, 0.0, -150.0], seg)
     expected = math.pi / 2.0 + math.atan(GAINS.orbit_gain * 1.0)
     assert chi == pytest.approx(expected, rel=1e-12)
 
@@ -134,7 +141,7 @@ def test_course_command_orbit_capture_correction():
 def test_course_command_orbit_undefined_at_center():
     seg = PathSegment.orbit([0.0, 0.0], 100.0, 1)
     with pytest.raises(UndefinedBearingError):
-        course_command_orbit([0.0, 0.0, -150.0], seg, GAINS)
+        orbit_course([0.0, 0.0, -150.0], seg)
 
 
 def test_slew_limit_passes_small_steps():
@@ -323,3 +330,40 @@ def test_manager_rejects_bad_dt():
                                              (400.0, 0.0, 150.0)])
     with pytest.raises(ConfigError):
         PathManager(plan, GuidanceGains(), 0.0)
+
+
+COORDINATE = st.floats(-800.0, 800.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(points=st.lists(st.tuples(COORDINATE, COORDINATE), min_size=2,
+                       max_size=6, unique=True),
+       radius=st.sampled_from([0.0, 20.0, 60.0, 120.0]),
+       slew=st.booleans())
+def test_manager_flies_any_plan_to_completion(points, radius, slew):
+    # A kinematic follower at 20 m/s turning at most 30 deg/s toward the
+    # command: the index never decreases, every command is a wrapped
+    # angle, and the plan completes within three times its length's
+    # flying time plus 200 s.
+    try:
+        plan = FlightPlan(waypoints=[(n, e, 150.0) for n, e in points],
+                          fillet_radius=radius)
+    except ConfigError:
+        assume(False)
+    speed, turn_rate, dt = 20.0, math.radians(30.0), 0.1
+    length = sum(math.dist(a, b) for a, b in zip(points, points[1:]))
+    mgr = PathManager(plan, GAINS, dt, SlewSettings(enabled=slew))
+    pn, pe, pd = plan.start_position()
+    course, index = plan.initial_course(), 0
+    for _ in range(round((3.0 * length / speed + 200.0) / dt)):
+        cmd = mgr.step((pn, pe, pd))
+        assert cmd.segment_id >= index
+        assert math.isfinite(cmd.chi_cmd) and -math.pi < cmd.chi_cmd <= math.pi
+        if mgr.complete:
+            return
+        index = cmd.segment_id
+        turn = math.remainder(cmd.chi_cmd - course, math.tau)
+        course += max(-turn_rate * dt, min(turn_rate * dt, turn))
+        pn += speed * dt * math.cos(course)
+        pe += speed * dt * math.sin(course)
+    pytest.fail(f"plan not complete after {length:.0f} m of legs")

@@ -1,7 +1,8 @@
 """Package structure: the intra-package import graph has no cycle,
 every function, class and method is used inside the package, the
-settings types check themselves once, when they are made, and the
-benchmark tracer's hooks name what the package defines.
+settings types check themselves once, when they are made, the per-step
+code uses no numpy, and the benchmark tracer's hooks name what the
+package defines.
 
 Every import counts, wherever it sits: at module level, inside a
 function, or under ``if TYPE_CHECKING:``. A helper that only its own
@@ -198,6 +199,71 @@ def test_no_validate_left_in_the_package():
     found = {path.name: validate_uses(ast.parse(path.read_text()))
              for path in SRC.glob("*.py")}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# The per-step code, by module: a function or Class.method, "*" for every
+# function of the module, or "function:for" for the body of the
+# function's first for loop. A step works on floats and named tuples.
+STEP_CODE = {
+    "dynamics": ["air_data", "_airspeed_angles", "body_to_ned",
+                 "integrate_step", "rk4_step", "clamp_command",
+                 "make_dynamics", "GustModel.step"],
+    "guidance": ["PathManager.step", "PathManager._advance",
+                 "PathManager._track_orbit_completion", "line_error",
+                 "orbit_error", "course_command_line", "course_command_orbit",
+                 "slew_limit"],
+    "control": ["*"],
+    "metrics": ["beta_estimate"],
+    "scenario": ["FlightController.step", "run_scenario:for"],
+}
+
+
+def step_code(tree: ast.Module, spec: str) -> list[ast.AST]:
+    """The nodes that spec names in a module (see STEP_CODE)."""
+    if spec == "*":
+        return [node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)]
+    path, _, part = spec.partition(":")
+    found = {qualified: node for qualified, _, node in definitions(tree)}
+    assert path in found, f"no {path} to check"
+    node = found[path]
+    if part == "for":
+        node = next(n for n in ast.walk(node) if isinstance(n, ast.For))
+    return [node]
+
+
+def numpy_lines(nodes: list[ast.AST]) -> list[int]:
+    """Lines inside nodes that name np or numpy."""
+    return sorted({n.lineno for node in nodes for n in ast.walk(node)
+                   if isinstance(n, ast.Name) and n.id in ("np", "numpy")})
+
+
+def test_numpy_lines_finds_uses_in_the_named_code():
+    tree = ast.parse("import numpy as np\n"
+                     "def pure(x):\n    return x + 1.0\n"
+                     "def mixed(x):\n    return np.sqrt(x)\n"
+                     "class Box:\n    def step(self):\n"
+                     "        return numpy.zeros(3)\n"
+                     "def run(n):\n    buf = np.zeros(n)\n"
+                     "    for k in range(n):\n        buf[k] = k\n"
+                     "    return np.mean(buf)\n")
+    assert numpy_lines(step_code(tree, "pure")) == []
+    assert numpy_lines(step_code(tree, "mixed")) == [5]
+    assert numpy_lines(step_code(tree, "Box.step")) == [8]
+    assert numpy_lines(step_code(tree, "run:for")) == []
+    assert numpy_lines(step_code(tree, "run")) == [10, 13]
+    assert numpy_lines(step_code(tree, "*")) == [5, 8, 10, 13]
+
+
+def test_no_numpy_inside_a_step():
+    found = {}
+    for stem, specs in STEP_CODE.items():
+        tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
+        for spec in specs:
+            lines = numpy_lines(step_code(tree, spec))
+            if lines:
+                found[f"{stem}.{spec}"] = lines
+    assert found == {}
 
 
 def tracer_hooks(path: Path) -> list[tuple[str, str, str]]:
