@@ -5,13 +5,15 @@ guidance, control, and dynamics at the same fixed rate until the plan
 completes or the duration cap is reached. Comparisons run both lateral
 controllers against one shared environment realization (same seed, same
 gust draws) with identical guidance gains, so only the lateral law
-differs.
+differs. The two runs of a comparison share nothing else, so they fly at
+once: aotc in a child process, ratc in the caller.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import multiprocessing
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -38,7 +40,7 @@ from .dynamics import (
     make_dynamics,
     trim,
 )
-from .errors import ConfigError, DynamicsFaultError
+from .errors import ConfigError, DynamicsFaultError, SimulatorError
 from .guidance import PathManager
 from .metrics import (
     ErrorStats,
@@ -305,17 +307,35 @@ def compare_controllers(
     cfg: ScenarioConfig,
     duration_override: float | None = None,
 ) -> ComparisonResult:
-    """Run both lateral controllers over the identical scenario and wind."""
-    results = {}
-    for mode in ("aotc", "ratc"):
-        result = run_scenario(cfg, mode, duration_override=duration_override)
-        if result.fault is not None:
-            raise DynamicsFaultError(
-                f"comparison aborted: {mode} run failed ({result.fault})"
-            )
-        results[mode] = result
+    """Run both lateral controllers over the identical scenario and wind.
 
-    aotc, ratc = results["aotc"], results["ratc"]
+    aotc flies in one child process (the default start method) while ratc
+    flies in the caller; the results equal two run_scenario calls in turn.
+    An error of the aotc run is raised here with its class and attributes.
+    If the ratc run raises, the child is stopped and the error propagates.
+    """
+    receiver, sender = multiprocessing.Pipe(duplex=False)
+    child = multiprocessing.Process(
+        target=_fly_and_send, name="aotc",
+        args=(sender, cfg, "aotc", duration_override))
+    child.start()
+    sender.close()
+    try:
+        ratc = run_scenario(cfg, "ratc", duration_override=duration_override)
+        aotc = _receive_run(receiver, child)
+    except BaseException:
+        # SIGKILL: a forked child keeps the caller's signal handlers.
+        child.kill()
+        raise
+    finally:
+        receiver.close()
+        child.join()
+
+    for result in (aotc, ratc):
+        if result.fault is not None:
+            raise DynamicsFaultError(f"comparison aborted: {result.mode} run "
+                                     f"failed ({result.fault})")
+
     rows = [aotc.summary_row(), ratc.summary_row()]
     ratios: dict[str, float] = {}
     a450, r450 = aotc.stats_by_href.get(450.0), ratc.stats_by_href.get(450.0)
@@ -339,6 +359,43 @@ def compare_controllers(
         lines.append(f"{key} = {ratios[key]:.4f}")
     return ComparisonResult(aotc=aotc, ratc=ratc, rows=rows, ratios=ratios,
                             table_text="\n".join(lines))
+
+
+def _fly_and_send(conn, cfg: ScenarioConfig, mode: str,
+                  duration_override: float | None) -> None:
+    """Child side of compare_controllers: fly one run and send it back.
+
+    An error goes back as the exception object. A result goes as a head,
+    the RunResult whose log maps each key to None, then one message per
+    log array in key order, so neither process ever holds a second copy
+    of a whole log. Sent as one pickle, the whole result raised the
+    caller's peak RSS growth on rectangle_compare by 19-32% (about 7.2 MB
+    against 5.7 MB for two runs in turn).
+    """
+    try:
+        result = run_scenario(cfg, mode, duration_override=duration_override)
+    except Exception as exc:  # reported to the caller, which raises it
+        conn.send(exc)
+    else:
+        conn.send(replace(result, log=dict.fromkeys(result.log)))
+        for arr in result.log.values():
+            conn.send(arr)
+    conn.close()
+
+
+def _receive_run(conn, child: multiprocessing.Process) -> RunResult:
+    """Caller side of _fly_and_send: the run, or its error raised here."""
+    try:
+        head = conn.recv()
+        if not isinstance(head, Exception):
+            head.log = {key: conn.recv() for key in head.log}
+    except EOFError:
+        child.join()
+        raise SimulatorError(f"the {child.name} run's process ended without "
+                             f"a result (exit code {child.exitcode})") from None
+    if isinstance(head, Exception):
+        raise head
+    return head
 
 
 def export_csv(result: RunResult, path: str | Path) -> None:

@@ -8,6 +8,7 @@ the behavioural tests and the acceptance suite. Each timed fixture returns
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -29,6 +30,7 @@ from levelwing.dynamics import (
     make_dynamics,
     trim,
 )
+from levelwing.errors import TrimFailureError
 from levelwing.guidance import (
     FlightPlan,
     GuidanceGains,
@@ -90,6 +92,26 @@ def make_cfg(params):
         )
 
     return build
+
+
+# A monkeypatch of levelwing.scenario reaches compare's child process only
+# when the child is forked from the patched caller.
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the child sees a monkeypatch only when it is forked")
+
+
+@pytest.fixture
+def aotc_trim_failure(monkeypatch):
+    """Make every aotc run fail to trim; ratc runs fly as usual."""
+    real = levelwing.scenario.run_scenario
+
+    def failing(cfg, mode=None, duration_override=None):
+        if mode == "aotc":
+            raise TrimFailureError("trim did not converge", residual=0.25)
+        return real(cfg, mode, duration_override)
+
+    monkeypatch.setattr(levelwing.scenario, "run_scenario", failing)
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import re
 import pytest
 
 import levelwing.scenario
+from conftest import needs_fork
 from levelwing.cli import main
 from levelwing.config import resolve_input_path
 from levelwing.errors import SingularityError
@@ -161,6 +162,16 @@ def test_in_flight_fault_exits_4_from_compare(pitch_fault, tmp_path,
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("error[dynamics]: comparison aborted: aotc run")
+    assert not (tmp_path / "report").exists()
+
+
+@needs_fork
+def test_aotc_trim_failure_exits_3_from_compare(aotc_trim_failure, tmp_path,
+                                                capsys):
+    code = main(["compare", "--config", "rectangle_compare.ini",
+                 "--duration", "1", "--out-dir", str(tmp_path / "report")])
+    assert code == 3
+    assert capsys.readouterr().err == "error[trim]: trim did not converge\n"
     assert not (tmp_path / "report").exists()
 
 

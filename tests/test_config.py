@@ -1,6 +1,7 @@
 """INI loading: defaults, unit conversion, references, and error reporting."""
 
 import math
+import pickle
 import re
 from dataclasses import MISSING, fields, replace
 
@@ -73,6 +74,17 @@ def test_every_bundled_file_loads():
     for scen_file in sorted((DATA_DIR / "scenarios").glob("*.ini")):
         load_config(scen_file)
     assert bundled_data_dir() == DATA_DIR
+
+
+@pytest.mark.parametrize("name", sorted(
+    path.name for path in (DATA_DIR / "scenarios").glob("*.ini")))
+def test_bundled_config_pickles(name):
+    # A compare sends the config to its child process; under the spawn and
+    # forkserver start methods that is a pickle.
+    cfg = load_config(name)
+    copy = pickle.loads(pickle.dumps(cfg))
+    assert copy == cfg
+    assert copy.plan.segments == cfg.plan.segments
 
 
 def test_plan_and_scenario_may_share_a_stem():

@@ -1,18 +1,31 @@
 """Closed-loop runs: path holding, logging, CSV export, and comparisons."""
 
 import math
+import multiprocessing
+import os
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import levelwing.scenario
+from conftest import needs_fork
 from levelwing.config import EnvironmentSettings, load_config
 from levelwing.dynamics import Environment, air_data, integrate_step, trim
-from levelwing.errors import ConfigError
+from levelwing.errors import (
+    ConfigError,
+    SimulatorError,
+    TrimFailureError,
+    UncontrollablePlantError,
+)
 from levelwing.guidance import FlightPlan, PathManager
 from levelwing.scenario import (
     CSV_COLUMNS,
+    LOG_COLUMNS,
     FlightController,
+    RunResult,
+    _fly_and_send,
     compare_controllers,
     export_csv,
     run_scenario,
@@ -291,6 +304,113 @@ def test_comparison_report_files(tmp_path):
     assert len(csv_lines) == 3
     assert csv_lines[1].split(",")[1] == "aotc"
     assert csv_lines[2].split(",")[1] == "ratc"
+
+
+@pytest.mark.parametrize("name, duration", [
+    ("rectangle_compare.ini", 20.0),
+    ("figure_eight.ini", 20.0),  # gusty: the child draws the same stream
+])
+def test_parallel_compare_equals_two_serial_runs(name, duration, capfd):
+    cfg = load_config(name)
+    comp = compare_controllers(cfg, duration_override=duration)
+    serial = [run_scenario(cfg, mode, duration_override=duration)
+              for mode in ("aotc", "ratc")]
+    for got, want in zip((comp.aotc, comp.ratc), serial):
+        assert list(got.log) == list(want.log)
+        for key, arr in want.log.items():
+            assert got.log[key].dtype == arr.dtype, key
+            assert np.array_equal(got.log[key], arr), key
+        assert (got.steps, got.completed, got.fault) == (
+            want.steps, want.completed, want.fault)
+    assert comp.rows == [run.summary_row() for run in serial]
+    a450, r450 = (run.stats_by_href[450.0] for run in serial)
+    assert comp.ratios["rms_450_ratc_over_aotc"] == r450.rms / a450.rms
+    assert comp.ratios["mean_abs_roll_aotc_deg"] == serial[0].mean_abs_roll_deg
+    assert comp.ratios["mean_abs_beta_ratc_deg"] == serial[1].mean_abs_beta_deg
+    assert multiprocessing.active_children() == []
+    assert "Traceback" not in capfd.readouterr().err
+
+
+class RecordingConnection:
+    """Stands in for the child's end of the pipe."""
+
+    def __init__(self):
+        self.sent = []
+        self.closed = False
+
+    def send(self, obj):
+        self.sent.append(obj)
+
+    def close(self):
+        self.closed = True
+
+
+def test_child_sends_the_log_a_column_at_a_time(make_cfg):
+    # One whole-result pickle raised the caller's peak RSS by 19-32% on
+    # rectangle_compare, so the head carries no arrays and each column
+    # follows on its own.
+    cfg = make_cfg(rectangle_plan(40.0), duration=5.0)
+    conn = RecordingConnection()
+    _fly_and_send(conn, cfg, "aotc", None)
+    head, *columns = conn.sent
+    assert isinstance(head, RunResult)
+    assert head.log == dict.fromkeys(c.name for c in LOG_COLUMNS)
+    assert len(columns) == len(LOG_COLUMNS)
+    want = run_scenario(cfg, "aotc")
+    for column, arr in zip(LOG_COLUMNS, columns):
+        assert isinstance(arr, np.ndarray), column.name
+        assert arr.dtype == want.log[column.name].dtype, column.name
+        assert np.array_equal(arr, want.log[column.name]), column.name
+    assert conn.closed
+
+
+@needs_fork
+def test_aotc_error_reaches_the_caller_intact(aotc_trim_failure, make_cfg):
+    with pytest.raises(TrimFailureError) as info:
+        compare_controllers(make_cfg(straight_plan()), duration_override=1.0)
+    assert type(info.value) is TrimFailureError
+    assert info.value.category == "trim"
+    assert str(info.value) == "trim did not converge"
+    assert info.value.residual == 0.25
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_child_is_stopped_when_the_ratc_run_raises(monkeypatch, make_cfg,
+                                                   capfd):
+    real = levelwing.scenario.run_scenario
+
+    def slow_aotc_failing_ratc(cfg, mode=None, duration_override=None):
+        if mode == "ratc":
+            raise UncontrollablePlantError("no rudder authority")
+        time.sleep(60.0)
+        return real(cfg, mode, duration_override)
+
+    monkeypatch.setattr(levelwing.scenario, "run_scenario",
+                        slow_aotc_failing_ratc)
+    t0 = time.perf_counter()
+    with pytest.raises(UncontrollablePlantError, match="no rudder"):
+        compare_controllers(make_cfg(straight_plan()), duration_override=1.0)
+    assert time.perf_counter() - t0 < 10.0
+    assert multiprocessing.active_children() == []
+    assert "Traceback" not in capfd.readouterr().err
+
+
+@needs_fork
+def test_child_that_dies_without_a_result_is_an_error(monkeypatch, make_cfg):
+    real = levelwing.scenario.run_scenario
+
+    def dying_aotc(cfg, mode=None, duration_override=None):
+        if mode == "aotc":
+            os._exit(7)
+        return real(cfg, mode, duration_override)
+
+    monkeypatch.setattr(levelwing.scenario, "run_scenario", dying_aotc)
+    with pytest.raises(SimulatorError,
+                       match=r"aotc run's process ended without a result "
+                             r"\(exit code 7\)"):
+        compare_controllers(make_cfg(straight_plan()), duration_override=1.0)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("mode", ["aotc", "ratc"])
