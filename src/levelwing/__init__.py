@@ -11,6 +11,7 @@ from .config import ScenarioConfig, load_aircraft, load_config, load_plan
 from .dynamics import (
     AircraftParams,
     AircraftState,
+    Airframe,
     AirData,
     ControlCommand,
     Environment,
@@ -18,6 +19,7 @@ from .dynamics import (
     air_data,
     gamma_terms,
     integrate_step,
+    make_airframe,
     rk4_step,
     trim,
 )
@@ -52,6 +54,7 @@ __all__ = [
     "AirDataError",
     "AircraftParams",
     "AircraftState",
+    "Airframe",
     "ComparisonResult",
     "ConfigError",
     "ControlCommand",
@@ -82,6 +85,7 @@ __all__ = [
     "load_aircraft",
     "load_config",
     "load_plan",
+    "make_airframe",
     "rk4_step",
     "run_scenario",
     "series_stats",

@@ -18,7 +18,7 @@ import sys
 
 from .config import load_config
 from .control import make_gain_schedule
-from .dynamics import Environment, gamma_terms, trim
+from .dynamics import make_airframe, trim
 from .errors import (
     ConfigError,
     DynamicsFaultError,
@@ -131,14 +131,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_gains(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    env = Environment(cfg.env.wind_n, cfg.env.wind_e, cfg.env.wind_d)
-    trim_state, trim_cmd = trim(cfg.params, env, cfg.va_cmd)
-    gammas = gamma_terms(cfg.params)
+    airframe = make_airframe(cfg.params)
     va = cfg.va_cmd
     c = cfg.ctrl
+    trim_state, trim_cmd = trim(airframe, va)
 
-    ratc = make_gain_schedule("ratc", cfg.params, gammas, c)(va, va)
-    aotc = make_gain_schedule("aotc", cfg.params, gammas, c)(va, va)
+    ratc = make_gain_schedule("ratc", airframe, c)(va, va)
+    aotc = make_gain_schedule("aotc", airframe, c)(va, va)
 
     print(f"scenario {cfg.name}, airspeed {va:.1f} m/s")
     print(f"heading plant : a_psi1 {ratc.a_psi1:+.4f} 1/s, "
@@ -162,8 +161,7 @@ def _cmd_gains(args: argparse.Namespace) -> int:
 def _cmd_trim(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     va = cfg.va_cmd if args.airspeed is None else args.airspeed
-    env = Environment(cfg.env.wind_n, cfg.env.wind_e, cfg.env.wind_d)
-    state, cmd = trim(cfg.params, env, va)
+    state, cmd = trim(make_airframe(cfg.params), va)
     print(f"trim at Va = {va:.2f} m/s, level flight:")
     print(f"  alpha    = {math.degrees(state.theta):+.4f} deg")
     print(f"  u, w     = {state.u:+.4f}, {state.w:+.4f} m/s (body)")

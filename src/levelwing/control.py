@@ -28,10 +28,10 @@ from .config import ControllerSettings
 from .dynamics import (
     AircraftParams,
     AircraftState,
+    Airframe,
     AirData,
     ControlCommand,
     GammaSet,
-    combined_yaw_coeffs,
 )
 from .errors import AirDataError, ConfigError, UncontrollablePlantError
 
@@ -92,10 +92,43 @@ def place_poles(a1: float, a2: float, a3: float, wn: float,
     return (wn**2 - a3) / a2, (2.0 * zeta * wn - a1) / a2
 
 
+@dataclass
+class CombinedYawCoeffs:
+    """Yaw-channel coefficients after folding the roll equation's share
+    of the inertia coupling into the yaw buildup: each is
+    gamma4*c_ell_x + gamma8*c_n_x.
+
+    They depend on the airframe only; the gain schedule scales them by
+    the dynamic pressure into the heading plant
+    psi_ddot = -a_psi1*psi_dot + a_psi2*delta_r (+ the sideslip, roll-rate
+    and aileron terms as a disturbance).
+    """
+
+    cr_0: float
+    cr_beta: float
+    cr_p: float
+    cr_r: float
+    cr_delta_a: float
+    cr_delta_r: float
+
+
+def combined_yaw_coeffs(params: AircraftParams,
+                        gammas: GammaSet) -> CombinedYawCoeffs:
+    """Fold the roll/yaw moment coefficients into the heading-plant form."""
+    g4, g8 = gammas.gamma4, gammas.gamma8
+    return CombinedYawCoeffs(
+        cr_0=g4 * params.c_ell_0 + g8 * params.c_n_0,
+        cr_beta=g4 * params.c_ell_beta + g8 * params.c_n_beta,
+        cr_p=g4 * params.c_ell_p + g8 * params.c_n_p,
+        cr_r=g4 * params.c_ell_r + g8 * params.c_n_r,
+        cr_delta_a=g4 * params.c_ell_delta_a + g8 * params.c_n_delta_a,
+        cr_delta_r=g4 * params.c_ell_delta_r + g8 * params.c_n_delta_r,
+    )
+
+
 def make_gain_schedule(
     mode: str,
-    params: AircraftParams,
-    gammas: GammaSet,
+    airframe: Airframe,
     ctrl: ControllerSettings,
 ) -> Callable[[float, float], ScheduledGains]:
     """Gain schedule of one lateral law plus the longitudinal holds.
@@ -113,6 +146,7 @@ def make_gain_schedule(
         raise ConfigError(f"controller mode must be aotc or ratc, got "
                           f"{mode!r}")
     ratc = mode == "ratc"
+    params, gammas = airframe.params, airframe.gammas
     wn_course = ctrl.wn_roll / ctrl.course_separation
 
     # The heading plant folds the roll equation's inertia-coupled share

@@ -172,8 +172,7 @@ class AirData(NamedTuple):
     chi: float
 
 
-@dataclass
-class GammaSet:
+class GammaSet(NamedTuple):
     """Reduced inertia terms for the explicit roll/yaw rate equations."""
 
     gamma1: float
@@ -184,26 +183,6 @@ class GammaSet:
     gamma6: float
     gamma7: float
     gamma8: float
-
-
-@dataclass
-class CombinedYawCoeffs:
-    """Yaw-channel coefficients after folding the roll equation's share
-    of the inertia coupling into the yaw buildup: each is
-    gamma4*c_ell_x + gamma8*c_n_x.
-
-    They depend on the airframe only; the gain schedule scales them by
-    the dynamic pressure into the heading plant
-    psi_ddot = -a_psi1*psi_dot + a_psi2*delta_r (+ the sideslip, roll-rate
-    and aileron terms as a disturbance).
-    """
-
-    cr_0: float
-    cr_beta: float
-    cr_p: float
-    cr_r: float
-    cr_delta_a: float
-    cr_delta_r: float
 
 
 class Environment(NamedTuple):
@@ -313,20 +292,6 @@ def gamma_terms(params: AircraftParams) -> GammaSet:
     )
 
 
-def combined_yaw_coeffs(params: AircraftParams,
-                        gammas: GammaSet) -> CombinedYawCoeffs:
-    """Fold the roll/yaw moment coefficients into the heading-plant form."""
-    g4, g8 = gammas.gamma4, gammas.gamma8
-    return CombinedYawCoeffs(
-        cr_0=g4 * params.c_ell_0 + g8 * params.c_n_0,
-        cr_beta=g4 * params.c_ell_beta + g8 * params.c_n_beta,
-        cr_p=g4 * params.c_ell_p + g8 * params.c_n_p,
-        cr_r=g4 * params.c_ell_r + g8 * params.c_n_r,
-        cr_delta_a=g4 * params.c_ell_delta_a + g8 * params.c_n_delta_a,
-        cr_delta_r=g4 * params.c_ell_delta_r + g8 * params.c_n_delta_r,
-    )
-
-
 def _check_pitch(theta: float, state) -> None:
     """Abort inside the singularity margin of theta = +/-90 deg."""
     if abs(theta) >= math.pi / 2.0 - PITCH_SINGULARITY_MARGIN:
@@ -336,8 +301,10 @@ def _check_pitch(theta: float, state) -> None:
         )
 
 
-class Dynamics(NamedTuple):
-    """The rigid-body model of one airframe, its constants bound.
+class Airframe(NamedTuple):
+    """One airframe, bound once per run: its parameters, its reduced
+    inertia terms and the stage functions of its rigid-body model.
+    Trim, the integrator and the gain schedule all read this one value.
 
     forces_moments(y, cmd) gives the body forces (N) and moments (N*m)
     (fx, fy, fz, l, m, n) of the twelve-value state y (AircraftState
@@ -347,21 +314,25 @@ class Dynamics(NamedTuple):
     or the same three floats.
     """
 
+    params: AircraftParams
+    gammas: GammaSet
     forces_moments: Callable[[Sequence[float], Sequence[float]],
                              tuple[float, ...]]
     derivative: Callable[[Sequence[float], Sequence[float],
                           Sequence[float]], list[float]]
 
 
-def make_dynamics(params: AircraftParams, gammas: GammaSet) -> Dynamics:
-    """Bind the airframe's constants once and return the stage functions
-    of the forces, the moments and the twelve equations of motion.
+def make_airframe(params: AircraftParams) -> Airframe:
+    """Bind the airframe's constants once and return them with the stage
+    functions of the forces, the moments and the twelve equations of
+    motion.
 
     Forces and moments are gravity + thrust + the linear aerodynamic
     buildup, with rate terms normalized by 2*Va; below MIN_AERO_AIRSPEED
     the aerodynamic terms are zeroed and only gravity and thrust remain.
     Thrust is delta_t * (max_thrust - thrust_airspeed_decay*Va^2).
     """
+    gammas = gamma_terms(params)
     weight = params.weight
     inv_mass = 1.0 / params.mass
     half_rho = 0.5 * params.rho
@@ -461,7 +432,7 @@ def make_dynamics(params: AircraftParams, gammas: GammaSet) -> Dynamics:
         return [gn + wind_n, ge + wind_e, gd + wind_d, u_dot, v_dot, w_dot,
                 phi_dot, theta_dot, psi_dot, p_dot, q_dot, r_dot]
 
-    return Dynamics(forces_moments, derivative)
+    return Airframe(params, gammas, forces_moments, derivative)
 
 
 def rk4_step(f: Callable[[Sequence[float]], Sequence[float]],
@@ -492,12 +463,11 @@ def integrate_step(
     state: AircraftState,
     cmd: ControlCommand,
     env: Environment,
-    params: AircraftParams,
+    airframe: Airframe,
     dt: float,
-    dynamics: Dynamics,
 ) -> AircraftState:
     """Advance the state one fixed RK4 step of the airframe's dynamics
-    kernel (make_dynamics) with the command held constant.
+    kernel with the command held constant.
 
     The actuator limits are applied here, at the plant. phi and psi are
     wrapped onto (-pi, pi] after the step; a pitch inside the singularity
@@ -505,8 +475,8 @@ def integrate_step(
     """
     if dt <= 0.0:
         raise ConfigError("integration step must be positive")
+    params, _, forces_moments, derivative = airframe
     cmd = clamp_command(cmd, params)
-    forces_moments, derivative = dynamics
 
     def f(y: Sequence[float]) -> list[float]:
         return derivative(y, forces_moments(y, cmd), env)
@@ -532,20 +502,18 @@ def stall_floor(params: AircraftParams) -> float:
     )
 
 
-def trim(
-    params: AircraftParams,
-    env: Environment,
-    va_target: float,
-    gamma_target: float = 0.0,
-) -> tuple[AircraftState, ControlCommand]:
-    """Solve wings-level straight-line trim at the target airspeed and
-    climb angle.
+def trim(airframe: Airframe,
+         va_target: float) -> tuple[AircraftState, ControlCommand]:
+    """Solve wings-level, straight and level trim at the target airspeed.
 
     Damped Newton iteration on (alpha, delta_e, delta_t) driving the
     (u_dot, w_dot, q_dot) residual to zero; lateral variables are pinned
-    at zero, which is exact for a laterally symmetric configuration. The
-    returned pair re-evaluates to a full six-axis residual below TRIM_TOL.
+    at zero, which is exact for a laterally symmetric configuration, and
+    level flight pins theta = alpha. The wind enters only the navigation
+    rows, which no residual reads, so trim takes none. The returned pair
+    re-evaluates to a full six-axis residual below TRIM_TOL.
     """
+    params, _, forces_moments, derivative = airframe
     if not math.isfinite(va_target):
         raise ConfigError(f"trim airspeed must be finite, got {va_target}")
     floor = stall_floor(params)
@@ -554,20 +522,19 @@ def trim(
             f"trim airspeed {va_target:.1f} m/s is at or below the "
             f"linear-range floor {floor:.1f} m/s"
         )
-    forces_moments, derivative = make_dynamics(params, gamma_terms(params))
 
     def build(x: np.ndarray) -> tuple[AircraftState, ControlCommand]:
         alpha, delta_e, delta_t = float(x[0]), float(x[1]), float(x[2])
         state = AircraftState(
             u=va_target * math.cos(alpha),
             w=va_target * math.sin(alpha),
-            theta=alpha + gamma_target,
+            theta=alpha,
         )
         return state, ControlCommand(0.0, delta_e, 0.0, delta_t)
 
     def derivatives(x: np.ndarray) -> list[float]:
         state, cmd = build(x)
-        return derivative(state, forces_moments(state, cmd), env)
+        return derivative(state, forces_moments(state, cmd), _CALM)
 
     def residual(x: np.ndarray) -> np.ndarray:
         deriv = derivatives(x)
@@ -623,15 +590,9 @@ def trim(
             residual=float(np.max(np.abs(res))),
         )
 
-    # Full six-axis check plus achieved climb angle (theta - alpha here,
-    # exact for beta = 0 and wings level).
+    # Full six-axis check.
     deriv = derivatives(x)
-    full = [abs(d) for d in deriv[3:6] + deriv[9:12]]
-    _, alpha, _ = _airspeed_angles(state.u, state.v, state.w)
-    climb_err = abs((state.theta - alpha) - gamma_target)
-    if max(full) >= TRIM_TOL or climb_err >= TRIM_TOL:
-        raise TrimFailureError(
-            "trim residual check failed",
-            residual=max(max(full), climb_err),
-        )
+    full = max(abs(d) for d in deriv[3:6] + deriv[9:12])
+    if full >= TRIM_TOL:
+        raise TrimFailureError("trim residual check failed", residual=full)
     return state, cmd

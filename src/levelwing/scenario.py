@@ -30,14 +30,14 @@ from .control import (
 )
 from .dynamics import (
     AircraftState,
+    Airframe,
     AirData,
     ControlCommand,
     Environment,
     GustModel,
     air_data,
-    gamma_terms,
     integrate_step,
-    make_dynamics,
+    make_airframe,
     trim,
 )
 from .errors import ConfigError, DynamicsFaultError, SimulatorError
@@ -104,13 +104,11 @@ class FlightController:
     """Full autopilot for one run: one lateral law plus the longitudinal
     holds, gain-scheduled on the current airspeed."""
 
-    def __init__(self, mode: str, cfg: ScenarioConfig,
+    def __init__(self, mode: str, cfg: ScenarioConfig, airframe: Airframe,
                  trim_state: AircraftState, trim_cmd: ControlCommand):
-        self.gammas = gamma_terms(cfg.params)
-        self.schedule = make_gain_schedule(mode, cfg.params, self.gammas,
-                                           cfg.ctrl)
+        self.schedule = make_gain_schedule(mode, airframe, cfg.ctrl)
         self.mode = mode
-        self.params = cfg.params
+        self.params = airframe.params
         self.bank_limit = cfg.ctrl.bank_limit
         self.trim_theta = trim_state.theta
         self.trim_cmd = trim_cmd
@@ -212,14 +210,14 @@ def run_scenario(
                           f"{duration}")
     dt = cfg.dt
 
-    base_env = Environment(cfg.env.wind_n, cfg.env.wind_e, cfg.env.wind_d)
-    trim_state, trim_cmd = trim(cfg.params, base_env, cfg.va_cmd)
+    airframe = make_airframe(cfg.params)
+    trim_state, trim_cmd = trim(airframe, cfg.va_cmd)
     state = _initial_state(cfg, trim_state)
 
+    base_env = Environment(cfg.env.wind_n, cfg.env.wind_e, cfg.env.wind_d)
     manager = PathManager(cfg.plan, cfg.ctrl.guidance, dt, cfg.ctrl.slew)
-    controller = FlightController(mode, cfg, trim_state, trim_cmd)
+    controller = FlightController(mode, cfg, airframe, trim_state, trim_cmd)
     gust = GustModel(cfg.env.gust_intensity, cfg.env.gust_tau, dt, cfg.seed)
-    dynamics = make_dynamics(cfg.params, controller.gammas)
 
     n_cap = int(round(duration / dt))
     # One array per field: a single (fields, n_cap) buffer passes 4 MiB on
@@ -251,7 +249,7 @@ def run_scenario(
         steps = k + 1
 
         try:
-            state = integrate_step(state, cmd, env, cfg.params, dt, dynamics)
+            state = integrate_step(state, cmd, env, airframe, dt)
         except DynamicsFaultError as exc:
             fault = f"{exc.category}: {exc} at t = {t:.2f} s"
             break

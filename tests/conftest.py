@@ -23,13 +23,7 @@ from levelwing.config import (
     load_aircraft,
     load_config,
 )
-from levelwing.dynamics import (
-    AircraftParams,
-    Environment,
-    gamma_terms,
-    make_dynamics,
-    trim,
-)
+from levelwing.dynamics import AircraftParams, make_airframe, trim
 from levelwing.errors import TrimFailureError
 from levelwing.guidance import (
     FlightPlan,
@@ -53,20 +47,15 @@ def params():
 
 
 @pytest.fixture(scope="session")
-def gammas(params):
-    return gamma_terms(params)
+def airframe(params):
+    """The stock airframe: params, inertia terms and dynamics kernel."""
+    return make_airframe(params)
 
 
 @pytest.fixture(scope="session")
-def dynamics(params, gammas):
-    """The stock airframe's dynamics kernel."""
-    return make_dynamics(params, gammas)
-
-
-@pytest.fixture(scope="session")
-def trim20(params):
-    """Level trim at 20 m/s in calm air: (state, command)."""
-    return trim(params, Environment(), 20.0)
+def trim20(airframe):
+    """Level trim at 20 m/s: (state, command)."""
+    return trim(airframe, 20.0)
 
 
 @pytest.fixture(scope="session")

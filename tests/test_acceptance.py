@@ -16,6 +16,7 @@ from levelwing.config import ControllerSettings, load_config
 from levelwing.control import (
     ControlCommand,
     LoopState,
+    combined_yaw_coeffs,
     longitudinal_holds,
     make_gain_schedule,
     place_poles,
@@ -26,10 +27,8 @@ from levelwing.dynamics import (
     Environment,
     air_data,
     clamp_command,
-    combined_yaw_coeffs,
-    gamma_terms,
     integrate_step,
-    make_dynamics,
+    make_airframe,
     rk4_step,
     trim,
 )
@@ -71,7 +70,8 @@ def test_criterion_1_equation_identities(params):
             c_n_delta_a=rng.uniform(-0.5, 0.5),
             c_n_delta_r=rng.uniform(-1.0, -0.05),
         )
-        g = gamma_terms(draw)
+        airframe = make_airframe(draw)
+        g = airframe.gammas
 
         # Inertia reductions invert the coupled roll/yaw inertia block.
         inv = np.linalg.inv([[ixx, -ixz], [-ixz, izz]])
@@ -107,7 +107,7 @@ def test_criterion_1_equation_identities(params):
         delta_a = rng.uniform(-0.3, 0.3)
         delta_r = rng.uniform(-0.3, 0.3)
         fold = combined_yaw_coeffs(draw, g)
-        coeffs = make_gain_schedule("ratc", draw, g, ControllerSettings())(
+        coeffs = make_gain_schedule("ratc", airframe, ControllerSettings())(
             ad.va, ad.vg)
         for cr, cl, cn in (
             (fold.cr_beta, draw.c_ell_beta, draw.c_n_beta),
@@ -126,8 +126,7 @@ def test_criterion_1_equation_identities(params):
         # The reduced heading equation reproduces the moment buildup.
         cmd = ControlCommand(delta_a=delta_a, delta_e=rng.uniform(-0.3, 0.3),
                              delta_r=delta_r, delta_t=rng.uniform(0.0, 1.0))
-        _, _, _, fm_l, _, fm_n = make_dynamics(draw, g).forces_moments(
-            state, cmd)
+        _, _, _, fm_l, _, fm_n = airframe.forces_moments(state, cmd)
         # d_psi: the sideslip, roll-rate and aileron terms of the fold.
         d_psi = qs * (fold.cr_0 + fold.cr_beta * ad.beta
                       + fold.cr_p * (draw.wing_span * state.p / (2.0 * ad.va))
@@ -176,15 +175,13 @@ def test_criterion_2_heading_step_matches_analytic_plant(params):
     variant = replace(params, ixz=0.0, c_n_beta=0.0, c_n_p=0.0,
                       c_n_delta_a=0.0, c_ell_beta=0.0, c_ell_r=0.0,
                       c_ell_delta_r=0.0, c_y_beta=-19.6)
-    gammas = gamma_terms(variant)
-    dynamics = make_dynamics(variant, gammas)
-    trim_state, trim_cmd = trim(variant, CALM, 20.0)
+    airframe = make_airframe(variant)
+    trim_state, trim_cmd = trim(airframe, 20.0)
     state = trim_state._replace(pd=-150.0)
 
     # Roll hold (10 rad/s, 1, ki 2), pitch (10 rad/s, 0.9), altitude
     # (0.8 rad/s, 1), airspeed PI (0.4, 0.15), pitch limit 20 deg.
-    schedule = make_gain_schedule("ratc", variant, gammas,
-                                  ControllerSettings())
+    schedule = make_gain_schedule("ratc", airframe, ControllerSettings())
     ad0 = air_data(state, CALM)
     coeffs0 = schedule(ad0.va, ad0.vg)
     a1, a2 = coeffs0.a_psi1, coeffs0.a_psi2
@@ -205,7 +202,7 @@ def test_criterion_2_heading_step_matches_analytic_plant(params):
                                               trim_cmd, variant)
         cmd = clamp_command(ControlCommand(delta_a, delta_e, delta_r,
                                            delta_t), variant)
-        state = integrate_step(state, cmd, CALM, variant, dt, dynamics)
+        state = integrate_step(state, cmd, CALM, airframe, dt)
 
     t = np.arange(n) * dt
     psi_ref = a2 * delta_r * (t / a1 - (1.0 - np.exp(-a1 * t)) / a1**2)

@@ -18,16 +18,15 @@ from levelwing.control import (
     ratc_step,
 )
 from levelwing.dynamics import AircraftState, Environment, air_data, \
-    gamma_terms
+    make_airframe
 from levelwing.errors import ConfigError, UncontrollablePlantError
 
 CALM = Environment()
 
 
-def schedule(mode, params, gammas=None, **ctrl):
+def schedule(mode, params, **ctrl):
     """The gain schedule of one law on the stock settings, with changes."""
-    gammas = gamma_terms(params) if gammas is None else gammas
-    return make_gain_schedule(mode, params, gammas,
+    return make_gain_schedule(mode, make_airframe(params),
                               ControllerSettings(**ctrl))
 
 
@@ -56,7 +55,7 @@ def test_ratc_gain_closed_loop_identity_randomized():
                            sorted(design, key=np.real), rtol=1e-9, atol=1e-9)
 
 
-def test_ratc_gains_reject_zero_rudder_authority(params, gammas):
+def test_ratc_gains_reject_zero_rudder_authority(params):
     dead = replace(params, c_ell_delta_r=0.0, c_n_delta_r=0.0)
     with pytest.raises(UncontrollablePlantError):
         schedule("ratc", dead)
@@ -64,8 +63,8 @@ def test_ratc_gains_reject_zero_rudder_authority(params, gammas):
         ControllerSettings(wn_psi=0.0)
 
 
-def test_roll_gains_realize_design_poles(params, gammas):
-    g = schedule("ratc", params, gammas)(20.0, 20.0)
+def test_roll_gains_realize_design_poles(params):
+    g = schedule("ratc", params)(20.0, 20.0)
     a1, a2 = g.a_phi1, g.a_phi2
     assert math.isclose(a2 * g.kp_roll, 100.0, rel_tol=1e-12)
     assert math.isclose(a1 + a2 * g.kd_roll, 20.0, rel_tol=1e-12)
@@ -78,9 +77,9 @@ def test_roll_gains_reject_zero_aileron_authority(params):
         schedule("ratc", dead)
 
 
-def test_course_gains_kinematic_plant(params, gammas):
+def test_course_gains_kinematic_plant(params):
     # wn_roll 10 rad/s over the separation 16: the course loop at 0.625.
-    course = schedule("aotc", params, gammas)
+    course = schedule("aotc", params)
     g = course(20.0, 20.0)
     assert g.kp_course == pytest.approx(2.0 * 0.9 * 0.625 * 20.0 / 9.81,
                                         rel=1e-12)
@@ -91,8 +90,8 @@ def test_course_gains_kinematic_plant(params, gammas):
                                            rel=1e-12)
 
 
-def test_aotc_synthesis_separates_bandwidths(params, gammas):
-    gains = schedule("aotc", params, gammas)(20.0, 20.0)
+def test_aotc_synthesis_separates_bandwidths(params):
+    gains = schedule("aotc", params)(20.0, 20.0)
     # ki = wn^2*Vg/g, so the course loop sits at wn_roll/separation.
     wn_course = math.sqrt(gains.ki_course * params.gravity / 20.0)
     assert wn_course == pytest.approx(10.0 / 16.0, rel=1e-12)
@@ -106,8 +105,8 @@ def test_pitch_gains_reject_zero_elevator_authority(params):
         schedule("ratc", dead)
 
 
-def test_pitch_plant_scales_with_dynamic_pressure(params, gammas):
-    lon = schedule("ratc", params, gammas)
+def test_pitch_plant_scales_with_dynamic_pressure(params):
+    lon = schedule("ratc", params)
     g20, g40 = lon(20.0, 20.0), lon(40.0, 40.0)
     a1_20, a2_20, a3_20 = g20.a_theta1, g20.a_theta2, g20.a_theta3
     a1_40, a2_40, a3_40 = g40.a_theta1, g40.a_theta2, g40.a_theta3
@@ -123,14 +122,14 @@ def wide_limits(params):
                    delta_r_max=math.radians(80.0))
 
 
-def ratc_setup(params, gammas):
+def ratc_setup(params):
     """ratc gains at 20 m/s: heading (4 rad/s, 0.9), roll (10 rad/s, 1,
     ki 2)."""
-    return schedule("ratc", params, gammas)(20.0, 20.0)
+    return schedule("ratc", params)(20.0, 20.0)
 
 
-def test_ratc_step_zero_error_is_fixed_point(params, gammas):
-    gains = ratc_setup(params, gammas)
+def test_ratc_step_zero_error_is_fixed_point(params):
+    gains = ratc_setup(params)
     state = AircraftState(u=20.0)
     loop = LoopState()
     delta_a, delta_r = ratc_step(0.0, state, gains, loop, 0.01, params)
@@ -139,8 +138,8 @@ def test_ratc_step_zero_error_is_fixed_point(params, gammas):
     assert delta_r == pytest.approx(0.0, abs=1e-12)
 
 
-def test_ratc_step_commands_corrective_yaw_moment(params, gammas):
-    gains = ratc_setup(params, gammas)
+def test_ratc_step_commands_corrective_yaw_moment(params):
+    gains = ratc_setup(params)
     state = AircraftState(u=20.0)
     _, delta_r = ratc_step(0.3, state, gains, LoopState(), 0.01, params)
     # Rudder effectiveness is negative on this airframe, so the deflection
@@ -148,8 +147,8 @@ def test_ratc_step_commands_corrective_yaw_moment(params, gammas):
     assert gains.a_psi2 * delta_r > 0.0
 
 
-def test_ratc_step_error_wraps_across_seam(params, gammas):
-    gains = ratc_setup(params, gammas)
+def test_ratc_step_error_wraps_across_seam(params):
+    gains = ratc_setup(params)
     state = AircraftState(u=20.0, psi=math.radians(175.0))
     _, delta_r = ratc_step(math.radians(-175.0), state, gains, LoopState(),
                            0.01, params)
@@ -158,8 +157,8 @@ def test_ratc_step_error_wraps_across_seam(params, gammas):
                                     rel=1e-9)
 
 
-def test_ratc_step_levels_the_wings(params, gammas):
-    gains = ratc_setup(params, gammas)
+def test_ratc_step_levels_the_wings(params):
+    gains = ratc_setup(params)
     state = AircraftState(u=20.0, phi=0.2)
     delta_a, _ = ratc_step(0.0, state, gains, LoopState(), 0.01, params)
     assert math.copysign(1.0, delta_a) == -math.copysign(1.0,
@@ -167,8 +166,8 @@ def test_ratc_step_levels_the_wings(params, gammas):
     assert delta_a != 0.0
 
 
-def test_ratc_step_single_tracked_error_topology(params, gammas):
-    gains = ratc_setup(params, gammas)
+def test_ratc_step_single_tracked_error_topology(params):
+    gains = ratc_setup(params)
     state = AircraftState(u=20.0, phi=0.1)
     wide = wide_limits(params)
     loop = LoopState()
@@ -181,8 +180,8 @@ def test_ratc_step_single_tracked_error_topology(params, gammas):
     assert set(loop.last_saturated) == {"delta_r", "delta_a"}
 
 
-def test_ratc_step_saturates_at_surface_limit(params, gammas):
-    gains = ratc_setup(params, gammas)
+def test_ratc_step_saturates_at_surface_limit(params):
+    gains = ratc_setup(params)
     state = AircraftState(u=20.0)
     loop = LoopState()
     _, delta_r = ratc_step(math.pi, state, gains, loop, 0.01, params)
@@ -190,14 +189,14 @@ def test_ratc_step_saturates_at_surface_limit(params, gammas):
     assert loop.last_saturated["delta_r"]
 
 
-def aotc_setup(params, gammas):
+def aotc_setup(params):
     """aotc gains at 20 m/s: roll (10 rad/s, 1), course separated by 16
     (zeta 0.9)."""
-    return schedule("aotc", params, gammas)(20.0, 20.0)
+    return schedule("aotc", params)(20.0, 20.0)
 
 
-def test_aotc_step_zero_error_is_fixed_point(params, gammas):
-    gains = aotc_setup(params, gammas)
+def test_aotc_step_zero_error_is_fixed_point(params):
+    gains = aotc_setup(params)
     state = AircraftState(u=20.0)
     delta_a, delta_r = aotc_step(0.0, state, air_data(state, CALM), gains,
                                  LoopState(), 0.01, params,
@@ -206,8 +205,8 @@ def test_aotc_step_zero_error_is_fixed_point(params, gammas):
     assert delta_r == 0.0
 
 
-def test_aotc_step_banks_into_course_error(params, gammas):
-    gains = aotc_setup(params, gammas)
+def test_aotc_step_banks_into_course_error(params):
+    gains = aotc_setup(params)
     state = AircraftState(u=20.0)
     ad = air_data(state, CALM)
     delta_a, delta_r = aotc_step(0.3, state, ad, gains, LoopState(), 0.01,
@@ -222,8 +221,8 @@ def test_aotc_step_banks_into_course_error(params, gammas):
     assert delta_a == pytest.approx(gains.kp_roll * phi_cmd, rel=1e-9)
 
 
-def test_aotc_step_bank_command_saturates(params, gammas):
-    gains = aotc_setup(params, gammas)
+def test_aotc_step_bank_command_saturates(params):
+    gains = aotc_setup(params)
     state = AircraftState(u=20.0)
     loop = LoopState()
     delta_a, _ = aotc_step(3.0, state, air_data(state, CALM), gains, loop,
@@ -234,11 +233,11 @@ def test_aotc_step_bank_command_saturates(params, gammas):
                                     rel=1e-9)
 
 
-def test_aotc_antiwindup_desaturates_quickly(params, gammas):
+def test_aotc_antiwindup_desaturates_quickly(params):
     # Hold a large course error for 3 s (bank command pinned at the
     # limit), then reverse it: the integrator must not have wound up, so
     # the command leaves saturation within 2 s.
-    gains = aotc_setup(params, gammas)
+    gains = aotc_setup(params)
     state = AircraftState(u=20.0)
     ad = air_data(state, CALM)
     loop = LoopState()
@@ -262,10 +261,10 @@ def test_aotc_antiwindup_desaturates_quickly(params, gammas):
     assert steps_to_release is not None and steps_to_release * dt <= 2.0
 
 
-def test_lateral_commands_respect_limits_randomized(params, gammas):
+def test_lateral_commands_respect_limits_randomized(params):
     rng = np.random.default_rng(10)
-    ratc_gains = ratc_setup(params, gammas)
-    aotc_gains = aotc_setup(params, gammas)
+    ratc_gains = ratc_setup(params)
+    aotc_gains = aotc_setup(params)
     for _ in range(200):
         state = AircraftState(
             u=rng.uniform(12.0, 28.0), v=rng.uniform(-4.0, 4.0),

@@ -15,14 +15,26 @@ from levelwing.config import (
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def readme_block(opening: str) -> str:
-    """Body of the first fenced block in the README whose opening fence is
-    exactly opening."""
-    match = re.search(rf"^{re.escape(opening)}\n(.*?)^```$",
+def readme_blocks(opening: str) -> list[str]:
+    """Bodies of the fenced blocks in the README whose opening fence is
+    exactly opening, in order."""
+    return re.findall(rf"^{re.escape(opening)}\n(.*?)^```$",
                       README.read_text(encoding="utf-8"),
                       re.MULTILINE | re.DOTALL)
-    assert match is not None, f"no {opening} block in README.md"
-    return match.group(1)
+
+
+def readme_block(opening: str) -> str:
+    """Body of the first fenced block whose opening fence is opening."""
+    blocks = readme_blocks(opening)
+    assert blocks, f"no {opening} block in README.md"
+    return blocks[0]
+
+
+def readme_block_with(text: str) -> str:
+    """Body of the one Python block that contains text."""
+    blocks = [body for body in readme_blocks("```python") if text in body]
+    assert len(blocks) == 1, f"{len(blocks)} Python blocks hold {text!r}"
+    return blocks[0]
 
 
 def test_scenario_file_example_is_the_bundled_rectangle(tmp_path):
@@ -59,3 +71,15 @@ def test_headline_matches_the_comparison_output(rect_comparison):
     assert len(ratio_lines) == 3
     for line in ratio_lines:
         assert line in output
+
+
+def test_airframe_example_runs(capsys):
+    namespace = {"cfg": load_config("rectangle_compare.ini")}
+    exec(readme_block_with("make_airframe("), namespace)
+    airframe, state = namespace["airframe"], namespace["state"]
+    assert airframe.params == namespace["cfg"].params
+    assert state.pn > 0.0 and state.pe > 0.0
+    kp_psi, kd_psi, a_psi2 = map(float, capsys.readouterr().out.split())
+    gains = namespace["gains"]
+    assert (kp_psi, kd_psi, a_psi2) == (gains.kp_psi, gains.kd_psi,
+                                        gains.a_psi2)

@@ -10,7 +10,11 @@ import pytest
 
 from levelwing.angles import wrap_pi
 from levelwing.config import ControllerSettings
-from levelwing.control import ControlCommand, make_gain_schedule
+from levelwing.control import (
+    ControlCommand,
+    combined_yaw_coeffs,
+    make_gain_schedule,
+)
 from levelwing.dynamics import (
     AircraftState,
     Environment,
@@ -18,10 +22,9 @@ from levelwing.dynamics import (
     air_data,
     body_to_ned,
     clamp_command,
-    combined_yaw_coeffs,
     gamma_terms,
     integrate_step,
-    make_dynamics,
+    make_airframe,
     rk4_step,
     stall_floor,
     trim,
@@ -41,8 +44,7 @@ NamedForces = namedtuple("NamedForces", "fx fy fz l m n")
 
 def forces(params, state, cmd):
     """The kernel's body forces and moments, by name."""
-    kernel = make_dynamics(params, gamma_terms(params))
-    return NamedForces(*kernel.forces_moments(state, cmd))
+    return NamedForces(*make_airframe(params).forces_moments(state, cmd))
 
 
 def thrust(params, va, delta_t):
@@ -52,9 +54,9 @@ def thrust(params, va, delta_t):
             - forces(params, state, ControlCommand()).fx)
 
 
-def ratc_gains(params, gammas, airdata):
+def ratc_gains(airframe, airdata):
     """Gains and plants of the ratc schedule at the given air data."""
-    schedule = make_gain_schedule("ratc", params, gammas, ControllerSettings())
+    schedule = make_gain_schedule("ratc", airframe, ControllerSettings())
     return schedule(airdata.va, airdata.vg)
 
 
@@ -111,7 +113,7 @@ def test_rotation_preserves_speed_randomized():
                             rel_tol=1e-10)
 
 
-def test_air_data_shares_the_kernel_rotation(dynamics):
+def test_air_data_shares_the_kernel_rotation(airframe):
     # Ground speed and course come from exactly the kernel's NED velocity.
     rng = np.random.default_rng(4)
     for _ in range(500):
@@ -120,7 +122,7 @@ def test_air_data_shares_the_kernel_rotation(dynamics):
         state = AircraftState(*np.concatenate(
             [position, velocity, attitude, rates]).tolist())
         env = Environment(*rng.uniform(-10.0, 10.0, 3).tolist())
-        vn, ve, vd = dynamics.derivative(state, (0.0,) * 6, env)[:3]
+        vn, ve, vd = airframe.derivative(state, (0.0,) * 6, env)[:3]
         ad = air_data(state, env)
         assert ad.vg == math.sqrt(math.hypot(vn, ve)**2 + vd**2)
         assert ad.chi == wrap_pi(math.atan2(ve, vn))
@@ -169,15 +171,13 @@ def test_gamma_hand_worked_tensor(params):
     assert g.gamma1 == g.gamma4 == g.gamma6 == 0.0
 
 
-def test_gamma_golden_stock_airframe(gammas):
+def test_gamma_golden_stock_airframe(airframe):
     expected = (
         0.12147151902172898, 0.774654501322436, 1.2252516579138608,
         0.08386600319092032, 0.8234361233480176, 0.10607929515418502,
         -0.16826312058543708, 0.5742452909517833,
     )
-    got = (gammas.gamma1, gammas.gamma2, gammas.gamma3, gammas.gamma4,
-           gammas.gamma5, gammas.gamma6, gammas.gamma7, gammas.gamma8)
-    assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
+    assert np.allclose(tuple(airframe.gammas), expected, rtol=1e-13, atol=0.0)
 
 
 def test_gamma_matches_inertia_inverse_randomized(params):
@@ -237,10 +237,10 @@ def test_combined_yaw_collapses_without_cross_inertia(params):
     assert math.isclose(coeffs.cr_delta_r, p.c_n_delta_r, rel_tol=1e-12)
 
 
-def test_combined_yaw_golden_heading_plant(params, gammas):
+def test_combined_yaw_golden_heading_plant(params, airframe):
     state = AircraftState(u=20.0)
-    coeffs = combined_yaw_coeffs(params, gammas)
-    plant = ratc_gains(params, gammas, air_data(state, CALM))
+    coeffs = combined_yaw_coeffs(params, airframe.gammas)
+    plant = ratc_gains(airframe, air_data(state, CALM))
     assert math.isclose(coeffs.cr_r, -0.033586801842689334, rel_tol=1e-12)
     assert math.isclose(coeffs.cr_delta_r, -0.039421646668014836,
                         rel_tol=1e-12)
@@ -248,32 +248,33 @@ def test_combined_yaw_golden_heading_plant(params, gammas):
     assert math.isclose(plant.a_psi2, -15.924058451460759, rel_tol=1e-12)
 
 
-def test_combined_yaw_damping_scales_linearly_with_airspeed(params, gammas):
+def test_combined_yaw_damping_scales_linearly_with_airspeed(airframe):
     # The yaw-rate feedback term carries one airspeed power less than the
     # control effectiveness: a_psi1 ~ Va, a_psi2 ~ Va^2.
-    c20 = ratc_gains(params, gammas, air_data(AircraftState(u=20.0), CALM))
-    c40 = ratc_gains(params, gammas, air_data(AircraftState(u=40.0), CALM))
+    c20 = ratc_gains(airframe, air_data(AircraftState(u=20.0), CALM))
+    c40 = ratc_gains(airframe, air_data(AircraftState(u=40.0), CALM))
     assert math.isclose(c40.a_psi1 / c20.a_psi1, 2.0, rel_tol=1e-12)
     assert math.isclose(c40.a_psi2 / c20.a_psi2, 4.0, rel_tol=1e-12)
 
 
-def test_combined_yaw_disturbance_zero_at_null_inputs(params, gammas):
+def test_combined_yaw_disturbance_zero_at_null_inputs(params, airframe):
     state = AircraftState(u=20.0)
-    coeffs = combined_yaw_coeffs(params, gammas)
+    coeffs = combined_yaw_coeffs(params, airframe.gammas)
     d_psi = yaw_disturbance(params, coeffs, air_data(state, CALM), p=0.0,
                             delta_a=0.0)
     assert d_psi == pytest.approx(0.0, abs=1e-15)
 
 
-def test_combined_yaw_rejects_zero_airspeed(params, gammas):
+def test_combined_yaw_rejects_zero_airspeed(airframe):
     ad = air_data(AircraftState(), CALM)
     with pytest.raises(AirDataError):
-        ratc_gains(params, gammas, ad)
+        ratc_gains(airframe, ad)
 
 
-def test_yaw_equation_consistency_randomized(params, gammas):
+def test_yaw_equation_consistency_randomized(params, airframe):
     # The reduced heading plant must reproduce gamma4*l + gamma8*n from
     # the full moment buildup for any in-envelope state and command.
+    gammas = airframe.gammas
     rng = np.random.default_rng(6)
     for _ in range(400):
         state = AircraftState(
@@ -289,7 +290,7 @@ def test_yaw_equation_consistency_randomized(params, gammas):
         )
         ad = air_data(state, CALM)
         fm = forces(params, state, cmd)
-        coeffs = ratc_gains(params, gammas, ad)
+        coeffs = ratc_gains(airframe, ad)
         d_psi = yaw_disturbance(params, combined_yaw_coeffs(params, gammas),
                                 ad, p=state.p, delta_a=cmd.delta_a)
         lhs = gammas.gamma4 * fm.l + gammas.gamma8 * fm.n
@@ -342,21 +343,21 @@ def test_positive_rudder_yaws_left(params, trim20):
     assert (kicked.l - base.l) * params.c_ell_delta_r > 0.0
 
 
-def test_state_derivative_forward_translation(dynamics):
+def test_state_derivative_forward_translation(airframe):
     state = AircraftState(u=20.0)
-    fm = dynamics.forces_moments(AircraftState(), NO_COMMAND)
-    deriv = dynamics.derivative(state, fm, CALM)
+    fm = airframe.forces_moments(AircraftState(), NO_COMMAND)
+    deriv = airframe.derivative(state, fm, CALM)
     assert deriv[0] == pytest.approx(20.0, rel=1e-12)
     assert deriv[1] == pytest.approx(0.0, abs=1e-12)
     assert deriv[2] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_state_derivative_wind_enters_navigation_only(dynamics):
+def test_state_derivative_wind_enters_navigation_only(airframe):
     state = AircraftState(u=20.0)
-    fm = dynamics.forces_moments(AircraftState(), NO_COMMAND)
+    fm = airframe.forces_moments(AircraftState(), NO_COMMAND)
     windy = Environment(wind_n=3.0, wind_e=-1.0, wind_d=0.5)
-    calm_d = dynamics.derivative(state, fm, CALM)
-    wind_d = dynamics.derivative(state, fm, windy)
+    calm_d = airframe.derivative(state, fm, CALM)
+    wind_d = airframe.derivative(state, fm, windy)
     assert wind_d[0] - calm_d[0] == pytest.approx(3.0, rel=1e-12)
     assert wind_d[1] - calm_d[1] == pytest.approx(-1.0, rel=1e-12)
     assert wind_d[2] - calm_d[2] == pytest.approx(0.5, rel=1e-12)
@@ -364,20 +365,20 @@ def test_state_derivative_wind_enters_navigation_only(dynamics):
     assert np.allclose(wind_d[3:], calm_d[3:], atol=1e-15)
 
 
-def test_state_derivative_euler_kinematics_level(dynamics):
+def test_state_derivative_euler_kinematics_level(airframe):
     state = AircraftState(u=20.0, p=0.1)
-    fm = dynamics.forces_moments(AircraftState(), NO_COMMAND)
-    deriv = dynamics.derivative(state, fm, CALM)
+    fm = airframe.forces_moments(AircraftState(), NO_COMMAND)
+    deriv = airframe.derivative(state, fm, CALM)
     assert deriv[6] == pytest.approx(0.1, rel=1e-12)
     assert deriv[7] == pytest.approx(0.0, abs=1e-15)
     assert deriv[8] == pytest.approx(0.0, abs=1e-15)
 
 
-def test_state_derivative_pitch_singularity(dynamics):
+def test_state_derivative_pitch_singularity(airframe):
     state = AircraftState(u=20.0, theta=math.radians(89.9))
-    fm = dynamics.forces_moments(AircraftState(), NO_COMMAND)
+    fm = airframe.forces_moments(AircraftState(), NO_COMMAND)
     with pytest.raises(SingularityError):
-        dynamics.derivative(state, fm, CALM)
+        airframe.derivative(state, fm, CALM)
 
 
 def test_rk4_exact_on_constant_derivative():
@@ -400,55 +401,55 @@ def test_rk4_fourth_order_on_oscillator():
     assert 12.0 < e_coarse / e_fine < 20.0
 
 
-def test_integrate_step_matches_manual_rk4(params, dynamics, trim20):
+def test_integrate_step_matches_manual_rk4(airframe, trim20):
     # With an in-limit command and small angles, integrate_step is exactly
     # one RK4 pass over the state derivative.
     state, cmd = trim20
     env = Environment(wind_e=2.0)
 
     def f(y):
-        fm = dynamics.forces_moments(y, cmd)
-        return dynamics.derivative(y, fm, env)
+        fm = airframe.forces_moments(y, cmd)
+        return airframe.derivative(y, fm, env)
 
     expected = rk4_step(f, np.array(state), 0.01)
-    stepped = integrate_step(state, cmd, env, params, 0.01, dynamics)
+    stepped = integrate_step(state, cmd, env, airframe, 0.01)
     assert np.allclose(np.array(stepped), expected, rtol=1e-12, atol=1e-12)
 
 
-def test_integrate_step_clamps_command(params, dynamics, trim20):
+def test_integrate_step_clamps_command(params, airframe, trim20):
     state, _ = trim20
     wild = ControlCommand(delta_a=5.0, delta_e=-5.0, delta_r=5.0, delta_t=3.0)
     clamped = clamp_command(wild, params)
     assert clamped.delta_a == pytest.approx(params.delta_a_max)
     assert clamped.delta_e == pytest.approx(-params.delta_e_max)
     assert clamped.delta_t == pytest.approx(1.0)
-    a = integrate_step(state, wild, CALM, params, 0.01, dynamics)
-    b = integrate_step(state, clamped, CALM, params, 0.01, dynamics)
+    a = integrate_step(state, wild, CALM, airframe, 0.01)
+    b = integrate_step(state, clamped, CALM, airframe, 0.01)
     assert np.allclose(np.array(a), np.array(b), atol=1e-15)
 
 
-def test_integrate_step_deterministic(params, dynamics, trim20):
+def test_integrate_step_deterministic(airframe, trim20):
     state, cmd = trim20
     runs = []
     for _ in range(2):
         s = state
         for _ in range(100):
-            s = integrate_step(s, cmd, CALM, params, 0.01, dynamics)
+            s = integrate_step(s, cmd, CALM, airframe, 0.01)
         runs.append(np.array(s))
     assert np.array_equal(runs[0], runs[1])
 
 
-def test_integrate_step_rejects_nonpositive_dt(params, dynamics, trim20):
+def test_integrate_step_rejects_nonpositive_dt(airframe, trim20):
     state, cmd = trim20
     with pytest.raises(ConfigError):
-        integrate_step(state, cmd, CALM, params, 0.0, dynamics)
+        integrate_step(state, cmd, CALM, airframe, 0.0)
 
 
-def test_integrate_step_faults_on_nonfinite_state(params, dynamics, trim20):
+def test_integrate_step_faults_on_nonfinite_state(airframe, trim20):
     state, cmd = trim20
     broken = state._replace(u=math.nan)
     with pytest.raises(IntegrationFaultError):
-        integrate_step(broken, cmd, CALM, params, 0.01, dynamics)
+        integrate_step(broken, cmd, CALM, airframe, 0.01)
 
 
 def test_gust_zero_intensity_is_silent():
@@ -492,7 +493,7 @@ def test_gust_rejects_bad_parameters():
         GustModel(-0.1, 2.0, 0.01)
 
 
-def test_trim_is_level_and_laterally_clean(dynamics, trim20):
+def test_trim_is_level_and_laterally_clean(airframe, trim20):
     state, cmd = trim20
     assert state.phi == 0.0 and state.v == 0.0
     assert cmd.delta_a == 0.0 and cmd.delta_r == 0.0
@@ -500,20 +501,14 @@ def test_trim_is_level_and_laterally_clean(dynamics, trim20):
                         rel_tol=1e-9)
     ad = air_data(state, CALM)
     assert math.isclose(ad.va, 20.0, rel_tol=1e-9)
-    fm = dynamics.forces_moments(state, cmd)
-    deriv = dynamics.derivative(state, fm, CALM)
+    fm = airframe.forces_moments(state, cmd)
+    deriv = airframe.derivative(state, fm, CALM)
     assert abs(deriv[2]) < 1e-6          # no climb or sink
     assert np.all(np.abs(deriv[3:]) < 1e-6)
 
 
-def test_trim_climb_demands_more_throttle(params, trim20):
-    _, level_cmd = trim20
-    _, climb_cmd = trim(params, CALM, 20.0, gamma_target=math.radians(5.0))
-    assert climb_cmd.delta_t > level_cmd.delta_t
-
-
-def test_trim_rejects_airspeed_below_stall_floor(params):
+def test_trim_rejects_airspeed_below_stall_floor(params, airframe):
     floor = stall_floor(params)
     assert 10.0 < floor < 20.0
     with pytest.raises(ConfigError):
-        trim(params, CALM, floor * 0.9)
+        trim(airframe, floor * 0.9)

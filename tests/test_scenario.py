@@ -66,15 +66,14 @@ def test_straight_plan_holds_path_altitude_airspeed(make_cfg, mode):
 
 
 @pytest.mark.parametrize("mode", ["aotc", "ratc"])
-def test_capture_and_hold_from_lateral_offset(params, dynamics, make_cfg,
-                                              mode):
+def test_capture_and_hold_from_lateral_offset(airframe, make_cfg, mode):
     # Start 30 m right of a long straight leg: the aircraft must capture
     # the path within 30 s and stay inside a 2 m band afterwards.
     cfg = make_cfg(straight_plan(2000.0), duration=45.0)
-    trim_state, trim_cmd = trim(params, CALM, 20.0)
+    trim_state, trim_cmd = trim(airframe, 20.0)
     state = trim_state._replace(pn=0.0, pe=30.0, pd=-150.0, psi=0.0)
     manager = PathManager(cfg.plan, cfg.ctrl.guidance, cfg.dt)
-    controller = FlightController(mode, cfg, trim_state, trim_cmd)
+    controller = FlightController(mode, cfg, airframe, trim_state, trim_cmd)
     n = round(45.0 / cfg.dt)
     errors = np.zeros(n)
     for k in range(n):
@@ -82,7 +81,7 @@ def test_capture_and_hold_from_lateral_offset(params, dynamics, make_cfg,
         course = manager.step(state[:3])
         errors[k] = course.e_lateral
         cmd = controller.step(course.chi_cmd, state, ad, cfg.dt)
-        state = integrate_step(state, cmd, CALM, params, cfg.dt, dynamics)
+        state = integrate_step(state, cmd, CALM, airframe, cfg.dt)
     outside = np.nonzero(np.abs(errors) >= 2.0)[0]
     assert outside.size > 0          # starts outside the band
     settle_index = outside[-1] + 1

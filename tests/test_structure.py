@@ -1,8 +1,8 @@
 """Package structure: the intra-package import graph has no cycle,
 every function, class and method is used inside the package, the
-settings types check themselves once, when they are made, the per-step
-code uses no numpy, and the benchmark tracer's hooks name what the
-package defines.
+settings types check themselves once, when they are made, one place binds
+an airframe, the per-step code uses no numpy, and the benchmark tracer's
+hooks name what the package defines.
 
 Every import counts, wherever it sits: at module level, inside a
 function, or under ``if TYPE_CHECKING:``. A helper that only its own
@@ -201,13 +201,72 @@ def test_no_validate_left_in_the_package():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def enclosing(sources: dict[str, str], hit) -> set[str]:
+    """The innermost definition (see definitions) around each node that
+    hit accepts, as stem.qualified, or the module stem at module level."""
+    found = set()
+    for stem, text in sources.items():
+        tree = ast.parse(text)
+        scopes = definitions(tree)
+        for node in ast.walk(tree):
+            if hit(node):
+                inside = [qualified for qualified, _, scope in scopes
+                          if scope.lineno <= node.lineno <= scope.end_lineno]
+                found.add(f"{stem}.{inside[-1]}" if inside else stem)
+    return found
+
+
+def callers(sources: dict[str, str], name: str) -> set[str]:
+    """Where a function called name, plain or as an attribute, is called."""
+    def hit(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.id if isinstance(func, ast.Name)
+                else getattr(func, "attr", None)) == name
+    return enclosing(sources, hit)
+
+
+def definers(sources: dict[str, str], name: str) -> set[str]:
+    """Where a function called name is defined, nested ones included."""
+    return enclosing(sources, lambda node: isinstance(node, ast.FunctionDef)
+                     and node.name == name)
+
+
+def test_callers_and_definers_name_the_innermost_definition():
+    sources = {
+        "a": "def bind():\n    def derivative():\n        pass\n"
+             "    return terms(1)\n"
+             "class Box:\n    def size(self):\n        return m.terms(2)\n"
+             "terms(3)\n",
+        "b": "def derivative():\n    return bind()\n",
+    }
+    assert callers(sources, "terms") == {"a.bind", "a.Box.size", "a"}
+    assert callers(sources, "bind") == {"b.derivative"}
+    assert definers(sources, "derivative") == {"a.bind", "b.derivative"}
+
+
+def test_one_place_binds_the_airframe():
+    # make_airframe alone computes the inertia terms and defines the
+    # kernel's stage functions, once per run or CLI command. So trim and
+    # the gain schedule build no kernel of their own: they read the one
+    # they are handed.
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in SRC.glob("*.py")}
+    assert callers(sources, "gamma_terms") == {"dynamics.make_airframe"}
+    assert definers(sources, "forces_moments") == {"dynamics.make_airframe"}
+    assert definers(sources, "derivative") == {"dynamics.make_airframe"}
+    assert callers(sources, "make_airframe") == {
+        "scenario.run_scenario", "cli._cmd_gains", "cli._cmd_trim"}
+
+
 # The per-step code, by module: a function or Class.method, "*" for every
 # function of the module, or "function:for" for the body of the
 # function's first for loop. A step works on floats and named tuples.
 STEP_CODE = {
     "dynamics": ["air_data", "_airspeed_angles", "body_to_ned",
                  "integrate_step", "rk4_step", "clamp_command",
-                 "make_dynamics", "GustModel.step"],
+                 "make_airframe", "GustModel.step"],
     "guidance": ["PathManager.step", "PathManager._advance",
                  "PathManager._track_orbit_completion", "line_error",
                  "orbit_error", "course_command_line", "course_command_orbit",
