@@ -13,14 +13,15 @@ Two interchangeable lateral correctors share the guidance course command:
 All gains come from one gain schedule per controller. It folds the
 airframe coefficients and checks the control authority once; each step it
 only rescales the plants to the current airspeed and places their poles,
-so the gains follow the flight condition. Controllers are pure step
-functions over an explicit LoopState value.
+so the gains follow the flight condition. The step functions update the
+LoopState they are handed in place; its four integrators (aotc course,
+ratc roll, altitude, airspeed) each run through one saturating PI.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .angles import wrap_pi
@@ -31,7 +32,6 @@ from .dynamics import (
     Airframe,
     AirData,
     ControlCommand,
-    GammaSet,
 )
 from .errors import AirDataError, ConfigError, UncontrollablePlantError
 
@@ -74,15 +74,14 @@ class ScheduledGains(NamedTuple):
 
 @dataclass
 class LoopState:
-    """Mutable controller memory: integrators, previous actuator command,
-    and the saturation flags of the last step."""
+    """Mutable controller memory: the integrators and the previous
+    actuator command."""
 
     course_int: float = 0.0
     roll_int: float = 0.0
     alt_int: float = 0.0
     va_int: float = 0.0
     prev_command: ControlCommand | None = None
-    last_saturated: dict = field(default_factory=dict)
 
 
 def place_poles(a1: float, a2: float, a3: float, wn: float,
@@ -92,40 +91,6 @@ def place_poles(a1: float, a2: float, a3: float, wn: float,
     return (wn**2 - a3) / a2, (2.0 * zeta * wn - a1) / a2
 
 
-@dataclass
-class CombinedYawCoeffs:
-    """Yaw-channel coefficients after folding the roll equation's share
-    of the inertia coupling into the yaw buildup: each is
-    gamma4*c_ell_x + gamma8*c_n_x.
-
-    They depend on the airframe only; the gain schedule scales them by
-    the dynamic pressure into the heading plant
-    psi_ddot = -a_psi1*psi_dot + a_psi2*delta_r (+ the sideslip, roll-rate
-    and aileron terms as a disturbance).
-    """
-
-    cr_0: float
-    cr_beta: float
-    cr_p: float
-    cr_r: float
-    cr_delta_a: float
-    cr_delta_r: float
-
-
-def combined_yaw_coeffs(params: AircraftParams,
-                        gammas: GammaSet) -> CombinedYawCoeffs:
-    """Fold the roll/yaw moment coefficients into the heading-plant form."""
-    g4, g8 = gammas.gamma4, gammas.gamma8
-    return CombinedYawCoeffs(
-        cr_0=g4 * params.c_ell_0 + g8 * params.c_n_0,
-        cr_beta=g4 * params.c_ell_beta + g8 * params.c_n_beta,
-        cr_p=g4 * params.c_ell_p + g8 * params.c_n_p,
-        cr_r=g4 * params.c_ell_r + g8 * params.c_n_r,
-        cr_delta_a=g4 * params.c_ell_delta_a + g8 * params.c_n_delta_a,
-        cr_delta_r=g4 * params.c_ell_delta_r + g8 * params.c_n_delta_r,
-    )
-
-
 def make_gain_schedule(
     mode: str,
     airframe: Airframe,
@@ -133,9 +98,9 @@ def make_gain_schedule(
 ) -> Callable[[float, float], ScheduledGains]:
     """Gain schedule of one lateral law plus the longitudinal holds.
 
-    Built once per controller: the airframe folds (combined yaw
-    coefficients, roll plant) and the control-authority checks happen
-    here; the design points were checked when ctrl was made.
+    Built once per controller: the airframe folds (heading and roll
+    plants) and the control-authority checks happen here; the design
+    points were checked when ctrl was made.
     The returned schedule(va, vg) scales the heading (ratc), roll and
     pitch plants by the dynamic pressure at va and places their poles;
     the aotc course PI follows the kinematic plant chi_dot = g/Vg*phi and
@@ -150,13 +115,15 @@ def make_gain_schedule(
     wn_course = ctrl.wn_roll / ctrl.course_separation
 
     # The heading plant folds the roll equation's inertia-coupled share
-    # into the yaw buildup, the roll plant the yaw equation's share into
-    # the roll buildup.
-    yaw = combined_yaw_coeffs(params, gammas)
-    c_p_p = gammas.gamma3 * params.c_ell_p + gammas.gamma4 * params.c_n_p
-    c_p_delta_a = (gammas.gamma3 * params.c_ell_delta_a
-                   + gammas.gamma4 * params.c_n_delta_a)
-    if ratc and yaw.cr_delta_r == 0.0:
+    # into the yaw buildup (gamma4*c_ell + gamma8*c_n), the roll plant the
+    # yaw equation's share into the roll buildup (gamma3*c_ell + gamma4*c_n).
+    # A plant keeps the damping and effectiveness terms of its fold only.
+    g3, g4, g8 = gammas.gamma3, gammas.gamma4, gammas.gamma8
+    cr_r = g4 * params.c_ell_r + g8 * params.c_n_r
+    cr_delta_r = g4 * params.c_ell_delta_r + g8 * params.c_n_delta_r
+    c_p_p = g3 * params.c_ell_p + g4 * params.c_n_p
+    c_p_delta_a = g3 * params.c_ell_delta_a + g4 * params.c_n_delta_a
+    if ratc and cr_delta_r == 0.0:
         raise UncontrollablePlantError(
             "rudder effectiveness a_psi2 is zero; heading plant uncontrollable"
         )
@@ -175,7 +142,6 @@ def make_gain_schedule(
     sw, bw, cbar, iyy = (params.wing_area, params.wing_span,
                          params.mean_chord, params.iyy)
     bw_sq = bw**2
-    cr_r, cr_delta_r = yaw.cr_r, yaw.cr_delta_r
     c_m_q, c_m_delta_e, c_m_alpha = (params.c_m_q, params.c_m_delta_e,
                                      params.c_m_alpha)
     gravity = params.gravity
@@ -227,15 +193,26 @@ def make_gain_schedule(
     return schedule
 
 
-def _integrate_conditionally(integrator: float, error: float, dt: float,
-                             raw_output: float, limit: float,
-                             int_bound: float) -> float:
-    """Anti-windup: hold the integrator while the loop output is saturated
-    and the error would push it deeper; always clamp its magnitude."""
-    saturated = abs(raw_output) > limit
-    if not (saturated and raw_output * error > 0.0):
-        integrator += error * dt
-    return max(-int_bound, min(int_bound, integrator))
+def _saturating_pi(p_term: float, ki: float, integrator: float,
+                   error: float, dt: float, center: float, span: float,
+                   int_span: float) -> tuple[float, float]:
+    """One PI step, output = p_term + ki*integrator clamped to
+    center +- span. Returns (clamped output, new integrator).
+
+    Anti-windup: the integrator holds while the output is saturated and
+    the error would push it deeper, and its magnitude is kept within
+    int_span/ki, so the integral term alone never exceeds int_span. With
+    ki = 0 the loop is a pure P(D): the integrator is left as it is.
+    """
+    raw = p_term + ki * integrator
+    if ki > 0.0:
+        offset = raw - center
+        if not (abs(offset) > span and offset * error > 0.0):
+            integrator += error * dt
+        bound = int_span / ki
+        integrator = max(-bound, min(bound, integrator))
+        raw = p_term + ki * integrator
+    return max(center - span, min(center + span, raw)), integrator
 
 
 def ratc_step(
@@ -257,20 +234,10 @@ def ratc_step(
     delta_r = max(-params.delta_r_max, min(params.delta_r_max, delta_r_raw))
 
     roll_err = -state.phi
-    kp, kd, ki = gains.kp_roll, gains.kd_roll, gains.ki_roll
-    delta_a_raw = kp * roll_err - kd * state.p + ki * loop.roll_int
-    if ki > 0.0:
-        loop.roll_int = _integrate_conditionally(
-            loop.roll_int, roll_err, dt, delta_a_raw, params.delta_a_max,
-            params.delta_a_max / ki,
-        )
-        delta_a_raw = kp * roll_err - kd * state.p + ki * loop.roll_int
-    delta_a = max(-params.delta_a_max, min(params.delta_a_max, delta_a_raw))
-
-    loop.last_saturated = {
-        "delta_r": delta_r != delta_r_raw,
-        "delta_a": delta_a != delta_a_raw,
-    }
+    delta_a, loop.roll_int = _saturating_pi(
+        gains.kp_roll * roll_err - gains.kd_roll * state.p, gains.ki_roll,
+        loop.roll_int, roll_err, dt, 0.0, params.delta_a_max,
+        params.delta_a_max)
     return delta_a, delta_r
 
 
@@ -290,23 +257,13 @@ def aotc_step(
     outer PI, and roll error closed by the inner PD.
     """
     chi_err = wrap_pi(chi_cmd - airdata.chi)
-    kp, ki = gains.kp_course, gains.ki_course
-    phi_cmd_raw = kp * chi_err + ki * loop.course_int
-    loop.course_int = _integrate_conditionally(
-        loop.course_int, chi_err, dt, phi_cmd_raw, bank_limit,
-        bank_limit / max(ki, 1e-9),
-    )
-    phi_cmd_raw = kp * chi_err + ki * loop.course_int
-    phi_cmd = max(-bank_limit, min(bank_limit, phi_cmd_raw))
+    phi_cmd, loop.course_int = _saturating_pi(
+        gains.kp_course * chi_err, gains.ki_course, loop.course_int, chi_err,
+        dt, 0.0, bank_limit, bank_limit)
 
     phi_err = phi_cmd - state.phi
     delta_a_raw = gains.kp_roll * phi_err - gains.kd_roll * state.p
     delta_a = max(-params.delta_a_max, min(params.delta_a_max, delta_a_raw))
-
-    loop.last_saturated = {
-        "phi_cmd": phi_cmd != phi_cmd_raw,
-        "delta_a": delta_a != delta_a_raw,
-    }
     return delta_a, 0.0
 
 
@@ -323,17 +280,13 @@ def longitudinal_holds(
     params: AircraftParams,
 ) -> tuple[float, float]:
     """Altitude (PI -> pitch PD -> elevator) and airspeed (PI -> throttle)
-    holds around the trim operating point. Returns (delta_e, delta_t)."""
-    h = -state.pd
-    h_err = h_cmd - h
-    theta_span = gains.theta_limit
-    theta_cmd_raw = gains.kp_h * h_err + gains.ki_h * loop.alt_int
-    loop.alt_int = _integrate_conditionally(
-        loop.alt_int, h_err, dt, theta_cmd_raw, theta_span,
-        theta_span / max(gains.ki_h, 1e-9),
-    )
-    theta_cmd_raw = gains.kp_h * h_err + gains.ki_h * loop.alt_int
-    theta_offset = max(-theta_span, min(theta_span, theta_cmd_raw))
+    holds around the trim operating point. Returns (delta_e, delta_t).
+
+    The throttle's integral term may span the whole 0..1 range."""
+    h_err = h_cmd + state.pd    # pd is minus the altitude
+    theta_offset, loop.alt_int = _saturating_pi(
+        gains.kp_h * h_err, gains.ki_h, loop.alt_int, h_err, dt, 0.0,
+        gains.theta_limit, gains.theta_limit)
     theta_cmd = trim_theta + theta_offset
 
     delta_e_raw = (gains.kp_theta * (theta_cmd - state.theta)
@@ -341,22 +294,9 @@ def longitudinal_holds(
     delta_e = max(-params.delta_e_max, min(params.delta_e_max, delta_e_raw))
 
     va_err = va_cmd - airdata.va
-    delta_t_raw = (trim_cmd.delta_t + gains.kp_va * va_err
-                   + gains.ki_va * loop.va_int)
-    centered = delta_t_raw - 0.5
-    loop.va_int = _integrate_conditionally(
-        loop.va_int, va_err, dt, centered, 0.5,
-        1.0 / max(gains.ki_va, 1e-9),
-    )
-    delta_t_raw = (trim_cmd.delta_t + gains.kp_va * va_err
-                   + gains.ki_va * loop.va_int)
-    delta_t = max(0.0, min(1.0, delta_t_raw))
-
-    loop.last_saturated.update({
-        "theta_cmd": theta_offset != theta_cmd_raw,
-        "delta_e": delta_e != delta_e_raw,
-        "delta_t": delta_t != delta_t_raw,
-    })
+    delta_t, loop.va_int = _saturating_pi(
+        trim_cmd.delta_t + gains.kp_va * va_err, gains.ki_va, loop.va_int,
+        va_err, dt, 0.5, 0.5, 1.0)
     return delta_e, delta_t
 
 

@@ -222,7 +222,8 @@ class FlightPlan:
     """Ordered waypoints with corner fillets, or a standalone orbit.
 
     The plan is checked and expanded into its managed segments once, when
-    it is made.
+    it is made. The path is flown at nominal_agl, so every waypoint must
+    give that altitude.
     """
 
     name: str = "plan"
@@ -237,9 +238,17 @@ class FlightPlan:
         require_finite(self)
         waypoints = tuple(map(tuple, self.waypoints))
         for i, waypoint in enumerate(waypoints):
+            if len(waypoint) != 3:
+                raise ConfigError(f"plan '{self.name}': waypoint {i} must be "
+                                  "(north, east, altitude)")
             if not all(map(math.isfinite, waypoint)):
                 raise ConfigError(f"plan '{self.name}': waypoint {i} has a "
                                   "non-finite field")
+            if waypoint[2] != self.nominal_agl:
+                raise ConfigError(
+                    f"plan '{self.name}': waypoint {i} {waypoint} is at "
+                    f"{waypoint[2]:g} m, but the plan is flown at its "
+                    f"nominal AGL of {self.nominal_agl:g} m")
         object.__setattr__(self, "waypoints", waypoints)
         if self.nominal_agl <= 0.0:
             raise ConfigError(f"plan '{self.name}': nominal AGL must be positive")

@@ -12,6 +12,7 @@ import multiprocessing
 import time
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -39,6 +40,33 @@ DATA_DIR = Path(levelwing.__file__).parent / "data"
 SETTINGS_TYPES = (AircraftParams, FlightPlan, OrbitPlan, GuidanceGains,
                   SlewSettings, EnvironmentSettings, ControllerSettings,
                   ScenarioConfig)
+
+
+class YawFold(NamedTuple):
+    """Yaw-channel coefficients after folding the roll equation's share
+    of the inertia coupling into the yaw buildup."""
+
+    cr_0: float
+    cr_beta: float
+    cr_p: float
+    cr_r: float
+    cr_delta_a: float
+    cr_delta_r: float
+
+
+def combined_yaw_coeffs(params, gammas) -> YawFold:
+    """The whole yaw fold, gamma4*c_ell_x + gamma8*c_n_x for each term:
+    the oracle for the heading plant, which keeps cr_r and cr_delta_r,
+    and for its disturbance, the sideslip, roll-rate and aileron terms."""
+    g4, g8 = gammas.gamma4, gammas.gamma8
+    return YawFold(
+        cr_0=g4 * params.c_ell_0 + g8 * params.c_n_0,
+        cr_beta=g4 * params.c_ell_beta + g8 * params.c_n_beta,
+        cr_p=g4 * params.c_ell_p + g8 * params.c_n_p,
+        cr_r=g4 * params.c_ell_r + g8 * params.c_n_r,
+        cr_delta_a=g4 * params.c_ell_delta_a + g8 * params.c_n_delta_a,
+        cr_delta_r=g4 * params.c_ell_delta_r + g8 * params.c_n_delta_r,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -12,11 +12,11 @@ from dataclasses import replace
 
 import numpy as np
 
+from conftest import combined_yaw_coeffs
 from levelwing.config import ControllerSettings, load_config
 from levelwing.control import (
     ControlCommand,
     LoopState,
-    combined_yaw_coeffs,
     longitudinal_holds,
     make_gain_schedule,
     place_poles,

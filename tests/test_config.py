@@ -170,6 +170,24 @@ wp02 = 400, 0, 150
             load_plan(p)
 
 
+def test_waypoint_altitude_must_match_nominal_agl(tmp_path):
+    # The path and the altitude hold fly nominal_agl, so a waypoint at
+    # another altitude is an error rather than silently flown at 150 m.
+    text = """
+[plan]
+name = climb
+nominal_agl_m = {agl}
+[waypoints]
+wp01 = 0, 0, 250
+wp02 = 400, 0, 250
+"""
+    plan = load_plan(write(tmp_path, "climb.ini", text.format(agl=250)))
+    assert [w[2] for w in plan.waypoints] == [250.0, 250.0]
+    assert plan.start_position()[2] == -250.0
+    with pytest.raises(ConfigError, match="plan 'climb': waypoint 0 .* 250 m"):
+        load_plan(write(tmp_path, "climb.ini", text.format(agl=150)))
+
+
 def test_bad_orbit_direction_reported(tmp_path):
     p = write(tmp_path, "spin.ini", """
 [plan]
@@ -266,8 +284,14 @@ def test_each_key_sets_its_field(tmp_path, section, key, name, cls, base,
         text = repr(value)
         expected = math.radians(value) if degrees else value
     assert expected != current
-    write(tmp_path, "case.ini", set_key(base_text(base), section, key, text))
-    assert load(path) == replace(before, **{name: expected})
+    changed, fields_set = set_key(base_text(base), section, key, text), {}
+    if name == "nominal_agl":
+        # Each waypoint gives the altitude the plan is flown at.
+        changed = changed.replace(", 150\n", f", {text}\n")
+        fields_set["waypoints"] = tuple((n, e, expected)
+                                        for n, e, _ in before.waypoints)
+    write(tmp_path, "case.ini", changed)
+    assert load(path) == replace(before, **{name: expected}, **fields_set)
 
 
 @pytest.mark.parametrize(

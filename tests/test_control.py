@@ -177,16 +177,16 @@ def test_ratc_step_single_tracked_error_topology(params):
     assert delta_r == pytest.approx(gains.kp_psi * 0.5, rel=1e-9)
     assert delta_a == ratc_step(0.0, state, gains, LoopState(), 0.01,
                                 wide)[0]
-    assert set(loop.last_saturated) == {"delta_r", "delta_a"}
+    # Inside the limits the roll integrator takes the whole step.
+    assert loop.roll_int == -0.1 * 0.01
 
 
 def test_ratc_step_saturates_at_surface_limit(params):
     gains = ratc_setup(params)
     state = AircraftState(u=20.0)
-    loop = LoopState()
-    _, delta_r = ratc_step(math.pi, state, gains, loop, 0.01, params)
-    assert abs(delta_r) == pytest.approx(params.delta_r_max)
-    assert loop.last_saturated["delta_r"]
+    _, delta_r = ratc_step(math.pi, state, gains, LoopState(), 0.01, params)
+    assert abs(gains.kp_psi * math.pi) > params.delta_r_max
+    assert abs(delta_r) == params.delta_r_max
 
 
 def aotc_setup(params):
@@ -227,38 +227,97 @@ def test_aotc_step_bank_command_saturates(params):
     loop = LoopState()
     delta_a, _ = aotc_step(3.0, state, air_data(state, CALM), gains, loop,
                            0.01, wide_limits(params), math.radians(45.0))
-    assert loop.last_saturated["phi_cmd"]
-    # The roll error then tracks the clamped bank command, not the raw one.
-    assert delta_a == pytest.approx(gains.kp_roll * math.radians(45.0),
-                                    rel=1e-9)
+    # The roll error then tracks the clamped bank command, not the raw one,
+    # and the course integrator holds while the command is railed.
+    assert gains.kp_course * 3.0 > math.radians(45.0)
+    assert delta_a == gains.kp_roll * math.radians(45.0)
+    assert loop.course_int == 0.0
 
 
-def test_aotc_antiwindup_desaturates_quickly(params):
-    # Hold a large course error for 3 s (bank command pinned at the
-    # limit), then reverse it: the integrator must not have wound up, so
-    # the command leaves saturation within 2 s.
-    gains = aotc_setup(params)
-    state = AircraftState(u=20.0)
-    ad = air_data(state, CALM)
+def integrating_loop(name, params):
+    """One integrating loop driven by its error alone, at 20 m/s with the
+    other loops at rest: (step(loop, error) -> the law's output, the
+    LoopState field of its integrator, the output with the PI on the rail
+    of the error's sign, the integrator bound). The surfaces downstream
+    of the course and altitude PIs are widened, so their outputs show the
+    PI's own rail."""
+    wide = replace(wide_limits(params), delta_e_max=math.radians(80.0))
+    state = AircraftState(u=20.0, pd=-150.0)
+    level = air_data(state, CALM)
+    trim = ControlCommand(delta_t=0.5)
+    if name == "aotc_course":
+        gains, bank = aotc_setup(params), math.radians(45.0)
+
+        def step(loop, err):
+            return aotc_step(err, state, level, gains, loop, 0.01, wide,
+                             bank)[0]
+        return (step, "course_int",
+                lambda err: math.copysign(gains.kp_roll * bank, err),
+                bank / gains.ki_course)
+    gains = ratc_setup(params)
+    if name == "ratc_roll":
+        def step(loop, err):
+            return ratc_step(0.0, state._replace(phi=-err), gains, loop, 0.01,
+                             params)[0]
+        return (step, "roll_int",
+                lambda err: math.copysign(params.delta_a_max, err),
+                params.delta_a_max / gains.ki_roll)
+    if name == "altitude":
+        def step(loop, err):
+            off = state._replace(pd=-150.0 + err)
+            return longitudinal_holds(off, air_data(off, CALM), 150.0, 20.0,
+                                      gains, loop, 0.01, 0.0, trim, wide)[0]
+        return (step, "alt_int",
+                lambda err: gains.kp_theta * math.copysign(gains.theta_limit,
+                                                           err),
+                gains.theta_limit / gains.ki_h)
+
+    def step(loop, err):    # the throttle, pinned at 1 or at 0
+        return longitudinal_holds(state, level, 150.0, 20.0 + err, gains,
+                                  loop, 0.01, 0.0, trim, params)[1]
+    return (step, "va_int", lambda err: 1.0 if err > 0.0 else 0.0,
+            1.0 / gains.ki_va)
+
+
+@pytest.mark.parametrize("name, error", [
+    ("aotc_course", 0.25), ("ratc_roll", 0.25), ("altitude", 3.0),
+    ("throttle_high", 0.9), ("throttle_low", -0.9)],
+    ids=["aotc_course", "ratc_roll", "altitude", "throttle_high",
+         "throttle_low"])
+def test_antiwindup_desaturates_quickly(params, name, error):
+    # The proportional term alone sits inside the rail, so the integrator
+    # carries the output onto it; held there for 3 s, the integrator must
+    # stop short of its bound, not wind up to it. Reversed, the command
+    # leaves the rail within 2 s.
+    step, field, rail, bound = integrating_loop(name, params)
     loop = LoopState()
-    dt = 0.01
+    outputs, integrators = [], []
     for _ in range(300):
-        aotc_step(1.0, state, ad, gains, loop, dt, params,
-                  math.radians(45.0))
-    assert loop.last_saturated["phi_cmd"]
-    bound = math.radians(45.0) / gains.ki_course
-    assert abs(loop.course_int) <= bound + 1e-9
-    # Reverse with an error small enough that the proportional term alone
-    # sits inside the bank limit: a wound-up integrator would hold the
-    # command railed for ~4 s, the clamped one releases almost at once.
-    steps_to_release = None
-    for k in range(200):
-        aotc_step(-0.3, state, ad, gains, loop, dt, params,
-                  math.radians(45.0))
-        if not loop.last_saturated["phi_cmd"]:
-            steps_to_release = k
-            break
-    assert steps_to_release is not None and steps_to_release * dt <= 2.0
+        outputs.append(step(loop, error))
+        integrators.append(getattr(loop, field))
+    assert outputs[0] != rail(error)
+    assert outputs[-100:] == [rail(error)] * 100
+    assert integrators[-100:] == [integrators[-1]] * 100
+    assert 0.0 < abs(integrators[-1]) < bound
+    released = [k for k in range(200) if step(loop, -error) != rail(error)]
+    assert released and released[0] * 0.01 <= 2.0
+
+
+def test_ratc_roll_hold_without_integrator_is_pd(params):
+    # ki_roll = 0 is a valid setting: the roll hold is then a pure PD whose
+    # integrator never moves, on the rail or off it.
+    gains = schedule("ratc", params, ki_roll=0.0)(20.0, 20.0)
+    rng = np.random.default_rng(12)
+    loop = LoopState()
+    for _ in range(500):
+        state = AircraftState(u=20.0, phi=rng.uniform(-1.0, 1.0),
+                              p=rng.uniform(-2.0, 2.0))
+        delta_a, _ = ratc_step(rng.uniform(-math.pi, math.pi), state, gains,
+                               loop, 0.01, params)
+        assert loop.roll_int == 0.0
+        pd = gains.kp_roll * -state.phi - gains.kd_roll * state.p
+        assert delta_a == max(-params.delta_a_max,
+                              min(params.delta_a_max, pd))
 
 
 def test_lateral_commands_respect_limits_randomized(params):
@@ -325,18 +384,23 @@ def test_longitudinal_holds_throttle_up_when_slow(params, trim20):
     assert delta_t > cmd.delta_t
 
 
-def test_longitudinal_holds_pitch_flag_clear_inside_limit(params, trim20):
-    # Pitch commands up to 0.32 rad above a 0.1 rad trim pitch are inside
-    # the 20 deg limit, so the flag stays clear whatever rounding adding
-    # the trim pitch brings.
+def test_longitudinal_holds_pitch_unclamped_inside_limit(params, trim20):
+    # Pitch offsets up to 0.32 rad are inside the 20 deg limit: the
+    # altitude integrator takes the whole step and the elevator follows
+    # the unclamped PI, whatever rounding adding the trim pitch brings.
     state, cmd = trim20
     lon = lon_setup(params)
+    wide = replace(params, delta_e_max=math.radians(80.0))
     for h_err in (-4.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0):
         off = state._replace(pd=-150.0 + h_err)
         loop = LoopState()
-        longitudinal_holds(off, air_data(off, CALM), 150.0, 20.0, lon, loop,
-                           0.01, 0.1, cmd, params)
-        assert loop.last_saturated["theta_cmd"] is False, h_err
+        delta_e, _ = longitudinal_holds(off, air_data(off, CALM), 150.0, 20.0,
+                                        lon, loop, 0.01, 0.1, cmd, wide)
+        assert loop.alt_int == h_err * 0.01, h_err
+        theta_cmd = 0.1 + lon.kp_h * h_err + lon.ki_h * loop.alt_int
+        assert delta_e == pytest.approx(
+            lon.kp_theta * (theta_cmd - off.theta) + cmd.delta_e,
+            rel=1e-12), h_err
 
 
 def test_rate_limit_clamps_surface_steps(params):

@@ -8,13 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import combined_yaw_coeffs
 from levelwing.angles import wrap_pi
 from levelwing.config import ControllerSettings
-from levelwing.control import (
-    ControlCommand,
-    combined_yaw_coeffs,
-    make_gain_schedule,
-)
+from levelwing.control import ControlCommand, make_gain_schedule
 from levelwing.dynamics import (
     AircraftState,
     Environment,
@@ -228,13 +225,20 @@ def test_gamma_degenerate_tensor_rejected(params):
 
 def test_combined_yaw_collapses_without_cross_inertia(params):
     # With ixz = 0 and unit-normalized yaw inertia the combined
-    # coefficients reduce to the plain yaw derivatives.
+    # coefficients reduce to the plain yaw derivatives, and so does the
+    # schedule's heading plant.
     p = replace(params, ixz=0.0, izz=1.0)
     g = gamma_terms(p)
     coeffs = combined_yaw_coeffs(p, g)
     assert math.isclose(coeffs.cr_beta, p.c_n_beta, rel_tol=1e-12)
     assert math.isclose(coeffs.cr_r, p.c_n_r, rel_tol=1e-12)
     assert math.isclose(coeffs.cr_delta_r, p.c_n_delta_r, rel_tol=1e-12)
+    plant = ratc_gains(make_airframe(p), air_data(AircraftState(u=20.0),
+                                                  CALM))
+    qs = 0.5 * p.rho * 20.0**2 * p.wing_area * p.wing_span
+    assert math.isclose(plant.a_psi2, qs * p.c_n_delta_r, rel_tol=1e-12)
+    assert math.isclose(plant.a_psi1, -0.25 * p.rho * 20.0 * p.wing_area
+                        * p.wing_span**2 * p.c_n_r, rel_tol=1e-12)
 
 
 def test_combined_yaw_golden_heading_plant(params, airframe):

@@ -202,6 +202,12 @@ def test_plan_validation_errors():
                               (0.0, 150.0, 150.0)])
     with pytest.raises(ConfigError, match="positive radius|radius must be"):
         FlightPlan(name="p", orbit=OrbitPlan(0.0, 0.0, -50.0, 1))
+    with pytest.raises(ConfigError, match=r"waypoint 1 \(400.0, 0.0, 250.0\) "
+                       "is at 250 m, but .* nominal AGL of 150 m"):
+        FlightPlan(name="p", waypoints=[(0.0, 0.0, 150.0),
+                                        (400.0, 0.0, 250.0)])
+    with pytest.raises(ConfigError, match="must be .north, east, altitude."):
+        FlightPlan(name="p", waypoints=[(0.0, 0.0, 150.0), (400.0, 0.0)])
 
 
 def test_plan_start_and_initial_course():

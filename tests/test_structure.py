@@ -1,8 +1,9 @@
 """Package structure: the intra-package import graph has no cycle,
 every function, class and method is used inside the package, the
 settings types check themselves once, when they are made, one place binds
-an airframe, the per-step code uses no numpy, and the benchmark tracer's
-hooks name what the package defines.
+an airframe, one place integrates the control loops, the per-step code
+uses no numpy, and the benchmark tracer's hooks name what the package
+defines.
 
 Every import counts, wherever it sits: at module level, inside a
 function, or under ``if TYPE_CHECKING:``. A helper that only its own
@@ -260,6 +261,20 @@ def test_one_place_binds_the_airframe():
         "scenario.run_scenario", "cli._cmd_gains", "cli._cmd_trim"}
 
 
+def test_one_place_integrates_the_control_loops():
+    # The four integrating loops share one saturating PI, and it alone
+    # updates an integrator: no other control function holds an
+    # augmented assignment.
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in SRC.glob("*.py")}
+    assert callers(sources, "_saturating_pi") == {
+        "control.ratc_step", "control.aotc_step",
+        "control.longitudinal_holds"}
+    control = {"control": sources["control"]}
+    assert enclosing(control, lambda node: isinstance(node, ast.AugAssign)) \
+        == {"control._saturating_pi"}
+
+
 # The per-step code, by module: a function or Class.method, "*" for every
 # function of the module, or "function:for" for the body of the
 # function's first for loop. A step works on floats and named tuples.
@@ -359,8 +374,10 @@ def unresolved_hooks(hooks) -> set[str]:
 
 # Hooks the benchmark still wraps although the loop no longer calls them
 # there: the clamp moved into integrate_step, PathManager.step returns the
-# lateral error, and gain synthesis is one schedule built per controller.
-# Any other renamed function would silently read 0 in its layer.
+# lateral error, gain synthesis is one schedule built per controller, and
+# combined_yaw_coeffs is deleted: the schedule folds the two yaw terms its
+# heading plant needs. Any other renamed function would silently read 0 in
+# its layer.
 STALE_HOOKS = {
     "control.clamp_command",
     "guidance.lateral_error",
