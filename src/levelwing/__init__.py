@@ -20,7 +20,6 @@ from .dynamics import (
     gamma_terms,
     integrate_step,
     make_airframe,
-    rk4_step,
     trim,
 )
 from .errors import (
@@ -86,7 +85,6 @@ __all__ = [
     "load_config",
     "load_plan",
     "make_airframe",
-    "rk4_step",
     "run_scenario",
     "series_stats",
     "total_image_error",

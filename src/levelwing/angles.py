@@ -1,4 +1,4 @@
-"""Angle wrapping helpers.
+"""Scalar helpers of the closed-loop step: angle wrapping and clamping.
 
 All course and heading arithmetic in this package uses shortest-path
 differences wrapped onto (-pi, pi].
@@ -15,3 +15,9 @@ def wrap_pi(angle: float) -> float:
         wrapped += math.tau
     return wrapped
 
+
+def clamp(x: float, lo: float, hi: float) -> float:
+    """x limited to [lo, hi]: max(lo, min(hi, x)) bit for bit, ties,
+    signed zeros and nan included, without the builtins' call cost."""
+    m = x if x < hi else hi
+    return m if m > lo else lo

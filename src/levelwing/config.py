@@ -264,22 +264,20 @@ def load_plan(path: str | Path, base_dir: Path | None = None) -> FlightPlan:
             orbit=OrbitPlan(lam=1 if direction == "cw" else -1, **orbit),
             **values)
 
+    # Named by 0-based place in sorted-key order, as FlightPlan names them.
     waypoints: list[tuple[float, float, float]] = []
-    for key, raw in sorted(_section(parser, resolved, "waypoints").items()):
+    lines = sorted(_section(parser, resolved, "waypoints").items())
+    for i, (key, raw) in enumerate(lines):
+        label = f"{resolved}: waypoint {i} ('{key}')"
         parts = [s.strip() for s in raw.split(",")]
         if len(parts) != 3:
-            raise ConfigError(
-                f"{resolved}: waypoint '{key}' must be 'north_m, east_m, alt_m'"
-            )
+            raise ConfigError(f"{label} must be 'north_m, east_m, alt_m'")
         try:
             waypoint = tuple(float(s) for s in parts)
         except ValueError as exc:
-            raise ConfigError(
-                f"{resolved}: waypoint '{key}' has a non-numeric field"
-            ) from exc
+            raise ConfigError(f"{label} has a non-numeric field") from exc
         if not all(map(math.isfinite, waypoint)):
-            raise ConfigError(
-                f"{resolved}: waypoint '{key}' has a non-finite field")
+            raise ConfigError(f"{label} has a non-finite field")
         waypoints.append(waypoint)
     return FlightPlan(waypoints=tuple(waypoints), **values)
 

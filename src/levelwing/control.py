@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .angles import wrap_pi
+from .angles import clamp, wrap_pi
 from .config import ControllerSettings
 from .dynamics import (
     AircraftParams,
@@ -154,7 +154,7 @@ def make_gain_schedule(
     alt_ki_va = ctrl.wn_alt**2
     kp_va, ki_va, theta_limit = (ctrl.kp_airspeed, ctrl.ki_airspeed,
                                  ctrl.pitch_limit)
-    nan = math.nan
+    nan, v_floor = math.nan, MIN_SCHEDULING_AIRSPEED
 
     def schedule(va: float, vg: float) -> ScheduledGains:
         if ratc:
@@ -166,10 +166,10 @@ def make_gain_schedule(
             kp_course = ki_course = nan
         else:
             a_psi1 = a_psi2 = kp_psi = kd_psi = nan
-            vg = max(vg, MIN_SCHEDULING_AIRSPEED)
+            vg = v_floor if vg < v_floor else vg   # max(vg, v_floor)
             kp_course = course_kp_per_vg * vg / gravity
             ki_course = course_ki_per_vg * vg / gravity
-        va = max(va, MIN_SCHEDULING_AIRSPEED)
+        va = v_floor if va < v_floor else va
         va_sq = va**2
 
         a_phi1 = neg_quarter_rho * va * sw * bw_sq * c_p_p
@@ -210,9 +210,9 @@ def _saturating_pi(p_term: float, ki: float, integrator: float,
         if not (abs(offset) > span and offset * error > 0.0):
             integrator += error * dt
         bound = int_span / ki
-        integrator = max(-bound, min(bound, integrator))
+        integrator = clamp(integrator, -bound, bound)
         raw = p_term + ki * integrator
-    return max(center - span, min(center + span, raw)), integrator
+    return clamp(raw, center - span, center + span), integrator
 
 
 def ratc_step(
@@ -231,7 +231,7 @@ def ratc_step(
     """
     psi_err = wrap_pi(chi_cmd - state.psi)
     delta_r_raw = gains.kp_psi * psi_err - gains.kd_psi * state.r
-    delta_r = max(-params.delta_r_max, min(params.delta_r_max, delta_r_raw))
+    delta_r = clamp(delta_r_raw, -params.delta_r_max, params.delta_r_max)
 
     roll_err = -state.phi
     delta_a, loop.roll_int = _saturating_pi(
@@ -263,7 +263,7 @@ def aotc_step(
 
     phi_err = phi_cmd - state.phi
     delta_a_raw = gains.kp_roll * phi_err - gains.kd_roll * state.p
-    delta_a = max(-params.delta_a_max, min(params.delta_a_max, delta_a_raw))
+    delta_a = clamp(delta_a_raw, -params.delta_a_max, params.delta_a_max)
     return delta_a, 0.0
 
 
@@ -291,7 +291,7 @@ def longitudinal_holds(
 
     delta_e_raw = (gains.kp_theta * (theta_cmd - state.theta)
                    - gains.kd_theta * state.q + trim_cmd.delta_e)
-    delta_e = max(-params.delta_e_max, min(params.delta_e_max, delta_e_raw))
+    delta_e = clamp(delta_e_raw, -params.delta_e_max, params.delta_e_max)
 
     va_err = va_cmd - airdata.va
     delta_t, loop.va_int = _saturating_pi(

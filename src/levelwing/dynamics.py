@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .angles import wrap_pi
+from .angles import clamp, wrap_pi
 from .errors import (
     ConfigError,
     IntegrationFaultError,
@@ -34,6 +34,7 @@ MIN_AERO_AIRSPEED = 0.1
 
 # Abort this close (rad) to the theta = +/-90 deg Euler singularity.
 PITCH_SINGULARITY_MARGIN = 0.01
+_PITCH_LIMIT = math.pi / 2.0 - PITCH_SINGULARITY_MARGIN
 
 # Angle of attack (rad) still treated as inside the linear-lift range when
 # locating the slowest trimmable airspeed.
@@ -242,10 +243,11 @@ def body_to_ned(u: float, v: float, w: float, sphi: float, cphi: float,
                 cpsi: float) -> tuple[float, float, float]:
     """The body-frame vector (u, v, w) rotated to NED by the ZYX Euler
     rotation, given the sines and cosines of roll, pitch and yaw."""
-    return ((cth * cpsi) * u + (sphi * sth * cpsi - cphi * spsi) * v
-            + (cphi * sth * cpsi + sphi * spsi) * w,
-            (cth * spsi) * u + (sphi * sth * spsi + cphi * cpsi) * v
-            + (cphi * sth * spsi - sphi * cpsi) * w,
+    ss, cs = sphi * sth, cphi * sth
+    return ((cth * cpsi) * u + (ss * cpsi - cphi * spsi) * v
+            + (cs * cpsi + sphi * spsi) * w,
+            (cth * spsi) * u + (ss * spsi + cphi * cpsi) * v
+            + (cs * spsi - sphi * cpsi) * w,
             -sth * u + sphi * cth * v + cphi * cth * w)
 
 
@@ -256,7 +258,7 @@ def _airspeed_angles(u: float, v: float,
     va = math.sqrt(u**2 + v**2 + w**2)
     if va < MIN_AERO_AIRSPEED:
         return va, 0.0, 0.0
-    return va, math.atan2(w, u), math.asin(max(-1.0, min(1.0, v / va)))
+    return va, math.atan2(w, u), math.asin(clamp(v / va, -1.0, 1.0))
 
 
 def air_data(state: AircraftState, env: Environment) -> AirData:
@@ -294,7 +296,7 @@ def gamma_terms(params: AircraftParams) -> GammaSet:
 
 def _check_pitch(theta: float, state) -> None:
     """Abort inside the singularity margin of theta = +/-90 deg."""
-    if abs(theta) >= math.pi / 2.0 - PITCH_SINGULARITY_MARGIN:
+    if abs(theta) >= _PITCH_LIMIT:
         raise SingularityError(
             f"pitch {math.degrees(theta):.2f} deg too close to +/-90 deg",
             state=state,
@@ -311,7 +313,9 @@ class Airframe(NamedTuple):
     field order) under cmd, a ControlCommand or the same four floats.
     derivative(y, fm, wind) gives the twelve state derivatives, with fm
     those forces and moments and wind the NED wind (m/s), an Environment
-    or the same three floats.
+    or the same three floats. stage(y, k, h, cmd, wind) is one RK4 stage:
+    derivative(x, forces_moments(x, cmd), wind) at x = y + h*k, or at
+    x = y when k is None, with the same arithmetic and the same errors.
     """
 
     params: AircraftParams
@@ -320,6 +324,7 @@ class Airframe(NamedTuple):
                              tuple[float, ...]]
     derivative: Callable[[Sequence[float], Sequence[float],
                           Sequence[float]], list[float]]
+    stage: Callable[..., list[float]]
 
 
 def make_airframe(params: AircraftParams) -> Airframe:
@@ -357,14 +362,12 @@ def make_airframe(params: AircraftParams) -> Airframe:
     g1, g2, g3, g4, g5, g6, g7, g8 = (
         gammas.gamma1, gammas.gamma2, gammas.gamma3, gammas.gamma4,
         gammas.gamma5, gammas.gamma6, gammas.gamma7, gammas.gamma8)
+    sin, cos = math.sin, math.cos
 
-    def forces_moments(y: Sequence[float],
-                       cmd: Sequence[float]) -> tuple[float, ...]:
-        _, _, _, u, v, w, phi, theta, _, p, q, r = y
+    # loads and rates take the sines and cosines of roll and pitch, so a
+    # stage computes them once for both.
+    def loads(u, v, w, sphi, cphi, sth, cth, p, q, r, cmd):
         delta_a, delta_e, delta_r, delta_t = cmd
-        sphi, cphi = math.sin(phi), math.cos(phi)
-        sth, cth = math.sin(theta), math.cos(theta)
-
         fx = -weight * sth
         fy = weight * sphi * cth
         fz = weight * cphi * cth
@@ -384,7 +387,7 @@ def make_airframe(params: AircraftParams) -> Airframe:
         lift = qbar_s * (c_lift_0 + c_lift_alpha * alpha + c_lift_q * q_hat
                          + c_lift_delta_e * delta_e)
         drag = qbar_s * (c_drag_0 + c_drag_alpha * alpha)
-        ca, sa = math.cos(alpha), math.sin(alpha)
+        ca, sa = cos(alpha), sin(alpha)
         fx += -drag * ca + lift * sa
         fz += -drag * sa - lift * ca
 
@@ -402,17 +405,11 @@ def make_airframe(params: AircraftParams) -> Airframe:
                         + c_n_delta_r * delta_r)
         return fx, fy, fz, l, m, n
 
-    def derivative(y: Sequence[float], fm: Sequence[float],
-                   wind: Sequence[float]) -> list[float]:
-        _, _, _, u, v, w, phi, theta, psi, p, q, r = y
-        _check_pitch(theta, y)
+    def rates(u, v, w, sphi, cphi, sth, cth, psi, p, q, r, fm, wind):
         fx, fy, fz, l, m, n = fm
         wind_n, wind_e, wind_d = wind
-
-        sphi, cphi = math.sin(phi), math.cos(phi)
-        sth, cth = math.sin(theta), math.cos(theta)
         tth = sth / cth
-        spsi, cpsi = math.sin(psi), math.cos(psi)
+        spsi, cpsi = sin(psi), cos(psi)
 
         # Navigation: rotate the air-relative body velocity to NED, add wind.
         gn, ge, gd = body_to_ned(u, v, w, sphi, cphi, sth, cth, spsi, cpsi)
@@ -421,9 +418,10 @@ def make_airframe(params: AircraftParams) -> Airframe:
         v_dot = p * w - r * u + fy * inv_mass
         w_dot = q * u - p * v + fz * inv_mass
 
-        phi_dot = p + tth * (q * sphi + r * cphi)
+        psi_dot_cth = q * sphi + r * cphi   # psi_dot * cos(theta)
+        phi_dot = p + tth * psi_dot_cth
         theta_dot = q * cphi - r * sphi
-        psi_dot = (q * sphi + r * cphi) / cth
+        psi_dot = psi_dot_cth / cth
 
         p_dot = g1 * p * q - g2 * q * r + g3 * l + g4 * n
         q_dot = g5 * p * r - g6 * (p**2 - r**2) + m / iyy
@@ -432,31 +430,44 @@ def make_airframe(params: AircraftParams) -> Airframe:
         return [gn + wind_n, ge + wind_e, gd + wind_d, u_dot, v_dot, w_dot,
                 phi_dot, theta_dot, psi_dot, p_dot, q_dot, r_dot]
 
-    return Airframe(params, gammas, forces_moments, derivative)
+    def forces_moments(y: Sequence[float],
+                       cmd: Sequence[float]) -> tuple[float, ...]:
+        _, _, _, u, v, w, phi, theta, _, p, q, r = y
+        return loads(u, v, w, sin(phi), cos(phi), sin(theta), cos(theta),
+                     p, q, r, cmd)
 
+    def derivative(y: Sequence[float], fm: Sequence[float],
+                   wind: Sequence[float]) -> list[float]:
+        _, _, _, u, v, w, phi, theta, psi, p, q, r = y
+        _check_pitch(theta, y)
+        return rates(u, v, w, sin(phi), cos(phi), sin(theta), cos(theta),
+                     psi, p, q, r, fm, wind)
 
-def rk4_step(f: Callable[[Sequence[float]], Sequence[float]],
-             y: Sequence[float], dt: float) -> list[float]:
-    """One classical fourth-order Runge-Kutta step of y' = f(y), on
-    plain sequences of floats."""
-    h = 0.5 * dt
-    k1 = f(y)
-    k2 = f([a + h * b for a, b in zip(y, k1)])
-    k3 = f([a + h * b for a, b in zip(y, k2)])
-    k4 = f([a + dt * b for a, b in zip(y, k3)])
-    c = dt / 6.0
-    return [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    def stage(y: Sequence[float], k: Sequence[float] | None, h: float,
+              cmd: Sequence[float], wind: Sequence[float]) -> list[float]:
+        # No stage reads the position, so y + h*k is formed without it.
+        _, _, _, u, v, w, phi, theta, psi, p, q, r = y
+        if k is not None:
+            _, _, _, du, dv, dw, dphi, dth, dpsi, dp, dq, dr = k
+            u, v, w = u + h * du, v + h * dv, w + h * dw
+            phi, theta, psi = phi + h * dphi, theta + h * dth, psi + h * dpsi
+            p, q, r = p + h * dp, q + h * dq, r + h * dr
+        sphi, cphi, sth, cth = sin(phi), cos(phi), sin(theta), cos(theta)
+        fm = loads(u, v, w, sphi, cphi, sth, cth, p, q, r, cmd)
+        if abs(theta) >= _PITCH_LIMIT:
+            _check_pitch(theta, y if k is None
+                         else [a + h * b for a, b in zip(y, k)])
+        return rates(u, v, w, sphi, cphi, sth, cth, psi, p, q, r, fm, wind)
+
+    return Airframe(params, gammas, forces_moments, derivative, stage)
 
 
 def clamp_command(cmd: ControlCommand, params: AircraftParams) -> ControlCommand:
     """Clamp surface deflections to their limits and throttle to [0, 1]."""
-    return ControlCommand(
-        max(-params.delta_a_max, min(params.delta_a_max, cmd.delta_a)),
-        max(-params.delta_e_max, min(params.delta_e_max, cmd.delta_e)),
-        max(-params.delta_r_max, min(params.delta_r_max, cmd.delta_r)),
-        max(0.0, min(1.0, cmd.delta_t)),
-    )
+    delta_a, delta_e, delta_r, delta_t = cmd
+    a, e, r = params.delta_a_max, params.delta_e_max, params.delta_r_max
+    return ControlCommand(clamp(delta_a, -a, a), clamp(delta_e, -e, e),
+                          clamp(delta_r, -r, r), clamp(delta_t, 0.0, 1.0))
 
 
 def integrate_step(
@@ -475,13 +486,16 @@ def integrate_step(
     """
     if dt <= 0.0:
         raise ConfigError("integration step must be positive")
-    params, _, forces_moments, derivative = airframe
+    params, _, _, _, stage = airframe
     cmd = clamp_command(cmd, params)
-
-    def f(y: Sequence[float]) -> list[float]:
-        return derivative(y, forces_moments(y, cmd), env)
-
-    y1 = rk4_step(f, state, dt)
+    h = 0.5 * dt
+    k1 = stage(state, None, 0.0, cmd, env)
+    k2 = stage(state, k1, h, cmd, env)
+    k3 = stage(state, k2, h, cmd, env)
+    k4 = stage(state, k3, dt, cmd, env)
+    c = dt / 6.0
+    y1 = [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+          for a, b1, b2, b3, b4 in zip(state, k1, k2, k3, k4)]
     if not all(map(math.isfinite, y1)):
         raise IntegrationFaultError("non-finite state after integration step",
                                     state=state)
@@ -513,7 +527,7 @@ def trim(airframe: Airframe,
     rows, which no residual reads, so trim takes none. The returned pair
     re-evaluates to a full six-axis residual below TRIM_TOL.
     """
-    params, _, forces_moments, derivative = airframe
+    params, _, forces_moments, derivative, _ = airframe
     if not math.isfinite(va_target):
         raise ConfigError(f"trim airspeed must be finite, got {va_target}")
     floor = stall_floor(params)

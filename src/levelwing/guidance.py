@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angles import wrap_pi
+from .angles import clamp, wrap_pi
 from .errors import ConfigError, UndefinedBearingError, require_finite
 
 # Fillet arcs are skipped when adjacent legs are within this angle (rad)
@@ -141,7 +141,7 @@ def course_command_line(e_py: float, seg: PathSegment,
     """
     correction = gains.capture_gain * e_py
     cap = gains.intercept_angle
-    correction = max(-cap, min(cap, correction))
+    correction = clamp(correction, -cap, cap)
     return wrap_pi(seg.chi - correction)
 
 
@@ -291,12 +291,13 @@ def _plan_segments(plan: FlightPlan) -> tuple[ManagedSegment, ...]:
                           ">= 0")
     pts = [np.array([w[0], w[1]], dtype=float) for w in plan.waypoints]
     units, lengths = [], []
-    for start, end in zip(pts, pts[1:]):
+    for i, (start, end) in enumerate(zip(pts, pts[1:])):
         q = end - start
         length = np.linalg.norm(q)
         if length < 1e-6:
             raise ConfigError(
-                f"plan '{plan.name}': consecutive waypoints coincide"
+                f"plan '{plan.name}': waypoint {i + 1} "
+                f"{plan.waypoints[i + 1]} coincides with waypoint {i}"
             )
         q /= length
         units.append(q)
@@ -420,14 +421,11 @@ class PathManager:
             self._track_orbit_completion(bearing)
             raw = course_command_orbit(e_lateral, bearing, seg, self.gains)
 
+        # raw is wrapped onto (-pi, pi] already, by either course command.
+        cmd = raw
         if self.slew.enabled and self.prev_cmd is not None:
             step_size = abs(wrap_pi(raw - self.prev_cmd))
             if step_size > self.slew.threshold * self.dt:
                 cmd = slew_limit(self.prev_cmd, raw, self.slew.rate, self.dt)
-            else:
-                cmd = wrap_pi(raw)
-        else:
-            cmd = wrap_pi(raw)
         self.prev_cmd = cmd
-        return CourseCommand(chi_cmd=cmd, chi_cmd_raw=wrap_pi(raw),
-                             segment_id=self.index, e_lateral=e_lateral)
+        return CourseCommand(cmd, raw, self.index, e_lateral)

@@ -12,7 +12,7 @@ import multiprocessing
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import pytest
 
@@ -67,6 +67,21 @@ def combined_yaw_coeffs(params, gammas) -> YawFold:
         cr_delta_a=g4 * params.c_ell_delta_a + g8 * params.c_n_delta_a,
         cr_delta_r=g4 * params.c_ell_delta_r + g8 * params.c_n_delta_r,
     )
+
+
+def rk4_step(f: Callable[[Sequence[float]], Sequence[float]],
+             y: Sequence[float], dt: float) -> list[float]:
+    """One classical fourth-order Runge-Kutta step of y' = f(y), on
+    plain sequences of floats: the generic oracle for integrate_step,
+    whose four fused stages do the same arithmetic in the same order."""
+    h = 0.5 * dt
+    k1 = f(y)
+    k2 = f([a + h * b for a, b in zip(y, k1)])
+    k3 = f([a + h * b for a, b in zip(y, k2)])
+    k4 = f([a + dt * b for a, b in zip(y, k3)])
+    c = dt / 6.0
+    return [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import combined_yaw_coeffs
+from conftest import combined_yaw_coeffs, rk4_step
 from levelwing.config import ControllerSettings, load_config
 from levelwing.control import (
     ControlCommand,
@@ -29,7 +29,6 @@ from levelwing.dynamics import (
     clamp_command,
     integrate_step,
     make_airframe,
-    rk4_step,
     trim,
 )
 from levelwing.metrics import total_image_error

@@ -188,6 +188,25 @@ wp02 = 400, 0, 250
         load_plan(write(tmp_path, "climb.ini", text.format(agl=150)))
 
 
+def test_plan_file_names_a_waypoint_one_way(tmp_path):
+    # load_plan and the FlightPlan it builds both name a waypoint by its
+    # 0-based place in sorted-key order, here the second one.
+    for wp02, fault in (("400, x, 150", "non-numeric"),
+                        ("400, 0, 250", "is at 250 m"),
+                        ("0, 0, 150", "coincides with waypoint 0")):
+        p = write(tmp_path, "named.ini", f"""
+[plan]
+name = named
+[waypoints]
+wp01 = 0, 0, 150
+wp02 = {wp02}
+wp03 = 400, 400, 150
+""")
+        with pytest.raises(ConfigError, match=fault) as caught:
+            load_plan(p)
+        assert re.findall(r"waypoint (\S+)", str(caught.value))[0] == "1"
+
+
 def test_bad_orbit_direction_reported(tmp_path):
     p = write(tmp_path, "spin.ini", """
 [plan]

@@ -10,6 +10,7 @@ from levelwing.config import (
     SCENARIO_KEYS,
     SCENARIO_OWN_KEYS,
     load_config,
+    load_plan,
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -83,3 +84,13 @@ def test_airframe_example_runs(capsys):
     gains = namespace["gains"]
     assert (kp_psi, kd_psi, a_psi2) == (gains.kp_psi, gains.kd_psi,
                                         gains.a_psi2)
+
+
+def test_headline_plan_extent_is_the_bundled_rectangle():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    found = re.findall(r"bundled rectangle plan, a (\d+)x(\d+) m", text)
+    assert len(found) == 1, found
+    plan = load_plan(load_config("rectangle_compare.ini").plan_path)
+    north, east = zip(*((n, e) for n, e, _ in plan.waypoints))
+    assert tuple(map(float, found[0])) == (max(north) - min(north),
+                                           max(east) - min(east))

@@ -7,12 +7,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import combined_yaw_coeffs
+from conftest import combined_yaw_coeffs, rk4_step
 from levelwing.angles import wrap_pi
 from levelwing.config import ControllerSettings
 from levelwing.control import ControlCommand, make_gain_schedule
 from levelwing.dynamics import (
+    PITCH_SINGULARITY_MARGIN,
     AircraftState,
     Environment,
     GustModel,
@@ -22,7 +25,6 @@ from levelwing.dynamics import (
     gamma_terms,
     integrate_step,
     make_airframe,
-    rk4_step,
     stall_floor,
     trim,
 )
@@ -418,6 +420,79 @@ def test_integrate_step_matches_manual_rk4(airframe, trim20):
     expected = rk4_step(f, np.array(state), 0.01)
     stepped = integrate_step(state, cmd, env, airframe, 0.01)
     assert np.allclose(np.array(stepped), expected, rtol=1e-12, atol=1e-12)
+
+
+def oracle_step(state, cmd, env, airframe, dt):
+    """integrate_step as the generic RK4 over the airframe's
+    forces_moments and derivative, with the same clamp, wrap and checks."""
+    cmd = clamp_command(cmd, airframe.params)
+
+    def f(y):
+        return airframe.derivative(y, airframe.forces_moments(y, cmd), env)
+
+    y1 = rk4_step(f, state, dt)
+    if not all(map(math.isfinite, y1)):
+        raise IntegrationFaultError("non-finite state after integration step",
+                                    state=state)
+    y1[6], y1[8] = wrap_pi(y1[6]), wrap_pi(y1[8])
+    out = AircraftState._make(y1)
+    if abs(out.theta) >= math.pi / 2.0 - PITCH_SINGULARITY_MARGIN:
+        raise SingularityError(
+            f"pitch {math.degrees(out.theta):.2f} deg too close to +/-90 deg",
+            state=out)
+    return out
+
+
+def outcome(step, *args):
+    """The state a step returns, or the type, message and state of the
+    error it raises, with the state's floats as exact reprs."""
+    try:
+        return step(*args)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc), repr(list(getattr(exc, "state", [])))
+
+
+def floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+# Attitudes up to and past the singularity margin, airspeeds down through
+# the MIN_AERO_AIRSPEED cut-off, commands past their limits.
+STATES = st.builds(
+    AircraftState, floats(-1e4, 1e4), floats(-1e4, 1e4), floats(-1e3, 0.0),
+    floats(-40.0, 40.0), floats(-15.0, 15.0), floats(-15.0, 15.0),
+    floats(-4.0, 4.0), floats(-1.58, 1.58), floats(-4.0, 4.0),
+    floats(-5.0, 5.0), floats(-5.0, 5.0), floats(-5.0, 5.0))
+COMMANDS = st.builds(ControlCommand, floats(-1.0, 1.0), floats(-1.0, 1.0),
+                     floats(-1.0, 1.0), floats(-0.5, 1.5))
+WINDS = st.builds(Environment, floats(-20.0, 20.0), floats(-20.0, 20.0),
+                  floats(-5.0, 5.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(state=STATES, cmd=COMMANDS, env=WINDS, dt=floats(1e-4, 0.2))
+def test_integrate_step_equals_the_rk4_oracle(airframe, state, cmd, env, dt):
+    # The fused stages do the oracle's arithmetic in its order, so the
+    # states are equal to the bit, and so are the errors and their states.
+    assert outcome(integrate_step, state, cmd, env, airframe, dt) == \
+        outcome(oracle_step, state, cmd, env, airframe, dt)
+
+
+def test_singularity_inside_a_stage_carries_the_stage_state(airframe,
+                                                            trim20):
+    # Pitching up just short of the margin: the step starts legal, and the
+    # second stage, at y + (dt/2)*k1, is the first past it.
+    limit = math.pi / 2.0 - PITCH_SINGULARITY_MARGIN
+    state = trim20[0]._replace(theta=limit - 0.002, q=1.0)
+    cmd, dt = trim20[1], 0.01
+    k1 = airframe.derivative(state, airframe.forces_moments(state, cmd), CALM)
+    second = [a + 0.5 * dt * b for a, b in zip(state, k1)]
+    assert second[7] >= limit
+    with pytest.raises(SingularityError) as caught:
+        integrate_step(state, cmd, CALM, airframe, dt)
+    assert caught.value.state == second
+    assert outcome(integrate_step, state, cmd, CALM, airframe, dt) == \
+        outcome(oracle_step, state, cmd, CALM, airframe, dt)
 
 
 def test_integrate_step_clamps_command(params, airframe, trim20):

@@ -2,8 +2,8 @@
 every function, class and method is used inside the package, the
 settings types check themselves once, when they are made, one place binds
 an airframe, one place integrates the control loops, the per-step code
-uses no numpy, and the benchmark tracer's hooks name what the package
-defines.
+uses no numpy and calls no builtin min or max, and the benchmark tracer's
+hooks name what the package defines.
 
 Every import counts, wherever it sits: at module level, inside a
 function, or under ``if TYPE_CHECKING:``. A helper that only its own
@@ -279,8 +279,9 @@ def test_one_place_integrates_the_control_loops():
 # function of the module, or "function:for" for the body of the
 # function's first for loop. A step works on floats and named tuples.
 STEP_CODE = {
+    "angles": ["*"],
     "dynamics": ["air_data", "_airspeed_angles", "body_to_ned",
-                 "integrate_step", "rk4_step", "clamp_command",
+                 "integrate_step", "clamp_command", "_check_pitch",
                  "make_airframe", "GustModel.step"],
     "guidance": ["PathManager.step", "PathManager._advance",
                  "PathManager._track_orbit_completion", "line_error",
@@ -329,15 +330,50 @@ def test_numpy_lines_finds_uses_in_the_named_code():
     assert numpy_lines(step_code(tree, "*")) == [5, 8, 10, 13]
 
 
-def test_no_numpy_inside_a_step():
+def step_code_findings(lines_in) -> dict[str, list[int]]:
+    """The lines that lines_in finds in each entry of STEP_CODE, for the
+    entries where it finds any."""
     found = {}
     for stem, specs in STEP_CODE.items():
         tree = ast.parse((SRC / f"{stem}.py").read_text(encoding="utf-8"))
         for spec in specs:
-            lines = numpy_lines(step_code(tree, spec))
+            lines = lines_in(step_code(tree, spec))
             if lines:
                 found[f"{stem}.{spec}"] = lines
-    assert found == {}
+    return found
+
+
+def test_no_numpy_inside_a_step():
+    assert step_code_findings(numpy_lines) == {}
+
+
+def min_max_lines(nodes: list[ast.AST]) -> list[int]:
+    """Lines inside nodes that call the builtin min or max by name."""
+    return sorted({n.lineno for node in nodes for n in ast.walk(node)
+                   if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                   and n.func.id in ("min", "max")})
+
+
+def test_min_max_lines_finds_calls_in_the_named_code():
+    tree = ast.parse("import numpy as np\n"
+                     "def clamped(x):\n    return max(0.0, min(1.0, x))\n"
+                     "def floored(x):\n    return x if x > 0.0 else 0.0\n"
+                     "class Box:\n    def step(self, xs):\n"
+                     "        return np.max(xs) + self.max(xs)\n"
+                     "def run(xs):\n    top = max(xs)\n"
+                     "    for x in xs:\n        top = min(top, x)\n"
+                     "    return top\n")
+    assert min_max_lines(step_code(tree, "clamped")) == [3]
+    assert min_max_lines(step_code(tree, "floored")) == []
+    assert min_max_lines(step_code(tree, "Box.step")) == []
+    assert min_max_lines(step_code(tree, "run:for")) == [12]
+    assert min_max_lines(step_code(tree, "*")) == [3, 10, 12]
+
+
+def test_no_builtin_min_or_max_inside_a_step():
+    # max(lo, min(hi, x)) costs several times an angles.clamp call, which
+    # gives the same float, so a step clamps with the helper.
+    assert step_code_findings(min_max_lines) == {}
 
 
 def tracer_hooks(path: Path) -> list[tuple[str, str, str]]:
