@@ -39,7 +39,9 @@ from .metrics import ErrorStats, beta_estimate, series_stats, total_image_error
 from .scenario import (
     ComparisonResult,
     FlightController,
+    LoopMemory,
     RunResult,
+    closed_loop_step,
     compare_controllers,
     export_csv,
     run_scenario,
@@ -65,6 +67,7 @@ __all__ = [
     "GustModel",
     "InsufficientDataError",
     "IntegrationFaultError",
+    "LoopMemory",
     "OrbitPlan",
     "PathManager",
     "PathSegment",
@@ -77,6 +80,7 @@ __all__ = [
     "UndefinedBearingError",
     "air_data",
     "beta_estimate",
+    "closed_loop_step",
     "compare_controllers",
     "export_csv",
     "gamma_terms",

@@ -13,15 +13,15 @@ Two interchangeable lateral correctors share the guidance course command:
 All gains come from one gain schedule per controller. It folds the
 airframe coefficients and checks the control authority once; each step it
 only rescales the plants to the current airspeed and places their poles,
-so the gains follow the flight condition. The step functions update the
-LoopState they are handed in place; its four integrators (aotc course,
-ratc roll, altitude, airspeed) each run through one saturating PI.
+so the gains follow the flight condition. The step functions keep no
+memory: each takes its integrators (aotc course, ratc roll, altitude,
+airspeed) as arguments and returns their new values, which one saturating
+PI computes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .angles import clamp, wrap_pi
@@ -70,18 +70,6 @@ class ScheduledGains(NamedTuple):
     kp_va: float
     ki_va: float
     theta_limit: float
-
-
-@dataclass
-class LoopState:
-    """Mutable controller memory: the integrators and the previous
-    actuator command."""
-
-    course_int: float = 0.0
-    roll_int: float = 0.0
-    alt_int: float = 0.0
-    va_int: float = 0.0
-    prev_command: ControlCommand | None = None
 
 
 def place_poles(a1: float, a2: float, a3: float, wn: float,
@@ -219,11 +207,11 @@ def ratc_step(
     chi_cmd: float,
     state: AircraftState,
     gains: ScheduledGains,
-    loop: LoopState,
+    roll_int: float,
     dt: float,
     params: AircraftParams,
-) -> tuple[float, float]:
-    """One rudder-augmented lateral step: (delta_a, delta_r).
+) -> tuple[float, float, float]:
+    """One rudder-augmented lateral step: (delta_a, delta_r, roll_int).
 
     The course command is tracked directly as a heading command (the
     single tracked error of this topology); sideslip is left to act as a
@@ -234,11 +222,10 @@ def ratc_step(
     delta_r = clamp(delta_r_raw, -params.delta_r_max, params.delta_r_max)
 
     roll_err = -state.phi
-    delta_a, loop.roll_int = _saturating_pi(
+    delta_a, roll_int = _saturating_pi(
         gains.kp_roll * roll_err - gains.kd_roll * state.p, gains.ki_roll,
-        loop.roll_int, roll_err, dt, 0.0, params.delta_a_max,
-        params.delta_a_max)
-    return delta_a, delta_r
+        roll_int, roll_err, dt, 0.0, params.delta_a_max, params.delta_a_max)
+    return delta_a, delta_r, roll_int
 
 
 def aotc_step(
@@ -246,25 +233,25 @@ def aotc_step(
     state: AircraftState,
     airdata: AirData,
     gains: ScheduledGains,
-    loop: LoopState,
+    course_int: float,
     dt: float,
     params: AircraftParams,
     bank_limit: float,
-) -> tuple[float, float]:
-    """One aileron-only lateral step: (delta_a, delta_r=0).
+) -> tuple[float, float, float]:
+    """One aileron-only lateral step: (delta_a, delta_r=0, course_int).
 
     Two tracked errors: course error shaping the bank command through the
     outer PI, and roll error closed by the inner PD.
     """
     chi_err = wrap_pi(chi_cmd - airdata.chi)
-    phi_cmd, loop.course_int = _saturating_pi(
-        gains.kp_course * chi_err, gains.ki_course, loop.course_int, chi_err,
-        dt, 0.0, bank_limit, bank_limit)
+    phi_cmd, course_int = _saturating_pi(
+        gains.kp_course * chi_err, gains.ki_course, course_int, chi_err, dt,
+        0.0, bank_limit, bank_limit)
 
     phi_err = phi_cmd - state.phi
     delta_a_raw = gains.kp_roll * phi_err - gains.kd_roll * state.p
     delta_a = clamp(delta_a_raw, -params.delta_a_max, params.delta_a_max)
-    return delta_a, 0.0
+    return delta_a, 0.0, course_int
 
 
 def longitudinal_holds(
@@ -273,19 +260,21 @@ def longitudinal_holds(
     h_cmd: float,
     va_cmd: float,
     gains: ScheduledGains,
-    loop: LoopState,
+    alt_int: float,
+    va_int: float,
     dt: float,
     trim_theta: float,
     trim_cmd: ControlCommand,
     params: AircraftParams,
-) -> tuple[float, float]:
+) -> tuple[float, float, float, float]:
     """Altitude (PI -> pitch PD -> elevator) and airspeed (PI -> throttle)
-    holds around the trim operating point. Returns (delta_e, delta_t).
+    holds around the trim operating point. Returns (delta_e, delta_t,
+    alt_int, va_int).
 
     The throttle's integral term may span the whole 0..1 range."""
     h_err = h_cmd + state.pd    # pd is minus the altitude
-    theta_offset, loop.alt_int = _saturating_pi(
-        gains.kp_h * h_err, gains.ki_h, loop.alt_int, h_err, dt, 0.0,
+    theta_offset, alt_int = _saturating_pi(
+        gains.kp_h * h_err, gains.ki_h, alt_int, h_err, dt, 0.0,
         gains.theta_limit, gains.theta_limit)
     theta_cmd = trim_theta + theta_offset
 
@@ -294,10 +283,10 @@ def longitudinal_holds(
     delta_e = clamp(delta_e_raw, -params.delta_e_max, params.delta_e_max)
 
     va_err = va_cmd - airdata.va
-    delta_t, loop.va_int = _saturating_pi(
-        trim_cmd.delta_t + gains.kp_va * va_err, gains.ki_va, loop.va_int,
-        va_err, dt, 0.5, 0.5, 1.0)
-    return delta_e, delta_t
+    delta_t, va_int = _saturating_pi(
+        trim_cmd.delta_t + gains.kp_va * va_err, gains.ki_va, va_int, va_err,
+        dt, 0.5, 0.5, 1.0)
+    return delta_e, delta_t, alt_int, va_int
 
 
 def _rate_limited(new: float, old: float, max_step: float) -> float:
@@ -308,15 +297,18 @@ def _rate_limited(new: float, old: float, max_step: float) -> float:
     return old + math.copysign(max_step, step)
 
 
-def apply_rate_limits(cmd: ControlCommand, prev: ControlCommand | None,
+def apply_rate_limits(delta_a: float, delta_e: float, delta_r: float,
+                      delta_t: float, prev: ControlCommand | None,
                       params: AircraftParams, dt: float) -> ControlCommand:
-    """Limit surface deflection rates against the previous command."""
+    """The step's command: the surface deflections rate limited against
+    the previous command (none before the first step), the throttle as
+    it is."""
     if prev is None:
-        return cmd
+        return ControlCommand(delta_a, delta_e, delta_r, delta_t)
     max_step = params.rate_limit * dt
     return ControlCommand(
-        _rate_limited(cmd.delta_a, prev.delta_a, max_step),
-        _rate_limited(cmd.delta_e, prev.delta_e, max_step),
-        _rate_limited(cmd.delta_r, prev.delta_r, max_step),
-        cmd.delta_t,
+        _rate_limited(delta_a, prev.delta_a, max_step),
+        _rate_limited(delta_e, prev.delta_e, max_step),
+        _rate_limited(delta_r, prev.delta_r, max_step),
+        delta_t,
     )

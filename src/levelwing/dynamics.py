@@ -556,10 +556,8 @@ def trim(airframe: Airframe,
 
     x = np.array([0.05, 0.0, 0.5])
     res = residual(x)
-    converged = False
     for _ in range(TRIM_MAX_ITER):
         if float(np.max(np.abs(res))) < 0.1 * TRIM_TOL:
-            converged = True
             break
         jac = np.zeros((3, 3))
         h = 1e-7
@@ -586,7 +584,7 @@ def trim(airframe: Airframe,
                 residual=float(np.max(np.abs(res))),
             )
         x, res = x_new, res_new
-    if not converged and float(np.max(np.abs(res))) >= 0.1 * TRIM_TOL:
+    if float(np.max(np.abs(res))) >= 0.1 * TRIM_TOL:
         raise TrimFailureError(
             f"trim did not converge in {TRIM_MAX_ITER} iterations",
             residual=float(np.max(np.abs(res))),

@@ -97,13 +97,19 @@ class GuidanceGains:
 
 
 class CourseCommand(NamedTuple):
-    """Course command for one step: slewed value, raw value, active
-    segment, and the cross-track (line) or radial (orbit) error from it."""
+    """Course command of one step: slewed value, raw value, active segment,
+    and the cross-track (line) or radial (orbit) error from it. It is the
+    next step's guidance memory too, with the plan's completion, the arc
+    angle (rad) flown on a standalone orbit and the last bearing from an
+    orbit center; CourseCommand() is the memory before the first step."""
 
-    chi_cmd: float
-    chi_cmd_raw: float
-    segment_id: int
-    e_lateral: float
+    chi_cmd: float | None = None
+    chi_cmd_raw: float | None = None
+    segment_id: int = 0
+    e_lateral: float | None = None
+    complete: bool = False
+    orbit_angle: float = 0.0
+    bearing: float | None = None
 
 
 def line_error(p, seg: PathSegment) -> tuple[float, float, float]:
@@ -139,10 +145,8 @@ def course_command_line(e_py: float, seg: PathSegment,
     The correction is clamped at the intercept angle, so arbitrarily
     large offsets command a constant-angle intercept.
     """
-    correction = gains.capture_gain * e_py
     cap = gains.intercept_angle
-    correction = clamp(correction, -cap, cap)
-    return wrap_pi(seg.chi - correction)
+    return wrap_pi(seg.chi - clamp(gains.capture_gain * e_py, -cap, cap))
 
 
 def course_command_orbit(e_radial: float, bearing: float, seg: PathSegment,
@@ -356,76 +360,58 @@ def _plan_segments(plan: FlightPlan) -> tuple[ManagedSegment, ...]:
 
 class PathManager:
     """Sequential segment manager producing one course command per step.
-
-    Holds the active segment index (non-decreasing), the previous slewed
-    command for the rate limiter, and the accumulated arc angle for
-    standalone-orbit completion.
-    """
+    It holds only the plan's constants: the memory of a run is the
+    CourseCommand that each step takes and returns."""
 
     def __init__(self, plan: FlightPlan, gains: GuidanceGains, dt: float,
-                 slew: SlewSettings | None = None):
+                 slew: SlewSettings = SlewSettings()):
         if dt <= 0.0:
             raise ConfigError("path manager dt must be positive")
-        self.plan = plan
         self.gains = gains
         self.dt = dt
-        self.slew = slew if slew is not None else SlewSettings()
+        self.slew = slew
         self.segments = plan.segments
-        self.index = 0
-        self.complete = False
-        self.prev_cmd: float | None = None
-        self._orbit_accum = 0.0
-        self._prev_bearing: float | None = None
+        # Arc angle that completes a standalone orbit; 0 never completes.
+        self.orbit_goal = (math.tau * plan.orbit.revolutions
+                           if plan.orbit is not None else 0.0)
 
-    def active_segment(self) -> PathSegment:
-        return self.segments[self.index].segment
-
-    def _advance(self, pn: float, pe: float) -> None:
-        # A fillet with a zero-length arc can retire two half-planes in one
-        # tick, hence the loop.
-        while True:
-            ms = self.segments[self.index]
+    def step(self, memory: CourseCommand, p) -> CourseCommand:
+        """The course command at p, given the previous step's command
+        (CourseCommand() before the first step). It is also the memory
+        that the next step takes."""
+        prev_cmd, _, index, _, complete, orbit_angle, bearing = memory
+        segments = self.segments
+        # Retire each segment whose half-plane p has crossed. A fillet with
+        # a zero-length arc can retire two half-planes in one tick.
+        while not complete:
+            ms = segments[index]
             if ms.switch_normal is None:
-                return
+                break
             (sn, se), (nn, ne) = ms.switch_point, ms.switch_normal
-            if (pn - sn) * nn + (pe - se) * ne < 0.0:
-                return
-            if self.index == len(self.segments) - 1:
-                self.complete = True
-                return
-            self.index += 1
+            if (p[0] - sn) * nn + (p[1] - se) * ne < 0.0:
+                break
+            if index == len(segments) - 1:
+                complete = True
+            else:
+                index += 1
 
-    def _track_orbit_completion(self, bearing: float) -> None:
-        plan_orbit = self.plan.orbit
-        if plan_orbit is None or self.complete:
-            return
-        if plan_orbit.revolutions <= 0.0:
-            return
-        if self._prev_bearing is not None:
-            self._orbit_accum += wrap_pi(bearing - self._prev_bearing)
-        self._prev_bearing = bearing
-        if abs(self._orbit_accum) >= math.tau * plan_orbit.revolutions:
-            self.complete = True
-
-    def step(self, p) -> CourseCommand:
-        """Advance switching logic and produce the course command at p."""
-        if not self.complete:
-            self._advance(p[0], p[1])
-
-        seg = self.active_segment()
+        seg = segments[index].segment
         if seg.kind == "line":
             _, e_lateral, _ = line_error(p, seg)
             raw = course_command_line(e_lateral, seg, self.gains)
         else:
+            prev_bearing = bearing
             e_lateral, bearing = orbit_error(p, seg)
-            self._track_orbit_completion(bearing)
+            if self.orbit_goal and not complete:
+                if prev_bearing is not None:
+                    orbit_angle += wrap_pi(bearing - prev_bearing)
+                complete = abs(orbit_angle) >= self.orbit_goal
             raw = course_command_orbit(e_lateral, bearing, seg, self.gains)
 
         # raw is wrapped onto (-pi, pi] already, by either course command.
         cmd = raw
-        if self.slew.enabled and self.prev_cmd is not None:
-            step_size = abs(wrap_pi(raw - self.prev_cmd))
-            if step_size > self.slew.threshold * self.dt:
-                cmd = slew_limit(self.prev_cmd, raw, self.slew.rate, self.dt)
-        self.prev_cmd = cmd
-        return CourseCommand(cmd, raw, self.index, e_lateral)
+        if self.slew.enabled and prev_cmd is not None:
+            if abs(wrap_pi(raw - prev_cmd)) > self.slew.threshold * self.dt:
+                cmd = slew_limit(prev_cmd, raw, self.slew.rate, self.dt)
+        return CourseCommand(cmd, raw, index, e_lateral, complete,
+                             orbit_angle, bearing)

@@ -2,11 +2,14 @@
 
 One run trims the aircraft, places it at the plan start, and steps
 guidance, control, and dynamics at the same fixed rate until the plan
-completes or the duration cap is reached. Comparisons run both lateral
-controllers against one shared environment realization (same seed, same
-gust draws) with identical guidance gains, so only the lateral law
-differs. The two runs of a comparison share nothing else, so they fly at
-once: aotc in a child process, ratc in the caller.
+completes or the duration cap is reached. A step is one pure function,
+closed_loop_step, of the state, the loop's memory and the step's wind;
+the gust model, which owns the random stream, is the one stateful part
+of the loop. Comparisons run both lateral controllers against one shared
+environment realization (same seed, same gust draws) with identical
+guidance gains, so only the lateral law differs. The two runs of a
+comparison share nothing else, so they fly at once: aotc in a child
+process, ratc in the caller.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .control import (
-    LoopState,
     aotc_step,
     apply_rate_limits,
     longitudinal_holds,
@@ -41,7 +43,7 @@ from .dynamics import (
     trim,
 )
 from .errors import ConfigError, DynamicsFaultError, SimulatorError
-from .guidance import PathManager
+from .guidance import CourseCommand, PathManager
 from .metrics import (
     ErrorStats,
     SummaryRow,
@@ -59,7 +61,8 @@ TABLE_H_REFS = (150.0, 450.0)
 
 
 class LogColumn(NamedTuple):
-    """One per-step log field, in the order run_scenario stores a step.
+    """One per-step log field. A step's log row holds the fields after
+    the first, t, in order; run_scenario fills t from the step count.
 
     in_csv False keeps the field in memory only. degrees writes a radian
     field to the CSV in degrees, headed name + "_deg" unless csv_name
@@ -104,41 +107,77 @@ _LOG_BLOCK_ROWS = 32
 _CSV_BLOCK_ROWS = 32
 
 
+class LoopMemory(NamedTuple):
+    """What one closed-loop step hands the next: the guidance memory, the
+    four control integrators and the previous actuator command.
+    LoopMemory() is the memory before the first step."""
+
+    guidance: CourseCommand = CourseCommand()
+    course_int: float = 0.0
+    roll_int: float = 0.0
+    alt_int: float = 0.0
+    va_int: float = 0.0
+    command: ControlCommand | None = None
+
+
 class FlightController:
     """Full autopilot for one run: one lateral law plus the longitudinal
-    holds, gain-scheduled on the current airspeed."""
+    holds, gain-scheduled on the current airspeed. It holds only the
+    run's constants; the integrators come with each step's memory."""
 
     def __init__(self, mode: str, cfg: ScenarioConfig, airframe: Airframe,
                  trim_state: AircraftState, trim_cmd: ControlCommand):
         self.schedule = make_gain_schedule(mode, airframe, cfg.ctrl)
         self.mode = mode
         self.params = airframe.params
+        self.dt = cfg.dt
         self.bank_limit = cfg.ctrl.bank_limit
         self.trim_theta = trim_state.theta
         self.trim_cmd = trim_cmd
         self.h_cmd = cfg.plan.nominal_agl
         self.va_cmd = cfg.va_cmd
-        self.loop = LoopState()
 
     def step(self, chi_cmd: float, state: AircraftState, airdata: AirData,
-             dt: float) -> ControlCommand:
-        prev = self.loop.prev_command
+             memory: LoopMemory) -> tuple[ControlCommand, float, float,
+                                          float, float]:
+        """The step's command and the four new integrators."""
+        _, course_int, roll_int, alt_int, va_int, prev = memory
+        params, dt = self.params, self.dt
         gains = self.schedule(airdata.va, airdata.vg)
         if self.mode == "ratc":
-            delta_a, delta_r = ratc_step(chi_cmd, state, gains, self.loop,
-                                         dt, self.params)
+            delta_a, delta_r, roll_int = ratc_step(chi_cmd, state, gains,
+                                                   roll_int, dt, params)
         else:
-            delta_a, delta_r = aotc_step(chi_cmd, state, airdata, gains,
-                                         self.loop, dt, self.params,
-                                         self.bank_limit)
-        delta_e, delta_t = longitudinal_holds(state, airdata, self.h_cmd,
-                                              self.va_cmd, gains,
-                                              self.loop, dt, self.trim_theta,
-                                              self.trim_cmd, self.params)
-        cmd = apply_rate_limits(ControlCommand(delta_a, delta_e, delta_r,
-                                               delta_t), prev, self.params, dt)
-        self.loop.prev_command = cmd
-        return cmd
+            delta_a, delta_r, course_int = aotc_step(
+                chi_cmd, state, airdata, gains, course_int, dt, params,
+                self.bank_limit)
+        delta_e, delta_t, alt_int, va_int = longitudinal_holds(
+            state, airdata, self.h_cmd, self.va_cmd, gains, alt_int, va_int,
+            dt, self.trim_theta, self.trim_cmd, params)
+        cmd = apply_rate_limits(delta_a, delta_e, delta_r, delta_t, prev,
+                                params, dt)
+        return cmd, course_int, roll_int, alt_int, va_int
+
+
+def closed_loop_step(manager: PathManager, controller: FlightController,
+                     state: AircraftState, memory: LoopMemory,
+                     wind: Environment) -> tuple[ControlCommand, LoopMemory,
+                                                 tuple]:
+    """Air data, guidance and control of one step in the step's total
+    wind: (command, next memory, log row); no input is changed. The caller
+    integrates after it stores the row, so a faulting step's row is kept.
+    """
+    airdata = air_data(state, wind)
+    course = manager.step(memory.guidance, state)
+    cmd, course_int, roll_int, alt_int, va_int = controller.step(
+        course.chi_cmd, state, airdata, memory)
+    row = (  # in LOG_COLUMNS order, t left out
+        *state, *cmd, airdata.va, beta_estimate(airdata.chi, state.psi),
+        airdata.chi, course.chi_cmd, course.chi_cmd_raw, course.segment_id,
+        course.e_lateral, *wind,
+    )
+    return (cmd, LoopMemory(course, course_int, roll_int, alt_int, va_int,
+                            cmd), row)
 
 
 @dataclass
@@ -160,38 +199,20 @@ class RunResult:
     mean_abs_beta_deg: float | None
 
     def summary_row(self) -> SummaryRow:
-        def stat(s: ErrorStats | None, attr: str) -> float:
-            return getattr(s, attr) if s is not None else math.nan
+        def stats(s: ErrorStats | None, *names: str) -> list[float]:
+            return [math.nan if s is None else getattr(s, n) for n in names]
 
-        return SummaryRow(
-            scenario=self.scenario,
-            controller=self.mode,
-            mean_150=stat(self.stats_by_href.get(150.0), "mean"),
-            std_150=stat(self.stats_by_href.get(150.0), "std"),
-            mean_450=stat(self.stats_by_href.get(450.0), "mean"),
-            std_450=stat(self.stats_by_href.get(450.0), "std"),
-            rms_450=stat(self.stats_by_href.get(450.0), "rms"),
-            lat_mean=stat(self.lat_stats, "mean"),
-            lat_std=stat(self.lat_stats, "std"),
-            roll_mean_deg=stat(self.roll_stats_deg, "mean"),
-            roll_std_deg=stat(self.roll_stats_deg, "std"),
-            beta_mean_deg=stat(self.beta_stats_deg, "mean"),
-            beta_std_deg=stat(self.beta_stats_deg, "std"),
-        )
-
-
-def _initial_state(cfg: ScenarioConfig,
-                   trim_state: AircraftState) -> AircraftState:
-    """The trim state moved to the plan start, heading along its first leg."""
-    pn, pe, pd = cfg.plan.start_position()
-    return trim_state._replace(pn=pn, pe=pe, pd=pd,
-                               psi=cfg.plan.initial_course())
+        at_href = self.stats_by_href.get
+        return SummaryRow(          # in SummaryRow field order
+            self.scenario, self.mode, *stats(at_href(150.0), "mean", "std"),
+            *stats(at_href(450.0), "mean", "std", "rms"),
+            *stats(self.lat_stats, "mean", "std"),
+            *stats(self.roll_stats_deg, "mean", "std"),
+            *stats(self.beta_stats_deg, "mean", "std"))
 
 
 def _stats_or_none(values: np.ndarray) -> ErrorStats | None:
-    if values.size < 2:
-        return None
-    return series_stats(values)
+    return series_stats(values) if values.size >= 2 else None
 
 
 def run_scenario(
@@ -216,9 +237,12 @@ def run_scenario(
 
     airframe = make_airframe(cfg.params)
     trim_state, trim_cmd = trim(airframe, cfg.va_cmd)
-    state = _initial_state(cfg, trim_state)
+    # The trim state moved to the plan start, heading along its first leg.
+    pn, pe, pd = cfg.plan.start_position()
+    state = trim_state._replace(pn=pn, pe=pe, pd=pd,
+                                psi=cfg.plan.initial_course())
 
-    base_env = Environment(cfg.env.wind_n, cfg.env.wind_e, cfg.env.wind_d)
+    wind_n, wind_e, wind_d = cfg.env.wind_n, cfg.env.wind_e, cfg.env.wind_d
     manager = PathManager(cfg.plan, cfg.ctrl.guidance, dt, cfg.ctrl.slew)
     controller = FlightController(mode, cfg, airframe, trim_state, trim_cmd)
     gust = GustModel(cfg.env.gust_intensity, cfg.env.gust_tau, dt, cfg.seed)
@@ -227,54 +251,46 @@ def run_scenario(
     # One array per field: a single (fields, n_cap) buffer passes 4 MiB on
     # long runs, where numpy asks for huge pages and the unused tail of the
     # buffer becomes resident.
-    log = {c.name: np.zeros(n_cap) for c in LOG_COLUMNS}
+    log = {c.name: np.zeros(n_cap) for c in LOG_COLUMNS[1:]}
     log["segment_id"] = np.zeros(n_cap, dtype=int)
     series = tuple(log.values())
 
     steps = 0
     fault: str | None = None
+    memory = LoopMemory()
     rows: list[tuple] = []
     for k in range(n_cap):
         if len(rows) == _LOG_BLOCK_ROWS:
             _store_rows(series, rows, k)
         gust_n, gust_e, gust_d = gust.step()
-        env = Environment(base_env.wind_n + gust_n, base_env.wind_e + gust_e,
-                          base_env.wind_d + gust_d)
-        airdata = air_data(state, env)
-        course = manager.step(state[:3])
-        cmd = controller.step(course.chi_cmd, state, airdata, dt)
-
-        t = k * dt
-        rows.append((  # in LOG_COLUMNS order
-            t, *state, *cmd, airdata.va, beta_estimate(airdata.chi, state.psi),
-            airdata.chi, course.chi_cmd, course.chi_cmd_raw, course.segment_id,
-            course.e_lateral, *env,
-        ))
+        wind = Environment(wind_n + gust_n, wind_e + gust_e, wind_d + gust_d)
+        cmd, memory, row = closed_loop_step(manager, controller, state,
+                                            memory, wind)
+        rows.append(row)
         steps = k + 1
-
         try:
-            state = integrate_step(state, cmd, env, airframe, dt)
+            state = integrate_step(state, cmd, wind, airframe, dt)
         except DynamicsFaultError as exc:
-            fault = f"{exc.category}: {exc} at t = {t:.2f} s"
+            fault = f"{exc.category}: {exc} at t = {k * dt:.2f} s"
             break
-        if manager.complete:
+        if memory.guidance.complete:
             break
     _store_rows(series, rows, steps)
 
-    log = {key: arr[:steps] for key, arr in log.items()}
-    completed = manager.complete and fault is None
+    t = np.arange(steps, dtype=float)
+    t *= dt     # in place: k * dt for each step k, without a second array
+    log = {"t": t, **{key: arr[:steps] for key, arr in log.items()}}
+    completed = memory.guidance.complete and fault is None
 
     warm = log["t"] >= cfg.warmup
     phi_w = log["phi"][warm]
     lat_w = log["e_lateral"][warm]
     beta_w = log["beta_est"][warm]
 
-    h_refs = tuple(sorted(set(cfg.h_refs) | set(TABLE_H_REFS)))
-    stats_by_href: dict[float, ErrorStats] = {}
-    if phi_w.size >= 2:
-        for h_ref in h_refs:
-            stats_by_href[h_ref] = series_stats(
-                total_image_error(lat_w, phi_w, h_ref))
+    h_refs = (sorted(set(cfg.h_refs) | set(TABLE_H_REFS))
+              if phi_w.size >= 2 else ())
+    stats_by_href = {h: series_stats(total_image_error(lat_w, phi_w, h))
+                     for h in h_refs}
 
     return RunResult(
         mode=mode,

@@ -16,7 +16,6 @@ from conftest import combined_yaw_coeffs, rk4_step
 from levelwing.config import ControllerSettings, load_config
 from levelwing.control import (
     ControlCommand,
-    LoopState,
     longitudinal_holds,
     make_gain_schedule,
     place_poles,
@@ -188,17 +187,18 @@ def test_criterion_2_heading_step_matches_analytic_plant(params):
     dt = 0.01
     n = 500
     delta_r = math.radians(1.0)
-    loop = LoopState()
+    roll_int = alt_int = va_int = 0.0
     psi_sim = np.zeros(n)
     for k in range(n):
         psi_sim[k] = state.psi
         ad = air_data(state, CALM)
         # The rudder is held open loop: the heading PD is zeroed.
         gains = schedule(ad.va, ad.vg)._replace(kp_psi=0.0, kd_psi=0.0)
-        delta_a, _ = ratc_step(0.0, state, gains, loop, dt, variant)
-        delta_e, delta_t = longitudinal_holds(state, ad, 150.0, 20.0, gains,
-                                              loop, dt, trim_state.theta,
-                                              trim_cmd, variant)
+        delta_a, _, roll_int = ratc_step(0.0, state, gains, roll_int, dt,
+                                         variant)
+        delta_e, delta_t, alt_int, va_int = longitudinal_holds(
+            state, ad, 150.0, 20.0, gains, alt_int, va_int, dt,
+            trim_state.theta, trim_cmd, variant)
         cmd = clamp_command(ControlCommand(delta_a, delta_e, delta_r,
                                            delta_t), variant)
         state = integrate_step(state, cmd, CALM, airframe, dt)

@@ -9,7 +9,6 @@ import pytest
 from levelwing.config import ControllerSettings
 from levelwing.control import (
     ControlCommand,
-    LoopState,
     aotc_step,
     apply_rate_limits,
     longitudinal_holds,
@@ -131,8 +130,7 @@ def ratc_setup(params):
 def test_ratc_step_zero_error_is_fixed_point(params):
     gains = ratc_setup(params)
     state = AircraftState(u=20.0)
-    loop = LoopState()
-    delta_a, delta_r = ratc_step(0.0, state, gains, loop, 0.01, params)
+    delta_a, delta_r, _ = ratc_step(0.0, state, gains, 0.0, 0.01, params)
     assert delta_a == pytest.approx(0.0, abs=1e-12)
     # With r = 0 the rudder is kp_psi times the heading error.
     assert delta_r == pytest.approx(0.0, abs=1e-12)
@@ -141,7 +139,7 @@ def test_ratc_step_zero_error_is_fixed_point(params):
 def test_ratc_step_commands_corrective_yaw_moment(params):
     gains = ratc_setup(params)
     state = AircraftState(u=20.0)
-    _, delta_r = ratc_step(0.3, state, gains, LoopState(), 0.01, params)
+    _, delta_r, _ = ratc_step(0.3, state, gains, 0.0, 0.01, params)
     # Rudder effectiveness is negative on this airframe, so the deflection
     # itself is negative; the produced yaw acceleration must be positive.
     assert gains.a_psi2 * delta_r > 0.0
@@ -150,8 +148,8 @@ def test_ratc_step_commands_corrective_yaw_moment(params):
 def test_ratc_step_error_wraps_across_seam(params):
     gains = ratc_setup(params)
     state = AircraftState(u=20.0, psi=math.radians(175.0))
-    _, delta_r = ratc_step(math.radians(-175.0), state, gains, LoopState(),
-                           0.01, params)
+    _, delta_r, _ = ratc_step(math.radians(-175.0), state, gains, 0.0, 0.01,
+                              params)
     # The rudder is kp_psi times the wrapped heading error of +10 deg.
     assert delta_r == pytest.approx(gains.kp_psi * math.radians(10.0),
                                     rel=1e-9)
@@ -160,7 +158,7 @@ def test_ratc_step_error_wraps_across_seam(params):
 def test_ratc_step_levels_the_wings(params):
     gains = ratc_setup(params)
     state = AircraftState(u=20.0, phi=0.2)
-    delta_a, _ = ratc_step(0.0, state, gains, LoopState(), 0.01, params)
+    delta_a, _, _ = ratc_step(0.0, state, gains, 0.0, 0.01, params)
     assert math.copysign(1.0, delta_a) == -math.copysign(1.0,
                                                          gains.kp_roll * 0.2)
     assert delta_a != 0.0
@@ -170,21 +168,20 @@ def test_ratc_step_single_tracked_error_topology(params):
     gains = ratc_setup(params)
     state = AircraftState(u=20.0, phi=0.1)
     wide = wide_limits(params)
-    loop = LoopState()
-    delta_a, delta_r = ratc_step(0.5, state, gains, loop, 0.01, wide)
+    delta_a, delta_r, roll_int = ratc_step(0.5, state, gains, 0.0, 0.01,
+                                           wide)
     # The rudder tracks the heading error alone; the roll error drives
     # only the ailerons, whatever the heading command.
     assert delta_r == pytest.approx(gains.kp_psi * 0.5, rel=1e-9)
-    assert delta_a == ratc_step(0.0, state, gains, LoopState(), 0.01,
-                                wide)[0]
+    assert delta_a == ratc_step(0.0, state, gains, 0.0, 0.01, wide)[0]
     # Inside the limits the roll integrator takes the whole step.
-    assert loop.roll_int == -0.1 * 0.01
+    assert roll_int == -0.1 * 0.01
 
 
 def test_ratc_step_saturates_at_surface_limit(params):
     gains = ratc_setup(params)
     state = AircraftState(u=20.0)
-    _, delta_r = ratc_step(math.pi, state, gains, LoopState(), 0.01, params)
+    _, delta_r, _ = ratc_step(math.pi, state, gains, 0.0, 0.01, params)
     assert abs(gains.kp_psi * math.pi) > params.delta_r_max
     assert abs(delta_r) == params.delta_r_max
 
@@ -198,9 +195,8 @@ def aotc_setup(params):
 def test_aotc_step_zero_error_is_fixed_point(params):
     gains = aotc_setup(params)
     state = AircraftState(u=20.0)
-    delta_a, delta_r = aotc_step(0.0, state, air_data(state, CALM), gains,
-                                 LoopState(), 0.01, params,
-                                 math.radians(45.0))
+    delta_a, delta_r, _ = aotc_step(0.0, state, air_data(state, CALM), gains,
+                                    0.0, 0.01, params, math.radians(45.0))
     assert delta_a == pytest.approx(0.0, abs=1e-12)
     assert delta_r == 0.0
 
@@ -209,14 +205,14 @@ def test_aotc_step_banks_into_course_error(params):
     gains = aotc_setup(params)
     state = AircraftState(u=20.0)
     ad = air_data(state, CALM)
-    delta_a, delta_r = aotc_step(0.3, state, ad, gains, LoopState(), 0.01,
-                                 params, math.radians(45.0))
+    delta_a, delta_r, _ = aotc_step(0.3, state, ad, gains, 0.0, 0.01,
+                                    params, math.radians(45.0))
     assert delta_r == 0.0
     assert delta_a > 0.0     # right bank command, wings currently level
     # Through unsaturated ailerons: the bank command is the course PI of
     # the 0.3 rad course error, integrated over one step.
-    delta_a, _ = aotc_step(0.3, state, ad, gains, LoopState(), 0.01,
-                           wide_limits(params), math.radians(45.0))
+    delta_a, _, _ = aotc_step(0.3, state, ad, gains, 0.0, 0.01,
+                              wide_limits(params), math.radians(45.0))
     phi_cmd = gains.kp_course * 0.3 + gains.ki_course * 0.3 * 0.01
     assert delta_a == pytest.approx(gains.kp_roll * phi_cmd, rel=1e-9)
 
@@ -224,23 +220,22 @@ def test_aotc_step_banks_into_course_error(params):
 def test_aotc_step_bank_command_saturates(params):
     gains = aotc_setup(params)
     state = AircraftState(u=20.0)
-    loop = LoopState()
-    delta_a, _ = aotc_step(3.0, state, air_data(state, CALM), gains, loop,
-                           0.01, wide_limits(params), math.radians(45.0))
+    delta_a, _, course_int = aotc_step(3.0, state, air_data(state, CALM),
+                                       gains, 0.0, 0.01, wide_limits(params),
+                                       math.radians(45.0))
     # The roll error then tracks the clamped bank command, not the raw one,
     # and the course integrator holds while the command is railed.
     assert gains.kp_course * 3.0 > math.radians(45.0)
     assert delta_a == gains.kp_roll * math.radians(45.0)
-    assert loop.course_int == 0.0
+    assert course_int == 0.0
 
 
 def integrating_loop(name, params):
     """One integrating loop driven by its error alone, at 20 m/s with the
-    other loops at rest: (step(loop, error) -> the law's output, the
-    LoopState field of its integrator, the output with the PI on the rail
-    of the error's sign, the integrator bound). The surfaces downstream
-    of the course and altitude PIs are widened, so their outputs show the
-    PI's own rail."""
+    other loops at rest: (step(integrator, error) -> (the law's output, the
+    new integrator), the output with the PI on the rail of the error's
+    sign, the integrator bound). The surfaces downstream of the course and
+    altitude PIs are widened, so their outputs show the PI's own rail."""
     wide = replace(wide_limits(params), delta_e_max=math.radians(80.0))
     state = AircraftState(u=20.0, pd=-150.0)
     level = air_data(state, CALM)
@@ -248,34 +243,38 @@ def integrating_loop(name, params):
     if name == "aotc_course":
         gains, bank = aotc_setup(params), math.radians(45.0)
 
-        def step(loop, err):
-            return aotc_step(err, state, level, gains, loop, 0.01, wide,
-                             bank)[0]
-        return (step, "course_int",
-                lambda err: math.copysign(gains.kp_roll * bank, err),
+        def step(integrator, err):
+            delta_a, _, integrator = aotc_step(err, state, level, gains,
+                                               integrator, 0.01, wide, bank)
+            return delta_a, integrator
+        return (step, lambda err: math.copysign(gains.kp_roll * bank, err),
                 bank / gains.ki_course)
     gains = ratc_setup(params)
     if name == "ratc_roll":
-        def step(loop, err):
-            return ratc_step(0.0, state._replace(phi=-err), gains, loop, 0.01,
-                             params)[0]
-        return (step, "roll_int",
-                lambda err: math.copysign(params.delta_a_max, err),
+        def step(integrator, err):
+            delta_a, _, integrator = ratc_step(
+                0.0, state._replace(phi=-err), gains, integrator, 0.01, params)
+            return delta_a, integrator
+        return (step, lambda err: math.copysign(params.delta_a_max, err),
                 params.delta_a_max / gains.ki_roll)
     if name == "altitude":
-        def step(loop, err):
+        def step(integrator, err):
             off = state._replace(pd=-150.0 + err)
-            return longitudinal_holds(off, air_data(off, CALM), 150.0, 20.0,
-                                      gains, loop, 0.01, 0.0, trim, wide)[0]
-        return (step, "alt_int",
+            delta_e, _, integrator, _ = longitudinal_holds(
+                off, air_data(off, CALM), 150.0, 20.0, gains, integrator, 0.0,
+                0.01, 0.0, trim, wide)
+            return delta_e, integrator
+        return (step,
                 lambda err: gains.kp_theta * math.copysign(gains.theta_limit,
                                                            err),
                 gains.theta_limit / gains.ki_h)
 
-    def step(loop, err):    # the throttle, pinned at 1 or at 0
-        return longitudinal_holds(state, level, 150.0, 20.0 + err, gains,
-                                  loop, 0.01, 0.0, trim, params)[1]
-    return (step, "va_int", lambda err: 1.0 if err > 0.0 else 0.0,
+    def step(integrator, err):    # the throttle, pinned at 1 or at 0
+        _, delta_t, _, integrator = longitudinal_holds(
+            state, level, 150.0, 20.0 + err, gains, 0.0, integrator, 0.01,
+            0.0, trim, params)
+        return delta_t, integrator
+    return (step, lambda err: 1.0 if err > 0.0 else 0.0,
             1.0 / gains.ki_va)
 
 
@@ -289,17 +288,21 @@ def test_antiwindup_desaturates_quickly(params, name, error):
     # carries the output onto it; held there for 3 s, the integrator must
     # stop short of its bound, not wind up to it. Reversed, the command
     # leaves the rail within 2 s.
-    step, field, rail, bound = integrating_loop(name, params)
-    loop = LoopState()
-    outputs, integrators = [], []
+    step, rail, bound = integrating_loop(name, params)
+    integrator, outputs, integrators = 0.0, [], []
     for _ in range(300):
-        outputs.append(step(loop, error))
-        integrators.append(getattr(loop, field))
+        output, integrator = step(integrator, error)
+        outputs.append(output)
+        integrators.append(integrator)
     assert outputs[0] != rail(error)
     assert outputs[-100:] == [rail(error)] * 100
     assert integrators[-100:] == [integrators[-1]] * 100
     assert 0.0 < abs(integrators[-1]) < bound
-    released = [k for k in range(200) if step(loop, -error) != rail(error)]
+    released = []
+    for k in range(200):
+        output, integrator = step(integrator, -error)
+        if output != rail(error):
+            released.append(k)
     assert released and released[0] * 0.01 <= 2.0
 
 
@@ -308,13 +311,13 @@ def test_ratc_roll_hold_without_integrator_is_pd(params):
     # integrator never moves, on the rail or off it.
     gains = schedule("ratc", params, ki_roll=0.0)(20.0, 20.0)
     rng = np.random.default_rng(12)
-    loop = LoopState()
+    roll_int = 0.0
     for _ in range(500):
         state = AircraftState(u=20.0, phi=rng.uniform(-1.0, 1.0),
                               p=rng.uniform(-2.0, 2.0))
-        delta_a, _ = ratc_step(rng.uniform(-math.pi, math.pi), state, gains,
-                               loop, 0.01, params)
-        assert loop.roll_int == 0.0
+        delta_a, _, roll_int = ratc_step(rng.uniform(-math.pi, math.pi),
+                                         state, gains, roll_int, 0.01, params)
+        assert roll_int == 0.0
         pd = gains.kp_roll * -state.phi - gains.kd_roll * state.p
         assert delta_a == max(-params.delta_a_max,
                               min(params.delta_a_max, pd))
@@ -334,12 +337,11 @@ def test_lateral_commands_respect_limits_randomized(params):
         )
         ad = air_data(state, CALM)
         chi_cmd = rng.uniform(-math.pi, math.pi)
-        da, dr = ratc_step(chi_cmd, state, ratc_gains, LoopState(), 0.01,
-                           params)
+        da, dr, _ = ratc_step(chi_cmd, state, ratc_gains, 0.0, 0.01, params)
         assert abs(da) <= params.delta_a_max + 1e-12
         assert abs(dr) <= params.delta_r_max + 1e-12
-        da, dr = aotc_step(chi_cmd, state, ad, aotc_gains, LoopState(), 0.01,
-                           params, math.radians(45.0))
+        da, dr, _ = aotc_step(chi_cmd, state, ad, aotc_gains, 0.0, 0.01,
+                              params, math.radians(45.0))
         assert abs(da) <= params.delta_a_max + 1e-12
         assert dr == 0.0
 
@@ -354,8 +356,8 @@ def test_longitudinal_holds_trim_fixed_point(params, trim20):
     state, cmd = trim20
     at_alt = state._replace(pd=-150.0)
     lon = lon_setup(params)
-    delta_e, delta_t = longitudinal_holds(
-        at_alt, air_data(at_alt, CALM), 150.0, 20.0, lon, LoopState(), 0.01,
+    delta_e, delta_t, _, _ = longitudinal_holds(
+        at_alt, air_data(at_alt, CALM), 150.0, 20.0, lon, 0.0, 0.0, 0.01,
         state.theta, cmd, params)
     assert delta_e == pytest.approx(cmd.delta_e, abs=1e-9)
     assert delta_t == pytest.approx(cmd.delta_t, abs=1e-9)
@@ -365,8 +367,8 @@ def test_longitudinal_holds_pitch_up_when_low(params, trim20):
     state, cmd = trim20
     low = state._replace(pd=-140.0)
     lon = lon_setup(params)
-    delta_e, _ = longitudinal_holds(
-        low, air_data(low, CALM), 150.0, 20.0, lon, LoopState(), 0.01,
+    delta_e, _, _, _ = longitudinal_holds(
+        low, air_data(low, CALM), 150.0, 20.0, lon, 0.0, 0.0, 0.01,
         state.theta, cmd, params)
     # Ten meters low raises the pitch command; the elevator increment
     # carries the sign of the pitch gain (negative for this airframe).
@@ -378,8 +380,8 @@ def test_longitudinal_holds_throttle_up_when_slow(params, trim20):
     state, cmd = trim20
     slow = state._replace(pd=-150.0, u=state.u - 3.0)
     lon = lon_setup(params)
-    _, delta_t = longitudinal_holds(
-        slow, air_data(slow, CALM), 150.0, 20.0, lon, LoopState(), 0.01,
+    _, delta_t, _, _ = longitudinal_holds(
+        slow, air_data(slow, CALM), 150.0, 20.0, lon, 0.0, 0.0, 0.01,
         state.theta, cmd, params)
     assert delta_t > cmd.delta_t
 
@@ -393,11 +395,11 @@ def test_longitudinal_holds_pitch_unclamped_inside_limit(params, trim20):
     wide = replace(params, delta_e_max=math.radians(80.0))
     for h_err in (-4.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0):
         off = state._replace(pd=-150.0 + h_err)
-        loop = LoopState()
-        delta_e, _ = longitudinal_holds(off, air_data(off, CALM), 150.0, 20.0,
-                                        lon, loop, 0.01, 0.1, cmd, wide)
-        assert loop.alt_int == h_err * 0.01, h_err
-        theta_cmd = 0.1 + lon.kp_h * h_err + lon.ki_h * loop.alt_int
+        delta_e, _, alt_int, _ = longitudinal_holds(
+            off, air_data(off, CALM), 150.0, 20.0, lon, 0.0, 0.0, 0.01, 0.1,
+            cmd, wide)
+        assert alt_int == h_err * 0.01, h_err
+        theta_cmd = 0.1 + lon.kp_h * h_err + lon.ki_h * alt_int
         assert delta_e == pytest.approx(
             lon.kp_theta * (theta_cmd - off.theta) + cmd.delta_e,
             rel=1e-12), h_err
@@ -406,10 +408,11 @@ def test_longitudinal_holds_pitch_unclamped_inside_limit(params, trim20):
 def test_rate_limit_clamps_surface_steps(params):
     prev = ControlCommand(delta_a=0.0, delta_e=0.0, delta_r=0.0, delta_t=0.2)
     want = ControlCommand(delta_a=0.4, delta_e=-0.4, delta_r=0.4, delta_t=0.9)
-    out = apply_rate_limits(want, prev, params, 0.01)
+    out = apply_rate_limits(*want, prev, params, 0.01)
     step = params.rate_limit * 0.01
     assert out.delta_a == pytest.approx(step, rel=1e-12)
     assert out.delta_e == pytest.approx(-step, rel=1e-12)
     assert out.delta_r == pytest.approx(step, rel=1e-12)
     assert out.delta_t == 0.9    # throttle is not rate limited
-    assert apply_rate_limits(want, None, params, 0.01) is want
+    # Before the first step there is no previous command to limit against.
+    assert apply_rate_limits(*want, None, params, 0.01) == want

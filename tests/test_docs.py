@@ -12,6 +12,7 @@ from levelwing.config import (
     load_config,
     load_plan,
 )
+from levelwing.scenario import LOG_COLUMNS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -84,6 +85,17 @@ def test_airframe_example_runs(capsys):
     gains = namespace["gains"]
     assert (kp_psi, kd_psi, a_psi2) == (gains.kp_psi, gains.kd_psi,
                                         gains.a_psi2)
+
+
+def test_closed_loop_step_example_runs():
+    # It goes on from the airframe example.
+    namespace = {"cfg": load_config("rectangle_compare.ini")}
+    exec(readme_block_with("make_airframe("), namespace)
+    exec(readme_block_with("closed_loop_step("), namespace)
+    memory, row = namespace["memory"], namespace["row"]
+    assert memory.command == namespace["cmd"]
+    assert len(row) == len(LOG_COLUMNS) - 1    # every column but t
+    assert namespace["state"].pn > 0.0
 
 
 def test_headline_plan_extent_is_the_bundled_rectangle():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from levelwing.errors import ConfigError, UndefinedBearingError
 from levelwing.guidance import (
+    CourseCommand,
     FlightPlan,
     GuidanceGains,
     OrbitPlan,
@@ -258,17 +259,26 @@ def test_collinear_waypoint_inserts_no_arc():
     assert [m.segment.kind for m in segs] == ["line", "line"]
 
 
+def fly(mgr, points, memory=CourseCommand()):
+    """The commands of mgr at each point in turn, each step handed the
+    command of the step before (the memory before the first, by default)."""
+    commands = []
+    for p in points:
+        memory = mgr.step(memory, p)
+        commands.append(memory)
+    return commands
+
+
 def test_manager_tracks_and_completes_line_plan():
     plan = FlightPlan(name="leg", waypoints=[(0.0, 0.0, 150.0),
                                              (400.0, 0.0, 150.0)])
     mgr = PathManager(plan, GuidanceGains(), 0.01)
     assert mgr.segments is plan.segments   # built once, with the plan
-    cmd = mgr.step([10.0, 0.0, -150.0])
+    cmd = mgr.step(CourseCommand(), [10.0, 0.0, -150.0])
     assert cmd.segment_id == 0
     assert cmd.chi_cmd == pytest.approx(0.0, abs=1e-12)
-    assert not mgr.complete
-    mgr.step([401.0, 0.0, -150.0])
-    assert mgr.complete
+    assert not cmd.complete
+    assert mgr.step(cmd, [401.0, 0.0, -150.0]).complete
 
 
 def test_manager_index_non_decreasing_through_corner():
@@ -276,21 +286,19 @@ def test_manager_index_non_decreasing_through_corner():
                       waypoints=[(0.0, 0.0, 150.0), (400.0, 0.0, 150.0),
                                  (400.0, 400.0, 150.0)])
     mgr = PathManager(plan, GuidanceGains(), 0.01)
-    ids = []
-    # Walk the filleted path itself: leg, arc, leg.
-    for s in np.linspace(0.0, 300.0, 60):
-        ids.append(mgr.step([s, 0.0, -150.0]).segment_id)
-    for b in np.linspace(-math.pi / 2.0, 0.0, 40, endpoint=False):
-        # Clockwise along the fillet arc from (300, 0) to (400, 100).
-        ids.append(mgr.step([300.0 + 100.0 * math.cos(b),
-                             100.0 + 100.0 * math.sin(b), -150.0]).segment_id)
-    for s in np.linspace(100.0, 390.0, 60):
-        ids.append(mgr.step([400.0, s, -150.0]).segment_id)
+    # Walk the filleted path itself: leg, arc, leg; clockwise along the
+    # fillet arc from (300, 0) to (400, 100).
+    path = [[s, 0.0, -150.0] for s in np.linspace(0.0, 300.0, 60)]
+    path += [[300.0 + 100.0 * math.cos(b), 100.0 + 100.0 * math.sin(b),
+              -150.0]
+             for b in np.linspace(-math.pi / 2.0, 0.0, 40, endpoint=False)]
+    path += [[400.0, s, -150.0] for s in np.linspace(100.0, 390.0, 60)]
+    commands = fly(mgr, path)
+    ids = [cmd.segment_id for cmd in commands]
     assert np.all(np.diff(ids) >= 0)
     assert ids[-1] == 2
-    assert not mgr.complete
-    mgr.step([400.0, 401.0, -150.0])
-    assert mgr.complete
+    assert not commands[-1].complete
+    assert mgr.step(commands[-1], [400.0, 401.0, -150.0]).complete
 
 
 def test_manager_orbit_completion_counts_revolutions():
@@ -298,13 +306,16 @@ def test_manager_orbit_completion_counts_revolutions():
                       orbit=OrbitPlan(0.0, 0.0, 100.0, 1, revolutions=1.0,
                                       start_bearing=0.0))
     mgr = PathManager(plan, GuidanceGains(), 0.01)
-    thetas = np.linspace(0.0, 1.9 * math.pi, 200)
-    for th in thetas:
-        mgr.step([100.0 * math.cos(th), 100.0 * math.sin(th), -150.0])
-    assert not mgr.complete
-    for th in np.linspace(1.9 * math.pi, 2.05 * math.pi, 20):
-        mgr.step([100.0 * math.cos(th), 100.0 * math.sin(th), -150.0])
-    assert mgr.complete
+
+    def on_circle(start, end, n):
+        return [[100.0 * math.cos(th), 100.0 * math.sin(th), -150.0]
+                for th in np.linspace(start, end, n)]
+
+    before = fly(mgr, on_circle(0.0, 1.9 * math.pi, 200))[-1]
+    assert not before.complete
+    assert before.orbit_angle == pytest.approx(1.9 * math.pi, rel=1e-12)
+    assert fly(mgr, on_circle(1.9 * math.pi, 2.05 * math.pi, 20),
+               before)[-1].complete
 
 
 def test_manager_slew_engages_only_across_discontinuity():
@@ -315,19 +326,18 @@ def test_manager_slew_engages_only_across_discontinuity():
     slew = SlewSettings(enabled=True, rate=math.radians(30.0),
                         threshold=math.radians(30.0))
     mgr = PathManager(plan, GuidanceGains(), dt, slew)
-    first = mgr.step([399.0, 0.0, -150.0])
+    first = mgr.step(CourseCommand(), [399.0, 0.0, -150.0])
     assert first.chi_cmd == pytest.approx(first.chi_cmd_raw)
     # Crossing the corner jumps the raw command ~90 deg; the issued
     # command moves one rate-limited tick instead.
-    after = mgr.step([401.0, 1.0, -150.0])
+    after = mgr.step(first, [401.0, 1.0, -150.0])
     assert abs(after.chi_cmd_raw) > math.radians(80.0)
     assert after.chi_cmd - first.chi_cmd == pytest.approx(
         math.radians(30.0) * dt, rel=1e-9)
 
     # Limiter off: the command follows the raw discontinuity exactly.
     mgr_off = PathManager(plan, GuidanceGains(), dt, SlewSettings())
-    mgr_off.step([399.0, 0.0, -150.0])
-    after_off = mgr_off.step([401.0, 1.0, -150.0])
+    after_off = fly(mgr_off, [[399.0, 0.0, -150.0], [401.0, 1.0, -150.0]])[-1]
     assert after_off.chi_cmd == pytest.approx(after_off.chi_cmd_raw)
 
 
@@ -360,14 +370,14 @@ def test_manager_flies_any_plan_to_completion(points, radius, slew):
     length = sum(math.dist(a, b) for a, b in zip(points, points[1:]))
     mgr = PathManager(plan, GAINS, dt, SlewSettings(enabled=slew))
     pn, pe, pd = plan.start_position()
-    course, index = plan.initial_course(), 0
+    course, memory = plan.initial_course(), CourseCommand()
     for _ in range(round((3.0 * length / speed + 200.0) / dt)):
-        cmd = mgr.step((pn, pe, pd))
-        assert cmd.segment_id >= index
+        cmd = mgr.step(memory, (pn, pe, pd))
+        assert cmd.segment_id >= memory.segment_id
         assert math.isfinite(cmd.chi_cmd) and -math.pi < cmd.chi_cmd <= math.pi
-        if mgr.complete:
+        if cmd.complete:
             return
-        index = cmd.segment_id
+        memory = cmd
         turn = math.remainder(cmd.chi_cmd - course, math.tau)
         course += max(-turn_rate * dt, min(turn_rate * dt, turn))
         pn += speed * dt * math.cos(course)

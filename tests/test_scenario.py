@@ -1,5 +1,6 @@
 """Closed-loop runs: path holding, logging, CSV export, and comparisons."""
 
+import copy
 import math
 import multiprocessing
 import os
@@ -12,10 +13,11 @@ import pytest
 import levelwing.scenario
 from conftest import needs_fork
 from levelwing.config import EnvironmentSettings, load_config
-from levelwing.dynamics import Environment, air_data, integrate_step, trim
+from levelwing.dynamics import Environment, integrate_step, trim
 from levelwing.errors import (
     ConfigError,
     SimulatorError,
+    SingularityError,
     TrimFailureError,
     UncontrollablePlantError,
 )
@@ -24,8 +26,10 @@ from levelwing.scenario import (
     CSV_COLUMNS,
     LOG_COLUMNS,
     FlightController,
+    LoopMemory,
     RunResult,
     _fly_and_send,
+    closed_loop_step,
     compare_controllers,
     export_csv,
     run_scenario,
@@ -74,13 +78,13 @@ def test_capture_and_hold_from_lateral_offset(airframe, make_cfg, mode):
     state = trim_state._replace(pn=0.0, pe=30.0, pd=-150.0, psi=0.0)
     manager = PathManager(cfg.plan, cfg.ctrl.guidance, cfg.dt)
     controller = FlightController(mode, cfg, airframe, trim_state, trim_cmd)
+    memory = LoopMemory()
     n = round(45.0 / cfg.dt)
     errors = np.zeros(n)
     for k in range(n):
-        ad = air_data(state, CALM)
-        course = manager.step(state[:3])
-        errors[k] = course.e_lateral
-        cmd = controller.step(course.chi_cmd, state, ad, cfg.dt)
+        cmd, memory, _ = closed_loop_step(manager, controller, state, memory,
+                                          CALM)
+        errors[k] = memory.guidance.e_lateral
         state = integrate_step(state, cmd, CALM, airframe, cfg.dt)
     outside = np.nonzero(np.abs(errors) >= 2.0)[0]
     assert outside.size > 0          # starts outside the band
@@ -89,6 +93,59 @@ def test_capture_and_hold_from_lateral_offset(airframe, make_cfg, mode):
     settle_time = settle_index * cfg.dt
     assert settle_time <= 30.0
     assert np.max(np.abs(errors[settle_index:])) < 2.0
+
+
+@pytest.mark.parametrize("name, slew", [
+    ("figure_eight", None), ("circle", None), ("corner90", True)])
+def test_closed_loop_step_is_pure(monkeypatch, name, slew):
+    # Mid-run inputs: on the figure eight, on the orbit while its arc angle
+    # accumulates, and at corner90's corner while the slew limiter holds
+    # the course command back.
+    step, calls = closed_loop_step, []
+
+    def recorded(*args):
+        calls.append((args, step(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(levelwing.scenario, "closed_loop_step", recorded)
+    run_scenario(load_config(f"{name}.ini", slew=slew),
+                 duration_override=40.0)
+    if name == "corner90":
+        k = next(k for k, (_, (_, memory, _)) in enumerate(calls)
+                 if memory.guidance.chi_cmd != memory.guidance.chi_cmd_raw)
+    else:
+        k = len(calls) // 2
+    args, result = calls[k]
+    manager, controller, state, memory, wind = args
+    if name == "circle":
+        assert memory.guidance.orbit_angle > 1.0
+    before = copy.deepcopy((vars(manager), vars(controller), *args[2:]))
+
+    assert step(*args) == step(*args) == result
+    assert (vars(manager), vars(controller), *args[2:]) == before
+    hash(memory)        # no mutable field, however deep
+    hash(result[1])
+
+
+def test_a_faulting_step_keeps_its_row(monkeypatch, make_cfg):
+    # The step that faults is logged and counted: the row is stored before
+    # the dynamics integrate it.
+    integrate = levelwing.scenario.integrate_step
+    calls = []
+
+    def faulty(state, *args):
+        calls.append(state)
+        if len(calls) == 5:
+            raise SingularityError("pitch at the limit", state=state)
+        return integrate(state, *args)
+
+    monkeypatch.setattr(levelwing.scenario, "integrate_step", faulty)
+    result = run_scenario(make_cfg(straight_plan()))
+    assert result.steps == 5 and not result.completed
+    assert result.fault == "dynamics: pitch at the limit at t = 0.04 s"
+    assert all(arr.size == 5 for arr in result.log.values())
+    assert result.log["pn"][-1] == calls[-1].pn
+    assert result.log["t"].tolist() == [k * 0.01 for k in range(5)]
 
 
 def test_zero_duration_run_is_empty_but_valid(make_cfg):

@@ -1,9 +1,10 @@
 """Package structure: the intra-package import graph has no cycle,
 every function, class and method is used inside the package, the
 settings types check themselves once, when they are made, one place binds
-an airframe, one place integrates the control loops, the per-step code
-uses no numpy and calls no builtin min or max, and the benchmark tracer's
-hooks name what the package defines.
+an airframe, one place integrates the control loops, the run loop is one
+closed-loop step, the per-step code uses no numpy, calls no builtin min or
+max and assigns no attribute outside the gust model, and the benchmark
+tracer's hooks name what the package defines.
 
 Every import counts, wherever it sits: at module level, inside a
 function, or under ``if TYPE_CHECKING:``. A helper that only its own
@@ -283,13 +284,12 @@ STEP_CODE = {
     "dynamics": ["air_data", "_airspeed_angles", "body_to_ned",
                  "integrate_step", "clamp_command", "_check_pitch",
                  "make_airframe", "GustModel.step"],
-    "guidance": ["PathManager.step", "PathManager._advance",
-                 "PathManager._track_orbit_completion", "line_error",
-                 "orbit_error", "course_command_line", "course_command_orbit",
-                 "slew_limit"],
+    "guidance": ["PathManager.step", "line_error", "orbit_error",
+                 "course_command_line", "course_command_orbit", "slew_limit"],
     "control": ["*"],
     "metrics": ["beta_estimate"],
-    "scenario": ["FlightController.step", "run_scenario:for"],
+    "scenario": ["FlightController.step", "closed_loop_step",
+                 "run_scenario:for"],
 }
 
 
@@ -374,6 +374,51 @@ def test_no_builtin_min_or_max_inside_a_step():
     # max(lo, min(hi, x)) costs several times an angles.clamp call, which
     # gives the same float, so a step clamps with the helper.
     assert step_code_findings(min_max_lines) == {}
+
+
+def attribute_store_lines(nodes: list[ast.AST]) -> list[int]:
+    """Lines inside nodes that assign an attribute: by assignment,
+    augmented or not, or by a setattr or __setattr__ call."""
+    return sorted({n.lineno for node in nodes for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute)
+                   and isinstance(n.ctx, ast.Store)
+                   or isinstance(n, ast.Call)
+                   and (getattr(n.func, "id", None) == "setattr"
+                        or getattr(n.func, "attr", None) == "__setattr__")})
+
+
+def test_attribute_store_lines_finds_assignments_in_the_named_code():
+    tree = ast.parse("def pure(box):\n    return box.size + 1\n"
+                     "class Box:\n    def step(self, x):\n"
+                     "        self.last = x\n        self.count += 1\n"
+                     "        self.a, b = x\n"
+                     "        setattr(self, 'c', x)\n"
+                     "def run(box, xs):\n    box.ready = True\n"
+                     "    for x in xs:\n        box.items[0] = x\n"
+                     "        object.__setattr__(box, 'x', x)\n")
+    assert attribute_store_lines(step_code(tree, "pure")) == []
+    assert attribute_store_lines(step_code(tree, "Box.step")) == [5, 6, 7, 8]
+    assert attribute_store_lines(step_code(tree, "run:for")) == [13]
+    assert attribute_store_lines(step_code(tree, "run")) == [10, 13]
+
+
+def test_no_attribute_assignment_inside_a_step():
+    # A step's memory is what it takes and returns. The gust model alone
+    # keeps state between steps, because it owns the random stream.
+    assert set(step_code_findings(attribute_store_lines)) == {
+        "dynamics.GustModel.step"}
+
+
+def test_the_run_loop_is_gust_step_store_integrate():
+    # run_scenario's loop wires nothing itself: it draws the gust, calls
+    # closed_loop_step once, stores the row and integrates.
+    tree = ast.parse((SRC / "scenario.py").read_text(encoding="utf-8"))
+    (loop,) = step_code(tree, "run_scenario:for")
+    calls = sorted((n.lineno, n.col_offset, n.func) for n in ast.walk(loop)
+                   if isinstance(n, ast.Call))
+    names = [getattr(func, "id", None) or func.attr for *_, func in calls]
+    assert names == ["range", "len", "_store_rows", "step", "Environment",
+                     "closed_loop_step", "append", "integrate_step"]
 
 
 def tracer_hooks(path: Path) -> list[tuple[str, str, str]]:
