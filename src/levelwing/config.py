@@ -18,7 +18,7 @@ from __future__ import annotations
 import configparser
 import math
 from collections.abc import Collection, Mapping
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -83,15 +83,19 @@ CONTROLLER_KEYS = {
     "wn_roll_radps": "wn_roll", "zeta_roll": "zeta_roll", "ki_roll": "ki_roll",
     "course_separation": "course_separation", "zeta_course": "zeta_course",
     "bank_limit_deg": "bank_limit",
-    "intercept_angle_deg": "intercept_angle",
-    "capture_gain_radpm": "capture_gain", "orbit_capture_gain": "orbit_gain",
-    "slew_enabled": "slew_enabled", "slew_rate_dps": "slew_rate",
-    "slew_threshold_dps": "slew_threshold",
     "wn_pitch_radps": "wn_pitch", "zeta_pitch": "zeta_pitch",
     "wn_alt_radps": "wn_alt", "zeta_alt": "zeta_alt",
     "kp_airspeed": "kp_airspeed", "ki_airspeed": "ki_airspeed",
     "pitch_limit_deg": "pitch_limit",
 }
+# [controller] -> the GuidanceGains and SlewSettings that ControllerSettings
+# holds as its guidance and slew fields.
+GUIDANCE_KEYS = {
+    "intercept_angle_deg": "intercept_angle",
+    "capture_gain_radpm": "capture_gain", "orbit_capture_gain": "orbit_gain",
+}
+SLEW_KEYS = {"slew_enabled": "enabled", "slew_rate_dps": "rate",
+             "slew_threshold_dps": "threshold"}
 
 
 def bundled_data_dir() -> Path:
@@ -305,8 +309,7 @@ class ControllerSettings:
     """Every tunable shared by the two lateral laws and the holds.
 
     The guidance gains and the slew limiter live here too, so one section
-    fixes them for both controllers in a comparison; guidance and slew
-    hold them in the types the guidance layer takes.
+    fixes them for both controllers in a comparison.
     """
 
     mode: str = "ratc"
@@ -318,12 +321,6 @@ class ControllerSettings:
     course_separation: float = 16.0
     zeta_course: float = 0.9
     bank_limit: float = math.radians(45.0)
-    intercept_angle: float = math.radians(45.0)
-    capture_gain: float = 0.0125
-    orbit_gain: float = 2.0
-    slew_enabled: bool = False
-    slew_rate: float = math.radians(30.0)
-    slew_threshold: float = math.radians(30.0)
     wn_pitch: float = 10.0
     zeta_pitch: float = 0.9
     wn_alt: float = 0.8
@@ -331,8 +328,8 @@ class ControllerSettings:
     kp_airspeed: float = 0.4
     ki_airspeed: float = 0.15
     pitch_limit: float = math.radians(20.0)
-    guidance: GuidanceGains = field(init=False, repr=False, compare=False)
-    slew: SlewSettings = field(init=False, repr=False, compare=False)
+    guidance: GuidanceGains = GuidanceGains()
+    slew: SlewSettings = SlewSettings()
 
     def __post_init__(self) -> None:
         require_finite(self)
@@ -357,12 +354,10 @@ class ControllerSettings:
             raise ConfigError("course_separation must be >= 1")
         if self.bank_limit > math.radians(80.0):
             raise ConfigError("bank limit above 80 deg is not supported")
-        object.__setattr__(self, "guidance", GuidanceGains(
-            intercept_angle=self.intercept_angle,
-            capture_gain=self.capture_gain, orbit_gain=self.orbit_gain))
-        object.__setattr__(self, "slew", SlewSettings(
-            enabled=self.slew_enabled, rate=self.slew_rate,
-            threshold=self.slew_threshold))
+        if not (isinstance(self.guidance, GuidanceGains)
+                and isinstance(self.slew, SlewSettings)):
+            raise ConfigError("controller guidance and slew must be "
+                              "GuidanceGains and SlewSettings values")
 
 
 @dataclass(frozen=True)
@@ -424,14 +419,21 @@ def load_config(
                            ScenarioConfig, known=SCENARIO_OWN_KEYS)
     env = _read_section(parser, resolved, "environment", ENVIRONMENT_KEYS,
                         EnvironmentSettings, optional=True)
-    ctrl = _read_section(parser, resolved, "controller", CONTROLLER_KEYS,
-                         ControllerSettings, optional=True)
+    # One [controller] section, read into three types by their own tables.
+    controller_keys = CONTROLLER_KEYS | GUIDANCE_KEYS | SLEW_KEYS
+    ctrl, guidance, slew_values = (
+        _read_section(parser, resolved, "controller", table, cls,
+                      known=controller_keys.keys() - table.keys(),
+                      optional=True)
+        for table, cls in ((CONTROLLER_KEYS, ControllerSettings),
+                           (GUIDANCE_KEYS, GuidanceGains),
+                           (SLEW_KEYS, SlewSettings)))
     if "mode" in ctrl:
         ctrl["mode"] = ctrl["mode"].lower()
     if seed is not None:
         values["seed"] = int(seed)
     if slew is not None:
-        ctrl["slew_enabled"] = bool(slew)
+        slew_values["enabled"] = bool(slew)
 
     head = parser["scenario"]
     for key in ("aircraft", "plan"):
@@ -457,6 +459,7 @@ def load_config(
         params=load_aircraft(aircraft_path),
         plan=load_plan(plan_path),
         env=EnvironmentSettings(**env),
-        ctrl=ControllerSettings(**ctrl),
+        ctrl=ControllerSettings(guidance=GuidanceGains(**guidance),
+                                slew=SlewSettings(**slew_values), **ctrl),
         **values,
     )

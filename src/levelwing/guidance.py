@@ -24,55 +24,27 @@ from .errors import ConfigError, UndefinedBearingError, require_finite
 COLLINEAR_TOLERANCE = 1e-6
 
 
-@dataclass
-class PathSegment:
-    """One trackable path element: an infinite line or a circular orbit.
+class PathSegment(NamedTuple):
+    """One plan segment: a line or an orbit, and the half-plane that
+    retires it.
 
-    Lines carry a 3-D origin (NED) and horizontal unit direction, and
-    keep the course angle chi of that direction with its cosine and sine.
-    Orbits carry a horizontal center (n, e), radius (m), and direction
-    flag (+1 clockwise from above, -1 counterclockwise). Points and
-    directions are tuples of floats.
+    A line leaves origin (n, e) on course chi, kept with its cosine and
+    sine. An orbit circles origin, its center, at radius (m) in the
+    direction lam (+1 clockwise from above, -1 counterclockwise). The
+    segment retires when the position crosses the half-plane through
+    switch_point whose normal is switch_normal; a standalone orbit has
+    none and completes by revolutions instead.
     """
 
     kind: str
-    origin: tuple[float, float, float] | None = None
-    direction: tuple[float, float, float] | None = None
-    center: tuple[float, float] | None = None
+    origin: tuple[float, float]
+    chi: float = 0.0
+    cos_chi: float = 1.0
+    sin_chi: float = 0.0
     radius: float = 0.0
     lam: int = 1
-    chi: float = field(init=False, default=0.0)
-    cos_chi: float = field(init=False, default=1.0)
-    sin_chi: float = field(init=False, default=0.0)
-
-    def __post_init__(self) -> None:
-        if self.kind == "line":
-            self.chi = math.atan2(self.direction[1], self.direction[0])
-            self.cos_chi, self.sin_chi = math.cos(self.chi), math.sin(self.chi)
-
-    @classmethod
-    def line(cls, origin, direction) -> "PathSegment":
-        origin = np.asarray(origin, dtype=float)
-        direction = np.asarray(direction, dtype=float)
-        norm = float(np.linalg.norm(direction))
-        if norm < 1e-12:
-            raise ConfigError("line segment direction must be non-zero")
-        if abs(norm - 1.0) > 1e-9:
-            direction = direction / norm
-        return cls(kind="line", origin=tuple(origin.tolist()),
-                   direction=tuple(direction.tolist()))
-
-    @classmethod
-    def orbit(cls, center, radius: float, lam: int) -> "PathSegment":
-        if radius <= 0.0:
-            raise ConfigError(
-                f"orbit at ({center[0]:.1f}, {center[1]:.1f}) must have a "
-                f"positive radius, got {radius}"
-            )
-        if lam not in (1, -1):
-            raise ConfigError("orbit direction flag must be +1 (cw) or -1 (ccw)")
-        return cls(kind="orbit", center=tuple(map(float, center)),
-                   radius=float(radius), lam=int(lam))
+    switch_point: tuple[float, float] | None = None
+    switch_normal: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -112,23 +84,18 @@ class CourseCommand(NamedTuple):
     bearing: float | None = None
 
 
-def line_error(p, seg: PathSegment) -> tuple[float, float, float]:
-    """Path-frame position error relative to a line segment.
-
-    Returns (e_px, e_py, e_pz): along-track, cross-track (positive right
-    of the path direction), and down components.
-    """
-    on, oe, od = seg.origin
-    dn, de = p[0] - on, p[1] - oe
-    c, s = seg.cos_chi, seg.sin_chi
-    return c * dn + s * de, -s * dn + c * de, p[2] - od
+def line_error(p, seg: PathSegment) -> float:
+    """Cross-track error of position p from a line segment, positive to
+    the right of the line's course."""
+    on, oe = seg.origin
+    return -seg.sin_chi * (p[0] - on) + seg.cos_chi * (p[1] - oe)
 
 
 def orbit_error(p, seg: PathSegment) -> tuple[float, float]:
     """Orbit-frame position error: the signed radial error
     -lam*(rd - dist) from the orbit circle and the bearing (rad) of p
     from the center, which is undefined at the center itself."""
-    cn, ce = seg.center
+    cn, ce = seg.origin
     dn, de = p[0] - cn, p[1] - ce
     dist = math.hypot(dn, de)
     if dist < 1e-9:
@@ -208,25 +175,12 @@ class OrbitPlan:
             raise ConfigError("orbit revolutions must be >= 0")
 
 
-@dataclass
-class ManagedSegment:
-    """A path segment plus the half-plane that retires it.
-
-    switch_normal None means the segment never retires by position
-    (standalone orbits complete by accumulated revolutions instead).
-    """
-
-    segment: PathSegment
-    switch_point: tuple[float, float] | None = None
-    switch_normal: tuple[float, float] | None = None
-
-
 @dataclass(frozen=True)
 class FlightPlan:
     """Ordered waypoints with corner fillets, or a standalone orbit.
 
-    The plan is checked and expanded into its managed segments once, when
-    it is made. The path is flown at nominal_agl, so every waypoint must
+    The plan is checked and expanded into its segments once, when it is
+    made. The path is flown at nominal_agl, so every waypoint must
     give that altitude.
     """
 
@@ -235,8 +189,8 @@ class FlightPlan:
     fillet_radius: float = 0.0
     nominal_agl: float = 150.0
     orbit: OrbitPlan | None = None
-    segments: tuple[ManagedSegment, ...] = field(init=False, repr=False,
-                                                 compare=False)
+    segments: tuple[PathSegment, ...] = field(init=False, repr=False,
+                                              compare=False)
 
     def __post_init__(self) -> None:
         require_finite(self)
@@ -277,14 +231,14 @@ class FlightPlan:
         return float(w0[0]), float(w0[1]), down
 
 
-def _plan_segments(plan: FlightPlan) -> tuple[ManagedSegment, ...]:
-    """Check the plan's geometry and expand it into managed segments with
+def _plan_segments(plan: FlightPlan) -> tuple[PathSegment, ...]:
+    """Check the plan's geometry and expand it into segments with
     switching half-planes: the unit legs, then the fillet cutback at each
     corner, then the fit of the cutbacks on each leg."""
     if plan.orbit is not None:
         o = plan.orbit
-        return (ManagedSegment(PathSegment.orbit((o.center_n, o.center_e),
-                                                 o.radius, o.lam)),)
+        return (PathSegment("orbit", (float(o.center_n), float(o.center_e)),
+                            radius=float(o.radius), lam=int(o.lam)),)
     if len(plan.waypoints) < 2:
         raise ConfigError(
             f"plan '{plan.name}': needs at least two waypoints"
@@ -307,8 +261,7 @@ def _plan_segments(plan: FlightPlan) -> tuple[ManagedSegment, ...]:
         units.append(q)
         lengths.append(float(length))
 
-    down = -plan.nominal_agl
-    segments: list[ManagedSegment] = []
+    segments: list[PathSegment] = []
     consumed = [0.0] * len(units)
     for i in range(1, len(pts) - 1):
         q_prev, q_next = units[i - 1], units[i]
@@ -317,16 +270,13 @@ def _plan_segments(plan: FlightPlan) -> tuple[ManagedSegment, ...]:
             raise ConfigError(
                 f"plan '{plan.name}': waypoint {i} reverses direction"
             )
-        origin3 = np.array([pts[i - 1][0], pts[i - 1][1], down])
-        line = PathSegment.line(origin3, np.array([q_prev[0], q_prev[1], 0.0]))
         if radius <= 0.0 or dot > 1.0 - COLLINEAR_TOLERANCE:
             # Sharp corner (or straight through): retire the leg on the
             # bisector half-plane at the waypoint itself.
             normal = q_prev + q_next
             norm = float(np.linalg.norm(normal))
             normal = q_prev if norm < 1e-9 else normal / norm
-            segments.append(ManagedSegment(line, tuple(pts[i].tolist()),
-                                           tuple(normal.tolist())))
+            segments.append(_leg(pts[i - 1], q_prev, pts[i], normal))
             continue
         varrho = math.acos(-dot)
         cut = radius / math.tan(varrho / 2.0)
@@ -338,11 +288,11 @@ def _plan_segments(plan: FlightPlan) -> tuple[ManagedSegment, ...]:
         bisector /= np.linalg.norm(bisector)
         center = pts[i] - (radius / math.sin(varrho / 2.0)) * bisector
         lam = 1 if (q_prev[0] * q_next[1] - q_prev[1] * q_next[0]) > 0.0 else -1
-        segments.append(ManagedSegment(line, tuple(z_enter.tolist()),
-                                       tuple(q_prev.tolist())))
-        arc = PathSegment.orbit(center, radius, lam)
-        segments.append(ManagedSegment(arc, tuple(z_exit.tolist()),
-                                       tuple(q_next.tolist())))
+        segments.append(_leg(pts[i - 1], q_prev, z_enter, q_prev))
+        segments.append(PathSegment(
+            "orbit", tuple(center.tolist()), radius=float(radius), lam=lam,
+            switch_point=tuple(z_exit.tolist()),
+            switch_normal=tuple(q_next.tolist())))
     # Every leg must be long enough for the fillet cutbacks at both ends.
     for leg, (used, length) in enumerate(zip(consumed, lengths)):
         if used >= length - 1e-9:
@@ -350,12 +300,17 @@ def _plan_segments(plan: FlightPlan) -> tuple[ManagedSegment, ...]:
                 f"plan '{plan.name}': fillet radius {radius} m "
                 f"does not fit on leg {leg} ({length:.1f} m)"
             )
-    q_last = units[-1]
-    origin3 = np.array([pts[-2][0], pts[-2][1], down])
-    last = PathSegment.line(origin3, np.array([q_last[0], q_last[1], 0.0]))
-    segments.append(ManagedSegment(last, tuple(pts[-1].tolist()),
-                                   tuple(q_last.tolist())))
+    segments.append(_leg(pts[-2], units[-1], pts[-1], units[-1]))
     return tuple(segments)
+
+
+def _leg(start, unit, switch_point, switch_normal) -> PathSegment:
+    """The line from start along a unit vector, retired by the half-plane
+    through switch_point with normal switch_normal (numpy 2-vectors)."""
+    chi = math.atan2(unit[1], unit[0])
+    return PathSegment("line", tuple(start.tolist()), chi, math.cos(chi),
+                       math.sin(chi), switch_point=tuple(switch_point.tolist()),
+                       switch_normal=tuple(switch_normal.tolist()))
 
 
 class PathManager:
@@ -384,10 +339,10 @@ class PathManager:
         # Retire each segment whose half-plane p has crossed. A fillet with
         # a zero-length arc can retire two half-planes in one tick.
         while not complete:
-            ms = segments[index]
-            if ms.switch_normal is None:
+            seg = segments[index]
+            if seg.switch_normal is None:
                 break
-            (sn, se), (nn, ne) = ms.switch_point, ms.switch_normal
+            (sn, se), (nn, ne) = seg.switch_point, seg.switch_normal
             if (p[0] - sn) * nn + (p[1] - se) * ne < 0.0:
                 break
             if index == len(segments) - 1:
@@ -395,9 +350,9 @@ class PathManager:
             else:
                 index += 1
 
-        seg = segments[index].segment
+        seg = segments[index]
         if seg.kind == "line":
-            _, e_lateral, _ = line_error(p, seg)
+            e_lateral = line_error(p, seg)
             raw = course_command_line(e_lateral, seg, self.gains)
         else:
             prev_bearing = bearing

@@ -177,6 +177,7 @@ def corner_runs():
     t0 = time.perf_counter()
     runs = {}
     for flag in (False, True):
-        variant = replace(cfg, ctrl=replace(cfg.ctrl, slew_enabled=flag))
+        slew = replace(cfg.ctrl.slew, enabled=flag)
+        variant = replace(cfg, ctrl=replace(cfg.ctrl, slew=slew))
         runs[flag] = run_scenario(variant)
     return runs, time.perf_counter() - t0

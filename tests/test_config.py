@@ -3,7 +3,7 @@
 import math
 import pickle
 import re
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields, is_dataclass, replace
 
 import pytest
 
@@ -12,9 +12,11 @@ from levelwing.config import (
     AIRCRAFT_KEYS,
     CONTROLLER_KEYS,
     ENVIRONMENT_KEYS,
+    GUIDANCE_KEYS,
     ORBIT_KEYS,
     PLAN_KEYS,
     SCENARIO_KEYS,
+    SLEW_KEYS,
     ControllerSettings,
     EnvironmentSettings,
     ScenarioConfig,
@@ -149,12 +151,19 @@ def test_controller_bounds_enforced(tmp_path):
         load_config(p)
 
 
+def test_controller_holds_only_guidance_and_slew_values():
+    # A flag where the slew settings belong would fail only in the run.
+    for changes in ({"slew": True}, {"guidance": SlewSettings()}):
+        with pytest.raises(ConfigError, match="guidance and slew"):
+            replace(ControllerSettings(), **changes)
+
+
 def test_seed_and_slew_overrides(tmp_path):
     p = write(tmp_path, "ovr.ini", MINIMAL_SCENARIO)
     cfg = load_config(p, seed=42, slew=True)
     assert cfg.seed == 42
-    assert cfg.ctrl.slew_enabled
-    assert load_config(p, slew=False).ctrl.slew_enabled is False
+    assert cfg.ctrl.slew.enabled
+    assert load_config(p, slew=False).ctrl.slew.enabled is False
 
 
 def test_bad_waypoint_line_reported(tmp_path):
@@ -254,6 +263,10 @@ TABLE_CASES = [
      lambda path: load_config(path).env),
     ("controller", CONTROLLER_KEYS, ControllerSettings, None,
      lambda path: load_config(path).ctrl),
+    ("controller", GUIDANCE_KEYS, GuidanceGains, None,
+     lambda path: load_config(path).ctrl.guidance),
+    ("controller", SLEW_KEYS, SlewSettings, None,
+     lambda path: load_config(path).ctrl.slew),
 ]
 KEY_CASES = [(section, key, name, cls, base, load)
              for section, table, cls, base, load in TABLE_CASES
@@ -282,6 +295,20 @@ def set_key(text, section, key, value):
     return f"{text}\n[{section}]\n{key} = {value}\n"
 
 
+def new_value(key, current):
+    """(text, value): a value for key other than current, as a file gives
+    it and as it loads."""
+    degrees = key.endswith(("_deg", "_dps"))
+    if isinstance(current, bool):
+        return ("off", False) if current else ("on", True)
+    if isinstance(current, int):
+        return str(current + 3), current + 3
+    if isinstance(current, str):
+        return "AOTC", "aotc"
+    value = (math.degrees(current) if degrees else current) * 1.5 + 0.25
+    return repr(value), math.radians(value) if degrees else value
+
+
 @pytest.mark.parametrize(
     "section, key, name, cls, base, load", KEY_CASES,
     ids=[f"{case[0]}.{case[1]}" for case in KEY_CASES])
@@ -290,18 +317,7 @@ def test_each_key_sets_its_field(tmp_path, section, key, name, cls, base,
     path = write(tmp_path, "case.ini", base_text(base))
     before = load(path)
     current = getattr(before, name)
-    degrees = key.endswith(("_deg", "_dps"))
-    if isinstance(current, bool):
-        text, expected = ("off", False) if current else ("on", True)
-    elif isinstance(current, int):
-        expected = current + 3
-        text = str(expected)
-    elif isinstance(current, str):
-        text, expected = "AOTC", "aotc"
-    else:
-        value = (math.degrees(current) if degrees else current) * 1.5 + 0.25
-        text = repr(value)
-        expected = math.radians(value) if degrees else value
+    text, expected = new_value(key, current)
     assert expected != current
     changed, fields_set = set_key(base_text(base), section, key, text), {}
     if name == "nominal_agl":
@@ -323,6 +339,42 @@ def test_each_required_key_is_reported_missing(tmp_path, section, key, name,
     with pytest.raises(ConfigError,
                        match=rf"missing key '{key}' in \[{section}\]"):
         load(write(tmp_path, "case.ini", text))
+
+
+def leaves(settings, path=()):
+    """{field path: value} of every setting in a settings value, those of
+    the settings values that it holds included."""
+    if not is_dataclass(settings):
+        return {path: settings}
+    return {leaf: value for f in fields(settings)
+            for leaf, value in leaves(getattr(settings, f.name),
+                                      (*path, f.name)).items()}
+
+
+# Where ControllerSettings holds each type that [controller] is read into.
+CONTROLLER_PARTS = {ControllerSettings: (), GuidanceGains: ("guidance",),
+                    SlewSettings: ("slew",)}
+
+
+def test_controller_settings_hold_each_setting_once(tmp_path):
+    # The guidance gains and the slew limiter are fields of
+    # ControllerSettings, not mirrored in it: no field of it repeats one
+    # of theirs, and each [controller] key sets exactly one setting.
+    own = {f.name for f in fields(ControllerSettings)}
+    held = {f.name for f in fields(GuidanceGains) + fields(SlewSettings)}
+    assert own.isdisjoint(held | {f"slew_{name}" for name in held})
+    path = write(tmp_path, "case.ini", MINIMAL_SCENARIO)
+    before = leaves(load_config(path).ctrl)
+    for section, key, name, cls, _, load in KEY_CASES:
+        if section != "controller":
+            continue
+        text, _ = new_value(key, getattr(load(path), name))
+        changed = write(tmp_path, "changed.ini",
+                        set_key(MINIMAL_SCENARIO, section, key, text))
+        after = leaves(load_config(changed).ctrl)
+        assert after.keys() == before.keys()
+        assert [leaf for leaf in before if after[leaf] != before[leaf]] == [
+            (*CONTROLLER_PARTS[cls], name)], key
 
 
 def test_required_aircraft_keys_are_the_fields_without_a_default():

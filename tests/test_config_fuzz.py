@@ -10,10 +10,12 @@ from levelwing.config import (
     AIRCRAFT_KEYS,
     CONTROLLER_KEYS,
     ENVIRONMENT_KEYS,
+    GUIDANCE_KEYS,
     ORBIT_KEYS,
     PLAN_KEYS,
     SCENARIO_KEYS,
     SCENARIO_OWN_KEYS,
+    SLEW_KEYS,
     load_aircraft,
     load_config,
     load_plan,
@@ -29,7 +31,8 @@ FILES = {
 KNOWN_KEYS = sorted(
     {key for table in AIRCRAFT_KEYS.values() for key in table}
     | {*PLAN_KEYS, *ORBIT_KEYS, *SCENARIO_KEYS, *ENVIRONMENT_KEYS,
-       *CONTROLLER_KEYS, *SCENARIO_OWN_KEYS, "kind", "direction", "wp07"})
+       *CONTROLLER_KEYS, *GUIDANCE_KEYS, *SLEW_KEYS, *SCENARIO_OWN_KEYS,
+       "kind", "direction", "wp07"})
 UNKNOWN_KEYS = ["duration", "wn_psi", "orbit_gain", "Mode", "x"]
 SECTIONS = [*AIRCRAFT_KEYS, "plan", "orbit", "waypoints", "scenario",
             "environment", "controller", "DEFAULT", "enviroment", "Plan"]

@@ -7,8 +7,10 @@ from pathlib import Path
 from levelwing.config import (
     CONTROLLER_KEYS,
     ENVIRONMENT_KEYS,
+    GUIDANCE_KEYS,
     SCENARIO_KEYS,
     SCENARIO_OWN_KEYS,
+    SLEW_KEYS,
     load_config,
     load_plan,
 )
@@ -52,7 +54,7 @@ def test_scenario_file_example_lists_every_key():
     assert {name: set(parser[name]) for name in parser.sections()} == {
         "scenario": {*SCENARIO_KEYS, *SCENARIO_OWN_KEYS},
         "environment": set(ENVIRONMENT_KEYS),
-        "controller": set(CONTROLLER_KEYS),
+        "controller": {*CONTROLLER_KEYS, *GUIDANCE_KEYS, *SLEW_KEYS},
     }
 
 

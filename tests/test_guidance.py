@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from levelwing.angles import wrap_pi
 from levelwing.errors import ConfigError, UndefinedBearingError
 from levelwing.guidance import (
     CourseCommand,
@@ -26,8 +27,17 @@ from levelwing.guidance import (
 GAINS = GuidanceGains()
 
 
+def line(origin, chi):
+    """A line segment from origin (n, e) on course chi."""
+    return PathSegment("line", origin, chi, math.cos(chi), math.sin(chi))
+
+
+def orbit(center, radius, lam):
+    return PathSegment("orbit", center, radius=radius, lam=lam)
+
+
 def north_line():
-    return PathSegment.line([0.0, 0.0, -150.0], [1.0, 0.0, 0.0])
+    return line((0.0, 0.0), 0.0)
 
 
 def orbit_course(p, seg):
@@ -36,50 +46,46 @@ def orbit_course(p, seg):
 
 
 def test_line_error_zero_on_path():
-    err = line_error([50.0, 0.0, -150.0], north_line())
-    assert err == pytest.approx((50.0, 0.0, 0.0), abs=1e-12)
+    assert line_error([50.0, 0.0, -150.0], north_line()) == pytest.approx(
+        0.0, abs=1e-12)
 
 
 def test_line_error_cross_track_sign():
     # East of a northbound line is positive (right of travel).
-    _, e_py, _ = line_error([0.0, 10.0, -150.0], north_line())
-    assert e_py == pytest.approx(10.0, rel=1e-12)
-    _, e_py, _ = line_error([0.0, -10.0, -150.0], north_line())
-    assert e_py == pytest.approx(-10.0, rel=1e-12)
+    assert line_error([0.0, 10.0, -150.0], north_line()) == pytest.approx(
+        10.0, rel=1e-12)
+    assert line_error([0.0, -10.0, -150.0], north_line()) == pytest.approx(
+        -10.0, rel=1e-12)
 
 
 def test_line_error_diagonal_path_rotation():
-    seg = PathSegment.line([0.0, 0.0, -150.0], [1.0, 1.0, 0.0])
-    e_px, e_py, e_pz = line_error([10.0, 0.0, -150.0], seg)
-    assert e_px == pytest.approx(10.0 / math.sqrt(2.0), rel=1e-12)
-    assert e_py == pytest.approx(-10.0 / math.sqrt(2.0), rel=1e-12)
-    assert e_pz == pytest.approx(0.0, abs=1e-12)
+    seg = line((0.0, 0.0), math.pi / 4.0)
+    assert line_error([10.0, 0.0, -150.0], seg) == pytest.approx(
+        -10.0 / math.sqrt(2.0), rel=1e-12)
 
 
 def test_line_error_translation_invariant_randomized():
     rng = np.random.default_rng(7)
     for _ in range(200):
-        origin = np.append(rng.uniform(-500.0, 500.0, 2), -150.0)
-        d = rng.uniform(-1.0, 1.0, 2)
-        if np.linalg.norm(d) < 1e-3:
-            continue
-        seg = PathSegment.line(origin, np.append(d, 0.0))
+        seg = line(tuple(rng.uniform(-500.0, 500.0, 2)),
+                   rng.uniform(-math.pi, math.pi))
         p = np.append(rng.uniform(-500.0, 500.0, 2), -150.0)
-        shift = np.multiply(seg.direction, rng.uniform(-100.0, 100.0))
-        base = line_error(p, seg)
-        moved = line_error(p + shift, seg)
-        # Moving along the path changes only the along-track component.
-        assert moved[1] == pytest.approx(base[1], abs=1e-9)
-        assert moved[2] == pytest.approx(base[2], abs=1e-12)
+        shift = np.multiply((seg.cos_chi, seg.sin_chi, 0.0),
+                            rng.uniform(-100.0, 100.0))
+        # Moving along the path leaves the cross-track error as it is.
+        assert line_error(p + shift, seg) == pytest.approx(
+            line_error(p, seg), abs=1e-9)
 
 
 def test_line_rejects_zero_direction():
-    with pytest.raises(ConfigError):
-        PathSegment.line([0.0, 0.0, -150.0], [0.0, 0.0, 0.0])
+    # A leg of zero length has no direction, so its plan is rejected.
+    with pytest.raises(ConfigError, match="coincide"):
+        FlightPlan(name="p", waypoints=[(0.0, 0.0, 150.0),
+                                        (0.0, 0.0, 150.0)])
 
 
 def test_orbit_error_examples():
-    seg = PathSegment.orbit([0.0, 0.0], 100.0, 1)
+    seg = orbit((0.0, 0.0), 100.0, 1)
     assert orbit_error([100.0, 0.0, -150.0], seg) == pytest.approx(
         (0.0, 0.0), abs=1e-12)
     assert orbit_error([105.0, 0.0, -150.0], seg) == pytest.approx(
@@ -90,18 +96,19 @@ def test_orbit_error_examples():
 
 def test_orbit_error_flips_with_direction():
     # Radially outside is positive clockwise, negative counterclockwise.
-    cw = PathSegment.orbit([0.0, 0.0], 100.0, 1)
-    ccw = PathSegment.orbit([0.0, 0.0], 100.0, -1)
+    cw = orbit((0.0, 0.0), 100.0, 1)
+    ccw = orbit((0.0, 0.0), 100.0, -1)
     p = [0.0, 120.0, -150.0]
     assert orbit_error(p, cw)[0] == pytest.approx(20.0, rel=1e-12)
     assert orbit_error(p, ccw)[0] == pytest.approx(-20.0, rel=1e-12)
 
 
 def test_orbit_rejects_bad_construction():
-    with pytest.raises(ConfigError, match="positive radius"):
-        PathSegment.orbit([10.0, 20.0], -5.0, 1)
-    with pytest.raises(ConfigError):
-        PathSegment.orbit([0.0, 0.0], 100.0, 2)
+    # The orbit plan checks what its segment is built from.
+    with pytest.raises(ConfigError, match="radius must be positive"):
+        FlightPlan(name="p", orbit=OrbitPlan(0.0, 0.0, -50.0, 1))
+    with pytest.raises(ConfigError, match="cw or ccw"):
+        FlightPlan(name="p", orbit=OrbitPlan(0.0, 0.0, 100.0, 2))
 
 
 def test_course_command_line_zero_error_follows_path():
@@ -123,8 +130,8 @@ def test_course_command_line_saturates_at_intercept_angle():
 
 
 def test_course_command_orbit_tangent_on_circle():
-    cw = PathSegment.orbit([0.0, 0.0], 100.0, 1)
-    ccw = PathSegment.orbit([0.0, 0.0], 100.0, -1)
+    cw = orbit((0.0, 0.0), 100.0, 1)
+    ccw = orbit((0.0, 0.0), 100.0, -1)
     north_point = [100.0, 0.0, -150.0]
     assert orbit_course(north_point, cw) == pytest.approx(math.pi / 2.0,
                                                           rel=1e-12)
@@ -133,14 +140,14 @@ def test_course_command_orbit_tangent_on_circle():
 
 
 def test_course_command_orbit_capture_correction():
-    seg = PathSegment.orbit([0.0, 0.0], 100.0, 1)
+    seg = orbit((0.0, 0.0), 100.0, 1)
     chi = orbit_course([200.0, 0.0, -150.0], seg)
     expected = math.pi / 2.0 + math.atan(GAINS.orbit_gain * 1.0)
     assert chi == pytest.approx(expected, rel=1e-12)
 
 
 def test_course_command_orbit_undefined_at_center():
-    seg = PathSegment.orbit([0.0, 0.0], 100.0, 1)
+    seg = orbit((0.0, 0.0), 100.0, 1)
     with pytest.raises(UndefinedBearingError):
         orbit_course([0.0, 0.0, -150.0], seg)
 
@@ -189,9 +196,6 @@ def test_slew_limit_rejects_bad_parameters():
 def test_plan_validation_errors():
     with pytest.raises(ConfigError, match="at least two"):
         FlightPlan(name="p", waypoints=[(0.0, 0.0, 150.0)])
-    with pytest.raises(ConfigError, match="coincide"):
-        FlightPlan(name="p", waypoints=[(0.0, 0.0, 150.0),
-                                        (0.0, 0.0, 150.0)])
     with pytest.raises(ConfigError, match="reverses"):
         FlightPlan(name="p", fillet_radius=50.0,
                    waypoints=[(0.0, 0.0, 150.0), (400.0, 0.0, 150.0),
@@ -201,8 +205,6 @@ def test_plan_validation_errors():
                    waypoints=[(0.0, 0.0, 150.0), (150.0, 0.0, 150.0),
                               (150.0, 150.0, 150.0),
                               (0.0, 150.0, 150.0)])
-    with pytest.raises(ConfigError, match="positive radius|radius must be"):
-        FlightPlan(name="p", orbit=OrbitPlan(0.0, 0.0, -50.0, 1))
     with pytest.raises(ConfigError, match=r"waypoint 1 \(400.0, 0.0, 250.0\) "
                        "is at 250 m, but .* nominal AGL of 150 m"):
         FlightPlan(name="p", waypoints=[(0.0, 0.0, 150.0),
@@ -229,12 +231,12 @@ def test_square_corner_fillet_geometry():
                       waypoints=[(0.0, 0.0, 150.0), (400.0, 0.0, 150.0),
                                  (400.0, 400.0, 150.0)])
     segs = plan.segments
-    assert [m.segment.kind for m in segs] == ["line", "orbit", "line"]
-    arc = segs[1].segment
+    assert [seg.kind for seg in segs] == ["line", "orbit", "line"]
+    arc = segs[1]
     # 90 deg corner: tangency 100 m before the corner, center offset
     # perpendicular into the turn, clockwise for a right turn.
     assert np.allclose(segs[0].switch_point, [300.0, 0.0])
-    assert np.allclose(arc.center, [300.0, 100.0])
+    assert np.allclose(arc.origin, [300.0, 100.0])
     assert arc.radius == pytest.approx(100.0)
     assert arc.lam == 1
     assert np.allclose(segs[1].switch_point, [400.0, 100.0])
@@ -245,7 +247,7 @@ def test_sharp_corner_switches_on_bisector():
                       waypoints=[(0.0, 0.0, 150.0), (400.0, 0.0, 150.0),
                                  (400.0, 400.0, 150.0)])
     segs = plan.segments
-    assert [m.segment.kind for m in segs] == ["line", "line"]
+    assert [seg.kind for seg in segs] == ["line", "line"]
     assert np.allclose(segs[0].switch_point, [400.0, 0.0])
     assert np.allclose(segs[0].switch_normal,
                        [1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)])
@@ -255,8 +257,27 @@ def test_collinear_waypoint_inserts_no_arc():
     plan = FlightPlan(name="straight", fillet_radius=100.0,
                       waypoints=[(0.0, 0.0, 150.0), (300.0, 0.0, 150.0),
                                  (600.0, 0.0, 150.0)])
-    segs = plan.segments
-    assert [m.segment.kind for m in segs] == ["line", "line"]
+    assert [seg.kind for seg in plan.segments] == ["line", "line"]
+
+
+def test_plan_segments_are_immutable_tuples_of_floats():
+    plan = FlightPlan(name="L", fillet_radius=100.0,
+                      waypoints=[(0.0, 0.0, 150.0), (400.0, 0.0, 150.0),
+                                 (400.0, 400.0, 150.0)])
+    # Ints in, floats out.
+    loiter = FlightPlan(name="orb", orbit=OrbitPlan(0, 0, 100, 1))
+    segments = plan.segments + loiter.segments
+    assert type(plan.segments) is tuple
+    for seg in segments:
+        assert type(seg) is PathSegment
+        for name in PathSegment._fields:
+            with pytest.raises(AttributeError):
+                setattr(seg, name, getattr(seg, name))
+        numbers = [seg.chi, seg.cos_chi, seg.sin_chi, seg.radius, *seg.origin,
+                   *(seg.switch_point or ()), *(seg.switch_normal or ())]
+        assert {type(x) for x in numbers} == {float}
+        assert type(seg.lam) is int
+    assert loiter.segments[0].switch_normal is None
 
 
 def fly(mgr, points, memory=CourseCommand()):
@@ -349,13 +370,38 @@ def test_manager_rejects_bad_dt():
 
 
 COORDINATE = st.floats(-800.0, 800.0)
+# Random waypoint plans: 2 to 6 distinct points and a fillet radius.
+POINTS = st.lists(st.tuples(COORDINATE, COORDINATE), min_size=2, max_size=6,
+                  unique=True)
+RADII = st.sampled_from([0.0, 20.0, 60.0, 120.0])
+
+
+def raw_course(p, seg):
+    """The raw course command of segment seg at position p."""
+    if seg.kind == "line":
+        return course_command_line(line_error(p, seg), seg, GAINS)
+    return orbit_course(p, seg)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(points=st.lists(st.tuples(COORDINATE, COORDINATE), min_size=2,
-                       max_size=6, unique=True),
-       radius=st.sampled_from([0.0, 20.0, 60.0, 120.0]),
-       slew=st.booleans())
+@given(points=POINTS, radius=RADII.filter(bool))
+def test_fillet_switches_keep_the_course_command(points, radius):
+    # At the tangent point where a leg hands over to its fillet arc, or
+    # the arc to the next leg, both segments command the same course.
+    try:
+        plan = FlightPlan(waypoints=[(n, e, 150.0) for n, e in points],
+                          fillet_radius=radius)
+    except ConfigError:
+        assume(False)
+    for seg, after in zip(plan.segments, plan.segments[1:]):
+        if seg.kind != after.kind:
+            p = (*seg.switch_point, -150.0)
+            jump = wrap_pi(raw_course(p, seg) - raw_course(p, after))
+            assert abs(jump) <= 1e-9, (seg, after)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(points=POINTS, radius=RADII, slew=st.booleans())
 def test_manager_flies_any_plan_to_completion(points, radius, slew):
     # A kinematic follower at 20 m/s turning at most 30 deg/s toward the
     # command: the index never decreases, every command is a wrapped
