@@ -23,7 +23,7 @@ from importlib import resources
 from pathlib import Path
 
 from .dynamics import AircraftParams
-from .errors import ConfigError, require_finite
+from .errors import ConfigError, bounded, check_fields, finite_number
 from .guidance import FlightPlan, GuidanceGains, OrbitPlan, SlewSettings
 
 # INI key -> AircraftParams field, for each section of an aircraft file.
@@ -293,15 +293,11 @@ class EnvironmentSettings:
     wind_n: float = 0.0
     wind_e: float = 0.0
     wind_d: float = 0.0
-    gust_intensity: float = 0.0
-    gust_tau: float = 2.0
+    gust_intensity: float = bounded(0.0, ge=0.0)
+    gust_tau: float = bounded(2.0, gt=0.0)
 
     def __post_init__(self) -> None:
-        require_finite(self)
-        if self.gust_intensity < 0.0:
-            raise ConfigError("gust intensity must be non-negative")
-        if self.gust_tau <= 0.0:
-            raise ConfigError("gust correlation time must be positive")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -313,51 +309,30 @@ class ControllerSettings:
     """
 
     mode: str = "ratc"
-    wn_psi: float = 4.0
-    zeta_psi: float = 0.9
-    wn_roll: float = 10.0
-    zeta_roll: float = 1.0
-    ki_roll: float = 2.0
-    course_separation: float = 16.0
-    zeta_course: float = 0.9
-    bank_limit: float = math.radians(45.0)
-    wn_pitch: float = 10.0
-    zeta_pitch: float = 0.9
-    wn_alt: float = 0.8
-    zeta_alt: float = 1.0
-    kp_airspeed: float = 0.4
-    ki_airspeed: float = 0.15
-    pitch_limit: float = math.radians(20.0)
+    wn_psi: float = bounded(4.0, gt=0.0)
+    zeta_psi: float = bounded(0.9, gt=0.0)
+    wn_roll: float = bounded(10.0, gt=0.0)
+    zeta_roll: float = bounded(1.0, gt=0.0)
+    ki_roll: float = bounded(2.0, ge=0.0)
+    course_separation: float = bounded(16.0, ge=1.0)
+    zeta_course: float = bounded(0.9, gt=0.0)
+    bank_limit: float = bounded(math.radians(45.0), gt=0.0,
+                                le=math.radians(80.0))
+    wn_pitch: float = bounded(10.0, gt=0.0)
+    zeta_pitch: float = bounded(0.9, gt=0.0)
+    wn_alt: float = bounded(0.8, gt=0.0)
+    zeta_alt: float = bounded(1.0, gt=0.0)
+    kp_airspeed: float = bounded(0.4, gt=0.0)
+    ki_airspeed: float = bounded(0.15, gt=0.0)
+    pitch_limit: float = bounded(math.radians(20.0), gt=0.0)
     guidance: GuidanceGains = GuidanceGains()
     slew: SlewSettings = SlewSettings()
 
     def __post_init__(self) -> None:
-        require_finite(self)
+        check_fields(self)
         if self.mode not in ("aotc", "ratc"):
             raise ConfigError(f"controller mode must be aotc or ratc, got "
                               f"{self.mode!r}")
-        positive = {
-            "wn_psi": self.wn_psi, "zeta_psi": self.zeta_psi,
-            "wn_roll": self.wn_roll, "zeta_roll": self.zeta_roll,
-            "zeta_course": self.zeta_course, "bank_limit": self.bank_limit,
-            "wn_pitch": self.wn_pitch, "zeta_pitch": self.zeta_pitch,
-            "wn_alt": self.wn_alt, "zeta_alt": self.zeta_alt,
-            "kp_airspeed": self.kp_airspeed, "ki_airspeed": self.ki_airspeed,
-            "pitch_limit": self.pitch_limit,
-        }
-        for key, value in positive.items():
-            if value <= 0.0:
-                raise ConfigError(f"controller setting {key} must be positive")
-        if self.ki_roll < 0.0:
-            raise ConfigError("controller setting ki_roll must be >= 0")
-        if self.course_separation < 1.0:
-            raise ConfigError("course_separation must be >= 1")
-        if self.bank_limit > math.radians(80.0):
-            raise ConfigError("bank limit above 80 deg is not supported")
-        if not (isinstance(self.guidance, GuidanceGains)
-                and isinstance(self.slew, SlewSettings)):
-            raise ConfigError("controller guidance and slew must be "
-                              "GuidanceGains and SlewSettings values")
 
 
 @dataclass(frozen=True)
@@ -372,30 +347,20 @@ class ScenarioConfig:
     plan: FlightPlan
     env: EnvironmentSettings
     ctrl: ControllerSettings
-    dt: float = 0.01
-    duration: float = 120.0
-    va_cmd: float = 20.0
+    dt: float = bounded(0.01, gt=0.0)
+    duration: float = bounded(120.0, gt=0.0)
+    va_cmd: float = bounded(20.0, gt=0.0)
     h_refs: tuple[float, ...] = (150.0, 450.0)
-    warmup: float = 5.0
-    seed: int = 0
+    warmup: float = bounded(5.0, ge=0.0)
+    seed: int = bounded(0, ge=0)
 
     def __post_init__(self) -> None:
-        require_finite(self)
+        check_fields(self)
         object.__setattr__(self, "h_refs", tuple(self.h_refs))
-        if self.dt <= 0.0:
-            raise ConfigError("dt must be positive")
-        if self.duration <= 0.0:
-            raise ConfigError("duration must be positive")
-        if self.va_cmd <= 0.0:
-            raise ConfigError("commanded airspeed must be positive")
-        if self.warmup < 0.0:
-            raise ConfigError("warm-up window must be >= 0")
-        if not self.h_refs or any(not 0.0 < h < math.inf
-                                  for h in self.h_refs):
-            raise ConfigError("reference altitudes must be positive and "
-                              "finite")
-        if self.seed < 0:
-            raise ConfigError(f"gust seed must be >= 0, got {self.seed}")
+        if not self.h_refs or not all(finite_number(h) and h > 0.0
+                                      for h in self.h_refs):
+            raise ConfigError("ScenarioConfig.h_refs: reference altitudes "
+                              f"must be finite and > 0, got {self.h_refs}")
 
 
 def load_config(
@@ -431,9 +396,9 @@ def load_config(
     if "mode" in ctrl:
         ctrl["mode"] = ctrl["mode"].lower()
     if seed is not None:
-        values["seed"] = int(seed)
+        values["seed"] = seed
     if slew is not None:
-        slew_values["enabled"] = bool(slew)
+        slew_values["enabled"] = slew
 
     head = parser["scenario"]
     for key in ("aircraft", "plan"):

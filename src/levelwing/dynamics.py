@@ -25,7 +25,8 @@ from .errors import (
     IntegrationFaultError,
     SingularityError,
     TrimFailureError,
-    require_finite,
+    bounded,
+    check_fields,
 )
 
 # Rate terms divide by 2*Va; below this airspeed the aerodynamic
@@ -87,16 +88,16 @@ class AircraftParams:
     A field without a default is a key every aircraft file must give.
     """
 
-    mass: float
-    ixx: float
-    iyy: float
-    izz: float
+    mass: float = bounded(gt=0.0)
+    ixx: float = bounded(gt=0.0)
+    iyy: float = bounded(gt=0.0)
+    izz: float = bounded(gt=0.0)
     ixz: float = 0.0
-    wing_area: float
-    wing_span: float
-    mean_chord: float
-    rho: float = 1.2682
-    gravity: float = 9.81
+    wing_area: float = bounded(gt=0.0)
+    wing_span: float = bounded(gt=0.0)
+    mean_chord: float = bounded(gt=0.0)
+    rho: float = bounded(1.2682, gt=0.0)
+    gravity: float = bounded(9.81, gt=0.0)
 
     # Side force
     c_y_0: float = 0.0
@@ -134,33 +135,21 @@ class AircraftParams:
     max_thrust: float
     thrust_airspeed_decay: float = 0.0
     # Actuator limits
-    delta_a_max: float = math.radians(25.0)
-    delta_e_max: float = math.radians(25.0)
-    delta_r_max: float = math.radians(25.0)
-    rate_limit: float = math.radians(400.0)
+    delta_a_max: float = bounded(math.radians(25.0), gt=0.0)
+    delta_e_max: float = bounded(math.radians(25.0), gt=0.0)
+    delta_r_max: float = bounded(math.radians(25.0), gt=0.0)
+    rate_limit: float = bounded(math.radians(400.0), gt=0.0)
 
     @property
     def weight(self) -> float:
         return self.mass * self.gravity
 
     def __post_init__(self) -> None:
-        require_finite(self)
-        if self.mass <= 0.0:
-            raise ConfigError("mass must be positive")
-        if self.rho <= 0.0 or self.gravity <= 0.0:
-            raise ConfigError("air density and gravity must be positive")
-        if min(self.wing_area, self.wing_span, self.mean_chord) <= 0.0:
-            raise ConfigError("wing area, span, and chord must be positive")
-        if min(self.ixx, self.iyy, self.izz) <= 0.0:
-            raise ConfigError("principal inertias must be positive")
+        check_fields(self)
         if self.ixx * self.izz - self.ixz**2 <= 0.0:
             raise ConfigError(
                 "degenerate inertia tensor: ixx*izz - ixz^2 must be positive"
             )
-        if min(self.delta_a_max, self.delta_e_max, self.delta_r_max) <= 0.0:
-            raise ConfigError("actuator deflection limits must be positive")
-        if self.rate_limit <= 0.0:
-            raise ConfigError("actuator rate limit must be positive")
 
 
 class AirData(NamedTuple):

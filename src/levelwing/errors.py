@@ -1,11 +1,16 @@
-"""Exception hierarchy shared by all simulator modules.
+"""Exception hierarchy and the settings field check shared by all modules.
 
 Every error carries a short category string used by the CLI to pick an
 exit code, so failures stay distinguishable in scripts.
 """
 
 import dataclasses
+import functools
 import math
+import numbers
+import operator
+import sys
+import typing
 
 
 class SimulatorError(Exception):
@@ -72,15 +77,46 @@ class InsufficientDataError(SimulatorError):
     category = "metrics"
 
 
-def require_finite(settings) -> None:
-    """Raise ConfigError naming the first nan or inf number field of a
-    settings dataclass."""
-    for f in dataclasses.fields(settings):
-        value = getattr(settings, f.name, None)
-        try:
-            finite = math.isfinite(value)
-        except TypeError:  # not a number
-            continue
-        if not finite:
-            raise ConfigError(f"{type(settings).__name__}.{f.name} must be "
-                              f"finite, got {value}")
+# Kinds that admit more than their own type, the commonest type first.
+_KINDS = {float: (float, int, numbers.Real), int: (int, numbers.Integral),
+          tuple: (tuple, list)}
+_OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
+def bounded(default=dataclasses.MISSING, *, gt=None, ge=None, le=None):
+    """A settings field: its default (none if left out) and its bounds."""
+    bounds = {">": gt, ">=": ge, "<=": le}
+    return dataclasses.field(default=default, metadata={
+        op: bound for op, bound in bounds.items() if bound is not None})
+
+
+def finite_number(value) -> bool:
+    """Whether value is a real number, not a bool, and finite as a float."""
+    return (isinstance(value, _KINDS[float]) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+@functools.cache
+def _field_kinds(cls: type) -> tuple:
+    """(field, Class.field, kinds admitted, bounds) for each init field."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f, f"{cls.__name__}.{f.name}",
+                  _KINDS.get(typing.get_origin(hint) or hint, hint),
+                  [(op, _OPS[op], bound) for op, bound in f.metadata.items()])
+                 for f in dataclasses.fields(cls) if f.init
+                 for hint in (hints[f.name],))
+
+
+def check_fields(settings) -> None:
+    """Raise ConfigError naming the first init field of settings whose
+    value is of the wrong kind, not finite or outside its field's bounds."""
+    for f, name, kind, bounds in _field_kinds(type(settings)):
+        value = getattr(settings, f.name)
+        if (not isinstance(value, kind)
+                or isinstance(value, bool) and kind is not bool):
+            raise ConfigError(f"{name} must be {f.type}, got {value!r}")
+        if kind is _KINDS[float] and not finite_number(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+        for op, holds, b in bounds:
+            if not holds(value, b):
+                raise ConfigError(f"{name} must be {op} {b:g}, got {value}")

@@ -17,7 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .angles import clamp, wrap_pi
-from .errors import ConfigError, UndefinedBearingError, require_finite
+from .errors import (ConfigError, UndefinedBearingError, bounded,
+                     check_fields, finite_number)
 
 # Fillet arcs are skipped when adjacent legs are within this angle (rad)
 # of collinear; the turn is degenerate there.
@@ -56,16 +57,13 @@ class GuidanceGains:
     orbit_gain shapes the radial correction as atan(orbit_gain * e/rd).
     """
 
-    intercept_angle: float = math.radians(45.0)
-    capture_gain: float = 0.0125
-    orbit_gain: float = 2.0
+    intercept_angle: float = bounded(math.radians(45.0), gt=0.0,
+                                     le=math.pi / 2.0)
+    capture_gain: float = bounded(0.0125, gt=0.0)
+    orbit_gain: float = bounded(2.0, gt=0.0)
 
     def __post_init__(self) -> None:
-        require_finite(self)
-        if not 0.0 < self.intercept_angle <= math.pi / 2.0:
-            raise ConfigError("intercept angle must be in (0, 90] deg")
-        if self.capture_gain <= 0.0 or self.orbit_gain <= 0.0:
-            raise ConfigError("guidance gains must be positive")
+        check_fields(self)
 
 
 class CourseCommand(NamedTuple):
@@ -143,13 +141,11 @@ class SlewSettings:
     """Course-command slew limiter configuration."""
 
     enabled: bool = False
-    rate: float = math.radians(30.0)
-    threshold: float = math.radians(30.0)
+    rate: float = bounded(math.radians(30.0), gt=0.0)
+    threshold: float = bounded(math.radians(30.0), gt=0.0)
 
     def __post_init__(self) -> None:
-        require_finite(self)
-        if self.rate <= 0.0 or self.threshold <= 0.0:
-            raise ConfigError("slew rate and threshold must be positive")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -159,20 +155,15 @@ class OrbitPlan:
 
     center_n: float
     center_e: float
-    radius: float
+    radius: float = bounded(gt=0.0)
     lam: int
-    revolutions: float = 1.0
+    revolutions: float = bounded(1.0, ge=0.0)
     start_bearing: float = 0.0
 
     def __post_init__(self) -> None:
-        require_finite(self)
-        if self.radius <= 0.0:
-            raise ConfigError(
-                f"orbit radius must be positive, got {self.radius}")
+        check_fields(self)
         if self.lam not in (1, -1):
             raise ConfigError("orbit direction must be cw or ccw")
-        if self.revolutions < 0.0:
-            raise ConfigError("orbit revolutions must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -186,30 +177,27 @@ class FlightPlan:
 
     name: str = "plan"
     waypoints: tuple[tuple[float, float, float], ...] = ()
-    fillet_radius: float = 0.0
-    nominal_agl: float = 150.0
+    fillet_radius: float = bounded(0.0, ge=0.0)
+    nominal_agl: float = bounded(150.0, gt=0.0)
     orbit: OrbitPlan | None = None
     segments: tuple[PathSegment, ...] = field(init=False, repr=False,
                                               compare=False)
 
     def __post_init__(self) -> None:
-        require_finite(self)
-        waypoints = tuple(map(tuple, self.waypoints))
-        for i, waypoint in enumerate(waypoints):
-            if len(waypoint) != 3:
+        check_fields(self)
+        for i, waypoint in enumerate(self.waypoints):
+            if not (isinstance(waypoint, (tuple, list)) and len(waypoint) == 3
+                    and all(map(finite_number, waypoint))):
                 raise ConfigError(f"plan '{self.name}': waypoint {i} must be "
-                                  "(north, east, altitude)")
-            if not all(map(math.isfinite, waypoint)):
-                raise ConfigError(f"plan '{self.name}': waypoint {i} has a "
-                                  "non-finite field")
+                                  "(north, east, altitude) in finite numbers, "
+                                  f"got {waypoint!r}")
             if waypoint[2] != self.nominal_agl:
                 raise ConfigError(
                     f"plan '{self.name}': waypoint {i} {waypoint} is at "
                     f"{waypoint[2]:g} m, but the plan is flown at its "
                     f"nominal AGL of {self.nominal_agl:g} m")
-        object.__setattr__(self, "waypoints", waypoints)
-        if self.nominal_agl <= 0.0:
-            raise ConfigError(f"plan '{self.name}': nominal AGL must be positive")
+        object.__setattr__(self, "waypoints",
+                           tuple(map(tuple, self.waypoints)))
         object.__setattr__(self, "segments", _plan_segments(self))
 
     def initial_course(self) -> float:
@@ -244,9 +232,6 @@ def _plan_segments(plan: FlightPlan) -> tuple[PathSegment, ...]:
             f"plan '{plan.name}': needs at least two waypoints"
         )
     radius = plan.fillet_radius
-    if radius < 0.0:
-        raise ConfigError(f"plan '{plan.name}': fillet radius must be "
-                          ">= 0")
     pts = [np.array([w[0], w[1]], dtype=float) for w in plan.waypoints]
     units, lengths = [], []
     for i, (start, end) in enumerate(zip(pts, pts[1:])):

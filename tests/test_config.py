@@ -5,6 +5,7 @@ import pickle
 import re
 from dataclasses import MISSING, fields, is_dataclass, replace
 
+import numpy as np
 import pytest
 
 from conftest import DATA_DIR, SETTINGS_TYPES
@@ -143,7 +144,7 @@ def test_unknown_controller_mode_rejected(tmp_path):
 def test_controller_bounds_enforced(tmp_path):
     p = write(tmp_path, "steep.ini",
               MINIMAL_SCENARIO + "[controller]\nbank_limit_deg = 85\n")
-    with pytest.raises(ConfigError, match="bank limit"):
+    with pytest.raises(ConfigError, match=r"ControllerSettings\.bank_limit"):
         load_config(p)
     p = write(tmp_path, "tight.ini",
               MINIMAL_SCENARIO + "[controller]\ncourse_separation = 0.5\n")
@@ -153,9 +154,9 @@ def test_controller_bounds_enforced(tmp_path):
 
 def test_controller_holds_only_guidance_and_slew_values():
     # A flag where the slew settings belong would fail only in the run.
-    for changes in ({"slew": True}, {"guidance": SlewSettings()}):
-        with pytest.raises(ConfigError, match="guidance and slew"):
-            replace(ControllerSettings(), **changes)
+    for name, value in (("slew", True), ("guidance", SlewSettings())):
+        with pytest.raises(ConfigError, match=f"ControllerSettings.{name}"):
+            replace(ControllerSettings(), **{name: value})
 
 
 def test_seed_and_slew_overrides(tmp_path):
@@ -411,6 +412,8 @@ def valid_settings():
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
+# An integer beyond the float range is not finite as a float either.
+HUGE = pytest.param(10**400, id="1e400")
 FLOAT_FIELDS = [(cls, f.name) for cls in SETTINGS_TYPES for f in fields(cls)
                 if f.init and f.type in ("float", float)]
 
@@ -420,12 +423,13 @@ FLOAT_FIELDS = [(cls, f.name) for cls in SETTINGS_TYPES for f in fields(cls)
     ids=[f"{cls.__name__}.{name}" for cls, name in FLOAT_FIELDS])
 def test_settings_reject_non_finite_fields(cls, name):
     valid = valid_settings()[cls]
-    for bad in NON_FINITE:
+    for bad in (*NON_FINITE, 10**400):
         with pytest.raises(ConfigError, match=name):
             replace(valid, **{name: bad})
 
 
-@pytest.mark.parametrize("bad", NON_FINITE)
+# A non-number item is rejected as a non-finite one is.
+@pytest.mark.parametrize("bad", [*NON_FINITE, HUGE, "150", None, True])
 def test_non_finite_waypoint_and_h_ref_rejected(bad):
     cfg = load_config("rectangle_compare.ini")
     for axis in range(3):
@@ -433,7 +437,8 @@ def test_non_finite_waypoint_and_h_ref_rejected(bad):
         waypoint[axis] = bad
         with pytest.raises(ConfigError, match="waypoint 1"):
             replace(cfg.plan, waypoints=[(0.0, 0.0, 150.0), tuple(waypoint)])
-    with pytest.raises(ConfigError, match="reference altitudes"):
+    with pytest.raises(ConfigError,
+                       match=r"ScenarioConfig\.h_refs: reference altitudes"):
         replace(cfg, h_refs=(150.0, bad))
 
 
@@ -444,3 +449,154 @@ def test_nan_heading_gain_never_runs():
     with pytest.raises(ConfigError, match="wn_psi"):
         run_scenario(replace(cfg, ctrl=replace(cfg.ctrl, wn_psi=math.nan)),
                      "ratc", duration_override=20.0)
+
+
+# Each single-field bound, as a value just outside it, with the settings
+# value it is set on: the loaded ones of valid_settings, or "orbit_plan",
+# the bundled circle plan (a waypoint plan at another nominal AGL fails on
+# its waypoints first).
+TINY = 5e-324
+POSITIVE = {
+    AircraftParams: ("mass", "ixx", "iyy", "izz", "wing_area", "wing_span",
+                     "mean_chord", "rho", "gravity", "delta_a_max",
+                     "delta_e_max", "delta_r_max", "rate_limit"),
+    GuidanceGains: ("intercept_angle", "capture_gain", "orbit_gain"),
+    SlewSettings: ("rate", "threshold"),
+    OrbitPlan: ("radius",),
+    EnvironmentSettings: ("gust_tau",),
+    ControllerSettings: ("wn_psi", "zeta_psi", "wn_roll", "zeta_roll",
+                         "zeta_course", "bank_limit", "wn_pitch",
+                         "zeta_pitch", "wn_alt", "zeta_alt", "kp_airspeed",
+                         "ki_airspeed", "pitch_limit"),
+    ScenarioConfig: ("dt", "duration", "va_cmd"),
+}
+BOUND_CASES = [
+    *((cls, name, 0.0) for cls, names in POSITIVE.items() for name in names),
+    ("orbit_plan", "nominal_agl", 0.0),
+    (FlightPlan, "fillet_radius", -TINY),
+    (OrbitPlan, "revolutions", -TINY),
+    (EnvironmentSettings, "gust_intensity", -TINY),
+    (ControllerSettings, "ki_roll", -TINY),
+    (ControllerSettings, "course_separation", math.nextafter(1.0, 0.0)),
+    (ControllerSettings, "bank_limit",
+     math.nextafter(math.radians(80.0), math.inf)),
+    (GuidanceGains, "intercept_angle", math.nextafter(math.pi / 2, math.inf)),
+    (ScenarioConfig, "warmup", -TINY),
+    (ScenarioConfig, "seed", -1),
+    (ScenarioConfig, "h_refs", ()),
+    (ScenarioConfig, "h_refs", (150.0, 0.0)),
+    (OrbitPlan, "lam", 0),
+    (ControllerSettings, "mode", "yaw"),
+]
+# The values on those bounds that are accepted.
+BOUNDARY_CASES = [
+    (ControllerSettings, "ki_roll", 0.0),
+    (ControllerSettings, "course_separation", 1.0),
+    (ControllerSettings, "bank_limit", math.radians(80.0)),
+    (GuidanceGains, "intercept_angle", math.radians(90.0)),
+    (EnvironmentSettings, "gust_intensity", 0.0),
+    (ScenarioConfig, "warmup", 0.0),
+    (ScenarioConfig, "seed", 0),
+    (OrbitPlan, "revolutions", 0.0),
+    (FlightPlan, "fillet_radius", 0.0),
+]
+
+
+def bound_base(key):
+    return (load_plan("circle.ini") if key == "orbit_plan"
+            else valid_settings()[key])
+
+
+def bound_id(case):
+    key, name, value = case
+    return f"{getattr(key, '__name__', key)}.{name}={value!r}"
+
+
+@pytest.mark.parametrize("key, name, bad", BOUND_CASES,
+                         ids=map(bound_id, BOUND_CASES))
+def test_each_bound_rejects_the_value_just_outside_it(key, name, bad):
+    with pytest.raises(ConfigError):
+        replace(bound_base(key), **{name: bad})
+
+
+@pytest.mark.parametrize("key, name, value", BOUNDARY_CASES,
+                         ids=map(bound_id, BOUNDARY_CASES))
+def test_each_bound_accepts_its_boundary_value(key, name, value):
+    assert getattr(replace(bound_base(key), **{name: value}), name) == value
+
+
+def test_boundary_values_load_from_files(tmp_path):
+    cfg = load_config(write(tmp_path, "edge.ini", MINIMAL_SCENARIO + """
+warmup_s = 0
+seed = 0
+[environment]
+gust_intensity_mps = 0
+[controller]
+ki_roll = 0
+course_separation = 1
+bank_limit_deg = 80
+intercept_angle_deg = 90
+"""))
+    assert (cfg.warmup, cfg.seed, cfg.env.gust_intensity, cfg.ctrl.ki_roll,
+            cfg.ctrl.course_separation) == (0.0, 0, 0.0, 0.0, 1.0)
+    assert cfg.ctrl.bank_limit == math.radians(80.0)
+    assert cfg.ctrl.guidance.intercept_angle == math.pi / 2
+    orbit = load_plan(write(tmp_path, "endless.ini", set_key(base_text(
+        DATA_DIR / "plans" / "circle.ini"), "orbit", "revolutions", "0")))
+    assert orbit.orbit.revolutions == 0.0
+    sharp = load_plan(write(tmp_path, "sharp.ini", set_key(base_text(
+        DATA_DIR / "plans" / "rectangle.ini"), "plan", "fillet_radius_m",
+        "0")))
+    assert sharp.fillet_radius == 0.0
+
+
+def wrong_kinds(f):
+    """Values of the wrong kind for field f: None, a numeric string, a
+    flag where no flag belongs, a fraction for an integer and an empty
+    dict for a settings value or a path."""
+    kind = f.type
+    values = [] if kind.endswith("| None") else [None]
+    if kind != "str":
+        values.append("4")
+    if kind != "bool":
+        values.append(True)
+    if kind == "int":
+        values.append(1.5)
+    if kind[:1].isupper():
+        values.append({})
+    return values
+
+
+KIND_CASES = [(cls, f.name, value) for cls in SETTINGS_TYPES
+              for f in fields(cls) if f.init for value in wrong_kinds(f)]
+
+
+@pytest.mark.parametrize(
+    "cls, name, value", KIND_CASES,
+    ids=[f"{cls.__name__}.{name}={value!r}"
+         for cls, name, value in KIND_CASES])
+def test_wrong_kind_is_a_config_error_naming_the_field(cls, name, value):
+    with pytest.raises(ConfigError, match=rf"\b{cls.__name__}\.{name}\b"):
+        replace(valid_settings()[cls], **{name: value})
+
+
+def test_numpy_numbers_are_accepted():
+    for cls, valid in valid_settings().items():
+        changes = {f.name: (np.int64 if f.type == "int" else np.float64)(
+                   getattr(valid, f.name))
+                   for f in fields(cls) if f.init and f.type in ("float",
+                                                                  "int")}
+        assert replace(valid, **changes) == valid, cls
+
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"slew": "off"}, "SlewSettings.enabled"),
+    ({"slew": 1}, "SlewSettings.enabled"),
+    ({"seed": 2.9}, "ScenarioConfig.seed"),
+    ({"seed": "x"}, "ScenarioConfig.seed"),
+])
+def test_load_config_overrides_are_checked_not_coerced(tmp_path, overrides,
+                                                       named):
+    with pytest.raises(ConfigError, match=named):
+        load_config(write(tmp_path, "ovr.ini", MINIMAL_SCENARIO), **overrides)

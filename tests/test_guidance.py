@@ -105,7 +105,7 @@ def test_orbit_error_flips_with_direction():
 
 def test_orbit_rejects_bad_construction():
     # The orbit plan checks what its segment is built from.
-    with pytest.raises(ConfigError, match="radius must be positive"):
+    with pytest.raises(ConfigError, match=r"OrbitPlan\.radius must be > 0"):
         FlightPlan(name="p", orbit=OrbitPlan(0.0, 0.0, -50.0, 1))
     with pytest.raises(ConfigError, match="cw or ccw"):
         FlightPlan(name="p", orbit=OrbitPlan(0.0, 0.0, 100.0, 2))
@@ -209,8 +209,10 @@ def test_plan_validation_errors():
                        "is at 250 m, but .* nominal AGL of 150 m"):
         FlightPlan(name="p", waypoints=[(0.0, 0.0, 150.0),
                                         (400.0, 0.0, 250.0)])
-    with pytest.raises(ConfigError, match="must be .north, east, altitude."):
-        FlightPlan(name="p", waypoints=[(0.0, 0.0, 150.0), (400.0, 0.0)])
+    for short in ((400.0, 0.0), 400.0):
+        with pytest.raises(ConfigError,
+                           match="waypoint 1 must be .north, east, altitude."):
+            FlightPlan(name="p", waypoints=[(0.0, 0.0, 150.0), short])
 
 
 def test_plan_start_and_initial_course():

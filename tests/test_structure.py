@@ -14,10 +14,14 @@ tests call is dead code.
 import ast
 import dataclasses
 import importlib
+import inspect
+import textwrap
 from pathlib import Path
 
 import levelwing
 from conftest import SETTINGS_TYPES
+from levelwing import errors
+from levelwing.guidance import _plan_segments
 
 PACKAGE = "levelwing"
 SRC = Path(levelwing.__file__).parent
@@ -172,11 +176,56 @@ def test_every_definition_is_used_inside_the_package():
     assert unreferenced(sources) == []
 
 
+def function_tree(func) -> ast.FunctionDef:
+    return ast.parse(textwrap.dedent(inspect.getsource(func))).body[0]
+
+
+def literal_comparisons(tree: ast.AST, owner: str) -> list[int]:
+    """Lines where owner.<field> alone is compared with a number literal,
+    the hand-written form of a bound that belongs on the field."""
+    def number(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            node = node.operand
+        return (isinstance(node, ast.Constant)
+                and type(node.value) in (int, float))
+
+    def field(node):
+        return (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == owner)
+
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare)
+                  and any(map(field, [node.left, *node.comparators]))
+                  and any(map(number, [node.left, *node.comparators])))
+
+
+def test_literal_comparisons_finds_single_field_bounds():
+    tree = ast.parse("def f(self):\n"
+                     "    if self.x <= 0.0: pass\n"
+                     "    if 0 < self.y <= 1.5: pass\n"
+                     "    if self.z < -1: pass\n"
+                     "    if self.a * self.b - self.c <= 0.0: pass\n"
+                     "    if self.lam not in (1, -1): pass\n"
+                     "    if plan.r < 0.0 or w[2] != self.agl: pass\n")
+    assert literal_comparisons(tree, "self") == [2, 3, 4]
+    assert literal_comparisons(tree, "plan") == [7]
+
+
 def test_settings_are_frozen_and_checked_when_made():
     for cls in SETTINGS_TYPES:
         assert dataclasses.is_dataclass(cls), cls
         assert cls.__dataclass_params__.frozen, cls
         assert "__post_init__" in vars(cls), cls
+        # Kind, finiteness and each single-field bound are checked first,
+        # by the one check, from the annotations and the field bounds.
+        tree = function_tree(cls.__post_init__)
+        assert ast.unparse(tree.body[0]) == "check_fields(self)", cls
+        assert literal_comparisons(tree, "self") == [], cls
+    assert literal_comparisons(function_tree(_plan_segments), "plan") == []
+    assert not hasattr(errors, "require_finite")
+    assert not [path.name for path in SRC.glob("*.py")
+                if "require_finite" in path.read_text()]
 
 
 def validate_uses(tree: ast.Module) -> list[int]:
