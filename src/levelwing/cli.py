@@ -3,7 +3,7 @@
 Subcommands:
   simulate   run one controller over a scenario, optionally export a CSV log
   compare    run both controllers over one scenario and write a report
-  gains      print the synthesized controller gains for a scenario
+  gains      print the designed plants and synthesized gains for a scenario
   trim       solve and print the level-flight trim point
 
 Exit codes: 0 success, 2 configuration error, 3 trim failure,
@@ -17,7 +17,7 @@ import math
 import sys
 
 from .config import load_config
-from .control import make_gain_schedule
+from .control import make_gain_schedule, plant_report
 from .dynamics import make_airframe, trim
 from .errors import (
     ConfigError,
@@ -138,14 +138,20 @@ def _cmd_gains(args: argparse.Namespace) -> int:
 
     ratc = make_gain_schedule("ratc", airframe, c)(va, va)
     aotc = make_gain_schedule("aotc", airframe, c)(va, va)
+    plants = plant_report(airframe, va)
 
     print(f"scenario {cfg.name}, airspeed {va:.1f} m/s")
-    print(f"heading plant : a_psi1 {ratc.a_psi1:+.4f} 1/s, "
-          f"a_psi2 {ratc.a_psi2:+.4f} 1/s^2 per rad")
+    print(f"heading plant : a_psi1 {plants.a_psi1:+.4f} 1/s, "
+          f"a_psi2 {plants.a_psi2:+.4f} 1/s^2 per rad")
+    print(f"roll plant    : a_phi1 {plants.a_phi1:+.4f} 1/s, "
+          f"a_phi2 {plants.a_phi2:+.4f} 1/s^2 per rad")
+    print(f"pitch plant   : a_theta1 {plants.a_theta1:+.4f} 1/s, "
+          f"a_theta2 {plants.a_theta2:+.4f} 1/s^2 per rad, "
+          f"a_theta3 {plants.a_theta3:+.4f} 1/s^2")
     print(f"ratc heading  : kp {ratc.kp_psi:+.4f}, kd {ratc.kd_psi:+.4f} "
           f"(wn {c.wn_psi:.2f} rad/s, zeta {c.zeta_psi:.2f})")
     print(f"roll hold     : kp {ratc.kp_roll:+.4f}, kd {ratc.kd_roll:+.4f}, "
-          f"ki {ratc.ki_roll:+.4f} (wn {c.wn_roll:.2f} rad/s)")
+          f"ki {c.ki_roll:+.4f} (wn {c.wn_roll:.2f} rad/s)")
     print(f"aotc course   : kp {aotc.kp_course:+.4f}, "
           f"ki {aotc.ki_course:+.4f} "
           f"(wn {c.wn_roll / c.course_separation:.3f} rad/s, "

@@ -264,26 +264,29 @@ def load_plan(path: str | Path, base_dir: Path | None = None) -> FlightPlan:
                 f"{resolved}: orbit direction must be cw or ccw, got "
                 f"{direction!r}"
             )
-        return FlightPlan(
-            orbit=OrbitPlan(lam=1 if direction == "cw" else -1, **orbit),
-            **values)
-
-    # Named by 0-based place in sorted-key order, as FlightPlan names them.
-    waypoints: list[tuple[float, float, float]] = []
-    lines = sorted(_section(parser, resolved, "waypoints").items())
-    for i, (key, raw) in enumerate(lines):
-        label = f"{resolved}: waypoint {i} ('{key}')"
-        parts = [s.strip() for s in raw.split(",")]
-        if len(parts) != 3:
-            raise ConfigError(f"{label} must be 'north_m, east_m, alt_m'")
-        try:
-            waypoint = tuple(float(s) for s in parts)
-        except ValueError as exc:
-            raise ConfigError(f"{label} has a non-numeric field") from exc
-        if not all(map(math.isfinite, waypoint)):
-            raise ConfigError(f"{label} has a non-finite field")
-        waypoints.append(waypoint)
-    return FlightPlan(waypoints=tuple(waypoints), **values)
+        values["orbit"] = OrbitPlan(lam=1 if direction == "cw" else -1,
+                                    **orbit)
+    else:
+        # Named by 0-based place in sorted-key order, as FlightPlan does.
+        waypoints: list[tuple[float, float, float]] = []
+        lines = sorted(_section(parser, resolved, "waypoints").items())
+        for i, (key, raw) in enumerate(lines):
+            label = f"{resolved}: waypoint {i} ('{key}')"
+            parts = [s.strip() for s in raw.split(",")]
+            if len(parts) != 3:
+                raise ConfigError(f"{label} must be 'north_m, east_m, alt_m'")
+            try:
+                waypoint = tuple(float(s) for s in parts)
+            except ValueError as exc:
+                raise ConfigError(f"{label} has a non-numeric field") from exc
+            if not all(map(math.isfinite, waypoint)):
+                raise ConfigError(f"{label} has a non-finite field")
+            waypoints.append(waypoint)
+        values["waypoints"] = tuple(waypoints)
+    try:
+        return FlightPlan(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{resolved}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,14 @@ Two interchangeable lateral correctors share the guidance course command:
   heading plant, while an independent wings-level roll hold keeps the
   camera axis vertical.
 
-All gains come from one gain schedule per controller. It folds the
-airframe coefficients and checks the control authority once; each step it
-only rescales the plants to the current airspeed and places their poles,
-so the gains follow the flight condition. The step functions keep no
-memory: each takes its integrators (aotc course, ratc roll, altitude,
-airspeed) as arguments and returns their new values, which one saturating
-PI computes.
+Each law has its own gain schedule, which folds the airframe coefficients
+and checks the control authority once; each step it rescales only the
+plants its law uses and places their poles, so it returns only the gains
+that vary. plant_report reads the same plants. Both laws take the same
+arguments, so the controller calls its law without asking which. The step
+functions keep no memory: each takes the integrators (aotc course, ratc
+roll, altitude, airspeed) as arguments and returns their new values,
+which one saturating PI computes.
 """
 
 from __future__ import annotations
@@ -40,14 +41,10 @@ from .errors import AirDataError, ConfigError, UncontrollablePlantError
 MIN_SCHEDULING_AIRSPEED = 1.0
 
 
-class ScheduledGains(NamedTuple):
-    """Plants and gains at one flight condition.
-
-    The plants are x_ddot = -a1*x_dot - a3*x + a2*delta for heading
-    (a_psi, rudder), roll (a_phi, aileron) and pitch (a_theta, elevator;
-    a3 = 0 for the other two). The heading plant and its PD are nan under
-    aotc, the course PI is nan under ratc.
-    """
+class Plants(NamedTuple):
+    """The designed plants at one airspeed: x_ddot = -a1*x_dot - a3*x +
+    a2*delta for heading (a_psi, rudder), roll (a_phi, aileron) and pitch
+    (a_theta, elevator; a3 = 0 for the other two)."""
 
     a_psi1: float
     a_psi2: float
@@ -56,20 +53,17 @@ class ScheduledGains(NamedTuple):
     a_theta1: float
     a_theta2: float
     a_theta3: float
-    kp_psi: float
-    kd_psi: float
-    kp_roll: float
-    kd_roll: float
-    ki_roll: float
-    kp_course: float
-    ki_course: float
-    kp_theta: float
-    kd_theta: float
-    kp_h: float
-    ki_h: float
-    kp_va: float
-    ki_va: float
-    theta_limit: float
+
+
+# A law's gains at one flight condition, the ones that vary with it: its
+# outer pair (ratc's heading PD, aotc's course PI), then the gains of the
+# inner loops both laws share, the roll PD, the pitch PD and the altitude PI.
+_INNER_GAINS = [(name, float) for name in ("kp_roll", "kd_roll", "kp_theta",
+                                           "kd_theta", "kp_h", "ki_h")]
+RatcGains = NamedTuple("RatcGains", [("kp_psi", float), ("kd_psi", float),
+                                     *_INNER_GAINS])
+AotcGains = NamedTuple("AotcGains", [("kp_course", float),
+                                     ("ki_course", float), *_INNER_GAINS])
 
 
 def place_poles(a1: float, a2: float, a3: float, wn: float,
@@ -79,29 +73,14 @@ def place_poles(a1: float, a2: float, a3: float, wn: float,
     return (wn**2 - a3) / a2, (2.0 * zeta * wn - a1) / a2
 
 
-def make_gain_schedule(
-    mode: str,
-    airframe: Airframe,
-    ctrl: ControllerSettings,
-) -> Callable[[float, float], ScheduledGains]:
-    """Gain schedule of one lateral law plus the longitudinal holds.
-
-    Built once per controller: the airframe folds (heading and roll
-    plants) and the control-authority checks happen here; the design
-    points were checked when ctrl was made.
-    The returned schedule(va, vg) scales the heading (ratc), roll and
-    pitch plants by the dynamic pressure at va and places their poles;
-    the aotc course PI follows the kinematic plant chi_dot = g/Vg*phi and
-    the altitude PI the h_dot = Va*theta approximation. va and vg are
-    floored at MIN_SCHEDULING_AIRSPEED, except in the heading plant.
-    """
-    if mode not in ("aotc", "ratc"):
-        raise ConfigError(f"controller mode must be aotc or ratc, got "
-                          f"{mode!r}")
-    ratc = mode == "ratc"
+def _plant_models(airframe: Airframe, rudder: bool) -> tuple[
+        Callable[[float], tuple[float, ...]],
+        Callable[[float], tuple[float, ...]]]:
+    """The heading plant, va -> (a_psi1, a_psi2), with AirDataError at
+    va <= 0, and the roll and pitch plants, floored va -> (a_phi1, a_phi2,
+    a_theta1, a_theta2, a_theta3). A surface without authority raises
+    UncontrollablePlantError; the rudder only when rudder is true."""
     params, gammas = airframe.params, airframe.gammas
-    wn_course = ctrl.wn_roll / ctrl.course_separation
-
     # The heading plant folds the roll equation's inertia-coupled share
     # into the yaw buildup (gamma4*c_ell + gamma8*c_n), the roll plant the
     # yaw equation's share into the roll buildup (gamma3*c_ell + gamma4*c_n).
@@ -111,7 +90,7 @@ def make_gain_schedule(
     cr_delta_r = g4 * params.c_ell_delta_r + g8 * params.c_n_delta_r
     c_p_p = g3 * params.c_ell_p + g4 * params.c_n_p
     c_p_delta_a = g3 * params.c_ell_delta_a + g4 * params.c_n_delta_a
-    if ratc and cr_delta_r == 0.0:
+    if rudder and cr_delta_r == 0.0:
         raise UncontrollablePlantError(
             "rudder effectiveness a_psi2 is zero; heading plant uncontrollable"
         )
@@ -132,53 +111,78 @@ def make_gain_schedule(
     bw_sq = bw**2
     c_m_q, c_m_delta_e, c_m_alpha = (params.c_m_q, params.c_m_delta_e,
                                      params.c_m_alpha)
-    gravity = params.gravity
-    wn_psi, zeta_psi = ctrl.wn_psi, ctrl.zeta_psi
-    wn_roll, zeta_roll, ki_roll = ctrl.wn_roll, ctrl.zeta_roll, ctrl.ki_roll
-    course_kp_per_vg = 2.0 * ctrl.zeta_course * wn_course
-    course_ki_per_vg = wn_course**2
+
+    def heading(va: float) -> tuple[float, float]:
+        if va <= 0.0:
+            raise AirDataError("heading plant needs positive airspeed")
+        return (neg_quarter_rho * va * sw * bw_sq * cr_r,
+                half_rho * va**2 * sw * bw * cr_delta_r)
+
+    def roll_pitch(va: float) -> tuple[float, ...]:
+        scale = half_rho * va**2 * sw * cbar / iyy
+        return (neg_quarter_rho * va * sw * bw_sq * c_p_p,
+                half_rho * va**2 * sw * bw * c_p_delta_a,
+                -scale * c_m_q * cbar / (2.0 * va), scale * c_m_delta_e,
+                -scale * c_m_alpha)
+    return heading, roll_pitch
+
+
+def plant_report(airframe: Airframe, va: float) -> Plants:
+    """The three designed plants at airspeed va, as the gain schedules
+    see them: heading at va, roll and pitch at va floored at
+    MIN_SCHEDULING_AIRSPEED. A rudder without authority reads a_psi2 = 0."""
+    heading, roll_pitch = _plant_models(airframe, rudder=False)
+    floored = MIN_SCHEDULING_AIRSPEED if va < MIN_SCHEDULING_AIRSPEED else va
+    return Plants(*heading(va), *roll_pitch(floored))
+
+
+def make_gain_schedule(mode: str, airframe: Airframe, ctrl: ControllerSettings
+                       ) -> Callable[[float, float], RatcGains | AotcGains]:
+    """Gain schedule of one lateral law plus the longitudinal holds, built
+    once per controller. schedule(va, vg) places the poles of the plants at
+    va (heading for ratc, roll and pitch), the aotc course PI on the
+    kinematic plant chi_dot = g/Vg*phi and the altitude PI on h_dot =
+    Va*theta. va and vg are floored at MIN_SCHEDULING_AIRSPEED, except in
+    the heading plant; the laws read the gains that do not vary from ctrl.
+    """
+    if mode not in ("aotc", "ratc"):
+        raise ConfigError(f"controller mode must be aotc or ratc, got "
+                          f"{mode!r}")
+    heading, roll_pitch = _plant_models(airframe, rudder=mode == "ratc")
+    wn_roll, zeta_roll = ctrl.wn_roll, ctrl.zeta_roll
     wn_pitch, zeta_pitch = ctrl.wn_pitch, ctrl.zeta_pitch
     alt_kp_va = 2.0 * ctrl.zeta_alt * ctrl.wn_alt
     alt_ki_va = ctrl.wn_alt**2
-    kp_va, ki_va, theta_limit = (ctrl.kp_airspeed, ctrl.ki_airspeed,
-                                 ctrl.pitch_limit)
-    nan, v_floor = math.nan, MIN_SCHEDULING_AIRSPEED
+    v_floor = MIN_SCHEDULING_AIRSPEED
 
-    def schedule(va: float, vg: float) -> ScheduledGains:
-        if ratc:
-            if va <= 0.0:
-                raise AirDataError("heading plant needs positive airspeed")
-            a_psi1 = neg_quarter_rho * va * sw * bw_sq * cr_r
-            a_psi2 = half_rho * va**2 * sw * bw * cr_delta_r
+    def inner_loops(va: float) -> tuple[float, ...]:   # va floored
+        a_phi1, a_phi2, a_theta1, a_theta2, a_theta3 = roll_pitch(va)
+        return (*place_poles(a_phi1, a_phi2, 0.0, wn_roll, zeta_roll),
+                *place_poles(a_theta1, a_theta2, a_theta3, wn_pitch,
+                             zeta_pitch),
+                alt_kp_va / va, alt_ki_va / va)
+
+    if mode == "ratc":
+        wn_psi, zeta_psi = ctrl.wn_psi, ctrl.zeta_psi
+
+        def ratc_schedule(va: float, vg: float) -> RatcGains:
+            a_psi1, a_psi2 = heading(va)
             kp_psi, kd_psi = place_poles(a_psi1, a_psi2, 0.0, wn_psi, zeta_psi)
-            kp_course = ki_course = nan
-        else:
-            a_psi1 = a_psi2 = kp_psi = kd_psi = nan
-            vg = v_floor if vg < v_floor else vg   # max(vg, v_floor)
-            kp_course = course_kp_per_vg * vg / gravity
-            ki_course = course_ki_per_vg * vg / gravity
+            va = v_floor if va < v_floor else va   # max(va, v_floor)
+            return RatcGains(kp_psi, kd_psi, *inner_loops(va))
+        return ratc_schedule
+
+    wn_course = ctrl.wn_roll / ctrl.course_separation
+    course_kp_per_vg = 2.0 * ctrl.zeta_course * wn_course
+    course_ki_per_vg = wn_course**2
+    gravity = airframe.params.gravity
+
+    def aotc_schedule(va: float, vg: float) -> AotcGains:
+        vg = v_floor if vg < v_floor else vg
         va = v_floor if va < v_floor else va
-        va_sq = va**2
-
-        a_phi1 = neg_quarter_rho * va * sw * bw_sq * c_p_p
-        a_phi2 = half_rho * va_sq * sw * bw * c_p_delta_a
-        kp_roll, kd_roll = place_poles(a_phi1, a_phi2, 0.0, wn_roll,
-                                       zeta_roll)
-
-        scale = half_rho * va_sq * sw * cbar / iyy
-        a_theta1 = -scale * c_m_q * cbar / (2.0 * va)
-        a_theta2 = scale * c_m_delta_e
-        a_theta3 = -scale * c_m_alpha
-        kp_theta, kd_theta = place_poles(a_theta1, a_theta2, a_theta3,
-                                         wn_pitch, zeta_pitch)
-        return ScheduledGains(
-            a_psi1, a_psi2, a_phi1, a_phi2, a_theta1, a_theta2, a_theta3,
-            kp_psi, kd_psi, kp_roll, kd_roll, ki_roll, kp_course, ki_course,
-            kp_theta, kd_theta, alt_kp_va / va, alt_ki_va / va, kp_va, ki_va,
-            theta_limit,
-        )
-
-    return schedule
+        return AotcGains(course_kp_per_vg * vg / gravity,
+                         course_ki_per_vg * vg / gravity, *inner_loops(va))
+    return aotc_schedule
 
 
 def _saturating_pi(p_term: float, ki: float, integrator: float,
@@ -203,15 +207,12 @@ def _saturating_pi(p_term: float, ki: float, integrator: float,
     return clamp(raw, center - span, center + span), integrator
 
 
-def ratc_step(
-    chi_cmd: float,
-    state: AircraftState,
-    gains: ScheduledGains,
-    roll_int: float,
-    dt: float,
-    params: AircraftParams,
-) -> tuple[float, float, float]:
-    """One rudder-augmented lateral step: (delta_a, delta_r, roll_int).
+def ratc_step(chi_cmd: float, state: AircraftState, airdata: AirData,
+              gains: RatcGains, course_int: float, roll_int: float, dt: float,
+              params: AircraftParams, ctrl: ControllerSettings
+              ) -> tuple[float, float, float, float]:
+    """One rudder-augmented lateral step: (delta_a, delta_r, course_int,
+    roll_int); the course integrator is passed through.
 
     The course command is tracked directly as a heading command (the
     single tracked error of this topology); sideslip is left to act as a
@@ -223,22 +224,17 @@ def ratc_step(
 
     roll_err = -state.phi
     delta_a, roll_int = _saturating_pi(
-        gains.kp_roll * roll_err - gains.kd_roll * state.p, gains.ki_roll,
+        gains.kp_roll * roll_err - gains.kd_roll * state.p, ctrl.ki_roll,
         roll_int, roll_err, dt, 0.0, params.delta_a_max, params.delta_a_max)
-    return delta_a, delta_r, roll_int
+    return delta_a, delta_r, course_int, roll_int
 
 
-def aotc_step(
-    chi_cmd: float,
-    state: AircraftState,
-    airdata: AirData,
-    gains: ScheduledGains,
-    course_int: float,
-    dt: float,
-    params: AircraftParams,
-    bank_limit: float,
-) -> tuple[float, float, float]:
-    """One aileron-only lateral step: (delta_a, delta_r=0, course_int).
+def aotc_step(chi_cmd: float, state: AircraftState, airdata: AirData,
+              gains: AotcGains, course_int: float, roll_int: float, dt: float,
+              params: AircraftParams, ctrl: ControllerSettings
+              ) -> tuple[float, float, float, float]:
+    """One aileron-only lateral step: (delta_a, delta_r=0, course_int,
+    roll_int); the roll integrator is passed through.
 
     Two tracked errors: course error shaping the bank command through the
     outer PI, and roll error closed by the inner PD.
@@ -246,27 +242,20 @@ def aotc_step(
     chi_err = wrap_pi(chi_cmd - airdata.chi)
     phi_cmd, course_int = _saturating_pi(
         gains.kp_course * chi_err, gains.ki_course, course_int, chi_err, dt,
-        0.0, bank_limit, bank_limit)
+        0.0, ctrl.bank_limit, ctrl.bank_limit)
 
     phi_err = phi_cmd - state.phi
     delta_a_raw = gains.kp_roll * phi_err - gains.kd_roll * state.p
     delta_a = clamp(delta_a_raw, -params.delta_a_max, params.delta_a_max)
-    return delta_a, 0.0, course_int
+    return delta_a, 0.0, course_int, roll_int
 
 
-def longitudinal_holds(
-    state: AircraftState,
-    airdata: AirData,
-    h_cmd: float,
-    va_cmd: float,
-    gains: ScheduledGains,
-    alt_int: float,
-    va_int: float,
-    dt: float,
-    trim_theta: float,
-    trim_cmd: ControlCommand,
-    params: AircraftParams,
-) -> tuple[float, float, float, float]:
+def longitudinal_holds(state: AircraftState, airdata: AirData, h_cmd: float,
+                       va_cmd: float, gains: RatcGains | AotcGains,
+                       alt_int: float, va_int: float, dt: float,
+                       trim_theta: float, trim_cmd: ControlCommand,
+                       params: AircraftParams, ctrl: ControllerSettings
+                       ) -> tuple[float, float, float, float]:
     """Altitude (PI -> pitch PD -> elevator) and airspeed (PI -> throttle)
     holds around the trim operating point. Returns (delta_e, delta_t,
     alt_int, va_int).
@@ -275,7 +264,7 @@ def longitudinal_holds(
     h_err = h_cmd + state.pd    # pd is minus the altitude
     theta_offset, alt_int = _saturating_pi(
         gains.kp_h * h_err, gains.ki_h, alt_int, h_err, dt, 0.0,
-        gains.theta_limit, gains.theta_limit)
+        ctrl.pitch_limit, ctrl.pitch_limit)
     theta_cmd = trim_theta + theta_offset
 
     delta_e_raw = (gains.kp_theta * (theta_cmd - state.theta)
@@ -284,8 +273,8 @@ def longitudinal_holds(
 
     va_err = va_cmd - airdata.va
     delta_t, va_int = _saturating_pi(
-        trim_cmd.delta_t + gains.kp_va * va_err, gains.ki_va, va_int, va_err,
-        dt, 0.5, 0.5, 1.0)
+        trim_cmd.delta_t + ctrl.kp_airspeed * va_err, ctrl.ki_airspeed,
+        va_int, va_err, dt, 0.5, 0.5, 1.0)
     return delta_e, delta_t, alt_int, va_int
 
 

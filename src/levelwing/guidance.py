@@ -224,6 +224,9 @@ def _plan_segments(plan: FlightPlan) -> tuple[PathSegment, ...]:
     switching half-planes: the unit legs, then the fillet cutback at each
     corner, then the fit of the cutbacks on each leg."""
     if plan.orbit is not None:
+        if plan.waypoints or plan.fillet_radius:
+            raise ConfigError(f"plan '{plan.name}': an orbit plan takes no "
+                              "waypoints and no fillet radius")
         o = plan.orbit
         return (PathSegment("orbit", (float(o.center_n), float(o.center_e)),
                             radius=float(o.radius), lam=int(o.lam)),)

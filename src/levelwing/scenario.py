@@ -128,10 +128,11 @@ class FlightController:
     def __init__(self, mode: str, cfg: ScenarioConfig, airframe: Airframe,
                  trim_state: AircraftState, trim_cmd: ControlCommand):
         self.schedule = make_gain_schedule(mode, airframe, cfg.ctrl)
-        self.mode = mode
+        # Looked up here, not at import, so a wrapper put on the law is called.
+        self.law = ratc_step if mode == "ratc" else aotc_step
+        self.ctrl = cfg.ctrl
         self.params = airframe.params
         self.dt = cfg.dt
-        self.bank_limit = cfg.ctrl.bank_limit
         self.trim_theta = trim_state.theta
         self.trim_cmd = trim_cmd
         self.h_cmd = cfg.plan.nominal_agl
@@ -142,18 +143,14 @@ class FlightController:
                                           float, float]:
         """The step's command and the four new integrators."""
         _, course_int, roll_int, alt_int, va_int, prev = memory
-        params, dt = self.params, self.dt
+        params, dt, ctrl = self.params, self.dt, self.ctrl
         gains = self.schedule(airdata.va, airdata.vg)
-        if self.mode == "ratc":
-            delta_a, delta_r, roll_int = ratc_step(chi_cmd, state, gains,
-                                                   roll_int, dt, params)
-        else:
-            delta_a, delta_r, course_int = aotc_step(
-                chi_cmd, state, airdata, gains, course_int, dt, params,
-                self.bank_limit)
+        delta_a, delta_r, course_int, roll_int = self.law(
+            chi_cmd, state, airdata, gains, course_int, roll_int, dt, params,
+            ctrl)
         delta_e, delta_t, alt_int, va_int = longitudinal_holds(
             state, airdata, self.h_cmd, self.va_cmd, gains, alt_int, va_int,
-            dt, self.trim_theta, self.trim_cmd, params)
+            dt, self.trim_theta, self.trim_cmd, params, ctrl)
         cmd = apply_rate_limits(delta_a, delta_e, delta_r, delta_t, prev,
                                 params, dt)
         return cmd, course_int, roll_int, alt_int, va_int
@@ -227,8 +224,6 @@ def run_scenario(
     the log and are reported in the fault field instead of raising.
     """
     mode = cfg.ctrl.mode if mode is None else mode
-    if mode not in ("aotc", "ratc"):
-        raise ConfigError(f"controller mode must be aotc or ratc, got {mode!r}")
     duration = cfg.duration if duration_override is None else duration_override
     if not math.isfinite(duration) or duration < 0.0:
         raise ConfigError(f"duration cap must be finite and >= 0, got "

@@ -19,6 +19,7 @@ from levelwing.control import (
     longitudinal_holds,
     make_gain_schedule,
     place_poles,
+    plant_report,
     ratc_step,
 )
 from levelwing.dynamics import (
@@ -105,8 +106,7 @@ def test_criterion_1_equation_identities(params):
         delta_a = rng.uniform(-0.3, 0.3)
         delta_r = rng.uniform(-0.3, 0.3)
         fold = combined_yaw_coeffs(draw, g)
-        coeffs = make_gain_schedule("ratc", airframe, ControllerSettings())(
-            ad.va, ad.vg)
+        coeffs = plant_report(airframe, ad.va)
         for cr, cl, cn in (
             (fold.cr_beta, draw.c_ell_beta, draw.c_n_beta),
             (fold.cr_p, draw.c_ell_p, draw.c_n_p),
@@ -179,9 +179,9 @@ def test_criterion_2_heading_step_matches_analytic_plant(params):
 
     # Roll hold (10 rad/s, 1, ki 2), pitch (10 rad/s, 0.9), altitude
     # (0.8 rad/s, 1), airspeed PI (0.4, 0.15), pitch limit 20 deg.
-    schedule = make_gain_schedule("ratc", airframe, ControllerSettings())
-    ad0 = air_data(state, CALM)
-    coeffs0 = schedule(ad0.va, ad0.vg)
+    ctrl = ControllerSettings()
+    schedule = make_gain_schedule("ratc", airframe, ctrl)
+    coeffs0 = plant_report(airframe, air_data(state, CALM).va)
     a1, a2 = coeffs0.a_psi1, coeffs0.a_psi2
 
     dt = 0.01
@@ -192,13 +192,13 @@ def test_criterion_2_heading_step_matches_analytic_plant(params):
     for k in range(n):
         psi_sim[k] = state.psi
         ad = air_data(state, CALM)
-        # The rudder is held open loop: the heading PD is zeroed.
-        gains = schedule(ad.va, ad.vg)._replace(kp_psi=0.0, kd_psi=0.0)
-        delta_a, _, roll_int = ratc_step(0.0, state, gains, roll_int, dt,
-                                         variant)
+        # The rudder is held open loop: the law's delta_r is not flown.
+        gains = schedule(ad.va, ad.vg)
+        delta_a, _, _, roll_int = ratc_step(0.0, state, ad, gains, 0.0,
+                                            roll_int, dt, variant, ctrl)
         delta_e, delta_t, alt_int, va_int = longitudinal_holds(
             state, ad, 150.0, 20.0, gains, alt_int, va_int, dt,
-            trim_state.theta, trim_cmd, variant)
+            trim_state.theta, trim_cmd, variant, ctrl)
         cmd = clamp_command(ControlCommand(delta_a, delta_e, delta_r,
                                            delta_t), variant)
         state = integrate_step(state, cmd, CALM, airframe, dt)

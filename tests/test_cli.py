@@ -7,7 +7,9 @@ import pytest
 import levelwing.scenario
 from conftest import needs_fork
 from levelwing.cli import main
-from levelwing.config import resolve_input_path
+from levelwing.config import load_config, resolve_input_path
+from levelwing.control import plant_report
+from levelwing.dynamics import make_airframe
 from levelwing.errors import SingularityError
 
 
@@ -46,6 +48,12 @@ def test_gains_prints_synthesized_plant(capsys):
     assert "a_psi1" in text and "a_psi2" in text
     assert "ratc heading" in text
     assert "trim" in text
+    # The three plants are the plant report's at the commanded airspeed.
+    cfg = load_config("rectangle_compare.ini")
+    plants = plant_report(make_airframe(cfg.params), cfg.va_cmd)
+    printed = dict(re.findall(r"(a_\w+) ([-+]\d+\.\d+)", text))
+    assert printed == {name: f"{value:+.4f}"
+                       for name, value in plants._asdict().items()}
 
 
 def test_trim_prints_solution_and_honors_airspeed(capsys):

@@ -217,6 +217,17 @@ wp03 = 400, 400, 150
         assert re.findall(r"waypoint (\S+)", str(caught.value))[0] == "1"
 
 
+def test_orbit_plan_file_with_a_fillet_radius_rejected(tmp_path):
+    # The fillet radius of an orbit plan was once dropped without a word.
+    text = set_key(base_text(DATA_DIR / "plans" / "circle.ini"), "plan",
+                   "fillet_radius_m", "50")
+    path = write(tmp_path, "loiter.ini", text)
+    with pytest.raises(ConfigError) as caught:
+        load_plan(path)
+    assert str(caught.value) == (f"{path}: plan 'circle': an orbit plan "
+                                 "takes no waypoints and no fillet radius")
+
+
 def test_bad_orbit_direction_reported(tmp_path):
     p = write(tmp_path, "spin.ini", """
 [plan]

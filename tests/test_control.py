@@ -1,4 +1,5 @@
-"""Gain schedule, the two lateral correctors, and the longitudinal holds."""
+"""Gain schedules, plant report, the two lateral correctors, and the
+longitudinal holds."""
 
 import math
 from dataclasses import replace
@@ -8,19 +9,24 @@ import pytest
 
 from levelwing.config import ControllerSettings
 from levelwing.control import (
+    MIN_SCHEDULING_AIRSPEED,
     ControlCommand,
+    Plants,
     aotc_step,
     apply_rate_limits,
     longitudinal_holds,
     make_gain_schedule,
     place_poles,
+    plant_report,
     ratc_step,
 )
 from levelwing.dynamics import AircraftState, Environment, air_data, \
     make_airframe
-from levelwing.errors import ConfigError, UncontrollablePlantError
+from levelwing.errors import AirDataError, ConfigError, \
+    UncontrollablePlantError
 
 CALM = Environment()
+STOCK = ControllerSettings()
 
 
 def schedule(mode, params, **ctrl):
@@ -60,14 +66,55 @@ def test_ratc_gains_reject_zero_rudder_authority(params):
         schedule("ratc", dead)
     with pytest.raises(ConfigError):
         ControllerSettings(wn_psi=0.0)
+    # aotc never moves the rudder, so it flies without rudder authority,
+    # and the plant report shows the dead rudder.
+    assert math.isfinite(schedule("aotc", dead)(20.0, 20.0).kp_roll)
+    assert plant_report(make_airframe(dead), 20.0).a_psi2 == 0.0
+
+
+@pytest.mark.parametrize("mode", ["aotc", "ratc"])
+def test_schedule_holds_only_gains_that_vary(params, mode):
+    # A step builds no nan, no plant coefficient and no constant: every
+    # gain the schedule returns moves with the flight condition.
+    sched = schedule(mode, params)
+    speeds = (0.5, 20.0, 40.0)
+    for va in speeds:
+        for vg in speeds:
+            gains = sched(va, vg)
+            assert all(map(math.isfinite, gains)), (va, vg, gains)
+            assert not set(gains._fields) & set(Plants._fields)
+    slow, fast = sched(20.0, 20.0), sched(40.0, 40.0)
+    assert [name for name, a, b in zip(slow._fields, slow, fast)
+            if a == b] == []
+    with pytest.raises(ConfigError, match="aotc or ratc, got 'hybrid'"):
+        schedule("hybrid", params)
+
+
+def test_plant_report_floors_as_the_schedules_do(airframe):
+    # The heading plant sees the airspeed itself; roll and pitch see it
+    # floored at MIN_SCHEDULING_AIRSPEED, as the schedules do.
+    low = plant_report(airframe, 0.5)
+    floor = plant_report(airframe, MIN_SCHEDULING_AIRSPEED)
+    assert low[2:] == floor[2:]
+    assert low.a_psi1 == 0.5 * floor.a_psi1
+    assert low.a_psi2 == 0.25 * floor.a_psi2
+    for va in (0.0, -1.0):
+        with pytest.raises(AirDataError):
+            plant_report(airframe, va)
+        with pytest.raises(AirDataError):
+            make_gain_schedule("ratc", airframe, STOCK)(va, 20.0)
+        assert make_gain_schedule("aotc", airframe, STOCK)(va, 20.0) == \
+            make_gain_schedule("aotc", airframe, STOCK)(
+                MIN_SCHEDULING_AIRSPEED, 20.0)
 
 
 def test_roll_gains_realize_design_poles(params):
     g = schedule("ratc", params)(20.0, 20.0)
-    a1, a2 = g.a_phi1, g.a_phi2
+    plants = plant_report(make_airframe(params), 20.0)
+    a1, a2 = plants.a_phi1, plants.a_phi2
     assert math.isclose(a2 * g.kp_roll, 100.0, rel_tol=1e-12)
     assert math.isclose(a1 + a2 * g.kd_roll, 20.0, rel_tol=1e-12)
-    assert g.ki_roll == 2.0
+    assert STOCK.ki_roll == 2.0
 
 
 def test_roll_gains_reject_zero_aileron_authority(params):
@@ -104,9 +151,8 @@ def test_pitch_gains_reject_zero_elevator_authority(params):
         schedule("ratc", dead)
 
 
-def test_pitch_plant_scales_with_dynamic_pressure(params):
-    lon = schedule("ratc", params)
-    g20, g40 = lon(20.0, 20.0), lon(40.0, 40.0)
+def test_pitch_plant_scales_with_dynamic_pressure(airframe):
+    g20, g40 = plant_report(airframe, 20.0), plant_report(airframe, 40.0)
     a1_20, a2_20, a3_20 = g20.a_theta1, g20.a_theta2, g20.a_theta3
     a1_40, a2_40, a3_40 = g40.a_theta1, g40.a_theta2, g40.a_theta3
     assert a2_40 / a2_20 == pytest.approx(4.0, rel=1e-12)
@@ -130,7 +176,8 @@ def ratc_setup(params):
 def test_ratc_step_zero_error_is_fixed_point(params):
     gains = ratc_setup(params)
     state = AircraftState(u=20.0)
-    delta_a, delta_r, _ = ratc_step(0.0, state, gains, 0.0, 0.01, params)
+    delta_a, delta_r, _, _ = ratc_step(0.0, state, air_data(state, CALM),
+                                       gains, 0.0, 0.0, 0.01, params, STOCK)
     assert delta_a == pytest.approx(0.0, abs=1e-12)
     # With r = 0 the rudder is kp_psi times the heading error.
     assert delta_r == pytest.approx(0.0, abs=1e-12)
@@ -139,17 +186,19 @@ def test_ratc_step_zero_error_is_fixed_point(params):
 def test_ratc_step_commands_corrective_yaw_moment(params):
     gains = ratc_setup(params)
     state = AircraftState(u=20.0)
-    _, delta_r, _ = ratc_step(0.3, state, gains, 0.0, 0.01, params)
+    _, delta_r, _, _ = ratc_step(0.3, state, air_data(state, CALM), gains,
+                                 0.0, 0.0, 0.01, params, STOCK)
     # Rudder effectiveness is negative on this airframe, so the deflection
     # itself is negative; the produced yaw acceleration must be positive.
-    assert gains.a_psi2 * delta_r > 0.0
+    assert plant_report(make_airframe(params), 20.0).a_psi2 * delta_r > 0.0
 
 
 def test_ratc_step_error_wraps_across_seam(params):
     gains = ratc_setup(params)
     state = AircraftState(u=20.0, psi=math.radians(175.0))
-    _, delta_r, _ = ratc_step(math.radians(-175.0), state, gains, 0.0, 0.01,
-                              params)
+    _, delta_r, _, _ = ratc_step(math.radians(-175.0), state,
+                                 air_data(state, CALM), gains, 0.0, 0.0,
+                                 0.01, params, STOCK)
     # The rudder is kp_psi times the wrapped heading error of +10 deg.
     assert delta_r == pytest.approx(gains.kp_psi * math.radians(10.0),
                                     rel=1e-9)
@@ -158,7 +207,8 @@ def test_ratc_step_error_wraps_across_seam(params):
 def test_ratc_step_levels_the_wings(params):
     gains = ratc_setup(params)
     state = AircraftState(u=20.0, phi=0.2)
-    delta_a, _, _ = ratc_step(0.0, state, gains, 0.0, 0.01, params)
+    delta_a, _, _, _ = ratc_step(0.0, state, air_data(state, CALM), gains,
+                                 0.0, 0.0, 0.01, params, STOCK)
     assert math.copysign(1.0, delta_a) == -math.copysign(1.0,
                                                          gains.kp_roll * 0.2)
     assert delta_a != 0.0
@@ -168,20 +218,25 @@ def test_ratc_step_single_tracked_error_topology(params):
     gains = ratc_setup(params)
     state = AircraftState(u=20.0, phi=0.1)
     wide = wide_limits(params)
-    delta_a, delta_r, roll_int = ratc_step(0.5, state, gains, 0.0, 0.01,
-                                           wide)
+    ad = air_data(state, CALM)
+    delta_a, delta_r, course_int, roll_int = ratc_step(
+        0.5, state, ad, gains, 0.7, 0.0, 0.01, wide, STOCK)
     # The rudder tracks the heading error alone; the roll error drives
     # only the ailerons, whatever the heading command.
     assert delta_r == pytest.approx(gains.kp_psi * 0.5, rel=1e-9)
-    assert delta_a == ratc_step(0.0, state, gains, 0.0, 0.01, wide)[0]
-    # Inside the limits the roll integrator takes the whole step.
+    assert delta_a == ratc_step(0.0, state, ad, gains, 0.0, 0.0, 0.01, wide,
+                                STOCK)[0]
+    # Inside the limits the roll integrator takes the whole step; the
+    # course integrator, which ratc does not use, passes through.
     assert roll_int == -0.1 * 0.01
+    assert course_int == 0.7
 
 
 def test_ratc_step_saturates_at_surface_limit(params):
     gains = ratc_setup(params)
     state = AircraftState(u=20.0)
-    _, delta_r, _ = ratc_step(math.pi, state, gains, 0.0, 0.01, params)
+    _, delta_r, _, _ = ratc_step(math.pi, state, air_data(state, CALM), gains,
+                                 0.0, 0.0, 0.01, params, STOCK)
     assert abs(gains.kp_psi * math.pi) > params.delta_r_max
     assert abs(delta_r) == params.delta_r_max
 
@@ -195,8 +250,8 @@ def aotc_setup(params):
 def test_aotc_step_zero_error_is_fixed_point(params):
     gains = aotc_setup(params)
     state = AircraftState(u=20.0)
-    delta_a, delta_r, _ = aotc_step(0.0, state, air_data(state, CALM), gains,
-                                    0.0, 0.01, params, math.radians(45.0))
+    delta_a, delta_r, _, _ = aotc_step(0.0, state, air_data(state, CALM),
+                                       gains, 0.0, 0.0, 0.01, params, STOCK)
     assert delta_a == pytest.approx(0.0, abs=1e-12)
     assert delta_r == 0.0
 
@@ -205,14 +260,15 @@ def test_aotc_step_banks_into_course_error(params):
     gains = aotc_setup(params)
     state = AircraftState(u=20.0)
     ad = air_data(state, CALM)
-    delta_a, delta_r, _ = aotc_step(0.3, state, ad, gains, 0.0, 0.01,
-                                    params, math.radians(45.0))
+    delta_a, delta_r, _, roll_int = aotc_step(0.3, state, ad, gains, 0.0,
+                                              0.7, 0.01, params, STOCK)
     assert delta_r == 0.0
+    assert roll_int == 0.7   # ratc's roll integrator passes through
     assert delta_a > 0.0     # right bank command, wings currently level
     # Through unsaturated ailerons: the bank command is the course PI of
     # the 0.3 rad course error, integrated over one step.
-    delta_a, _, _ = aotc_step(0.3, state, ad, gains, 0.0, 0.01,
-                              wide_limits(params), math.radians(45.0))
+    delta_a, _, _, _ = aotc_step(0.3, state, ad, gains, 0.0, 0.0, 0.01,
+                                 wide_limits(params), STOCK)
     phi_cmd = gains.kp_course * 0.3 + gains.ki_course * 0.3 * 0.01
     assert delta_a == pytest.approx(gains.kp_roll * phi_cmd, rel=1e-9)
 
@@ -220,11 +276,12 @@ def test_aotc_step_banks_into_course_error(params):
 def test_aotc_step_bank_command_saturates(params):
     gains = aotc_setup(params)
     state = AircraftState(u=20.0)
-    delta_a, _, course_int = aotc_step(3.0, state, air_data(state, CALM),
-                                       gains, 0.0, 0.01, wide_limits(params),
-                                       math.radians(45.0))
+    delta_a, _, course_int, _ = aotc_step(3.0, state, air_data(state, CALM),
+                                          gains, 0.0, 0.0, 0.01,
+                                          wide_limits(params), STOCK)
     # The roll error then tracks the clamped bank command, not the raw one,
     # and the course integrator holds while the command is railed.
+    assert STOCK.bank_limit == math.radians(45.0)
     assert gains.kp_course * 3.0 > math.radians(45.0)
     assert delta_a == gains.kp_roll * math.radians(45.0)
     assert course_int == 0.0
@@ -241,41 +298,43 @@ def integrating_loop(name, params):
     level = air_data(state, CALM)
     trim = ControlCommand(delta_t=0.5)
     if name == "aotc_course":
-        gains, bank = aotc_setup(params), math.radians(45.0)
+        gains, bank = aotc_setup(params), STOCK.bank_limit
 
         def step(integrator, err):
-            delta_a, _, integrator = aotc_step(err, state, level, gains,
-                                               integrator, 0.01, wide, bank)
+            delta_a, _, integrator, _ = aotc_step(err, state, level, gains,
+                                                  integrator, 0.0, 0.01, wide,
+                                                  STOCK)
             return delta_a, integrator
         return (step, lambda err: math.copysign(gains.kp_roll * bank, err),
                 bank / gains.ki_course)
     gains = ratc_setup(params)
     if name == "ratc_roll":
         def step(integrator, err):
-            delta_a, _, integrator = ratc_step(
-                0.0, state._replace(phi=-err), gains, integrator, 0.01, params)
+            delta_a, _, _, integrator = ratc_step(
+                0.0, state._replace(phi=-err), level, gains, 0.0, integrator,
+                0.01, params, STOCK)
             return delta_a, integrator
         return (step, lambda err: math.copysign(params.delta_a_max, err),
-                params.delta_a_max / gains.ki_roll)
+                params.delta_a_max / STOCK.ki_roll)
     if name == "altitude":
         def step(integrator, err):
             off = state._replace(pd=-150.0 + err)
             delta_e, _, integrator, _ = longitudinal_holds(
                 off, air_data(off, CALM), 150.0, 20.0, gains, integrator, 0.0,
-                0.01, 0.0, trim, wide)
+                0.01, 0.0, trim, wide, STOCK)
             return delta_e, integrator
         return (step,
-                lambda err: gains.kp_theta * math.copysign(gains.theta_limit,
+                lambda err: gains.kp_theta * math.copysign(STOCK.pitch_limit,
                                                            err),
-                gains.theta_limit / gains.ki_h)
+                STOCK.pitch_limit / gains.ki_h)
 
     def step(integrator, err):    # the throttle, pinned at 1 or at 0
         _, delta_t, _, integrator = longitudinal_holds(
             state, level, 150.0, 20.0 + err, gains, 0.0, integrator, 0.01,
-            0.0, trim, params)
+            0.0, trim, params, STOCK)
         return delta_t, integrator
     return (step, lambda err: 1.0 if err > 0.0 else 0.0,
-            1.0 / gains.ki_va)
+            1.0 / STOCK.ki_airspeed)
 
 
 @pytest.mark.parametrize("name, error", [
@@ -309,14 +368,16 @@ def test_antiwindup_desaturates_quickly(params, name, error):
 def test_ratc_roll_hold_without_integrator_is_pd(params):
     # ki_roll = 0 is a valid setting: the roll hold is then a pure PD whose
     # integrator never moves, on the rail or off it.
+    pd_only = ControllerSettings(ki_roll=0.0)
     gains = schedule("ratc", params, ki_roll=0.0)(20.0, 20.0)
     rng = np.random.default_rng(12)
     roll_int = 0.0
     for _ in range(500):
         state = AircraftState(u=20.0, phi=rng.uniform(-1.0, 1.0),
                               p=rng.uniform(-2.0, 2.0))
-        delta_a, _, roll_int = ratc_step(rng.uniform(-math.pi, math.pi),
-                                         state, gains, roll_int, 0.01, params)
+        delta_a, _, _, roll_int = ratc_step(
+            rng.uniform(-math.pi, math.pi), state, air_data(state, CALM),
+            gains, 0.0, roll_int, 0.01, params, pd_only)
         assert roll_int == 0.0
         pd = gains.kp_roll * -state.phi - gains.kd_roll * state.p
         assert delta_a == max(-params.delta_a_max,
@@ -337,11 +398,12 @@ def test_lateral_commands_respect_limits_randomized(params):
         )
         ad = air_data(state, CALM)
         chi_cmd = rng.uniform(-math.pi, math.pi)
-        da, dr, _ = ratc_step(chi_cmd, state, ratc_gains, 0.0, 0.01, params)
+        da, dr, _, _ = ratc_step(chi_cmd, state, ad, ratc_gains, 0.0, 0.0,
+                                 0.01, params, STOCK)
         assert abs(da) <= params.delta_a_max + 1e-12
         assert abs(dr) <= params.delta_r_max + 1e-12
-        da, dr, _ = aotc_step(chi_cmd, state, ad, aotc_gains, 0.0, 0.01,
-                              params, math.radians(45.0))
+        da, dr, _, _ = aotc_step(chi_cmd, state, ad, aotc_gains, 0.0, 0.0,
+                                 0.01, params, STOCK)
         assert abs(da) <= params.delta_a_max + 1e-12
         assert dr == 0.0
 
@@ -358,7 +420,7 @@ def test_longitudinal_holds_trim_fixed_point(params, trim20):
     lon = lon_setup(params)
     delta_e, delta_t, _, _ = longitudinal_holds(
         at_alt, air_data(at_alt, CALM), 150.0, 20.0, lon, 0.0, 0.0, 0.01,
-        state.theta, cmd, params)
+        state.theta, cmd, params, STOCK)
     assert delta_e == pytest.approx(cmd.delta_e, abs=1e-9)
     assert delta_t == pytest.approx(cmd.delta_t, abs=1e-9)
 
@@ -369,7 +431,7 @@ def test_longitudinal_holds_pitch_up_when_low(params, trim20):
     lon = lon_setup(params)
     delta_e, _, _, _ = longitudinal_holds(
         low, air_data(low, CALM), 150.0, 20.0, lon, 0.0, 0.0, 0.01,
-        state.theta, cmd, params)
+        state.theta, cmd, params, STOCK)
     # Ten meters low raises the pitch command; the elevator increment
     # carries the sign of the pitch gain (negative for this airframe).
     assert (delta_e - cmd.delta_e) * lon.kp_theta > 0.0
@@ -382,7 +444,7 @@ def test_longitudinal_holds_throttle_up_when_slow(params, trim20):
     lon = lon_setup(params)
     _, delta_t, _, _ = longitudinal_holds(
         slow, air_data(slow, CALM), 150.0, 20.0, lon, 0.0, 0.0, 0.01,
-        state.theta, cmd, params)
+        state.theta, cmd, params, STOCK)
     assert delta_t > cmd.delta_t
 
 
@@ -397,7 +459,7 @@ def test_longitudinal_holds_pitch_unclamped_inside_limit(params, trim20):
         off = state._replace(pd=-150.0 + h_err)
         delta_e, _, alt_int, _ = longitudinal_holds(
             off, air_data(off, CALM), 150.0, 20.0, lon, 0.0, 0.0, 0.01, 0.1,
-            cmd, wide)
+            cmd, wide, STOCK)
         assert alt_int == h_err * 0.01, h_err
         theta_cmd = 0.1 + lon.kp_h * h_err + lon.ki_h * alt_int
         assert delta_e == pytest.approx(

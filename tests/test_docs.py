@@ -84,9 +84,9 @@ def test_airframe_example_runs(capsys):
     assert airframe.params == namespace["cfg"].params
     assert state.pn > 0.0 and state.pe > 0.0
     kp_psi, kd_psi, a_psi2 = map(float, capsys.readouterr().out.split())
-    gains = namespace["gains"]
+    gains, plants = namespace["gains"], namespace["plants"]
     assert (kp_psi, kd_psi, a_psi2) == (gains.kp_psi, gains.kd_psi,
-                                        gains.a_psi2)
+                                        plants.a_psi2)
 
 
 def test_closed_loop_step_example_runs():

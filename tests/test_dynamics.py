@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import combined_yaw_coeffs, rk4_step
 from levelwing.angles import wrap_pi
-from levelwing.config import ControllerSettings
-from levelwing.control import ControlCommand, make_gain_schedule
+from levelwing.control import ControlCommand, plant_report
 from levelwing.dynamics import (
     PITCH_SINGULARITY_MARGIN,
     AircraftState,
@@ -53,10 +52,9 @@ def thrust(params, va, delta_t):
             - forces(params, state, ControlCommand()).fx)
 
 
-def ratc_gains(airframe, airdata):
-    """Gains and plants of the ratc schedule at the given air data."""
-    schedule = make_gain_schedule("ratc", airframe, ControllerSettings())
-    return schedule(airdata.va, airdata.vg)
+def designed_plants(airframe, airdata):
+    """The designed plants at the given air data."""
+    return plant_report(airframe, airdata.va)
 
 
 def yaw_disturbance(params, coeffs, airdata, p, delta_a):
@@ -235,8 +233,8 @@ def test_combined_yaw_collapses_without_cross_inertia(params):
     assert math.isclose(coeffs.cr_beta, p.c_n_beta, rel_tol=1e-12)
     assert math.isclose(coeffs.cr_r, p.c_n_r, rel_tol=1e-12)
     assert math.isclose(coeffs.cr_delta_r, p.c_n_delta_r, rel_tol=1e-12)
-    plant = ratc_gains(make_airframe(p), air_data(AircraftState(u=20.0),
-                                                  CALM))
+    plant = designed_plants(make_airframe(p),
+                            air_data(AircraftState(u=20.0), CALM))
     qs = 0.5 * p.rho * 20.0**2 * p.wing_area * p.wing_span
     assert math.isclose(plant.a_psi2, qs * p.c_n_delta_r, rel_tol=1e-12)
     assert math.isclose(plant.a_psi1, -0.25 * p.rho * 20.0 * p.wing_area
@@ -246,7 +244,7 @@ def test_combined_yaw_collapses_without_cross_inertia(params):
 def test_combined_yaw_golden_heading_plant(params, airframe):
     state = AircraftState(u=20.0)
     coeffs = combined_yaw_coeffs(params, airframe.gammas)
-    plant = ratc_gains(airframe, air_data(state, CALM))
+    plant = designed_plants(airframe, air_data(state, CALM))
     assert math.isclose(coeffs.cr_r, -0.033586801842689334, rel_tol=1e-12)
     assert math.isclose(coeffs.cr_delta_r, -0.039421646668014836,
                         rel_tol=1e-12)
@@ -257,8 +255,8 @@ def test_combined_yaw_golden_heading_plant(params, airframe):
 def test_combined_yaw_damping_scales_linearly_with_airspeed(airframe):
     # The yaw-rate feedback term carries one airspeed power less than the
     # control effectiveness: a_psi1 ~ Va, a_psi2 ~ Va^2.
-    c20 = ratc_gains(airframe, air_data(AircraftState(u=20.0), CALM))
-    c40 = ratc_gains(airframe, air_data(AircraftState(u=40.0), CALM))
+    c20 = designed_plants(airframe, air_data(AircraftState(u=20.0), CALM))
+    c40 = designed_plants(airframe, air_data(AircraftState(u=40.0), CALM))
     assert math.isclose(c40.a_psi1 / c20.a_psi1, 2.0, rel_tol=1e-12)
     assert math.isclose(c40.a_psi2 / c20.a_psi2, 4.0, rel_tol=1e-12)
 
@@ -274,7 +272,7 @@ def test_combined_yaw_disturbance_zero_at_null_inputs(params, airframe):
 def test_combined_yaw_rejects_zero_airspeed(airframe):
     ad = air_data(AircraftState(), CALM)
     with pytest.raises(AirDataError):
-        ratc_gains(airframe, ad)
+        designed_plants(airframe, ad)
 
 
 def test_yaw_equation_consistency_randomized(params, airframe):
@@ -296,7 +294,7 @@ def test_yaw_equation_consistency_randomized(params, airframe):
         )
         ad = air_data(state, CALM)
         fm = forces(params, state, cmd)
-        coeffs = ratc_gains(airframe, ad)
+        coeffs = designed_plants(airframe, ad)
         d_psi = yaw_disturbance(params, combined_yaw_coeffs(params, gammas),
                                 ad, p=state.p, delta_a=cmd.delta_a)
         lhs = gammas.gamma4 * fm.l + gammas.gamma8 * fm.n

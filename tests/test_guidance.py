@@ -186,6 +186,18 @@ def test_slew_limit_rate_bound_randomized():
         assert step <= rate * dt + 1e-12
 
 
+def test_plan_is_lines_or_an_orbit_never_both():
+    # Either part alone flies; together they once flew only the orbit.
+    orbit = OrbitPlan(0.0, 0.0, 100.0, 1)
+    lines = [(0.0, 0.0, 150.0), (400.0, 0.0, 150.0)]
+    assert FlightPlan(name="both", orbit=orbit, fillet_radius=0.0).segments
+    for extra in ({"waypoints": lines}, {"fillet_radius": 50.0},
+                  {"waypoints": lines, "fillet_radius": 50.0}):
+        with pytest.raises(ConfigError, match="plan 'both': an orbit plan "
+                           "takes no waypoints and no fillet radius"):
+            FlightPlan(name="both", orbit=orbit, **extra)
+
+
 def test_slew_limit_rejects_bad_parameters():
     with pytest.raises(ConfigError):
         slew_limit(0.0, 1.0, 0.0, 0.1)

@@ -1,7 +1,8 @@
 """Package structure: the intra-package import graph has no cycle,
 every function, class and method is used inside the package, the
 settings types check themselves once, when they are made, one place binds
-an airframe, one place integrates the control loops, the run loop is one
+an airframe, one place integrates the control loops, the lateral law is
+chosen only where a controller is bound, the run loop is one
 closed-loop step, the per-step code uses no numpy, calls no builtin min or
 max and assigns no attribute outside the gust model, and the benchmark
 tracer's hooks name what the package defines.
@@ -323,6 +324,36 @@ def test_one_place_integrates_the_control_loops():
     control = {"control": sources["control"]}
     assert enclosing(control, lambda node: isinstance(node, ast.AugAssign)) \
         == {"control._saturating_pi"}
+
+
+def mode_comparisons(sources: dict[str, str]) -> set[str]:
+    """Where a comparison names a lateral law, "aotc" or "ratc" (see
+    enclosing)."""
+    def hit(node):
+        return isinstance(node, ast.Compare) and any(
+            isinstance(n, ast.Constant) and n.value in ("aotc", "ratc")
+            for side in (node.left, *node.comparators)
+            for n in ast.walk(side))
+    return enclosing(sources, hit)
+
+
+def test_mode_comparisons_find_names_inside_tuples():
+    sources = {"a": "class C:\n    def __init__(self, m):\n"
+                    "        self.ok = m in ('aotc', 'ratc')\n"
+                    "    def step(self):\n        return self.m == 'ratc'\n"
+                    "def f(m):\n    return g('ratc') if m else 'aotc'\n"}
+    assert mode_comparisons(sources) == {"a.C", "a.C.step"}
+
+
+def test_the_law_is_chosen_once_when_bound():
+    # The mode is checked where settings, a schedule and a controller are
+    # made; no step and no run loop asks again. (The controller's
+    # __init__ reports as its class.)
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in SRC.glob("*.py")}
+    assert mode_comparisons(sources) == {
+        "config.ControllerSettings", "control.make_gain_schedule",
+        "scenario.FlightController"}
 
 
 # The per-step code, by module: a function or Class.method, "*" for every
