@@ -19,13 +19,7 @@ import sys
 from .config import load_config
 from .control import make_gain_schedule, plant_report
 from .dynamics import make_airframe, trim
-from .errors import (
-    ConfigError,
-    DynamicsFaultError,
-    SimulatorError,
-    TrimFailureError,
-    UncontrollablePlantError,
-)
+from .errors import SimulatorError
 from .scenario import (
     compare_controllers,
     export_csv,
@@ -33,7 +27,8 @@ from .scenario import (
     write_comparison,
 )
 
-_FAULT_ERRORS = (DynamicsFaultError, UncontrollablePlantError)
+# The exit code of each error category; any other category exits 1.
+_EXIT_CODES = {"config": 2, "trim": 3, "dynamics": 4, "control": 4}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -188,21 +183,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except ConfigError as exc:
+    except SimulatorError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
-        return 2
-    except TrimFailureError as exc:
-        print(f"error[{exc.category}]: {exc}", file=sys.stderr)
-        return 3
-    except _FAULT_ERRORS as exc:
-        print(f"error[{exc.category}]: {exc}", file=sys.stderr)
-        return 4
+        return _EXIT_CODES.get(exc.category, 1)
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return 5
-    except SimulatorError as exc:
-        print(f"error[{exc.category}]: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -1,12 +1,18 @@
 """Configuration file loading.
 
 Three INI-style document kinds share one reader: aircraft parameter
-files, flight-plan files, and scenario files. One key table per settings
-type maps each INI key to a dataclass field. The reader passes on only
-the keys a file sets, so every default lives once, in its dataclass, and
-a key or section that no table lists is an error. Values are literal
-(no `%` interpolation). Keys ending in `_deg` or `_dps` are degrees
-(per second) and are converted to radians at load; aerodynamic
+files, flight-plan files, and scenario files. A file is read into one
+dict per section. Its loader takes out the few keys it reads itself, and
+one key table per settings type takes out the keys that map onto that
+type's dataclass fields, each value parsed by its field's annotation (a
+`tuple[float, ...]` field, like each waypoint, is a comma list). Only the
+keys a file sets are passed on, so every default lives once, in its
+dataclass; a key that nothing took or a section that no loader reads is
+an error. Every ConfigError raised while a file becomes settings starts
+with that file's path, and one from an aircraft or plan file that a
+scenario references names that file after the scenario. Values are
+literal (no `%` interpolation). Keys ending in `_deg` or `_dps` are
+degrees (per second) and are converted to radians at load; aerodynamic
 derivatives are per-radian and pass through unchanged. Relative paths
 referenced by a scenario resolve against the scenario file's directory
 first, then against the bundled data directory, so
@@ -17,7 +23,8 @@ from __future__ import annotations
 
 import configparser
 import math
-from collections.abc import Collection, Mapping
+from collections.abc import Collection, Iterator, Mapping
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -64,13 +71,13 @@ ORBIT_KEYS = {
     "center_n_m": "center_n", "center_e_m": "center_e", "radius_m": "radius",
     "revolutions": "revolutions", "start_bearing_deg": "start_bearing",
 }
-# [scenario] -> ScenarioConfig; the name (default: the file stem), the two
-# file references and the h_ref_m list are read by the loader itself.
+# [scenario] -> ScenarioConfig; the name (default: the file stem) and the
+# two file references are read by the loader itself.
 SCENARIO_KEYS = {
     "dt_s": "dt", "duration_s": "duration", "airspeed_mps": "va_cmd",
-    "warmup_s": "warmup", "seed": "seed",
+    "h_ref_m": "h_refs", "warmup_s": "warmup", "seed": "seed",
 }
-SCENARIO_OWN_KEYS = ("name", "aircraft", "plan", "h_ref_m")
+SCENARIO_OWN_KEYS = ("name", "aircraft", "plan")
 # [environment] -> EnvironmentSettings and [controller] -> ControllerSettings;
 # a scenario may leave out either section.
 ENVIRONMENT_KEYS = {
@@ -139,9 +146,10 @@ def resolve_input_path(
     raise ConfigError(f"file not found: {name}")
 
 
-def _read_ini(path: Path) -> configparser.ConfigParser:
-    """Parse path with literal values; a [DEFAULT] section is an ordinary
-    section, so it is checked like any other instead of leaking keys."""
+def _read_ini(path: Path) -> dict[str, dict[str, str]]:
+    """{section: {key: raw value}} of the file at path, read with literal
+    values; a [DEFAULT] section is an ordinary section, so it is checked
+    like any other instead of leaking keys."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                        interpolation=None, default_section="")
     try:
@@ -151,26 +159,36 @@ def _read_ini(path: Path) -> configparser.ConfigParser:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    return parser
+    return {name: dict(parser.items(name, raw=True))
+            for name in parser.sections()}
 
 
-def _only_sections(parser: configparser.ConfigParser, path: Path,
-                   sections: Collection[str]) -> None:
-    for name in parser.sections():
-        if name not in sections:
-            raise ConfigError(f"{path}: unknown section [{name}]")
+@contextmanager
+def _in_file(path: Path) -> Iterator[None]:
+    """Put path before the message of each ConfigError raised inside."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _section(parser: configparser.ConfigParser, path: Path,
-             name: str) -> configparser.SectionProxy:
-    if not parser.has_section(name):
-        raise ConfigError(f"{path}: missing section [{name}]")
-    return parser[name]
+def _sections(found: dict[str, dict[str, str]], required: Collection[str],
+              may_omit: Collection[str] = ()) -> dict[str, dict[str, str]]:
+    """The required sections of found and those of may_omit, an absent one
+    empty; a missing required section or any other section is an error."""
+    for name in found:
+        if name not in required and name not in may_omit:
+            raise ConfigError(f"unknown section [{name}]")
+    for name in required:
+        if name not in found:
+            raise ConfigError(f"missing section [{name}]")
+    return {name: found.get(name, {}) for name in (*required, *may_omit)}
 
 
-def _parse_value(raw: str, kind: str):
-    """raw as a value of the annotated kind; a ValueError says what it is
-    not."""
+def _parse_value(raw: str, kind: str, label: str):
+    """raw as a value of the annotated kind: a string, a flag, an integer,
+    a number or, for a tuple, a comma list of numbers whose empty items are
+    skipped. A ConfigError says that label is not one."""
     if kind == "str":
         return raw
     if kind == "bool":
@@ -179,114 +197,99 @@ def _parse_value(raw: str, kind: str):
             return True
         if word in ("0", "false", "no", "off"):
             return False
-        raise ValueError("is not a boolean")
+        raise ConfigError(f"{label} is not a boolean")
     if kind == "int":
         try:
             return int(raw)
         except ValueError:
-            raise ValueError("is not an integer") from None
+            raise ConfigError(f"{label} is not an integer") from None
+    scalar = not kind.startswith("tuple[")
+    items = [raw] if scalar else [s for s in raw.split(",") if s.strip()]
     try:
-        value = float(raw)
+        values = tuple(map(float, items))
     except ValueError:
-        raise ValueError("is not a number") from None
-    if not math.isfinite(value):
-        raise ValueError("is not finite")
-    return value
+        raise ConfigError(f"{label} is not a number" if scalar
+                          else f"{label} has a non-numeric field") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{label} is not finite" if scalar
+                          else f"{label} has a non-finite field")
+    return values[0] if scalar else values
 
 
-def _read_section(parser: configparser.ConfigParser, path: Path,
-                  section: str, table: Mapping[str, str], cls: type,
-                  known: Collection[str] = (),
-                  optional: bool = False) -> dict:
+def _take(sections: dict[str, dict[str, str]], section: str,
+          table: Mapping[str, str], cls: type) -> dict:
     """{field: value} for each key of [section] that table maps onto a
-    field of cls, parsed by the field's annotation.
-
-    A key that neither table nor known (the keys the caller reads itself)
-    lists is an error, and so is a missing key whose field has no default.
-    An optional section may be absent.
-    """
-    if optional and not parser.has_section(section):
-        items = {}
-    else:
-        items = _section(parser, path, section)
+    field of cls, parsed by the field's annotation, taking those keys out
+    of the section. A missing key whose field has no default is an error."""
+    items = sections[section]
     cls_fields = {f.name: f for f in fields(cls)}
     values = {}
-    for key, raw in items.items():
-        if key in known:
-            continue
-        if key not in table:
-            raise ConfigError(f"{path}: unknown key '{key}' in [{section}]")
-        name = table[key]
-        try:
-            value = _parse_value(raw, cls_fields[name].type)
-        except ValueError as exc:
-            raise ConfigError(
-                f"{path}: [{section}] {key} = {raw!r} {exc}") from None
-        values[name] = (math.radians(value) if key.endswith(("_deg", "_dps"))
-                        else value)
     for key, name in table.items():
-        if name not in values and cls_fields[name].default is MISSING:
-            raise ConfigError(f"{path}: missing key '{key}' in [{section}]")
+        if key in items:
+            raw = items.pop(key)
+            value = _parse_value(raw, cls_fields[name].type,
+                                 f"[{section}] {key} = {raw!r}")
+            values[name] = (math.radians(value)
+                            if key.endswith(("_deg", "_dps")) else value)
+        elif cls_fields[name].default is MISSING:
+            raise ConfigError(f"missing key '{key}' in [{section}]")
     return values
+
+
+def _reject_left(sections: dict[str, dict[str, str]]) -> None:
+    """A key that neither its loader nor a table took is an error."""
+    for section, items in sections.items():
+        if items:
+            raise ConfigError(
+                f"unknown key '{next(iter(items))}' in [{section}]")
 
 
 def load_aircraft(path: str | Path, base_dir: Path | None = None) -> AircraftParams:
     """Load an aircraft parameter file."""
     resolved = resolve_input_path(path, base_dir)
-    parser = _read_ini(resolved)
-    _only_sections(parser, resolved, AIRCRAFT_KEYS)
-    values = {}
-    for section, table in AIRCRAFT_KEYS.items():
-        values |= _read_section(parser, resolved, section, table,
-                                AircraftParams)
-    return AircraftParams(**values)
+    found = _read_ini(resolved)
+    with _in_file(resolved):
+        sections = _sections(found, AIRCRAFT_KEYS)
+        values = {}
+        for section, table in AIRCRAFT_KEYS.items():
+            values |= _take(sections, section, table, AircraftParams)
+        _reject_left(sections)
+        return AircraftParams(**values)
 
 
 def load_plan(path: str | Path, base_dir: Path | None = None) -> FlightPlan:
     """Load a flight-plan file (waypoints or orbit)."""
     resolved = resolve_input_path(path, base_dir, kind="plans")
-    parser = _read_ini(resolved)
-    values = _read_section(parser, resolved, "plan", PLAN_KEYS, FlightPlan,
-                           known=("name", "kind"))
-    head = parser["plan"]
-    values["name"] = head.get("name", resolved.stem)
-    kind = head.get("kind", "waypoints").lower()
-    if kind not in ("orbit", "waypoints"):
-        raise ConfigError(f"{resolved}: plan kind must be waypoints or orbit")
-    _only_sections(parser, resolved, ("plan", kind))
-
-    if kind == "orbit":
-        orbit = _read_section(parser, resolved, "orbit", ORBIT_KEYS,
-                              OrbitPlan, known=("direction",))
-        direction = parser["orbit"].get("direction", "cw").lower()
-        if direction not in ("cw", "ccw"):
-            raise ConfigError(
-                f"{resolved}: orbit direction must be cw or ccw, got "
-                f"{direction!r}"
-            )
-        values["orbit"] = OrbitPlan(lam=1 if direction == "cw" else -1,
-                                    **orbit)
-    else:
-        # Named by 0-based place in sorted-key order, as FlightPlan does.
-        waypoints: list[tuple[float, float, float]] = []
-        lines = sorted(_section(parser, resolved, "waypoints").items())
-        for i, (key, raw) in enumerate(lines):
-            label = f"{resolved}: waypoint {i} ('{key}')"
-            parts = [s.strip() for s in raw.split(",")]
-            if len(parts) != 3:
-                raise ConfigError(f"{label} must be 'north_m, east_m, alt_m'")
-            try:
-                waypoint = tuple(float(s) for s in parts)
-            except ValueError as exc:
-                raise ConfigError(f"{label} has a non-numeric field") from exc
-            if not all(map(math.isfinite, waypoint)):
-                raise ConfigError(f"{label} has a non-finite field")
-            waypoints.append(waypoint)
-        values["waypoints"] = tuple(waypoints)
-    try:
-        return FlightPlan(**values)
-    except ConfigError as exc:
-        raise ConfigError(f"{resolved}: {exc}") from None
+    found = _read_ini(resolved)
+    with _in_file(resolved):
+        kind = found.get("plan", {}).pop("kind", "waypoints").lower()
+        if kind not in ("orbit", "waypoints"):
+            raise ConfigError("plan kind must be waypoints or orbit")
+        sections = _sections(found, ("plan", kind))
+        name = sections["plan"].pop("name", resolved.stem)
+        values = _take(sections, "plan", PLAN_KEYS, FlightPlan)
+        if kind == "orbit":
+            orbit = _take(sections, "orbit", ORBIT_KEYS, OrbitPlan)
+            direction = sections["orbit"].pop("direction", "cw").lower()
+            if direction not in ("cw", "ccw"):
+                raise ConfigError(
+                    f"orbit direction must be cw or ccw, got {direction!r}")
+            values["orbit"] = OrbitPlan(lam=1 if direction == "cw" else -1,
+                                        **orbit)
+        else:
+            # Named by 0-based place in sorted-key order, as FlightPlan does.
+            waypoints = []
+            for i, (key, raw) in enumerate(
+                    sorted(sections.pop("waypoints").items())):
+                label = f"waypoint {i} ('{key}')"
+                waypoint = _parse_value(raw, "tuple[float, ...]", label)
+                if len(waypoint) != 3:
+                    raise ConfigError(
+                        f"{label} must be 'north_m, east_m, alt_m'")
+                waypoints.append(waypoint)
+            values["waypoints"] = tuple(waypoints)
+        _reject_left(sections)
+        return FlightPlan(name=name, **values)
 
 
 @dataclass(frozen=True)
@@ -379,55 +382,44 @@ def load_config(
     but not a valid stored configuration).
     """
     resolved = resolve_input_path(path, kind="scenarios")
-    base_dir = resolved.parent
-    parser = _read_ini(resolved)
-    _only_sections(parser, resolved,
-                   ("scenario", "environment", "controller"))
-    values = _read_section(parser, resolved, "scenario", SCENARIO_KEYS,
-                           ScenarioConfig, known=SCENARIO_OWN_KEYS)
-    env = _read_section(parser, resolved, "environment", ENVIRONMENT_KEYS,
-                        EnvironmentSettings, optional=True)
-    # One [controller] section, read into three types by their own tables.
-    controller_keys = CONTROLLER_KEYS | GUIDANCE_KEYS | SLEW_KEYS
-    ctrl, guidance, slew_values = (
-        _read_section(parser, resolved, "controller", table, cls,
-                      known=controller_keys.keys() - table.keys(),
-                      optional=True)
-        for table, cls in ((CONTROLLER_KEYS, ControllerSettings),
-                           (GUIDANCE_KEYS, GuidanceGains),
-                           (SLEW_KEYS, SlewSettings)))
-    if "mode" in ctrl:
-        ctrl["mode"] = ctrl["mode"].lower()
-    if seed is not None:
-        values["seed"] = seed
-    if slew is not None:
-        slew_values["enabled"] = slew
-
-    head = parser["scenario"]
-    for key in ("aircraft", "plan"):
-        if key not in head:
-            raise ConfigError(f"{resolved}: missing key '{key}' in [scenario]")
-    aircraft_path = resolve_input_path(head["aircraft"], base_dir,
+    found = _read_ini(resolved)
+    with _in_file(resolved):
+        sections = _sections(found, ("scenario",),
+                             may_omit=("environment", "controller"))
+        head = sections["scenario"]
+        for key in ("aircraft", "plan"):
+            if key not in head:
+                raise ConfigError(f"missing key '{key}' in [scenario]")
+        name = head.pop("name", resolved.stem)
+        aircraft, plan = head.pop("aircraft"), head.pop("plan")
+        values = _take(sections, "scenario", SCENARIO_KEYS, ScenarioConfig)
+        env = _take(sections, "environment", ENVIRONMENT_KEYS,
+                    EnvironmentSettings)
+        # One [controller] section, read into three types by their tables.
+        ctrl, guidance, slew_values = (
+            _take(sections, "controller", table, cls)
+            for table, cls in ((CONTROLLER_KEYS, ControllerSettings),
+                               (GUIDANCE_KEYS, GuidanceGains),
+                               (SLEW_KEYS, SlewSettings)))
+        _reject_left(sections)
+        if "mode" in ctrl:
+            ctrl["mode"] = ctrl["mode"].lower()
+        if seed is not None:
+            values["seed"] = seed
+        if slew is not None:
+            slew_values["enabled"] = slew
+        aircraft_path = resolve_input_path(aircraft, resolved.parent,
+                                           exclude=resolved)
+        plan_path = resolve_input_path(plan, resolved.parent, kind="plans",
                                        exclude=resolved)
-    plan_path = resolve_input_path(head["plan"], base_dir, kind="plans",
-                                   exclude=resolved)
-    if "h_ref_m" in head:
-        try:
-            values["h_refs"] = tuple(float(s.strip())
-                                     for s in head["h_ref_m"].split(",")
-                                     if s.strip())
-        except ValueError as exc:
-            raise ConfigError(f"{resolved}: h_ref_m must be a "
-                              "comma-separated list of numbers") from exc
-
-    return ScenarioConfig(
-        name=head.get("name", resolved.stem),
-        aircraft_path=aircraft_path,
-        plan_path=plan_path,
-        params=load_aircraft(aircraft_path),
-        plan=load_plan(plan_path),
-        env=EnvironmentSettings(**env),
-        ctrl=ControllerSettings(guidance=GuidanceGains(**guidance),
-                                slew=SlewSettings(**slew_values), **ctrl),
-        **values,
-    )
+        return ScenarioConfig(
+            name=name,
+            aircraft_path=aircraft_path,
+            plan_path=plan_path,
+            params=load_aircraft(aircraft_path),
+            plan=load_plan(plan_path),
+            env=EnvironmentSettings(**env),
+            ctrl=ControllerSettings(guidance=GuidanceGains(**guidance),
+                                    slew=SlewSettings(**slew_values), **ctrl),
+            **values,
+        )

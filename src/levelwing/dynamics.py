@@ -537,7 +537,11 @@ def trim(airframe: Airframe,
 
     def derivatives(x: np.ndarray) -> list[float]:
         state, cmd = build(x)
-        return derivative(state, forces_moments(state, cmd), _CALM)
+        try:
+            return derivative(state, forces_moments(state, cmd), _CALM)
+        except OverflowError as exc:
+            raise TrimFailureError(f"trim at {va_target:g} m/s overflows: "
+                                   f"{exc}") from exc
 
     def residual(x: np.ndarray) -> np.ndarray:
         deriv = derivatives(x)
@@ -545,8 +549,9 @@ def trim(airframe: Airframe,
 
     x = np.array([0.05, 0.0, 0.5])
     res = residual(x)
+    worst = float(np.max(np.abs(res)))  # the residual's largest magnitude
     for _ in range(TRIM_MAX_ITER):
-        if float(np.max(np.abs(res))) < 0.1 * TRIM_TOL:
+        if worst < 0.1 * TRIM_TOL:
             break
         jac = np.zeros((3, 3))
         h = 1e-7
@@ -558,37 +563,35 @@ def trim(airframe: Airframe,
             step = np.linalg.solve(jac, res)
         except np.linalg.LinAlgError as exc:
             raise TrimFailureError(f"singular trim Jacobian: {exc}",
-                                   residual=float(np.max(np.abs(res)))) from exc
+                                   residual=worst) from exc
         # Backtracking damping: halve the step until the residual shrinks.
         lam = 1.0
         while lam >= 1.0 / 64.0:
             x_new = x - lam * step
             res_new = residual(x_new)
-            if float(np.max(np.abs(res_new))) < float(np.max(np.abs(res))):
+            worst_new = float(np.max(np.abs(res_new)))
+            if worst_new < worst:
                 break
             lam /= 2.0
         else:
-            raise TrimFailureError(
-                "trim line search stalled",
-                residual=float(np.max(np.abs(res))),
-            )
-        x, res = x_new, res_new
-    if float(np.max(np.abs(res))) >= 0.1 * TRIM_TOL:
+            raise TrimFailureError("trim line search stalled", residual=worst)
+        x, res, worst = x_new, res_new, worst_new
+    if worst >= 0.1 * TRIM_TOL:
         raise TrimFailureError(
             f"trim did not converge in {TRIM_MAX_ITER} iterations",
-            residual=float(np.max(np.abs(res))),
+            residual=worst,
         )
 
     state, cmd = build(x)
     if not 0.0 <= cmd.delta_t <= 1.0:
         raise TrimFailureError(
             f"trim throttle {cmd.delta_t:.3f} outside [0, 1]",
-            residual=float(np.max(np.abs(res))),
+            residual=worst,
         )
     if abs(cmd.delta_e) > params.delta_e_max:
         raise TrimFailureError(
             f"trim elevator {math.degrees(cmd.delta_e):.1f} deg exceeds limit",
-            residual=float(np.max(np.abs(res))),
+            residual=worst,
         )
 
     # Full six-axis check.

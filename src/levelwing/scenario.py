@@ -242,12 +242,16 @@ def run_scenario(
     controller = FlightController(mode, cfg, airframe, trim_state, trim_cmd)
     gust = GustModel(cfg.env.gust_intensity, cfg.env.gust_tau, dt, cfg.seed)
 
-    n_cap = int(round(duration / dt))
     # One array per field: a single (fields, n_cap) buffer passes 4 MiB on
     # long runs, where numpy asks for huge pages and the unused tail of the
     # buffer becomes resident.
-    log = {c.name: np.zeros(n_cap) for c in LOG_COLUMNS[1:]}
-    log["segment_id"] = np.zeros(n_cap, dtype=int)
+    try:
+        n_cap = int(round(duration / dt))
+        log = {c.name: np.zeros(n_cap) for c in LOG_COLUMNS[1:]}
+        log["segment_id"] = np.zeros(n_cap, dtype=int)
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise ConfigError(f"duration cap {duration:g} s at dt {dt:g} s has "
+                          f"too many steps to log: {exc}") from exc
     series = tuple(log.values())
 
     steps = 0

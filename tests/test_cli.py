@@ -1,16 +1,22 @@
 """Command-line interface: subcommands, outputs, and exit codes."""
 
+import inspect
 import re
+from pathlib import Path
 
 import pytest
 
+import levelwing.cli
+import levelwing.errors
 import levelwing.scenario
 from conftest import needs_fork
 from levelwing.cli import main
 from levelwing.config import load_config, resolve_input_path
 from levelwing.control import plant_report
 from levelwing.dynamics import make_airframe
-from levelwing.errors import SingularityError
+from levelwing.errors import SimulatorError, SingularityError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_simulate_writes_csv_and_reports(tmp_path, capsys):
@@ -92,6 +98,9 @@ def bundled_rectangle_text():
     (["simulate"], "dt_s", "inf"),
     (["simulate"], "h_ref_m", "nan, 450"),
     (["trim", "--airspeed", "nan"], None, None),
+    (["simulate", "--duration", "1e300"], None, None),
+    (["simulate", "--duration", "1e308"], None, None),
+    (["simulate"], "duration_s", "1e300"),
 ])
 def test_bad_numbers_exit_2(tmp_path, capsys, args, ini_key, ini_value):
     config = "rectangle_compare.ini"
@@ -104,6 +113,49 @@ def test_bad_numbers_exit_2(tmp_path, capsys, args, ini_key, ini_value):
     code = main([args[0], "--config", str(config), *args[1:]])
     assert code == 2
     assert "error[config]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, ini_key, ini_value", [
+    (["trim", "--airspeed", "1e160"], None, None),
+    (["simulate"], "airspeed_mps", "1e160"),
+])
+def test_trim_airspeed_whose_square_overflows_exits_3(
+        tmp_path, capsys, args, ini_key, ini_value):
+    config = "rectangle_compare.ini"
+    if ini_key is not None:
+        config = tmp_path / "fast.ini"
+        config.write_text(re.sub(rf"^{ini_key} = .*$",
+                                 f"{ini_key} = {ini_value}",
+                                 bundled_rectangle_text(), flags=re.M))
+    code = main([args[0], "--config", str(config), *args[1:]])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "error[trim]: trim at 1e+160 m/s overflows")
+
+
+def readme_exit_codes():
+    """{category: exit code} from the README's exit-code table."""
+    rows = re.findall(r"^\| (\d) \| (.*?) \|",
+                      README.read_text(encoding="utf-8"), re.M)
+    return {category: int(code) for code, categories in rows
+            for category in re.findall(r"`(\w+)`", categories)}
+
+
+def test_each_error_category_exits_with_the_readme_code(monkeypatch,
+                                                         capsys):
+    codes = readme_exit_codes()
+    classes = [cls for _, cls in inspect.getmembers(levelwing.errors,
+                                                     inspect.isclass)
+               if issubclass(cls, SimulatorError)]
+    assert len(classes) == 10
+    for error in (*(cls("boom") for cls in classes), OSError("boom")):
+        def handler(args, error=error):
+            raise error
+
+        monkeypatch.setitem(levelwing.cli._HANDLERS, "gains", handler)
+        category = getattr(error, "category", "io")
+        assert main(["gains", "--config", "any.ini"]) == codes[category]
+        assert capsys.readouterr().err == f"error[{category}]: boom\n"
 
 
 @pytest.mark.parametrize("old, new, named", [

@@ -317,6 +317,9 @@ def new_value(key, current):
         return str(current + 3), current + 3
     if isinstance(current, str):
         return "AOTC", "aotc"
+    if isinstance(current, tuple):
+        values = tuple(item * 1.5 + 0.25 for item in current)
+        return ", ".join(map(repr, values)), values
     value = (math.degrees(current) if degrees else current) * 1.5 + 0.25
     return repr(value), math.radians(value) if degrees else value
 
@@ -412,6 +415,75 @@ def test_section_of_the_other_plan_kind_is_unknown(tmp_path):
     text = base_text(DATA_DIR / "plans" / "circle.ini") + "[waypoints]\n"
     with pytest.raises(ConfigError, match=r"unknown section \[waypoints\]"):
         load_plan(write(tmp_path, "both.ini", text))
+
+
+# One value out of bounds for each settings type that a file builds, and a
+# referenced file that is missing: the file written, the section, key and
+# value, and how the message ends.
+FILE_ERROR_CASES = [
+    ("aircraft", "mass_properties", "mass_kg", "0",
+     "AircraftParams.mass must be > 0, got 0.0"),
+    ("plan", "plan", "nominal_agl_m", "0",
+     "FlightPlan.nominal_agl must be > 0, got 0.0"),
+    ("orbit plan", "orbit", "radius_m", "0",
+     "OrbitPlan.radius must be > 0, got 0.0"),
+    ("scenario", "environment", "gust_tau_s", "0",
+     "EnvironmentSettings.gust_tau must be > 0, got 0.0"),
+    ("scenario", "controller", "wn_psi_radps", "0",
+     "ControllerSettings.wn_psi must be > 0, got 0.0"),
+    ("scenario", "controller", "capture_gain_radpm", "0",
+     "GuidanceGains.capture_gain must be > 0, got 0.0"),
+    ("scenario", "controller", "slew_rate_dps", "0",
+     "SlewSettings.rate must be > 0, got 0.0"),
+    ("scenario", "scenario", "dt_s", "0",
+     "ScenarioConfig.dt must be > 0, got 0.0"),
+    ("scenario", "scenario", "aircraft", "ghost.ini",
+     "file not found: ghost.ini"),
+    ("scenario", "scenario", "plan", "ghost.ini",
+     "file not found: ghost.ini"),
+]
+
+
+@pytest.mark.parametrize(
+    "written, section, key, value, fault", FILE_ERROR_CASES,
+    ids=[f"{case[0].split()[-1]}.{case[2]}" for case in FILE_ERROR_CASES])
+def test_each_file_error_starts_with_the_files_path(tmp_path, written,
+                                                    section, key, value,
+                                                    fault):
+    # An error in a referenced file names that file after the scenario.
+    files = {"scenario": tmp_path / "survey.ini",
+             "aircraft": tmp_path / "craft.ini",
+             "plan": tmp_path / "route.ini"}
+    plan = "circle.ini" if written == "orbit plan" else "rectangle.ini"
+    texts = {"scenario": MINIMAL_SCENARIO.replace(
+                 "aerosonde.ini", "craft.ini").replace(
+                 "rectangle.ini", "route.ini"),
+             "aircraft": base_text(DATA_DIR / "aerosonde.ini"),
+             "plan": base_text(DATA_DIR / "plans" / plan)}
+    kind = written.split()[-1]
+    texts[kind] = set_key(texts[kind], section, key, value)
+    for name, path in files.items():
+        path.write_text(texts[name], encoding="utf-8")
+    inner = "" if kind == "scenario" else f"{files[kind]}: "
+    with pytest.raises(ConfigError) as caught:
+        load_config(files["scenario"])
+    assert str(caught.value) == f"{files['scenario']}: {inner}{fault}"
+    if kind != "scenario":
+        load = load_aircraft if kind == "aircraft" else load_plan
+        with pytest.raises(ConfigError) as caught:
+            load(files[kind])
+        assert str(caught.value) == f"{files[kind]}: {fault}"
+
+
+def test_comma_lists_skip_empty_items(tmp_path):
+    # h_ref_m and each waypoint are read by one comma-list parser.
+    cfg = load_config(write(tmp_path, "hrefs.ini",
+                            MINIMAL_SCENARIO + "h_ref_m = 100, , 250,\n"))
+    assert cfg.h_refs == (100.0, 250.0)
+    text = base_text(DATA_DIR / "plans" / "rectangle.ini")
+    plan = load_plan(write(tmp_path, "route.ini", set_key(
+        text, "waypoints", "wp02", "400, 0, 150,")))
+    assert plan == load_plan("rectangle.ini")
 
 
 def valid_settings():

@@ -3,8 +3,10 @@ output byte-identical."""
 
 import importlib.util
 import re
+import shutil
 from pathlib import Path
 
+from conftest import DATA_DIR
 from levelwing.config import load_config
 from levelwing.scenario import run_scenario
 
@@ -19,10 +21,23 @@ def load_tool():
     return module
 
 
-def test_digests_cover_every_bundled_output(capsys):
+def test_digests_cover_every_bundled_output(tmp_path, capsys):
     tool = load_tool()
     assert tool.main(["--duration", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
+    configs = dict(line.split()[1:] for line in lines
+                   if line.startswith("config "))
+    assert list(configs) == list(SCENARIOS)
+    assert all(re.fullmatch(r"[0-9a-f]{64}", digest)
+               for digest in configs.values())
+    # The config digest does not depend on the directory of the files, so
+    # two checkouts compare.
+    for source in ("scenarios/rectangle_compare.ini", "aerosonde.ini",
+                   "plans/rectangle.ini"):
+        shutil.copy(DATA_DIR / source, tmp_path)
+    copy = tmp_path / "rectangle_compare.ini"
+    assert load_config(copy).plan_path == tmp_path / "rectangle.ini"
+    assert tool.config_digest(copy) == configs["rectangle_compare"]
     runs = [line.split() for line in lines if line.startswith("run ")]
     assert [(name, mode) for _, name, mode, *_ in runs] == [
         (name, mode) for name in SCENARIOS for mode in ("aotc", "ratc")]

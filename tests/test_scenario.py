@@ -4,6 +4,7 @@ import copy
 import math
 import multiprocessing
 import os
+import re
 import time
 from dataclasses import replace
 
@@ -161,6 +162,25 @@ def test_zero_duration_run_is_empty_but_valid(make_cfg):
 def test_negative_duration_rejected(make_cfg):
     with pytest.raises(ConfigError):
         run_scenario(make_cfg(straight_plan()), duration_override=-1.0)
+
+
+@pytest.mark.parametrize("cap", [1e300, 1e308])
+def test_unloggable_duration_cap_is_a_config_error(make_cfg, cap):
+    # 1e308 s is an infinite step count, and 1e300 s more steps than numpy
+    # can shape into an array; neither allocates a log.
+    cfg = make_cfg(straight_plan())
+    named = re.escape(f"duration cap {cap:g} s at dt 0.01 s has too many "
+                      "steps to log")
+    with pytest.raises(ConfigError, match=named):
+        run_scenario(cfg, duration_override=cap)
+    with pytest.raises(ConfigError, match=named):
+        run_scenario(replace(cfg, duration=cap))
+
+
+def test_trim_airspeed_whose_square_overflows_is_a_trim_failure(make_cfg):
+    with pytest.raises(TrimFailureError,
+                       match=r"trim at 1e\+160 m/s overflows"):
+        run_scenario(make_cfg(straight_plan(), va_cmd=1e160))
 
 
 def test_unknown_mode_rejected(make_cfg):

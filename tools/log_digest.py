@@ -1,9 +1,13 @@
 """Digests of every output the bundled scenarios produce, to show that a
 change leaves them byte-identical.
 
-For each bundled scenario and each controller it prints one sha256 over
-the run's log arrays (key, dtype and bytes of each, in log order) and its
-steps, completion, fault and summary row. For each scenario it prints one
+For each bundled scenario it first prints one sha256 over the repr of the
+loaded config, plain and with seed 5 and the slew limiter on, and over the
+repr of its plan's segments; the config's aircraft and plan paths are
+reduced to their file names, so that two checkouts compare. For each
+bundled scenario and each controller it prints one sha256 over the run's
+log arrays (key, dtype and bytes of each, in log order) and its steps,
+completion, fault and summary row. For each scenario it prints one
 sha256 per line of `levelwing gains`, labelled by the line's label, so a
 line added on purpose shows in a diff without hiding the others. Last come
 the sha256 of the four files of `levelwing compare` on rectangle_compare.
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import sys
@@ -41,6 +46,20 @@ from levelwing.scenario import run_scenario  # noqa: E402
 MODES = ("aotc", "ratc")
 COMPARE_SCENARIO = "rectangle_compare"
 COMPARE_FILES = ("aotc.csv", "ratc.csv", "summary.txt", "summary.csv")
+
+
+def config_digest(path: str | Path) -> str:
+    """sha256 over a scenario's loaded config, plain and with seed 5 and
+    slew on, with its file references reduced to their names, and over
+    its plan's segments."""
+    h = hashlib.sha256()
+    for cfg in (load_config(path), load_config(path, seed=5, slew=True)):
+        cfg = dataclasses.replace(cfg,
+                                  aircraft_path=Path(cfg.aircraft_path.name),
+                                  plan_path=Path(cfg.plan_path.name))
+        h.update(repr(cfg).encode())
+        h.update(repr(cfg.plan.segments).encode())
+    return h.hexdigest()
 
 
 def run_digest(result) -> str:
@@ -71,7 +90,8 @@ def cli_output(argv: list[str]) -> str:
 def digest_lines(duration: float | None) -> list[str]:
     scenarios = sorted(p.stem for p in
                        (bundled_data_dir() / "scenarios").glob("*.ini"))
-    lines = []
+    lines = [f"config {name} {config_digest(f'{name}.ini')}"
+             for name in scenarios]
     for name in scenarios:
         cfg = load_config(f"{name}.ini")
         for mode in MODES:
