@@ -25,7 +25,7 @@ import configparser
 import math
 from collections.abc import Collection, Iterator, Mapping
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -376,10 +376,11 @@ def load_config(
 ) -> ScenarioConfig:
     """Load a scenario file with optional command-line overrides applied.
 
-    An override replaces the file's value after that value is parsed, so
-    a malformed file is an error either way. A duration-cap override is
-    applied at run time instead (a zero-length cap is a valid run request
-    but not a valid stored configuration).
+    An override replaces the file's value once the file's config is
+    built, so a malformed file is an error either way, and an override of
+    the wrong kind is reported without the file's path. A duration-cap
+    override is applied at run time instead (a zero-length cap is a valid
+    run request but not a valid stored configuration).
     """
     resolved = resolve_input_path(path, kind="scenarios")
     found = _read_ini(resolved)
@@ -404,15 +405,11 @@ def load_config(
         _reject_left(sections)
         if "mode" in ctrl:
             ctrl["mode"] = ctrl["mode"].lower()
-        if seed is not None:
-            values["seed"] = seed
-        if slew is not None:
-            slew_values["enabled"] = slew
         aircraft_path = resolve_input_path(aircraft, resolved.parent,
                                            exclude=resolved)
         plan_path = resolve_input_path(plan, resolved.parent, kind="plans",
                                        exclude=resolved)
-        return ScenarioConfig(
+        cfg = ScenarioConfig(
             name=name,
             aircraft_path=aircraft_path,
             plan_path=plan_path,
@@ -423,3 +420,10 @@ def load_config(
                                     slew=SlewSettings(**slew_values), **ctrl),
             **values,
         )
+    # The overrides are not the file's values, so their errors name no file.
+    if seed is not None:
+        cfg = replace(cfg, seed=seed)
+    if slew is not None:
+        cfg = replace(cfg, ctrl=replace(
+            cfg.ctrl, slew=replace(cfg.ctrl.slew, enabled=slew)))
+    return cfg

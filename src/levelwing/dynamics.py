@@ -297,14 +297,19 @@ class Airframe(NamedTuple):
     inertia terms and the stage functions of its rigid-body model.
     Trim, the integrator and the gain schedule all read this one value.
 
-    forces_moments(y, cmd) gives the body forces (N) and moments (N*m)
-    (fx, fy, fz, l, m, n) of the twelve-value state y (AircraftState
-    field order) under cmd, a ControlCommand or the same four floats.
-    derivative(y, fm, wind) gives the twelve state derivatives, with fm
-    those forces and moments and wind the NED wind (m/s), an Environment
-    or the same three floats. stage(y, k, h, cmd, wind) is one RK4 stage:
-    derivative(x, forces_moments(x, cmd), wind) at x = y + h*k, or at
-    x = y when k is None, with the same arithmetic and the same errors.
+    stage(u, v, w, phi, theta, psi, p, q, r, delta_a, delta_e, delta_r,
+    delta_t, wind_n, wind_e, wind_d, fm=None) is one RK4 stage on plain
+    floats: the nine state values the equations read, the four command
+    values and the NED wind (m/s). It returns the twelve state
+    derivatives in AircraftState field order. Given fm, it uses those
+    forces and moments and reads no command. Its pitch error carries no
+    state, since the stage never sees the position; integrate_step adds
+    the stage's twelve-value state. forces_moments(y, cmd) gives the body
+    forces (N) and moments (N*m) (fx, fy, fz, l, m, n) of the
+    twelve-value state y (AircraftState field order) under cmd, a
+    ControlCommand or the same four floats. derivative(y, fm, wind) is
+    the stage at y with the forces and moments fm, wind an Environment or
+    the same three floats; its pitch error carries y.
     """
 
     params: AircraftParams
@@ -312,8 +317,8 @@ class Airframe(NamedTuple):
     forces_moments: Callable[[Sequence[float], Sequence[float]],
                              tuple[float, ...]]
     derivative: Callable[[Sequence[float], Sequence[float],
-                          Sequence[float]], list[float]]
-    stage: Callable[..., list[float]]
+                          Sequence[float]], tuple[float, ...]]
+    stage: Callable[..., tuple[float, ...]]
 
 
 def make_airframe(params: AircraftParams) -> Airframe:
@@ -353,10 +358,10 @@ def make_airframe(params: AircraftParams) -> Airframe:
         gammas.gamma5, gammas.gamma6, gammas.gamma7, gammas.gamma8)
     sin, cos = math.sin, math.cos
 
-    # loads and rates take the sines and cosines of roll and pitch, so a
-    # stage computes them once for both.
-    def loads(u, v, w, sphi, cphi, sth, cth, p, q, r, cmd):
-        delta_a, delta_e, delta_r, delta_t = cmd
+    # loads takes the sines and cosines of roll and pitch, so a stage
+    # computes them once for the forces and the equations of motion.
+    def loads(u, v, w, sphi, cphi, sth, cth, p, q, r,
+              delta_a, delta_e, delta_r, delta_t):
         fx = -weight * sth
         fy = weight * sphi * cth
         fz = weight * cphi * cth
@@ -394,14 +399,21 @@ def make_airframe(params: AircraftParams) -> Airframe:
                         + c_n_delta_r * delta_r)
         return fx, fy, fz, l, m, n
 
-    def rates(u, v, w, sphi, cphi, sth, cth, psi, p, q, r, fm, wind):
+    def stage(u, v, w, phi, theta, psi, p, q, r,
+              delta_a, delta_e, delta_r, delta_t, wind_n, wind_e, wind_d,
+              fm=None):
+        sphi, cphi, sth, cth = sin(phi), cos(phi), sin(theta), cos(theta)
+        if fm is None:
+            fm = loads(u, v, w, sphi, cphi, sth, cth, p, q, r,
+                       delta_a, delta_e, delta_r, delta_t)
+        if abs(theta) >= _PITCH_LIMIT:
+            _check_pitch(theta, None)
         fx, fy, fz, l, m, n = fm
-        wind_n, wind_e, wind_d = wind
         tth = sth / cth
-        spsi, cpsi = sin(psi), cos(psi)
 
         # Navigation: rotate the air-relative body velocity to NED, add wind.
-        gn, ge, gd = body_to_ned(u, v, w, sphi, cphi, sth, cth, spsi, cpsi)
+        gn, ge, gd = body_to_ned(u, v, w, sphi, cphi, sth, cth,
+                                 sin(psi), cos(psi))
 
         u_dot = r * v - q * w + fx * inv_mass
         v_dot = p * w - r * u + fy * inv_mass
@@ -416,47 +428,37 @@ def make_airframe(params: AircraftParams) -> Airframe:
         q_dot = g5 * p * r - g6 * (p**2 - r**2) + m / iyy
         r_dot = g7 * p * q - g1 * q * r + g4 * l + g8 * n
 
-        return [gn + wind_n, ge + wind_e, gd + wind_d, u_dot, v_dot, w_dot,
-                phi_dot, theta_dot, psi_dot, p_dot, q_dot, r_dot]
+        return (gn + wind_n, ge + wind_e, gd + wind_d, u_dot, v_dot, w_dot,
+                phi_dot, theta_dot, psi_dot, p_dot, q_dot, r_dot)
 
     def forces_moments(y: Sequence[float],
                        cmd: Sequence[float]) -> tuple[float, ...]:
         _, _, _, u, v, w, phi, theta, _, p, q, r = y
+        delta_a, delta_e, delta_r, delta_t = cmd
         return loads(u, v, w, sin(phi), cos(phi), sin(theta), cos(theta),
-                     p, q, r, cmd)
+                     p, q, r, delta_a, delta_e, delta_r, delta_t)
 
     def derivative(y: Sequence[float], fm: Sequence[float],
-                   wind: Sequence[float]) -> list[float]:
+                   wind: Sequence[float]) -> tuple[float, ...]:
         _, _, _, u, v, w, phi, theta, psi, p, q, r = y
-        _check_pitch(theta, y)
-        return rates(u, v, w, sin(phi), cos(phi), sin(theta), cos(theta),
-                     psi, p, q, r, fm, wind)
-
-    def stage(y: Sequence[float], k: Sequence[float] | None, h: float,
-              cmd: Sequence[float], wind: Sequence[float]) -> list[float]:
-        # No stage reads the position, so y + h*k is formed without it.
-        _, _, _, u, v, w, phi, theta, psi, p, q, r = y
-        if k is not None:
-            _, _, _, du, dv, dw, dphi, dth, dpsi, dp, dq, dr = k
-            u, v, w = u + h * du, v + h * dv, w + h * dw
-            phi, theta, psi = phi + h * dphi, theta + h * dth, psi + h * dpsi
-            p, q, r = p + h * dp, q + h * dq, r + h * dr
-        sphi, cphi, sth, cth = sin(phi), cos(phi), sin(theta), cos(theta)
-        fm = loads(u, v, w, sphi, cphi, sth, cth, p, q, r, cmd)
         if abs(theta) >= _PITCH_LIMIT:
-            _check_pitch(theta, y if k is None
-                         else [a + h * b for a, b in zip(y, k)])
-        return rates(u, v, w, sphi, cphi, sth, cth, psi, p, q, r, fm, wind)
+            _check_pitch(theta, y)
+        wind_n, wind_e, wind_d = wind
+        # The command feeds only the forces and moments, which fm gives.
+        return stage(u, v, w, phi, theta, psi, p, q, r, 0.0, 0.0, 0.0, 0.0,
+                     wind_n, wind_e, wind_d, fm)
 
     return Airframe(params, gammas, forces_moments, derivative, stage)
 
 
-def clamp_command(cmd: ControlCommand, params: AircraftParams) -> ControlCommand:
-    """Clamp surface deflections to their limits and throttle to [0, 1]."""
+def clamp_command(cmd: Sequence[float],
+                  params: AircraftParams) -> tuple[float, float, float, float]:
+    """The four command values (ControlCommand order) with the surface
+    deflections clamped to their limits and the throttle to [0, 1]."""
     delta_a, delta_e, delta_r, delta_t = cmd
     a, e, r = params.delta_a_max, params.delta_e_max, params.delta_r_max
-    return ControlCommand(clamp(delta_a, -a, a), clamp(delta_e, -e, e),
-                          clamp(delta_r, -r, r), clamp(delta_t, 0.0, 1.0))
+    return (clamp(delta_a, -a, a), clamp(delta_e, -e, e),
+            clamp(delta_r, -r, r), clamp(delta_t, 0.0, 1.0))
 
 
 def integrate_step(
@@ -471,27 +473,71 @@ def integrate_step(
 
     The actuator limits are applied here, at the plant. phi and psi are
     wrapped onto (-pi, pi] after the step; a pitch inside the singularity
-    margin or any non-finite component aborts.
+    margin or any non-finite component aborts. A pitch error inside a
+    stage carries that stage's state, y + h*k.
     """
     if dt <= 0.0:
         raise ConfigError("integration step must be positive")
     params, _, _, _, stage = airframe
-    cmd = clamp_command(cmd, params)
+    delta_a, delta_e, delta_r, delta_t = clamp_command(cmd, params)
+    wind_n, wind_e, wind_d = env
+    pn, pe, pd, u, v, w, phi, theta, psi, p, q, r = state
     h = 0.5 * dt
-    k1 = stage(state, None, 0.0, cmd, env)
-    k2 = stage(state, k1, h, cmd, env)
-    k3 = stage(state, k2, h, cmd, env)
-    k4 = stage(state, k3, dt, cmd, env)
+    k1 = k2 = k3 = None
+    try:
+        k1 = stage(u, v, w, phi, theta, psi, p, q, r,
+                   delta_a, delta_e, delta_r, delta_t, wind_n, wind_e, wind_d)
+        (dpn1, dpe1, dpd1, du1, dv1, dw1,
+         dphi1, dth1, dpsi1, dp1, dq1, dr1) = k1
+        k2 = stage(u + h * du1, v + h * dv1, w + h * dw1, phi + h * dphi1,
+                   theta + h * dth1, psi + h * dpsi1,
+                   p + h * dp1, q + h * dq1, r + h * dr1,
+                   delta_a, delta_e, delta_r, delta_t, wind_n, wind_e, wind_d)
+        (dpn2, dpe2, dpd2, du2, dv2, dw2,
+         dphi2, dth2, dpsi2, dp2, dq2, dr2) = k2
+        k3 = stage(u + h * du2, v + h * dv2, w + h * dw2, phi + h * dphi2,
+                   theta + h * dth2, psi + h * dpsi2,
+                   p + h * dp2, q + h * dq2, r + h * dr2,
+                   delta_a, delta_e, delta_r, delta_t, wind_n, wind_e, wind_d)
+        (dpn3, dpe3, dpd3, du3, dv3, dw3,
+         dphi3, dth3, dpsi3, dp3, dq3, dr3) = k3
+        (dpn4, dpe4, dpd4, du4, dv4, dw4,
+         dphi4, dth4, dpsi4, dp4, dq4, dr4) = stage(
+            u + dt * du3, v + dt * dv3, w + dt * dw3, phi + dt * dphi3,
+            theta + dt * dth3, psi + dt * dpsi3,
+            p + dt * dp3, q + dt * dq3, r + dt * dr3,
+            delta_a, delta_e, delta_r, delta_t, wind_n, wind_e, wind_d)
+    except SingularityError as exc:
+        # The stage that raised is the first whose k is unset; its state
+        # is y + h*k of the stage before it, or y itself.
+        if k1 is None:
+            at = state
+        else:
+            hk, k = ((h, k1) if k2 is None else (h, k2) if k3 is None
+                     else (dt, k3))
+            at = [a + hk * b for a, b in zip(state, k)]
+        raise SingularityError(str(exc), state=at) from None
     c = dt / 6.0
-    y1 = [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-          for a, b1, b2, b3, b4 in zip(state, k1, k2, k3, k4)]
+    y1 = (pn + c * (dpn1 + 2.0 * dpn2 + 2.0 * dpn3 + dpn4),
+          pe + c * (dpe1 + 2.0 * dpe2 + 2.0 * dpe3 + dpe4),
+          pd + c * (dpd1 + 2.0 * dpd2 + 2.0 * dpd3 + dpd4),
+          u + c * (du1 + 2.0 * du2 + 2.0 * du3 + du4),
+          v + c * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4),
+          w + c * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4),
+          phi + c * (dphi1 + 2.0 * dphi2 + 2.0 * dphi3 + dphi4),
+          theta + c * (dth1 + 2.0 * dth2 + 2.0 * dth3 + dth4),
+          psi + c * (dpsi1 + 2.0 * dpsi2 + 2.0 * dpsi3 + dpsi4),
+          p + c * (dp1 + 2.0 * dp2 + 2.0 * dp3 + dp4),
+          q + c * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4),
+          r + c * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4))
     if not all(map(math.isfinite, y1)):
         raise IntegrationFaultError("non-finite state after integration step",
                                     state=state)
-    y1[6] = wrap_pi(y1[6])  # phi
-    y1[8] = wrap_pi(y1[8])  # psi
-    out = AircraftState._make(y1)
-    _check_pitch(out.theta, out)
+    pn, pe, pd, u, v, w, phi, theta, psi, p, q, r = y1
+    out = AircraftState(pn, pe, pd, u, v, w, wrap_pi(phi), theta,
+                        wrap_pi(psi), p, q, r)
+    if abs(theta) >= _PITCH_LIMIT:
+        _check_pitch(theta, out)
     return out
 
 

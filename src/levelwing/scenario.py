@@ -9,13 +9,15 @@ of the loop. Comparisons run both lateral controllers against one shared
 environment realization (same seed, same gust draws) with identical
 guidance gains, so only the lateral law differs. The two runs of a
 comparison share nothing else, so they fly at once: aotc in a child
-process, ratc in the caller.
+process, ratc in the caller; their report writes the two logs at once
+the same way.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -341,22 +343,10 @@ def compare_controllers(
     An error of the aotc run is raised here with its class and attributes.
     If the ratc run raises, the child is stopped and the error propagates.
     """
-    receiver, sender = multiprocessing.Pipe(duplex=False)
-    child = multiprocessing.Process(
-        target=_fly_and_send, name="aotc",
-        args=(sender, cfg, "aotc", duration_override))
-    child.start()
-    sender.close()
-    try:
+    with _in_child("aotc run", _fly_and_send, cfg, "aotc",
+                   duration_override) as (conn, child):
         ratc = run_scenario(cfg, "ratc", duration_override=duration_override)
-        aotc = _receive_run(receiver, child)
-    except BaseException:
-        # SIGKILL: a forked child keeps the caller's signal handlers.
-        child.kill()
-        raise
-    finally:
-        receiver.close()
-        child.join()
+        aotc = _receive_run(conn, child)
 
     for result in (aotc, ratc):
         if result.fault is not None:
@@ -410,18 +400,48 @@ def _fly_and_send(conn, cfg: ScenarioConfig, mode: str,
     conn.close()
 
 
-def _receive_run(conn, child: multiprocessing.Process) -> RunResult:
-    """Caller side of _fly_and_send: the run, or its error raised here."""
+@contextmanager
+def _in_child(name: str, target, *args):
+    """Run target(conn, *args) in one child process, started with the
+    default start method, while the with block runs in the caller; yield
+    the caller's end of the one-way pipe conn and the child.
+
+    If the block raises (KeyboardInterrupt included), the child is killed
+    with SIGKILL, because a forked child keeps the caller's signal
+    handlers; it is joined either way.
+    """
+    receiver, sender = multiprocessing.Pipe(duplex=False)
+    child = multiprocessing.Process(target=target, name=name,
+                                    args=(sender, *args))
+    child.start()
+    sender.close()
     try:
-        head = conn.recv()
-        if not isinstance(head, Exception):
-            head.log = {key: conn.recv() for key in head.log}
+        yield receiver, child
+    except BaseException:
+        child.kill()
+        raise
+    finally:
+        receiver.close()
+        child.join()
+
+
+def _receive(conn, child: multiprocessing.Process):
+    """The child's next message; an exception it sent is raised here."""
+    try:
+        message = conn.recv()
     except EOFError:
         child.join()
-        raise SimulatorError(f"the {child.name} run's process ended without "
+        raise SimulatorError(f"the {child.name}'s process ended without "
                              f"a result (exit code {child.exitcode})") from None
-    if isinstance(head, Exception):
-        raise head
+    if isinstance(message, Exception):
+        raise message
+    return message
+
+
+def _receive_run(conn, child: multiprocessing.Process) -> RunResult:
+    """Caller side of _fly_and_send: the run, or its error raised here."""
+    head = _receive(conn, child)
+    head.log = {key: _receive(conn, child) for key in head.log}
     return head
 
 
@@ -442,8 +462,27 @@ def export_csv(result: RunResult, path: str | Path) -> None:
             fh.writelines(row_format % row for row in zip(*cells))
 
 
+def _export_and_send(conn, result: RunResult, path: Path) -> None:
+    """Child side of write_comparison: export one run, then send None, or
+    the exception the export raised."""
+    try:
+        export_csv(result, path)
+    except Exception as exc:  # reported to the caller, which raises it
+        conn.send(exc)
+    else:
+        conn.send(None)
+    conn.close()
+
+
 def write_comparison(comp: ComparisonResult, out_dir: str | Path) -> dict[str, Path]:
-    """Write aotc.csv, ratc.csv, summary.txt, and summary.csv to out_dir."""
+    """Write aotc.csv, ratc.csv, summary.txt, and summary.csv to out_dir.
+
+    aotc.csv is written by one child process (the default start method)
+    while the caller writes the other three files; the bytes equal those
+    of a serial export. An error of the child's export is raised here with
+    its class and attributes; if the caller's writes raise, the child is
+    stopped and the error propagates.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -452,10 +491,13 @@ def write_comparison(comp: ComparisonResult, out_dir: str | Path) -> dict[str, P
         "summary_txt": out / "summary.txt",
         "summary_csv": out / "summary.csv",
     }
-    export_csv(comp.aotc, paths["aotc_csv"])
-    export_csv(comp.ratc, paths["ratc_csv"])
-    paths["summary_txt"].write_text(comp.table_text + "\n", encoding="utf-8")
-    paths["summary_csv"].write_text(
-        "\n".join(summary_csv_lines(comp.rows)) + "\n", encoding="utf-8"
-    )
+    with _in_child("aotc.csv export", _export_and_send, comp.aotc,
+                   paths["aotc_csv"]) as (conn, child):
+        export_csv(comp.ratc, paths["ratc_csv"])
+        paths["summary_txt"].write_text(comp.table_text + "\n",
+                                        encoding="utf-8")
+        paths["summary_csv"].write_text(
+            "\n".join(summary_csv_lines(comp.rows)) + "\n", encoding="utf-8"
+        )
+        _receive(conn, child)
     return paths

@@ -683,3 +683,16 @@ def test_load_config_overrides_are_checked_not_coerced(tmp_path, overrides,
                                                        named):
     with pytest.raises(ConfigError, match=named):
         load_config(write(tmp_path, "ovr.ini", MINIMAL_SCENARIO), **overrides)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"slew": "off"}, "SlewSettings.enabled must be bool, got 'off'"),
+    ({"seed": 2.9}, "ScenarioConfig.seed must be int, got 2.9"),
+    ({"seed": -1}, "ScenarioConfig.seed must be >= 0, got -1"),
+])
+def test_override_errors_do_not_name_the_file(tmp_path, overrides, message):
+    # The file is valid; only the override is wrong.
+    path = write(tmp_path, "ovr.ini", MINIMAL_SCENARIO)
+    with pytest.raises(ConfigError) as info:
+        load_config(path, **overrides)
+    assert str(info.value) == message

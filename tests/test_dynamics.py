@@ -496,10 +496,11 @@ def test_singularity_inside_a_stage_carries_the_stage_state(airframe,
 def test_integrate_step_clamps_command(params, airframe, trim20):
     state, _ = trim20
     wild = ControlCommand(delta_a=5.0, delta_e=-5.0, delta_r=5.0, delta_t=3.0)
-    clamped = clamp_command(wild, params)
-    assert clamped.delta_a == pytest.approx(params.delta_a_max)
-    assert clamped.delta_e == pytest.approx(-params.delta_e_max)
-    assert clamped.delta_t == pytest.approx(1.0)
+    clamped = clamp_command(wild, params)   # four floats, command order
+    delta_a, delta_e, _, delta_t = clamped
+    assert delta_a == pytest.approx(params.delta_a_max)
+    assert delta_e == pytest.approx(-params.delta_e_max)
+    assert delta_t == pytest.approx(1.0)
     a = integrate_step(state, wild, CALM, airframe, 0.01)
     b = integrate_step(state, clamped, CALM, airframe, 0.01)
     assert np.allclose(np.array(a), np.array(b), atol=1e-15)

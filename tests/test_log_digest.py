@@ -56,3 +56,13 @@ def test_digests_cover_every_bundled_output(tmp_path, capsys):
     assert [line.split()[2] for line in lines
             if line.startswith("compare ")] == [
         "aotc.csv", "ratc.csv", "summary.txt", "summary.csv"]
+    # The last run ends in a dynamics fault, whatever the duration cap, so
+    # the digests see a fault's text.
+    name, mode, steps, digest, fault = lines[-1].split(maxsplit=5)[1:]
+    assert (name, mode) == ("circle", "aotc")
+    assert re.fullmatch(r"[0-9a-f]{64}", digest)
+    assert fault == ("dynamics: pitch -89.48 deg too close to +/-90 deg "
+                     "at t = 28.21 s")
+    result = tool.fault_run()
+    assert steps == f"steps={result.steps}"
+    assert tool.run_digest(result) == digest

@@ -13,6 +13,7 @@ import pytest
 
 import levelwing.scenario
 from conftest import needs_fork
+from levelwing.cli import main as cli_main
 from levelwing.config import EnvironmentSettings, load_config
 from levelwing.dynamics import Environment, integrate_step, trim
 from levelwing.errors import (
@@ -23,6 +24,7 @@ from levelwing.errors import (
     UncontrollablePlantError,
 )
 from levelwing.guidance import FlightPlan, PathManager
+from levelwing.metrics import summary_csv_lines
 from levelwing.scenario import (
     CSV_COLUMNS,
     LOG_COLUMNS,
@@ -486,6 +488,93 @@ def test_child_that_dies_without_a_result_is_an_error(monkeypatch, make_cfg):
                        match=r"aotc run's process ended without a result "
                              r"\(exit code 7\)"):
         compare_controllers(make_cfg(straight_plan()), duration_override=1.0)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture(scope="module")
+def short_comparison():
+    return compare_controllers(load_config("rectangle_compare.ini"),
+                               duration_override=6.0)
+
+
+def test_report_files_equal_a_serial_export(short_comparison, tmp_path,
+                                            capfd):
+    # aotc.csv comes from the child, the other three from the caller.
+    comp = short_comparison
+    paths = write_comparison(comp, tmp_path / "report")
+    export_csv(comp.aotc, tmp_path / "aotc.csv")
+    export_csv(comp.ratc, tmp_path / "ratc.csv")
+    assert paths["aotc_csv"].read_bytes() == \
+        (tmp_path / "aotc.csv").read_bytes()
+    assert paths["ratc_csv"].read_bytes() == \
+        (tmp_path / "ratc.csv").read_bytes()
+    assert paths["summary_txt"].read_text(encoding="utf-8") == \
+        comp.table_text + "\n"
+    assert paths["summary_csv"].read_text(encoding="utf-8") == \
+        "\n".join(summary_csv_lines(comp.rows)) + "\n"
+    assert sorted(path.name for path in (tmp_path / "report").iterdir()) \
+        == ["aotc.csv", "ratc.csv", "summary.csv", "summary.txt"]
+    assert multiprocessing.active_children() == []
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def test_child_export_error_reaches_the_caller(short_comparison, tmp_path,
+                                               capfd):
+    out = tmp_path / "report"
+    (out / "aotc.csv").mkdir(parents=True)
+    with pytest.raises(OSError) as info:
+        write_comparison(short_comparison, out)
+    assert type(info.value) is IsADirectoryError
+    assert info.value.filename == str(out / "aotc.csv")
+    assert (out / "ratc.csv").is_file()
+    assert multiprocessing.active_children() == []
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def test_compare_exits_5_when_the_child_cannot_write(tmp_path, capsys):
+    (tmp_path / "aotc.csv").mkdir()
+    code = cli_main(["compare", "--config", "rectangle_compare.ini",
+                     "--duration", "2", "--out-dir", str(tmp_path)])
+    assert code == 5
+    assert "error[io]" in capsys.readouterr().err
+
+
+@needs_fork
+def test_export_child_is_stopped_when_the_caller_raises(
+        monkeypatch, short_comparison, tmp_path, capfd):
+    real = levelwing.scenario.export_csv
+
+    def slow_aotc_failing_ratc(result, path):
+        if result.mode == "ratc":
+            raise OSError("disk full")
+        time.sleep(60.0)
+        real(result, path)
+
+    monkeypatch.setattr(levelwing.scenario, "export_csv",
+                        slow_aotc_failing_ratc)
+    t0 = time.perf_counter()
+    with pytest.raises(OSError, match="disk full"):
+        write_comparison(short_comparison, tmp_path)
+    assert time.perf_counter() - t0 < 10.0
+    assert multiprocessing.active_children() == []
+    assert "Traceback" not in capfd.readouterr().err
+
+
+@needs_fork
+def test_export_child_that_dies_without_a_result_is_an_error(
+        monkeypatch, short_comparison, tmp_path):
+    real = levelwing.scenario.export_csv
+
+    def dying_aotc(result, path):
+        if result.mode == "aotc":
+            os._exit(7)
+        real(result, path)
+
+    monkeypatch.setattr(levelwing.scenario, "export_csv", dying_aotc)
+    with pytest.raises(SimulatorError,
+                       match=r"aotc\.csv export's process ended without a "
+                             r"result \(exit code 7\)"):
+        write_comparison(short_comparison, tmp_path)
     assert multiprocessing.active_children() == []
 
 

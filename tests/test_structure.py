@@ -22,6 +22,7 @@ from pathlib import Path
 import levelwing
 from conftest import SETTINGS_TYPES
 from levelwing import errors
+from levelwing.dynamics import make_airframe
 from levelwing.guidance import _plan_segments
 
 PACKAGE = "levelwing"
@@ -310,6 +311,21 @@ def test_one_place_binds_the_airframe():
     assert definers(sources, "derivative") == {"dynamics.make_airframe"}
     assert callers(sources, "make_airframe") == {
         "scenario.run_scenario", "cli._cmd_gains", "cli._cmd_trim"}
+    # The force buildup and the equations of motion are written once: one
+    # loads and one stage, both in make_airframe, and the stage alone of
+    # its functions rotates the body velocity, as air_data does outside.
+    assert definers(sources, "loads") == {"dynamics.make_airframe"}
+    assert definers(sources, "stage") == {"dynamics.make_airframe"}
+    assert callers(sources, "body_to_ned") == {"dynamics.air_data",
+                                               "dynamics.make_airframe"}
+    bind = function_tree(make_airframe)
+    inner = [node for node in ast.walk(bind)
+             if isinstance(node, ast.FunctionDef) and node is not bind]
+    names = [node.name for node in inner]
+    assert names.count("loads") == names.count("stage") == 1
+    assert {node.name for node in inner for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) == "body_to_ned"} == {"stage"}
 
 
 def test_one_place_integrates_the_control_loops():

@@ -9,8 +9,10 @@ bundled scenario and each controller it prints one sha256 over the run's
 log arrays (key, dtype and bytes of each, in log order) and its steps,
 completion, fault and summary row. For each scenario it prints one
 sha256 per line of `levelwing gains`, labelled by the line's label, so a
-line added on purpose shows in a diff without hiding the others. Last come
-the sha256 of the four files of `levelwing compare` on rectangle_compare.
+line added on purpose shows in a diff without hiding the others. Then
+come the sha256 of the four files of `levelwing compare` on
+rectangle_compare. Last comes one run that ends in a dynamics fault, the
+circle in gusts and a quartering wind, with its digest and its fault text.
 
 Run it on two checkouts and diff the outputs:
 
@@ -22,8 +24,8 @@ Run it on two checkouts and diff the outputs:
     diff old.txt new.txt
 
 It imports levelwing from the src directory of its own checkout.
---duration caps every run, for a quick check; in full, all of it takes a
-few seconds.
+--duration caps every run except the faulting one (its fault comes 28 s
+in), for a quick check; in full, all of it takes a few seconds.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -46,6 +49,19 @@ from levelwing.scenario import run_scenario  # noqa: E402
 MODES = ("aotc", "ratc")
 COMPARE_SCENARIO = "rectangle_compare"
 COMPARE_FILES = ("aotc.csv", "ratc.csv", "summary.txt", "summary.csv")
+FAULT_SCENARIO, FAULT_MODE = "circle", "aotc"
+
+
+def fault_run():
+    """The bundled circle with 2 m/s gusts, a 3 m/s wind toward 135 deg
+    and seed 2, flown by aotc for 50 s: it ends in a pitch singularity."""
+    cfg = load_config(f"{FAULT_SCENARIO}.ini")
+    toward = math.radians(135.0)
+    env = dataclasses.replace(cfg.env, gust_intensity=2.0,
+                              wind_n=3.0 * math.cos(toward),
+                              wind_e=3.0 * math.sin(toward))
+    cfg = dataclasses.replace(cfg, env=env, seed=2, duration=50.0)
+    return run_scenario(cfg, FAULT_MODE)
 
 
 def config_digest(path: str | Path) -> str:
@@ -112,6 +128,9 @@ def digest_lines(duration: float | None) -> list[str]:
         for file in COMPARE_FILES:
             data = (Path(out_dir) / file).read_bytes()
             lines.append(f"compare {COMPARE_SCENARIO} {file} {sha(data)}")
+    result = fault_run()
+    lines.append(f"fault {FAULT_SCENARIO} {FAULT_MODE} steps={result.steps} "
+                 f"{run_digest(result)} {result.fault}")
     return lines
 
 
