@@ -294,43 +294,29 @@ def _check_pitch(theta: float, state) -> None:
 
 class Airframe(NamedTuple):
     """One airframe, bound once per run: its parameters, its reduced
-    inertia terms and the stage functions of its rigid-body model.
-    Trim, the integrator and the gain schedule all read this one value.
+    inertia terms and its rigid-body model on plain floats. Trim, the
+    integrator and the gain schedule all read this one value.
 
-    stage(u, v, w, phi, theta, psi, p, q, r, delta_a, delta_e, delta_r,
-    delta_t, wind_n, wind_e, wind_d, fm=None) is one RK4 stage on plain
-    floats: the nine state values the equations read, the four command
-    values and the NED wind (m/s). It returns the twelve state
-    derivatives in AircraftState field order. Given fm, it uses those
-    forces and moments and reads no command. Its pitch error carries no
-    state, since the stage never sees the position; integrate_step adds
-    the stage's twelve-value state. forces_moments(y, cmd) gives the body
-    forces (N) and moments (N*m) (fx, fy, fz, l, m, n) of the
-    twelve-value state y (AircraftState field order) under cmd, a
-    ControlCommand or the same four floats. derivative(y, fm, wind) is
-    the stage at y with the forces and moments fm, wind an Environment or
-    the same three floats; its pitch error carries y.
+    loads(u, v, w, sphi, cphi, sth, cth, p, q, r, delta_a, delta_e,
+    delta_r, delta_t) is the force buildup: the body forces (N) and
+    moments (N*m) (fx, fy, fz, l, m, n), given the sines and cosines of
+    roll and pitch. stage(u, v, w, phi, theta, psi, p, q, r, delta_a,
+    delta_e, delta_r, delta_t, wind_n, wind_e, wind_d) is one RK4 stage:
+    the twelve state derivatives in AircraftState field order, the wind
+    in NED (m/s). It never sees the position, so its pitch error carries
+    no state.
     """
 
     params: AircraftParams
     gammas: GammaSet
-    forces_moments: Callable[[Sequence[float], Sequence[float]],
-                             tuple[float, ...]]
-    derivative: Callable[[Sequence[float], Sequence[float],
-                          Sequence[float]], tuple[float, ...]]
+    loads: Callable[..., tuple[float, ...]]
     stage: Callable[..., tuple[float, ...]]
 
 
 def make_airframe(params: AircraftParams) -> Airframe:
-    """Bind the airframe's constants once and return them with the stage
-    functions of the forces, the moments and the twelve equations of
-    motion.
-
-    Forces and moments are gravity + thrust + the linear aerodynamic
-    buildup, with rate terms normalized by 2*Va; below MIN_AERO_AIRSPEED
-    the aerodynamic terms are zeroed and only gravity and thrust remain.
-    Thrust is delta_t * (max_thrust - thrust_airspeed_decay*Va^2).
-    """
+    """Bind the airframe's constants once into its loads and stage. loads
+    takes the sines and cosines of roll and pitch, so that a stage
+    computes them once for the forces and the equations of motion."""
     gammas = gamma_terms(params)
     weight = params.weight
     inv_mass = 1.0 / params.mass
@@ -358,8 +344,6 @@ def make_airframe(params: AircraftParams) -> Airframe:
         gammas.gamma5, gammas.gamma6, gammas.gamma7, gammas.gamma8)
     sin, cos = math.sin, math.cos
 
-    # loads takes the sines and cosines of roll and pitch, so a stage
-    # computes them once for the forces and the equations of motion.
     def loads(u, v, w, sphi, cphi, sth, cth, p, q, r,
               delta_a, delta_e, delta_r, delta_t):
         fx = -weight * sth
@@ -400,15 +384,12 @@ def make_airframe(params: AircraftParams) -> Airframe:
         return fx, fy, fz, l, m, n
 
     def stage(u, v, w, phi, theta, psi, p, q, r,
-              delta_a, delta_e, delta_r, delta_t, wind_n, wind_e, wind_d,
-              fm=None):
+              delta_a, delta_e, delta_r, delta_t, wind_n, wind_e, wind_d):
         sphi, cphi, sth, cth = sin(phi), cos(phi), sin(theta), cos(theta)
-        if fm is None:
-            fm = loads(u, v, w, sphi, cphi, sth, cth, p, q, r,
-                       delta_a, delta_e, delta_r, delta_t)
+        fx, fy, fz, l, m, n = loads(u, v, w, sphi, cphi, sth, cth, p, q, r,
+                                    delta_a, delta_e, delta_r, delta_t)
         if abs(theta) >= _PITCH_LIMIT:
             _check_pitch(theta, None)
-        fx, fy, fz, l, m, n = fm
         tth = sth / cth
 
         # Navigation: rotate the air-relative body velocity to NED, add wind.
@@ -431,24 +412,7 @@ def make_airframe(params: AircraftParams) -> Airframe:
         return (gn + wind_n, ge + wind_e, gd + wind_d, u_dot, v_dot, w_dot,
                 phi_dot, theta_dot, psi_dot, p_dot, q_dot, r_dot)
 
-    def forces_moments(y: Sequence[float],
-                       cmd: Sequence[float]) -> tuple[float, ...]:
-        _, _, _, u, v, w, phi, theta, _, p, q, r = y
-        delta_a, delta_e, delta_r, delta_t = cmd
-        return loads(u, v, w, sin(phi), cos(phi), sin(theta), cos(theta),
-                     p, q, r, delta_a, delta_e, delta_r, delta_t)
-
-    def derivative(y: Sequence[float], fm: Sequence[float],
-                   wind: Sequence[float]) -> tuple[float, ...]:
-        _, _, _, u, v, w, phi, theta, psi, p, q, r = y
-        if abs(theta) >= _PITCH_LIMIT:
-            _check_pitch(theta, y)
-        wind_n, wind_e, wind_d = wind
-        # The command feeds only the forces and moments, which fm gives.
-        return stage(u, v, w, phi, theta, psi, p, q, r, 0.0, 0.0, 0.0, 0.0,
-                     wind_n, wind_e, wind_d, fm)
-
-    return Airframe(params, gammas, forces_moments, derivative, stage)
+    return Airframe(params, gammas, loads, stage)
 
 
 def clamp_command(cmd: Sequence[float],
@@ -473,12 +437,12 @@ def integrate_step(
 
     The actuator limits are applied here, at the plant. phi and psi are
     wrapped onto (-pi, pi] after the step; a pitch inside the singularity
-    margin or any non-finite component aborts. A pitch error inside a
-    stage carries that stage's state, y + h*k.
+    margin, a non-finite component or an overflow in a stage aborts. A
+    pitch error inside a stage carries that stage's state, y + h*k.
     """
     if dt <= 0.0:
         raise ConfigError("integration step must be positive")
-    params, _, _, _, stage = airframe
+    params, _, _, stage = airframe
     delta_a, delta_e, delta_r, delta_t = clamp_command(cmd, params)
     wind_n, wind_e, wind_d = env
     pn, pe, pd, u, v, w, phi, theta, psi, p, q, r = state
@@ -515,8 +479,11 @@ def integrate_step(
         else:
             hk, k = ((h, k1) if k2 is None else (h, k2) if k3 is None
                      else (dt, k3))
-            at = [a + hk * b for a, b in zip(state, k)]
+            at = AircraftState._make(a + hk * b for a, b in zip(state, k))
         raise SingularityError(str(exc), state=at) from None
+    except OverflowError as exc:
+        raise IntegrationFaultError(f"overflow in integration step: {exc}",
+                                    state=state) from exc
     c = dt / 6.0
     y1 = (pn + c * (dpn1 + 2.0 * dpn2 + 2.0 * dpn3 + dpn4),
           pe + c * (dpe1 + 2.0 * dpe2 + 2.0 * dpe3 + dpe4),
@@ -562,7 +529,7 @@ def trim(airframe: Airframe,
     rows, which no residual reads, so trim takes none. The returned pair
     re-evaluates to a full six-axis residual below TRIM_TOL.
     """
-    params, _, forces_moments, derivative, _ = airframe
+    params, _, _, stage = airframe
     if not math.isfinite(va_target):
         raise ConfigError(f"trim airspeed must be finite, got {va_target}")
     floor = stall_floor(params)
@@ -581,13 +548,16 @@ def trim(airframe: Airframe,
         )
         return state, ControlCommand(0.0, delta_e, 0.0, delta_t)
 
-    def derivatives(x: np.ndarray) -> list[float]:
+    def derivatives(x: np.ndarray) -> tuple[float, ...]:
         state, cmd = build(x)
         try:
-            return derivative(state, forces_moments(state, cmd), _CALM)
+            return stage(*state[3:12], *cmd, *_CALM)
         except OverflowError as exc:
             raise TrimFailureError(f"trim at {va_target:g} m/s overflows: "
                                    f"{exc}") from exc
+        except SingularityError as exc:
+            raise TrimFailureError(f"trim at {va_target:g} m/s leaves the "
+                                   f"pitch margin: {exc}") from exc
 
     def residual(x: np.ndarray) -> np.ndarray:
         deriv = derivatives(x)

@@ -124,12 +124,15 @@ def test_criterion_1_equation_identities(params):
         # The reduced heading equation reproduces the moment buildup.
         cmd = ControlCommand(delta_a=delta_a, delta_e=rng.uniform(-0.3, 0.3),
                              delta_r=delta_r, delta_t=rng.uniform(0.0, 1.0))
-        _, _, _, fm_l, _, fm_n = airframe.forces_moments(state, cmd)
+        _, _, _, moment_l, _, moment_n = airframe.loads(
+            state.u, state.v, state.w, math.sin(state.phi),
+            math.cos(state.phi), math.sin(state.theta),
+            math.cos(state.theta), state.p, state.q, state.r, *cmd)
         # d_psi: the sideslip, roll-rate and aileron terms of the fold.
         d_psi = qs * (fold.cr_0 + fold.cr_beta * ad.beta
                       + fold.cr_p * (draw.wing_span * state.p / (2.0 * ad.va))
                       + fold.cr_delta_a * delta_a)
-        lhs = g.gamma4 * fm_l + g.gamma8 * fm_n
+        lhs = g.gamma4 * moment_l + g.gamma8 * moment_n
         rhs = (-coeffs.a_psi1 * state.r + coeffs.a_psi2 * delta_r
                + d_psi)
         assert rel_close(lhs, rhs)

@@ -133,6 +133,26 @@ def test_trim_airspeed_whose_square_overflows_exits_3(
         "error[trim]: trim at 1e+160 m/s overflows")
 
 
+@pytest.mark.parametrize("command", ["trim", "simulate"])
+def test_trim_past_the_pitch_margin_exits_3(tmp_path, capsys, command):
+    # Strong lift at zero alpha and weak lift per radian: the trim's
+    # Newton iterate leaves the pitch margin, a trim failure and not an
+    # in-flight fault.
+    aircraft = resolve_input_path("aerosonde.ini").read_text(encoding="utf-8")
+    for key, value in (("c_lift_0", "0.9"), ("c_lift_alpha", "0.3")):
+        aircraft, count = re.subn(rf"^{key} = .*$", f"{key} = {value}",
+                                  aircraft, flags=re.M)
+        assert count == 1
+    (tmp_path / "nose_up.ini").write_text(aircraft)
+    config = tmp_path / "nose_up_rectangle.ini"
+    config.write_text(re.sub(r"^aircraft = .*$", "aircraft = nose_up.ini",
+                             bundled_rectangle_text(), flags=re.M))
+    code = main([command, "--config", str(config)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "error[trim]: trim at 20 m/s leaves the pitch margin")
+
+
 def readme_exit_codes():
     """{category: exit code} from the README's exit-code table."""
     rows = re.findall(r"^\| (\d) \| (.*?) \|",

@@ -30,8 +30,10 @@ from levelwing.dynamics import (
 from levelwing.errors import (
     AirDataError,
     ConfigError,
+    DynamicsFaultError,
     IntegrationFaultError,
     SingularityError,
+    TrimFailureError,
 )
 
 CALM = Environment()
@@ -42,7 +44,16 @@ NamedForces = namedtuple("NamedForces", "fx fy fz l m n")
 
 def forces(params, state, cmd):
     """The kernel's body forces and moments, by name."""
-    return NamedForces(*make_airframe(params).forces_moments(state, cmd))
+    _, _, _, u, v, w, phi, theta, _, p, q, r = state
+    return NamedForces(*make_airframe(params).loads(
+        u, v, w, math.sin(phi), math.cos(phi), math.sin(theta),
+        math.cos(theta), p, q, r, *cmd))
+
+
+def stage_at(airframe, state, cmd=NO_COMMAND, env=CALM):
+    """The airframe's stage at a twelve-value state: its twelve state
+    derivatives."""
+    return airframe.stage(*state[3:12], *cmd, *env)
 
 
 def thrust(params, va, delta_t):
@@ -119,7 +130,7 @@ def test_air_data_shares_the_kernel_rotation(airframe):
         state = AircraftState(*np.concatenate(
             [position, velocity, attitude, rates]).tolist())
         env = Environment(*rng.uniform(-10.0, 10.0, 3).tolist())
-        vn, ve, vd = airframe.derivative(state, (0.0,) * 6, env)[:3]
+        vn, ve, vd = stage_at(airframe, state, env=env)[:3]
         ad = air_data(state, env)
         assert ad.vg == math.sqrt(math.hypot(vn, ve)**2 + vd**2)
         assert ad.chi == wrap_pi(math.atan2(ve, vn))
@@ -293,11 +304,11 @@ def test_yaw_equation_consistency_randomized(params, airframe):
             delta_r=rng.uniform(-0.3, 0.3), delta_t=rng.uniform(0.0, 1.0),
         )
         ad = air_data(state, CALM)
-        fm = forces(params, state, cmd)
+        loads = forces(params, state, cmd)
         coeffs = designed_plants(airframe, ad)
         d_psi = yaw_disturbance(params, combined_yaw_coeffs(params, gammas),
                                 ad, p=state.p, delta_a=cmd.delta_a)
-        lhs = gammas.gamma4 * fm.l + gammas.gamma8 * fm.n
+        lhs = gammas.gamma4 * loads.l + gammas.gamma8 * loads.n
         rhs = -coeffs.a_psi1 * state.r + coeffs.a_psi2 * cmd.delta_r \
             + d_psi
         assert math.isclose(lhs, rhs, rel_tol=1e-10, abs_tol=1e-12)
@@ -306,16 +317,17 @@ def test_yaw_equation_consistency_randomized(params, airframe):
 def test_forces_at_rest_reduce_to_gravity(params):
     state = AircraftState()
     cmd = ControlCommand()
-    fm = forces(params, state, cmd)
-    assert fm.fx == pytest.approx(0.0, abs=1e-12)
-    assert fm.fy == pytest.approx(0.0, abs=1e-12)
-    assert fm.fz == pytest.approx(params.mass * params.gravity, rel=1e-12)
-    assert (fm.l, fm.m, fm.n) == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
+    loads = forces(params, state, cmd)
+    assert loads.fx == pytest.approx(0.0, abs=1e-12)
+    assert loads.fy == pytest.approx(0.0, abs=1e-12)
+    assert loads.fz == pytest.approx(params.mass * params.gravity, rel=1e-12)
+    assert (loads.l, loads.m, loads.n) == pytest.approx((0.0, 0.0, 0.0),
+                                                        abs=1e-12)
 
 
 def test_forces_static_thrust_adds_body_x(params):
-    fm = forces(params, AircraftState(), ControlCommand(delta_t=0.6))
-    assert fm.fx == pytest.approx(0.6 * params.max_thrust, rel=1e-12)
+    loads = forces(params, AircraftState(), ControlCommand(delta_t=0.6))
+    assert loads.fx == pytest.approx(0.6 * params.max_thrust, rel=1e-12)
     assert thrust(params, 0.0, 0.6) == pytest.approx(
         0.6 * params.max_thrust, rel=1e-12)
 
@@ -329,12 +341,11 @@ def test_forces_golden_vector(params):
                           p=0.1, q=-0.05, r=0.08)
     cmd = ControlCommand(delta_a=0.05, delta_e=-0.1, delta_r=0.03,
                          delta_t=0.6)
-    fm = forces(params, state, cmd)
+    loads = forces(params, state, cmd)
     expected = (8.0354061951005116, 14.67972943052246, -1.2957386435356179,
                 -0.71182168543024227, -4.3655620955033353,
                 0.31880764221760884)
-    assert np.allclose((fm.fx, fm.fy, fm.fz, fm.l, fm.m, fm.n), expected,
-                       rtol=1e-12, atol=0.0)
+    assert np.allclose(loads, expected, rtol=1e-12, atol=0.0)
 
 
 def test_positive_rudder_yaws_left(params, trim20):
@@ -348,9 +359,7 @@ def test_positive_rudder_yaws_left(params, trim20):
 
 
 def test_state_derivative_forward_translation(airframe):
-    state = AircraftState(u=20.0)
-    fm = airframe.forces_moments(AircraftState(), NO_COMMAND)
-    deriv = airframe.derivative(state, fm, CALM)
+    deriv = stage_at(airframe, AircraftState(u=20.0))
     assert deriv[0] == pytest.approx(20.0, rel=1e-12)
     assert deriv[1] == pytest.approx(0.0, abs=1e-12)
     assert deriv[2] == pytest.approx(0.0, abs=1e-12)
@@ -358,10 +367,9 @@ def test_state_derivative_forward_translation(airframe):
 
 def test_state_derivative_wind_enters_navigation_only(airframe):
     state = AircraftState(u=20.0)
-    fm = airframe.forces_moments(AircraftState(), NO_COMMAND)
     windy = Environment(wind_n=3.0, wind_e=-1.0, wind_d=0.5)
-    calm_d = airframe.derivative(state, fm, CALM)
-    wind_d = airframe.derivative(state, fm, windy)
+    calm_d = stage_at(airframe, state)
+    wind_d = stage_at(airframe, state, env=windy)
     assert wind_d[0] - calm_d[0] == pytest.approx(3.0, rel=1e-12)
     assert wind_d[1] - calm_d[1] == pytest.approx(-1.0, rel=1e-12)
     assert wind_d[2] - calm_d[2] == pytest.approx(0.5, rel=1e-12)
@@ -370,9 +378,7 @@ def test_state_derivative_wind_enters_navigation_only(airframe):
 
 
 def test_state_derivative_euler_kinematics_level(airframe):
-    state = AircraftState(u=20.0, p=0.1)
-    fm = airframe.forces_moments(AircraftState(), NO_COMMAND)
-    deriv = airframe.derivative(state, fm, CALM)
+    deriv = stage_at(airframe, AircraftState(u=20.0, p=0.1))
     assert deriv[6] == pytest.approx(0.1, rel=1e-12)
     assert deriv[7] == pytest.approx(0.0, abs=1e-15)
     assert deriv[8] == pytest.approx(0.0, abs=1e-15)
@@ -380,9 +386,8 @@ def test_state_derivative_euler_kinematics_level(airframe):
 
 def test_state_derivative_pitch_singularity(airframe):
     state = AircraftState(u=20.0, theta=math.radians(89.9))
-    fm = airframe.forces_moments(AircraftState(), NO_COMMAND)
     with pytest.raises(SingularityError):
-        airframe.derivative(state, fm, CALM)
+        stage_at(airframe, state)
 
 
 def test_rk4_exact_on_constant_derivative():
@@ -411,24 +416,29 @@ def test_integrate_step_matches_manual_rk4(airframe, trim20):
     state, cmd = trim20
     env = Environment(wind_e=2.0)
 
-    def f(y):
-        fm = airframe.forces_moments(y, cmd)
-        return airframe.derivative(y, fm, env)
-
-    expected = rk4_step(f, np.array(state), 0.01)
+    expected = rk4_step(lambda y: stage_at(airframe, y, cmd, env),
+                        np.array(state), 0.01)
     stepped = integrate_step(state, cmd, env, airframe, 0.01)
     assert np.allclose(np.array(stepped), expected, rtol=1e-12, atol=1e-12)
 
 
 def oracle_step(state, cmd, env, airframe, dt):
-    """integrate_step as the generic RK4 over the airframe's
-    forces_moments and derivative, with the same clamp, wrap and checks."""
+    """integrate_step as the generic RK4 over the airframe's stage, with
+    the same clamp, wrap, checks and error states."""
     cmd = clamp_command(cmd, airframe.params)
 
     def f(y):
-        return airframe.derivative(y, airframe.forces_moments(y, cmd), env)
+        try:
+            return stage_at(airframe, y, cmd, env)
+        except SingularityError as exc:
+            raise SingularityError(str(exc),
+                                   state=AircraftState._make(y)) from None
 
-    y1 = rk4_step(f, state, dt)
+    try:
+        y1 = rk4_step(f, state, dt)
+    except OverflowError as exc:
+        raise IntegrationFaultError(f"overflow in integration step: {exc}",
+                                    state=state) from exc
     if not all(map(math.isfinite, y1)):
         raise IntegrationFaultError("non-finite state after integration step",
                                     state=state)
@@ -443,11 +453,11 @@ def oracle_step(state, cmd, env, airframe, dt):
 
 def outcome(step, *args):
     """The state a step returns, or the type, message and state of the
-    error it raises, with the state's floats as exact reprs."""
+    error it raises, the state as its exact repr."""
     try:
         return step(*args)
     except Exception as exc:  # compared, not handled
-        return type(exc), str(exc), repr(list(getattr(exc, "state", [])))
+        return type(exc), str(exc), repr(getattr(exc, "state", None))
 
 
 def floats(lo, hi):
@@ -483,11 +493,12 @@ def test_singularity_inside_a_stage_carries_the_stage_state(airframe,
     limit = math.pi / 2.0 - PITCH_SINGULARITY_MARGIN
     state = trim20[0]._replace(theta=limit - 0.002, q=1.0)
     cmd, dt = trim20[1], 0.01
-    k1 = airframe.derivative(state, airframe.forces_moments(state, cmd), CALM)
-    second = [a + 0.5 * dt * b for a, b in zip(state, k1)]
-    assert second[7] >= limit
+    k1 = stage_at(airframe, state, cmd)
+    second = AircraftState._make(a + 0.5 * dt * b for a, b in zip(state, k1))
+    assert second.theta >= limit
     with pytest.raises(SingularityError) as caught:
         integrate_step(state, cmd, CALM, airframe, dt)
+    assert type(caught.value.state) is AircraftState
     assert caught.value.state == second
     assert outcome(integrate_step, state, cmd, CALM, airframe, dt) == \
         outcome(oracle_step, state, cmd, CALM, airframe, dt)
@@ -528,6 +539,23 @@ def test_integrate_step_faults_on_nonfinite_state(airframe, trim20):
     broken = state._replace(u=math.nan)
     with pytest.raises(IntegrationFaultError):
         integrate_step(broken, cmd, CALM, airframe, 0.01)
+
+
+@pytest.mark.parametrize("huge", [{"u": 1e155}, {"p": 1e155},
+                                  {"u": 20.0, "q": 1e200}])
+def test_overflow_inside_a_stage_is_an_integration_fault(airframe, huge):
+    # A square too large for a float raises OverflowError inside a stage;
+    # the step reports it as a dynamics fault on the state it began from,
+    # which run_scenario records, and the oracle does the same.
+    state = AircraftState(**huge)
+    with pytest.raises(IntegrationFaultError,
+                       match="overflow in integration step") as caught:
+        integrate_step(state, ControlCommand(), CALM, airframe, 0.01)
+    assert isinstance(caught.value, DynamicsFaultError)
+    assert caught.value.state is state
+    assert outcome(integrate_step, state, ControlCommand(), CALM, airframe,
+                   0.01) == outcome(oracle_step, state, ControlCommand(),
+                                    CALM, airframe, 0.01)
 
 
 def test_gust_zero_intensity_is_silent():
@@ -579,8 +607,7 @@ def test_trim_is_level_and_laterally_clean(airframe, trim20):
                         rel_tol=1e-9)
     ad = air_data(state, CALM)
     assert math.isclose(ad.va, 20.0, rel_tol=1e-9)
-    fm = airframe.forces_moments(state, cmd)
-    deriv = airframe.derivative(state, fm, CALM)
+    deriv = stage_at(airframe, state, cmd)
     assert abs(deriv[2]) < 1e-6          # no climb or sink
     assert np.all(np.abs(deriv[3:]) < 1e-6)
 
@@ -590,3 +617,14 @@ def test_trim_rejects_airspeed_below_stall_floor(params, airframe):
     assert 10.0 < floor < 20.0
     with pytest.raises(ConfigError):
         trim(airframe, floor * 0.9)
+
+
+def test_trim_past_the_pitch_margin_is_a_trim_failure(params):
+    # Lift this strong at zero alpha and this weak per radian sends the
+    # Newton iterate to a pitch inside the singularity margin: the trim
+    # fails, naming its airspeed, rather than raising a dynamics fault.
+    nose_up = make_airframe(replace(params, c_lift_0=0.9, c_lift_alpha=0.3))
+    with pytest.raises(TrimFailureError,
+                       match=r"trim at 20 m/s leaves the pitch margin: "
+                             r"pitch [-\d.]+ deg too close"):
+        trim(nose_up, 20.0)

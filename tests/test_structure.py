@@ -22,7 +22,7 @@ from pathlib import Path
 import levelwing
 from conftest import SETTINGS_TYPES
 from levelwing import errors
-from levelwing.dynamics import make_airframe
+from levelwing.dynamics import Airframe, make_airframe
 from levelwing.guidance import _plan_segments
 
 PACKAGE = "levelwing"
@@ -288,27 +288,28 @@ def definers(sources: dict[str, str], name: str) -> set[str]:
 
 def test_callers_and_definers_name_the_innermost_definition():
     sources = {
-        "a": "def bind():\n    def derivative():\n        pass\n"
+        "a": "def bind():\n    def rates():\n        pass\n"
              "    return terms(1)\n"
              "class Box:\n    def size(self):\n        return m.terms(2)\n"
              "terms(3)\n",
-        "b": "def derivative():\n    return bind()\n",
+        "b": "def rates():\n    return bind()\n",
     }
     assert callers(sources, "terms") == {"a.bind", "a.Box.size", "a"}
-    assert callers(sources, "bind") == {"b.derivative"}
-    assert definers(sources, "derivative") == {"a.bind", "b.derivative"}
+    assert callers(sources, "bind") == {"b.rates"}
+    assert definers(sources, "rates") == {"a.bind", "b.rates"}
 
 
 def test_one_place_binds_the_airframe():
     # make_airframe alone computes the inertia terms and defines the
-    # kernel's stage functions, once per run or CLI command. So trim and
-    # the gain schedule build no kernel of their own: they read the one
-    # they are handed.
+    # kernel's functions, once per run or CLI command. So trim and the
+    # gain schedule build no kernel of their own: they read the one they
+    # are handed. The kernel has one call convention, plain floats: the
+    # airframe is its parameters, inertia terms, force buildup and stage,
+    # and the stage takes no forces from outside.
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in SRC.glob("*.py")}
     assert callers(sources, "gamma_terms") == {"dynamics.make_airframe"}
-    assert definers(sources, "forces_moments") == {"dynamics.make_airframe"}
-    assert definers(sources, "derivative") == {"dynamics.make_airframe"}
+    assert Airframe._fields == ("params", "gammas", "loads", "stage")
     assert callers(sources, "make_airframe") == {
         "scenario.run_scenario", "cli._cmd_gains", "cli._cmd_trim"}
     # The force buildup and the equations of motion are written once: one
@@ -323,9 +324,21 @@ def test_one_place_binds_the_airframe():
              if isinstance(node, ast.FunctionDef) and node is not bind]
     names = [node.name for node in inner]
     assert names.count("loads") == names.count("stage") == 1
-    assert {node.name for node in inner for call in ast.walk(node)
-            if isinstance(call, ast.Call)
-            and getattr(call.func, "id", None) == "body_to_ned"} == {"stage"}
+    stage = inner[names.index("stage")]
+    assert ast.unparse(stage.args) == (
+        "u, v, w, phi, theta, psi, p, q, r, delta_a, delta_e, delta_r, "
+        "delta_t, wind_n, wind_e, wind_d")
+
+    def calls(tree, name):
+        return sum(isinstance(node, ast.Call)
+                   and getattr(node.func, "id", None) == name
+                   for node in ast.walk(tree))
+
+    assert calls(bind, "body_to_ned") == calls(stage, "body_to_ned") == 1
+    # The pitch is checked in the stage and at the end of a step only.
+    assert callers(sources, "_check_pitch") == {"dynamics.make_airframe",
+                                                "dynamics.integrate_step"}
+    assert calls(bind, "_check_pitch") == calls(stage, "_check_pitch") == 1
 
 
 def test_one_place_integrates_the_control_loops():
