@@ -87,21 +87,17 @@ def _print_run(result) -> None:
     print(f"completed : {result.completed}")
     if result.fault:
         print(f"fault     : {result.fault}")
-    for h_ref in sorted(result.stats_by_href):
-        s = result.stats_by_href[h_ref]
-        print(f"image error @ {h_ref:.0f} m: mean {s.mean:+.3f} m, "
-              f"std {s.std:.3f} m, rms {s.rms:.3f} m")
-    if result.lat_stats is not None:
-        s = result.lat_stats
-        print(f"lateral path error : mean {s.mean:+.3f} m, std {s.std:.3f} m")
-    if result.roll_stats_deg is not None:
-        s = result.roll_stats_deg
-        print(f"roll angle         : mean {s.mean:+.3f} deg, "
-              f"std {s.std:.3f} deg")
-    if result.beta_stats_deg is not None:
-        s = result.beta_stats_deg
-        print(f"sideslip estimate  : mean {s.mean:+.3f} deg, "
-              f"std {s.std:.3f} deg")
+    s = result.stats
+    if s is None:
+        return
+    for h_ref, e in s.image_by_href.items():
+        print(f"image error @ {h_ref:.0f} m: mean {e.mean:+.3f} m, "
+              f"std {e.std:.3f} m, rms {e.rms:.3f} m")
+    for label, e, unit in (("lateral path error", s.lateral, "m"),
+                           ("roll angle", s.roll_deg, "deg"),
+                           ("sideslip estimate", s.beta_deg, "deg")):
+        print(f"{label:<19}: mean {e.mean:+.3f} {unit}, "
+              f"std {e.std:.3f} {unit}")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

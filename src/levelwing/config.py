@@ -244,9 +244,9 @@ def _reject_left(sections: dict[str, dict[str, str]]) -> None:
                 f"unknown key '{next(iter(items))}' in [{section}]")
 
 
-def load_aircraft(path: str | Path, base_dir: Path | None = None) -> AircraftParams:
+def load_aircraft(path: str | Path) -> AircraftParams:
     """Load an aircraft parameter file."""
-    resolved = resolve_input_path(path, base_dir)
+    resolved = resolve_input_path(path)
     found = _read_ini(resolved)
     with _in_file(resolved):
         sections = _sections(found, AIRCRAFT_KEYS)
@@ -257,9 +257,9 @@ def load_aircraft(path: str | Path, base_dir: Path | None = None) -> AircraftPar
         return AircraftParams(**values)
 
 
-def load_plan(path: str | Path, base_dir: Path | None = None) -> FlightPlan:
+def load_plan(path: str | Path) -> FlightPlan:
     """Load a flight-plan file (waypoints or orbit)."""
-    resolved = resolve_input_path(path, base_dir, kind="plans")
+    resolved = resolve_input_path(path, kind="plans")
     found = _read_ini(resolved)
     with _in_file(resolved):
         kind = found.get("plan", {}).pop("kind", "waypoints").lower()

@@ -549,15 +549,21 @@ def trim(airframe: Airframe,
         return state, ControlCommand(0.0, delta_e, 0.0, delta_t)
 
     def derivatives(x: np.ndarray) -> tuple[float, ...]:
+        # theta = alpha, so this is the stage's own pitch check; an alpha
+        # past it is a diverged iterate, however near a level one it wraps.
+        alpha = float(x[0])
+        if abs(alpha) >= _PITCH_LIMIT:
+            raise TrimFailureError(
+                f"trim at {va_target:g} m/s diverged: Newton iterate alpha "
+                f"{math.degrees(alpha):.2f} deg (wrapped "
+                f"{math.degrees(wrap_pi(alpha)):.2f} deg) is past the pitch "
+                f"limit of +/-{math.degrees(_PITCH_LIMIT):.2f} deg")
         state, cmd = build(x)
         try:
             return stage(*state[3:12], *cmd, *_CALM)
         except OverflowError as exc:
             raise TrimFailureError(f"trim at {va_target:g} m/s overflows: "
                                    f"{exc}") from exc
-        except SingularityError as exc:
-            raise TrimFailureError(f"trim at {va_target:g} m/s leaves the "
-                                   f"pitch margin: {exc}") from exc
 
     def residual(x: np.ndarray) -> np.ndarray:
         deriv = derivatives(x)

@@ -9,6 +9,7 @@ population standard deviation, which keeps rms^2 = mean^2 + std^2 exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +60,19 @@ def series_stats(values) -> ErrorStats:
     std = float(np.std(arr))  # population: rms^2 == mean^2 + std^2
     rms = float(np.sqrt(np.mean(arr**2)))
     return ErrorStats(mean=mean, std=std, rms=rms, count=int(arr.size))
+
+
+class RunStats(NamedTuple):
+    """A run's statistics after its warmup: the image error (m) at each
+    reference altitude in ascending order, the lateral path error (m), the
+    roll and sideslip estimate (deg), and their mean magnitudes (deg)."""
+
+    image_by_href: dict[float, ErrorStats]
+    lateral: ErrorStats
+    roll_deg: ErrorStats
+    beta_deg: ErrorStats
+    abs_roll_mean_deg: float
+    abs_beta_mean_deg: float
 
 
 @dataclass

@@ -47,7 +47,8 @@ from .dynamics import (
 from .errors import ConfigError, DynamicsFaultError, SimulatorError
 from .guidance import CourseCommand, PathManager
 from .metrics import (
-    ErrorStats,
+    SUMMARY_COLUMNS,
+    RunStats,
     SummaryRow,
     beta_estimate,
     render_summary_table,
@@ -181,7 +182,9 @@ def closed_loop_step(manager: PathManager, controller: FlightController,
 
 @dataclass
 class RunResult:
-    """Time-series log and summary statistics of one closed-loop run."""
+    """Log, outcome and statistics of one closed-loop run. stats needs at
+    least 2 steps after the warmup; with fewer it is None, and every
+    statistic, mean |roll| and mean |beta| included, is absent."""
 
     mode: str
     scenario: str
@@ -190,28 +193,18 @@ class RunResult:
     steps: int
     completed: bool
     fault: str | None
-    stats_by_href: dict[float, ErrorStats]
-    lat_stats: ErrorStats | None
-    roll_stats_deg: ErrorStats | None
-    beta_stats_deg: ErrorStats | None
-    mean_abs_roll_deg: float | None
-    mean_abs_beta_deg: float | None
+    stats: RunStats | None
 
     def summary_row(self) -> SummaryRow:
-        def stats(s: ErrorStats | None, *names: str) -> list[float]:
-            return [math.nan if s is None else getattr(s, n) for n in names]
-
-        at_href = self.stats_by_href.get
+        s = self.stats
+        if s is None:
+            return SummaryRow(self.scenario, self.mode,
+                              *[math.nan] * (len(SUMMARY_COLUMNS) - 2))
+        at150, at450 = s.image_by_href[150.0], s.image_by_href[450.0]
         return SummaryRow(          # in SummaryRow field order
-            self.scenario, self.mode, *stats(at_href(150.0), "mean", "std"),
-            *stats(at_href(450.0), "mean", "std", "rms"),
-            *stats(self.lat_stats, "mean", "std"),
-            *stats(self.roll_stats_deg, "mean", "std"),
-            *stats(self.beta_stats_deg, "mean", "std"))
-
-
-def _stats_or_none(values: np.ndarray) -> ErrorStats | None:
-    return series_stats(values) if values.size >= 2 else None
+            self.scenario, self.mode, at150.mean, at150.std, at450.mean,
+            at450.std, at450.rms, s.lateral.mean, s.lateral.std,
+            s.roll_deg.mean, s.roll_deg.std, s.beta_deg.mean, s.beta_deg.std)
 
 
 def run_scenario(
@@ -285,31 +278,20 @@ def run_scenario(
 
     warm = log["t"] >= cfg.warmup
     phi_w = log["phi"][warm]
-    lat_w = log["e_lateral"][warm]
-    beta_w = log["beta_est"][warm]
+    stats = None
+    if phi_w.size >= 2:
+        lat_w = log["e_lateral"][warm]
+        # Taken before the degree series: one fewer array live at the peak.
+        image = {h: series_stats(total_image_error(lat_w, phi_w, h))
+                 for h in sorted(set(cfg.h_refs) | set(TABLE_H_REFS))}
+        roll_w, beta_w = np.degrees(phi_w), np.degrees(log["beta_est"][warm])
+        stats = RunStats(image, series_stats(lat_w), series_stats(roll_w),
+                         series_stats(beta_w), float(np.mean(np.abs(roll_w))),
+                         float(np.mean(np.abs(beta_w))))
 
-    h_refs = (sorted(set(cfg.h_refs) | set(TABLE_H_REFS))
-              if phi_w.size >= 2 else ())
-    stats_by_href = {h: series_stats(total_image_error(lat_w, phi_w, h))
-                     for h in h_refs}
-
-    return RunResult(
-        mode=mode,
-        scenario=cfg.name,
-        dt=dt,
-        log=log,
-        steps=steps,
-        completed=completed,
-        fault=fault,
-        stats_by_href=stats_by_href,
-        lat_stats=_stats_or_none(lat_w),
-        roll_stats_deg=_stats_or_none(np.degrees(phi_w)),
-        beta_stats_deg=_stats_or_none(np.degrees(beta_w)),
-        mean_abs_roll_deg=(float(np.mean(np.abs(np.degrees(phi_w))))
-                           if phi_w.size else None),
-        mean_abs_beta_deg=(float(np.mean(np.abs(np.degrees(beta_w))))
-                           if beta_w.size else None),
-    )
+    return RunResult(mode=mode, scenario=cfg.name, dt=dt, log=log,
+                     steps=steps, completed=completed, fault=fault,
+                     stats=stats)
 
 
 def _store_rows(series: tuple[np.ndarray, ...], rows: list[tuple],
@@ -355,21 +337,19 @@ def compare_controllers(
 
     rows = [aotc.summary_row(), ratc.summary_row()]
     ratios: dict[str, float] = {}
-    a450, r450 = aotc.stats_by_href.get(450.0), ratc.stats_by_href.get(450.0)
-    if a450 is not None and r450 is not None and a450.rms > 0.0:
-        ratios["rms_450_ratc_over_aotc"] = r450.rms / a450.rms
-    if (aotc.mean_abs_roll_deg and ratc.mean_abs_roll_deg is not None):
-        ratios["mean_abs_roll_ratc_over_aotc"] = (
-            ratc.mean_abs_roll_deg / aotc.mean_abs_roll_deg
-        )
-
-    def measured(value: float | None) -> float:
-        return math.nan if value is None else value
-
-    ratios["mean_abs_roll_aotc_deg"] = measured(aotc.mean_abs_roll_deg)
-    ratios["mean_abs_roll_ratc_deg"] = measured(ratc.mean_abs_roll_deg)
-    ratios["mean_abs_beta_aotc_deg"] = measured(aotc.mean_abs_beta_deg)
-    ratios["mean_abs_beta_ratc_deg"] = measured(ratc.mean_abs_beta_deg)
+    a, r = aotc.stats, ratc.stats
+    if a is not None and r is not None:
+        a450, r450 = a.image_by_href[450.0], r.image_by_href[450.0]
+        if a450.rms > 0.0:
+            ratios["rms_450_ratc_over_aotc"] = r450.rms / a450.rms
+        if a.abs_roll_mean_deg:
+            ratios["mean_abs_roll_ratc_over_aotc"] = (
+                r.abs_roll_mean_deg / a.abs_roll_mean_deg)
+    for name, s in (("aotc", a), ("ratc", r)):
+        roll, beta = ((math.nan, math.nan) if s is None else
+                      (s.abs_roll_mean_deg, s.abs_beta_mean_deg))
+        ratios[f"mean_abs_roll_{name}_deg"] = roll
+        ratios[f"mean_abs_beta_{name}_deg"] = beta
 
     lines = [render_summary_table(rows), ""]
     for key in sorted(ratios):

@@ -250,8 +250,8 @@ def test_criterion_4_rudder_flies_flatter(rect_comparison):
 def test_criterion_5_rudder_cuts_image_error(rect_comparison):
     comp, _ = rect_comparison
     ratio = comp.ratios["rms_450_ratc_over_aotc"]
-    rms_a = comp.aotc.stats_by_href[450.0].rms
-    rms_r = comp.ratc.stats_by_href[450.0].rms
+    rms_a = comp.aotc.stats.image_by_href[450.0].rms
+    rms_r = comp.ratc.stats.image_by_href[450.0].rms
     report(5, ratio <= 0.7,
            f"rms total image error at 450 m: ratc {rms_r:.1f} m vs aotc "
            f"{rms_a:.1f} m, ratio {ratio:.3f} (limit 0.7)")

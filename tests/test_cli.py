@@ -136,8 +136,8 @@ def test_trim_airspeed_whose_square_overflows_exits_3(
 @pytest.mark.parametrize("command", ["trim", "simulate"])
 def test_trim_past_the_pitch_margin_exits_3(tmp_path, capsys, command):
     # Strong lift at zero alpha and weak lift per radian: the trim's
-    # Newton iterate leaves the pitch margin, a trim failure and not an
-    # in-flight fault.
+    # Newton iterate diverges past the pitch limit, a trim failure and not
+    # an in-flight fault.
     aircraft = resolve_input_path("aerosonde.ini").read_text(encoding="utf-8")
     for key, value in (("c_lift_0", "0.9"), ("c_lift_alpha", "0.3")):
         aircraft, count = re.subn(rf"^{key} = .*$", f"{key} = {value}",
@@ -150,7 +150,7 @@ def test_trim_past_the_pitch_margin_exits_3(tmp_path, capsys, command):
     code = main([command, "--config", str(config)])
     assert code == 3
     assert capsys.readouterr().err.startswith(
-        "error[trim]: trim at 20 m/s leaves the pitch margin")
+        "error[trim]: trim at 20 m/s diverged: Newton iterate alpha")
 
 
 def readme_exit_codes():

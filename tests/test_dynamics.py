@@ -621,10 +621,12 @@ def test_trim_rejects_airspeed_below_stall_floor(params, airframe):
 
 def test_trim_past_the_pitch_margin_is_a_trim_failure(params):
     # Lift this strong at zero alpha and this weak per radian sends the
-    # Newton iterate to a pitch inside the singularity margin: the trim
-    # fails, naming its airspeed, rather than raising a dynamics fault.
+    # Newton iterate's alpha, which is the trim pitch, past the pitch
+    # limit: the trim fails, naming its airspeed and the iterate as it is
+    # and wrapped, rather than raising a dynamics fault.
     nose_up = make_airframe(replace(params, c_lift_0=0.9, c_lift_alpha=0.3))
     with pytest.raises(TrimFailureError,
-                       match=r"trim at 20 m/s leaves the pitch margin: "
-                             r"pitch [-\d.]+ deg too close"):
+                       match=r"trim at 20 m/s diverged: Newton iterate alpha "
+                             r"[-\d.]+ deg \(wrapped [-\d.]+ deg\) is past "
+                             r"the pitch limit"):
         trim(nose_up, 20.0)

@@ -48,6 +48,18 @@ def test_digests_cover_every_bundled_output(tmp_path, capsys):
     again = run_scenario(load_config(f"{name}.ini"), mode,
                          duration_override=2.0)
     assert tool.run_digest(again) == digest
+    # Each run is followed by the digest of its `simulate` printout.
+    printouts = [line.split() for line in lines
+                 if line.startswith("simulate ")]
+    assert [(name, mode) for _, name, mode, *_ in printouts] == [
+        (name, mode) for name in SCENARIOS for mode in ("aotc", "ratc")
+    ] + [("circle", "aotc")]
+    assert all(re.fullmatch(r"[0-9a-f]{64}", digest)
+               for *_, digest in printouts)
+    assert lines.index(" ".join(printouts[0])) == lines.index(
+        " ".join(runs[0])) + 1
+    assert printouts[0][-1] == tool.sha(tool.printout(again).encode())
+    assert "scenario  : circle" in tool.printout(again)
     gains = [line.split()[1:3] for line in lines if line.startswith("gains ")]
     for name in SCENARIOS:
         labels = [label for scenario, label in gains if scenario == name]
@@ -66,3 +78,6 @@ def test_digests_cover_every_bundled_output(tmp_path, capsys):
     result = tool.fault_run()
     assert steps == f"steps={result.steps}"
     assert tool.run_digest(result) == digest
+    assert printouts[-1] == ["simulate", "circle", "aotc", "fault",
+                             tool.sha(tool.printout(result).encode())]
+    assert lines[-2] == " ".join(printouts[-1])

@@ -24,7 +24,7 @@ from levelwing.errors import (
     UncontrollablePlantError,
 )
 from levelwing.guidance import FlightPlan, PathManager
-from levelwing.metrics import summary_csv_lines
+from levelwing.metrics import SUMMARY_COLUMNS, summary_csv_lines
 from levelwing.scenario import (
     CSV_COLUMNS,
     LOG_COLUMNS,
@@ -156,9 +156,45 @@ def test_zero_duration_run_is_empty_but_valid(make_cfg):
     assert result.steps == 0
     assert not result.completed
     assert result.fault is None
-    assert result.stats_by_href == {}
-    assert result.lat_stats is None
+    assert result.stats is None
     assert all(arr.size == 0 for arr in result.log.values())
+
+
+@pytest.mark.parametrize("warm_steps", [0, 1, 2])
+def test_statistics_need_two_warm_steps(capsys, warm_steps):
+    # One rule for every statistic, mean |roll| and |beta| included: with
+    # fewer than 2 steps after the warmup there is no record, the table
+    # reads nan, no ratio is formed and simulate prints no statistic.
+    cfg = load_config("rectangle_compare.ini")
+    cfg = replace(cfg, h_refs=(450.0, 300.0))
+    duration = cfg.warmup + warm_steps * cfg.dt
+    comp = compare_controllers(cfg, duration_override=duration)
+    for run in (comp.aotc, comp.ratc):
+        assert np.count_nonzero(run.log["t"] >= cfg.warmup) == warm_steps
+        row = [getattr(run.summary_row(), name)
+               for name in SUMMARY_COLUMNS[2:]]
+        if warm_steps < 2:
+            assert run.stats is None
+            assert all(math.isnan(value) for value in row)
+        else:
+            assert list(run.stats.image_by_href) == [150.0, 300.0, 450.0]
+            assert run.stats.lateral.count == 2
+            assert not any(math.isnan(value) for value in row)
+    means = [comp.ratios[f"mean_abs_{angle}_{mode}_deg"]
+             for angle in ("roll", "beta") for mode in ("aotc", "ratc")]
+    if warm_steps < 2:
+        assert all(math.isnan(value) for value in means)
+        assert len(comp.ratios) == 4
+    else:
+        assert not any(math.isnan(value) for value in means)
+        assert comp.ratios["mean_abs_roll_ratc_over_aotc"] == (
+            comp.ratc.stats.abs_roll_mean_deg
+            / comp.aotc.stats.abs_roll_mean_deg)
+    assert cli_main(["simulate", "--config", "rectangle_compare.ini",
+                     "--duration", repr(duration)]) == 0
+    statistics = [line for line in capsys.readouterr().out.splitlines()
+                  if ": mean " in line]
+    assert len(statistics) == (0 if warm_steps < 2 else 5)
 
 
 def test_negative_duration_rejected(make_cfg):
@@ -365,7 +401,7 @@ def test_rectangle_comparison_converges_in_dt(rect_comparison):
     assert max(ratio.values()) - min(ratio.values()) <= 1e-3
     assert abs(ratio[0.005] - ratio[0.01]) < abs(ratio[0.01] - ratio[0.02])
     for mode in ("aotc", "ratc"):
-        rms = [getattr(c, mode).stats_by_href[450.0].rms
+        rms = [getattr(c, mode).stats.image_by_href[450.0].rms
                for c in comps.values()]
         assert max(rms) - min(rms) <= 0.005 * min(rms)
 
@@ -401,10 +437,12 @@ def test_parallel_compare_equals_two_serial_runs(name, duration, capfd):
         assert (got.steps, got.completed, got.fault) == (
             want.steps, want.completed, want.fault)
     assert comp.rows == [run.summary_row() for run in serial]
-    a450, r450 = (run.stats_by_href[450.0] for run in serial)
+    a450, r450 = (run.stats.image_by_href[450.0] for run in serial)
     assert comp.ratios["rms_450_ratc_over_aotc"] == r450.rms / a450.rms
-    assert comp.ratios["mean_abs_roll_aotc_deg"] == serial[0].mean_abs_roll_deg
-    assert comp.ratios["mean_abs_beta_ratc_deg"] == serial[1].mean_abs_beta_deg
+    assert (comp.ratios["mean_abs_roll_aotc_deg"]
+            == serial[0].stats.abs_roll_mean_deg)
+    assert (comp.ratios["mean_abs_beta_ratc_deg"]
+            == serial[1].stats.abs_beta_mean_deg)
     assert multiprocessing.active_children() == []
     assert "Traceback" not in capfd.readouterr().err
 

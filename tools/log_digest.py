@@ -7,12 +7,14 @@ repr of its plan's segments; the config's aircraft and plan paths are
 reduced to their file names, so that two checkouts compare. For each
 bundled scenario and each controller it prints one sha256 over the run's
 log arrays (key, dtype and bytes of each, in log order) and its steps,
-completion, fault and summary row. For each scenario it prints one
+completion, fault and summary row, then one sha256 of what `levelwing
+simulate` prints for that run. For each scenario it prints one
 sha256 per line of `levelwing gains`, labelled by the line's label, so a
 line added on purpose shows in a diff without hiding the others. Then
 come the sha256 of the four files of `levelwing compare` on
 rectangle_compare. Last comes one run that ends in a dynamics fault, the
-circle in gusts and a quartering wind, with its digest and its fault text.
+circle in gusts and a quartering wind: the sha256 of its `simulate`
+printout, then its digest and its fault text.
 
 Run it on two checkouts and diff the outputs:
 
@@ -42,7 +44,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from levelwing.cli import main as cli_main  # noqa: E402
+from levelwing.cli import _print_run, main as cli_main  # noqa: E402
 from levelwing.config import bundled_data_dir, load_config  # noqa: E402
 from levelwing.scenario import run_scenario  # noqa: E402
 
@@ -93,6 +95,14 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def printout(result) -> str:
+    """What `levelwing simulate` prints for a run, before any CSV line."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _print_run(result)
+    return out.getvalue()
+
+
 def cli_output(argv: list[str]) -> str:
     """What one levelwing command prints; its exit code must be 0."""
     out = io.StringIO()
@@ -114,6 +124,8 @@ def digest_lines(duration: float | None) -> list[str]:
             result = run_scenario(cfg, mode, duration_override=duration)
             lines.append(f"run {name} {mode} steps={result.steps} "
                          f"{run_digest(result)}")
+            lines.append(f"simulate {name} {mode} "
+                         f"{sha(printout(result).encode())}")
     for name in scenarios:
         for line in cli_output(["gains", "--config",
                                 f"{name}.ini"]).splitlines():
@@ -129,6 +141,8 @@ def digest_lines(duration: float | None) -> list[str]:
             data = (Path(out_dir) / file).read_bytes()
             lines.append(f"compare {COMPARE_SCENARIO} {file} {sha(data)}")
     result = fault_run()
+    lines.append(f"simulate {FAULT_SCENARIO} {FAULT_MODE} fault "
+                 f"{sha(printout(result).encode())}")
     lines.append(f"fault {FAULT_SCENARIO} {FAULT_MODE} steps={result.steps} "
                  f"{run_digest(result)} {result.fault}")
     return lines
