@@ -10,7 +10,9 @@ environment realization (same seed, same gust draws) with identical
 guidance gains, so only the lateral law differs. The two runs of a
 comparison share nothing else, so they fly at once: aotc in a child
 process, ratc in the caller; their report writes the two logs at once
-the same way.
+the same way. Both children go through one helper, _in_child, which
+calls this module's function of a given name in the child and hands the
+caller its value or its exception.
 """
 
 from __future__ import annotations
@@ -320,15 +322,16 @@ def compare_controllers(
 ) -> ComparisonResult:
     """Run both lateral controllers over the identical scenario and wind.
 
-    aotc flies in one child process (the default start method) while ratc
-    flies in the caller; the results equal two run_scenario calls in turn.
-    An error of the aotc run is raised here with its class and attributes.
-    If the ratc run raises, the child is stopped and the error propagates.
+    aotc flies in one child process (the default start method), which
+    calls this module's run_scenario, while ratc flies in the caller; the
+    results equal two run_scenario calls in turn. An error of the aotc run
+    is raised here with its class and attributes. If the ratc run raises,
+    the child is stopped and the error propagates.
     """
-    with _in_child("aotc run", _fly_and_send, cfg, "aotc",
-                   duration_override) as (conn, child):
+    with _in_child("aotc run", "run_scenario", cfg, "aotc",
+                   duration_override) as get:
         ratc = run_scenario(cfg, "ratc", duration_override=duration_override)
-        aotc = _receive_run(conn, child)
+        aotc = get()
 
     for result in (aotc, ratc):
         if result.fault is not None:
@@ -358,45 +361,45 @@ def compare_controllers(
                             table_text="\n".join(lines))
 
 
-def _fly_and_send(conn, cfg: ScenarioConfig, mode: str,
-                  duration_override: float | None) -> None:
-    """Child side of compare_controllers: fly one run and send it back.
-
-    An error goes back as the exception object. A result goes as a head,
-    the RunResult whose log maps each key to None, then one message per
-    log array in key order, so neither process ever holds a second copy
-    of a whole log. Sent as one pickle, the whole result raised the
-    caller's peak RSS growth on rectangle_compare by 19-32% (about 7.2 MB
-    against 5.7 MB for two runs in turn).
-    """
-    try:
-        result = run_scenario(cfg, mode, duration_override=duration_override)
-    except Exception as exc:  # reported to the caller, which raises it
-        conn.send(exc)
-    else:
-        conn.send(replace(result, log=dict.fromkeys(result.log)))
-        for arr in result.log.values():
-            conn.send(arr)
-    conn.close()
-
-
 @contextmanager
-def _in_child(name: str, target, *args):
-    """Run target(conn, *args) in one child process, started with the
-    default start method, while the with block runs in the caller; yield
-    the caller's end of the one-way pipe conn and the child.
+def _in_child(name: str, target: str, *args):
+    """Call the function that this module binds to the name target, with
+    args, in one child process started with the default start method,
+    while the with block runs in the caller; yield a getter.
 
-    If the block raises (KeyboardInterrupt included), the child is killed
-    with SIGKILL, because a forked child keeps the caller's signal
-    handlers; it is joined either way.
+    The child looks the name up when it runs, so under fork a wrapper put
+    on the function is called, and under spawn only the name and args
+    cross. get() returns the call's value, or raises the call's exception
+    with its class and attributes. If the block raises (KeyboardInterrupt
+    included), the child is killed with SIGKILL, because a forked child
+    keeps the caller's signal handlers; it is joined either way.
     """
     receiver, sender = multiprocessing.Pipe(duplex=False)
-    child = multiprocessing.Process(target=target, name=name,
-                                    args=(sender, *args))
+    child = multiprocessing.Process(target=_call_and_send, name=name,
+                                    args=(sender, target, *args))
     child.start()
     sender.close()
+
+    def receive():
+        try:
+            message = receiver.recv()
+        except EOFError:
+            child.join()
+            raise SimulatorError(f"the {name}'s process ended without a "
+                                 f"result (exit code {child.exitcode})"
+                                 ) from None
+        if isinstance(message, Exception):
+            raise message
+        return message
+
+    def get():
+        value = receive()
+        if isinstance(value, RunResult):
+            value.log = {key: receive() for key in value.log}
+        return value
+
     try:
-        yield receiver, child
+        yield get
     except BaseException:
         child.kill()
         raise
@@ -405,24 +408,28 @@ def _in_child(name: str, target, *args):
         child.join()
 
 
-def _receive(conn, child: multiprocessing.Process):
-    """The child's next message; an exception it sent is raised here."""
+def _call_and_send(conn, target: str, *args) -> None:
+    """Child side of _in_child: call target(*args), then send its value,
+    or the exception it raised.
+
+    A RunResult goes as a head, the result whose log maps each key to
+    None, then one message per log array in key order, so neither process
+    ever holds a second copy of a whole log. Sent as one pickle, the whole
+    result raised the caller's peak RSS growth on rectangle_compare by
+    19-32% (about 7.2 MB against 5.7 MB for two runs in turn).
+    """
     try:
-        message = conn.recv()
-    except EOFError:
-        child.join()
-        raise SimulatorError(f"the {child.name}'s process ended without "
-                             f"a result (exit code {child.exitcode})") from None
-    if isinstance(message, Exception):
-        raise message
-    return message
-
-
-def _receive_run(conn, child: multiprocessing.Process) -> RunResult:
-    """Caller side of _fly_and_send: the run, or its error raised here."""
-    head = _receive(conn, child)
-    head.log = {key: _receive(conn, child) for key in head.log}
-    return head
+        value = globals()[target](*args)
+    except Exception as exc:  # reported to the caller, which raises it
+        conn.send(exc)
+    else:
+        if isinstance(value, RunResult):
+            conn.send(replace(value, log=dict.fromkeys(value.log)))
+            for arr in value.log.values():
+                conn.send(arr)
+        else:
+            conn.send(value)
+    conn.close()
 
 
 def export_csv(result: RunResult, path: str | Path) -> None:
@@ -442,26 +449,15 @@ def export_csv(result: RunResult, path: str | Path) -> None:
             fh.writelines(row_format % row for row in zip(*cells))
 
 
-def _export_and_send(conn, result: RunResult, path: Path) -> None:
-    """Child side of write_comparison: export one run, then send None, or
-    the exception the export raised."""
-    try:
-        export_csv(result, path)
-    except Exception as exc:  # reported to the caller, which raises it
-        conn.send(exc)
-    else:
-        conn.send(None)
-    conn.close()
-
-
 def write_comparison(comp: ComparisonResult, out_dir: str | Path) -> dict[str, Path]:
     """Write aotc.csv, ratc.csv, summary.txt, and summary.csv to out_dir.
 
-    aotc.csv is written by one child process (the default start method)
-    while the caller writes the other three files; the bytes equal those
-    of a serial export. An error of the child's export is raised here with
-    its class and attributes; if the caller's writes raise, the child is
-    stopped and the error propagates.
+    aotc.csv is written by one child process (the default start method),
+    which calls this module's export_csv, while the caller writes the
+    other three files; the bytes equal those of a serial export. An error
+    of the child's export is raised here with its class and attributes; if
+    the caller's writes raise, the child is stopped and the error
+    propagates.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -471,13 +467,13 @@ def write_comparison(comp: ComparisonResult, out_dir: str | Path) -> dict[str, P
         "summary_txt": out / "summary.txt",
         "summary_csv": out / "summary.csv",
     }
-    with _in_child("aotc.csv export", _export_and_send, comp.aotc,
-                   paths["aotc_csv"]) as (conn, child):
+    with _in_child("aotc.csv export", "export_csv", comp.aotc,
+                   paths["aotc_csv"]) as get:
         export_csv(comp.ratc, paths["ratc_csv"])
         paths["summary_txt"].write_text(comp.table_text + "\n",
                                         encoding="utf-8")
         paths["summary_csv"].write_text(
             "\n".join(summary_csv_lines(comp.rows)) + "\n", encoding="utf-8"
         )
-        _receive(conn, child)
+        get()
     return paths

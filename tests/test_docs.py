@@ -1,7 +1,9 @@
 """The README's examples agree with the bundled data and the real output."""
 
 import configparser
+import json
 import re
+import statistics
 from pathlib import Path
 
 from levelwing.config import (
@@ -17,6 +19,7 @@ from levelwing.config import (
 from levelwing.scenario import LOG_COLUMNS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+REFERENCE = README.parent / "perfbench" / "reference.json"
 
 
 def readme_blocks(opening: str) -> list[str]:
@@ -108,3 +111,28 @@ def test_headline_plan_extent_is_the_bundled_rectangle():
     north, east = zip(*((n, e) for n, e, _ in plan.waypoints))
     assert tuple(map(float, found[0])) == (max(north) - min(north),
                                            max(east) - min(east))
+
+
+def test_sweep_band_is_derived_from_the_reference_file():
+    # The sentence beside the headline quotes perfbench/reference.json's
+    # gust sweep: departures per controller, and ratc's rms_450 over
+    # aotc's on the members where neither departs.
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    found = re.findall(
+        r"in the (\d+)-member gust sweep of `perfbench/reference\.json` .*?"
+        r"aotc departs .*? in (\d+) members and ratc in (\w+), and in the "
+        r"(\d+) members where neither departs, ratc's `rms_450` over "
+        r"aotc's spans (\d\.\d{3}) to (\d\.\d{3}), with a median of "
+        r"(\d\.\d{3})\.", text)
+    assert len(found) == 1, found
+    sweep = json.loads(REFERENCE.read_text(encoding="utf-8"))["gust_sweep"]
+    members = sorted({key.rsplit("/", 1)[0] for key in sweep})
+    runs = [(sweep[f"{m}/aotc"], sweep[f"{m}/ratc"]) for m in members]
+    departs = [sum(pair[i]["departed"] for pair in runs) for i in (0, 1)]
+    ratios = [r["summary"]["rms_450"] / a["summary"]["rms_450"]
+              for a, r in runs if not (a["departed"] or r["departed"])]
+    assert found[0] == (
+        str(len(members)), str(departs[0]),
+        str(departs[1]) if departs[1] else "none", str(len(ratios)),
+        f"{min(ratios):.3f}", f"{max(ratios):.3f}",
+        f"{statistics.median(ratios):.3f}")

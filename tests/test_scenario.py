@@ -5,8 +5,11 @@ import math
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +34,7 @@ from levelwing.scenario import (
     FlightController,
     LoopMemory,
     RunResult,
-    _fly_and_send,
+    _call_and_send,
     closed_loop_step,
     compare_controllers,
     export_csv,
@@ -461,13 +464,13 @@ class RecordingConnection:
         self.closed = True
 
 
-def test_child_sends_the_log_a_column_at_a_time(make_cfg):
+def test_child_sends_the_log_a_column_at_a_time(make_cfg, tmp_path):
     # One whole-result pickle raised the caller's peak RSS by 19-32% on
     # rectangle_compare, so the head carries no arrays and each column
     # follows on its own.
     cfg = make_cfg(rectangle_plan(40.0), duration=5.0)
     conn = RecordingConnection()
-    _fly_and_send(conn, cfg, "aotc", None)
+    _call_and_send(conn, "run_scenario", cfg, "aotc", None)
     head, *columns = conn.sent
     assert isinstance(head, RunResult)
     assert head.log == dict.fromkeys(c.name for c in LOG_COLUMNS)
@@ -478,6 +481,12 @@ def test_child_sends_the_log_a_column_at_a_time(make_cfg):
         assert arr.dtype == want.log[column.name].dtype, column.name
         assert np.array_equal(arr, want.log[column.name]), column.name
     assert conn.closed
+    # Any other value, such as the export's None, is one message.
+    conn = RecordingConnection()
+    _call_and_send(conn, "export_csv", want, tmp_path / "aotc.csv")
+    assert conn.sent == [None]
+    assert conn.closed
+    assert (tmp_path / "aotc.csv").stat().st_size > 0
 
 
 @needs_fork
@@ -488,44 +497,6 @@ def test_aotc_error_reaches_the_caller_intact(aotc_trim_failure, make_cfg):
     assert info.value.category == "trim"
     assert str(info.value) == "trim did not converge"
     assert info.value.residual == 0.25
-    assert multiprocessing.active_children() == []
-
-
-@needs_fork
-def test_child_is_stopped_when_the_ratc_run_raises(monkeypatch, make_cfg,
-                                                   capfd):
-    real = levelwing.scenario.run_scenario
-
-    def slow_aotc_failing_ratc(cfg, mode=None, duration_override=None):
-        if mode == "ratc":
-            raise UncontrollablePlantError("no rudder authority")
-        time.sleep(60.0)
-        return real(cfg, mode, duration_override)
-
-    monkeypatch.setattr(levelwing.scenario, "run_scenario",
-                        slow_aotc_failing_ratc)
-    t0 = time.perf_counter()
-    with pytest.raises(UncontrollablePlantError, match="no rudder"):
-        compare_controllers(make_cfg(straight_plan()), duration_override=1.0)
-    assert time.perf_counter() - t0 < 10.0
-    assert multiprocessing.active_children() == []
-    assert "Traceback" not in capfd.readouterr().err
-
-
-@needs_fork
-def test_child_that_dies_without_a_result_is_an_error(monkeypatch, make_cfg):
-    real = levelwing.scenario.run_scenario
-
-    def dying_aotc(cfg, mode=None, duration_override=None):
-        if mode == "aotc":
-            os._exit(7)
-        return real(cfg, mode, duration_override)
-
-    monkeypatch.setattr(levelwing.scenario, "run_scenario", dying_aotc)
-    with pytest.raises(SimulatorError,
-                       match=r"aotc run's process ended without a result "
-                             r"\(exit code 7\)"):
-        compare_controllers(make_cfg(straight_plan()), duration_override=1.0)
     assert multiprocessing.active_children() == []
 
 
@@ -556,6 +527,52 @@ def test_report_files_equal_a_serial_export(short_comparison, tmp_path,
     assert "Traceback" not in capfd.readouterr().err
 
 
+# Wraps run_scenario and export_csv in local closures, as the benchmark's
+# tracer does, then runs a comparison and its report under spawn. A local
+# closure cannot be pickled, so this fails if a child is handed the
+# function rather than its name.
+SPAWN_SCRIPT = """\
+import multiprocessing
+import sys
+
+import levelwing.scenario as scenario
+from levelwing.config import load_config
+
+
+def wrapped(real):
+    def call(*args, **kwargs):
+        return real(*args, **kwargs)
+    return call
+
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    scenario.run_scenario = wrapped(scenario.run_scenario)
+    scenario.export_csv = wrapped(scenario.export_csv)
+    comp = scenario.compare_controllers(load_config("rectangle_compare.ini"),
+                                        duration_override=10.0)
+    scenario.write_comparison(comp, sys.argv[1])
+"""
+
+
+def test_compare_and_report_work_under_spawn(tmp_path):
+    script = tmp_path / "spawn_compare.py"
+    script.write_text(SPAWN_SCRIPT, encoding="utf-8")
+    src = str(Path(levelwing.scenario.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, str(script), str(tmp_path / "spawn")], env=env,
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    comp = compare_controllers(load_config("rectangle_compare.ini"),
+                               duration_override=10.0)
+    paths = write_comparison(comp, tmp_path / "here")
+    for path in paths.values():
+        assert (tmp_path / "spawn" / path.name).read_bytes() == \
+            path.read_bytes(), path.name
+
+
 def test_child_export_error_reaches_the_caller(short_comparison, tmp_path,
                                                capfd):
     out = tmp_path / "report"
@@ -577,42 +594,64 @@ def test_compare_exits_5_when_the_child_cannot_write(tmp_path, capsys):
     assert "error[io]" in capsys.readouterr().err
 
 
+# The two children of a comparison, by name: the function of
+# levelwing.scenario that the child calls, the controller that a call to
+# it serves, the caller's call that starts the child, and the error that
+# stands for a failure in the caller.
+CHILDREN = {
+    "aotc run": (
+        "run_scenario",
+        lambda cfg, mode=None, duration_override=None: mode,
+        lambda make_cfg, comp, out: compare_controllers(
+            make_cfg(straight_plan()), duration_override=1.0),
+        UncontrollablePlantError("no rudder authority")),
+    "aotc.csv export": (
+        "export_csv",
+        lambda result, path: result.mode,
+        lambda make_cfg, comp, out: write_comparison(comp, out),
+        OSError("disk full")),
+}
+
+
 @needs_fork
-def test_export_child_is_stopped_when_the_caller_raises(
-        monkeypatch, short_comparison, tmp_path, capfd):
-    real = levelwing.scenario.export_csv
+@pytest.mark.parametrize("child", CHILDREN)
+def test_child_is_stopped_when_the_caller_raises(
+        monkeypatch, make_cfg, short_comparison, tmp_path, capfd, child):
+    target, mode_of, start, error = CHILDREN[child]
+    real = getattr(levelwing.scenario, target)
 
-    def slow_aotc_failing_ratc(result, path):
-        if result.mode == "ratc":
-            raise OSError("disk full")
+    def slow_aotc_failing_ratc(*args, **kwargs):
+        if mode_of(*args, **kwargs) == "ratc":
+            raise error
         time.sleep(60.0)
-        real(result, path)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(levelwing.scenario, "export_csv",
-                        slow_aotc_failing_ratc)
+    monkeypatch.setattr(levelwing.scenario, target, slow_aotc_failing_ratc)
     t0 = time.perf_counter()
-    with pytest.raises(OSError, match="disk full"):
-        write_comparison(short_comparison, tmp_path)
+    with pytest.raises(type(error), match=str(error)):
+        start(make_cfg, short_comparison, tmp_path)
     assert time.perf_counter() - t0 < 10.0
     assert multiprocessing.active_children() == []
     assert "Traceback" not in capfd.readouterr().err
 
 
 @needs_fork
-def test_export_child_that_dies_without_a_result_is_an_error(
-        monkeypatch, short_comparison, tmp_path):
-    real = levelwing.scenario.export_csv
+@pytest.mark.parametrize("child", CHILDREN)
+def test_child_that_dies_without_a_result_is_an_error(
+        monkeypatch, make_cfg, short_comparison, tmp_path, child):
+    target, mode_of, start, _ = CHILDREN[child]
+    real = getattr(levelwing.scenario, target)
 
-    def dying_aotc(result, path):
-        if result.mode == "aotc":
+    def dying_aotc(*args, **kwargs):
+        if mode_of(*args, **kwargs) == "aotc":
             os._exit(7)
-        real(result, path)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(levelwing.scenario, "export_csv", dying_aotc)
+    monkeypatch.setattr(levelwing.scenario, target, dying_aotc)
     with pytest.raises(SimulatorError,
-                       match=r"aotc\.csv export's process ended without a "
-                             r"result \(exit code 7\)"):
-        write_comparison(short_comparison, tmp_path)
+                       match=re.escape(f"{child}'s process ended without a "
+                                       f"result (exit code 7)")):
+        start(make_cfg, short_comparison, tmp_path)
     assert multiprocessing.active_children() == []
 
 

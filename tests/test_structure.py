@@ -1,7 +1,8 @@
 """Package structure: the intra-package import graph has no cycle,
 every function, class and method is used inside the package, the
 settings types check themselves once, when they are made, one place binds
-an airframe, one place integrates the control loops, the lateral law is
+an airframe, one helper starts child processes and one function sends
+from them, one place integrates the control loops, the lateral law is
 chosen only where a controller is bound, the run loop is one
 closed-loop step, the per-step code uses no numpy, calls no builtin min or
 max and assigns no attribute outside the gust model, and the benchmark
@@ -339,6 +340,17 @@ def test_one_place_binds_the_airframe():
     assert callers(sources, "_check_pitch") == {"dynamics.make_airframe",
                                                 "dynamics.integrate_step"}
     assert calls(bind, "_check_pitch") == calls(stage, "_check_pitch") == 1
+
+
+def test_one_child_protocol():
+    # Every child process is started, and its pipe made, by _in_child,
+    # and one child-side function sends: a second hand-written protocol
+    # would bring its own messages, lifecycle and errors.
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in SRC.glob("*.py")}
+    assert callers(sources, "Process") == {"scenario._in_child"}
+    assert callers(sources, "Pipe") == {"scenario._in_child"}
+    assert callers(sources, "send") == {"scenario._call_and_send"}
 
 
 def test_one_place_integrates_the_control_loops():
