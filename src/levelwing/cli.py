@@ -51,8 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run one controller")
     add_common(p_sim)
-    p_sim.add_argument("--controller", choices=("aotc", "ratc"), default=None,
-                       help="lateral controller (default: scenario setting)")
+    p_sim.add_argument("--controller", choices=("aotc", "ratc"),
+                       default="ratc",
+                       help="lateral controller (default: ratc)")
     p_sim.add_argument("--csv", default=None,
                        help="write the time-series log to this CSV file")
 
@@ -102,7 +103,7 @@ def _print_run(result) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, seed=args.seed, slew=_slew_flag(args.slew))
-    result = run_scenario(cfg, mode=args.controller,
+    result = run_scenario(cfg, args.controller,
                           duration_override=args.duration)
     _print_run(result)
     if args.csv:

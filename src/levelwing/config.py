@@ -17,6 +17,11 @@ derivatives are per-radian and pass through unchanged. Relative paths
 referenced by a scenario resolve against the scenario file's directory
 first, then against the bundled data directory, so
 `aircraft = aerosonde.ini` works anywhere.
+
+A scenario names no lateral law: which law flies is each run's
+argument, so a `mode` key is unknown like any other. A setting that a
+check or the gain design squares must have a finite square, or it is a
+ConfigError that names it.
 """
 
 from __future__ import annotations
@@ -85,7 +90,6 @@ ENVIRONMENT_KEYS = {
     "gust_intensity_mps": "gust_intensity", "gust_tau_s": "gust_tau",
 }
 CONTROLLER_KEYS = {
-    "mode": "mode",
     "wn_psi_radps": "wn_psi", "zeta_psi": "zeta_psi",
     "wn_roll_radps": "wn_roll", "zeta_roll": "zeta_roll", "ki_roll": "ki_roll",
     "course_separation": "course_separation", "zeta_course": "zeta_course",
@@ -186,11 +190,9 @@ def _sections(found: dict[str, dict[str, str]], required: Collection[str],
 
 
 def _parse_value(raw: str, kind: str, label: str):
-    """raw as a value of the annotated kind: a string, a flag, an integer,
-    a number or, for a tuple, a comma list of numbers whose empty items are
-    skipped. A ConfigError says that label is not one."""
-    if kind == "str":
-        return raw
+    """raw as a value of the annotated kind: a flag, an integer, a number
+    or, for a tuple, a comma list of numbers whose empty items are skipped.
+    A ConfigError says that label is not one."""
     if kind == "bool":
         word = raw.lower()
         if word in ("1", "true", "yes", "on"):
@@ -311,22 +313,22 @@ class ControllerSettings:
     """Every tunable shared by the two lateral laws and the holds.
 
     The guidance gains and the slew limiter live here too, so one section
-    fixes them for both controllers in a comparison.
+    fixes them for both controllers in a comparison. Which law flies is
+    not a setting: it is the run's argument.
     """
 
-    mode: str = "ratc"
-    wn_psi: float = bounded(4.0, gt=0.0)
+    wn_psi: float = bounded(4.0, gt=0.0, squared=True)
     zeta_psi: float = bounded(0.9, gt=0.0)
-    wn_roll: float = bounded(10.0, gt=0.0)
+    wn_roll: float = bounded(10.0, gt=0.0, squared=True)
     zeta_roll: float = bounded(1.0, gt=0.0)
     ki_roll: float = bounded(2.0, ge=0.0)
     course_separation: float = bounded(16.0, ge=1.0)
     zeta_course: float = bounded(0.9, gt=0.0)
     bank_limit: float = bounded(math.radians(45.0), gt=0.0,
                                 le=math.radians(80.0))
-    wn_pitch: float = bounded(10.0, gt=0.0)
+    wn_pitch: float = bounded(10.0, gt=0.0, squared=True)
     zeta_pitch: float = bounded(0.9, gt=0.0)
-    wn_alt: float = bounded(0.8, gt=0.0)
+    wn_alt: float = bounded(0.8, gt=0.0, squared=True)
     zeta_alt: float = bounded(1.0, gt=0.0)
     kp_airspeed: float = bounded(0.4, gt=0.0)
     ki_airspeed: float = bounded(0.15, gt=0.0)
@@ -336,9 +338,6 @@ class ControllerSettings:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.mode not in ("aotc", "ratc"):
-            raise ConfigError(f"controller mode must be aotc or ratc, got "
-                              f"{self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -403,8 +402,6 @@ def load_config(
                                (GUIDANCE_KEYS, GuidanceGains),
                                (SLEW_KEYS, SlewSettings)))
         _reject_left(sections)
-        if "mode" in ctrl:
-            ctrl["mode"] = ctrl["mode"].lower()
         aircraft_path = resolve_input_path(aircraft, resolved.parent,
                                            exclude=resolved)
         plan_path = resolve_input_path(plan, resolved.parent, kind="plans",

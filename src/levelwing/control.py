@@ -69,8 +69,15 @@ AotcGains = NamedTuple("AotcGains", [("kp_course", float),
 def place_poles(a1: float, a2: float, a3: float, wn: float,
                 zeta: float) -> tuple[float, float]:
     """PD gains (kp, kd) closing x_ddot = -a1*x_dot - a3*x + a2*delta
-    with delta = kp*(x_cmd - x) - kd*x_dot at s^2 + 2*zeta*wn*s + wn^2."""
-    return (wn**2 - a3) / a2, (2.0 * zeta * wn - a1) / a2
+    with delta = kp*(x_cmd - x) - kd*x_dot at s^2 + 2*zeta*wn*s + wn^2.
+    A plant whose effectiveness a2 is zero, as when it underflows at a
+    tiny airspeed or air density, raises UncontrollablePlantError."""
+    try:
+        return (wn**2 - a3) / a2, (2.0 * zeta * wn - a1) / a2
+    except ZeroDivisionError:
+        raise UncontrollablePlantError(
+            "control effectiveness a2 is zero at this flight condition; "
+            "plant uncontrollable") from None
 
 
 def _plant_models(airframe: Airframe, rudder: bool) -> tuple[
@@ -78,7 +85,8 @@ def _plant_models(airframe: Airframe, rudder: bool) -> tuple[
         Callable[[float], tuple[float, ...]]]:
     """The heading plant, va -> (a_psi1, a_psi2), with AirDataError at
     va <= 0, and the roll and pitch plants, floored va -> (a_phi1, a_phi2,
-    a_theta1, a_theta2, a_theta3). A surface without authority raises
+    a_theta1, a_theta2, a_theta3); each raises AirDataError at a va whose
+    square overflows. A surface without authority raises
     UncontrollablePlantError; the rudder only when rudder is true."""
     params, gammas = airframe.params, airframe.gammas
     # The heading plant folds the roll equation's inertia-coupled share
@@ -115,16 +123,26 @@ def _plant_models(airframe: Airframe, rudder: bool) -> tuple[
     def heading(va: float) -> tuple[float, float]:
         if va <= 0.0:
             raise AirDataError("heading plant needs positive airspeed")
-        return (neg_quarter_rho * va * sw * bw_sq * cr_r,
-                half_rho * va**2 * sw * bw * cr_delta_r)
+        try:
+            return (neg_quarter_rho * va * sw * bw_sq * cr_r,
+                    half_rho * va**2 * sw * bw * cr_delta_r)
+        except OverflowError:
+            raise _overflowing_airspeed(va) from None
 
     def roll_pitch(va: float) -> tuple[float, ...]:
-        scale = half_rho * va**2 * sw * cbar / iyy
-        return (neg_quarter_rho * va * sw * bw_sq * c_p_p,
-                half_rho * va**2 * sw * bw * c_p_delta_a,
-                -scale * c_m_q * cbar / (2.0 * va), scale * c_m_delta_e,
-                -scale * c_m_alpha)
+        try:
+            scale = half_rho * va**2 * sw * cbar / iyy
+            return (neg_quarter_rho * va * sw * bw_sq * c_p_p,
+                    half_rho * va**2 * sw * bw * c_p_delta_a,
+                    -scale * c_m_q * cbar / (2.0 * va), scale * c_m_delta_e,
+                    -scale * c_m_alpha)
+        except OverflowError:
+            raise _overflowing_airspeed(va) from None
     return heading, roll_pitch
+
+
+def _overflowing_airspeed(va: float) -> AirDataError:
+    return AirDataError(f"the plants at airspeed {va:g} m/s overflow")
 
 
 def plant_report(airframe: Airframe, va: float) -> Plants:

@@ -92,9 +92,9 @@ class AircraftParams:
     ixx: float = bounded(gt=0.0)
     iyy: float = bounded(gt=0.0)
     izz: float = bounded(gt=0.0)
-    ixz: float = 0.0
+    ixz: float = bounded(0.0, squared=True)
     wing_area: float = bounded(gt=0.0)
-    wing_span: float = bounded(gt=0.0)
+    wing_span: float = bounded(gt=0.0, squared=True)
     mean_chord: float = bounded(gt=0.0)
     rho: float = bounded(1.2682, gt=0.0)
     gravity: float = bounded(9.81, gt=0.0)
@@ -437,8 +437,9 @@ def integrate_step(
 
     The actuator limits are applied here, at the plant. phi and psi are
     wrapped onto (-pi, pi] after the step; a pitch inside the singularity
-    margin, a non-finite component or an overflow in a stage aborts. A
-    pitch error inside a stage carries that stage's state, y + h*k.
+    margin, a non-finite component, or an overflow or an infinite angle in
+    a stage aborts. A pitch error inside a stage carries that stage's
+    state, y + h*k.
     """
     if dt <= 0.0:
         raise ConfigError("integration step must be positive")
@@ -484,6 +485,9 @@ def integrate_step(
     except OverflowError as exc:
         raise IntegrationFaultError(f"overflow in integration step: {exc}",
                                     state=state) from exc
+    except ValueError as exc:   # the sine of a stage's infinite angle
+        raise IntegrationFaultError(f"non-finite stage state in integration "
+                                    f"step: {exc}", state=state) from exc
     c = dt / 6.0
     y1 = (pn + c * (dpn1 + 2.0 * dpn2 + 2.0 * dpn3 + dpn4),
           pe + c * (dpe1 + 2.0 * dpe2 + 2.0 * dpe3 + dpe4),

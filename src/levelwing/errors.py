@@ -83,11 +83,16 @@ _KINDS = {float: (float, int, numbers.Real), int: (int, numbers.Integral),
 _OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
-def bounded(default=dataclasses.MISSING, *, gt=None, ge=None, le=None):
-    """A settings field: its default (none if left out) and its bounds."""
+def bounded(default=dataclasses.MISSING, *, gt=None, ge=None, le=None,
+            squared=False):
+    """A settings field: its default (none if left out) and its bounds.
+    squared marks a field that a check or the gain design squares, so its
+    square must be finite."""
     bounds = {">": gt, ">=": ge, "<=": le}
-    return dataclasses.field(default=default, metadata={
-        op: bound for op, bound in bounds.items() if bound is not None})
+    metadata = {op: bound for op, bound in bounds.items() if bound is not None}
+    if squared:
+        metadata["squared"] = True
+    return dataclasses.field(default=default, metadata=metadata)
 
 
 def finite_number(value) -> bool:
@@ -98,19 +103,23 @@ def finite_number(value) -> bool:
 
 @functools.cache
 def _field_kinds(cls: type) -> tuple:
-    """(field, Class.field, kinds admitted, bounds) for each init field."""
+    """(field, Class.field, kinds admitted, bounds, squared) for each init
+    field."""
     hints = typing.get_type_hints(cls)
     return tuple((f, f"{cls.__name__}.{f.name}",
                   _KINDS.get(typing.get_origin(hint) or hint, hint),
-                  [(op, _OPS[op], bound) for op, bound in f.metadata.items()])
+                  [(op, _OPS[op], bound) for op, bound in f.metadata.items()
+                   if op in _OPS],
+                  "squared" in f.metadata)
                  for f in dataclasses.fields(cls) if f.init
                  for hint in (hints[f.name],))
 
 
 def check_fields(settings) -> None:
     """Raise ConfigError naming the first init field of settings whose
-    value is of the wrong kind, not finite or outside its field's bounds."""
-    for f, name, kind, bounds in _field_kinds(type(settings)):
+    value is of the wrong kind, not finite, outside its field's bounds or,
+    for a squared field, of a square that overflows."""
+    for f, name, kind, bounds, squared in _field_kinds(type(settings)):
         value = getattr(settings, f.name)
         if (not isinstance(value, kind)
                 or isinstance(value, bool) and kind is not bool):
@@ -120,3 +129,9 @@ def check_fields(settings) -> None:
         for op, holds, b in bounds:
             if not holds(value, b):
                 raise ConfigError(f"{name} must be {op} {b:g}, got {value}")
+        if squared:
+            try:
+                value**2
+            except OverflowError:
+                raise ConfigError(f"{name} must have a finite square, got "
+                                  f"{value}") from None

@@ -211,16 +211,17 @@ class RunResult:
 
 def run_scenario(
     cfg: ScenarioConfig,
-    mode: str | None = None,
+    mode: str,
     duration_override: float | None = None,
 ) -> RunResult:
-    """Run one closed-loop scenario and return its log and statistics.
+    """Run one closed-loop scenario flown by the lateral law mode, "aotc"
+    or "ratc", and return its log and statistics.
 
     A zero duration override yields an empty but valid result flagged
-    incomplete. Dynamics faults (singularity, non-finite state) truncate
-    the log and are reported in the fault field instead of raising.
+    incomplete. Dynamics faults (singularity, non-finite state, an
+    overflow anywhere in a step, wind and gusts included) truncate the
+    log and are reported in the fault field instead of raising.
     """
-    mode = cfg.ctrl.mode if mode is None else mode
     duration = cfg.duration if duration_override is None else duration_override
     if not math.isfinite(duration) or duration < 0.0:
         raise ConfigError(f"duration cap must be finite and >= 0, got "
@@ -258,14 +259,21 @@ def run_scenario(
     for k in range(n_cap):
         if len(rows) == _LOG_BLOCK_ROWS:
             _store_rows(series, rows, k)
-        gust_n, gust_e, gust_d = gust.step()
-        wind = Environment(wind_n + gust_n, wind_e + gust_e, wind_d + gust_d)
-        cmd, memory, row = closed_loop_step(manager, controller, state,
-                                            memory, wind)
-        rows.append(row)
-        steps = k + 1
         try:
+            gust_n, gust_e, gust_d = gust.step()
+            wind = Environment(wind_n + gust_n, wind_e + gust_e,
+                               wind_d + gust_d)
+            cmd, memory, row = closed_loop_step(manager, controller, state,
+                                                memory, wind)
+            rows.append(row)
+            steps = k + 1
             state = integrate_step(state, cmd, wind, airframe, dt)
+        except OverflowError as exc:
+            # In the air data, guidance or control: integrate_step maps
+            # an overflow of its own to a DynamicsFaultError.
+            fault = (f"{DynamicsFaultError.category}: overflow in closed-loop "
+                     f"step: {exc} at t = {k * dt:.2f} s")
+            break
         except DynamicsFaultError as exc:
             fault = f"{exc.category}: {exc} at t = {k * dt:.2f} s"
             break

@@ -9,6 +9,7 @@ the behavioural tests and the acceptance suite. Each timed fixture returns
 from __future__ import annotations
 
 import multiprocessing
+import re
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -52,6 +53,33 @@ class YawFold(NamedTuple):
     cr_r: float
     cr_delta_a: float
     cr_delta_r: float
+
+
+def set_key(text: str, section: str, key: str, value: str) -> str:
+    """text with [section] key = value, replacing the key's line or
+    adding the key, and the section if need be."""
+    text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text,
+                          flags=re.M)
+    assert count <= 1
+    if count:
+        return text
+    if f"[{section}]\n" in text:
+        return text.replace(f"[{section}]\n",
+                            f"[{section}]\n{key} = {value}\n")
+    return f"{text}\n[{section}]\n{key} = {value}\n"
+
+
+def rectangle_with(directory: Path, file: str, section: str, key: str,
+                   value: str) -> Path:
+    """The path of a copy of the bundled rectangle_compare.ini in
+    directory, beside a copy of the aerosonde.ini that it flies, with
+    [section] key = value set in the one of the two named file."""
+    for source in ("scenarios/rectangle_compare.ini", "aerosonde.ini"):
+        text = (DATA_DIR / source).read_text(encoding="utf-8")
+        if Path(source).name == file:
+            text = set_key(text, section, key, value)
+        (directory / Path(source).name).write_text(text, encoding="utf-8")
+    return directory / "rectangle_compare.ini"
 
 
 def combined_yaw_coeffs(params, gammas) -> YawFold:
@@ -138,7 +166,7 @@ def aotc_trim_failure(monkeypatch):
     """Make every aotc run fail to trim; ratc runs fly as usual."""
     real = levelwing.scenario.run_scenario
 
-    def failing(cfg, mode=None, duration_override=None):
+    def failing(cfg, mode, duration_override=None):
         if mode == "aotc":
             raise TrimFailureError("trim did not converge", residual=0.25)
         return real(cfg, mode, duration_override)
@@ -179,5 +207,5 @@ def corner_runs():
     for flag in (False, True):
         slew = replace(cfg.ctrl.slew, enabled=flag)
         variant = replace(cfg, ctrl=replace(cfg.ctrl, slew=slew))
-        runs[flag] = run_scenario(variant)
+        runs[flag] = run_scenario(variant, "ratc")
     return runs, time.perf_counter() - t0

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, outputs, and exit codes."""
 
 import inspect
+import multiprocessing
 import re
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 import levelwing.cli
 import levelwing.errors
 import levelwing.scenario
-from conftest import needs_fork
+from conftest import needs_fork, rectangle_with, set_key
 from levelwing.cli import main
 from levelwing.config import load_config, resolve_input_path
 from levelwing.control import plant_report
@@ -182,7 +183,7 @@ def test_each_error_category_exits_with_the_readme_code(monkeypatch,
     ("[environment]", "[enviroment]", "unknown section [enviroment]"),
     ("seed = 0\n", "seed = 0\nduration = 5\n",
      "unknown key 'duration' in [scenario]"),
-    ("mode = ratc\n", "mode = ratc\nwn_psi = 6\n",
+    ("gust_tau_s = 2.0\n", "gust_tau_s = 2.0\n[controller]\nwn_psi = 6\n",
      "unknown key 'wn_psi' in [controller]"),
     ("[scenario]", "[DEFAULT]\ngust_intensity_mps = 1\n\n[scenario]",
      "unknown section [DEFAULT]"),
@@ -197,6 +198,66 @@ def test_misspelt_key_or_section_exits_2(tmp_path, capsys, old, new, named):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error[config]") and named in err
+
+
+def test_a_scenario_that_names_a_law_exits_2(tmp_path, capsys):
+    # The law is the run's argument (simulate --controller, both for
+    # compare), so a file that still sets one is misspelt, whatever runs.
+    config = tmp_path / "law.ini"
+    config.write_text(set_key(bundled_rectangle_text(), "controller", "mode",
+                              "aotc"), encoding="utf-8")
+    for argv in (["simulate"], ["compare", "--out-dir", str(tmp_path)],
+                 ["gains"], ["trim"]):
+        assert main([*argv, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"error[config]: {config}: unknown key 'mode' in [controller]\n")
+
+
+# Settings of 1e200, each in the file that sets it: the wind and gusts
+# overflow the first step's air data, the rest a check or a gain design.
+FLIGHT_CODES = {"simulate": 4, "compare": 4, "gains": 0, "trim": 0}
+DESIGN_CODES = dict.fromkeys(FLIGHT_CODES, 2)
+OVERFLOW_CASES = [
+    *(("rectangle_compare.ini", "environment", key, FLIGHT_CODES, None)
+      for key in ("wind_n_mps", "wind_d_mps", "gust_intensity_mps")),
+    *(("rectangle_compare.ini", "controller", f"{name}_radps", DESIGN_CODES,
+       f"ControllerSettings.{name}")
+      for name in ("wn_psi", "wn_pitch", "wn_roll", "wn_alt")),
+    ("aerosonde.ini", "mass_properties", "ixz_kgm2", DESIGN_CODES,
+     "AircraftParams.ixz"),
+]
+
+
+@pytest.mark.parametrize("command", sorted(FLIGHT_CODES))
+@pytest.mark.parametrize("file, section, key, codes, field", OVERFLOW_CASES,
+                         ids=[case[2] for case in OVERFLOW_CASES])
+def test_a_setting_of_1e200_exits_with_its_category(tmp_path, capfd, command,
+                                                    file, section, key, codes,
+                                                    field):
+    config = rectangle_with(tmp_path, file, section, key, "1e200")
+    argv = [command, "--config", str(config)]
+    if command in ("simulate", "compare"):
+        argv += ["--duration", "1"]
+    if command == "compare":
+        argv += ["--out-dir", str(tmp_path / "report")]
+    assert main(argv) == codes[command]
+    out, err = capfd.readouterr()
+    assert multiprocessing.active_children() == []
+    fault = ("dynamics: overflow in closed-loop step: (34, 'Numerical result "
+             "out of range') at t = 0.00 s")
+    if field is not None:
+        named = "" if file != "aerosonde.ini" else f"{tmp_path / file}: "
+        assert err == (f"error[config]: {config}: {named}{field} must have "
+                       "a finite square, got 1e+200\n")
+    elif command == "simulate":
+        assert err == ""
+        assert [line for line in out.splitlines()
+                if line.startswith("fault")] == [f"fault     : {fault}"]
+    elif command == "compare":
+        assert err == ("error[dynamics]: comparison aborted: aotc run "
+                       f"failed ({fault})\n")
+    else:
+        assert err == ""
 
 
 def test_percent_in_a_value_is_literal(tmp_path, capsys):

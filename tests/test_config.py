@@ -3,12 +3,13 @@
 import math
 import pickle
 import re
+import sys
 from dataclasses import MISSING, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR, SETTINGS_TYPES
+from conftest import DATA_DIR, SETTINGS_TYPES, set_key
 from levelwing.config import (
     AIRCRAFT_KEYS,
     CONTROLLER_KEYS,
@@ -134,11 +135,15 @@ def test_custom_h_refs_parsed(tmp_path):
     assert load_config(p).h_refs == (100.0, 250.0, 400.0)
 
 
-def test_unknown_controller_mode_rejected(tmp_path):
-    p = write(tmp_path, "badmode.ini",
-              MINIMAL_SCENARIO + "[controller]\nmode = yaw_only\n")
-    with pytest.raises(ConfigError, match="aotc or ratc"):
-        load_config(p)
+def test_a_scenario_names_no_law(tmp_path):
+    # Which law flies is each run's argument, so a file that still sets
+    # one fails like any misspelt key, whatever the law.
+    for law in ("aotc", "ratc", "yaw_only"):
+        p = write(tmp_path, "law.ini",
+                  MINIMAL_SCENARIO + f"[controller]\nmode = {law}\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{p}: unknown key 'mode' in [controller]")):
+            load_config(p)
 
 
 def test_controller_bounds_enforced(tmp_path):
@@ -293,20 +298,6 @@ def base_text(base):
         encoding="utf-8")
 
 
-def set_key(text, section, key, value):
-    """text with [section] key = value, replacing the key's line or
-    adding the key, and the section if need be."""
-    text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text,
-                          flags=re.M)
-    assert count <= 1
-    if count:
-        return text
-    if f"[{section}]\n" in text:
-        return text.replace(f"[{section}]\n",
-                            f"[{section}]\n{key} = {value}\n")
-    return f"{text}\n[{section}]\n{key} = {value}\n"
-
-
 def new_value(key, current):
     """(text, value): a value for key other than current, as a file gives
     it and as it loads."""
@@ -315,8 +306,6 @@ def new_value(key, current):
         return ("off", False) if current else ("on", True)
     if isinstance(current, int):
         return str(current + 3), current + 3
-    if isinstance(current, str):
-        return "AOTC", "aotc"
     if isinstance(current, tuple):
         values = tuple(item * 1.5 + 0.25 for item in current)
         return ", ".join(map(repr, values)), values
@@ -494,6 +483,34 @@ def valid_settings():
     return {type(settings): settings for settings in instances}
 
 
+# The fields that a check or the gain design squares.
+SQUARED_FIELDS = [(AircraftParams, "ixz"), (AircraftParams, "wing_span"),
+                  *((ControllerSettings, name)
+                    for name in ("wn_psi", "wn_roll", "wn_pitch", "wn_alt"))]
+
+
+@pytest.mark.parametrize(
+    "cls, name", SQUARED_FIELDS,
+    ids=[f"{cls.__name__}.{name}" for cls, name in SQUARED_FIELDS])
+def test_a_setting_whose_square_overflows_is_named(cls, name):
+    valid = valid_settings()[cls]
+    edge = math.sqrt(sys.float_info.max)   # the largest with a finite square
+    signs = (1.0, -1.0) if name == "ixz" else (1.0,)   # the rest are > 0
+    for bad in (sign * v for sign in signs
+                for v in (1e200, math.nextafter(edge, math.inf))):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{cls.__name__}.{name} must have a finite square, got "
+                f"{bad}")):
+            replace(valid, **{name: bad})
+    if name != "ixz":   # a huge ixz is a degenerate inertia tensor
+        assert getattr(replace(valid, **{name: edge}), name) == edge
+
+
+def test_the_squared_fields_are_marked_where_they_are_declared():
+    assert {(cls, f.name) for cls in SETTINGS_TYPES for f in fields(cls)
+            if "squared" in f.metadata} == set(SQUARED_FIELDS)
+
+
 NON_FINITE = (math.nan, math.inf, -math.inf)
 # An integer beyond the float range is not finite as a float either.
 HUGE = pytest.param(10**400, id="1e400")
@@ -569,7 +586,6 @@ BOUND_CASES = [
     (ScenarioConfig, "h_refs", ()),
     (ScenarioConfig, "h_refs", (150.0, 0.0)),
     (OrbitPlan, "lam", 0),
-    (ControllerSettings, "mode", "yaw"),
 ]
 # The values on those bounds that are accepted.
 BOUNDARY_CASES = [

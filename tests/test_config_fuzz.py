@@ -1,11 +1,14 @@
-"""Fuzzing the INI boundary: whatever lines a bundled file gains, loading
-it returns a settings value or raises ConfigError, never anything else."""
+"""Fuzzing the INI boundary and the run behind it: whatever lines a
+bundled file gains, loading it returns a settings value or raises
+ConfigError; whatever finite number one of its keys is set to, flying and
+designing the gains of what loads returns or raises a SimulatorError,
+never anything else."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, rectangle_with
 from levelwing.config import (
     AIRCRAFT_KEYS,
     CONTROLLER_KEYS,
@@ -20,7 +23,10 @@ from levelwing.config import (
     load_config,
     load_plan,
 )
-from levelwing.errors import ConfigError
+from levelwing.control import make_gain_schedule
+from levelwing.dynamics import make_airframe
+from levelwing.errors import ConfigError, SimulatorError
+from levelwing.scenario import run_scenario
 
 FILES = {
     "rectangle_compare.ini": (DATA_DIR / "scenarios" / "rectangle_compare.ini",
@@ -66,3 +72,57 @@ def test_any_inserted_lines_load_or_raise_config_error(tmp_path, name,
         load(path)
     except ConfigError:
         pass
+
+
+# Every key a table reads as one number, by the section it belongs in; the
+# slew flag is a boolean and the seed an integer.
+NUMBER_KEYS = {
+    "rectangle_compare.ini": {
+        **{key: "scenario" for key in SCENARIO_KEYS},
+        **{key: "environment" for key in ENVIRONMENT_KEYS},
+        **{key: "controller" for key in (*CONTROLLER_KEYS, *GUIDANCE_KEYS,
+                                         *SLEW_KEYS)
+           if key != "slew_enabled"},
+    },
+    "aerosonde.ini": {key: section
+                      for section, table in AIRCRAFT_KEYS.items()
+                      for key in table},
+}
+# Finite numbers up to 1e300 in magnitude, evenly and by decade.
+NUMBERS = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.builds(lambda mantissa, exponent: mantissa * 10.0**exponent,
+              st.floats(-10.0, 10.0), st.integers(-300, 299)))
+# A run of more steps than this is skipped, to keep each draw short.
+MAX_FUZZ_STEPS = 300
+FUZZ_DURATION = 0.05
+
+
+@pytest.mark.parametrize("name", sorted(NUMBER_KEYS))
+@settings(derandomize=True, deadline=None, max_examples=500,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_number_in_a_bundled_file_runs_or_raises_simulator_error(
+        tmp_path, name, data):
+    # What each command does with a file: simulate and compare fly each
+    # law, gains designs both schedules at the commanded airspeed.
+    key = data.draw(st.sampled_from(sorted(NUMBER_KEYS[name])), label="key")
+    number = data.draw(NUMBERS, label="value")
+    value = str(int(number)) if key == "seed" else repr(number)
+    path = rectangle_with(tmp_path, name, NUMBER_KEYS[name][key], key, value)
+    try:
+        cfg = load_config(path)
+    except ConfigError:
+        return
+    if FUZZ_DURATION / cfg.dt > MAX_FUZZ_STEPS:
+        return
+    for mode in ("aotc", "ratc"):
+        try:
+            run_scenario(cfg, mode, duration_override=FUZZ_DURATION)
+        except SimulatorError:
+            pass
+        try:
+            make_gain_schedule(mode, make_airframe(cfg.params),
+                               cfg.ctrl)(cfg.va_cmd, cfg.va_cmd)
+        except SimulatorError:
+            pass

@@ -72,6 +72,32 @@ def test_ratc_gains_reject_zero_rudder_authority(params):
     assert plant_report(make_airframe(dead), 20.0).a_psi2 == 0.0
 
 
+def test_place_poles_without_effectiveness_is_uncontrollable():
+    with pytest.raises(UncontrollablePlantError, match="a2 is zero"):
+        place_poles(0.7, 0.0, 0.0, 2.0, 0.75)
+
+
+@pytest.mark.parametrize("mode", ["aotc", "ratc"])
+def test_schedule_at_an_extreme_airspeed_raises_a_simulator_error(params,
+                                                                   mode):
+    # At 1e-300 m/s the heading plant's effectiveness underflows to zero;
+    # at 1e200 m/s the square of the airspeed overflows in the plants.
+    sched = schedule(mode, params)
+    if mode == "ratc":
+        with pytest.raises(UncontrollablePlantError, match="a2 is zero"):
+            sched(1e-300, 1e-300)
+    else:
+        assert math.isfinite(sched(1e-300, 1e-300).kp_roll)   # floored
+    with pytest.raises(AirDataError,
+                       match=r"plants at airspeed 1e\+200 m/s overflow"):
+        sched(1e200, 1e200)
+    with pytest.raises(AirDataError, match="overflow"):
+        plant_report(make_airframe(params), 1e200)
+    tenuous = replace(params, rho=5e-324)
+    with pytest.raises(UncontrollablePlantError, match="a2 is zero"):
+        schedule(mode, tenuous)(20.0, 20.0)
+
+
 @pytest.mark.parametrize("mode", ["aotc", "ratc"])
 def test_schedule_holds_only_gains_that_vary(params, mode):
     # A step builds no nan, no plant coefficient and no constant: every

@@ -439,6 +439,9 @@ def oracle_step(state, cmd, env, airframe, dt):
     except OverflowError as exc:
         raise IntegrationFaultError(f"overflow in integration step: {exc}",
                                     state=state) from exc
+    except ValueError as exc:
+        raise IntegrationFaultError(f"non-finite stage state in integration "
+                                    f"step: {exc}", state=state) from exc
     if not all(map(math.isfinite, y1)):
         raise IntegrationFaultError("non-finite state after integration step",
                                     state=state)
@@ -552,6 +555,20 @@ def test_overflow_inside_a_stage_is_an_integration_fault(airframe, huge):
                        match="overflow in integration step") as caught:
         integrate_step(state, ControlCommand(), CALM, airframe, 0.01)
     assert isinstance(caught.value, DynamicsFaultError)
+    assert caught.value.state is state
+    assert outcome(integrate_step, state, ControlCommand(), CALM, airframe,
+                   0.01) == outcome(oracle_step, state, ControlCommand(),
+                                    CALM, airframe, 0.01)
+
+
+def test_infinite_angle_inside_a_stage_is_an_integration_fault(airframe):
+    # A pitch rate near the float limit makes stage 1's roll rate
+    # infinite, so stage 2 takes the sine of an infinite roll angle.
+    state = AircraftState(u=20.0, phi=1.2, theta=1.0, q=1.7e308)
+    with pytest.raises(IntegrationFaultError,
+                       match="non-finite stage state in integration step: "
+                             "math domain error") as caught:
+        integrate_step(state, ControlCommand(), CALM, airframe, 0.01)
     assert caught.value.state is state
     assert outcome(integrate_step, state, ControlCommand(), CALM, airframe,
                    0.01) == outcome(oracle_step, state, ControlCommand(),

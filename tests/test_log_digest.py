@@ -68,16 +68,23 @@ def test_digests_cover_every_bundled_output(tmp_path, capsys):
     assert [line.split()[2] for line in lines
             if line.startswith("compare ")] == [
         "aotc.csv", "ratc.csv", "summary.txt", "summary.csv"]
-    # The last run ends in a dynamics fault, whatever the duration cap, so
-    # the digests see a fault's text.
-    name, mode, steps, digest, fault = lines[-1].split(maxsplit=5)[1:]
-    assert (name, mode) == ("circle", "aotc")
-    assert re.fullmatch(r"[0-9a-f]{64}", digest)
-    assert fault == ("dynamics: pitch -89.48 deg too close to +/-90 deg "
-                     "at t = 28.21 s")
-    result = tool.fault_run()
-    assert steps == f"steps={result.steps}"
-    assert tool.run_digest(result) == digest
+    # The last two runs end in a dynamics fault, whatever the duration cap,
+    # so the digests see a fault's text: a pitch singularity, then an
+    # overflow in the air data of the first step.
+    faults = [line.split(maxsplit=5)[1:] for line in lines[-2:]]
+    assert [fault[:2] for fault in faults] == [["circle", "aotc"],
+                                               ["rectangle_compare", "ratc"]]
+    assert all(re.fullmatch(r"[0-9a-f]{64}", digest)
+               for _, _, _, digest, _ in faults)
+    assert [fault[-1] for fault in faults] == [
+        "dynamics: pitch -89.48 deg too close to +/-90 deg at t = 28.21 s",
+        "dynamics: overflow in closed-loop step: (34, 'Numerical result out "
+        "of range') at t = 0.00 s"]
+    results = tool.fault_run(), tool.overflow_run()
+    for (*_, steps, digest, _), result in zip(faults, results):
+        assert steps == f"steps={result.steps}"
+        assert tool.run_digest(result) == digest
+    assert faults[1][2] == "steps=0"
     assert printouts[-1] == ["simulate", "circle", "aotc", "fault",
-                             tool.sha(tool.printout(result).encode())]
-    assert lines[-2] == " ".join(printouts[-1])
+                             tool.sha(tool.printout(results[0]).encode())]
+    assert lines[-3] == " ".join(printouts[-1])

@@ -1,6 +1,7 @@
 """Closed-loop runs: path holding, logging, CSV export, and comparisons."""
 
 import copy
+import inspect
 import math
 import multiprocessing
 import os
@@ -21,6 +22,7 @@ from levelwing.config import EnvironmentSettings, load_config
 from levelwing.dynamics import Environment, integrate_step, trim
 from levelwing.errors import (
     ConfigError,
+    DynamicsFaultError,
     SimulatorError,
     SingularityError,
     TrimFailureError,
@@ -114,7 +116,7 @@ def test_closed_loop_step_is_pure(monkeypatch, name, slew):
         return calls[-1][1]
 
     monkeypatch.setattr(levelwing.scenario, "closed_loop_step", recorded)
-    run_scenario(load_config(f"{name}.ini", slew=slew),
+    run_scenario(load_config(f"{name}.ini", slew=slew), "ratc",
                  duration_override=40.0)
     if name == "corner90":
         k = next(k for k, (_, (_, memory, _)) in enumerate(calls)
@@ -146,7 +148,7 @@ def test_a_faulting_step_keeps_its_row(monkeypatch, make_cfg):
         return integrate(state, *args)
 
     monkeypatch.setattr(levelwing.scenario, "integrate_step", faulty)
-    result = run_scenario(make_cfg(straight_plan()))
+    result = run_scenario(make_cfg(straight_plan()), "ratc")
     assert result.steps == 5 and not result.completed
     assert result.fault == "dynamics: pitch at the limit at t = 0.04 s"
     assert all(arr.size == 5 for arr in result.log.values())
@@ -155,7 +157,8 @@ def test_a_faulting_step_keeps_its_row(monkeypatch, make_cfg):
 
 
 def test_zero_duration_run_is_empty_but_valid(make_cfg):
-    result = run_scenario(make_cfg(straight_plan()), duration_override=0.0)
+    result = run_scenario(make_cfg(straight_plan()), "ratc",
+                          duration_override=0.0)
     assert result.steps == 0
     assert not result.completed
     assert result.fault is None
@@ -202,7 +205,7 @@ def test_statistics_need_two_warm_steps(capsys, warm_steps):
 
 def test_negative_duration_rejected(make_cfg):
     with pytest.raises(ConfigError):
-        run_scenario(make_cfg(straight_plan()), duration_override=-1.0)
+        run_scenario(make_cfg(straight_plan()), "ratc", duration_override=-1.0)
 
 
 @pytest.mark.parametrize("cap", [1e300, 1e308])
@@ -213,20 +216,44 @@ def test_unloggable_duration_cap_is_a_config_error(make_cfg, cap):
     named = re.escape(f"duration cap {cap:g} s at dt 0.01 s has too many "
                       "steps to log")
     with pytest.raises(ConfigError, match=named):
-        run_scenario(cfg, duration_override=cap)
+        run_scenario(cfg, "ratc", duration_override=cap)
     with pytest.raises(ConfigError, match=named):
-        run_scenario(replace(cfg, duration=cap))
+        run_scenario(replace(cfg, duration=cap), "ratc")
 
 
 def test_trim_airspeed_whose_square_overflows_is_a_trim_failure(make_cfg):
     with pytest.raises(TrimFailureError,
                        match=r"trim at 1e\+160 m/s overflows"):
-        run_scenario(make_cfg(straight_plan(), va_cmd=1e160))
+        run_scenario(make_cfg(straight_plan(), va_cmd=1e160), "ratc")
 
 
 def test_unknown_mode_rejected(make_cfg):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="controller mode must be aotc or "
+                                          "ratc, got 'hybrid'"):
         run_scenario(make_cfg(straight_plan()), mode="hybrid")
+    # The law is every run's argument: the library holds no default.
+    mode = inspect.signature(run_scenario).parameters["mode"]
+    assert mode.default is inspect.Parameter.empty
+
+
+@pytest.mark.parametrize("wind", [{"wind_n": 1e200}, {"wind_d": -1e200},
+                                  {"gust_intensity": 1e200}])
+def test_an_overflow_outside_the_integrator_is_a_dynamics_fault(make_cfg,
+                                                                wind):
+    # A wind or gust of 1e200 m/s overflows the air data of the first
+    # step, before the integrator; the run ends in a fault with no row.
+    cfg = make_cfg(straight_plan())
+    cfg = replace(cfg, env=replace(cfg.env, **wind))
+    for mode in ("aotc", "ratc"):
+        result = run_scenario(cfg, mode, duration_override=1.0)
+        assert (result.steps, result.completed, result.stats) == (0, False,
+                                                                  None)
+        assert result.fault == (
+            "dynamics: overflow in closed-loop step: (34, 'Numerical result "
+            "out of range') at t = 0.00 s")
+    with pytest.raises(DynamicsFaultError, match="comparison aborted: aotc "
+                                                 "run failed"):
+        compare_controllers(cfg, duration_override=1.0)
 
 
 @pytest.mark.parametrize("changes", [
@@ -237,12 +264,12 @@ def test_run_validates_the_config(changes):
     # checks as one loaded from a file.
     cfg = load_config("rectangle_compare.ini")
     with pytest.raises(ConfigError):
-        run_scenario(replace(cfg, **changes), duration_override=1.0)
+        run_scenario(replace(cfg, **changes), "ratc", duration_override=1.0)
 
 
 def test_time_base_and_step_cap(make_cfg):
     cfg = make_cfg(straight_plan(), duration=8.0)
-    result = run_scenario(cfg)
+    result = run_scenario(cfg, "ratc")
     assert result.steps == 800      # no completion inside 8 s
     assert np.array_equal(result.log["t"], np.arange(800) * cfg.dt)
 
@@ -257,7 +284,7 @@ def test_gusty_run_is_deterministic_and_csv_identical(make_cfg, tmp_path):
     cfg = gusty_cfg(make_cfg)
     paths = []
     for tag in ("a", "b"):
-        result = run_scenario(cfg)
+        result = run_scenario(cfg, "ratc")
         p = tmp_path / f"{tag}.csv"
         export_csv(result, p)
         paths.append(p)
@@ -266,15 +293,15 @@ def test_gusty_run_is_deterministic_and_csv_identical(make_cfg, tmp_path):
 
 def test_gust_seed_override_changes_trajectory(make_cfg):
     cfg = gusty_cfg(make_cfg)
-    base = run_scenario(cfg)
-    other = run_scenario(replace(cfg, seed=6))
+    base = run_scenario(cfg, "ratc")
+    other = run_scenario(replace(cfg, seed=6), "ratc")
     assert not np.array_equal(base.log["pe"], other.log["pe"])
     assert not all(np.array_equal(base.log[k], other.log[k])
                    for k in ("wind_n", "wind_e", "wind_d"))
 
 
 def test_wind_logged_in_memory_but_not_in_csv(make_cfg):
-    result = run_scenario(gusty_cfg(make_cfg))
+    result = run_scenario(gusty_cfg(make_cfg), "ratc")
     for key in ("wind_n", "wind_e", "wind_d"):
         assert result.log[key].shape == (result.steps,)
     assert np.std(result.log["wind_e"]) > 0.0    # gusts actually active
@@ -283,7 +310,7 @@ def test_wind_logged_in_memory_but_not_in_csv(make_cfg):
 
 def test_csv_layout_and_round_trip(make_cfg, tmp_path):
     cfg = gusty_cfg(make_cfg)
-    result = run_scenario(cfg)
+    result = run_scenario(cfg, "ratc")
     path = tmp_path / "run.csv"
     export_csv(result, path)
     lines = path.read_text().splitlines()
@@ -314,14 +341,14 @@ def test_csv_layout_and_round_trip(make_cfg, tmp_path):
 
 
 def test_csv_three_step_run_has_header_plus_three_rows(make_cfg, tmp_path):
-    result = run_scenario(gusty_cfg(make_cfg), duration_override=0.03)
+    result = run_scenario(gusty_cfg(make_cfg), "ratc", duration_override=0.03)
     path = tmp_path / "three.csv"
     export_csv(result, path)
     assert len(path.read_text().splitlines()) == 4
 
 
 def test_csv_empty_run_is_header_only(make_cfg, tmp_path):
-    result = run_scenario(gusty_cfg(make_cfg), duration_override=0.0)
+    result = run_scenario(gusty_cfg(make_cfg), "ratc", duration_override=0.0)
     path = tmp_path / "empty.csv"
     export_csv(result, path)
     assert path.read_text().splitlines() == [",".join(CSV_COLUMNS)]
@@ -601,7 +628,7 @@ def test_compare_exits_5_when_the_child_cannot_write(tmp_path, capsys):
 CHILDREN = {
     "aotc run": (
         "run_scenario",
-        lambda cfg, mode=None, duration_override=None: mode,
+        lambda cfg, mode, duration_override=None: mode,
         lambda make_cfg, comp, out: compare_controllers(
             make_cfg(straight_plan()), duration_override=1.0),
         UncontrollablePlantError("no rudder authority")),

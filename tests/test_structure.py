@@ -387,14 +387,15 @@ def test_mode_comparisons_find_names_inside_tuples():
 
 
 def test_the_law_is_chosen_once_when_bound():
-    # The mode is checked where settings, a schedule and a controller are
-    # made; no step and no run loop asks again. (The controller's
-    # __init__ reports as its class.)
+    # The law is checked where a schedule and a controller are made; no
+    # settings value holds one, and no step and no run loop asks again.
+    # (The controller's __init__ reports as its class.)
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in SRC.glob("*.py")}
     assert mode_comparisons(sources) == {
-        "config.ControllerSettings", "control.make_gain_schedule",
-        "scenario.FlightController"}
+        "control.make_gain_schedule", "scenario.FlightController"}
+    assert sum(text.count("controller mode must be aotc or ratc")
+               for text in sources.values()) == 1
 
 
 # The per-step code, by module: a function or Class.method, "*" for every

@@ -12,9 +12,11 @@ simulate` prints for that run. For each scenario it prints one
 sha256 per line of `levelwing gains`, labelled by the line's label, so a
 line added on purpose shows in a diff without hiding the others. Then
 come the sha256 of the four files of `levelwing compare` on
-rectangle_compare. Last comes one run that ends in a dynamics fault, the
+rectangle_compare. Then comes one run that ends in a dynamics fault, the
 circle in gusts and a quartering wind: the sha256 of its `simulate`
-printout, then its digest and its fault text.
+printout, then its digest and its fault text. Last comes one run whose
+first step overflows outside the integrator, rectangle_compare in a
+1e200 m/s north wind: its digest and its fault text.
 
 Run it on two checkouts and diff the outputs:
 
@@ -26,8 +28,9 @@ Run it on two checkouts and diff the outputs:
     diff old.txt new.txt
 
 It imports levelwing from the src directory of its own checkout.
---duration caps every run except the faulting one (its fault comes 28 s
-in), for a quick check; in full, all of it takes a few seconds.
+--duration caps every run except the two faulting ones (the pitch fault
+comes 28 s in), for a quick check; in full, all of it takes a few
+seconds.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ MODES = ("aotc", "ratc")
 COMPARE_SCENARIO = "rectangle_compare"
 COMPARE_FILES = ("aotc.csv", "ratc.csv", "summary.txt", "summary.csv")
 FAULT_SCENARIO, FAULT_MODE = "circle", "aotc"
+OVERFLOW_MODE = "ratc"
 
 
 def fault_run():
@@ -64,6 +68,15 @@ def fault_run():
                               wind_e=3.0 * math.sin(toward))
     cfg = dataclasses.replace(cfg, env=env, seed=2, duration=50.0)
     return run_scenario(cfg, FAULT_MODE)
+
+
+def overflow_run():
+    """The bundled rectangle_compare with a 1e200 m/s north wind, flown by
+    ratc: the air data of its first step overflows."""
+    cfg = load_config(f"{COMPARE_SCENARIO}.ini")
+    cfg = dataclasses.replace(cfg, env=dataclasses.replace(cfg.env,
+                                                           wind_n=1e200))
+    return run_scenario(cfg, OVERFLOW_MODE)
 
 
 def config_digest(path: str | Path) -> str:
@@ -145,6 +158,9 @@ def digest_lines(duration: float | None) -> list[str]:
                  f"{sha(printout(result).encode())}")
     lines.append(f"fault {FAULT_SCENARIO} {FAULT_MODE} steps={result.steps} "
                  f"{run_digest(result)} {result.fault}")
+    result = overflow_run()
+    lines.append(f"fault {COMPARE_SCENARIO} {OVERFLOW_MODE} "
+                 f"steps={result.steps} {run_digest(result)} {result.fault}")
     return lines
 
 
