@@ -5,18 +5,18 @@ files, flight-plan files, and scenario files. A file is read into one
 dict per section. Its loader takes out the few keys it reads itself, and
 one key table per settings type takes out the keys that map onto that
 type's dataclass fields, each value parsed by its field's annotation (a
-`tuple[float, ...]` field, like each waypoint, is a comma list). Only the
-keys a file sets are passed on, so every default lives once, in its
-dataclass; a key that nothing took or a section that no loader reads is
-an error. Every ConfigError raised while a file becomes settings starts
-with that file's path, and one from an aircraft or plan file that a
-scenario references names that file after the scenario. Values are
-literal (no `%` interpolation). Keys ending in `_deg` or `_dps` are
-degrees (per second) and are converted to radians at load; aerodynamic
-derivatives are per-radian and pass through unchanged. Relative paths
-referenced by a scenario resolve against the scenario file's directory
-first, then against the bundled data directory, so
-`aircraft = aerosonde.ini` works anywhere.
+waypoint is a north, east comma list). Only the keys a file sets are
+passed on, so every default lives once, in its dataclass; a key that
+nothing took or a section that no loader reads is an error. Every
+ConfigError raised while a file becomes settings starts with that file's
+path, and one from an aircraft or plan file that a scenario references
+names that file after the scenario. Values are literal (no `%`
+interpolation). Keys ending in `_deg` or `_dps` are degrees (per second)
+and are converted to radians at load; aerodynamic derivatives are
+per-radian and pass through unchanged. Relative paths referenced by a
+scenario resolve against the scenario file's directory first, then
+against the bundled data directory, so `aircraft = aerosonde.ini` works
+anywhere.
 
 A scenario names no lateral law: which law flies is each run's
 argument, so a `mode` key is unknown like any other. A setting that a
@@ -35,7 +35,7 @@ from importlib import resources
 from pathlib import Path
 
 from .dynamics import AircraftParams
-from .errors import ConfigError, bounded, check_fields, finite_number
+from .errors import ConfigError, bounded, check_fields
 from .guidance import FlightPlan, GuidanceGains, OrbitPlan, SlewSettings
 
 # INI key -> AircraftParams field, for each section of an aircraft file.
@@ -68,7 +68,7 @@ AIRCRAFT_KEYS = {
         "rudder_limit_deg": "delta_r_max", "rate_limit_dps": "rate_limit",
     },
 }
-# [plan] -> FlightPlan; name and kind are read by the loader itself.
+# [plan] -> FlightPlan; the name is read by the loader itself.
 PLAN_KEYS = {"fillet_radius_m": "fillet_radius",
              "nominal_agl_m": "nominal_agl"}
 # [orbit] -> OrbitPlan; direction (cw or ccw) becomes lam.
@@ -80,7 +80,7 @@ ORBIT_KEYS = {
 # two file references are read by the loader itself.
 SCENARIO_KEYS = {
     "dt_s": "dt", "duration_s": "duration", "airspeed_mps": "va_cmd",
-    "h_ref_m": "h_refs", "warmup_s": "warmup", "seed": "seed",
+    "warmup_s": "warmup", "seed": "seed",
 }
 SCENARIO_OWN_KEYS = ("name", "aircraft", "plan")
 # [environment] -> EnvironmentSettings and [controller] -> ControllerSettings;
@@ -260,17 +260,18 @@ def load_aircraft(path: str | Path) -> AircraftParams:
 
 
 def load_plan(path: str | Path) -> FlightPlan:
-    """Load a flight-plan file (waypoints or orbit)."""
+    """Load a flight-plan file, whose [waypoints] or [orbit] is its kind."""
     resolved = resolve_input_path(path, kind="plans")
     found = _read_ini(resolved)
     with _in_file(resolved):
-        kind = found.get("plan", {}).pop("kind", "waypoints").lower()
-        if kind not in ("orbit", "waypoints"):
-            raise ConfigError("plan kind must be waypoints or orbit")
-        sections = _sections(found, ("plan", kind))
+        kinds = {"waypoints", "orbit"} & found.keys()
+        if len(kinds) != 1:
+            raise ConfigError("a plan has exactly one of [waypoints] and "
+                              f"[orbit], not {len(kinds)}")
+        sections = _sections(found, ("plan", *kinds))
         name = sections["plan"].pop("name", resolved.stem)
         values = _take(sections, "plan", PLAN_KEYS, FlightPlan)
-        if kind == "orbit":
+        if "orbit" in sections:
             orbit = _take(sections, "orbit", ORBIT_KEYS, OrbitPlan)
             direction = sections["orbit"].pop("direction", "cw").lower()
             if direction not in ("cw", "ccw"):
@@ -279,15 +280,14 @@ def load_plan(path: str | Path) -> FlightPlan:
             values["orbit"] = OrbitPlan(lam=1 if direction == "cw" else -1,
                                         **orbit)
         else:
-            # Named by 0-based place in sorted-key order, as FlightPlan does.
+            # In the file's order, named by 0-based place as FlightPlan does.
             waypoints = []
-            for i, (key, raw) in enumerate(
-                    sorted(sections.pop("waypoints").items())):
+            for i, (key, raw) in enumerate(sections.pop("waypoints").items()):
                 label = f"waypoint {i} ('{key}')"
                 waypoint = _parse_value(raw, "tuple[float, ...]", label)
-                if len(waypoint) != 3:
+                if len(waypoint) != 2:
                     raise ConfigError(
-                        f"{label} must be 'north_m, east_m, alt_m'")
+                        f"{label} must be 'north_m, east_m', got {raw!r}")
                 waypoints.append(waypoint)
             values["waypoints"] = tuple(waypoints)
         _reject_left(sections)
@@ -355,17 +355,11 @@ class ScenarioConfig:
     dt: float = bounded(0.01, gt=0.0)
     duration: float = bounded(120.0, gt=0.0)
     va_cmd: float = bounded(20.0, gt=0.0)
-    h_refs: tuple[float, ...] = (150.0, 450.0)
     warmup: float = bounded(5.0, ge=0.0)
     seed: int = bounded(0, ge=0)
 
     def __post_init__(self) -> None:
         check_fields(self)
-        object.__setattr__(self, "h_refs", tuple(self.h_refs))
-        if not self.h_refs or not all(finite_number(h) and h > 0.0
-                                      for h in self.h_refs):
-            raise ConfigError("ScenarioConfig.h_refs: reference altitudes "
-                              f"must be finite and > 0, got {self.h_refs}")
 
 
 def load_config(

@@ -576,6 +576,10 @@ def trim(airframe: Airframe,
     x = np.array([0.05, 0.0, 0.5])
     res = residual(x)
     worst = float(np.max(np.abs(res)))  # the residual's largest magnitude
+    # The line search keeps only smaller residuals: only this one can be nan.
+    if not math.isfinite(worst):
+        raise TrimFailureError(f"trim at {va_target:g} m/s has a non-finite "
+                               f"residual {res.tolist()}", residual=worst)
     for _ in range(TRIM_MAX_ITER):
         if worst < 0.1 * TRIM_TOL:
             break

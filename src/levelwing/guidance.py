@@ -168,15 +168,15 @@ class OrbitPlan:
 
 @dataclass(frozen=True)
 class FlightPlan:
-    """Ordered waypoints with corner fillets, or a standalone orbit.
+    """Ordered (north, east) waypoints with corner fillets, or a
+    standalone orbit, flown at nominal_agl.
 
     The plan is checked and expanded into its segments once, when it is
-    made. The path is flown at nominal_agl, so every waypoint must
-    give that altitude.
+    made.
     """
 
     name: str = "plan"
-    waypoints: tuple[tuple[float, float, float], ...] = ()
+    waypoints: tuple[tuple[float, float], ...] = ()
     fillet_radius: float = bounded(0.0, ge=0.0)
     nominal_agl: float = bounded(150.0, gt=0.0)
     orbit: OrbitPlan | None = None
@@ -186,16 +186,11 @@ class FlightPlan:
     def __post_init__(self) -> None:
         check_fields(self)
         for i, waypoint in enumerate(self.waypoints):
-            if not (isinstance(waypoint, (tuple, list)) and len(waypoint) == 3
+            if not (isinstance(waypoint, (tuple, list)) and len(waypoint) == 2
                     and all(map(finite_number, waypoint))):
                 raise ConfigError(f"plan '{self.name}': waypoint {i} must be "
-                                  "(north, east, altitude) in finite numbers, "
+                                  "(north, east) in finite numbers, "
                                   f"got {waypoint!r}")
-            if waypoint[2] != self.nominal_agl:
-                raise ConfigError(
-                    f"plan '{self.name}': waypoint {i} {waypoint} is at "
-                    f"{waypoint[2]:g} m, but the plan is flown at its "
-                    f"nominal AGL of {self.nominal_agl:g} m")
         object.__setattr__(self, "waypoints",
                            tuple(map(tuple, self.waypoints)))
         object.__setattr__(self, "segments", _plan_segments(self))
@@ -215,8 +210,8 @@ class FlightPlan:
             o = self.orbit
             return (o.center_n + o.radius * math.cos(o.start_bearing),
                     o.center_e + o.radius * math.sin(o.start_bearing), down)
-        w0 = self.waypoints[0]
-        return float(w0[0]), float(w0[1]), down
+        north, east = self.waypoints[0]
+        return float(north), float(east), down
 
 
 def _plan_segments(plan: FlightPlan) -> tuple[PathSegment, ...]:
@@ -235,11 +230,15 @@ def _plan_segments(plan: FlightPlan) -> tuple[PathSegment, ...]:
             f"plan '{plan.name}': needs at least two waypoints"
         )
     radius = plan.fillet_radius
-    pts = [np.array([w[0], w[1]], dtype=float) for w in plan.waypoints]
+    pts = [np.array(w, dtype=float) for w in plan.waypoints]
     units, lengths = [], []
     for i, (start, end) in enumerate(zip(pts, pts[1:])):
-        q = end - start
-        length = np.linalg.norm(q)
+        with np.errstate(over="ignore"):    # an overflow is inf, named below
+            q = end - start
+            length = np.linalg.norm(q)
+        if not math.isfinite(length):
+            raise ConfigError(f"plan '{plan.name}': leg {i} (waypoint {i} to "
+                              f"{i + 1}) is too long: its length overflows")
         if length < 1e-6:
             raise ConfigError(
                 f"plan '{plan.name}': waypoint {i + 1} "

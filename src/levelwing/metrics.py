@@ -64,8 +64,8 @@ def series_stats(values) -> ErrorStats:
 
 class RunStats(NamedTuple):
     """A run's statistics after its warmup: the image error (m) at each
-    reference altitude in ascending order, the lateral path error (m), the
-    roll and sideslip estimate (deg), and their mean magnitudes (deg)."""
+    of the TABLE_H_REFS, the lateral path error (m), the roll and
+    sideslip estimate (deg), and their mean magnitudes (deg)."""
 
     image_by_href: dict[float, ErrorStats]
     lateral: ErrorStats
@@ -95,6 +95,10 @@ class SummaryRow:
 
 
 SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))
+
+# The reference altitudes (m) that SummaryRow's fields name; the roll term
+# is linear in h_ref, so each is scored from the logged series, not flown.
+TABLE_H_REFS = (150.0, 450.0)
 
 # Every field after scenario and controller is a float statistic.
 _STATS = SUMMARY_COLUMNS[2:]

@@ -50,6 +50,7 @@ from .errors import ConfigError, DynamicsFaultError, SimulatorError
 from .guidance import CourseCommand, PathManager
 from .metrics import (
     SUMMARY_COLUMNS,
+    TABLE_H_REFS,
     RunStats,
     SummaryRow,
     beta_estimate,
@@ -58,11 +59,6 @@ from .metrics import (
     summary_csv_lines,
     total_image_error,
 )
-
-# Reference altitudes of the fixed summary-table columns. A 450 m column
-# is always derivable because the roll term rescales linearly in h_ref;
-# it is recomputed from the logged series, never re-simulated.
-TABLE_H_REFS = (150.0, 450.0)
 
 
 class LogColumn(NamedTuple):
@@ -293,7 +289,7 @@ def run_scenario(
         lat_w = log["e_lateral"][warm]
         # Taken before the degree series: one fewer array live at the peak.
         image = {h: series_stats(total_image_error(lat_w, phi_w, h))
-                 for h in sorted(set(cfg.h_refs) | set(TABLE_H_REFS))}
+                 for h in TABLE_H_REFS}
         roll_w, beta_w = np.degrees(phi_w), np.degrees(log["beta_est"][warm])
         stats = RunStats(image, series_stats(lat_w), series_stats(roll_w),
                          series_stats(beta_w), float(np.mean(np.abs(roll_w))),

@@ -82,6 +82,38 @@ def rectangle_with(directory: Path, file: str, section: str, key: str,
     return directory / "rectangle_compare.ini"
 
 
+# Inputs that only restated another: the image-error altitudes, which
+# metrics.TABLE_H_REFS fixes, the plan's kind, which its section gives,
+# and each waypoint's altitude, which is nominal_agl_m. Each is the file
+# that gives it, its line in place of a line of the bundled file, and the
+# error that follows the file's path.
+RETIRED_INPUTS = {
+    "h_ref_m": ("scenario", "seed = 0\n", "seed = 0\nh_ref_m = 150, 450\n",
+                "unknown key 'h_ref_m' in [scenario]"),
+    "kind": ("plan", "[plan]\n", "[plan]\nkind = waypoints\n",
+             "unknown key 'kind' in [plan]"),
+    "waypoint_altitude": (
+        "plan", "wp02 = 400, 0\n", "wp02 = 400, 0, 150\n",
+        "waypoint 1 ('wp02') must be 'north_m, east_m', got '400, 0, 150'"),
+}
+
+
+def with_retired_input(directory: Path, name: str) -> dict[str, Path]:
+    """{"scenario": path, "plan": path} of copies of the bundled
+    rectangle_compare.ini and the rectangle.ini that it flies, in
+    directory, the one named by RETIRED_INPUTS[name] giving that input."""
+    written, old, new, _ = RETIRED_INPUTS[name]
+    files = {"scenario": directory / "rectangle_compare.ini",
+             "plan": directory / "rectangle.ini"}
+    for kind, path in files.items():
+        text = (DATA_DIR / f"{kind}s" / path.name).read_text(encoding="utf-8")
+        if kind == written:
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        path.write_text(text, encoding="utf-8")
+    return files
+
+
 def combined_yaw_coeffs(params, gammas) -> YawFold:
     """The whole yaw fold, gamma4*c_ell_x + gamma8*c_n_x for each term:
     the oracle for the heading plant, which keeps cr_r and cr_delta_r,
@@ -146,7 +178,6 @@ def make_cfg(params):
             dt=dt,
             duration=duration,
             va_cmd=va_cmd,
-            h_refs=(150.0, 450.0),
             warmup=warmup,
             seed=seed,
         )

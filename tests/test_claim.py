@@ -51,8 +51,8 @@ def member_config(scenario, gust, toward, mirrored=False):
     if mirrored:
         env = replace(env, wind_e=-env.wind_e)
         if plan.orbit is None:
-            plan = replace(plan, waypoints=[(n, -e, h)
-                                            for n, e, h in plan.waypoints])
+            plan = replace(plan, waypoints=[(n, -e)
+                                            for n, e in plan.waypoints])
         else:
             orbit = plan.orbit
             plan = replace(plan, orbit=replace(

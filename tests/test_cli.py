@@ -10,7 +10,8 @@ import pytest
 import levelwing.cli
 import levelwing.errors
 import levelwing.scenario
-from conftest import needs_fork, rectangle_with, set_key
+from conftest import (RETIRED_INPUTS, needs_fork, rectangle_with,
+                      set_key, with_retired_input)
 from levelwing.cli import main
 from levelwing.config import load_config, resolve_input_path
 from levelwing.control import plant_report
@@ -97,7 +98,7 @@ def bundled_rectangle_text():
     (["simulate"], "seed", "-1"),
     (["simulate"], "duration_s", "nan"),
     (["simulate"], "dt_s", "inf"),
-    (["simulate"], "h_ref_m", "nan, 450"),
+    (["simulate"], "warmup_s", "nan"),
     (["trim", "--airspeed", "nan"], None, None),
     (["simulate", "--duration", "1e300"], None, None),
     (["simulate", "--duration", "1e308"], None, None),
@@ -211,6 +212,47 @@ def test_a_scenario_that_names_a_law_exits_2(tmp_path, capsys):
         assert main([*argv, "--config", str(config)]) == 2
         assert capsys.readouterr().err == (
             f"error[config]: {config}: unknown key 'mode' in [controller]\n")
+
+
+@pytest.mark.parametrize("name", sorted(RETIRED_INPUTS))
+def test_a_retired_input_exits_2_from_every_command(tmp_path, capsys, name):
+    # Each only restated another input, so a file that still gives one
+    # is misspelt, whatever the command.
+    written, _, _, fault = RETIRED_INPUTS[name]
+    files = with_retired_input(tmp_path, name)
+    named = f"{files['scenario']}: "
+    if written == "plan":
+        named += f"{files['plan']}: "
+    for argv in (["simulate"], ["compare", "--out-dir", str(tmp_path)],
+                 ["gains"], ["trim"]):
+        assert main([*argv, "--config", str(files["scenario"])]) == 2
+        assert capsys.readouterr().err == f"error[config]: {named}{fault}\n"
+
+
+def test_a_trim_with_a_non_finite_residual_exits_3(tmp_path, capsys):
+    # The smallest mass makes 1/mass inf: numpy once warned on the
+    # Jacobian of the first iterate before the line search stalled.
+    config = rectangle_with(tmp_path, "aerosonde.ini", "mass_properties",
+                            "mass_kg", "5e-324")
+    for argv in (["simulate", "--duration", "1"], ["trim"]):
+        assert main([*argv, "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[trim]: trim at 20 m/s has a non-finite "
+                              "residual [inf, -inf, ")
+        assert err.endswith("]\n")
+        assert err.count("\n") == 1
+
+
+def test_a_plan_leg_whose_length_overflows_exits_2(tmp_path, capsys):
+    config = rectangle_with(tmp_path, "rectangle_compare.ini", "scenario",
+                            "plan", "huge.ini")
+    plan = tmp_path / "huge.ini"
+    plan.write_text("[plan]\nfillet_radius_m = 10\n"
+                    "[waypoints]\nwp01 = 0, 0\nwp02 = 1e308, 1e308\n")
+    assert main(["simulate", "--config", str(config), "--duration", "2"]) == 2
+    assert capsys.readouterr().err == (
+        f"error[config]: {config}: {plan}: plan 'huge': leg 0 (waypoint 0 "
+        "to 1) is too long: its length overflows\n")
 
 
 # Settings of 1e200, each in the file that sets it: the wind and gusts

@@ -9,7 +9,8 @@ from dataclasses import MISSING, fields, is_dataclass, replace
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR, SETTINGS_TYPES, set_key
+from conftest import (DATA_DIR, RETIRED_INPUTS, SETTINGS_TYPES,
+                      set_key, with_retired_input)
 from levelwing.config import (
     AIRCRAFT_KEYS,
     CONTROLLER_KEYS,
@@ -59,7 +60,6 @@ def test_minimal_scenario_applies_defaults(tmp_path):
     for f in fields(ScenarioConfig):
         if f.default is not MISSING:
             assert getattr(cfg, f.name) == f.default, f.name
-    assert cfg.h_refs == (150.0, 450.0)
 
 
 def test_bundled_aircraft_angles_converted_to_radians():
@@ -122,17 +122,18 @@ def test_malformed_number_reported_with_key(tmp_path):
         load_config(p)
 
 
-def test_malformed_h_refs_rejected(tmp_path):
-    p = write(tmp_path, "badh.ini",
-              MINIMAL_SCENARIO + "h_ref_m = 150 and 450\n")
-    with pytest.raises(ConfigError, match="h_ref_m"):
-        load_config(p)
-
-
-def test_custom_h_refs_parsed(tmp_path):
-    p = write(tmp_path, "hrefs.ini",
-              MINIMAL_SCENARIO + "h_ref_m = 100, 250, 400\n")
-    assert load_config(p).h_refs == (100.0, 250.0, 400.0)
+@pytest.mark.parametrize("name", sorted(RETIRED_INPUTS))
+def test_a_retired_input_is_an_error_naming_its_file(tmp_path, name):
+    written, _, _, fault = RETIRED_INPUTS[name]
+    files = with_retired_input(tmp_path, name)
+    inner = "" if written == "scenario" else f"{files['plan']}: "
+    with pytest.raises(ConfigError) as caught:
+        load_config(files["scenario"])
+    assert str(caught.value) == f"{files['scenario']}: {inner}{fault}"
+    if written == "plan":
+        with pytest.raises(ConfigError) as caught:
+            load_plan(files["plan"])
+        assert str(caught.value) == f"{files['plan']}: {fault}"
 
 
 def test_a_scenario_names_no_law(tmp_path):
@@ -173,49 +174,56 @@ def test_seed_and_slew_overrides(tmp_path):
 
 
 def test_bad_waypoint_line_reported(tmp_path):
-    for wp01 in ("0, 0", "nan, 0, 150"):
+    for wp01 in ("0", "0, 0, 150", "nan, 0"):
         p = write(tmp_path, "short.ini", f"""
 [plan]
 name = short
 [waypoints]
 wp01 = {wp01}
-wp02 = 400, 0, 150
+wp02 = 400, 0
 """)
         with pytest.raises(ConfigError, match="wp01"):
             load_plan(p)
 
 
-def test_waypoint_altitude_must_match_nominal_agl(tmp_path):
-    # The path and the altitude hold fly nominal_agl, so a waypoint at
-    # another altitude is an error rather than silently flown at 150 m.
-    text = """
+def test_waypoints_are_flown_at_nominal_agl(tmp_path):
+    # A waypoint is a north, east pair; the path and the altitude hold fly
+    # the plan's one altitude.
+    plan = load_plan(write(tmp_path, "high.ini", """
 [plan]
-name = climb
-nominal_agl_m = {agl}
+name = high
+nominal_agl_m = 250
 [waypoints]
-wp01 = 0, 0, 250
-wp02 = 400, 0, 250
-"""
-    plan = load_plan(write(tmp_path, "climb.ini", text.format(agl=250)))
-    assert [w[2] for w in plan.waypoints] == [250.0, 250.0]
-    assert plan.start_position()[2] == -250.0
-    with pytest.raises(ConfigError, match="plan 'climb': waypoint 0 .* 250 m"):
-        load_plan(write(tmp_path, "climb.ini", text.format(agl=150)))
+wp01 = 0, 0
+wp02 = 400, 0
+"""))
+    assert plan.waypoints == ((0.0, 0.0), (400.0, 0.0))
+    assert plan.start_position() == (0.0, 0.0, -250.0)
+
+
+def test_waypoints_are_flown_in_the_files_order(tmp_path):
+    # Sorted as strings, wp10 once came second, and with no fillet radius
+    # the plan flew out of order without a word.
+    lines = "".join(f"wp{i + 1} = {100 * i}, 0\n" for i in range(10))
+    plan = load_plan(write(tmp_path, "ten.ini",
+                           f"[plan]\nname = ten\n[waypoints]\n{lines}"))
+    assert plan.waypoints == tuple((100.0 * i, 0.0) for i in range(10))
+    assert plan.segments[-1].switch_point == (900.0, 0.0)
 
 
 def test_plan_file_names_a_waypoint_one_way(tmp_path):
     # load_plan and the FlightPlan it builds both name a waypoint by its
-    # 0-based place in sorted-key order, here the second one.
-    for wp02, fault in (("400, x, 150", "non-numeric"),
-                        ("400, 0, 250", "is at 250 m"),
-                        ("0, 0, 150", "coincides with waypoint 0")):
+    # 0-based place in the file's order, here the second one.
+    for wp02, fault in (("400, x", "non-numeric"),
+                        ("400, 0, 250", "must be 'north_m, east_m'"),
+                        ("0, 0", "coincides with waypoint 0")):
         p = write(tmp_path, "named.ini", f"""
 [plan]
 name = named
 [waypoints]
-wp01 = 0, 0, 150
+wp01 = 0, 0
 wp02 = {wp02}
-wp03 = 400, 400, 150
+wp03 = 400, 400
 """)
         with pytest.raises(ConfigError, match=fault) as caught:
             load_plan(p)
@@ -236,7 +244,6 @@ def test_orbit_plan_file_with_a_fillet_radius_rejected(tmp_path):
 def test_bad_orbit_direction_reported(tmp_path):
     p = write(tmp_path, "spin.ini", """
 [plan]
-kind = orbit
 [orbit]
 center_n_m = 0
 center_e_m = 0
@@ -261,7 +268,7 @@ def test_overlong_file_name_is_a_config_error():
 def test_stored_config_validation_bounds(tmp_path):
     cfg = load_config(write(tmp_path, "v.ini", MINIMAL_SCENARIO))
     for changes in ({"dt": 0.0}, {"duration": 0.0}, {"va_cmd": -1.0},
-                    {"warmup": -1.0}, {"h_refs": ()}):
+                    {"warmup": -1.0}):
         with pytest.raises(ConfigError):
             replace(cfg, **changes)
 
@@ -323,14 +330,8 @@ def test_each_key_sets_its_field(tmp_path, section, key, name, cls, base,
     current = getattr(before, name)
     text, expected = new_value(key, current)
     assert expected != current
-    changed, fields_set = set_key(base_text(base), section, key, text), {}
-    if name == "nominal_agl":
-        # Each waypoint gives the altitude the plan is flown at.
-        changed = changed.replace(", 150\n", f", {text}\n")
-        fields_set["waypoints"] = tuple((n, e, expected)
-                                        for n, e, _ in before.waypoints)
-    write(tmp_path, "case.ini", changed)
-    assert load(path) == replace(before, **{name: expected}, **fields_set)
+    write(tmp_path, "case.ini", set_key(base_text(base), section, key, text))
+    assert load(path) == replace(before, **{name: expected})
 
 
 @pytest.mark.parametrize(
@@ -400,10 +401,17 @@ def test_unknown_key_is_named(tmp_path, base, load, extra, named):
         load(write(tmp_path, "typo.ini", base_text(base) + extra))
 
 
-def test_section_of_the_other_plan_kind_is_unknown(tmp_path):
-    text = base_text(DATA_DIR / "plans" / "circle.ini") + "[waypoints]\n"
-    with pytest.raises(ConfigError, match=r"unknown section \[waypoints\]"):
-        load_plan(write(tmp_path, "both.ini", text))
+@pytest.mark.parametrize("text, count", [
+    (base_text(DATA_DIR / "plans" / "circle.ini") + "[waypoints]\n", 2),
+    ("[plan]\nname = nowhere\n", 0),
+], ids=["both", "neither"])
+def test_a_plan_has_one_of_the_two_kinds_of_section(tmp_path, text, count):
+    # The section that a plan has is its kind, so it may not have both.
+    path = write(tmp_path, "kinds.ini", text)
+    with pytest.raises(ConfigError) as caught:
+        load_plan(path)
+    assert str(caught.value) == (f"{path}: a plan has exactly one of "
+                                 f"[waypoints] and [orbit], not {count}")
 
 
 # One value out of bounds for each settings type that a file builds, and a
@@ -465,14 +473,12 @@ def test_each_file_error_starts_with_the_files_path(tmp_path, written,
 
 
 def test_comma_lists_skip_empty_items(tmp_path):
-    # h_ref_m and each waypoint are read by one comma-list parser.
-    cfg = load_config(write(tmp_path, "hrefs.ini",
-                            MINIMAL_SCENARIO + "h_ref_m = 100, , 250,\n"))
-    assert cfg.h_refs == (100.0, 250.0)
+    # Each waypoint is a comma list whose empty items are skipped.
     text = base_text(DATA_DIR / "plans" / "rectangle.ini")
-    plan = load_plan(write(tmp_path, "route.ini", set_key(
-        text, "waypoints", "wp02", "400, 0, 150,")))
-    assert plan == load_plan("rectangle.ini")
+    for wp02 in ("400, 0,", "400, , 0", ", 400, 0"):
+        plan = load_plan(write(tmp_path, "route.ini", set_key(
+            text, "waypoints", "wp02", wp02)))
+        assert plan == load_plan("rectangle.ini")
 
 
 def valid_settings():
@@ -530,16 +536,13 @@ def test_settings_reject_non_finite_fields(cls, name):
 
 # A non-number item is rejected as a non-finite one is.
 @pytest.mark.parametrize("bad", [*NON_FINITE, HUGE, "150", None, True])
-def test_non_finite_waypoint_and_h_ref_rejected(bad):
+def test_non_finite_waypoint_rejected(bad):
     cfg = load_config("rectangle_compare.ini")
-    for axis in range(3):
-        waypoint = [400.0, 0.0, 150.0]
+    for axis in range(2):
+        waypoint = [400.0, 0.0]
         waypoint[axis] = bad
         with pytest.raises(ConfigError, match="waypoint 1"):
-            replace(cfg.plan, waypoints=[(0.0, 0.0, 150.0), tuple(waypoint)])
-    with pytest.raises(ConfigError,
-                       match=r"ScenarioConfig\.h_refs: reference altitudes"):
-        replace(cfg, h_refs=(150.0, bad))
+            replace(cfg.plan, waypoints=[(0.0, 0.0), tuple(waypoint)])
 
 
 def test_nan_heading_gain_never_runs():
@@ -552,9 +555,7 @@ def test_nan_heading_gain_never_runs():
 
 
 # Each single-field bound, as a value just outside it, with the settings
-# value it is set on: the loaded ones of valid_settings, or "orbit_plan",
-# the bundled circle plan (a waypoint plan at another nominal AGL fails on
-# its waypoints first).
+# type whose loaded value of valid_settings it is set on.
 TINY = 5e-324
 POSITIVE = {
     AircraftParams: ("mass", "ixx", "iyy", "izz", "wing_area", "wing_span",
@@ -562,6 +563,7 @@ POSITIVE = {
                      "delta_e_max", "delta_r_max", "rate_limit"),
     GuidanceGains: ("intercept_angle", "capture_gain", "orbit_gain"),
     SlewSettings: ("rate", "threshold"),
+    FlightPlan: ("nominal_agl",),
     OrbitPlan: ("radius",),
     EnvironmentSettings: ("gust_tau",),
     ControllerSettings: ("wn_psi", "zeta_psi", "wn_roll", "zeta_roll",
@@ -572,7 +574,6 @@ POSITIVE = {
 }
 BOUND_CASES = [
     *((cls, name, 0.0) for cls, names in POSITIVE.items() for name in names),
-    ("orbit_plan", "nominal_agl", 0.0),
     (FlightPlan, "fillet_radius", -TINY),
     (OrbitPlan, "revolutions", -TINY),
     (EnvironmentSettings, "gust_intensity", -TINY),
@@ -583,8 +584,6 @@ BOUND_CASES = [
     (GuidanceGains, "intercept_angle", math.nextafter(math.pi / 2, math.inf)),
     (ScenarioConfig, "warmup", -TINY),
     (ScenarioConfig, "seed", -1),
-    (ScenarioConfig, "h_refs", ()),
-    (ScenarioConfig, "h_refs", (150.0, 0.0)),
     (OrbitPlan, "lam", 0),
 ]
 # The values on those bounds that are accepted.
@@ -601,27 +600,23 @@ BOUNDARY_CASES = [
 ]
 
 
-def bound_base(key):
-    return (load_plan("circle.ini") if key == "orbit_plan"
-            else valid_settings()[key])
-
-
 def bound_id(case):
-    key, name, value = case
-    return f"{getattr(key, '__name__', key)}.{name}={value!r}"
+    cls, name, value = case
+    return f"{cls.__name__}.{name}={value!r}"
 
 
-@pytest.mark.parametrize("key, name, bad", BOUND_CASES,
+@pytest.mark.parametrize("cls, name, bad", BOUND_CASES,
                          ids=map(bound_id, BOUND_CASES))
-def test_each_bound_rejects_the_value_just_outside_it(key, name, bad):
+def test_each_bound_rejects_the_value_just_outside_it(cls, name, bad):
     with pytest.raises(ConfigError):
-        replace(bound_base(key), **{name: bad})
+        replace(valid_settings()[cls], **{name: bad})
 
 
-@pytest.mark.parametrize("key, name, value", BOUNDARY_CASES,
+@pytest.mark.parametrize("cls, name, value", BOUNDARY_CASES,
                          ids=map(bound_id, BOUNDARY_CASES))
-def test_each_bound_accepts_its_boundary_value(key, name, value):
-    assert getattr(replace(bound_base(key), **{name: value}), name) == value
+def test_each_bound_accepts_its_boundary_value(cls, name, value):
+    valid = valid_settings()[cls]
+    assert getattr(replace(valid, **{name: value}), name) == value
 
 
 def test_boundary_values_load_from_files(tmp_path):

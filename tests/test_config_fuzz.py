@@ -38,15 +38,16 @@ KNOWN_KEYS = sorted(
     {key for table in AIRCRAFT_KEYS.values() for key in table}
     | {*PLAN_KEYS, *ORBIT_KEYS, *SCENARIO_KEYS, *ENVIRONMENT_KEYS,
        *CONTROLLER_KEYS, *GUIDANCE_KEYS, *SLEW_KEYS, *SCENARIO_OWN_KEYS,
-       "kind", "direction", "wp07"})
-UNKNOWN_KEYS = ["duration", "wn_psi", "orbit_gain", "Mode", "x"]
+       "direction", "wp07"})
+UNKNOWN_KEYS = ["duration", "wn_psi", "orbit_gain", "Mode", "x", "kind",
+                "h_ref_m"]
 SECTIONS = [*AIRCRAFT_KEYS, "plan", "orbit", "waypoints", "scenario",
             "environment", "controller", "DEFAULT", "enviroment", "Plan"]
 VALUES = st.one_of(
     st.sampled_from(["", "%", "50%", "%(name)s", "nan", "inf", "-inf",
                      "1e999", "0", "-1", "2.5", "true", "ccw", "orbit",
                      "aotc", "aerosonde.ini", "circle.ini",
-                     "rectangle_compare.ini", "1, 2, 3", "0, 0, 150"]),
+                     "rectangle_compare.ini", "1, 2", "0, 0, 150"]),
     st.text(alphabet="0123456789.-+e, %()nafity[]=:;#é", max_size=12),
 )
 LINES = st.one_of(

@@ -108,7 +108,7 @@ def test_headline_plan_extent_is_the_bundled_rectangle():
     found = re.findall(r"bundled rectangle plan, a (\d+)x(\d+) m", text)
     assert len(found) == 1, found
     plan = load_plan(load_config("rectangle_compare.ini").plan_path)
-    north, east = zip(*((n, e) for n, e, _ in plan.waypoints))
+    north, east = zip(*plan.waypoints)
     assert tuple(map(float, found[0])) == (max(north) - min(north),
                                            max(east) - min(east))
 

@@ -1,6 +1,7 @@
 """Path geometry, course commands, slew limiting, and segment sequencing."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,8 +81,7 @@ def test_line_error_translation_invariant_randomized():
 def test_line_rejects_zero_direction():
     # A leg of zero length has no direction, so its plan is rejected.
     with pytest.raises(ConfigError, match="coincide"):
-        FlightPlan(name="p", waypoints=[(0.0, 0.0, 150.0),
-                                        (0.0, 0.0, 150.0)])
+        FlightPlan(name="p", waypoints=[(0.0, 0.0), (0.0, 0.0)])
 
 
 def test_orbit_error_examples():
@@ -189,7 +189,7 @@ def test_slew_limit_rate_bound_randomized():
 def test_plan_is_lines_or_an_orbit_never_both():
     # Either part alone flies; together they once flew only the orbit.
     orbit = OrbitPlan(0.0, 0.0, 100.0, 1)
-    lines = [(0.0, 0.0, 150.0), (400.0, 0.0, 150.0)]
+    lines = [(0.0, 0.0), (400.0, 0.0)]
     assert FlightPlan(name="both", orbit=orbit, fillet_radius=0.0).segments
     for extra in ({"waypoints": lines}, {"fillet_radius": 50.0},
                   {"waypoints": lines, "fillet_radius": 50.0}):
@@ -207,29 +207,37 @@ def test_slew_limit_rejects_bad_parameters():
 
 def test_plan_validation_errors():
     with pytest.raises(ConfigError, match="at least two"):
-        FlightPlan(name="p", waypoints=[(0.0, 0.0, 150.0)])
+        FlightPlan(name="p", waypoints=[(0.0, 0.0)])
     with pytest.raises(ConfigError, match="reverses"):
         FlightPlan(name="p", fillet_radius=50.0,
-                   waypoints=[(0.0, 0.0, 150.0), (400.0, 0.0, 150.0),
-                              (0.0, 0.0, 150.0)])
+                   waypoints=[(0.0, 0.0), (400.0, 0.0), (0.0, 0.0)])
     with pytest.raises(ConfigError, match="does not fit on leg"):
         FlightPlan(name="p", fillet_radius=100.0,
-                   waypoints=[(0.0, 0.0, 150.0), (150.0, 0.0, 150.0),
-                              (150.0, 150.0, 150.0),
-                              (0.0, 150.0, 150.0)])
-    with pytest.raises(ConfigError, match=r"waypoint 1 \(400.0, 0.0, 250.0\) "
-                       "is at 250 m, but .* nominal AGL of 150 m"):
-        FlightPlan(name="p", waypoints=[(0.0, 0.0, 150.0),
-                                        (400.0, 0.0, 250.0)])
-    for short in ((400.0, 0.0), 400.0):
-        with pytest.raises(ConfigError,
-                           match="waypoint 1 must be .north, east, altitude."):
-            FlightPlan(name="p", waypoints=[(0.0, 0.0, 150.0), short])
+                   waypoints=[(0.0, 0.0), (150.0, 0.0), (150.0, 150.0),
+                              (0.0, 150.0)])
+    # A waypoint is a pair, flown at the plan's nominal_agl.
+    for bad in ((400.0, 0.0, 150.0), (400.0,), 400.0):
+        with pytest.raises(ConfigError, match=re.escape(
+                "plan 'p': waypoint 1 must be (north, east) in finite "
+                f"numbers, got {bad!r}")):
+            FlightPlan(name="p", waypoints=[(0.0, 0.0), bad])
+
+
+@pytest.mark.parametrize("waypoints", [
+    [(0.0, 0.0), (1e308, 1e308)],
+    [(0.0, 0.0), (1e200, 0.0), (1e200, 1e200)],
+    [(-1e308, 0.0), (1e308, 0.0)],
+], ids=["squared", "fillet", "difference"])
+def test_a_leg_whose_length_overflows_is_named(waypoints):
+    # Each once warned in numpy and flew one step to "completed".
+    with pytest.raises(ConfigError, match=re.escape(
+            "plan 'huge': leg 0 (waypoint 0 to 1) is too long: its length "
+            "overflows")):
+        FlightPlan(name="huge", waypoints=waypoints, fillet_radius=10.0)
 
 
 def test_plan_start_and_initial_course():
-    plan = FlightPlan(name="diag", waypoints=[(0.0, 0.0, 150.0),
-                                              (400.0, 400.0, 150.0)])
+    plan = FlightPlan(name="diag", waypoints=[(0.0, 0.0), (400.0, 400.0)])
     assert plan.initial_course() == pytest.approx(math.pi / 4.0, rel=1e-12)
     assert np.allclose(plan.start_position(), [0.0, 0.0, -150.0])
 
@@ -242,8 +250,7 @@ def test_plan_start_and_initial_course():
 
 def test_square_corner_fillet_geometry():
     plan = FlightPlan(name="L", fillet_radius=100.0,
-                      waypoints=[(0.0, 0.0, 150.0), (400.0, 0.0, 150.0),
-                                 (400.0, 400.0, 150.0)])
+                      waypoints=[(0.0, 0.0), (400.0, 0.0), (400.0, 400.0)])
     segs = plan.segments
     assert [seg.kind for seg in segs] == ["line", "orbit", "line"]
     arc = segs[1]
@@ -258,8 +265,7 @@ def test_square_corner_fillet_geometry():
 
 def test_sharp_corner_switches_on_bisector():
     plan = FlightPlan(name="sharp", fillet_radius=0.0,
-                      waypoints=[(0.0, 0.0, 150.0), (400.0, 0.0, 150.0),
-                                 (400.0, 400.0, 150.0)])
+                      waypoints=[(0.0, 0.0), (400.0, 0.0), (400.0, 400.0)])
     segs = plan.segments
     assert [seg.kind for seg in segs] == ["line", "line"]
     assert np.allclose(segs[0].switch_point, [400.0, 0.0])
@@ -269,15 +275,13 @@ def test_sharp_corner_switches_on_bisector():
 
 def test_collinear_waypoint_inserts_no_arc():
     plan = FlightPlan(name="straight", fillet_radius=100.0,
-                      waypoints=[(0.0, 0.0, 150.0), (300.0, 0.0, 150.0),
-                                 (600.0, 0.0, 150.0)])
+                      waypoints=[(0.0, 0.0), (300.0, 0.0), (600.0, 0.0)])
     assert [seg.kind for seg in plan.segments] == ["line", "line"]
 
 
 def test_plan_segments_are_immutable_tuples_of_floats():
     plan = FlightPlan(name="L", fillet_radius=100.0,
-                      waypoints=[(0.0, 0.0, 150.0), (400.0, 0.0, 150.0),
-                                 (400.0, 400.0, 150.0)])
+                      waypoints=[(0.0, 0.0), (400.0, 0.0), (400.0, 400.0)])
     # Ints in, floats out.
     loiter = FlightPlan(name="orb", orbit=OrbitPlan(0, 0, 100, 1))
     segments = plan.segments + loiter.segments
@@ -305,8 +309,7 @@ def fly(mgr, points, memory=CourseCommand()):
 
 
 def test_manager_tracks_and_completes_line_plan():
-    plan = FlightPlan(name="leg", waypoints=[(0.0, 0.0, 150.0),
-                                             (400.0, 0.0, 150.0)])
+    plan = FlightPlan(name="leg", waypoints=[(0.0, 0.0), (400.0, 0.0)])
     mgr = PathManager(plan, GuidanceGains(), 0.01)
     assert mgr.segments is plan.segments   # built once, with the plan
     cmd = mgr.step(CourseCommand(), [10.0, 0.0, -150.0])
@@ -318,8 +321,7 @@ def test_manager_tracks_and_completes_line_plan():
 
 def test_manager_index_non_decreasing_through_corner():
     plan = FlightPlan(name="L", fillet_radius=100.0,
-                      waypoints=[(0.0, 0.0, 150.0), (400.0, 0.0, 150.0),
-                                 (400.0, 400.0, 150.0)])
+                      waypoints=[(0.0, 0.0), (400.0, 0.0), (400.0, 400.0)])
     mgr = PathManager(plan, GuidanceGains(), 0.01)
     # Walk the filleted path itself: leg, arc, leg; clockwise along the
     # fillet arc from (300, 0) to (400, 100).
@@ -355,8 +357,7 @@ def test_manager_orbit_completion_counts_revolutions():
 
 def test_manager_slew_engages_only_across_discontinuity():
     plan = FlightPlan(name="sharp", fillet_radius=0.0,
-                      waypoints=[(0.0, 0.0, 150.0), (400.0, 0.0, 150.0),
-                                 (400.0, 400.0, 150.0)])
+                      waypoints=[(0.0, 0.0), (400.0, 0.0), (400.0, 400.0)])
     dt = 0.01
     slew = SlewSettings(enabled=True, rate=math.radians(30.0),
                         threshold=math.radians(30.0))
@@ -377,8 +378,7 @@ def test_manager_slew_engages_only_across_discontinuity():
 
 
 def test_manager_rejects_bad_dt():
-    plan = FlightPlan(name="leg", waypoints=[(0.0, 0.0, 150.0),
-                                             (400.0, 0.0, 150.0)])
+    plan = FlightPlan(name="leg", waypoints=[(0.0, 0.0), (400.0, 0.0)])
     with pytest.raises(ConfigError):
         PathManager(plan, GuidanceGains(), 0.0)
 
@@ -403,8 +403,7 @@ def test_fillet_switches_keep_the_course_command(points, radius):
     # At the tangent point where a leg hands over to its fillet arc, or
     # the arc to the next leg, both segments command the same course.
     try:
-        plan = FlightPlan(waypoints=[(n, e, 150.0) for n, e in points],
-                          fillet_radius=radius)
+        plan = FlightPlan(waypoints=points, fillet_radius=radius)
     except ConfigError:
         assume(False)
     for seg, after in zip(plan.segments, plan.segments[1:]):
@@ -422,8 +421,7 @@ def test_manager_flies_any_plan_to_completion(points, radius, slew):
     # angle, and the plan completes within three times its length's
     # flying time plus 200 s.
     try:
-        plan = FlightPlan(waypoints=[(n, e, 150.0) for n, e in points],
-                          fillet_radius=radius)
+        plan = FlightPlan(waypoints=points, fillet_radius=radius)
     except ConfigError:
         assume(False)
     speed, turn_rate, dt = 20.0, math.radians(30.0), 0.1

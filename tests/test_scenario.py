@@ -29,7 +29,8 @@ from levelwing.errors import (
     UncontrollablePlantError,
 )
 from levelwing.guidance import FlightPlan, PathManager
-from levelwing.metrics import SUMMARY_COLUMNS, summary_csv_lines
+from levelwing.metrics import (SUMMARY_COLUMNS, TABLE_H_REFS,
+                               summary_csv_lines)
 from levelwing.scenario import (
     CSV_COLUMNS,
     LOG_COLUMNS,
@@ -52,16 +53,13 @@ def wrap(x):
 
 
 def straight_plan(length=800.0):
-    return FlightPlan(name="straight",
-                      waypoints=[(0.0, 0.0, 150.0), (length, 0.0, 150.0)])
+    return FlightPlan(name="straight", waypoints=[(0.0, 0.0), (length, 0.0)])
 
 
 def rectangle_plan(fillet):
     corners = [(0.0, 0.0), (400.0, 0.0), (400.0, 400.0), (0.0, 400.0),
                (0.0, 0.0), (400.0, 0.0)]
-    return FlightPlan(name="rect",
-                      waypoints=[(n, e, 150.0) for n, e in corners],
-                      fillet_radius=fillet)
+    return FlightPlan(name="rect", waypoints=corners, fillet_radius=fillet)
 
 
 @pytest.mark.parametrize("mode", ["aotc", "ratc"])
@@ -172,7 +170,6 @@ def test_statistics_need_two_warm_steps(capsys, warm_steps):
     # fewer than 2 steps after the warmup there is no record, the table
     # reads nan, no ratio is formed and simulate prints no statistic.
     cfg = load_config("rectangle_compare.ini")
-    cfg = replace(cfg, h_refs=(450.0, 300.0))
     duration = cfg.warmup + warm_steps * cfg.dt
     comp = compare_controllers(cfg, duration_override=duration)
     for run in (comp.aotc, comp.ratc):
@@ -183,7 +180,7 @@ def test_statistics_need_two_warm_steps(capsys, warm_steps):
             assert run.stats is None
             assert all(math.isnan(value) for value in row)
         else:
-            assert list(run.stats.image_by_href) == [150.0, 300.0, 450.0]
+            assert tuple(run.stats.image_by_href) == TABLE_H_REFS
             assert run.stats.lateral.count == 2
             assert not any(math.isnan(value) for value in row)
     means = [comp.ratios[f"mean_abs_{angle}_{mode}_deg"]
@@ -257,8 +254,8 @@ def test_an_overflow_outside_the_integrator_is_a_dynamics_fault(make_cfg,
 
 
 @pytest.mark.parametrize("changes", [
-    {"seed": -1}, {"dt": math.inf}, {"dt": math.nan}, {"h_refs": (math.nan,)},
-], ids=["seed=-1", "dt=inf", "dt=nan", "h_refs=nan"])
+    {"seed": -1}, {"dt": math.inf}, {"dt": math.nan},
+], ids=["seed=-1", "dt=inf", "dt=nan"])
 def test_run_validates_the_config(changes):
     # A config built or edited through the API gets the same boundary
     # checks as one loaded from a file.
@@ -405,7 +402,7 @@ def test_mirrored_rectangle_mirrors_the_run(rect_comparison, mode):
     base = getattr(comp, mode)
     cfg = load_config("rectangle_compare.ini")
     plan = replace(cfg.plan,
-                   waypoints=[(n, -e, h) for n, e, h in cfg.plan.waypoints])
+                   waypoints=[(n, -e) for n, e in cfg.plan.waypoints])
     env = replace(cfg.env, wind_e=-cfg.env.wind_e)
     mirror = run_scenario(replace(cfg, plan=plan, env=env), mode)
     assert mirror.steps == base.steps
