@@ -13,10 +13,11 @@ path, and one from an aircraft or plan file that a scenario references
 names that file after the scenario. Values are literal (no `%`
 interpolation). Keys ending in `_deg` or `_dps` are degrees (per second)
 and are converted to radians at load; aerodynamic derivatives are
-per-radian and pass through unchanged. Relative paths referenced by a
-scenario resolve against the scenario file's directory first, then
-against the bundled data directory, so `aircraft = aerosonde.ini` works
-anywhere.
+per-radian and pass through unchanged. Every input file is found by
+one rule: a name is looked for beside the file that names it (for a
+name that no file names, in the working directory), then in the bundled
+directory of its kind. So `aircraft = aerosonde.ini` in a bundled
+scenario is the bundled aircraft from any directory.
 
 A scenario names no lateral law: which law flies is each run's
 argument, so a `mode` key is unknown like any other. A setting that a
@@ -76,13 +77,14 @@ ORBIT_KEYS = {
     "center_n_m": "center_n", "center_e_m": "center_e", "radius_m": "radius",
     "revolutions": "revolutions", "start_bearing_deg": "start_bearing",
 }
-# [scenario] -> ScenarioConfig; the name (default: the file stem) and the
-# two file references are read by the loader itself.
+# [scenario] -> ScenarioConfig; the name (default: the file stem) is read
+# by the loader itself.
 SCENARIO_KEYS = {
     "dt_s": "dt", "duration_s": "duration", "airspeed_mps": "va_cmd",
     "warmup_s": "warmup", "seed": "seed",
 }
-SCENARIO_OWN_KEYS = ("name", "aircraft", "plan")
+# [scenario] key -> the kind of the input file it names; both are required.
+REFERENCE_KEYS = {"aircraft": "aircraft", "plan": "plans"}
 # [environment] -> EnvironmentSettings and [controller] -> ControllerSettings;
 # a scenario may leave out either section.
 ENVIRONMENT_KEYS = {
@@ -114,40 +116,26 @@ def bundled_data_dir() -> Path:
     return Path(str(resources.files("levelwing") / "data"))
 
 
-def resolve_input_path(
-    name: str | Path,
-    base_dir: Path | None = None,
-    kind: str | None = None,
-    exclude: Path | None = None,
-) -> Path:
-    """Resolve a user-supplied path, falling back to the bundled data.
-
-    kind ("plans" or "scenarios") prioritizes that bundled subdirectory,
-    so plan and scenario files may share a stem. exclude skips one
-    candidate, preventing a config file from resolving to itself.
-    """
-    p = Path(name)
+def resolve_input_path(name: str | Path, kind: str,
+                       referrer: Path | None = None) -> Path:
+    """The input file that name means: name beside referrer, the file that
+    names it (in the working directory when no file does), else name in
+    the bundled directory of kind ("aircraft", "plans" or "scenarios").
+    A name never means its own referrer, so a plan and a scenario may
+    share a stem."""
+    base = Path.cwd() if referrer is None else referrer.parent
+    data = bundled_data_dir()
+    candidates = dict.fromkeys(
+        (base / name, (data if kind == "aircraft" else data / kind) / name))
     try:
-        if p.is_absolute():
-            if p.is_file():
-                return p
-            raise ConfigError(f"file not found: {p}")
-        candidates = []
-        if base_dir is not None:
-            candidates.append(base_dir / p)
-        candidates.append(Path.cwd() / p)
-        data = bundled_data_dir()
-        if kind is not None:
-            candidates.append(data / kind / p)
-        candidates += [data / p, data / "plans" / p, data / "scenarios" / p]
-        excluded = exclude.resolve() if exclude is not None else None
         for cand in candidates:
-            if cand.is_file() and (excluded is None
-                                   or cand.resolve() != excluded):
+            if cand.is_file() and (referrer is None
+                                   or cand.resolve() != referrer.resolve()):
                 return cand
     except OSError as exc:
         raise ConfigError(f"cannot read {name}: {exc}") from exc
-    raise ConfigError(f"file not found: {name}")
+    raise ConfigError(f"file not found: {name} among the {kind} (looked for "
+                      f"{' and '.join(map(str, candidates))})")
 
 
 def _read_ini(path: Path) -> dict[str, dict[str, str]]:
@@ -248,7 +236,7 @@ def _reject_left(sections: dict[str, dict[str, str]]) -> None:
 
 def load_aircraft(path: str | Path) -> AircraftParams:
     """Load an aircraft parameter file."""
-    resolved = resolve_input_path(path)
+    resolved = resolve_input_path(path, "aircraft")
     found = _read_ini(resolved)
     with _in_file(resolved):
         sections = _sections(found, AIRCRAFT_KEYS)
@@ -261,7 +249,7 @@ def load_aircraft(path: str | Path) -> AircraftParams:
 
 def load_plan(path: str | Path) -> FlightPlan:
     """Load a flight-plan file, whose [waypoints] or [orbit] is its kind."""
-    resolved = resolve_input_path(path, kind="plans")
+    resolved = resolve_input_path(path, "plans")
     found = _read_ini(resolved)
     with _in_file(resolved):
         kinds = {"waypoints", "orbit"} & found.keys()
@@ -375,17 +363,17 @@ def load_config(
     override is applied at run time instead (a zero-length cap is a valid
     run request but not a valid stored configuration).
     """
-    resolved = resolve_input_path(path, kind="scenarios")
+    resolved = resolve_input_path(path, "scenarios")
     found = _read_ini(resolved)
     with _in_file(resolved):
         sections = _sections(found, ("scenario",),
                              may_omit=("environment", "controller"))
         head = sections["scenario"]
-        for key in ("aircraft", "plan"):
+        for key in REFERENCE_KEYS:
             if key not in head:
                 raise ConfigError(f"missing key '{key}' in [scenario]")
         name = head.pop("name", resolved.stem)
-        aircraft, plan = head.pop("aircraft"), head.pop("plan")
+        references = {key: head.pop(key) for key in REFERENCE_KEYS}
         values = _take(sections, "scenario", SCENARIO_KEYS, ScenarioConfig)
         env = _take(sections, "environment", ENVIRONMENT_KEYS,
                     EnvironmentSettings)
@@ -396,16 +384,14 @@ def load_config(
                                (GUIDANCE_KEYS, GuidanceGains),
                                (SLEW_KEYS, SlewSettings)))
         _reject_left(sections)
-        aircraft_path = resolve_input_path(aircraft, resolved.parent,
-                                           exclude=resolved)
-        plan_path = resolve_input_path(plan, resolved.parent, kind="plans",
-                                       exclude=resolved)
+        paths = {key: resolve_input_path(references[key], kind, resolved)
+                 for key, kind in REFERENCE_KEYS.items()}
         cfg = ScenarioConfig(
             name=name,
-            aircraft_path=aircraft_path,
-            plan_path=plan_path,
-            params=load_aircraft(aircraft_path),
-            plan=load_plan(plan_path),
+            aircraft_path=paths["aircraft"],
+            plan_path=paths["plan"],
+            params=load_aircraft(paths["aircraft"]),
+            plan=load_plan(paths["plan"]),
             env=EnvironmentSettings(**env),
             ctrl=ControllerSettings(guidance=GuidanceGains(**guidance),
                                     slew=SlewSettings(**slew_values), **ctrl),

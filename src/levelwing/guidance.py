@@ -23,6 +23,10 @@ from .errors import (ConfigError, UndefinedBearingError, bounded,
 # Fillet arcs are skipped when adjacent legs are within this angle (rad)
 # of collinear; the turn is degenerate there.
 COLLINEAR_TOLERANCE = 1e-6
+# Points closer than this (m) are one point: a waypoint on the one before
+# it, or a position at an orbit's center, whose bearing is undefined. So
+# an orbit's radius must be at least this.
+MIN_DISTANCE = 1e-6
 
 
 class PathSegment(NamedTuple):
@@ -96,7 +100,7 @@ def orbit_error(p, seg: PathSegment) -> tuple[float, float]:
     cn, ce = seg.origin
     dn, de = p[0] - cn, p[1] - ce
     dist = math.hypot(dn, de)
-    if dist < 1e-9:
+    if dist < MIN_DISTANCE:
         raise UndefinedBearingError(
             "bearing from orbit center undefined at the center itself"
         )
@@ -155,7 +159,7 @@ class OrbitPlan:
 
     center_n: float
     center_e: float
-    radius: float = bounded(gt=0.0)
+    radius: float = bounded(ge=MIN_DISTANCE)
     lam: int
     revolutions: float = bounded(1.0, ge=0.0)
     start_bearing: float = 0.0
@@ -239,7 +243,7 @@ def _plan_segments(plan: FlightPlan) -> tuple[PathSegment, ...]:
         if not math.isfinite(length):
             raise ConfigError(f"plan '{plan.name}': leg {i} (waypoint {i} to "
                               f"{i + 1}) is too long: its length overflows")
-        if length < 1e-6:
+        if length < MIN_DISTANCE:
             raise ConfigError(
                 f"plan '{plan.name}': waypoint {i + 1} "
                 f"{plan.waypoints[i + 1]} coincides with waypoint {i}"

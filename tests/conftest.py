@@ -69,6 +69,22 @@ def set_key(text: str, section: str, key: str, value: str) -> str:
     return f"{text}\n[{section}]\n{key} = {value}\n"
 
 
+def write_decoys(directory: Path) -> None:
+    """Files in directory under the names that the bundled scenarios give
+    their aircraft and plans, each unlike the bundled file: a heavier
+    aerosonde, a 300 m square and a 50 m orbit."""
+    aircraft = (DATA_DIR / "aerosonde.ini").read_text(encoding="utf-8")
+    texts = {
+        "aerosonde.ini": set_key(aircraft, "mass_properties", "mass_kg", "22"),
+        "rectangle.ini": "[plan]\n[waypoints]\nwp01 = 0, 0\nwp02 = 300, 0\n"
+                         "wp03 = 300, 300\nwp04 = 0, 300\nwp05 = 0, 0\n",
+        "circle.ini": "[plan]\n[orbit]\ncenter_n_m = 0\ncenter_e_m = 0\n"
+                      "radius_m = 50\n",
+    }
+    for name, text in texts.items():
+        (directory / name).write_text(text, encoding="utf-8")
+
+
 def rectangle_with(directory: Path, file: str, section: str, key: str,
                    value: str) -> Path:
     """The path of a copy of the bundled rectangle_compare.ini in

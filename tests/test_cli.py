@@ -10,8 +10,8 @@ import pytest
 import levelwing.cli
 import levelwing.errors
 import levelwing.scenario
-from conftest import (RETIRED_INPUTS, needs_fork, rectangle_with,
-                      set_key, with_retired_input)
+from conftest import (DATA_DIR, RETIRED_INPUTS, needs_fork, rectangle_with,
+                      set_key, with_retired_input, write_decoys)
 from levelwing.cli import main
 from levelwing.config import load_config, resolve_input_path
 from levelwing.control import plant_report
@@ -88,7 +88,7 @@ def test_trim_below_stall_floor_exits_2(capsys):
 
 def bundled_rectangle_text():
     return resolve_input_path("rectangle_compare.ini",
-                              kind="scenarios").read_text(encoding="utf-8")
+                              "scenarios").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("args, ini_key, ini_value", [
@@ -140,7 +140,8 @@ def test_trim_past_the_pitch_margin_exits_3(tmp_path, capsys, command):
     # Strong lift at zero alpha and weak lift per radian: the trim's
     # Newton iterate diverges past the pitch limit, a trim failure and not
     # an in-flight fault.
-    aircraft = resolve_input_path("aerosonde.ini").read_text(encoding="utf-8")
+    aircraft = resolve_input_path("aerosonde.ini",
+                                  "aircraft").read_text(encoding="utf-8")
     for key, value in (("c_lift_0", "0.9"), ("c_lift_alpha", "0.3")):
         aircraft, count = re.subn(rf"^{key} = .*$", f"{key} = {value}",
                                   aircraft, flags=re.M)
@@ -253,6 +254,48 @@ def test_a_plan_leg_whose_length_overflows_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error[config]: {config}: {plan}: plan 'huge': leg 0 (waypoint 0 "
         "to 1) is too long: its length overflows\n")
+
+
+def test_an_orbit_smaller_than_the_smallest_distance_exits_2(tmp_path,
+                                                             capsys):
+    # Its first step would be at the center, where no bearing is defined.
+    config = rectangle_with(tmp_path, "rectangle_compare.ini", "scenario",
+                            "plan", "tiny.ini")
+    plan = tmp_path / "tiny.ini"
+    plan.write_text("[plan]\n[orbit]\ncenter_n_m = 0\ncenter_e_m = 0\n"
+                    "radius_m = 1e-10\n")
+    assert main(["simulate", "--config", str(config), "--duration", "2"]) == 2
+    assert capsys.readouterr().err == (
+        f"error[config]: {config}: {plan}: OrbitPlan.radius must be >= "
+        "1e-06, got 1e-10\n")
+
+
+def test_a_config_name_is_looked_for_among_the_scenarios_only(
+        tmp_path, monkeypatch, capsys):
+    # rectangle.ini is a bundled plan, never read as a scenario.
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--config", "rectangle.ini"]) == 2
+    assert capsys.readouterr().err == (
+        "error[config]: file not found: rectangle.ini among the scenarios "
+        f"(looked for {tmp_path / 'rectangle.ini'} and "
+        f"{DATA_DIR / 'scenarios' / 'rectangle.ini'})\n")
+
+
+def test_compare_flies_the_bundled_files_from_any_directory(
+        tmp_path, monkeypatch, capsys):
+    # Files in the working directory under the names that
+    # rectangle_compare.ini gives change nothing that compare prints.
+    printed = []
+    for directory in (tmp_path / "clean", tmp_path / "decoys"):
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        if directory.name == "decoys":
+            write_decoys(directory)
+        assert main(["compare", "--config", "rectangle_compare.ini",
+                     "--duration", "10", "--out-dir", "report"]) == 0
+        printed.append(capsys.readouterr().out)
+    assert "rms_450_ratc_over_aotc = " in printed[0]
+    assert printed[1] == printed[0]
 
 
 # Settings of 1e200, each in the file that sets it: the wind and gusts

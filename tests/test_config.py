@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import (DATA_DIR, RETIRED_INPUTS, SETTINGS_TYPES,
-                      set_key, with_retired_input)
+                      set_key, with_retired_input, write_decoys)
 from levelwing.config import (
     AIRCRAFT_KEYS,
     CONTROLLER_KEYS,
@@ -98,6 +98,59 @@ def test_plan_and_scenario_may_share_a_stem():
     assert cfg.plan.orbit is not None
     assert cfg.plan.orbit.radius == pytest.approx(100.0)
     assert cfg.plan.orbit.lam == 1
+
+
+@pytest.mark.parametrize("path", sorted(
+    (DATA_DIR / "scenarios").glob("*.ini")), ids=lambda path: path.stem)
+def test_a_bundled_scenario_ignores_the_working_directory(tmp_path,
+                                                          monkeypatch, path):
+    # A name that a file gives is looked for beside that file, then among
+    # the bundled files of its kind, never in the working directory.
+    monkeypatch.chdir(tmp_path)
+    clean = load_config(path)
+    write_decoys(tmp_path)
+    assert load_config(path) == clean
+    assert clean.aircraft_path == DATA_DIR / "aerosonde.ini"
+    assert clean.plan_path.parent == DATA_DIR / "plans"
+
+
+@pytest.mark.parametrize("load, name, kind, folder", [
+    (load_aircraft, "circle.ini", "aircraft", DATA_DIR),
+    (load_plan, "aerosonde.ini", "plans", DATA_DIR / "plans"),
+    (load_config, "rectangle.ini", "scenarios", DATA_DIR / "scenarios"),
+])
+def test_a_name_is_looked_for_among_its_own_kind_only(tmp_path, monkeypatch,
+                                                      load, name, kind,
+                                                      folder):
+    # A bundled file of another kind is never read in its place.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError) as caught:
+        load(name)
+    assert str(caught.value) == (f"file not found: {name} among the {kind} "
+                                 f"(looked for {tmp_path / name} and "
+                                 f"{folder / name})")
+
+
+def test_a_reference_is_not_looked_for_in_the_working_directory(
+        tmp_path, monkeypatch):
+    home, work = tmp_path / "home", tmp_path / "work"
+    home.mkdir()
+    work.mkdir()
+    route = base_text(DATA_DIR / "plans" / "rectangle.ini")
+    write(work, "route.ini", route)
+    scenario = write(home, "survey.ini",
+                     MINIMAL_SCENARIO.replace("rectangle.ini", "route.ini"))
+    monkeypatch.chdir(work)
+    with pytest.raises(ConfigError) as caught:
+        load_config(scenario)
+    assert str(caught.value) == (
+        f"{scenario}: file not found: route.ini among the plans (looked for "
+        f"{home / 'route.ini'} and {DATA_DIR / 'plans' / 'route.ini'})")
+    # A name that no file gives is still found there.
+    assert load_plan("route.ini") == load_plan("rectangle.ini")
+    # Beside the scenario, the reference is found.
+    write(home, "route.ini", route)
+    assert load_config(scenario).plan_path == home / "route.ini"
 
 
 def test_missing_reference_reported_by_name(tmp_path):
@@ -256,13 +309,13 @@ direction = widdershins
 
 def test_absolute_missing_path_rejected(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
-        resolve_input_path(tmp_path / "ghost.ini")
+        resolve_input_path(tmp_path / "ghost.ini", "scenarios")
 
 
 def test_overlong_file_name_is_a_config_error():
     # The operating system refuses the name itself (ENAMETOOLONG).
     with pytest.raises(ConfigError, match="cannot read"):
-        resolve_input_path("a" * 300 + ".ini")
+        resolve_input_path("a" * 300 + ".ini", "scenarios")
 
 
 def test_stored_config_validation_bounds(tmp_path):
@@ -416,14 +469,15 @@ def test_a_plan_has_one_of_the_two_kinds_of_section(tmp_path, text, count):
 
 # One value out of bounds for each settings type that a file builds, and a
 # referenced file that is missing: the file written, the section, key and
-# value, and how the message ends.
+# value, and how the message ends, with {tmp} for the directory of the
+# files and {data} for the bundled data directory.
 FILE_ERROR_CASES = [
     ("aircraft", "mass_properties", "mass_kg", "0",
      "AircraftParams.mass must be > 0, got 0.0"),
     ("plan", "plan", "nominal_agl_m", "0",
      "FlightPlan.nominal_agl must be > 0, got 0.0"),
     ("orbit plan", "orbit", "radius_m", "0",
-     "OrbitPlan.radius must be > 0, got 0.0"),
+     "OrbitPlan.radius must be >= 1e-06, got 0.0"),
     ("scenario", "environment", "gust_tau_s", "0",
      "EnvironmentSettings.gust_tau must be > 0, got 0.0"),
     ("scenario", "controller", "wn_psi_radps", "0",
@@ -435,9 +489,11 @@ FILE_ERROR_CASES = [
     ("scenario", "scenario", "dt_s", "0",
      "ScenarioConfig.dt must be > 0, got 0.0"),
     ("scenario", "scenario", "aircraft", "ghost.ini",
-     "file not found: ghost.ini"),
+     "file not found: ghost.ini among the aircraft (looked for "
+     "{tmp}/ghost.ini and {data}/ghost.ini)"),
     ("scenario", "scenario", "plan", "ghost.ini",
-     "file not found: ghost.ini"),
+     "file not found: ghost.ini among the plans (looked for "
+     "{tmp}/ghost.ini and {data}/plans/ghost.ini)"),
 ]
 
 
@@ -462,6 +518,7 @@ def test_each_file_error_starts_with_the_files_path(tmp_path, written,
     for name, path in files.items():
         path.write_text(texts[name], encoding="utf-8")
     inner = "" if kind == "scenario" else f"{files[kind]}: "
+    fault = fault.format(tmp=tmp_path, data=DATA_DIR)
     with pytest.raises(ConfigError) as caught:
         load_config(files["scenario"])
     assert str(caught.value) == f"{files['scenario']}: {inner}{fault}"

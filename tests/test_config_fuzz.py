@@ -16,8 +16,8 @@ from levelwing.config import (
     GUIDANCE_KEYS,
     ORBIT_KEYS,
     PLAN_KEYS,
+    REFERENCE_KEYS,
     SCENARIO_KEYS,
-    SCENARIO_OWN_KEYS,
     SLEW_KEYS,
     load_aircraft,
     load_config,
@@ -37,8 +37,8 @@ FILES = {
 KNOWN_KEYS = sorted(
     {key for table in AIRCRAFT_KEYS.values() for key in table}
     | {*PLAN_KEYS, *ORBIT_KEYS, *SCENARIO_KEYS, *ENVIRONMENT_KEYS,
-       *CONTROLLER_KEYS, *GUIDANCE_KEYS, *SLEW_KEYS, *SCENARIO_OWN_KEYS,
-       "direction", "wp07"})
+       *CONTROLLER_KEYS, *GUIDANCE_KEYS, *SLEW_KEYS, *REFERENCE_KEYS,
+       "name", "direction", "wp07"})
 UNKNOWN_KEYS = ["duration", "wn_psi", "orbit_gain", "Mode", "x", "kind",
                 "h_ref_m"]
 SECTIONS = [*AIRCRAFT_KEYS, "plan", "orbit", "waypoints", "scenario",

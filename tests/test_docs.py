@@ -10,8 +10,8 @@ from levelwing.config import (
     CONTROLLER_KEYS,
     ENVIRONMENT_KEYS,
     GUIDANCE_KEYS,
+    REFERENCE_KEYS,
     SCENARIO_KEYS,
-    SCENARIO_OWN_KEYS,
     SLEW_KEYS,
     load_config,
     load_plan,
@@ -55,7 +55,7 @@ def test_scenario_file_example_lists_every_key():
                                        interpolation=None)
     parser.read_string(readme_block("```ini"))
     assert {name: set(parser[name]) for name in parser.sections()} == {
-        "scenario": {*SCENARIO_KEYS, *SCENARIO_OWN_KEYS},
+        "scenario": {*SCENARIO_KEYS, "name", *REFERENCE_KEYS},
         "environment": set(ENVIRONMENT_KEYS),
         "controller": {*CONTROLLER_KEYS, *GUIDANCE_KEYS, *SLEW_KEYS},
     }

@@ -14,6 +14,7 @@ from levelwing.guidance import (
     CourseCommand,
     FlightPlan,
     GuidanceGains,
+    MIN_DISTANCE,
     OrbitPlan,
     PathManager,
     PathSegment,
@@ -105,10 +106,29 @@ def test_orbit_error_flips_with_direction():
 
 def test_orbit_rejects_bad_construction():
     # The orbit plan checks what its segment is built from.
-    with pytest.raises(ConfigError, match=r"OrbitPlan\.radius must be > 0"):
+    with pytest.raises(ConfigError,
+                       match=r"OrbitPlan\.radius must be >= 1e-06"):
         FlightPlan(name="p", orbit=OrbitPlan(0.0, 0.0, -50.0, 1))
     with pytest.raises(ConfigError, match="cw or ccw"):
         FlightPlan(name="p", orbit=OrbitPlan(0.0, 0.0, 100.0, 2))
+
+
+@pytest.mark.parametrize("radius", [1e-300, 1e-10, 0.999e-6])
+def test_an_orbit_smaller_than_the_smallest_distance_is_rejected(radius):
+    # Its start would be at the center as orbit_error sees it, where the
+    # bearing is undefined.
+    with pytest.raises(ConfigError) as caught:
+        OrbitPlan(0.0, 0.0, radius, 1)
+    assert str(caught.value) == (f"OrbitPlan.radius must be >= 1e-06, "
+                                 f"got {radius}")
+
+
+def test_the_smallest_orbit_has_a_bearing_at_its_start():
+    plan = FlightPlan(name="p", orbit=OrbitPlan(0.0, 0.0, MIN_DISTANCE, 1))
+    start = plan.start_position()
+    assert orbit_error(start, plan.segments[0]) == (0.0, 0.0)
+    with pytest.raises(UndefinedBearingError):
+        orbit_error((0.999 * MIN_DISTANCE, 0.0), plan.segments[0])
 
 
 def test_course_command_line_zero_error_follows_path():

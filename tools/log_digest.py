@@ -27,7 +27,9 @@ Run it on two checkouts and diff the outputs:
     python3 /tmp/parent/tools/log_digest.py > old.txt
     diff old.txt new.txt
 
-It imports levelwing from the src directory of its own checkout.
+It imports levelwing from the src directory of its own checkout, and
+it names each bundled scenario by its path in that checkout's data
+directory, so no file in the directory it runs from is read in its place.
 --duration caps every run except the two faulting ones (the pitch fault
 comes 28 s in), for a quick check; in full, all of it takes a few
 seconds.
@@ -58,10 +60,15 @@ FAULT_SCENARIO, FAULT_MODE = "circle", "aotc"
 OVERFLOW_MODE = "ratc"
 
 
+def scenario_path(name: str) -> Path:
+    """The path of the bundled scenario name."""
+    return bundled_data_dir() / "scenarios" / f"{name}.ini"
+
+
 def fault_run():
     """The bundled circle with 2 m/s gusts, a 3 m/s wind toward 135 deg
     and seed 2, flown by aotc for 50 s: it ends in a pitch singularity."""
-    cfg = load_config(f"{FAULT_SCENARIO}.ini")
+    cfg = load_config(scenario_path(FAULT_SCENARIO))
     toward = math.radians(135.0)
     env = dataclasses.replace(cfg.env, gust_intensity=2.0,
                               wind_n=3.0 * math.cos(toward),
@@ -73,7 +80,7 @@ def fault_run():
 def overflow_run():
     """The bundled rectangle_compare with a 1e200 m/s north wind, flown by
     ratc: the air data of its first step overflows."""
-    cfg = load_config(f"{COMPARE_SCENARIO}.ini")
+    cfg = load_config(scenario_path(COMPARE_SCENARIO))
     cfg = dataclasses.replace(cfg, env=dataclasses.replace(cfg.env,
                                                            wind_n=1e200))
     return run_scenario(cfg, OVERFLOW_MODE)
@@ -129,10 +136,10 @@ def cli_output(argv: list[str]) -> str:
 def digest_lines(duration: float | None) -> list[str]:
     scenarios = sorted(p.stem for p in
                        (bundled_data_dir() / "scenarios").glob("*.ini"))
-    lines = [f"config {name} {config_digest(f'{name}.ini')}"
+    lines = [f"config {name} {config_digest(scenario_path(name))}"
              for name in scenarios]
     for name in scenarios:
-        cfg = load_config(f"{name}.ini")
+        cfg = load_config(scenario_path(name))
         for mode in MODES:
             result = run_scenario(cfg, mode, duration_override=duration)
             lines.append(f"run {name} {mode} steps={result.steps} "
@@ -141,11 +148,11 @@ def digest_lines(duration: float | None) -> list[str]:
                          f"{sha(printout(result).encode())}")
     for name in scenarios:
         for line in cli_output(["gains", "--config",
-                                f"{name}.ini"]).splitlines():
+                                str(scenario_path(name))]).splitlines():
             label = line.split(":", 1)[0] if ":" in line else line.split()[0]
             label = "_".join(label.split())
             lines.append(f"gains {name} {label} {sha(line.encode())}")
-    argv = ["compare", "--config", f"{COMPARE_SCENARIO}.ini"]
+    argv = ["compare", "--config", str(scenario_path(COMPARE_SCENARIO))]
     if duration is not None:
         argv += ["--duration", repr(duration)]
     with tempfile.TemporaryDirectory() as out_dir:
