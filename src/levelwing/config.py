@@ -19,10 +19,11 @@ name that no file names, in the working directory), then in the bundled
 directory of its kind. So `aircraft = aerosonde.ini` in a bundled
 scenario is the bundled aircraft from any directory.
 
-A scenario names no lateral law: which law flies is each run's
-argument, so a `mode` key is unknown like any other. A setting that a
-check or the gain design squares must have a finite square, or it is a
-ConfigError that names it.
+[controller] fills ControllerSettings and, with its intercept, capture
+and slew keys, the GuidanceSettings that it holds. A scenario names no
+lateral law: which law flies is each run's argument, so a `mode` key is
+unknown like any other. A setting that a check or the gain design
+squares must have a finite square, or it is a ConfigError that names it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from pathlib import Path
 
 from .dynamics import AircraftParams
 from .errors import ConfigError, bounded, check_fields
-from .guidance import FlightPlan, GuidanceGains, OrbitPlan, SlewSettings
+from .guidance import FlightPlan, GuidanceSettings, OrbitPlan
 
 # INI key -> AircraftParams field, for each section of an aircraft file.
 AIRCRAFT_KEYS = {
@@ -101,14 +102,13 @@ CONTROLLER_KEYS = {
     "kp_airspeed": "kp_airspeed", "ki_airspeed": "ki_airspeed",
     "pitch_limit_deg": "pitch_limit",
 }
-# [controller] -> the GuidanceGains and SlewSettings that ControllerSettings
-# holds as its guidance and slew fields.
+# [controller] -> the GuidanceSettings that ControllerSettings holds as its
+# guidance field.
 GUIDANCE_KEYS = {
     "intercept_angle_deg": "intercept_angle",
     "capture_gain_radpm": "capture_gain", "orbit_capture_gain": "orbit_gain",
+    "slew_enabled": "slew_enabled", "slew_rate_dps": "slew_rate",
 }
-SLEW_KEYS = {"slew_enabled": "enabled", "slew_rate_dps": "rate",
-             "slew_threshold_dps": "threshold"}
 
 
 def bundled_data_dir() -> Path:
@@ -300,9 +300,9 @@ class EnvironmentSettings:
 class ControllerSettings:
     """Every tunable shared by the two lateral laws and the holds.
 
-    The guidance gains and the slew limiter live here too, so one section
-    fixes them for both controllers in a comparison. Which law flies is
-    not a setting: it is the run's argument.
+    The guidance settings, slew limiter included, live here too, so one
+    section fixes them for both controllers in a comparison. Which law
+    flies is not a setting: it is the run's argument.
     """
 
     wn_psi: float = bounded(4.0, gt=0.0, squared=True)
@@ -321,8 +321,7 @@ class ControllerSettings:
     kp_airspeed: float = bounded(0.4, gt=0.0)
     ki_airspeed: float = bounded(0.15, gt=0.0)
     pitch_limit: float = bounded(math.radians(20.0), gt=0.0)
-    guidance: GuidanceGains = GuidanceGains()
-    slew: SlewSettings = SlewSettings()
+    guidance: GuidanceSettings = GuidanceSettings()
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -377,12 +376,11 @@ def load_config(
         values = _take(sections, "scenario", SCENARIO_KEYS, ScenarioConfig)
         env = _take(sections, "environment", ENVIRONMENT_KEYS,
                     EnvironmentSettings)
-        # One [controller] section, read into three types by their tables.
-        ctrl, guidance, slew_values = (
-            _take(sections, "controller", table, cls)
-            for table, cls in ((CONTROLLER_KEYS, ControllerSettings),
-                               (GUIDANCE_KEYS, GuidanceGains),
-                               (SLEW_KEYS, SlewSettings)))
+        # One [controller] section, read into two types by their tables.
+        ctrl = _take(sections, "controller", CONTROLLER_KEYS,
+                     ControllerSettings)
+        guidance = _take(sections, "controller", GUIDANCE_KEYS,
+                         GuidanceSettings)
         _reject_left(sections)
         paths = {key: resolve_input_path(references[key], kind, resolved)
                  for key, kind in REFERENCE_KEYS.items()}
@@ -393,8 +391,8 @@ def load_config(
             params=load_aircraft(paths["aircraft"]),
             plan=load_plan(paths["plan"]),
             env=EnvironmentSettings(**env),
-            ctrl=ControllerSettings(guidance=GuidanceGains(**guidance),
-                                    slew=SlewSettings(**slew_values), **ctrl),
+            ctrl=ControllerSettings(guidance=GuidanceSettings(**guidance),
+                                    **ctrl),
             **values,
         )
     # The overrides are not the file's values, so their errors name no file.
@@ -402,5 +400,5 @@ def load_config(
         cfg = replace(cfg, seed=seed)
     if slew is not None:
         cfg = replace(cfg, ctrl=replace(
-            cfg.ctrl, slew=replace(cfg.ctrl.slew, enabled=slew)))
+            cfg.ctrl, guidance=replace(cfg.ctrl.guidance, slew_enabled=slew)))
     return cfg

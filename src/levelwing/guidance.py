@@ -4,8 +4,9 @@ Flight plans are ordered waypoint lists with circular fillets blended
 into interior corners, or standalone orbits. A small sequential manager
 switches segments by half-plane crossings at the fillet tangent points,
 so the active segment index never decreases (self-crossing plans are
-safe). Course commands can pass through a configurable slew-rate limiter
-to soften plan discontinuities.
+safe). The guidance settings can turn on a course slew-rate limiter,
+which moves each command at most a fixed rate toward the raw command, to
+soften plan discontinuities.
 """
 
 from __future__ import annotations
@@ -53,18 +54,22 @@ class PathSegment(NamedTuple):
 
 
 @dataclass(frozen=True)
-class GuidanceGains:
-    """Shared cross-track shaping constants (identical for both controllers).
+class GuidanceSettings:
+    """Course-command settings, identical for both controllers.
 
     intercept_angle caps the commanded course correction toward a line;
     capture_gain (rad/m) scales the cross-track error inside the cap;
     orbit_gain shapes the radial correction as atan(orbit_gain * e/rd).
+    With slew_enabled, each command moves at most slew_rate (rad/s)
+    toward the raw command (slew_limit).
     """
 
     intercept_angle: float = bounded(math.radians(45.0), gt=0.0,
                                      le=math.pi / 2.0)
     capture_gain: float = bounded(0.0125, gt=0.0)
     orbit_gain: float = bounded(2.0, gt=0.0)
+    slew_enabled: bool = False
+    slew_rate: float = bounded(math.radians(30.0), gt=0.0)
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -108,22 +113,22 @@ def orbit_error(p, seg: PathSegment) -> tuple[float, float]:
 
 
 def course_command_line(e_py: float, seg: PathSegment,
-                        gains: GuidanceGains) -> float:
+                        guidance: GuidanceSettings) -> float:
     """Saturating proportional course command toward a line.
 
     The correction is clamped at the intercept angle, so arbitrarily
     large offsets command a constant-angle intercept.
     """
-    cap = gains.intercept_angle
-    return wrap_pi(seg.chi - clamp(gains.capture_gain * e_py, -cap, cap))
+    cap = guidance.intercept_angle
+    return wrap_pi(seg.chi - clamp(guidance.capture_gain * e_py, -cap, cap))
 
 
 def course_command_orbit(e_radial: float, bearing: float, seg: PathSegment,
-                         gains: GuidanceGains) -> float:
+                         guidance: GuidanceSettings) -> float:
     """Course command tangent to an orbit plus a radial capture correction,
     from the orbit-frame error (orbit_error)."""
     # lam * e_radial is dist - rd, the distance outside the circle.
-    correction = math.atan(gains.orbit_gain * (seg.lam * e_radial)
+    correction = math.atan(guidance.orbit_gain * (seg.lam * e_radial)
                            / seg.radius)
     return wrap_pi(bearing + seg.lam * (math.pi / 2.0 + correction))
 
@@ -131,25 +136,13 @@ def course_command_orbit(e_radial: float, bearing: float, seg: PathSegment,
 def slew_limit(prev: float, raw: float, max_rate: float, dt: float) -> float:
     """Move from prev toward raw along the shortest angular path, at most
     max_rate*dt in one tick."""
-    if max_rate <= 0.0 or dt <= 0.0:
+    if not (max_rate > 0.0 and dt > 0.0):     # nan included
         raise ConfigError("slew rate and dt must be positive")
     step = wrap_pi(raw - prev)
     limit = max_rate * dt
     if abs(step) <= limit:
         return wrap_pi(raw)
     return wrap_pi(prev + math.copysign(limit, step))
-
-
-@dataclass(frozen=True)
-class SlewSettings:
-    """Course-command slew limiter configuration."""
-
-    enabled: bool = False
-    rate: float = bounded(math.radians(30.0), gt=0.0)
-    threshold: float = bounded(math.radians(30.0), gt=0.0)
-
-    def __post_init__(self) -> None:
-        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -309,13 +302,12 @@ class PathManager:
     It holds only the plan's constants: the memory of a run is the
     CourseCommand that each step takes and returns."""
 
-    def __init__(self, plan: FlightPlan, gains: GuidanceGains, dt: float,
-                 slew: SlewSettings = SlewSettings()):
-        if dt <= 0.0:
+    def __init__(self, plan: FlightPlan, guidance: GuidanceSettings,
+                 dt: float):
+        if not dt > 0.0:     # nan included
             raise ConfigError("path manager dt must be positive")
-        self.gains = gains
+        self.guidance = guidance
         self.dt = dt
-        self.slew = slew
         self.segments = plan.segments
         # Arc angle that completes a standalone orbit; 0 never completes.
         self.orbit_goal = (math.tau * plan.orbit.revolutions
@@ -344,7 +336,7 @@ class PathManager:
         seg = segments[index]
         if seg.kind == "line":
             e_lateral = line_error(p, seg)
-            raw = course_command_line(e_lateral, seg, self.gains)
+            raw = course_command_line(e_lateral, seg, self.guidance)
         else:
             prev_bearing = bearing
             e_lateral, bearing = orbit_error(p, seg)
@@ -352,12 +344,12 @@ class PathManager:
                 if prev_bearing is not None:
                     orbit_angle += wrap_pi(bearing - prev_bearing)
                 complete = abs(orbit_angle) >= self.orbit_goal
-            raw = course_command_orbit(e_lateral, bearing, seg, self.gains)
+            raw = course_command_orbit(e_lateral, bearing, seg, self.guidance)
 
-        # raw is wrapped onto (-pi, pi] already, by either course command.
+        # raw is wrapped onto (-pi, pi] already, by either course command,
+        # so slew_limit passes a step within its limit unchanged.
         cmd = raw
-        if self.slew.enabled and prev_cmd is not None:
-            if abs(wrap_pi(raw - prev_cmd)) > self.slew.threshold * self.dt:
-                cmd = slew_limit(prev_cmd, raw, self.slew.rate, self.dt)
+        if self.guidance.slew_enabled and prev_cmd is not None:
+            cmd = slew_limit(prev_cmd, raw, self.guidance.slew_rate, self.dt)
         return CourseCommand(cmd, raw, index, e_lateral, complete,
                              orbit_angle, bearing)

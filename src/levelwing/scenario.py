@@ -67,13 +67,14 @@ class LogColumn(NamedTuple):
 
     in_csv False keeps the field in memory only. degrees writes a radian
     field to the CSV in degrees, headed name + "_deg" unless csv_name
-    gives the header.
+    gives the header. dtype is the type of the field's log array.
     """
 
     name: str
     in_csv: bool = True
     degrees: bool = False
     csv_name: str | None = None
+    dtype: type = float
 
 
 LOG_COLUMNS = (
@@ -86,16 +87,19 @@ LOG_COLUMNS = (
     LogColumn("delta_r", degrees=True), LogColumn("delta_t"),
     LogColumn("va", csv_name="Va"), LogColumn("beta_est", degrees=True),
     LogColumn("chi", degrees=True), LogColumn("chi_cmd", degrees=True),
-    LogColumn("chi_cmd_raw", degrees=True), LogColumn("segment_id"),
+    LogColumn("chi_cmd_raw", degrees=True),
+    LogColumn("segment_id", dtype=int),
     LogColumn("e_lateral", csv_name="e_lateral_m"),
     LogColumn("wind_n", in_csv=False), LogColumn("wind_e", in_csv=False),
     LogColumn("wind_d", in_csv=False),
 )
 
-# The CSV ends with the image error at each fixed table altitude.
+# The log columns that the CSV holds, in order. The CSV ends with the
+# image error at each fixed table altitude.
+_CSV_LOG_COLUMNS = tuple(c for c in LOG_COLUMNS if c.in_csv)
 CSV_COLUMNS = tuple(
     c.csv_name or (c.name + "_deg" if c.degrees else c.name)
-    for c in LOG_COLUMNS if c.in_csv
+    for c in _CSV_LOG_COLUMNS
 ) + tuple(f"e_total_{h:.0f}_m" for h in TABLE_H_REFS)
 
 # Step rows run_scenario gathers before it stores them, a slice per log
@@ -232,7 +236,7 @@ def run_scenario(
                                 psi=cfg.plan.initial_course())
 
     wind_n, wind_e, wind_d = cfg.env.wind_n, cfg.env.wind_e, cfg.env.wind_d
-    manager = PathManager(cfg.plan, cfg.ctrl.guidance, dt, cfg.ctrl.slew)
+    manager = PathManager(cfg.plan, cfg.ctrl.guidance, dt)
     controller = FlightController(mode, cfg, airframe, trim_state, trim_cmd)
     gust = GustModel(cfg.env.gust_intensity, cfg.env.gust_tau, dt, cfg.seed)
 
@@ -241,8 +245,8 @@ def run_scenario(
     # buffer becomes resident.
     try:
         n_cap = int(round(duration / dt))
-        log = {c.name: np.zeros(n_cap) for c in LOG_COLUMNS[1:]}
-        log["segment_id"] = np.zeros(n_cap, dtype=int)
+        log = {c.name: np.zeros(n_cap, dtype=c.dtype)
+               for c in LOG_COLUMNS[1:]}
     except (OverflowError, ValueError, MemoryError) as exc:
         raise ConfigError(f"duration cap {duration:g} s at dt {dt:g} s has "
                           f"too many steps to log: {exc}") from exc
@@ -439,7 +443,7 @@ def _call_and_send(conn, target: str, *args) -> None:
 def export_csv(result: RunResult, path: str | Path) -> None:
     """Write the run log with fixed columns, degrees at the boundary."""
     log = result.log
-    columns = [(log[c.name], c.degrees) for c in LOG_COLUMNS if c.in_csv]
+    columns = [(log[c.name], c.degrees) for c in _CSV_LOG_COLUMNS]
     columns += [(total_image_error(log["e_lateral"], log["phi"], h), False)
                 for h in TABLE_H_REFS]
     row_format = ",".join("%d" if arr.dtype.kind == "i" else "%.12g"

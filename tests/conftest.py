@@ -27,20 +27,14 @@ from levelwing.config import (
 )
 from levelwing.dynamics import AircraftParams, make_airframe, trim
 from levelwing.errors import TrimFailureError
-from levelwing.guidance import (
-    FlightPlan,
-    GuidanceGains,
-    OrbitPlan,
-    SlewSettings,
-)
+from levelwing.guidance import FlightPlan, GuidanceSettings, OrbitPlan
 from levelwing.scenario import compare_controllers, run_scenario
 
 DATA_DIR = Path(levelwing.__file__).parent / "data"
 
 # The types a run is configured with; each checks itself when it is made.
-SETTINGS_TYPES = (AircraftParams, FlightPlan, OrbitPlan, GuidanceGains,
-                  SlewSettings, EnvironmentSettings, ControllerSettings,
-                  ScenarioConfig)
+SETTINGS_TYPES = (AircraftParams, FlightPlan, OrbitPlan, GuidanceSettings,
+                  EnvironmentSettings, ControllerSettings, ScenarioConfig)
 
 
 class YawFold(NamedTuple):
@@ -100,9 +94,11 @@ def rectangle_with(directory: Path, file: str, section: str, key: str,
 
 # Inputs that only restated another: the image-error altitudes, which
 # metrics.TABLE_H_REFS fixes, the plan's kind, which its section gives,
-# and each waypoint's altitude, which is nominal_agl_m. Each is the file
-# that gives it, its line in place of a line of the bundled file, and the
-# error that follows the file's path.
+# each waypoint's altitude, which is nominal_agl_m, and the slew
+# limiter's threshold, which at its default equalled the rate (above the
+# rate, it only added a dead band). Each is the file that gives it, its
+# line in place of a line of the bundled file, and the error that follows
+# the file's path.
 RETIRED_INPUTS = {
     "h_ref_m": ("scenario", "seed = 0\n", "seed = 0\nh_ref_m = 150, 450\n",
                 "unknown key 'h_ref_m' in [scenario]"),
@@ -111,6 +107,10 @@ RETIRED_INPUTS = {
     "waypoint_altitude": (
         "plan", "wp02 = 400, 0\n", "wp02 = 400, 0, 150\n",
         "waypoint 1 ('wp02') must be 'north_m, east_m', got '400, 0, 150'"),
+    "slew_threshold_dps": (
+        "scenario", "gust_tau_s = 2.0\n",
+        "gust_tau_s = 2.0\n\n[controller]\nslew_threshold_dps = 30.0\n",
+        "unknown key 'slew_threshold_dps' in [controller]"),
 }
 
 
@@ -252,7 +252,7 @@ def corner_runs():
     t0 = time.perf_counter()
     runs = {}
     for flag in (False, True):
-        slew = replace(cfg.ctrl.slew, enabled=flag)
-        variant = replace(cfg, ctrl=replace(cfg.ctrl, slew=slew))
+        guidance = replace(cfg.ctrl.guidance, slew_enabled=flag)
+        variant = replace(cfg, ctrl=replace(cfg.ctrl, guidance=guidance))
         runs[flag] = run_scenario(variant, "ratc")
     return runs, time.perf_counter() - t0

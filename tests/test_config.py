@@ -19,7 +19,6 @@ from levelwing.config import (
     ORBIT_KEYS,
     PLAN_KEYS,
     SCENARIO_KEYS,
-    SLEW_KEYS,
     ControllerSettings,
     EnvironmentSettings,
     ScenarioConfig,
@@ -31,12 +30,7 @@ from levelwing.config import (
 )
 from levelwing.dynamics import AircraftParams
 from levelwing.errors import ConfigError
-from levelwing.guidance import (
-    FlightPlan,
-    GuidanceGains,
-    OrbitPlan,
-    SlewSettings,
-)
+from levelwing.guidance import FlightPlan, GuidanceSettings, OrbitPlan
 from levelwing.scenario import run_scenario
 
 MINIMAL_SCENARIO = """
@@ -211,19 +205,37 @@ def test_controller_bounds_enforced(tmp_path):
         load_config(p)
 
 
-def test_controller_holds_only_guidance_and_slew_values():
-    # A flag where the slew settings belong would fail only in the run.
-    for name, value in (("slew", True), ("guidance", SlewSettings())):
-        with pytest.raises(ConfigError, match=f"ControllerSettings.{name}"):
-            replace(ControllerSettings(), **{name: value})
+def test_controller_holds_only_guidance_settings():
+    # A flag where the guidance settings belong would fail only in the run.
+    for value in (True, EnvironmentSettings()):
+        with pytest.raises(ConfigError, match="ControllerSettings.guidance"):
+            replace(ControllerSettings(), guidance=value)
 
 
 def test_seed_and_slew_overrides(tmp_path):
     p = write(tmp_path, "ovr.ini", MINIMAL_SCENARIO)
     cfg = load_config(p, seed=42, slew=True)
     assert cfg.seed == 42
-    assert cfg.ctrl.slew.enabled
-    assert load_config(p, slew=False).ctrl.slew.enabled is False
+    assert cfg.ctrl.guidance.slew_enabled
+    assert load_config(p, slew=False).ctrl.guidance.slew_enabled is False
+
+
+@pytest.mark.parametrize("name", sorted(
+    path.name for path in (DATA_DIR / "scenarios").glob("*.ini")))
+def test_slew_override_sets_only_slew_enabled(name):
+    # --slew replaces one guidance value: the file's slew rate (corner90's
+    # 18 deg/s) and every other setting are kept, and no override keeps
+    # the file's flag.
+    cfg = load_config(name)
+    assert load_config(name, slew=None) == cfg
+    for flag in (False, True):
+        flown = load_config(name, slew=flag)
+        assert flown.ctrl.guidance.slew_enabled is flag
+        assert flown.ctrl.guidance.slew_rate == cfg.ctrl.guidance.slew_rate
+        guidance = replace(flown.ctrl.guidance,
+                           slew_enabled=cfg.ctrl.guidance.slew_enabled)
+        assert replace(flown, ctrl=replace(flown.ctrl,
+                                           guidance=guidance)) == cfg
 
 
 def test_bad_waypoint_line_reported(tmp_path):
@@ -340,10 +352,8 @@ TABLE_CASES = [
      lambda path: load_config(path).env),
     ("controller", CONTROLLER_KEYS, ControllerSettings, None,
      lambda path: load_config(path).ctrl),
-    ("controller", GUIDANCE_KEYS, GuidanceGains, None,
+    ("controller", GUIDANCE_KEYS, GuidanceSettings, None,
      lambda path: load_config(path).ctrl.guidance),
-    ("controller", SLEW_KEYS, SlewSettings, None,
-     lambda path: load_config(path).ctrl.slew),
 ]
 KEY_CASES = [(section, key, name, cls, base, load)
              for section, table, cls, base, load in TABLE_CASES
@@ -410,17 +420,15 @@ def leaves(settings, path=()):
 
 
 # Where ControllerSettings holds each type that [controller] is read into.
-CONTROLLER_PARTS = {ControllerSettings: (), GuidanceGains: ("guidance",),
-                    SlewSettings: ("slew",)}
+CONTROLLER_PARTS = {ControllerSettings: (), GuidanceSettings: ("guidance",)}
 
 
 def test_controller_settings_hold_each_setting_once(tmp_path):
-    # The guidance gains and the slew limiter are fields of
+    # The guidance settings, slew limiter included, are a field of
     # ControllerSettings, not mirrored in it: no field of it repeats one
     # of theirs, and each [controller] key sets exactly one setting.
     own = {f.name for f in fields(ControllerSettings)}
-    held = {f.name for f in fields(GuidanceGains) + fields(SlewSettings)}
-    assert own.isdisjoint(held | {f"slew_{name}" for name in held})
+    assert own.isdisjoint(f.name for f in fields(GuidanceSettings))
     path = write(tmp_path, "case.ini", MINIMAL_SCENARIO)
     before = leaves(load_config(path).ctrl)
     for section, key, name, cls, _, load in KEY_CASES:
@@ -483,9 +491,9 @@ FILE_ERROR_CASES = [
     ("scenario", "controller", "wn_psi_radps", "0",
      "ControllerSettings.wn_psi must be > 0, got 0.0"),
     ("scenario", "controller", "capture_gain_radpm", "0",
-     "GuidanceGains.capture_gain must be > 0, got 0.0"),
+     "GuidanceSettings.capture_gain must be > 0, got 0.0"),
     ("scenario", "controller", "slew_rate_dps", "0",
-     "SlewSettings.rate must be > 0, got 0.0"),
+     "GuidanceSettings.slew_rate must be > 0, got 0.0"),
     ("scenario", "scenario", "dt_s", "0",
      "ScenarioConfig.dt must be > 0, got 0.0"),
     ("scenario", "scenario", "aircraft", "ghost.ini",
@@ -542,7 +550,7 @@ def valid_settings():
     """One valid instance of each settings type, from the bundled files."""
     cfg = load_config("rectangle_compare.ini")
     instances = (cfg.params, cfg.plan, load_plan("circle.ini").orbit,
-                 GuidanceGains(), SlewSettings(), cfg.env, cfg.ctrl, cfg)
+                 GuidanceSettings(), cfg.env, cfg.ctrl, cfg)
     return {type(settings): settings for settings in instances}
 
 
@@ -618,8 +626,8 @@ POSITIVE = {
     AircraftParams: ("mass", "ixx", "iyy", "izz", "wing_area", "wing_span",
                      "mean_chord", "rho", "gravity", "delta_a_max",
                      "delta_e_max", "delta_r_max", "rate_limit"),
-    GuidanceGains: ("intercept_angle", "capture_gain", "orbit_gain"),
-    SlewSettings: ("rate", "threshold"),
+    GuidanceSettings: ("intercept_angle", "capture_gain", "orbit_gain",
+                       "slew_rate"),
     FlightPlan: ("nominal_agl",),
     OrbitPlan: ("radius",),
     EnvironmentSettings: ("gust_tau",),
@@ -638,7 +646,8 @@ BOUND_CASES = [
     (ControllerSettings, "course_separation", math.nextafter(1.0, 0.0)),
     (ControllerSettings, "bank_limit",
      math.nextafter(math.radians(80.0), math.inf)),
-    (GuidanceGains, "intercept_angle", math.nextafter(math.pi / 2, math.inf)),
+    (GuidanceSettings, "intercept_angle",
+     math.nextafter(math.pi / 2, math.inf)),
     (ScenarioConfig, "warmup", -TINY),
     (ScenarioConfig, "seed", -1),
     (OrbitPlan, "lam", 0),
@@ -648,7 +657,7 @@ BOUNDARY_CASES = [
     (ControllerSettings, "ki_roll", 0.0),
     (ControllerSettings, "course_separation", 1.0),
     (ControllerSettings, "bank_limit", math.radians(80.0)),
-    (GuidanceGains, "intercept_angle", math.radians(90.0)),
+    (GuidanceSettings, "intercept_angle", math.radians(90.0)),
     (EnvironmentSettings, "gust_intensity", 0.0),
     (ScenarioConfig, "warmup", 0.0),
     (ScenarioConfig, "seed", 0),
@@ -742,8 +751,8 @@ def test_numpy_numbers_are_accepted():
 
 
 @pytest.mark.parametrize("overrides, named", [
-    ({"slew": "off"}, "SlewSettings.enabled"),
-    ({"slew": 1}, "SlewSettings.enabled"),
+    ({"slew": "off"}, "GuidanceSettings.slew_enabled"),
+    ({"slew": 1}, "GuidanceSettings.slew_enabled"),
     ({"seed": 2.9}, "ScenarioConfig.seed"),
     ({"seed": "x"}, "ScenarioConfig.seed"),
 ])
@@ -754,7 +763,7 @@ def test_load_config_overrides_are_checked_not_coerced(tmp_path, overrides,
 
 
 @pytest.mark.parametrize("overrides, message", [
-    ({"slew": "off"}, "SlewSettings.enabled must be bool, got 'off'"),
+    ({"slew": "off"}, "GuidanceSettings.slew_enabled must be bool, got 'off'"),
     ({"seed": 2.9}, "ScenarioConfig.seed must be int, got 2.9"),
     ({"seed": -1}, "ScenarioConfig.seed must be >= 0, got -1"),
 ])

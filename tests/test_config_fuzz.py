@@ -18,7 +18,6 @@ from levelwing.config import (
     PLAN_KEYS,
     REFERENCE_KEYS,
     SCENARIO_KEYS,
-    SLEW_KEYS,
     load_aircraft,
     load_config,
     load_plan,
@@ -37,10 +36,10 @@ FILES = {
 KNOWN_KEYS = sorted(
     {key for table in AIRCRAFT_KEYS.values() for key in table}
     | {*PLAN_KEYS, *ORBIT_KEYS, *SCENARIO_KEYS, *ENVIRONMENT_KEYS,
-       *CONTROLLER_KEYS, *GUIDANCE_KEYS, *SLEW_KEYS, *REFERENCE_KEYS,
+       *CONTROLLER_KEYS, *GUIDANCE_KEYS, *REFERENCE_KEYS,
        "name", "direction", "wp07"})
 UNKNOWN_KEYS = ["duration", "wn_psi", "orbit_gain", "Mode", "x", "kind",
-                "h_ref_m"]
+                "h_ref_m", "slew_threshold_dps"]
 SECTIONS = [*AIRCRAFT_KEYS, "plan", "orbit", "waypoints", "scenario",
             "environment", "controller", "DEFAULT", "enviroment", "Plan"]
 VALUES = st.one_of(
@@ -81,8 +80,7 @@ NUMBER_KEYS = {
     "rectangle_compare.ini": {
         **{key: "scenario" for key in SCENARIO_KEYS},
         **{key: "environment" for key in ENVIRONMENT_KEYS},
-        **{key: "controller" for key in (*CONTROLLER_KEYS, *GUIDANCE_KEYS,
-                                         *SLEW_KEYS)
+        **{key: "controller" for key in (*CONTROLLER_KEYS, *GUIDANCE_KEYS)
            if key != "slew_enabled"},
     },
     "aerosonde.ini": {key: section

@@ -12,7 +12,6 @@ from levelwing.config import (
     GUIDANCE_KEYS,
     REFERENCE_KEYS,
     SCENARIO_KEYS,
-    SLEW_KEYS,
     load_config,
     load_plan,
 )
@@ -57,7 +56,7 @@ def test_scenario_file_example_lists_every_key():
     assert {name: set(parser[name]) for name in parser.sections()} == {
         "scenario": {*SCENARIO_KEYS, "name", *REFERENCE_KEYS},
         "environment": set(ENVIRONMENT_KEYS),
-        "controller": {*CONTROLLER_KEYS, *GUIDANCE_KEYS, *SLEW_KEYS},
+        "controller": {*CONTROLLER_KEYS, *GUIDANCE_KEYS},
     }
 
 

@@ -1,7 +1,9 @@
 """Path geometry, course commands, slew limiting, and segment sequencing."""
 
+import inspect
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,12 +15,11 @@ from levelwing.errors import ConfigError, UndefinedBearingError
 from levelwing.guidance import (
     CourseCommand,
     FlightPlan,
-    GuidanceGains,
+    GuidanceSettings,
     MIN_DISTANCE,
     OrbitPlan,
     PathManager,
     PathSegment,
-    SlewSettings,
     course_command_line,
     course_command_orbit,
     line_error,
@@ -26,7 +27,7 @@ from levelwing.guidance import (
     slew_limit,
 )
 
-GAINS = GuidanceGains()
+GUIDANCE = GuidanceSettings()
 
 
 def line(origin, chi):
@@ -44,7 +45,7 @@ def north_line():
 
 def orbit_course(p, seg):
     """The course command toward an orbit at position p."""
-    return course_command_orbit(*orbit_error(p, seg), seg, GAINS)
+    return course_command_orbit(*orbit_error(p, seg), seg, GUIDANCE)
 
 
 def test_line_error_zero_on_path():
@@ -132,21 +133,21 @@ def test_the_smallest_orbit_has_a_bearing_at_its_start():
 
 
 def test_course_command_line_zero_error_follows_path():
-    assert course_command_line(0.0, north_line(), GAINS) == pytest.approx(
+    assert course_command_line(0.0, north_line(), GUIDANCE) == pytest.approx(
         0.0, abs=1e-12)
 
 
 def test_course_command_line_proportional_inside_cap():
     # +10 m right of path with 0.0125 rad/m steers 0.125 rad left.
-    chi = course_command_line(10.0, north_line(), GAINS)
+    chi = course_command_line(10.0, north_line(), GUIDANCE)
     assert chi == pytest.approx(-0.125, rel=1e-12)
 
 
 def test_course_command_line_saturates_at_intercept_angle():
-    left = course_command_line(1e6, north_line(), GAINS)
-    right = course_command_line(-1e6, north_line(), GAINS)
-    assert left == pytest.approx(-GAINS.intercept_angle, rel=1e-12)
-    assert right == pytest.approx(GAINS.intercept_angle, rel=1e-12)
+    left = course_command_line(1e6, north_line(), GUIDANCE)
+    right = course_command_line(-1e6, north_line(), GUIDANCE)
+    assert left == pytest.approx(-GUIDANCE.intercept_angle, rel=1e-12)
+    assert right == pytest.approx(GUIDANCE.intercept_angle, rel=1e-12)
 
 
 def test_course_command_orbit_tangent_on_circle():
@@ -162,7 +163,7 @@ def test_course_command_orbit_tangent_on_circle():
 def test_course_command_orbit_capture_correction():
     seg = orbit((0.0, 0.0), 100.0, 1)
     chi = orbit_course([200.0, 0.0, -150.0], seg)
-    expected = math.pi / 2.0 + math.atan(GAINS.orbit_gain * 1.0)
+    expected = math.pi / 2.0 + math.atan(GUIDANCE.orbit_gain * 1.0)
     assert chi == pytest.approx(expected, rel=1e-12)
 
 
@@ -181,6 +182,27 @@ def test_slew_limit_passes_small_steps():
 def test_slew_limit_clamps_large_steps():
     out = slew_limit(0.0, math.radians(90.0), math.radians(30.0), 0.1)
     assert out == pytest.approx(math.radians(3.0), rel=1e-12)
+
+
+def test_slew_limit_has_no_dead_band_at_its_limit():
+    # A step of exactly rate*dt passes whole; the next float up is cut to
+    # rate*dt, so no step larger than the limit passes, either way round.
+    rate, dt = math.radians(18.0), 0.01
+    limit = rate * dt
+    for sign in (1.0, -1.0):
+        assert slew_limit(0.0, sign * limit, rate, dt) == sign * limit
+        beyond = sign * math.nextafter(limit, math.inf)
+        assert slew_limit(0.0, beyond, rate, dt) == sign * limit
+
+
+def test_guidance_settings_are_one_type_for_the_manager():
+    # The course-command gains and the slew limiter are one settings
+    # value, and the manager takes nothing else besides the plan and dt.
+    assert [f.name for f in fields(GuidanceSettings)] == [
+        "intercept_angle", "capture_gain", "orbit_gain", "slew_enabled",
+        "slew_rate"]
+    assert list(inspect.signature(PathManager).parameters) == [
+        "plan", "guidance", "dt"]
 
 
 def test_slew_limit_takes_shortest_path():
@@ -223,6 +245,9 @@ def test_slew_limit_rejects_bad_parameters():
         slew_limit(0.0, 1.0, 0.0, 0.1)
     with pytest.raises(ConfigError):
         slew_limit(0.0, 1.0, 1.0, 0.0)
+    for rate, dt in ((math.nan, 0.1), (1.0, math.nan)):
+        with pytest.raises(ConfigError):
+            slew_limit(0.0, 1.0, rate, dt)
 
 
 def test_plan_validation_errors():
@@ -330,7 +355,7 @@ def fly(mgr, points, memory=CourseCommand()):
 
 def test_manager_tracks_and_completes_line_plan():
     plan = FlightPlan(name="leg", waypoints=[(0.0, 0.0), (400.0, 0.0)])
-    mgr = PathManager(plan, GuidanceGains(), 0.01)
+    mgr = PathManager(plan, GuidanceSettings(), 0.01)
     assert mgr.segments is plan.segments   # built once, with the plan
     cmd = mgr.step(CourseCommand(), [10.0, 0.0, -150.0])
     assert cmd.segment_id == 0
@@ -342,7 +367,7 @@ def test_manager_tracks_and_completes_line_plan():
 def test_manager_index_non_decreasing_through_corner():
     plan = FlightPlan(name="L", fillet_radius=100.0,
                       waypoints=[(0.0, 0.0), (400.0, 0.0), (400.0, 400.0)])
-    mgr = PathManager(plan, GuidanceGains(), 0.01)
+    mgr = PathManager(plan, GuidanceSettings(), 0.01)
     # Walk the filleted path itself: leg, arc, leg; clockwise along the
     # fillet arc from (300, 0) to (400, 100).
     path = [[s, 0.0, -150.0] for s in np.linspace(0.0, 300.0, 60)]
@@ -362,7 +387,7 @@ def test_manager_orbit_completion_counts_revolutions():
     plan = FlightPlan(name="orb",
                       orbit=OrbitPlan(0.0, 0.0, 100.0, 1, revolutions=1.0,
                                       start_bearing=0.0))
-    mgr = PathManager(plan, GuidanceGains(), 0.01)
+    mgr = PathManager(plan, GuidanceSettings(), 0.01)
 
     def on_circle(start, end, n):
         return [[100.0 * math.cos(th), 100.0 * math.sin(th), -150.0]
@@ -379,9 +404,8 @@ def test_manager_slew_engages_only_across_discontinuity():
     plan = FlightPlan(name="sharp", fillet_radius=0.0,
                       waypoints=[(0.0, 0.0), (400.0, 0.0), (400.0, 400.0)])
     dt = 0.01
-    slew = SlewSettings(enabled=True, rate=math.radians(30.0),
-                        threshold=math.radians(30.0))
-    mgr = PathManager(plan, GuidanceGains(), dt, slew)
+    slew = GuidanceSettings(slew_enabled=True, slew_rate=math.radians(30.0))
+    mgr = PathManager(plan, slew, dt)
     first = mgr.step(CourseCommand(), [399.0, 0.0, -150.0])
     assert first.chi_cmd == pytest.approx(first.chi_cmd_raw)
     # Crossing the corner jumps the raw command ~90 deg; the issued
@@ -392,15 +416,49 @@ def test_manager_slew_engages_only_across_discontinuity():
         math.radians(30.0) * dt, rel=1e-9)
 
     # Limiter off: the command follows the raw discontinuity exactly.
-    mgr_off = PathManager(plan, GuidanceGains(), dt, SlewSettings())
+    mgr_off = PathManager(plan, GuidanceSettings(), dt)
     after_off = fly(mgr_off, [[399.0, 0.0, -150.0], [401.0, 1.0, -150.0]])[-1]
     assert after_off.chi_cmd == pytest.approx(after_off.chi_cmd_raw)
+
+    # The limiter is one rate limit, at corner90's 18 deg/s: from any
+    # previous command, a raw command within one tick's rate passes whole,
+    # and any other moves the command exactly one tick's rate toward it
+    # along the shortest way round.
+    limit = math.radians(18.0) * dt
+    leg = FlightPlan(name="leg", waypoints=[(0.0, 0.0), (400.0, 0.0)])
+    mgr = PathManager(leg, GuidanceSettings(slew_enabled=True,
+                                            slew_rate=math.radians(18.0)), dt)
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(east=st.floats(-100.0, 100.0), data=st.data())
+    def one_rate(east, data):
+        p = (10.0, east, -150.0)
+        raw = course_command_line(line_error(p, leg.segments[0]),
+                                  leg.segments[0], GUIDANCE)
+        prev = data.draw(st.one_of(
+            st.floats(-math.pi, math.pi, exclude_min=True),
+            st.floats(-3.0 * limit, 3.0 * limit).map(
+                lambda step: wrap_pi(raw + step))), label="prev")
+        cmd = mgr.step(CourseCommand(chi_cmd=prev), p)
+        assert cmd.chi_cmd_raw == raw
+        step = wrap_pi(raw - prev)
+        if abs(step) <= limit:
+            assert cmd.chi_cmd == raw
+        else:
+            assert -math.pi < cmd.chi_cmd <= math.pi
+            assert abs(wrap_pi(cmd.chi_cmd - prev)) == pytest.approx(
+                limit, rel=1e-9)
+            assert abs(wrap_pi(raw - cmd.chi_cmd)) == pytest.approx(
+                abs(step) - limit, abs=1e-12)
+
+    one_rate()
 
 
 def test_manager_rejects_bad_dt():
     plan = FlightPlan(name="leg", waypoints=[(0.0, 0.0), (400.0, 0.0)])
-    with pytest.raises(ConfigError):
-        PathManager(plan, GuidanceGains(), 0.0)
+    for dt in (0.0, math.nan):
+        with pytest.raises(ConfigError):
+            PathManager(plan, GuidanceSettings(), dt)
 
 
 COORDINATE = st.floats(-800.0, 800.0)
@@ -413,7 +471,7 @@ RADII = st.sampled_from([0.0, 20.0, 60.0, 120.0])
 def raw_course(p, seg):
     """The raw course command of segment seg at position p."""
     if seg.kind == "line":
-        return course_command_line(line_error(p, seg), seg, GAINS)
+        return course_command_line(line_error(p, seg), seg, GUIDANCE)
     return orbit_course(p, seg)
 
 
@@ -446,7 +504,7 @@ def test_manager_flies_any_plan_to_completion(points, radius, slew):
         assume(False)
     speed, turn_rate, dt = 20.0, math.radians(30.0), 0.1
     length = sum(math.dist(a, b) for a, b in zip(points, points[1:]))
-    mgr = PathManager(plan, GAINS, dt, SlewSettings(enabled=slew))
+    mgr = PathManager(plan, GuidanceSettings(slew_enabled=slew), dt)
     pn, pe, pd = plan.start_position()
     course, memory = plan.initial_course(), CourseCommand()
     for _ in range(round((3.0 * length / speed + 200.0) / dt)):

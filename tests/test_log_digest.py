@@ -68,6 +68,15 @@ def test_digests_cover_every_bundled_output(tmp_path, capsys):
     assert [line.split()[2] for line in lines
             if line.startswith("compare ")] == [
         "aotc.csv", "ratc.csv", "summary.txt", "summary.csv"]
+    # Then one line for corner90 flown by ratc with the slew limiter on:
+    # its run digest and the digest of its `simulate` printout.
+    assert lines[-5].startswith("compare rectangle_compare summary.csv ")
+    slew = run_scenario(load_config("corner90.ini", slew=True), "ratc",
+                        duration_override=2.0)
+    assert lines[-4] == (f"slew corner90 ratc steps=200 "
+                         f"{tool.run_digest(slew)} "
+                         f"{tool.sha(tool.printout(slew).encode())}")
+    assert len(lines) == 4 + 2 * len(runs) + len(gains) + 4 + 1 + 3
     # The last two runs end in a dynamics fault, whatever the duration cap,
     # so the digests see a fault's text: a pitch singularity, then an
     # overflow in the air data of the first step.

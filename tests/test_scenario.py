@@ -362,6 +362,38 @@ def test_sharp_rectangle_produces_four_command_jumps(make_cfg):
     assert np.all(np.abs(np.degrees(jumps) - 90.0) < 15.0)
 
 
+@pytest.mark.parametrize("mode", ["ratc", "aotc"])
+def test_slew_on_moves_each_command_at_most_its_rate(mode):
+    # corner90 with the limiter on, through its 90 deg corner: a raw
+    # command within rate*dt of the last command is issued whole, any
+    # other moves the command rate*dt toward it, and the corner engages it.
+    cfg = load_config("corner90.ini", slew=True)
+    result = run_scenario(cfg, mode)
+    assert result.completed and result.fault is None
+    limit = cfg.ctrl.guidance.slew_rate * cfg.dt
+    cmd, raw = result.log["chi_cmd"], result.log["chi_cmd_raw"]
+    assert cmd[0] == raw[0]
+    asked = np.abs(wrap(raw[1:] - cmd[:-1]))
+    moved = np.abs(wrap(np.diff(cmd)))
+    within = asked <= limit * (1.0 - 1e-9)
+    assert np.array_equal(cmd[1:][within], raw[1:][within])
+    assert np.all(moved <= limit * (1.0 + 1e-9))
+    assert np.allclose(moved[asked > limit * (1.0 + 1e-9)], limit, rtol=1e-9)
+    assert np.max(asked) > math.radians(30.0)
+
+
+def test_log_arrays_take_their_columns_dtype(make_cfg):
+    # Each log array, in memory and in the CSV's number format, has the
+    # dtype that its LogColumn states: segment_id is the one integer.
+    result = run_scenario(make_cfg(straight_plan()), "ratc",
+                          duration_override=0.05)
+    assert set(result.log) == {c.name for c in LOG_COLUMNS}
+    for c in LOG_COLUMNS:
+        assert result.log[c.name].dtype == np.dtype(c.dtype), c.name
+    assert [c.name for c in LOG_COLUMNS if c.dtype is not float] == [
+        "segment_id"]
+
+
 def test_filleted_rectangle_commands_stay_continuous(rect_comparison):
     # With fillets the tight tracker sees no corner-sized command steps;
     # the wider-tracking aileron-only run may jump by its capture
@@ -502,7 +534,8 @@ def test_child_sends_the_log_a_column_at_a_time(make_cfg, tmp_path):
     want = run_scenario(cfg, "aotc")
     for column, arr in zip(LOG_COLUMNS, columns):
         assert isinstance(arr, np.ndarray), column.name
-        assert arr.dtype == want.log[column.name].dtype, column.name
+        assert arr.dtype == want.log[column.name].dtype == column.dtype, (
+            column.name)
         assert np.array_equal(arr, want.log[column.name]), column.name
     assert conn.closed
     # Any other value, such as the export's None, is one message.

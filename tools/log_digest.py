@@ -12,11 +12,14 @@ simulate` prints for that run. For each scenario it prints one
 sha256 per line of `levelwing gains`, labelled by the line's label, so a
 line added on purpose shows in a diff without hiding the others. Then
 come the sha256 of the four files of `levelwing compare` on
-rectangle_compare. Then comes one run that ends in a dynamics fault, the
-circle in gusts and a quartering wind: the sha256 of its `simulate`
-printout, then its digest and its fault text. Last comes one run whose
-first step overflows outside the integrator, rectangle_compare in a
-1e200 m/s north wind: its digest and its fault text.
+rectangle_compare. Then comes the one run that takes the slew limiter's
+path, corner90 flown by ratc with the limiter on: its steps, its digest
+and the sha256 of its `simulate` printout, on one line. Then comes one
+run that ends in a dynamics fault, the circle in gusts and a quartering
+wind: the sha256 of its `simulate` printout, then its digest and its
+fault text. Last comes one run whose first step overflows outside the
+integrator, rectangle_compare in a 1e200 m/s north wind: its digest and
+its fault text.
 
 Run it on two checkouts and diff the outputs:
 
@@ -56,6 +59,7 @@ from levelwing.scenario import run_scenario  # noqa: E402
 MODES = ("aotc", "ratc")
 COMPARE_SCENARIO = "rectangle_compare"
 COMPARE_FILES = ("aotc.csv", "ratc.csv", "summary.txt", "summary.csv")
+SLEW_SCENARIO, SLEW_MODE = "corner90", "ratc"
 FAULT_SCENARIO, FAULT_MODE = "circle", "aotc"
 OVERFLOW_MODE = "ratc"
 
@@ -160,6 +164,10 @@ def digest_lines(duration: float | None) -> list[str]:
         for file in COMPARE_FILES:
             data = (Path(out_dir) / file).read_bytes()
             lines.append(f"compare {COMPARE_SCENARIO} {file} {sha(data)}")
+    result = run_scenario(load_config(scenario_path(SLEW_SCENARIO), slew=True),
+                          SLEW_MODE, duration_override=duration)
+    lines.append(f"slew {SLEW_SCENARIO} {SLEW_MODE} steps={result.steps} "
+                 f"{run_digest(result)} {sha(printout(result).encode())}")
     result = fault_run()
     lines.append(f"simulate {FAULT_SCENARIO} {FAULT_MODE} fault "
                  f"{sha(printout(result).encode())}")
