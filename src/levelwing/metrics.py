@@ -1,9 +1,15 @@
 """Image-error metrics and summary statistics.
 
-The body-fixed camera looks straight down, so its ground footprint
-displaces by the lateral tracking error plus the roll-induced shift
-h_ref*tan(phi) at the imaging reference altitude. Statistics use the
-population standard deviation, which keeps rms^2 = mean^2 + std^2 exact.
+A run is scored by the image error e_lateral + h_ref*tan(phi), at the
+imaging reference altitude h_ref of a body-fixed, downward camera. The
+lateral error is positive to the right of travel on a line
+(guidance.line_error) and is lam*(dist - R), positive to the left of
+travel, on an orbit (guidance.orbit_error). A right bank (phi > 0) turns
+the body +z boresight to the left of travel, so on a line the score adds
+the roll term where a ground projection subtracts it: on a north line
+with phi = +10 deg at 450 m the boresight lands 79.3 m west, and the
+score reads +79.3 m. Statistics use the population standard deviation,
+which keeps rms^2 = mean^2 + std^2 exact.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import pytest
 
-import levelwing
+import levelwing.scenario
 from levelwing.config import (
     ControllerSettings,
     EnvironmentSettings,

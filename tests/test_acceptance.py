@@ -15,7 +15,6 @@ import numpy as np
 from conftest import combined_yaw_coeffs, rk4_step
 from levelwing.config import ControllerSettings, load_config
 from levelwing.control import (
-    ControlCommand,
     longitudinal_holds,
     make_gain_schedule,
     place_poles,
@@ -24,6 +23,7 @@ from levelwing.control import (
 )
 from levelwing.dynamics import (
     AircraftState,
+    ControlCommand,
     Environment,
     air_data,
     clamp_command,

@@ -10,7 +10,6 @@ import pytest
 from levelwing.config import ControllerSettings
 from levelwing.control import (
     MIN_SCHEDULING_AIRSPEED,
-    ControlCommand,
     Plants,
     aotc_step,
     apply_rate_limits,
@@ -20,8 +19,8 @@ from levelwing.control import (
     plant_report,
     ratc_step,
 )
-from levelwing.dynamics import AircraftState, Environment, air_data, \
-    make_airframe
+from levelwing.dynamics import AircraftState, ControlCommand, Environment, \
+    air_data, make_airframe
 from levelwing.errors import AirDataError, ConfigError, \
     UncontrollablePlantError
 

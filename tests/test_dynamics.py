@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from conftest import combined_yaw_coeffs, rk4_step
 from levelwing.angles import wrap_pi
-from levelwing.control import ControlCommand, plant_report
+from levelwing.control import plant_report
 from levelwing.dynamics import (
     PITCH_SINGULARITY_MARGIN,
     AircraftState,
+    ControlCommand,
     Environment,
     GustModel,
     air_data,

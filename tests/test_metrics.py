@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from levelwing.dynamics import body_to_ned
 from levelwing.errors import InsufficientDataError
+from levelwing.guidance import FlightPlan, line_error
 from levelwing.metrics import (
     SUMMARY_COLUMNS,
     SummaryRow,
@@ -33,6 +35,20 @@ def test_total_image_error_forty_five_degree_bank():
 def test_total_image_error_golden_ten_degrees():
     got = total_image_error(0.0, math.radians(10.0), 450.0)
     assert got == pytest.approx(79.347141318809238, rel=1e-12)
+
+
+def test_on_a_line_the_score_adds_the_roll_term_a_projection_subtracts():
+    # Flying north with phi = +10 deg at 450 m, the body +z boresight
+    # lands 79.3 m west, left of travel, where a line's lateral error is
+    # negative; the score reads +79.3 m from the line itself.
+    phi = math.radians(10.0)
+    _, east, down = body_to_ned(0.0, 0.0, 1.0, math.sin(phi), math.cos(phi),
+                                0.0, 1.0, 0.0, 1.0)
+    north_line = FlightPlan(waypoints=[(0.0, 0.0), (1000.0, 0.0)]).segments[0]
+    landed = line_error((0.0, 450.0 * east / down), north_line)
+    assert landed == pytest.approx(-79.347141318809238, rel=1e-12)
+    assert total_image_error(0.0, phi, 450.0) == pytest.approx(-landed,
+                                                               rel=1e-12)
 
 
 def test_total_image_error_altitude_rescaling():

@@ -1,12 +1,14 @@
-"""Package structure: the intra-package import graph has no cycle,
-every function, class and method is used inside the package, the
-settings types check themselves once, when they are made, one place binds
-an airframe, one helper starts child processes and one function sends
-from them, one place integrates the control loops, the lateral law is
-chosen only where a controller is bound, the run loop is one
-closed-loop step, the per-step code uses no numpy, calls no builtin min or
-max and assigns no attribute outside the gust model, and the benchmark
-tracer's hooks name what the package defines.
+"""Package structure: the intra-package import graph has no cycle, the
+package's __init__ is its docstring and version, every import of a
+package name names the module that defines it, every function, class
+and method is used inside the package, the settings types check
+themselves once, when they are made, one place binds an airframe, one
+helper starts child processes and one function sends from them, one
+place integrates the control loops, the lateral law is chosen only where
+a controller is bound, the run loop is one closed-loop step, the
+per-step code uses no numpy, calls no builtin min or max and assigns no
+attribute outside the gust model, and the benchmark tracer's hooks name
+what the package defines.
 
 Every import counts, wherever it sits: at module level, inside a
 function, or under ``if TYPE_CHECKING:``. A helper that only its own
@@ -17,6 +19,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import re
 import textwrap
 from pathlib import Path
 
@@ -28,7 +31,8 @@ from levelwing.guidance import _plan_segments
 
 PACKAGE = "levelwing"
 SRC = Path(levelwing.__file__).parent
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _imported_modules(node: ast.AST, modules: set[str]) -> set[str]:
@@ -122,6 +126,81 @@ def test_package_import_graph_is_acyclic():
     assert cycle is None, "import cycle: " + " -> ".join(cycle)
 
 
+def test_the_package_is_its_docstring_and_version():
+    # levelwing/__init__.py imports nothing, so a name has one import
+    # path, the module that defines it, and importing one module loads
+    # only what that module needs.
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    docstring, version = tree.body
+    assert ast.get_docstring(tree) and isinstance(docstring, ast.Expr)
+    assert ast.unparse(version) == f"__version__ = {levelwing.__version__!r}"
+
+
+def module_names(tree: ast.Module) -> set[str]:
+    """The names a module defines at its top level, by a def, a class or
+    an assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names |= {n.id for target in targets for n in ast.walk(target)
+                      if isinstance(n, ast.Name)}
+    return names
+
+
+def misplaced_imports(tree: ast.AST, defined: dict[str, set[str]]) -> \
+        list[str]:
+    """Names that a from-import takes from a package module that does not
+    define them (defined maps each module to its module_names), as
+    module.name. From the package itself only modules can be taken."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1:
+            module = node.module or ""
+        elif node.level == 0 and (node.module or "").split(".")[0] == PACKAGE:
+            module = node.module.partition(".")[2]
+        else:
+            continue
+        names = defined.get(module, set()) if module else defined
+        found += [f"{module or PACKAGE}.{alias.name}" for alias in node.names
+                  if alias.name not in names]
+    return sorted(found)
+
+
+def test_misplaced_imports_names_what_the_module_does_not_define():
+    defined = {"dynamics": {"ControlCommand", "trim"}, "control": {"step"}}
+    tree = ast.parse("from levelwing.control import ControlCommand, step\n"
+                     "from levelwing import control, wrap_pi\n"
+                     "def f():\n"
+                     "    from levelwing.dynamics import ControlCommand\n"
+                     "from .dynamics import trim, air_data\n"
+                     "from . import dynamics\n"
+                     "from levelwingx import pi\nfrom numpy import pi\n")
+    assert misplaced_imports(tree, defined) == [
+        "control.ControlCommand", "dynamics.air_data", "levelwing.wrap_pi"]
+
+
+def test_each_import_names_the_module_that_defines_the_name():
+    defined = {path.stem: module_names(ast.parse(path.read_text()))
+               for path in SRC.glob("*.py") if path.stem != "__init__"}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sources = {"README.md": "".join(
+        re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S))}
+    assert "from levelwing.control import make_gain_schedule" in \
+        sources["README.md"]
+    for folder in (SRC, ROOT / "tests", ROOT / "tools", ROOT / "perfbench"):
+        sources |= {f"{folder.name}/{path.name}": path.read_text()
+                    for path in folder.glob("*.py")}
+    found = {name: misplaced_imports(ast.parse(text), defined)
+             for name, text in sources.items()}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
 def definitions(tree: ast.Module) -> list[tuple[str, str, ast.AST]]:
     """(qualified name, name, node) of each module-level function and
     class and of each non-dunder method of those classes."""
@@ -140,13 +219,10 @@ def definitions(tree: ast.Module) -> list[tuple[str, str, ast.AST]]:
 
 def unreferenced(sources: dict[str, str]) -> list[str]:
     """Definitions that no module uses outside the definition itself.
-    Uses are names and attribute names; imports are not uses, and
-    __init__ only re-exports."""
+    Uses are names and attribute names; imports are not uses."""
     trees = {stem: ast.parse(text) for stem, text in sources.items()}
     uses: dict[str, list[tuple[str, int]]] = {}
     for stem, tree in trees.items():
-        if stem == "__init__":
-            continue
         for node in ast.walk(tree):
             if isinstance(node, (ast.Name, ast.Attribute)):
                 name = node.id if isinstance(node, ast.Name) else node.attr
@@ -168,7 +244,6 @@ def test_unreferenced_finds_helpers_only_their_own_body_uses():
              "class Box:\n    def size(self):\n        return 1\n"
              "    def __len__(self):\n        return 1\n",
         "b": "from .a import recursive\nused()\nBox()\n",
-        "__init__": "from .a import Box\nBox.size\n",
     }
     assert unreferenced(sources) == ["a.recursive", "a.Box.size"]
 
