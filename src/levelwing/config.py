@@ -16,8 +16,9 @@ and are converted to radians at load; aerodynamic derivatives are
 per-radian and pass through unchanged. Every input file is found by
 one rule: a name is looked for beside the file that names it (for a
 name that no file names, in the working directory), then in the bundled
-directory of its kind. So `aircraft = aerosonde.ini` in a bundled
-scenario is the bundled aircraft from any directory.
+directory of its kind: `data/aircraft/`, `data/plans/` or
+`data/scenarios/` beside this module. So `aircraft = aerosonde.ini` in
+a bundled scenario is the bundled aircraft from any directory.
 
 [controller] fills ControllerSettings and, with its intercept, capture
 and slew keys, the GuidanceSettings that it holds. A scenario names no
@@ -33,7 +34,6 @@ import math
 from collections.abc import Collection, Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
-from importlib import resources
 from pathlib import Path
 
 from .dynamics import AircraftParams
@@ -112,8 +112,8 @@ GUIDANCE_KEYS = {
 
 
 def bundled_data_dir() -> Path:
-    """Directory holding the packaged aircraft, plan, and scenario files."""
-    return Path(str(resources.files("levelwing") / "data"))
+    """Directory holding the packaged files, in one subdirectory per kind."""
+    return Path(__file__).parent / "data"
 
 
 def resolve_input_path(name: str | Path, kind: str,
@@ -124,9 +124,7 @@ def resolve_input_path(name: str | Path, kind: str,
     A name never means its own referrer, so a plan and a scenario may
     share a stem."""
     base = Path.cwd() if referrer is None else referrer.parent
-    data = bundled_data_dir()
-    candidates = dict.fromkeys(
-        (base / name, (data if kind == "aircraft" else data / kind) / name))
+    candidates = dict.fromkeys((base / name, bundled_data_dir() / kind / name))
     try:
         for cand in candidates:
             if cand.is_file() and (referrer is None

@@ -543,28 +543,20 @@ def trim(airframe: Airframe,
             f"linear-range floor {floor:.1f} m/s"
         )
 
-    def build(x: np.ndarray) -> tuple[AircraftState, ControlCommand]:
-        alpha, delta_e, delta_t = float(x[0]), float(x[1]), float(x[2])
-        state = AircraftState(
-            u=va_target * math.cos(alpha),
-            w=va_target * math.sin(alpha),
-            theta=alpha,
-        )
-        return state, ControlCommand(0.0, delta_e, 0.0, delta_t)
-
     def derivatives(x: np.ndarray) -> tuple[float, ...]:
         # theta = alpha, so this is the stage's own pitch check; an alpha
         # past it is a diverged iterate, however near a level one it wraps.
-        alpha = float(x[0])
+        alpha, delta_e, delta_t = float(x[0]), float(x[1]), float(x[2])
         if abs(alpha) >= _PITCH_LIMIT:
             raise TrimFailureError(
                 f"trim at {va_target:g} m/s diverged: Newton iterate alpha "
                 f"{math.degrees(alpha):.2f} deg (wrapped "
                 f"{math.degrees(wrap_pi(alpha)):.2f} deg) is past the pitch "
                 f"limit of +/-{math.degrees(_PITCH_LIMIT):.2f} deg")
-        state, cmd = build(x)
         try:
-            return stage(*state[3:12], *cmd, *_CALM)
+            return stage(va_target * math.cos(alpha), 0.0,
+                         va_target * math.sin(alpha), 0.0, alpha, 0.0,
+                         0.0, 0.0, 0.0, 0.0, delta_e, 0.0, delta_t, *_CALM)
         except OverflowError as exc:
             raise TrimFailureError(f"trim at {va_target:g} m/s overflows: "
                                    f"{exc}") from exc
@@ -612,15 +604,15 @@ def trim(airframe: Airframe,
             residual=worst,
         )
 
-    state, cmd = build(x)
-    if not 0.0 <= cmd.delta_t <= 1.0:
+    alpha, delta_e, delta_t = float(x[0]), float(x[1]), float(x[2])
+    if not 0.0 <= delta_t <= 1.0:
         raise TrimFailureError(
-            f"trim throttle {cmd.delta_t:.3f} outside [0, 1]",
+            f"trim throttle {delta_t:.3f} outside [0, 1]",
             residual=worst,
         )
-    if abs(cmd.delta_e) > params.delta_e_max:
+    if abs(delta_e) > params.delta_e_max:
         raise TrimFailureError(
-            f"trim elevator {math.degrees(cmd.delta_e):.1f} deg exceeds limit",
+            f"trim elevator {math.degrees(delta_e):.1f} deg exceeds limit",
             residual=worst,
         )
 
@@ -629,4 +621,6 @@ def trim(airframe: Airframe,
     full = max(abs(d) for d in deriv[3:6] + deriv[9:12])
     if full >= TRIM_TOL:
         raise TrimFailureError("trim residual check failed", residual=full)
-    return state, cmd
+    return (AircraftState(u=va_target * math.cos(alpha),
+                          w=va_target * math.sin(alpha), theta=alpha),
+            ControlCommand(0.0, delta_e, 0.0, delta_t))

@@ -15,6 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
+import numpy as np
 import pytest
 
 import levelwing.scenario
@@ -25,10 +26,27 @@ from levelwing.config import (
     load_aircraft,
     load_config,
 )
-from levelwing.dynamics import AircraftParams, make_airframe, trim
+from levelwing.dynamics import (
+    AircraftParams,
+    Environment,
+    integrate_step,
+    make_airframe,
+    trim,
+)
 from levelwing.errors import TrimFailureError
-from levelwing.guidance import FlightPlan, GuidanceSettings, OrbitPlan
-from levelwing.scenario import compare_controllers, run_scenario
+from levelwing.guidance import (
+    FlightPlan,
+    GuidanceSettings,
+    OrbitPlan,
+    PathManager,
+)
+from levelwing.scenario import (
+    FlightController,
+    LoopMemory,
+    closed_loop_step,
+    compare_controllers,
+    run_scenario,
+)
 
 DATA_DIR = Path(levelwing.__file__).parent / "data"
 
@@ -67,7 +85,8 @@ def write_decoys(directory: Path) -> None:
     """Files in directory under the names that the bundled scenarios give
     their aircraft and plans, each unlike the bundled file: a heavier
     aerosonde, a 300 m square and a 50 m orbit."""
-    aircraft = (DATA_DIR / "aerosonde.ini").read_text(encoding="utf-8")
+    aircraft = (DATA_DIR / "aircraft" / "aerosonde.ini").read_text(
+        encoding="utf-8")
     texts = {
         "aerosonde.ini": set_key(aircraft, "mass_properties", "mass_kg", "22"),
         "rectangle.ini": "[plan]\n[waypoints]\nwp01 = 0, 0\nwp02 = 300, 0\n"
@@ -84,7 +103,8 @@ def rectangle_with(directory: Path, file: str, section: str, key: str,
     """The path of a copy of the bundled rectangle_compare.ini in
     directory, beside a copy of the aerosonde.ini that it flies, with
     [section] key = value set in the one of the two named file."""
-    for source in ("scenarios/rectangle_compare.ini", "aerosonde.ini"):
+    for source in ("scenarios/rectangle_compare.ini",
+                   "aircraft/aerosonde.ini"):
         text = (DATA_DIR / source).read_text(encoding="utf-8")
         if Path(source).name == file:
             text = set_key(text, section, key, value)
@@ -185,7 +205,7 @@ def make_cfg(params):
               seed=0, env=None, ctrl=None, warmup=5.0):
         return ScenarioConfig(
             name=name,
-            aircraft_path=DATA_DIR / "aerosonde.ini",
+            aircraft_path=DATA_DIR / "aircraft" / "aerosonde.ini",
             plan_path=Path(name),
             params=params,
             plan=plan,
@@ -199,6 +219,62 @@ def make_cfg(params):
         )
 
     return build
+
+
+def straight_plan(length: float = 800.0) -> FlightPlan:
+    return FlightPlan(name="straight", waypoints=[(0.0, 0.0), (length, 0.0)])
+
+
+class OffsetRun(NamedTuple):
+    """The scored part of a fly_from_offset run: the time from the jump,
+    the roll and the lateral error of each step, and the lateral error
+    the aircraft had settled to, the error at the jump less the jump."""
+
+    t: np.ndarray
+    phi: np.ndarray
+    e: np.ndarray
+    settled_e: float
+
+
+def fly_from_offset(airframe, cfg, mode: str, offset: float,
+                    settle: float = 0.0) -> OffsetRun:
+    """Fly mode in cfg's steady wind from trim on the plan's first leg, a
+    north line, at its altitude for settle s, then move the aircraft
+    offset m to the right (east) and score the next cfg.duration s."""
+    trim_state, trim_cmd = trim(airframe, cfg.va_cmd)
+    state = trim_state._replace(pn=0.0, pe=0.0, pd=-cfg.plan.nominal_agl,
+                                psi=0.0)
+    manager = PathManager(cfg.plan, cfg.ctrl.guidance, cfg.dt)
+    controller = FlightController(mode, cfg, airframe, trim_state, trim_cmd)
+    wind = Environment(cfg.env.wind_n, cfg.env.wind_e, cfg.env.wind_d)
+    memory = LoopMemory()
+    skip, n = round(settle / cfg.dt), round(cfg.duration / cfg.dt)
+    phi, errors = np.zeros(n), np.zeros(n)
+    for k in range(-skip, n):
+        if k == 0:
+            state = state._replace(pe=state.pe + offset)
+        cmd, memory, _ = closed_loop_step(manager, controller, state, memory,
+                                          wind)
+        if k >= 0:
+            phi[k] = state.phi
+            errors[k] = memory.guidance.e_lateral
+        state = integrate_step(state, cmd, wind, airframe, cfg.dt)
+    return OffsetRun(np.arange(n) * cfg.dt, phi, errors, errors[0] - offset)
+
+
+OFFSETS_M = (10.0, 30.0)
+
+
+@pytest.fixture(scope="session")
+def offset_runs(airframe, make_cfg):
+    """The paper's experiment: each law flown for 60 s in calm air from
+    each of OFFSETS_M to either side, onto a north line at 150 m AGL:
+    {(mode, offset): OffsetRun}."""
+    cfg = make_cfg(straight_plan(2000.0), duration=60.0)
+    return {(mode, side * offset):
+            fly_from_offset(airframe, cfg, mode, side * offset)
+            for mode in ("aotc", "ratc") for offset in OFFSETS_M
+            for side in (1.0, -1.0)}
 
 
 # A monkeypatch of levelwing.scenario reaches compare's child process only

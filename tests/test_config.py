@@ -104,13 +104,15 @@ def test_a_bundled_scenario_ignores_the_working_directory(tmp_path,
     clean = load_config(path)
     write_decoys(tmp_path)
     assert load_config(path) == clean
-    assert clean.aircraft_path == DATA_DIR / "aerosonde.ini"
+    assert clean.aircraft_path == DATA_DIR / "aircraft" / "aerosonde.ini"
     assert clean.plan_path.parent == DATA_DIR / "plans"
 
 
 @pytest.mark.parametrize("load, name, kind, folder", [
-    (load_aircraft, "circle.ini", "aircraft", DATA_DIR),
+    (load_aircraft, "circle.ini", "aircraft", DATA_DIR / "aircraft"),
+    (load_aircraft, "plans/rectangle.ini", "aircraft", DATA_DIR / "aircraft"),
     (load_plan, "aerosonde.ini", "plans", DATA_DIR / "plans"),
+    (load_plan, "scenarios/circle.ini", "plans", DATA_DIR / "plans"),
     (load_config, "rectangle.ini", "scenarios", DATA_DIR / "scenarios"),
 ])
 def test_a_name_is_looked_for_among_its_own_kind_only(tmp_path, monkeypatch,
@@ -341,7 +343,7 @@ def test_stored_config_validation_bounds(tmp_path):
 # Every key table, with a file that its loader reads and the settings
 # value that the table's fields land in.
 TABLE_CASES = [
-    *((section, table, AircraftParams, DATA_DIR / "aerosonde.ini",
+    *((section, table, AircraftParams, DATA_DIR / "aircraft" / "aerosonde.ini",
        load_aircraft) for section, table in AIRCRAFT_KEYS.items()),
     ("plan", PLAN_KEYS, FlightPlan, DATA_DIR / "plans" / "rectangle.ini",
      load_plan),
@@ -452,8 +454,8 @@ def test_required_aircraft_keys_are_the_fields_without_a_default():
 
 
 @pytest.mark.parametrize("base, load, extra, named", [
-    (DATA_DIR / "aerosonde.ini", load_aircraft, "rate_limit = 90\n",
-     r"unknown key 'rate_limit' in \[actuators\]"),
+    (DATA_DIR / "aircraft" / "aerosonde.ini", load_aircraft,
+     "rate_limit = 90\n", r"unknown key 'rate_limit' in \[actuators\]"),
     (DATA_DIR / "plans" / "circle.ini", load_plan, "radius = 50\n",
      r"unknown key 'radius' in \[orbit\]"),
 ], ids=["aircraft", "orbit"])
@@ -498,7 +500,7 @@ FILE_ERROR_CASES = [
      "ScenarioConfig.dt must be > 0, got 0.0"),
     ("scenario", "scenario", "aircraft", "ghost.ini",
      "file not found: ghost.ini among the aircraft (looked for "
-     "{tmp}/ghost.ini and {data}/ghost.ini)"),
+     "{tmp}/ghost.ini and {data}/aircraft/ghost.ini)"),
     ("scenario", "scenario", "plan", "ghost.ini",
      "file not found: ghost.ini among the plans (looked for "
      "{tmp}/ghost.ini and {data}/plans/ghost.ini)"),
@@ -519,7 +521,7 @@ def test_each_file_error_starts_with_the_files_path(tmp_path, written,
     texts = {"scenario": MINIMAL_SCENARIO.replace(
                  "aerosonde.ini", "craft.ini").replace(
                  "rectangle.ini", "route.ini"),
-             "aircraft": base_text(DATA_DIR / "aerosonde.ini"),
+             "aircraft": base_text(DATA_DIR / "aircraft" / "aerosonde.ini"),
              "plan": base_text(DATA_DIR / "plans" / plan)}
     kind = written.split()[-1]
     texts[kind] = set_key(texts[kind], section, key, value)

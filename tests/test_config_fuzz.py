@@ -31,7 +31,8 @@ FILES = {
     "rectangle_compare.ini": (DATA_DIR / "scenarios" / "rectangle_compare.ini",
                               load_config),
     "rectangle.ini": (DATA_DIR / "plans" / "rectangle.ini", load_plan),
-    "aerosonde.ini": (DATA_DIR / "aerosonde.ini", load_aircraft),
+    "aerosonde.ini": (DATA_DIR / "aircraft" / "aerosonde.ini",
+                      load_aircraft),
 }
 KNOWN_KEYS = sorted(
     {key for table in AIRCRAFT_KEYS.values() for key in table}

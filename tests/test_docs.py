@@ -2,10 +2,14 @@
 
 import configparser
 import json
+import math
 import re
 import statistics
 from pathlib import Path
 
+import numpy as np
+
+from conftest import OFFSETS_M
 from levelwing.config import (
     CONTROLLER_KEYS,
     ENVIRONMENT_KEYS,
@@ -135,3 +139,24 @@ def test_sweep_band_is_derived_from_the_reference_file():
         str(departs[1]) if departs[1] else "none", str(len(ratios)),
         f"{min(ratios):.3f}", f"{max(ratios):.3f}",
         f"{statistics.median(ratios):.3f}")
+
+
+def test_offset_table_is_recomputed_from_the_offset_runs(offset_runs):
+    # Each row of the README's offset table, cell by cell as printed: the
+    # peak roll of each law, the time from which each stays within 10 % of
+    # the offset, and how far ratc crosses to the other side.
+    rows = re.findall(r"^\| (\d+) m \| (.*) \|$",
+                      README.read_text(encoding="utf-8"), re.MULTILINE)
+    assert [float(offset) for offset, _ in rows] == list(OFFSETS_M)
+    for (_, cells), offset in zip(rows, OFFSETS_M):
+        runs = [offset_runs[mode, offset] for mode in ("aotc", "ratc")]
+        peaks = [math.degrees(np.max(np.abs(run.phi))) for run in runs]
+        in_band = [run.t[np.nonzero(np.abs(run.e) >= 0.1 * offset)[0][-1] + 1]
+                   for run in runs]
+        crossings = [np.max(-run.e) / offset for run in runs]
+        assert cells.split(" | ") == [
+            *(f"{peak:.2f}°" for peak in peaks),
+            *(f"{t:.2f} s" for t in in_band), f"{100 * crossings[1]:.1f} %"]
+        # The sentence under the table.
+        assert peaks[1] < peaks[0] / 8 and in_band[1] > in_band[0]
+        assert crossings[0] <= 0.0 < crossings[1]

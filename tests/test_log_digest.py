@@ -32,7 +32,7 @@ def test_digests_cover_every_bundled_output(tmp_path, capsys):
                for digest in configs.values())
     # The config digest does not depend on the directory of the files, so
     # two checkouts compare.
-    for source in ("scenarios/rectangle_compare.ini", "aerosonde.ini",
+    for source in ("scenarios/rectangle_compare.ini", "aircraft/aerosonde.ini",
                    "plans/rectangle.ini"):
         shutil.copy(DATA_DIR / source, tmp_path)
     copy = tmp_path / "rectangle_compare.ini"

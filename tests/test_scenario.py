@@ -16,10 +16,9 @@ import numpy as np
 import pytest
 
 import levelwing.scenario
-from conftest import needs_fork
+from conftest import OFFSETS_M, fly_from_offset, needs_fork, straight_plan
 from levelwing.cli import main as cli_main
 from levelwing.config import EnvironmentSettings, load_config
-from levelwing.dynamics import Environment, integrate_step, trim
 from levelwing.errors import (
     ConfigError,
     DynamicsFaultError,
@@ -28,14 +27,12 @@ from levelwing.errors import (
     TrimFailureError,
     UncontrollablePlantError,
 )
-from levelwing.guidance import FlightPlan, PathManager
+from levelwing.guidance import FlightPlan
 from levelwing.metrics import (SUMMARY_COLUMNS, TABLE_H_REFS,
                                summary_csv_lines)
 from levelwing.scenario import (
     CSV_COLUMNS,
     LOG_COLUMNS,
-    FlightController,
-    LoopMemory,
     RunResult,
     _call_and_send,
     closed_loop_step,
@@ -45,15 +42,9 @@ from levelwing.scenario import (
     write_comparison,
 )
 
-CALM = Environment()
-
 
 def wrap(x):
     return (np.asarray(x) + np.pi) % (2.0 * np.pi) - np.pi
-
-
-def straight_plan(length=800.0):
-    return FlightPlan(name="straight", waypoints=[(0.0, 0.0), (length, 0.0)])
 
 
 def rectangle_plan(fillet):
@@ -75,54 +66,18 @@ def test_straight_plan_holds_path_altitude_airspeed(make_cfg, mode):
     assert np.max(np.abs(log["va"][warm] - 20.0)) < 1.0
 
 
-def fly_from_offset(airframe, cfg, mode, offset):
-    """Fly mode over cfg.duration in calm air from trim, offset m right of
-    the plan's first leg, a north line, at its altitude: the time, the
-    roll and the lateral error of each step."""
-    trim_state, trim_cmd = trim(airframe, cfg.va_cmd)
-    state = trim_state._replace(pn=0.0, pe=offset, pd=-cfg.plan.nominal_agl,
-                                psi=0.0)
-    manager = PathManager(cfg.plan, cfg.ctrl.guidance, cfg.dt)
-    controller = FlightController(mode, cfg, airframe, trim_state, trim_cmd)
-    memory = LoopMemory()
-    n = round(cfg.duration / cfg.dt)
-    phi, errors = np.zeros(n), np.zeros(n)
-    for k in range(n):
-        cmd, memory, _ = closed_loop_step(manager, controller, state, memory,
-                                          CALM)
-        phi[k] = state.phi
-        errors[k] = memory.guidance.e_lateral
-        state = integrate_step(state, cmd, CALM, airframe, cfg.dt)
-    return np.arange(n) * cfg.dt, phi, errors
-
-
 @pytest.mark.parametrize("mode", ["aotc", "ratc"])
 def test_capture_and_hold_from_lateral_offset(airframe, make_cfg, mode):
     # Start 30 m right of a long straight leg: the aircraft must capture
     # the path within 30 s and stay inside a 2 m band afterwards.
     cfg = make_cfg(straight_plan(2000.0), duration=45.0)
-    t, _, errors = fly_from_offset(airframe, cfg, mode, 30.0)
-    outside = np.nonzero(np.abs(errors) >= 2.0)[0]
+    run = fly_from_offset(airframe, cfg, mode, 30.0)
+    outside = np.nonzero(np.abs(run.e) >= 2.0)[0]
     assert outside.size > 0          # starts outside the band
     settle_index = outside[-1] + 1
-    assert settle_index < len(errors)
-    assert t[settle_index] <= 30.0
-    assert np.max(np.abs(errors[settle_index:])) < 2.0
-
-
-OFFSETS_M = (10.0, 30.0)
-
-
-@pytest.fixture(scope="module")
-def offset_runs(airframe, make_cfg):
-    """The paper's experiment: each law flown for 60 s in calm air from
-    each of OFFSETS_M to either side, onto a north line at 150 m AGL:
-    {(mode, offset): (time, roll, lateral error)}."""
-    cfg = make_cfg(straight_plan(2000.0), duration=60.0)
-    return {(mode, side * offset):
-            fly_from_offset(airframe, cfg, mode, side * offset)
-            for mode in ("aotc", "ratc") for offset in OFFSETS_M
-            for side in (1.0, -1.0)}
+    assert settle_index < len(run.e)
+    assert run.t[settle_index] <= 30.0
+    assert np.max(np.abs(run.e[settle_index:])) < 2.0
 
 
 @pytest.mark.parametrize("offset", OFFSETS_M)
@@ -130,7 +85,7 @@ def test_ratc_corrects_an_offset_with_a_third_of_aotcs_roll(offset_runs,
                                                              offset):
     # Measured: 1.64 deg against 14.04 deg at 10 m, 4.91 against 41.40 at
     # 30 m.
-    peak = {mode: np.max(np.abs(offset_runs[mode, offset][1]))
+    peak = {mode: np.max(np.abs(offset_runs[mode, offset].phi))
             for mode in ("aotc", "ratc")}
     assert peak["ratc"] < peak["aotc"] / 3.0
 
@@ -141,8 +96,8 @@ def test_both_laws_hold_the_line_from_40_s(offset_runs, mode, offset):
     # Within 10 % of the offset from 40 s on. The last exits from that
     # band were measured at 9.1 s (10 m) and 9.5 s (30 m) for aotc and
     # 20.5 s for ratc, which overshoots by 18 %.
-    t, _, errors = offset_runs[mode, offset]
-    assert np.max(np.abs(errors[t >= 40.0])) < 0.1 * offset
+    run = offset_runs[mode, offset]
+    assert np.max(np.abs(run.e[run.t >= 40.0])) < 0.1 * offset
 
 
 @pytest.mark.parametrize("mode", ["aotc", "ratc"])
@@ -151,10 +106,68 @@ def test_a_mirrored_offset_mirrors_the_run(offset_runs, mode, offset):
     # Calm air on a north line is symmetric about the line, and so is
     # each law: a start to the left gives the negated histories, bit for
     # bit.
-    _, phi, errors = offset_runs[mode, offset]
-    _, mirror_phi, mirror_errors = offset_runs[mode, -offset]
-    assert np.array_equal(mirror_phi, -phi)
-    assert np.array_equal(mirror_errors, -errors)
+    run, mirror = offset_runs[mode, offset], offset_runs[mode, -offset]
+    assert np.array_equal(mirror.phi, -run.phi)
+    assert np.array_equal(mirror.e, -run.e)
+
+
+CROSSWIND_MPS = 3.0
+JUMP_M = 30.0
+
+
+@pytest.fixture(scope="module")
+def crosswind_runs(airframe, make_cfg):
+    """The offset experiment in a crosswind: each law flown onto a north
+    line in a CROSSWIND_MPS wind toward the east (side 1) and, mirrored,
+    toward the west (side -1), settled for 90 s, moved JUMP_M to the
+    downwind side and scored over the next 60 s: {(mode, side): OffsetRun}.
+    """
+    return {(mode, side): fly_from_offset(
+                airframe,
+                make_cfg(straight_plan(4000.0), duration=60.0,
+                         env=EnvironmentSettings(wind_e=side * CROSSWIND_MPS)),
+                mode, side * JUMP_M, settle=90.0)
+            for mode in ("aotc", "ratc") for side in (1.0, -1.0)}
+
+
+def test_in_a_crosswind_ratc_holds_its_standing_offset(crosswind_runs,
+                                                       make_cfg):
+    # Wings level, ratc can only crab by sideslip, so it settles where the
+    # capture law's course offset, capture_gain * e, is the crab angle
+    # asin(W / Va): 12.045 m (measured 12.0448 m). Aotc banks into the
+    # wind and holds the line (measured 2e-8 m).
+    cfg = make_cfg(straight_plan())
+    crab = math.asin(CROSSWIND_MPS / cfg.va_cmd)
+    standing = crab / cfg.ctrl.guidance.capture_gain
+    assert crosswind_runs["ratc", 1.0].settled_e == pytest.approx(standing,
+                                                                  abs=0.01)
+    assert abs(crosswind_runs["aotc", 1.0].settled_e) < 0.01
+
+
+def test_in_a_crosswind_ratc_corrects_with_a_third_of_aotcs_roll(
+        crosswind_runs):
+    # Measured: 4.90 deg against 41.03 deg.
+    peak = {mode: np.max(np.abs(crosswind_runs[mode, 1.0].phi))
+            for mode in ("aotc", "ratc")}
+    assert peak["ratc"] < peak["aotc"] / 3.0
+
+
+@pytest.mark.parametrize("mode", ["aotc", "ratc"])
+def test_in_a_crosswind_both_laws_settle_again_from_40_s(crosswind_runs,
+                                                         mode):
+    # Within 10 % of the jump from the settled error, from 40 s on; the
+    # last exits from that band were measured at 10.4 s (aotc) and 20.7 s
+    # (ratc).
+    run = crosswind_runs[mode, 1.0]
+    assert np.max(np.abs(run.e - run.settled_e)[run.t >= 40.0]) < \
+        0.1 * JUMP_M
+
+
+@pytest.mark.parametrize("mode", ["aotc", "ratc"])
+def test_a_mirrored_crosswind_mirrors_the_run(crosswind_runs, mode):
+    run, mirror = crosswind_runs[mode, 1.0], crosswind_runs[mode, -1.0]
+    assert np.array_equal(mirror.phi, -run.phi)
+    assert np.array_equal(mirror.e, -run.e)
 
 
 @pytest.mark.parametrize("name, slew", [

@@ -1,5 +1,6 @@
 """Package structure: the intra-package import graph has no cycle, the
-package's __init__ is its docstring and version, every import of a
+package's __init__ is its docstring and version, every bundled input
+is data/<kind>/<name>.ini and goes into a wheel, every import of a
 package name names the module that defines it, every function, class
 and method is used inside the package, the settings types check
 themselves once, when they are made, one place binds an airframe, one
@@ -22,6 +23,8 @@ import inspect
 import re
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import levelwing
 from conftest import SETTINGS_TYPES
@@ -135,6 +138,22 @@ def test_the_package_is_its_docstring_and_version():
     assert ast.get_docstring(tree) and isinstance(docstring, ast.Expr)
     assert ast.unparse(version) == f"__version__ = {levelwing.__version__!r}"
 
+
+def test_each_bundled_input_is_in_the_directory_of_its_kind_and_packaged():
+    # resolve_input_path looks for a bundled name in data/<kind>/ only, so
+    # a file elsewhere under data/ is never found; a file that no
+    # package-data glob matches is left out of a wheel.
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
+    packaged = {path for pattern in globs[PACKAGE]
+                for path in SRC.glob(pattern)}
+    files = [path for path in (SRC / "data").rglob("*") if path.is_file()]
+    layout = [path.relative_to(SRC / "data").parts for path in files]
+    assert all(len(parts) == 2 and parts[1].endswith(".ini")
+               for parts in layout), layout
+    assert {kind for kind, _ in layout} == {"aircraft", "plans", "scenarios"}
+    assert set(files) <= packaged, sorted(set(files) - packaged)
 
 def module_names(tree: ast.Module) -> set[str]:
     """The names a module defines at its top level, by a def, a class or
