@@ -20,6 +20,12 @@ directory of its kind: `data/aircraft/`, `data/plans/` or
 `data/scenarios/` beside this module. So `aircraft = aerosonde.ini` in
 a bundled scenario is the bundled aircraft from any directory.
 
+Every load reads each file it names and applies every check. The parse
+of a file's text is computed once per process for each distinct text and
+shared, as `dynamics` shares the airframe of a parameter set and the trim
+at an airspeed; all three are immutable, and each load builds fresh
+dicts from the parse.
+
 [controller] fills ControllerSettings and, with its intercept, capture
 and slew keys, the GuidanceSettings that it holds. A scenario names no
 lateral law: which law flies is each run's argument, so a `mode` key is
@@ -30,7 +36,9 @@ squares must have a finite square, or it is a ConfigError that names it.
 from __future__ import annotations
 
 import configparser
+import functools
 import math
+import os
 from collections.abc import Collection, Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
@@ -128,7 +136,7 @@ def resolve_input_path(name: str | Path, kind: str,
     try:
         for cand in candidates:
             if cand.is_file() and (referrer is None
-                                   or cand.resolve() != referrer.resolve()):
+                                   or not os.path.samefile(cand, referrer)):
                 return cand
     except OSError as exc:
         raise ConfigError(f"cannot read {name}: {exc}") from exc
@@ -136,21 +144,32 @@ def resolve_input_path(name: str | Path, kind: str,
                       f"{' and '.join(map(str, candidates))})")
 
 
-def _read_ini(path: Path) -> dict[str, dict[str, str]]:
-    """{section: {key: raw value}} of the file at path, read with literal
-    values; a [DEFAULT] section is an ordinary section, so it is checked
-    like any other instead of leaking keys."""
+@functools.lru_cache(maxsize=64)
+def _parse_ini(text: str) -> tuple[tuple[str, tuple[tuple[str, str], ...]],
+                                   ...]:
+    """((section, ((key, raw value), ...)), ...) of an INI text, read with
+    literal values; a [DEFAULT] section is an ordinary section, so it is
+    checked like any other instead of leaking keys. The value depends on
+    the text alone, so each text is parsed once per process."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                        interpolation=None, default_section="")
+    parser.read_string(text)
+    return tuple((name, tuple(parser.items(name, raw=True)))
+                 for name in parser.sections())
+
+
+def _read_ini(path: Path) -> dict[str, dict[str, str]]:
+    """{section: {key: raw value}} of the file at path, read on every call;
+    the dicts are fresh, so a loader may take keys out of them."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
+        text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+    try:
+        found = _parse_ini(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    return {name: dict(parser.items(name, raw=True))
-            for name in parser.sections()}
+    return {name: dict(items) for name, items in found}
 
 
 @contextmanager

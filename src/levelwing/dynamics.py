@@ -13,11 +13,16 @@ angular accelerations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+# numpy loads its random module on first use, here a run's first gust
+# draw: load it with this module, so that no step pays the import (about
+# 10 ms and 6 MB).
+import numpy.random
 
 from .angles import clamp, wrap_pi
 from .errors import (
@@ -190,6 +195,15 @@ _GUST_BLOCK_ROWS = 256
 _CALM = (0.0, 0.0, 0.0)
 
 
+def _gust_noise(seed: int) -> Iterator[list[float]]:
+    """The seed's standard normal rows of 3, drawn a block at a time. The
+    generator is built on the first row, so a run that never draws never
+    builds one."""
+    rng = np.random.default_rng(seed)
+    while True:
+        yield from rng.standard_normal((_GUST_BLOCK_ROWS, 3)).tolist()
+
+
 class GustModel:
     """Seeded first-order colored-noise gust generator.
 
@@ -207,21 +221,15 @@ class GustModel:
         self.intensity = intensity
         self._decay = math.exp(-dt / tau)
         self._scale = intensity * math.sqrt(max(0.0, 1.0 - self._decay**2))
-        self._rng = np.random.default_rng(seed)
-        self._noise = iter(())
+        self._noise = _gust_noise(seed)
         self._state = _CALM
 
     def step(self) -> tuple[float, float, float]:
         """The NED gust (m/s) of the next step."""
         if self.intensity == 0.0:
             return _CALM
-        noise = next(self._noise, None)
-        if noise is None:
-            self._noise = iter(self._rng.standard_normal(
-                (_GUST_BLOCK_ROWS, 3)).tolist())
-            noise = next(self._noise)
         decay, scale = self._decay, self._scale
-        (gn, ge, gd), (nn, ne, nd) = self._state, noise
+        (gn, ge, gd), (nn, ne, nd) = self._state, next(self._noise)
         self._state = (decay * gn + scale * nn, decay * ge + scale * ne,
                        decay * gd + scale * nd)
         return self._state
@@ -293,9 +301,11 @@ def _check_pitch(theta: float, state) -> None:
 
 
 class Airframe(NamedTuple):
-    """One airframe, bound once per run: its parameters, its reduced
-    inertia terms and its rigid-body model on plain floats. Trim, the
-    integrator and the gain schedule all read this one value.
+    """One airframe, bound once per parameter set in a process: its
+    parameters, its reduced inertia terms and its rigid-body model on plain
+    floats. Trim, the integrator and the gain schedule all read this one
+    value. It hashes by its parameters and by the identity of its
+    functions.
 
     loads(u, v, w, sphi, cphi, sth, cth, p, q, r, delta_a, delta_e,
     delta_r, delta_t) is the force buildup: the body forces (N) and
@@ -313,10 +323,12 @@ class Airframe(NamedTuple):
     stage: Callable[..., tuple[float, ...]]
 
 
+@functools.lru_cache(maxsize=32)
 def make_airframe(params: AircraftParams) -> Airframe:
     """Bind the airframe's constants once into its loads and stage. loads
     takes the sines and cosines of roll and pitch, so that a stage
-    computes them once for the forces and the equations of motion."""
+    computes them once for the forces and the equations of motion. Equal
+    parameters give the one airframe bound first in the process."""
     gammas = gamma_terms(params)
     weight = params.weight
     inv_mass = 1.0 / params.mass
@@ -522,6 +534,7 @@ def stall_floor(params: AircraftParams) -> float:
     )
 
 
+@functools.lru_cache(maxsize=128)
 def trim(airframe: Airframe,
          va_target: float) -> tuple[AircraftState, ControlCommand]:
     """Solve wings-level, straight and level trim at the target airspeed.
@@ -531,7 +544,9 @@ def trim(airframe: Airframe,
     at zero, which is exact for a laterally symmetric configuration, and
     level flight pins theta = alpha. The wind enters only the navigation
     rows, which no residual reads, so trim takes none. The returned pair
-    re-evaluates to a full six-axis residual below TRIM_TOL.
+    re-evaluates to a full six-axis residual below TRIM_TOL. An airframe
+    at an airspeed is solved once per process and the immutable pair
+    shared; a failure is not kept, so it raises again on every call.
     """
     params, _, _, stage = airframe
     if not math.isfinite(va_target):

@@ -1,6 +1,7 @@
 """INI loading: defaults, unit conversion, references, and error reporting."""
 
 import math
+import os
 import pickle
 import re
 import sys
@@ -324,6 +325,44 @@ direction = widdershins
 def test_absolute_missing_path_rejected(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         resolve_input_path(tmp_path / "ghost.ini", "scenarios")
+
+
+def test_a_file_rewritten_in_place_loads_its_new_text(tmp_path):
+    # The same path, length and modification time: only the text differs,
+    # and the text is what a load reads.
+    path = write(tmp_path, "fresh.ini", MINIMAL_SCENARIO + "duration_s = 30\n")
+    assert load_config(path).duration == 30.0
+    stat = path.stat()
+    write(tmp_path, "fresh.ini", MINIMAL_SCENARIO + "duration_s = 40\n")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == stat.st_size
+    assert load_config(path).duration == 40.0
+
+
+def test_a_malformed_file_is_an_error_on_every_load(tmp_path):
+    path = write(tmp_path, "twice.ini",
+                 MINIMAL_SCENARIO + "seed = 1\nseed = 2\n")
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ConfigError) as caught:
+            load_config(path)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"cannot parse {path}: ")
+    assert "option 'seed' in section 'scenario' already exists" in messages[0]
+
+
+def test_a_name_that_links_to_its_referrer_is_not_found(tmp_path):
+    # A plan name is never its own scenario, under any name that leads
+    # to the same file.
+    scenario = write(tmp_path, "loop.ini",
+                     MINIMAL_SCENARIO.replace("rectangle.ini", "route.ini"))
+    (tmp_path / "route.ini").symlink_to(scenario)
+    with pytest.raises(ConfigError) as caught:
+        load_config(scenario)
+    assert str(caught.value) == (
+        f"{scenario}: file not found: route.ini among the plans (looked for "
+        f"{tmp_path / 'route.ini'} and {DATA_DIR / 'plans' / 'route.ini'})")
 
 
 def test_overlong_file_name_is_a_config_error():

@@ -630,11 +630,25 @@ def test_trim_is_level_and_laterally_clean(airframe, trim20):
     assert np.all(np.abs(deriv[3:]) < 1e-6)
 
 
+def test_equal_parameters_share_one_airframe_and_one_trim(params):
+    airframe = make_airframe(params)
+    assert make_airframe(replace(params)) is airframe
+    assert trim(airframe, 20.0) is trim(airframe, 20.0)
+    # Other parameters bind another airframe, trimmed on its own. The side
+    # force derivative is lateral, so its level trim has the same values.
+    other = make_airframe(replace(params, c_y_beta=params.c_y_beta * 1.5))
+    assert other is not airframe and other != airframe
+    assert other.params.c_y_beta == params.c_y_beta * 1.5
+    assert trim(other, 20.0) is not trim(airframe, 20.0)
+    assert trim(other, 20.0) == trim(airframe, 20.0)
+
+
 def test_trim_rejects_airspeed_below_stall_floor(params, airframe):
     floor = stall_floor(params)
     assert 10.0 < floor < 20.0
-    with pytest.raises(ConfigError):
-        trim(airframe, floor * 0.9)
+    for _ in range(2):  # a failure is never kept: it raises every time
+        with pytest.raises(ConfigError, match="linear-range floor"):
+            trim(airframe, floor * 0.9)
 
 
 def test_trim_past_the_pitch_margin_is_a_trim_failure(params):
@@ -643,8 +657,9 @@ def test_trim_past_the_pitch_margin_is_a_trim_failure(params):
     # limit: the trim fails, naming its airspeed and the iterate as it is
     # and wrapped, rather than raising a dynamics fault.
     nose_up = make_airframe(replace(params, c_lift_0=0.9, c_lift_alpha=0.3))
-    with pytest.raises(TrimFailureError,
-                       match=r"trim at 20 m/s diverged: Newton iterate alpha "
-                             r"[-\d.]+ deg \(wrapped [-\d.]+ deg\) is past "
-                             r"the pitch limit"):
-        trim(nose_up, 20.0)
+    for _ in range(2):  # a failure is never kept: it raises every time
+        with pytest.raises(TrimFailureError,
+                           match=r"trim at 20 m/s diverged: Newton iterate "
+                                 r"alpha [-\d.]+ deg \(wrapped [-\d.]+ deg\) "
+                                 r"is past the pitch limit"):
+            trim(nose_up, 20.0)

@@ -420,6 +420,22 @@ def test_csv_empty_run_is_header_only(make_cfg, tmp_path):
     assert path.read_text().splitlines() == [",".join(CSV_COLUMNS)]
 
 
+def test_a_run_that_never_draws_builds_no_generator(make_cfg, monkeypatch):
+    # The gust model builds its generator on its first draw, so a calm
+    # run and a zero-length gusty run build none; a gusty step does.
+    def refused(seed=None):
+        raise AssertionError("a random generator was built")
+
+    monkeypatch.setattr(np.random, "default_rng", refused)
+    calm = replace(gusty_cfg(make_cfg),
+                   env=EnvironmentSettings(wind_n=1.0, wind_e=2.0))
+    assert run_scenario(calm, "ratc", duration_override=0.5).steps == 50
+    gusty = gusty_cfg(make_cfg)
+    assert run_scenario(gusty, "ratc", duration_override=0.0).steps == 0
+    with pytest.raises(AssertionError, match="generator was built"):
+        run_scenario(gusty, "ratc", duration_override=0.01)
+
+
 def test_sharp_rectangle_produces_four_command_jumps(make_cfg):
     # Fillets off: each flown 90 deg corner is a course-command
     # discontinuity. The repeated first leg makes exactly 4 corners.

@@ -3,13 +3,13 @@ package's __init__ is its docstring and version, every bundled input
 is data/<kind>/<name>.ini and goes into a wheel, every import of a
 package name names the module that defines it, every function, class
 and method is used inside the package, the settings types check
-themselves once, when they are made, one place binds an airframe, one
-helper starts child processes and one function sends from them, one
-place integrates the control loops, the lateral law is chosen only where
-a controller is bound, the run loop is one closed-loop step, the
-per-step code uses no numpy, calls no builtin min or max and assigns no
-attribute outside the gust model, and the benchmark tracer's hooks name
-what the package defines.
+themselves once, when they are made, one place binds an airframe, every
+memo is declared, one helper starts child processes and one function
+sends from them, one place integrates the control loops, the lateral law
+is chosen only where a controller is bound, the run loop is one
+closed-loop step, the per-step code uses no numpy, calls no builtin min
+or max and assigns no attribute outside the gust model, and the
+benchmark tracer's hooks name what the package defines.
 
 Every import counts, wherever it sits: at module level, inside a
 function, or under ``if TYPE_CHECKING:``. A helper that only its own
@@ -396,11 +396,11 @@ def test_callers_and_definers_name_the_innermost_definition():
 
 def test_one_place_binds_the_airframe():
     # make_airframe alone computes the inertia terms and defines the
-    # kernel's functions, once per run or CLI command. So trim and the
-    # gain schedule build no kernel of their own: they read the one they
-    # are handed. The kernel has one call convention, plain floats: the
-    # airframe is its parameters, inertia terms, force buildup and stage,
-    # and the stage takes no forces from outside.
+    # kernel's functions, once per parameter set in a process. So trim and
+    # the gain schedule build no kernel of their own: they read the one
+    # they are handed. The kernel has one call convention, plain floats:
+    # the airframe is its parameters, inertia terms, force buildup and
+    # stage, and the stage takes no forces from outside.
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in SRC.glob("*.py")}
     assert callers(sources, "gamma_terms") == {"dynamics.make_airframe"}
@@ -434,6 +434,47 @@ def test_one_place_binds_the_airframe():
     assert callers(sources, "_check_pitch") == {"dynamics.make_airframe",
                                                 "dynamics.integrate_step"}
     assert calls(bind, "_check_pitch") == calls(stage, "_check_pitch") == 1
+
+
+# Every memo in the package. Each is a function of its arguments alone
+# whose value no caller changes, so that sharing it is never seen; a new
+# memo is declared here, where it is reviewed.
+MEMOS = {"config._parse_ini", "dynamics.make_airframe", "dynamics.trim",
+         "errors._field_kinds"}
+
+
+def memo_sites(tree: ast.AST) -> set[str]:
+    """The name of each definition that functools' cache or lru_cache
+    decorates, and the line of each other use of either."""
+    decorated = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            for decorator in node.decorator_list:
+                for part in ast.walk(decorator):
+                    decorated[id(part)] = node.name
+    return {decorated.get(id(node), f"line {node.lineno}")
+            for node in ast.walk(tree)
+            if (node.id if isinstance(node, ast.Name)
+                else getattr(node, "attr", None)) in ("cache", "lru_cache")}
+
+
+def test_memo_sites_finds_decorators_and_other_uses():
+    tree = ast.parse("import functools\nfrom functools import cache\n"
+                     "@functools.lru_cache(maxsize=4)\ndef a(x):\n"
+                     "    return x\n"
+                     "@cache\ndef b(x):\n    return x\n"
+                     "class Box:\n    @functools.cache\n"
+                     "    def size(self):\n        return 1\n"
+                     "def c(x):\n    return x\n"
+                     "d = functools.lru_cache()(c)\n")
+    assert memo_sites(tree) == {"a", "b", "size", "line 15"}
+
+
+def test_each_memo_is_declared():
+    found = {f"{path.stem}.{site}" for path in SRC.glob("*.py")
+             for site in memo_sites(ast.parse(path.read_text(
+                 encoding="utf-8")))}
+    assert found == MEMOS
 
 
 def test_one_child_protocol():
