@@ -13,18 +13,18 @@ path, and one from an aircraft or plan file that a scenario references
 names that file after the scenario. Values are literal (no `%`
 interpolation). Keys ending in `_deg` or `_dps` are degrees (per second)
 and are converted to radians at load; aerodynamic derivatives are
-per-radian and pass through unchanged. Every input file is found by
-one rule: a name is looked for beside the file that names it (for a
-name that no file names, in the working directory), then in the bundled
-directory of its kind: `data/aircraft/`, `data/plans/` or
-`data/scenarios/` beside this module. So `aircraft = aerosonde.ini` in
-a bundled scenario is the bundled aircraft from any directory.
+per-radian and pass through unchanged. `load_config` finds a scenario
+and each file it names by one rule: a name is looked for beside the file
+that names it (for a name that no file names, in the working directory),
+then in the bundled directory of its kind: `data/aircraft/`,
+`data/plans/` or `data/scenarios/` beside this module. So `aircraft =
+aerosonde.ini` in a bundled scenario is the bundled aircraft from any
+directory. `load_aircraft` and `load_plan` read the file at their path.
 
-Every load reads each file it names and applies every check. The parse
-of a file's text is computed once per process for each distinct text and
-shared, as `dynamics` shares the airframe of a parameter set and the trim
-at an airspeed; all three are immutable, and each load builds fresh
-dicts from the parse.
+Each load finds and reads its files, each once. The checked settings of
+a text at a path are built once per process and shared, as `dynamics`
+shares the airframe of a parameter set and the trim at an airspeed; all
+three are immutable. A failure is never kept.
 
 [controller] fills ControllerSettings and, with its intercept, capture
 and slew keys, the GuidanceSettings that it holds. A scenario names no
@@ -39,7 +39,7 @@ import configparser
 import functools
 import math
 import os
-from collections.abc import Collection, Iterator, Mapping
+from collections.abc import Callable, Collection, Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
@@ -117,11 +117,12 @@ GUIDANCE_KEYS = {
     "capture_gain_radpm": "capture_gain", "orbit_capture_gain": "orbit_gain",
     "slew_enabled": "slew_enabled", "slew_rate_dps": "slew_rate",
 }
+_BUNDLED = Path(__file__).parent / "data"
 
 
 def bundled_data_dir() -> Path:
     """Directory holding the packaged files, in one subdirectory per kind."""
-    return Path(__file__).parent / "data"
+    return _BUNDLED
 
 
 def resolve_input_path(name: str | Path, kind: str,
@@ -142,34 +143,6 @@ def resolve_input_path(name: str | Path, kind: str,
         raise ConfigError(f"cannot read {name}: {exc}") from exc
     raise ConfigError(f"file not found: {name} among the {kind} (looked for "
                       f"{' and '.join(map(str, candidates))})")
-
-
-@functools.lru_cache(maxsize=64)
-def _parse_ini(text: str) -> tuple[tuple[str, tuple[tuple[str, str], ...]],
-                                   ...]:
-    """((section, ((key, raw value), ...)), ...) of an INI text, read with
-    literal values; a [DEFAULT] section is an ordinary section, so it is
-    checked like any other instead of leaking keys. The value depends on
-    the text alone, so each text is parsed once per process."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
-                                       interpolation=None, default_section="")
-    parser.read_string(text)
-    return tuple((name, tuple(parser.items(name, raw=True)))
-                 for name in parser.sections())
-
-
-def _read_ini(path: Path) -> dict[str, dict[str, str]]:
-    """{section: {key: raw value}} of the file at path, read on every call;
-    the dicts are fresh, so a loader may take keys out of them."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    try:
-        found = _parse_ini(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    return {name: dict(items) for name, items in found}
 
 
 @contextmanager
@@ -251,52 +224,81 @@ def _reject_left(sections: dict[str, dict[str, str]]) -> None:
                 f"unknown key '{next(iter(items))}' in [{section}]")
 
 
+def _aircraft(found: dict[str, dict[str, str]], path: Path) -> AircraftParams:
+    """The parameters of an aircraft file."""
+    sections = _sections(found, AIRCRAFT_KEYS)
+    values = {}
+    for section, table in AIRCRAFT_KEYS.items():
+        values |= _take(sections, section, table, AircraftParams)
+    _reject_left(sections)
+    return AircraftParams(**values)
+
+
+def _plan(found: dict[str, dict[str, str]], path: Path) -> FlightPlan:
+    """The plan of a plan file, whose [waypoints] or [orbit] is its kind."""
+    kinds = {"waypoints", "orbit"} & found.keys()
+    if len(kinds) != 1:
+        raise ConfigError("a plan has exactly one of [waypoints] and "
+                          f"[orbit], not {len(kinds)}")
+    sections = _sections(found, ("plan", *kinds))
+    name = sections["plan"].pop("name", path.stem)
+    values = _take(sections, "plan", PLAN_KEYS, FlightPlan)
+    if "orbit" in sections:
+        orbit = _take(sections, "orbit", ORBIT_KEYS, OrbitPlan)
+        direction = sections["orbit"].pop("direction", "cw").lower()
+        if direction not in ("cw", "ccw"):
+            raise ConfigError(
+                f"orbit direction must be cw or ccw, got {direction!r}")
+        values["orbit"] = OrbitPlan(lam=1 if direction == "cw" else -1,
+                                    **orbit)
+    else:
+        # In the file's order, named by 0-based place as FlightPlan does.
+        waypoints = []
+        for i, (key, raw) in enumerate(sections.pop("waypoints").items()):
+            label = f"waypoint {i} ('{key}')"
+            waypoint = _parse_value(raw, "tuple[float, ...]", label)
+            if len(waypoint) != 2:
+                raise ConfigError(
+                    f"{label} must be 'north_m, east_m', got {raw!r}")
+            waypoints.append(waypoint)
+        values["waypoints"] = tuple(waypoints)
+    _reject_left(sections)
+    return FlightPlan(name=name, **values)
+
+
+@functools.lru_cache(maxsize=64)
+def _checked(build: Callable, path: Path, text: str):
+    """build(sections, path): the immutable checked settings of text, with
+    [DEFAULT] a section like any other. A failure is not kept."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None, default_section="")
+    try:
+        parser.read_string(text, source=str(path))
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    with _in_file(path):
+        return build({name: dict(parser.items(name, raw=True))
+                      for name in parser.sections()}, path)
+
+
+def _load(build: Callable, path: str | Path):
+    """The checked settings of the file at path, read on every call."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    return _checked(build, path, text)
+
+
 def load_aircraft(path: str | Path) -> AircraftParams:
-    """Load an aircraft parameter file."""
-    resolved = resolve_input_path(path, "aircraft")
-    found = _read_ini(resolved)
-    with _in_file(resolved):
-        sections = _sections(found, AIRCRAFT_KEYS)
-        values = {}
-        for section, table in AIRCRAFT_KEYS.items():
-            values |= _take(sections, section, table, AircraftParams)
-        _reject_left(sections)
-        return AircraftParams(**values)
+    """Load the aircraft parameter file at path."""
+    return _load(_aircraft, path)
 
 
 def load_plan(path: str | Path) -> FlightPlan:
-    """Load a flight-plan file, whose [waypoints] or [orbit] is its kind."""
-    resolved = resolve_input_path(path, "plans")
-    found = _read_ini(resolved)
-    with _in_file(resolved):
-        kinds = {"waypoints", "orbit"} & found.keys()
-        if len(kinds) != 1:
-            raise ConfigError("a plan has exactly one of [waypoints] and "
-                              f"[orbit], not {len(kinds)}")
-        sections = _sections(found, ("plan", *kinds))
-        name = sections["plan"].pop("name", resolved.stem)
-        values = _take(sections, "plan", PLAN_KEYS, FlightPlan)
-        if "orbit" in sections:
-            orbit = _take(sections, "orbit", ORBIT_KEYS, OrbitPlan)
-            direction = sections["orbit"].pop("direction", "cw").lower()
-            if direction not in ("cw", "ccw"):
-                raise ConfigError(
-                    f"orbit direction must be cw or ccw, got {direction!r}")
-            values["orbit"] = OrbitPlan(lam=1 if direction == "cw" else -1,
-                                        **orbit)
-        else:
-            # In the file's order, named by 0-based place as FlightPlan does.
-            waypoints = []
-            for i, (key, raw) in enumerate(sections.pop("waypoints").items()):
-                label = f"waypoint {i} ('{key}')"
-                waypoint = _parse_value(raw, "tuple[float, ...]", label)
-                if len(waypoint) != 2:
-                    raise ConfigError(
-                        f"{label} must be 'north_m, east_m', got {raw!r}")
-                waypoints.append(waypoint)
-            values["waypoints"] = tuple(waypoints)
-        _reject_left(sections)
-        return FlightPlan(name=name, **values)
+    """Load the flight-plan file at path."""
+    return _load(_plan, path)
 
 
 @dataclass(frozen=True)
@@ -366,6 +368,30 @@ class ScenarioConfig:
         check_fields(self)
 
 
+def _scenario(found: dict[str, dict[str, str]], path: Path) -> tuple:
+    """A scenario file's name, the (name, kind) of its aircraft and plan,
+    and the ((field, value), ...) of its ScenarioConfig, EnvironmentSettings,
+    ControllerSettings and GuidanceSettings, made after its files load."""
+    sections = _sections(found, ("scenario",),
+                         may_omit=("environment", "controller"))
+    head = sections["scenario"]
+    for key in REFERENCE_KEYS:
+        if key not in head:
+            raise ConfigError(f"missing key '{key}' in [scenario]")
+    name = head.pop("name", path.stem)
+    references = tuple((head.pop(key), kind)
+                       for key, kind in REFERENCE_KEYS.items())
+    # One [controller] section, read into two types by their tables.
+    parts = (_take(sections, "scenario", SCENARIO_KEYS, ScenarioConfig),
+             _take(sections, "environment", ENVIRONMENT_KEYS,
+                   EnvironmentSettings),
+             _take(sections, "controller", CONTROLLER_KEYS,
+                   ControllerSettings),
+             _take(sections, "controller", GUIDANCE_KEYS, GuidanceSettings))
+    _reject_left(sections)
+    return name, references, *(tuple(part.items()) for part in parts)
+
+
 def load_config(
     path: str | Path,
     seed: int | None = None,
@@ -380,33 +406,17 @@ def load_config(
     run request but not a valid stored configuration).
     """
     resolved = resolve_input_path(path, "scenarios")
-    found = _read_ini(resolved)
+    name, references, *parts = _load(_scenario, resolved)
+    values, env, ctrl, guidance = map(dict, parts)
     with _in_file(resolved):
-        sections = _sections(found, ("scenario",),
-                             may_omit=("environment", "controller"))
-        head = sections["scenario"]
-        for key in REFERENCE_KEYS:
-            if key not in head:
-                raise ConfigError(f"missing key '{key}' in [scenario]")
-        name = head.pop("name", resolved.stem)
-        references = {key: head.pop(key) for key in REFERENCE_KEYS}
-        values = _take(sections, "scenario", SCENARIO_KEYS, ScenarioConfig)
-        env = _take(sections, "environment", ENVIRONMENT_KEYS,
-                    EnvironmentSettings)
-        # One [controller] section, read into two types by their tables.
-        ctrl = _take(sections, "controller", CONTROLLER_KEYS,
-                     ControllerSettings)
-        guidance = _take(sections, "controller", GUIDANCE_KEYS,
-                         GuidanceSettings)
-        _reject_left(sections)
-        paths = {key: resolve_input_path(references[key], kind, resolved)
-                 for key, kind in REFERENCE_KEYS.items()}
+        aircraft_path, plan_path = (resolve_input_path(ref, kind, resolved)
+                                    for ref, kind in references)
         cfg = ScenarioConfig(
             name=name,
-            aircraft_path=paths["aircraft"],
-            plan_path=paths["plan"],
-            params=load_aircraft(paths["aircraft"]),
-            plan=load_plan(paths["plan"]),
+            aircraft_path=aircraft_path,
+            plan_path=plan_path,
+            params=load_aircraft(aircraft_path),
+            plan=load_plan(plan_path),
             env=EnvironmentSettings(**env),
             ctrl=ControllerSettings(guidance=GuidanceSettings(**guidance),
                                     **ctrl),

@@ -286,15 +286,15 @@ def run_scenario(
     log = {"t": t, **{key: arr[:steps] for key, arr in log.items()}}
     completed = memory.guidance.complete and fault is None
 
-    warm = log["t"] >= cfg.warmup
-    phi_w = log["phi"][warm]
+    first = int(np.searchsorted(log["t"], cfg.warmup))  # t rises: a tail
+    phi_w = log["phi"][first:]
     stats = None
     if phi_w.size >= 2:
-        lat_w = log["e_lateral"][warm]
+        lat_w = log["e_lateral"][first:]
         # Taken before the degree series: one fewer array live at the peak.
         image = {h: series_stats(total_image_error(lat_w, phi_w, h))
                  for h in TABLE_H_REFS}
-        roll_w, beta_w = np.degrees(phi_w), np.degrees(log["beta_est"][warm])
+        roll_w, beta_w = np.degrees(phi_w), np.degrees(log["beta_est"][first:])
         stats = RunStats(image, series_stats(lat_w), series_stats(roll_w),
                          series_stats(beta_w), float(np.mean(np.abs(roll_w))),
                          float(np.mean(np.abs(beta_w))))

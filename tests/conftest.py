@@ -182,7 +182,7 @@ def rk4_step(f: Callable[[Sequence[float]], Sequence[float]],
 
 @pytest.fixture(scope="session")
 def params():
-    return load_aircraft("aerosonde.ini")
+    return load_aircraft(DATA_DIR / "aircraft" / "aerosonde.ini")
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """INI loading: defaults, unit conversion, references, and error reporting."""
 
+import functools
 import math
 import os
 import pickle
@@ -41,6 +42,10 @@ plan = rectangle.ini
 """
 
 
+find_aircraft = functools.partial(resolve_input_path, kind="aircraft")
+find_plan = functools.partial(resolve_input_path, kind="plans")
+
+
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
@@ -58,7 +63,7 @@ def test_minimal_scenario_applies_defaults(tmp_path):
 
 
 def test_bundled_aircraft_angles_converted_to_radians():
-    params = load_aircraft("aerosonde.ini")
+    params = load_aircraft(DATA_DIR / "aircraft" / "aerosonde.ini")
     assert params.delta_a_max == pytest.approx(math.radians(25.0))
     assert params.delta_e_max == pytest.approx(math.radians(25.0))
     assert params.delta_r_max == pytest.approx(math.radians(25.0))
@@ -110,10 +115,10 @@ def test_a_bundled_scenario_ignores_the_working_directory(tmp_path,
 
 
 @pytest.mark.parametrize("load, name, kind, folder", [
-    (load_aircraft, "circle.ini", "aircraft", DATA_DIR / "aircraft"),
-    (load_aircraft, "plans/rectangle.ini", "aircraft", DATA_DIR / "aircraft"),
-    (load_plan, "aerosonde.ini", "plans", DATA_DIR / "plans"),
-    (load_plan, "scenarios/circle.ini", "plans", DATA_DIR / "plans"),
+    (find_aircraft, "circle.ini", "aircraft", DATA_DIR / "aircraft"),
+    (find_aircraft, "plans/rectangle.ini", "aircraft", DATA_DIR / "aircraft"),
+    (find_plan, "aerosonde.ini", "plans", DATA_DIR / "plans"),
+    (find_plan, "scenarios/circle.ini", "plans", DATA_DIR / "plans"),
     (load_config, "rectangle.ini", "scenarios", DATA_DIR / "scenarios"),
 ])
 def test_a_name_is_looked_for_among_its_own_kind_only(tmp_path, monkeypatch,
@@ -144,7 +149,8 @@ def test_a_reference_is_not_looked_for_in_the_working_directory(
         f"{scenario}: file not found: route.ini among the plans (looked for "
         f"{home / 'route.ini'} and {DATA_DIR / 'plans' / 'route.ini'})")
     # A name that no file gives is still found there.
-    assert load_plan("route.ini") == load_plan("rectangle.ini")
+    assert load_plan(find_plan("route.ini")) == load_plan(
+        find_plan("rectangle.ini"))
     # Beside the scenario, the reference is found.
     write(home, "route.ini", route)
     assert load_config(scenario).plan_path == home / "route.ini"
@@ -327,16 +333,93 @@ def test_absolute_missing_path_rejected(tmp_path):
         resolve_input_path(tmp_path / "ghost.ini", "scenarios")
 
 
-def test_a_file_rewritten_in_place_loads_its_new_text(tmp_path):
-    # The same path, length and modification time: only the text differs,
-    # and the text is what a load reads.
-    path = write(tmp_path, "fresh.ini", MINIMAL_SCENARIO + "duration_s = 30\n")
-    assert load_config(path).duration == 30.0
+def rewrite_in_place(path, text):
+    """Write text over the file at path, keeping its length and times."""
     stat = path.stat()
-    write(tmp_path, "fresh.ini", MINIMAL_SCENARIO + "duration_s = 40\n")
+    path.write_text(text, encoding="utf-8")
     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
     assert path.stat().st_size == stat.st_size
+
+
+def scenario_with_own_files(tmp_path):
+    """(scenario, aircraft, plan): a scenario beside copies of the bundled
+    aircraft and rectangle plan, under names that nothing bundled has."""
+    aircraft = write(tmp_path, "plane.ini",
+                     base_text(DATA_DIR / "aircraft" / "aerosonde.ini"))
+    plan = write(tmp_path, "route.ini",
+                 base_text(DATA_DIR / "plans" / "rectangle.ini"))
+    scenario = write(tmp_path, "own.ini", MINIMAL_SCENARIO.replace(
+        "aerosonde.ini", "plane.ini").replace("rectangle.ini", "route.ini"))
+    return scenario, aircraft, plan
+
+
+def test_a_file_rewritten_in_place_loads_its_new_text(tmp_path):
+    # The same path, length and modification time: only the text differs,
+    # and the text is what a load reads, for the scenario and for each
+    # file it names.
+    path = write(tmp_path, "fresh.ini", MINIMAL_SCENARIO + "duration_s = 30\n")
+    assert load_config(path).duration == 30.0
+    rewrite_in_place(path, MINIMAL_SCENARIO + "duration_s = 40\n")
     assert load_config(path).duration == 40.0
+    scenario, aircraft, plan = scenario_with_own_files(tmp_path)
+    cfg = load_config(scenario)
+    assert (cfg.params.mass, cfg.plan.fillet_radius) == (11.0, 100.0)
+    rewrite_in_place(aircraft, set_key(aircraft.read_text(encoding="utf-8"),
+                                       "mass_properties", "mass_kg", "12.0"))
+    rewrite_in_place(plan, set_key(plan.read_text(encoding="utf-8"), "plan",
+                                   "fillet_radius_m", "110.0"))
+    cfg = load_config(scenario)
+    assert (cfg.params.mass, cfg.plan.fillet_radius) == (12.0, 110.0)
+
+
+def test_a_removed_reference_is_not_found_on_the_next_load(tmp_path):
+    scenario, aircraft, _ = scenario_with_own_files(tmp_path)
+    load_config(scenario)
+    aircraft.unlink()
+    with pytest.raises(ConfigError) as caught:
+        load_config(scenario)
+    assert str(caught.value) == (
+        f"{scenario}: file not found: plane.ini among the aircraft (looked "
+        f"for {aircraft} and {DATA_DIR / 'aircraft' / 'plane.ini'})")
+
+
+def test_unchanged_files_load_the_one_params_and_plan(tmp_path):
+    scenario, _, _ = scenario_with_own_files(tmp_path)
+    first, again = load_config(scenario), load_config(scenario)
+    assert again.params is first.params
+    assert again.plan is first.plan
+
+
+def test_an_aircraft_value_out_of_range_is_an_error_on_every_load(tmp_path):
+    scenario, aircraft, _ = scenario_with_own_files(tmp_path)
+    aircraft.write_text(set_key(aircraft.read_text(encoding="utf-8"),
+                                "mass_properties", "mass_kg", "-1"),
+                        encoding="utf-8")
+    loads = ((load_aircraft, aircraft, ""), (load_config, scenario,
+                                             f"{scenario}: "))
+    for load, target, prefix in loads * 2:
+        with pytest.raises(ConfigError) as caught:
+            load(target)
+        assert str(caught.value) == (f"{prefix}{aircraft}: AircraftParams."
+                                     "mass must be > 0, got -1.0")
+
+
+def test_a_missing_reference_is_reported_before_the_scenario_settings(
+        tmp_path):
+    # The files a scenario names are found and loaded before its own
+    # settings are made, so a bad gust time constant waits its turn.
+    path = write(tmp_path, "ghostly.ini", MINIMAL_SCENARIO.replace(
+        "aerosonde.ini", "ghost.ini") + "[environment]\ngust_tau_s = -1\n")
+    with pytest.raises(ConfigError) as caught:
+        load_config(path)
+    assert str(caught.value).startswith(
+        f"{path}: file not found: ghost.ini among the aircraft ")
+    write(tmp_path, "ghost.ini",
+          base_text(DATA_DIR / "aircraft" / "aerosonde.ini"))
+    with pytest.raises(ConfigError) as caught:
+        load_config(path)
+    assert str(caught.value) == (f"{path}: EnvironmentSettings.gust_tau "
+                                 "must be > 0, got -1.0")
 
 
 def test_a_malformed_file_is_an_error_on_every_load(tmp_path):
@@ -348,8 +431,22 @@ def test_a_malformed_file_is_an_error_on_every_load(tmp_path):
             load_config(path)
         messages.append(str(caught.value))
     assert messages[0] == messages[1]
-    assert messages[0].startswith(f"cannot parse {path}: ")
+    assert messages[0].startswith(
+        f"cannot parse {path}: While reading from '{path}' [line  6]: ")
     assert "option 'seed' in section 'scenario' already exists" in messages[0]
+
+
+def test_a_malformed_aircraft_file_is_named_after_its_scenario(tmp_path):
+    scenario, aircraft, _ = scenario_with_own_files(tmp_path)
+    aircraft.write_text(aircraft.read_text(encoding="utf-8")
+                        + "[geometry]\n", encoding="utf-8")
+    for _ in range(2):
+        with pytest.raises(ConfigError) as caught:
+            load_config(scenario)
+        assert str(caught.value).startswith(
+            f"{scenario}: cannot parse {aircraft}: While reading from "
+            f"'{aircraft}' [line ")
+        assert "section 'geometry' already exists" in str(caught.value)
 
 
 def test_a_name_that_links_to_its_referrer_is_not_found(tmp_path):
@@ -584,14 +681,15 @@ def test_comma_lists_skip_empty_items(tmp_path):
     for wp02 in ("400, 0,", "400, , 0", ", 400, 0"):
         plan = load_plan(write(tmp_path, "route.ini", set_key(
             text, "waypoints", "wp02", wp02)))
-        assert plan == load_plan("rectangle.ini")
+        assert plan == load_plan(DATA_DIR / "plans" / "rectangle.ini")
 
 
 def valid_settings():
     """One valid instance of each settings type, from the bundled files."""
     cfg = load_config("rectangle_compare.ini")
-    instances = (cfg.params, cfg.plan, load_plan("circle.ini").orbit,
-                 GuidanceSettings(), cfg.env, cfg.ctrl, cfg)
+    orbit = load_plan(DATA_DIR / "plans" / "circle.ini").orbit
+    instances = (cfg.params, cfg.plan, orbit, GuidanceSettings(), cfg.env,
+                 cfg.ctrl, cfg)
     return {type(settings): settings for settings in instances}
 
 

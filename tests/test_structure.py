@@ -4,7 +4,8 @@ is data/<kind>/<name>.ini and goes into a wheel, every import of a
 package name names the module that defines it, every function, class
 and method is used inside the package, the settings types check
 themselves once, when they are made, one place binds an airframe, every
-memo is declared, one helper starts child processes and one function
+memo is declared and its values on the bundled inputs take no
+assignment, one helper starts child processes and one function
 sends from them, one place integrates the control loops, the lateral law
 is chosen only where a controller is bound, the run loop is one
 closed-loop step, the per-step code uses no numpy, calls no builtin min
@@ -24,12 +25,13 @@ import re
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import levelwing
-from conftest import SETTINGS_TYPES
-from levelwing import errors
-from levelwing.dynamics import Airframe, make_airframe
+from conftest import DATA_DIR, SETTINGS_TYPES
+from levelwing import config, errors
+from levelwing.dynamics import Airframe, make_airframe, trim
 from levelwing.guidance import _plan_segments
 
 PACKAGE = "levelwing"
@@ -439,7 +441,7 @@ def test_one_place_binds_the_airframe():
 # Every memo in the package. Each is a function of its arguments alone
 # whose value no caller changes, so that sharing it is never seen; a new
 # memo is declared here, where it is reviewed.
-MEMOS = {"config._parse_ini", "dynamics.make_airframe", "dynamics.trim",
+MEMOS = {"config._checked", "dynamics.make_airframe", "dynamics.trim",
          "errors._field_kinds"}
 
 
@@ -475,6 +477,88 @@ def test_each_memo_is_declared():
              for site in memo_sites(ast.parse(path.read_text(
                  encoding="utf-8")))}
     assert found == MEMOS
+
+
+def assignable(value, where: str = "value") -> list[str]:
+    """Where value, or anything it holds, takes an assignment. A tuple,
+    a named tuple or a dataclass must refuse every attribute, its fields
+    and a new one, and its parts are checked in turn; a number, a string,
+    a builtin function or None holds nothing; a function is checked
+    through the values its closure holds, which fix what it computes. Any
+    other value (a list, a dict, an array) is assignable."""
+    if value is None or isinstance(value, (str, int, float)) \
+            or inspect.isbuiltin(value):
+        return []
+    if inspect.isfunction(value):
+        parts = {f"{where}.{name}": cell.cell_contents for name, cell in
+                 zip(value.__code__.co_freevars, value.__closure__ or ())}
+    elif isinstance(value, tuple) or dataclasses.is_dataclass(value):
+        names = (getattr(value, "_fields", ()) if isinstance(value, tuple)
+                 else [f.name for f in dataclasses.fields(value)])
+        for name in (*names, "unknown_attribute"):
+            try:
+                setattr(value, name, None)
+            except AttributeError:
+                continue
+            return [f"{where}.{name}"]
+        parts = ({f"{where}[{i}]": part for i, part in enumerate(value)}
+                 if isinstance(value, tuple)
+                 else {f"{where}.{name}": getattr(value, name)
+                       for name in names})
+    else:
+        return [where]
+    return [found for name, part in parts.items()
+            for found in assignable(part, name)]
+
+
+def test_assignable_finds_each_writable_part():
+    @dataclasses.dataclass(frozen=True)
+    class Frozen:
+        items: tuple
+
+    @dataclasses.dataclass
+    class Open:
+        x: float = 0.0
+
+    def bind(values):
+        def read():
+            return values
+        return read
+
+    assert assignable((1.0, "a", None, Frozen((2, Frozen(()))))) == []
+    assert assignable(Frozen(([1],)), "f") == ["f.items[0]"]
+    assert assignable((Open(), {}), "t") == ["t[0].x", "t[1]"]
+    assert assignable(bind((3.0,))) == []
+    assert assignable(bind(np.zeros(2))) == ["value.values"]
+
+
+def memo_values() -> dict[str, list]:
+    """Each memo's values on the bundled scenarios, by memo: the checked
+    settings of every file they read, their airframes and their trims."""
+    paths = sorted((DATA_DIR / "scenarios").glob("*.ini"))
+    cfgs = [config.load_config(path) for path in paths]
+    airframes = [make_airframe(cfg.params) for cfg in cfgs]
+    return {
+        "config._checked": [*(cfg.params for cfg in cfgs),
+                            *(cfg.plan for cfg in cfgs),
+                            *(config._load(config._scenario, path)
+                              for path in paths)],
+        "dynamics.make_airframe": airframes,
+        "dynamics.trim": [trim(airframe, cfg.va_cmd)
+                          for airframe, cfg in zip(airframes, cfgs)],
+    }
+
+
+def test_each_memo_value_takes_no_assignment():
+    # What keeps sharing a memo's value unseen: no caller can change it.
+    # _field_kinds is keyed by a settings class, not by an input, and
+    # holds that class's own Field objects, which the class shares anyway.
+    values = memo_values()
+    assert values.keys() == MEMOS - {"errors._field_kinds"}
+    for memo, found in values.items():
+        assert found, memo
+        assert [where for i, value in enumerate(found)
+                for where in assignable(value, f"{memo}[{i}]")] == []
 
 
 def test_one_child_protocol():
